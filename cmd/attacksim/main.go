@@ -1,9 +1,8 @@
-// Command attacksim is the adversarial harness. It has two planes:
-//
-// The campaign plane drives seeded randomized attack/churn campaigns
-// against a full in-process lab while a trusted oracle controller replays
-// the identical committed event stream on the slow exhaustive recheck path,
-// differentially checking every verdict (internal/campaign):
+// Command attacksim is the adversarial harness: it drives seeded randomized
+// attack/churn campaigns against a full in-process lab while a trusted
+// oracle controller replays the identical committed event stream on the
+// slow exhaustive recheck path, differentially checking every verdict
+// (internal/campaign):
 //
 //	attacksim run -seed 7 -steps 40                 seeded campaign, print outcome
 //	attacksim run -spec lab.yml -save out.json      campaign from a spec's campaign: section
@@ -11,31 +10,24 @@
 //	attacksim replay testdata/campaigns/x.json      replay an artifact, check its expectation
 //	attacksim shrink -in fail.json -out min.json    ddmin a diverging trace to a 1-minimal reproducer
 //
-// The detection plane reproduces the paper's adversarial evaluation (E4/E5
-// detection matrices and the flap sweep) and stays the default verb:
-//
-//	attacksim [detect] [-skip-flap] [-horizon 600s]
+// The paper's adversarial evaluation (E4 detection matrices, E5 flap sweep)
+// is printed by `benchharness -only e4,e5`.
 //
 // Exit codes: 0 clean, 1 engine/lab failure, 2 usage, 3 divergence (run) or
 // failed expectation (replay).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/deploy"
-	"repro/internal/experiments"
 	"repro/internal/labspec"
 	"repro/internal/rvaas/admin"
 )
@@ -47,24 +39,18 @@ const (
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	verb, rest := "detect", os.Args[1:]
-	if len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-		verb, rest = rest[0], rest[1:]
-	}
-	var err error
-	switch verb {
-	case "detect":
-		err = runDetect(ctx, rest)
-	case "run":
-		err = runCampaign(rest)
-	case "replay":
-		err = runReplay(rest)
-	case "shrink":
-		err = runShrink(rest)
-	default:
-		err = usageErr("attacksim: unknown verb %q (want run, replay, shrink or detect)", verb)
+	err := usageErr("usage: attacksim run|replay|shrink [flags] (see `go doc ./cmd/attacksim`)")
+	if len(os.Args) > 1 {
+		switch verb, rest := os.Args[1], os.Args[2:]; verb {
+		case "run":
+			err = runCampaign(rest)
+		case "replay":
+			err = runReplay(rest)
+		case "shrink":
+			err = runShrink(rest)
+		default:
+			err = usageErr("attacksim: unknown verb %q (want run, replay or shrink)", verb)
+		}
 	}
 	if err != nil {
 		log.Print(err)
@@ -329,66 +315,4 @@ func saveArtifact(path string, cfg campaign.Config, res *campaign.Result) error 
 		art.ExpectKind = res.Divergence.Kind
 	}
 	return art.Save(path)
-}
-
-// runDetect preserves the original attacksim behavior: the paper's E4
-// detection matrices (lying + honest provider) and the E5 flap sweep.
-func runDetect(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("attacksim detect", flag.ContinueOnError)
-	skipFlap := fs.Bool("skip-flap", false, "skip the E5 flap sweep")
-	horizon := fs.Duration("horizon", 600*time.Second, "virtual horizon for the flap sweep")
-	if err := fs.Parse(args); err != nil {
-		return usageErr("attacksim detect: %v", err)
-	}
-
-	fmt.Println("=== E4: detection matrix, LYING provider (paper threat model) ===")
-	lying := experiments.DetectionMatrix(true)
-	fmt.Print(experiments.FormatMatrix(lying))
-	printScore(lying)
-
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attacksim: interrupted after the lying-provider matrix: %w", err)
-	}
-
-	fmt.Println("\n=== E4 ablation: detection matrix, honest provider ===")
-	honest := experiments.DetectionMatrix(false)
-	fmt.Print(experiments.FormatMatrix(honest))
-	printScore(honest)
-
-	if *skipFlap {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attacksim: interrupted before the flap sweep: %w", err)
-	}
-	fmt.Println("\n=== E5: flap-attack detection rate vs attacker duty cycle ===")
-	fmt.Println("(virtual time; poll interval 10s; attacker aligned to the nominal schedule)")
-	fractions := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	fmt.Printf("%-14s %-14s %-14s\n", "duty cycle", "fixed polls", "random polls")
-	for _, f := range fractions {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("attacksim: interrupted at duty cycle %.1f: %w", f, err)
-		}
-		rows, err := experiments.FlapSweep([]float64{f}, 10*time.Second, *horizon, 17)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Printf("%-14.1f %-14.2f %-14.2f\n", r.WindowFraction, r.FixedRate, r.RandomRate)
-		}
-	}
-	fmt.Println("\nfixed-phase polling is evaded at every duty cycle; randomized polling")
-	fmt.Println("detects at a rate tracking the attacker's exposure (paper §IV-A).")
-	return nil
-}
-
-func printScore(results []experiments.DetectionResult) {
-	score := experiments.DetectionScore(results)
-	fmt.Printf("score: rvaas %d/7, traceroute %d/7, trajectory-sampling %d/7\n",
-		score["rvaas"], score["traceroute"], score["trajectory-sampling"])
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Printf("  ERROR %s/%s: %v\n", r.Attack, r.Detector, r.Err)
-		}
-	}
 }

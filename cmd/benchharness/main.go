@@ -68,7 +68,7 @@ var experimentTable = []experiment{
 	{"e12", "standing-invariant re-check: incremental vs naive re-query", e12},
 	{"e13", "sharded recheck engine scale-out: indexed dispatch + worker pool vs linear scan", e13},
 	{"e14", "rule-delta dispatch: header-space overlap filter vs per-switch dirty bucket on a hub", e14},
-	{"e15", "protocol v2: batch registration vs sequential round-trips; kill/restart restore + re-verify", e15},
+	{"e15", "client protocol: batch registration vs sequential round-trips; kill/restart restore + re-verify", e15},
 	{"e16", "fault envelopes: trunk partition + channel loss vs detach-detect / stale-green / rejoin convergence", e16},
 	{"e18", "verifier fleet: N=4 partitioned engine vs N=1, dispatch confinement + differential verdict equality", e18},
 }

@@ -401,8 +401,8 @@ func (c *opsClient) sessions() error {
 	}
 	fmt.Fprintf(out, "client sessions (%d):\n", view.TotalClients)
 	for _, cs := range view.Clients {
-		fmt.Fprintf(out, "  client=%-6d session=%-12d proto=v%d subs=%d violated=%d\n",
-			cs.Client, cs.Session, max(int(cs.Protocol), 1), cs.Subscriptions, cs.Violated)
+		fmt.Fprintf(out, "  client=%-6d session=%-12d subs=%d violated=%d\n",
+			cs.Client, cs.Session, cs.Subscriptions, cs.Violated)
 	}
 	fmt.Fprintf(out, "switch sessions (%d):\n", len(view.Switches))
 	for _, ss := range view.Switches {

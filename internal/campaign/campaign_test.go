@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/labspec"
+	"repro/internal/openflow"
+	"repro/internal/topology"
 )
 
 func testConfig(seed int64) Config {
@@ -163,6 +167,63 @@ func TestOracleDifferentialWaypointAndPathLength(t *testing.T) {
 	}
 	if res.Transitions == 0 {
 		t.Fatalf("attack trace moved no verdicts; differential coverage is vacuous")
+	}
+}
+
+// TestDifferRefusesOverflowedStep: the per-step transition differ reads the
+// bounded violation ring, so a step that commits more transitions than the
+// ring holds evicts its own oldest records. Comparing what is left could
+// agree while the lost records differ — the differ must report the
+// overflow, never pass (or mis-blame a "missing" line).
+func TestDifferRefusesOverflowedStep(t *testing.T) {
+	topo, err := topology.Linear(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// HistoryDepth 1 ⇒ a violation ring of 4 records on the primary.
+	d, err := deploy.New(topo, deploy.Options{SkipAgents: true, ManualRecheck: true, HistoryDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	orc, err := newOracle(topo, OracleLegacyScan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orc.Close()
+	e := New(testConfig(1))
+	x := newExecutor(d, topo)
+	sync := func() {
+		t.Helper()
+		if err := e.settle(x); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range d.RVaaS.ExportState() {
+			orc.ctl.ReplayTap(ev)
+		}
+		d.RVaaS.RecheckNow()
+		orc.ctl.RecheckNow()
+	}
+	sync()
+	if err := x.registerBase(orc.ctl, 12); err != nil {
+		t.Fatal(err)
+	}
+	sync()
+	pCursor, sCursor := d.RVaaS.ViolationLog().Appended(), orc.ctl.ViolationLog().Appended()
+	if dv := e.compare(0, "setup", x, orc, pCursor, sCursor); dv != nil {
+		t.Fatalf("setup diverged: %s", dv)
+	}
+
+	// One step that flips more verdicts than the ring holds: the middle
+	// switch drops everything.
+	d.Fabric.Switch(2).InstallDirect(openflow.FlowEntry{Priority: 0xFFF0, Cookie: 0xD40F})
+	sync()
+	if n := d.RVaaS.ViolationLog().Appended() - pCursor; n <= 4 {
+		t.Fatalf("step committed %d transitions; need more than the ring's 4", n)
+	}
+	dv := e.compare(1, "drop-all", x, orc, pCursor, sCursor)
+	if dv == nil || dv.Kind != "transition" || !strings.Contains(dv.Detail, "overflowed during step") {
+		t.Fatalf("differ on an overflowed step = %v, want an overflow divergence", dv)
 	}
 }
 

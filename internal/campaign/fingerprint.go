@@ -109,6 +109,15 @@ func transitionLines(recs []history.Violation) []string {
 	return out
 }
 
+// stepTransitions returns the canonical lines of the records appended to
+// log since cursor, and whether every one of them is still retained (the
+// log is a bounded ring: a step that commits more transitions than it holds
+// evicts its own oldest records).
+func stepTransitions(log *history.ViolationLog, cursor uint64) (lines []string, complete bool) {
+	recs := log.Since(cursor)
+	return transitionLines(recs), uint64(len(recs)) == log.Appended()-cursor
+}
+
 // firstDiff returns the first position where two canonical line slices
 // disagree, formatted for a divergence report.
 func firstDiff(primary, shadow []string) string {

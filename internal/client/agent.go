@@ -1,5 +1,5 @@
 // Package client implements the user-side agent of RVaaS: it issues
-// magic-header query packets, answers authentication requests ("clients run
+// magic-header envelope frames, answers authentication challenges ("clients run
 // a software which responds to our authentication requests, in user space",
 // paper §IV-A3), and verifies that responses really come from an attested
 // RVaaS enclave.
@@ -28,10 +28,9 @@ var (
 	ErrClosed        = errors.New("client: agent closed")
 )
 
-// gapRecoveryPolicy paces the lightweight gap-recovery tiers (session
-// resume, verdict query) before recovery escalates to a re-subscribe: two
-// retries, so a transiently lossy channel gets three chances to heal in
-// place.
+// gapRecoveryPolicy paces the lightweight gap-recovery tier (session
+// resume) before recovery escalates to a re-subscribe: two retries, so a
+// transiently lossy channel gets three chances to heal in place.
 var gapRecoveryPolicy = backoff.Policy{
 	Initial:     50 * time.Millisecond,
 	Max:         500 * time.Millisecond,
@@ -60,12 +59,6 @@ type Config struct {
 	Trust    TrustAnchors
 	// ResponseTimeout bounds Query; default 2s.
 	ResponseTimeout time.Duration
-	// Protocol selects the wire encoding: 1 (default) speaks the legacy
-	// per-shape v1 frames; wire.EnvelopeVersion speaks protocol v2
-	// envelopes, which additionally enable sessions (durable restore via
-	// ResumeSession) and batch operations. Runtime-switchable with
-	// SetProtocol.
-	Protocol uint8
 }
 
 // Agent is a running client agent.
@@ -73,13 +66,12 @@ type Agent struct {
 	cfg  Config
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
-	// sessionID names this agent's session in protocol v2 envelopes;
-	// subscriptions registered under it survive a controller restart and
-	// are resumed with one ResumeSession exchange.
+	// sessionID names this agent's session in its envelopes; subscriptions
+	// registered under it survive a controller restart and are resumed with
+	// one ResumeSession exchange.
 	sessionID uint64
 
 	mu      sync.Mutex
-	proto   uint8
 	waiting map[uint64]chan *wire.QueryResponse // by nonce
 	ackWait map[uint64]chan *wire.Notification  // by subscription-op nonce
 	envWait map[uint64]chan *wire.Envelope      // by envelope correlation id (batch/resume replies)
@@ -153,14 +145,13 @@ type Subscription struct {
 // either the server's Notification.Seq skipped ahead (an in-band push was
 // lost or suppressed) or the local delivery channel overflowed. Delivery
 // is fire-and-forget Packet-Out, so the agent heals the hole itself —
-// normally with a current-verdict query (SubOpQueryVerdict) that
-// resynchronizes the client in place, falling back to re-registering the
-// invariant (and retiring the stale server-side subscription) when the
-// query fails. The event is surfaced on Agent.Gaps after recovery
-// completes.
+// normally with a session resume (OpSessionResume) that resynchronizes the
+// client in place, falling back to re-registering the invariant (and
+// retiring the stale server-side subscription) when the server cannot
+// resume it. The event is surfaced on Agent.Gaps after recovery completes.
 type GapEvent struct {
 	// SubID is the subscription id at detection time. NewSubID == SubID
-	// marks an in-place verdict-query resync (the server-side subscription
+	// marks an in-place session-resume resync (the server-side subscription
 	// survived; per-SubID client state remains valid); a different NewSubID
 	// marks the re-subscribe fallback (a replacement server-side
 	// subscription); zero means recovery failed — see Err.
@@ -169,8 +160,8 @@ type GapEvent struct {
 	// MissedFrom/MissedTo bound the lost sequence range.
 	MissedFrom uint64
 	MissedTo   uint64
-	// Status/Detail carry the invariant's current verdict from the
-	// verdict-query or re-subscribe ack.
+	// Status/Detail carry the invariant's current verdict from the resume
+	// reply or re-subscribe ack.
 	Status wire.ResponseStatus
 	Detail string
 	// Err is non-nil when the automatic re-subscribe failed; the next gap
@@ -186,9 +177,6 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.ResponseTimeout == 0 {
 		cfg.ResponseTimeout = 2 * time.Second
 	}
-	if cfg.Protocol == 0 {
-		cfg.Protocol = 1
-	}
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("client: keygen: %w", err)
@@ -202,7 +190,6 @@ func New(cfg Config) (*Agent, error) {
 		pub:         pub,
 		priv:        priv,
 		sessionID:   session,
-		proto:       cfg.Protocol,
 		waiting:     make(map[uint64]chan *wire.QueryResponse),
 		ackWait:     make(map[uint64]chan *wire.Notification),
 		envWait:     make(map[uint64]chan *wire.Envelope),
@@ -213,26 +200,8 @@ func New(cfg Config) (*Agent, error) {
 	}, nil
 }
 
-// SessionID returns the agent's protocol v2 session identifier.
+// SessionID returns the agent's session identifier.
 func (a *Agent) SessionID() uint64 { return a.sessionID }
-
-// SetProtocol switches the wire encoding for subsequent operations (1 =
-// legacy frames, wire.EnvelopeVersion = envelopes). Existing subscriptions
-// keep receiving pushes in the protocol version they were registered with.
-func (a *Agent) SetProtocol(v uint8) {
-	if v == 0 {
-		v = 1
-	}
-	a.mu.Lock()
-	a.proto = v
-	a.mu.Unlock()
-}
-
-func (a *Agent) protocol() uint8 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.proto
-}
 
 // PublicKey returns the agent's auth-reply verification key (registered
 // with RVaaS out of band).
@@ -257,7 +226,7 @@ func (a *Agent) NotificationsDropped() uint64 {
 }
 
 // GapsDetected counts notification-loss events that triggered automatic
-// re-subscribe recovery.
+// gap recovery.
 func (a *Agent) GapsDetected() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -311,33 +280,23 @@ func (a *Agent) Close() {
 // HandleFrame is the agent's NIC receive path at its primary access point;
 // attach it to the fabric as the host handler.
 func (a *Agent) HandleFrame(pkt *wire.Packet) {
-	a.handleFrameAt(a.cfg.Access, pkt)
+	a.handleEnvelope(a.cfg.Access, pkt)
 }
 
 // HandlerFor returns a receive path bound to one of the client's (possibly
 // several) access points; auth replies are injected back at that point.
 func (a *Agent) HandlerFor(ap topology.AccessPoint) func(*wire.Packet) {
-	return func(pkt *wire.Packet) { a.handleFrameAt(ap, pkt) }
+	return func(pkt *wire.Packet) { a.handleEnvelope(ap, pkt) }
 }
 
-func (a *Agent) handleFrameAt(ap topology.AccessPoint, pkt *wire.Packet) {
-	switch {
-	case pkt.IsAuthRequest():
-		a.handleAuthRequest(ap, pkt)
-	case pkt.IsRVaaSV2Reply():
-		a.handleEnvelope(pkt)
-	case pkt.IsNotification():
-		a.handleNotification(pkt.Payload)
-	case pkt.EthType == wire.EthTypeIPv4 && pkt.IPProto == wire.IPProtoUDP && pkt.L4Src == wire.PortRVaaSResponse:
-		a.handleResponse(pkt.Payload)
+// handleEnvelope unwraps one frame received at ap: anything but an RVaaS
+// envelope is ordinary traffic and ignored; auth challenges are answered
+// from ap, query responses and notifications go to their body handlers,
+// batch and resume replies route to their correlation waiter.
+func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
+	if !pkt.IsRVaaSV2Reply() {
+		return
 	}
-}
-
-// handleEnvelope unwraps one protocol v2 frame: query responses and
-// notifications reuse the v1 body handlers (the body codecs are shared
-// across protocol versions); batch and resume replies route to their
-// correlation waiter.
-func (a *Agent) handleEnvelope(pkt *wire.Packet) {
 	env, err := wire.UnmarshalEnvelope(pkt.Payload)
 	if err != nil {
 		return
@@ -353,6 +312,8 @@ func (a *Agent) handleEnvelope(pkt *wire.Packet) {
 		env = full
 	}
 	switch env.Op {
+	case wire.OpAuthChallenge:
+		a.handleAuthRequest(ap, env.Body)
 	case wire.OpQueryResponse:
 		a.handleResponse(env.Body)
 	case wire.OpNotify:
@@ -371,9 +332,9 @@ func (a *Agent) handleEnvelope(pkt *wire.Packet) {
 }
 
 // handleAuthRequest publishes the agent: it signs the challenge and sends
-// the magic-header UDP reply that the ingress switch reports to RVaaS.
-func (a *Agent) handleAuthRequest(ap topology.AccessPoint, pkt *wire.Packet) {
-	ar, err := wire.UnmarshalAuthRequest(pkt.Payload)
+// the magic-header reply that the ingress switch reports to RVaaS.
+func (a *Agent) handleAuthRequest(ap topology.AccessPoint, body []byte) {
+	ar, err := wire.UnmarshalAuthRequest(body)
 	if err != nil {
 		return
 	}
@@ -391,8 +352,9 @@ func (a *Agent) handleAuthRequest(ap topology.AccessPoint, pkt *wire.Packet) {
 		PubKey:     a.pub,
 	}
 	rep.Signature = ed25519.Sign(a.priv, rep.SigningBytes())
-	out := wire.NewAuthReplyPacket(ap.HostMAC, ap.HostIP, rep)
-	_ = a.cfg.NIC.InjectFromHost(ap.Endpoint, out)
+	// Best-effort: a lost reply shows up in the querier's response as
+	// AuthReplied < AuthRequested.
+	_ = a.send(ap, wire.OpAuthReply, rep.Challenge, rep.Marshal())
 }
 
 // handleResponse verifies and routes an RVaaS response to its waiter.
@@ -481,9 +443,7 @@ func (a *Agent) Query(kind wire.QueryKind, constraints []wire.FieldConstraint, p
 	a.waiting[nonce] = ch
 	a.mu.Unlock()
 
-	err = a.sendRequest(wire.OpQuery, nonce, func() []byte { return q.Marshal() },
-		func() *wire.Packet { return wire.NewQueryPacket(a.cfg.Access.HostMAC, a.cfg.Access.HostIP, q) })
-	if err != nil {
+	if err := a.send(a.cfg.Access, wire.OpQuery, nonce, q.Marshal()); err != nil {
 		a.mu.Lock()
 		delete(a.waiting, nonce)
 		a.mu.Unlock()
@@ -557,8 +517,7 @@ func (a *Agent) handleNotification(payload []byte) {
 				// means a notification was lost in flight (or deliberately
 				// suppressed), and a full local channel loses this one. Both
 				// leave the client's view of its invariant stale, so both
-				// trigger the same recovery: transparently re-register the
-				// invariant and resynchronize on the ack's current verdict.
+				// trigger the same recovery (recoverGap).
 				gap := n.Seq != *seqRef+1
 				from, to := *seqRef+1, n.Seq-1
 				*seqRef = n.Seq
@@ -586,88 +545,50 @@ func (a *Agent) handleNotification(payload []byte) {
 	}
 }
 
-// recoverGap heals one notification loss. It first asks the server for
-// the subscription's current verdict (SubOpQueryVerdict): the signed ack
-// resynchronizes the client's view — verdict and sequence baseline — while
-// the server keeps the subscription (and its footprint, cone cache and
-// index state) untouched. Only when the verdict query itself fails (lost
-// frames both ways, or the server no longer knows the subscription, e.g.
-// after a controller restart) does it fall back to the heavyweight path:
-// re-register the invariant under a fresh nonce, atomically rebind the
-// local Subscription to the new server-side id, and retire the superseded
-// subscription. On failure the subscription is left untouched and the next
-// detected loss retries.
+// recoverGap heals one notification loss. It first resumes the session
+// (OpSessionResume): one signed exchange rebases EVERY subscription of the
+// session — verdict and sequence baseline — while the server keeps the
+// subscription (and its footprint, cone cache and index state) untouched;
+// resumes racing from a burst of gaps coalesce onto a single in-flight
+// exchange, and a restarted-then-restored controller resumes the whole
+// fleet without a single re-subscribe. Only when the server cannot resume
+// this subscription (it no longer knows it, e.g. after an unrestored
+// controller restart) or every resume attempt is lost does recovery fall
+// back to the heavyweight path: re-register the invariant under a fresh
+// nonce, atomically rebind the local Subscription to the new server-side
+// id, and retire the superseded subscription. On failure the subscription
+// is left untouched and the next detected loss retries.
 func (a *Agent) recoverGap(sub *Subscription, missedFrom, missedTo uint64) {
 	a.mu.Lock()
 	oldID, oldNonce := sub.ID, sub.nonce
 	a.mu.Unlock()
 	ev := GapEvent{SubID: oldID, MissedFrom: missedFrom, MissedTo: missedTo}
 
-	// The lightweight tiers retry under a short bounded backoff before
-	// recovery escalates: on a lossy channel a recovery exchange is as
-	// likely to lose a frame as the notification whose loss triggered it,
-	// and the heavyweight re-subscribe below costs the server a fresh
-	// registration. Deterministic refusals (the server answers but cannot
-	// resume or does not know the subscription) escalate immediately.
+	// The resume retries under a short bounded backoff before recovery
+	// escalates: on a lossy channel a recovery exchange is as likely to
+	// lose a frame as the notification whose loss triggered it, and the
+	// re-subscribe below costs the server a fresh registration. A
+	// deterministic refusal (the server answers but cannot resume this
+	// subscription) escalates immediately.
 	bo := backoff.New(gapRecoveryPolicy)
 	for {
-		transient := false
-
-		// Protocol v2 heals losses at session granularity first: one signed
-		// resume exchange rebases EVERY subscription of the session (resumes
-		// racing from a burst of gaps coalesce onto a single in-flight
-		// exchange, and a restarted-then-restored controller resumes the
-		// whole fleet without a single re-subscribe). Only when the server
-		// cannot resume this subscription does recovery fall through to the
-		// per-subscription tiers below.
-		if a.protocol() >= wire.EnvelopeVersion {
-			entries, err := a.sharedResume()
-			if err != nil {
-				transient = true
+		entries, err := a.sharedResume()
+		for _, ent := range entries {
+			if ent.SubID != oldID || ent.Status == wire.StatusError {
+				continue
 			}
-			for _, ent := range entries {
-				if ent.SubID != oldID || ent.Status == wire.StatusError {
-					continue
-				}
-				// ResumeSession already rebased lastSeq under the lock.
-				a.mu.Lock()
-				stillBound := !a.closed && !sub.unsubscribing && sub.ID == oldID
-				sub.resubbing = false
-				a.mu.Unlock()
-				if stillBound {
-					ev.NewSubID, ev.Status, ev.Detail = oldID, ent.Status, ent.Detail
-					a.emitGap(ev)
-				}
-				return
-			}
-		}
-
-		if ack, err := a.queryVerdictByID(oldID); err == nil && ack.Event == wire.NotifyAck {
+			// ResumeSession already rebased lastSeq under the lock.
 			a.mu.Lock()
-			if !a.closed && !sub.unsubscribing && sub.ID == oldID {
-				// Rebase gap detection on the verdict's sequence number: every
-				// push at or below it is superseded by the verdict we now hold,
-				// so in-flight stale pushes are dropped instead of re-triggering
-				// recovery. Only raise — a fresh push may already have advanced
-				// the counter past the ack.
-				if ack.Seq > sub.lastSeq {
-					sub.lastSeq = ack.Seq
-				}
-				sub.resubbing = false
-				a.mu.Unlock()
-				ev.NewSubID, ev.Status, ev.Detail = oldID, ack.Status, ack.Detail
-				a.emitGap(ev)
-				return
-			}
-			// Closed or a user Unsubscribe raced the resync: nothing to rebind.
+			stillBound := !a.closed && !sub.unsubscribing && sub.ID == oldID
 			sub.resubbing = false
 			a.mu.Unlock()
+			if stillBound {
+				ev.NewSubID, ev.Status, ev.Detail = oldID, ent.Status, ent.Detail
+				a.emitGap(ev)
+			}
 			return
-		} else if err != nil {
-			transient = true
 		}
-
-		if !transient || bo.Exhausted() {
+		if err == nil || bo.Exhausted() {
 			break
 		}
 		time.Sleep(bo.Next())
@@ -794,10 +715,20 @@ func (a *Agent) recoverGap(sub *Subscription, missedFrom, missedTo uint64) {
 // touched, so pushes in flight keep flowing (and keep triggering recovery)
 // normally.
 func (a *Agent) QueryVerdict(sub *Subscription) (*wire.Notification, error) {
+	nonce, err := randomNonce()
+	if err != nil {
+		return nil, err
+	}
 	a.mu.Lock()
 	id := sub.ID
 	a.mu.Unlock()
-	ack, err := a.queryVerdictByID(id)
+	ack, err := a.subscribeOp(&wire.SubscribeRequest{
+		Version:  wire.CurrentVersion,
+		Op:       wire.SubOpQueryVerdict,
+		ClientID: a.cfg.ClientID,
+		Nonce:    nonce,
+		SubID:    id,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -805,22 +736,6 @@ func (a *Agent) QueryVerdict(sub *Subscription) (*wire.Notification, error) {
 		return nil, fmt.Errorf("client: verdict query rejected: %s", ack.Detail)
 	}
 	return ack, nil
-}
-
-// queryVerdictByID sends one signed SubOpQueryVerdict and waits for the
-// verified ack.
-func (a *Agent) queryVerdictByID(id uint64) (*wire.Notification, error) {
-	nonce, err := randomNonce()
-	if err != nil {
-		return nil, err
-	}
-	return a.subscribeOp(&wire.SubscribeRequest{
-		Version:  wire.CurrentVersion,
-		Op:       wire.SubOpQueryVerdict,
-		ClientID: a.cfg.ClientID,
-		Nonce:    nonce,
-		SubID:    id,
-	})
 }
 
 // emitGap publishes one recovery outcome without ever blocking the caller.
@@ -836,11 +751,7 @@ func (a *Agent) emitGap(ev GapEvent) {
 // read-only queries they carry the client's signature (verified against
 // the key registered with RVaaS).
 func (a *Agent) subscribeOp(s *wire.SubscribeRequest) (*wire.Notification, error) {
-	// The protocol version is captured once per operation: the signature
-	// must match the framing the op is actually sent with (v2 signatures
-	// are session-bound — see wire.SessionSigningBytes).
-	proto := a.protocol()
-	s.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(s.SigningBytes(), proto, a.sessionID))
+	s.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(s.SigningBytes(), a.sessionID))
 	ch := make(chan *wire.Notification, 1)
 	a.mu.Lock()
 	if a.closed {
@@ -857,9 +768,7 @@ func (a *Agent) subscribeOp(s *wire.SubscribeRequest) (*wire.Notification, error
 	case wire.SubOpQueryVerdict:
 		op = wire.OpQueryVerdict
 	}
-	err := a.sendAs(proto, op, s.Nonce, func() []byte { return s.Marshal() },
-		func() *wire.Packet { return wire.NewSubscribePacket(a.cfg.Access.HostMAC, a.cfg.Access.HostIP, s) })
-	if err != nil {
+	if err := a.send(a.cfg.Access, op, s.Nonce, s.Marshal()); err != nil {
 		a.mu.Lock()
 		delete(a.ackWait, s.Nonce)
 		a.mu.Unlock()
@@ -960,17 +869,14 @@ func (a *Agent) Subscribe(kind wire.QueryKind, constraints []wire.FieldConstrain
 	return sub, nil
 }
 
-// BatchSubscribe registers many standing invariants in ONE signed exchange
-// (protocol v2 only): one client signature covers every item, the server
+// BatchSubscribe registers many standing invariants in ONE signed
+// exchange: one client signature covers every item, the server
 // fans the initial evaluations across its worker pool, and one verified
 // reply signature covers every ack. The returned slice is index-aligned
 // with items; a rejected item yields nil at its position (its error is in
 // the aggregate error when every item failed, otherwise rejected items are
 // silently nil — inspect the result).
 func (a *Agent) BatchSubscribe(items []wire.BatchItem) ([]*Subscription, error) {
-	if a.protocol() < wire.EnvelopeVersion {
-		return nil, ErrNeedV2
-	}
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -1019,7 +925,7 @@ func (a *Agent) BatchSubscribe(items []wire.BatchItem) ([]*Subscription, error) 
 		Items:        items,
 	}
 	req.Signature = ed25519.Sign(a.priv,
-		wire.SessionSigningBytes(req.SigningBytes(), wire.EnvelopeVersion, a.sessionID))
+		wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
 	env, err := a.rpcEnvelope(wire.OpBatchSubscribe, nonce, req.Marshal())
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
@@ -1084,9 +990,6 @@ func (a *Agent) BatchSubscribe(items []wire.BatchItem) ([]*Subscription, error) 
 // back StatusError and are left untouched (callers re-subscribe those).
 // The verified reply entries are returned for inspection.
 func (a *Agent) ResumeSession() ([]wire.ResumeVerdict, error) {
-	if a.protocol() < wire.EnvelopeVersion {
-		return nil, ErrNeedV2
-	}
 	nonce, err := randomNonce()
 	if err != nil {
 		return nil, err
@@ -1108,7 +1011,7 @@ func (a *Agent) ResumeSession() ([]wire.ResumeVerdict, error) {
 	a.resumes++
 	a.mu.Unlock()
 	req.Signature = ed25519.Sign(a.priv,
-		wire.SessionSigningBytes(req.SigningBytes(), wire.EnvelopeVersion, a.sessionID))
+		wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
 	env, err := a.rpcEnvelope(wire.OpSessionResume, nonce, req.Marshal())
 	if err != nil {
 		return nil, err
@@ -1192,58 +1095,38 @@ func (a *Agent) abandonSubscription(nonce uint64) {
 		Nonce:    opNonce,
 		RefNonce: nonce,
 	}
-	proto := a.protocol()
-	req.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(req.SigningBytes(), proto, a.sessionID))
-	_ = a.sendAs(proto, wire.OpUnsubscribe, req.Nonce, func() []byte { return req.Marshal() },
-		func() *wire.Packet { return wire.NewSubscribePacket(a.cfg.Access.HostMAC, a.cfg.Access.HostIP, req) })
+	req.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
+	_ = a.send(a.cfg.Access, wire.OpUnsubscribe, req.Nonce, req.Marshal())
 }
 
-// sendRequest injects one operation in the agent's current protocol
-// version: a v2 envelope carrying the body, or the legacy v1 frame built
-// by v1Frame.
-func (a *Agent) sendRequest(op wire.Op, corr uint64, body func() []byte, v1Frame func() *wire.Packet) error {
-	return a.sendAs(a.protocol(), op, corr, body, v1Frame)
-}
-
-// sendAs is sendRequest with an explicitly captured protocol version, for
-// signed operations whose signature already committed to the framing.
-func (a *Agent) sendAs(proto uint8, op wire.Op, corr uint64, body func() []byte, v1Frame func() *wire.Packet) error {
-	if proto >= wire.EnvelopeVersion {
-		env := &wire.Envelope{
-			Version:       wire.EnvelopeVersion,
-			Op:            op,
-			CorrelationID: corr,
-			SessionID:     a.sessionID,
-			Body:          body(),
-		}
-		// A logical envelope past the frame budget (e.g. a 10⁴-item batch
-		// registration) goes out as OpChunk continuation frames; the
-		// controller reassembles before dispatch, so no single wire frame
-		// ever exceeds the budget.
-		frames, err := wire.ChunkEnvelope(env, 0)
-		if err != nil {
+// send injects one operation at access point ap as an envelope under the
+// agent's session. A logical envelope past the frame budget (e.g. a
+// 10⁴-item batch registration) goes out as OpChunk continuation frames; the
+// controller reassembles before dispatch, so no single wire frame ever
+// exceeds the budget.
+func (a *Agent) send(ap topology.AccessPoint, op wire.Op, corr uint64, body []byte) error {
+	frames, err := wire.ChunkEnvelope(&wire.Envelope{
+		Version:       wire.EnvelopeVersion,
+		Op:            op,
+		CorrelationID: corr,
+		SessionID:     a.sessionID,
+		Body:          body,
+	}, 0)
+	if err != nil {
+		return err
+	}
+	for _, fr := range frames {
+		pkt := wire.NewEnvelopePacket(ap.HostMAC, ap.HostIP, fr)
+		if err := a.cfg.NIC.InjectFromHost(ap.Endpoint, pkt); err != nil {
 			return err
 		}
-		for _, fr := range frames {
-			pkt := wire.NewEnvelopePacket(a.cfg.Access.HostMAC, a.cfg.Access.HostIP, fr)
-			if err := a.cfg.NIC.InjectFromHost(a.cfg.Access.Endpoint, pkt); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return a.cfg.NIC.InjectFromHost(a.cfg.Access.Endpoint, v1Frame())
+	return nil
 }
 
-// ErrNeedV2 marks operations that only exist in protocol v2.
-var ErrNeedV2 = errors.New("client: operation requires protocol v2")
-
-// rpcEnvelope sends one v2 operation and waits for its correlated reply
-// envelope (batch and resume ops, which have no v1 frame shape).
+// rpcEnvelope sends one operation and waits for its correlated reply
+// envelope (batch and resume ops).
 func (a *Agent) rpcEnvelope(op wire.Op, corr uint64, body []byte) (*wire.Envelope, error) {
-	if a.protocol() < wire.EnvelopeVersion {
-		return nil, ErrNeedV2
-	}
 	ch := make(chan *wire.Envelope, 1)
 	a.mu.Lock()
 	if a.closed {
@@ -1252,7 +1135,7 @@ func (a *Agent) rpcEnvelope(op wire.Op, corr uint64, body []byte) (*wire.Envelop
 	}
 	a.envWait[corr] = ch
 	a.mu.Unlock()
-	if err := a.sendRequest(op, corr, func() []byte { return body }, nil); err != nil {
+	if err := a.send(a.cfg.Access, op, corr, body); err != nil {
 		a.mu.Lock()
 		delete(a.envWait, corr)
 		a.mu.Unlock()

@@ -85,19 +85,20 @@ func signedResponse(encl *enclave.Enclave, nonce uint64) *wire.QueryResponse {
 func TestAgentAuthReplyPath(t *testing.T) {
 	a, nic, _, encl := testAgent(t)
 	req := &wire.AuthRequest{QueryNonce: 99, Challenge: 1234, ServerKey: encl.PublicKey()}
-	a.HandleFrame(wire.NewAuthRequestPacket(0xAA, wire.IPv4(10, 0, 1, 1), req))
+	deliver(a.HandleFrame, wire.OpAuthChallenge, req.Challenge, req.Marshal())
 
 	pkt, ep := nic.last()
 	if pkt == nil {
 		t.Fatal("no auth reply injected")
 	}
-	if !pkt.IsAuthReply() {
-		t.Fatalf("injected packet is not an auth reply: %v", pkt)
+	env := envelopeOf(pkt)
+	if env == nil || env.Op != wire.OpAuthReply || env.SessionID != a.SessionID() {
+		t.Fatalf("injected packet is not an auth reply envelope: %v", pkt)
 	}
 	if ep != (topology.Endpoint{Switch: 1, Port: 3}) {
 		t.Errorf("reply injected at %v", ep)
 	}
-	rep, err := wire.UnmarshalAuthReply(pkt.Payload)
+	rep, err := wire.UnmarshalAuthReply(env.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestAgentHandlerForSecondaryAP(t *testing.T) {
 	}
 	h := a.HandlerFor(secondary)
 	req := &wire.AuthRequest{QueryNonce: 1, Challenge: 2, ServerKey: encl.PublicKey()}
-	h(wire.NewAuthRequestPacket(0xBB, secondary.HostIP, req))
+	deliver(h, wire.OpAuthChallenge, req.Challenge, req.Marshal())
 	pkt, ep := nic.last()
 	if pkt == nil || ep != secondary.Endpoint {
 		t.Fatalf("secondary reply at %v", ep)
@@ -138,11 +139,53 @@ func TestAgentQueryTimeout(t *testing.T) {
 	}
 }
 
-// deliverResponse feeds a response packet into the agent as if it arrived
-// from the fabric.
+// The fake server: deliver feeds one RVaaS → client envelope into a receive
+// path as if it arrived from the fabric; envelopeOf decodes a client →
+// RVaaS frame the agent injected (nil for anything else).
+func deliver(recv func(*wire.Packet), op wire.Op, corr uint64, body []byte) {
+	recv(wire.NewEnvelopeReplyPacket(0xAA, wire.IPv4(10, 0, 1, 1), &wire.Envelope{
+		Version: wire.EnvelopeVersion, Op: op, CorrelationID: corr, Body: body,
+	}))
+}
+
+func envelopeOf(pkt *wire.Packet) *wire.Envelope {
+	if !pkt.IsRVaaSV2() {
+		return nil
+	}
+	env, err := wire.UnmarshalEnvelope(pkt.Payload)
+	if err != nil {
+		return nil
+	}
+	return env
+}
+
 func deliverResponse(a *Agent, resp *wire.QueryResponse) {
-	pkt := wire.NewResponsePacket(0xAA, wire.IPv4(10, 0, 1, 1), resp)
-	a.HandleFrame(pkt)
+	deliver(a.HandleFrame, wire.OpQueryResponse, resp.Nonce, resp.Marshal())
+}
+
+func deliverNotification(a *Agent, n *wire.Notification) {
+	deliver(a.HandleFrame, wire.OpNotify, n.Nonce, n.Marshal())
+}
+
+// sniffEnvelope polls the NIC for the next injected envelope of the given
+// op whose correlation id is not in seen, returning it.
+func sniffEnvelope(t *testing.T, nic *fakeNIC, op wire.Op, seen map[uint64]bool) *wire.Envelope {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		nic.mu.Lock()
+		frames := append([]*wire.Packet(nil), nic.frames...)
+		nic.mu.Unlock()
+		for _, pkt := range frames {
+			if env := envelopeOf(pkt); env != nil && env.Op == op && !seen[env.CorrelationID] {
+				seen[env.CorrelationID] = true
+				return env
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no %v envelope injected", op)
+	return nil
 }
 
 // queryAsync starts a query and returns channels with its outcome, plus the
@@ -156,22 +199,11 @@ func queryAsync(t *testing.T, a *Agent, nic *fakeNIC) (chan *wire.QueryResponse,
 		respCh <- resp
 		errCh <- err
 	}()
-	// Wait for the query packet to be injected.
-	deadline := time.Now().Add(time.Second)
-	for {
-		pkt, _ := nic.last()
-		if pkt != nil && pkt.IsRVaaSQuery() {
-			q, err := wire.UnmarshalQueryRequest(pkt.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return respCh, errCh, q.Nonce
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("query packet never injected")
-		}
-		time.Sleep(time.Millisecond)
+	q, err := wire.UnmarshalQueryRequest(sniffEnvelope(t, nic, wire.OpQuery, map[uint64]bool{}).Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return respCh, errCh, q.Nonce
 }
 
 func TestAgentQueryVerifiesGoodResponse(t *testing.T) {
@@ -323,30 +355,36 @@ func signedNotification(encl *enclave.Enclave, event wire.NotifyEvent, subID, no
 	return n
 }
 
-// sniffSubscribeOp polls the NIC for the next subscribe request of the
-// given op whose nonce is not in seen, returning it.
+// sniffSubscribeOp returns the next injected subscription request of the
+// given op whose nonce is not in seen.
 func sniffSubscribeOp(t *testing.T, nic *fakeNIC, op wire.SubscribeOp, seen map[uint64]bool) *wire.SubscribeRequest {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		nic.mu.Lock()
-		frames := append([]*wire.Packet(nil), nic.frames...)
-		nic.mu.Unlock()
-		for _, pkt := range frames {
-			if !pkt.IsRVaaSSubscribe() {
-				continue
-			}
-			sr, err := wire.UnmarshalSubscribeRequest(pkt.Payload)
-			if err != nil || sr.Op != op || seen[sr.Nonce] {
-				continue
-			}
-			seen[sr.Nonce] = true
-			return sr
-		}
-		time.Sleep(time.Millisecond)
+	envOp := map[wire.SubscribeOp]wire.Op{
+		wire.SubOpAdd: wire.OpSubscribe, wire.SubOpRemove: wire.OpUnsubscribe, wire.SubOpQueryVerdict: wire.OpQueryVerdict,
+	}[op]
+	sr, err := wire.UnmarshalSubscribeRequest(sniffEnvelope(t, nic, envOp, seen).Body)
+	if err != nil || sr.Op != op {
+		t.Fatalf("%v envelope carries %+v (%v)", envOp, sr, err)
 	}
-	t.Fatalf("no subscribe op %d injected", op)
-	return nil
+	return sr
+}
+
+// answerResume waits for the agent's next session resume and answers it
+// with the given per-subscription verdicts under the enclave's signature.
+func answerResume(t *testing.T, a *Agent, nic *fakeNIC, encl *enclave.Enclave, seen map[uint64]bool, entries ...wire.ResumeVerdict) *wire.SessionResumeRequest {
+	t.Helper()
+	req, err := wire.UnmarshalSessionResumeRequest(sniffEnvelope(t, nic, wire.OpSessionResume, seen).Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := &wire.SessionResumeReply{
+		Version: wire.CurrentVersion, Nonce: req.Nonce, SessionID: req.SessionID,
+		Status: wire.StatusOK, Entries: entries,
+	}
+	reply.Signature = encl.Sign(reply.SigningBytes())
+	reply.Quote = encl.KeyQuote().Marshal()
+	deliver(a.HandleFrame, wire.OpSessionResumeReply, reply.Nonce, reply.Marshal())
+	return req
 }
 
 // TestAgentSeqGapTriggersResubscribe drives the client-side delivery-hole
@@ -366,7 +404,7 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
 	ack := signedNotification(encl, wire.NotifyAck, 41, add.Nonce, 0)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1), ack))
+	deliverNotification(a, ack)
 	sub := <-subCh
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
@@ -376,16 +414,14 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}
 
 	// Seq 1 delivered normally.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 41, add.Nonce, 1)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 41, add.Nonce, 1))
 	if n := <-sub.C; n.Seq != 1 {
 		t.Fatalf("first notification seq = %d", n.Seq)
 	}
 
 	// Seq 3 skips 2: the newer event must still be delivered, and the agent
 	// must start gap recovery.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyRecovery, 41, add.Nonce, 3)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 41, add.Nonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
@@ -398,8 +434,7 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	if readd.Kind != wire.QueryReachableDestinations {
 		t.Fatalf("re-subscribe kind = %v", readd.Kind)
 	}
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 42, readd.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 42, readd.Nonce, 0))
 
 	var ev GapEvent
 	select {
@@ -419,8 +454,7 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 
 	// The rebound subscription keeps flowing on the same channel with the
 	// replacement's fresh sequence numbering.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 42, readd.Nonce, 1)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 42, readd.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 42 || n.Seq != 1 {
@@ -443,8 +477,7 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		subCh <- sub
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 77, add.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 77, add.Nonce, 0))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -456,8 +489,7 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-			signedNotification(encl, ev, 77, add.Nonce, seq)))
+		deliverNotification(a, signedNotification(encl, ev, 77, add.Nonce, seq))
 	}
 	if a.NotificationsDropped() == 0 {
 		t.Fatal("overflow not recorded")
@@ -467,8 +499,7 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 	}
 	// Recovery proceeds exactly as for an in-network loss.
 	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 78, readd.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 78, readd.Nonce, 0))
 	select {
 	case ev := <-a.Gaps():
 		if ev.SubID != 77 || ev.NewSubID != 78 || ev.Err != nil {
@@ -492,8 +523,7 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		subCh <- sub
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 50, add.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 50, add.Nonce, 0))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -505,19 +535,16 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-			signedNotification(encl, ev, 50, add.Nonce, seq)))
+		deliverNotification(a, signedNotification(encl, ev, 50, add.Nonce, seq))
 		<-sub.C
 	}
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 50, add.Nonce, 5))) // skips 4
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 50, add.Nonce, 5)) // skips 4
 	<-sub.C
 
 	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
 	// The replacement's first push (Seq=1) races ahead of its ack: with
 	// lastSeq=5 on the superseded stream, it must still be delivered.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 51 || n.Seq != 1 {
@@ -528,8 +555,7 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 	}
 	// Now the ack lands; the rebased stream continues from the delivered
 	// push, so Seq=2 flows and Seq=1 is a replay.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 51, readd.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 51, readd.Nonce, 0))
 	select {
 	case ev := <-a.Gaps():
 		if ev.NewSubID != 51 || ev.Err != nil {
@@ -539,13 +565,11 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		t.Fatal("no gap event")
 	}
 	drops := a.NotificationsDropped()
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1))) // replay
+	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1)) // replay
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("replayed replacement push not dropped after rebase")
 	}
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 51, readd.Nonce, 2)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 51, readd.Nonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {
@@ -556,13 +580,13 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 	}
 }
 
-// TestAgentGapResyncsViaVerdictQuery: a detected loss is healed by the
-// lightweight path — a SubOpQueryVerdict whose signed ack carries the
+// TestAgentGapResyncsViaSessionResume: a detected loss is healed by the
+// lightweight path — an OpSessionResume whose signed reply carries the
 // current verdict and sequence number. The subscription is NOT re-
 // registered, the gap event reports the same id, the sequence baseline is
-// rebased on the ack (in-flight stale pushes drop as replays), and newer
+// rebased on the reply (in-flight stale pushes drop as replays), and newer
 // pushes keep flowing on the original stream.
-func TestAgentGapResyncsViaVerdictQuery(t *testing.T) {
+func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 	a, nic, _, encl := testAgent(t)
 	seen := map[uint64]bool{}
 	subCh := make(chan *Subscription, 1)
@@ -571,27 +595,28 @@ func TestAgentGapResyncsViaVerdictQuery(t *testing.T) {
 		subCh <- sub
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 61, add.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 61, add.Nonce, 0))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
 
-	// Seq 3 skips 1..2: recovery starts with a verdict query.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 3)))
+	// Seq 3 skips 1..2: recovery starts with a session resume.
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
-	q := sniffSubscribeOp(t, nic, wire.SubOpQueryVerdict, seen)
-	if q.SubID != 61 {
-		t.Fatalf("verdict query targets sub %d, want 61", q.SubID)
-	}
 	// The server's current verdict covers everything up to Seq 4 (a push
 	// for 4 is still in flight and must later be dropped as superseded).
-	vack := signedNotification(encl, wire.NotifyAck, 61, q.Nonce, 4)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1), vack))
+	req := answerResume(t, a, nic, encl, seen, wire.ResumeVerdict{
+		SubID: 61, Kind: wire.QueryReachableDestinations, Status: wire.StatusViolation, Seq: 4, Detail: "current",
+	})
+	if req.SessionID != a.SessionID() || len(req.Entries) != 1 || req.Entries[0] != (wire.ResumeEntry{SubID: 61, LastSeq: 3}) {
+		t.Fatalf("resume request = %+v, want sub 61 at seq 3", req)
+	}
+	if !ed25519.Verify(a.PublicKey(), wire.SessionSigningBytes(req.SigningBytes(), a.SessionID()), req.Signature) {
+		t.Error("resume not signed by the client key under its session")
+	}
 
 	var ev GapEvent
 	select {
@@ -599,23 +624,19 @@ func TestAgentGapResyncsViaVerdictQuery(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no gap event surfaced")
 	}
-	if ev.SubID != 61 || ev.NewSubID != 61 || ev.Err != nil {
+	if ev.SubID != 61 || ev.NewSubID != 61 || ev.Err != nil || ev.Status != wire.StatusViolation {
 		t.Fatalf("gap event = %+v, want in-place resync of sub 61", ev)
 	}
 	if ev.MissedFrom != 1 || ev.MissedTo != 2 {
 		t.Fatalf("missed range = [%d,%d], want [1,2]", ev.MissedFrom, ev.MissedTo)
 	}
 
-	// No re-subscribe went out: every SubOpAdd on the wire is accounted for.
+	// No re-subscribe went out: every subscribe on the wire is accounted for.
 	nic.mu.Lock()
 	for _, pkt := range nic.frames {
-		if !pkt.IsRVaaSSubscribe() {
-			continue
-		}
-		sr, err := wire.UnmarshalSubscribeRequest(pkt.Payload)
-		if err == nil && sr.Op == wire.SubOpAdd && !seen[sr.Nonce] {
+		if env := envelopeOf(pkt); env != nil && env.Op == wire.OpSubscribe && !seen[env.CorrelationID] {
 			nic.mu.Unlock()
-			t.Fatalf("verdict-query resync still re-subscribed (nonce %#x)", sr.Nonce)
+			t.Fatalf("session-resume resync still re-subscribed (nonce %#x)", env.CorrelationID)
 		}
 	}
 	nic.mu.Unlock()
@@ -623,13 +644,11 @@ func TestAgentGapResyncsViaVerdictQuery(t *testing.T) {
 	// The superseded in-flight push (Seq 4 <= rebased baseline) drops as a
 	// replay; the next transition (Seq 5) flows normally.
 	drops := a.NotificationsDropped()
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyRecovery, 61, add.Nonce, 4)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 61, add.Nonce, 4))
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("superseded push not dropped after seq rebase")
 	}
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 5)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 5))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 5 {
@@ -643,11 +662,11 @@ func TestAgentGapResyncsViaVerdictQuery(t *testing.T) {
 	}
 }
 
-// TestAgentVerdictQueryRejectedFallsBack: when the server no longer knows
-// the subscription (NotifyError on the verdict query — e.g. a controller
-// restart dropped the in-memory engine), recovery falls back to the full
-// re-subscribe path.
-func TestAgentVerdictQueryRejectedFallsBack(t *testing.T) {
+// TestAgentRefusedResumeFallsBack: when the server no longer knows the
+// subscription (StatusError on its resume entry — e.g. a controller restart
+// dropped the in-memory engine), recovery falls through to the full
+// re-subscribe path at once and retires the stale server-side id.
+func TestAgentRefusedResumeFallsBack(t *testing.T) {
 	a, nic, _, encl := testAgent(t)
 	seen := map[uint64]bool{}
 	subCh := make(chan *Subscription, 1)
@@ -656,24 +675,19 @@ func TestAgentVerdictQueryRejectedFallsBack(t *testing.T) {
 		subCh <- sub
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 71, add.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 71, add.Nonce, 0))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
 
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 71, add.Nonce, 2))) // skips 1
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 71, add.Nonce, 2)) // skips 1
 	<-sub.C
-	q := sniffSubscribeOp(t, nic, wire.SubOpQueryVerdict, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyError, 0, q.Nonce, 0)))
+	answerResume(t, a, nic, encl, seen, wire.ResumeVerdict{SubID: 71, Status: wire.StatusError, Detail: "unknown subscription"})
 
 	// Fallback: full re-subscribe, rebind to the replacement id.
 	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 72, readd.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 72, readd.Nonce, 0))
 	select {
 	case ev := <-a.Gaps():
 		if ev.SubID != 71 || ev.NewSubID != 72 || ev.Err != nil {
@@ -681,6 +695,12 @@ func TestAgentVerdictQueryRejectedFallsBack(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no gap event surfaced")
+	}
+	if rm := sniffSubscribeOp(t, nic, wire.SubOpRemove, seen); rm.SubID != 71 {
+		t.Fatalf("remove targets sub %d, want the stale 71", rm.SubID)
+	}
+	if a.SessionResumesSent() != 1 {
+		t.Fatalf("resumes sent = %d, want 1 (a refusal must not be retried)", a.SessionResumesSent())
 	}
 }
 
@@ -695,8 +715,7 @@ func TestAgentQueryVerdictOnDemand(t *testing.T) {
 		subCh <- sub
 	}()
 	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyAck, 81, add.Nonce, 0)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 81, add.Nonce, 0))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -713,11 +732,11 @@ func TestAgentQueryVerdictOnDemand(t *testing.T) {
 	if q.SubID != 81 || q.ClientID != 7 {
 		t.Fatalf("verdict query = %+v", q)
 	}
-	if !ed25519.Verify(a.PublicKey(), q.SigningBytes(), q.Signature) {
-		t.Error("verdict query not signed by the client key")
+	if !ed25519.Verify(a.PublicKey(), wire.SessionSigningBytes(q.SigningBytes(), a.SessionID()), q.Signature) {
+		t.Error("verdict query not signed by the client key under its session")
 	}
 	resp := signedNotification(encl, wire.NotifyAck, 81, q.Nonce, 2)
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1), resp))
+	deliverNotification(a, resp)
 	ack := <-ackCh
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
@@ -727,8 +746,7 @@ func TestAgentQueryVerdictOnDemand(t *testing.T) {
 	}
 	// Read-only: a later push with Seq 1 is still judged against the
 	// untouched baseline (0), so it is delivered, then Seq 2 follows.
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyViolation, 81, add.Nonce, 1)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 81, add.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 1 {
@@ -755,7 +773,7 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 	ack := signedNotification(encl, wire.NotifyAck, 60, add.Nonce, 1) // seq already consumed
 	ack.Status = wire.StatusViolation
 	ack.Signature = encl.Sign(ack.SigningBytes())
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1), ack))
+	deliverNotification(a, ack)
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -764,8 +782,7 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 		t.Fatalf("initial status = %v", sub.InitialStatus)
 	}
 
-	a.HandleFrame(wire.NewNotificationPacket(0xAA, wire.IPv4(10, 0, 1, 1),
-		signedNotification(encl, wire.NotifyRecovery, 60, add.Nonce, 2)))
+	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 60, add.Nonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {

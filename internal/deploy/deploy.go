@@ -22,6 +22,7 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/rvaas"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // defaultBringUpWorkers bounds concurrent switch bring-up (identity
@@ -75,9 +76,10 @@ type Options struct {
 	// RestartRVaaS restores every subscription across a simulated
 	// controller crash. The caller owns (and closes) the store.
 	Persist rvaas.SubscriptionStore
-	// AgentProtocol selects the client agents' wire encoding (0/1 =
-	// legacy v1 frames, wire.EnvelopeVersion = protocol v2 envelopes with
-	// sessions and batching).
+	// AgentProtocol selects nothing: agents speak the one envelope
+	// protocol. The field stays declared only because bench/rvbench (frozen
+	// for this change) sets it to wire.EnvelopeVersion; New rejects any
+	// other non-zero value. The next benchmark-archetype PR deletes it.
 	AgentProtocol uint8
 	// AgentResponseTimeout bounds each agent request awaiting its in-band
 	// response (0 = client default).
@@ -222,6 +224,10 @@ func attachSwitchList(switches []topology.SwitchID, fab *fabric.Fabric, ctl *rva
 
 // New builds and starts a deployment on the given wiring plan.
 func New(topo *topology.Topology, opt Options) (*Deployment, error) {
+	if opt.AgentProtocol != 0 && opt.AgentProtocol != wire.EnvelopeVersion {
+		return nil, fmt.Errorf("deploy: agent protocol v%d was removed; agents speak envelope v%d",
+			opt.AgentProtocol, wire.EnvelopeVersion)
+	}
 	if opt.AuthTimeout == 0 {
 		opt.AuthTimeout = 250 * time.Millisecond
 	}
@@ -338,7 +344,6 @@ func FromSpecPlaced(spec *labspec.Spec, pc PlacedConfig) (*Deployment, error) {
 		HistoryDepth:         spec.RVaaS.HistoryDepth,
 		Seed:                 spec.RVaaS.Seed,
 		SkipAgents:           spec.Agents.Skip,
-		AgentProtocol:        uint8(spec.Agents.Protocol),
 		AgentResponseTimeout: spec.Agents.ResponseTimeout.Std(),
 		Transport:            spec.Transport.Kind,
 		MaxWorkers:           spec.Transport.MaxWorkers,
@@ -421,7 +426,6 @@ func (d *Deployment) createAgents() error {
 				Access:          ap,
 				NIC:             d.Fabric,
 				Trust:           trust,
-				Protocol:        d.opt.AgentProtocol,
 				ResponseTimeout: d.opt.AgentResponseTimeout,
 			})
 			if err != nil {

@@ -1128,7 +1128,6 @@ func (d *Deployment) createPlacedAgents(placedAg map[uint64]string) error {
 				Access:          ap,
 				NIC:             placedNIC{p},
 				Trust:           trust,
-				Protocol:        d.opt.AgentProtocol,
 				ResponseTimeout: d.opt.AgentResponseTimeout,
 			})
 			if err != nil {

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/openflow"
+	"repro/internal/rvaas"
 	"repro/internal/topology"
+	"repro/internal/verifier"
 	"repro/internal/wire"
 )
 
@@ -27,10 +31,10 @@ import (
 //     scatters every bucket across the whole fleet;
 //   - a differential verdict fingerprint against the N=1 baseline, fed by
 //     a blackhole install/remove cycle that flips real verdicts:
-//     per-subscription final (seq, violated, detail) plus the ordered
-//     violation-log transition stream. The fleets must match the single
-//     engine byte-for-byte — partitioning is a performance layout, never
-//     a semantics change.
+//     per-subscription final (seq, violated, detail) plus its ordered
+//     transition stream, folded as it commits. The fleets must match the
+//     single engine byte-for-byte — partitioning is a performance layout,
+//     never a semantics change.
 
 // FleetRow is one arm of the E18 table.
 type FleetRow struct {
@@ -109,17 +113,36 @@ func FleetWAN(regionNames []topology.Region, perRegion int) (*topology.Topology,
 	return t, nil
 }
 
-// fleetFingerprint serializes every subscription's verdict state and
+// transitionFold keeps, per subscription, a running hash of its verdict
+// transitions in commit order. It is fed from the controller's commit tap,
+// so it covers every transition of the run — the bounded violation ring
+// does not: past its capacity, which records survive depends on the commit
+// order across instances, which is not part of the semantics under test.
+type transitionFold struct {
+	mu    sync.Mutex
+	bySub map[uint64]uint64
+}
+
+func (f *transitionFold) tap(t *verifier.Transition) {
+	if !t.Changed {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x|violated=%v snapshot=%d detail=%q", f.bySub[t.Sub.ID], t.Violated, t.SnapshotID, t.Detail)
+	f.bySub[t.Sub.ID] = h.Sum64()
+}
+
+// fingerprint serializes every subscription's verdict state and folded
 // transition history into one comparable string.
-func fleetFingerprint(d *deploy.Deployment) string {
+func (f *transitionFold) fingerprint(subs []rvaas.SubscriptionInfo) string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var b strings.Builder
-	for _, sub := range d.RVaaS.Subscriptions() {
-		fmt.Fprintf(&b, "sub=%d client=%d kind=%s seq=%d violated=%v detail=%q\n",
-			sub.ID, sub.ClientID, sub.Kind, sub.Seq, sub.Violated, sub.Detail)
-		recs, _ := d.RVaaS.SubscriptionHistory(sub.ID)
-		for _, r := range recs {
-			fmt.Fprintf(&b, "  %s snapshot=%d detail=%q\n", r.Event, r.SnapshotID, r.Detail)
-		}
+	for _, sub := range subs {
+		fmt.Fprintf(&b, "sub=%d client=%d kind=%s seq=%d violated=%v detail=%q transitions=%016x\n",
+			sub.ID, sub.ClientID, sub.Kind, sub.Seq, sub.Violated, sub.Detail, f.bySub[sub.ID])
 	}
 	return b.String()
 }
@@ -127,8 +150,10 @@ func fleetFingerprint(d *deploy.Deployment) string {
 // fleetArm runs one fleet configuration: deploy, register the population,
 // measure iters neutral churn passes on a single transit switch (dispatch
 // cost + confinement), then drive iters blackhole install/remove cycles
-// that flip real verdicts, and fingerprint the result.
-func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoSubs, iters int) (FleetRow, string, error) {
+// that flip real verdicts, and fingerprint the result. historyDepth sizes
+// the controller's snapshot history and, with it, the violation ring
+// (0 = default).
+func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoSubs, iters, historyDepth int) (FleetRow, string, error) {
 	row := FleetRow{Topology: nt.Name, Instances: instances, Placement: placement}
 	topo, err := nt.Build()
 	if err != nil {
@@ -139,12 +164,15 @@ func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoS
 		ManualRecheck:     true,
 		Verifiers:         instances,
 		VerifierPlacement: placement,
+		HistoryDepth:      historyDepth,
 	})
 	if err != nil {
 		return row, "", err
 	}
 	defer d.Close()
 	row.Switches = len(topo.Switches())
+	fold := &transitionFold{bySub: make(map[uint64]uint64)}
+	d.RVaaS.SetCommitTap(fold.tap)
 
 	start := time.Now()
 	n, err := BuildRecheckPopulation(d, topo, totalSubs, isoSubs)
@@ -246,7 +274,7 @@ func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoS
 	}
 	row.Violations = d.RVaaS.SubscriptionStats().Violations
 
-	return row, fleetFingerprint(d), nil
+	return row, fold.fingerprint(d.RVaaS.Subscriptions()), nil
 }
 
 // FleetSweep runs E18: the N=1 baseline, the N=4 footprint fleet, and the
@@ -254,6 +282,10 @@ func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoS
 // churn sequence. Every fleet arm is differentially checked against the
 // baseline fingerprint.
 func FleetSweep(totalSubs, isoSubs, iters int) ([]FleetRow, error) {
+	return fleetSweep(totalSubs, isoSubs, iters, 0)
+}
+
+func fleetSweep(totalSubs, isoSubs, iters, historyDepth int) ([]FleetRow, error) {
 	if iters < 1 {
 		iters = 1
 	}
@@ -274,7 +306,7 @@ func FleetSweep(totalSubs, isoSubs, iters int) ([]FleetRow, error) {
 	rows := make([]FleetRow, 0, len(arms))
 	baseline := ""
 	for _, arm := range arms {
-		row, fp, err := fleetArm(nt, arm.instances, arm.placement, totalSubs, isoSubs, iters)
+		row, fp, err := fleetArm(nt, arm.instances, arm.placement, totalSubs, isoSubs, iters, historyDepth)
 		if err != nil {
 			return nil, fmt.Errorf("e18 n=%d/%s: %w", arm.instances, arm.placement, err)
 		}

@@ -63,3 +63,24 @@ func TestFleetConfinement(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetDifferentialSurvivesRingOverflow shrinks the violation ring to 4
+// records and drives far more transitions than that through every arm: the
+// N=4 ≡ N=1 differential folds transitions as they commit, so it must not
+// depend on which records the bounded ring happens to retain.
+func TestFleetDifferentialSurvivesRingOverflow(t *testing.T) {
+	leakcheck.Check(t)
+	const historyDepth = 1 // violation ring = 4 × HistoryDepth
+	rows, err := fleetSweep(600, 24, 2, historyDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if 2*r.Violations <= 4*historyDepth {
+			t.Fatalf("arm n=%d/%s: %d violations do not overflow the ring", r.Instances, r.Placement, r.Violations)
+		}
+		if !r.VerdictsMatch {
+			t.Errorf("arm n=%d/%s: verdict stream diverged from the N=1 baseline once the ring overflowed", r.Instances, r.Placement)
+		}
+	}
+}

@@ -11,15 +11,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Experiment E15: protocol v2 batch registration and durable restart
+// Experiment E15: batch registration and durable restart
 // recovery. A tenant bringing a fleet of standing invariants online over
 // one-at-a-time exchanges pays, per invariant: a client signature, a frame
 // round-trip through the fabric, server-side signature verification, a
 // serialized initial evaluation, ack signing + attestation quote, and
-// client-side ack verification. Protocol v2's OpBatchSubscribe registers
+// client-side ack verification. OpBatchSubscribe registers
 // the same population in ONE signed in-band exchange — one signature and
 // one verification each way, with the initial evaluations fanned across
-// the engine's worker pool. Both phases run fully end-to-end: a real v2
+// the engine's worker pool. Both phases run fully end-to-end: a real
 // agent injecting frames at its access point, interception rules, and
 // signed replies verified against the attested enclave key.
 //
@@ -76,8 +76,8 @@ func protocolItems(topo *topology.Topology, n int) ([]wire.BatchItem, error) {
 	return items, nil
 }
 
-// protocolDeploy builds one deployment with protocol v2 agents and a
-// file-backed subscription store.
+// protocolDeploy builds one deployment with a file-backed subscription
+// store.
 func protocolDeploy(nt NamedTopology) (*deploy.Deployment, *rvaas.FileStore, string, error) {
 	topo, err := nt.Build()
 	if err != nil {
@@ -95,7 +95,6 @@ func protocolDeploy(nt NamedTopology) (*deploy.Deployment, *rvaas.FileStore, str
 	d, err := deploy.New(topo, deploy.Options{
 		ManualRecheck: true,
 		Persist:       store,
-		AgentProtocol: wire.EnvelopeVersion,
 	})
 	if err != nil {
 		store.Close()

@@ -24,105 +24,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// normalizeResponse strips the per-exchange fields (nonce, signature,
-// attestation quote) so two responses to the same question can be compared
-// byte-for-byte.
-func normalizeResponse(resp *wire.QueryResponse) string {
-	r := *resp
-	r.Nonce = 0
-	r.Signature = nil
-	r.Quote = nil
-	return string(r.Marshal())
-}
-
-// TestProtocolDifferentialV1V2 drives every v1 client query flow twice
-// against one unchanged deployment — once over legacy v1 frames, once over
-// protocol v2 envelopes — and requires byte-identical verdicts: the
-// envelope is framing, never semantics.
-func TestProtocolDifferentialV1V2(t *testing.T) {
-	topo, err := topology.Linear(6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := deploy.New(topo, deploy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	aps := topo.AccessPoints()
-	ag := d.Agent(aps[0].ClientID)
-
-	kinds := []struct {
-		kind  wire.QueryKind
-		param string
-	}{
-		{wire.QueryReachableDestinations, ""},
-		{wire.QueryReachingSources, ""},
-		{wire.QueryIsolation, ""},
-		{wire.QueryGeoRegions, ""},
-		{wire.QueryPathLength, "100"},
-		{wire.QueryWaypointAvoidance, "no-such-region"},
-		{wire.QueryNeutrality, ""},
-		{wire.QueryTransferFunction, ""},
-	}
-	cons := []wire.FieldConstraint{{Field: wire.FieldIPDst, Value: uint64(aps[1].HostIP), Mask: 0xFFFFFFFF}}
-	for _, k := range kinds {
-		ag.SetProtocol(1)
-		v1, err := ag.Query(k.kind, cons, k.param)
-		if err != nil {
-			t.Fatalf("%s over v1: %v", k.kind, err)
-		}
-		ag.SetProtocol(wire.EnvelopeVersion)
-		v2, err := ag.Query(k.kind, cons, k.param)
-		if err != nil {
-			t.Fatalf("%s over v2: %v", k.kind, err)
-		}
-		if normalizeResponse(v1) != normalizeResponse(v2) {
-			t.Fatalf("%s: v1 and v2 verdicts differ:\nv1: %+v\nv2: %+v", k.kind, v1, v2)
-		}
-	}
-
-	// Subscription lifecycle: register → verdict query → unsubscribe, in
-	// both protocol versions, must yield identical verdicts and acks.
-	type subRun struct {
-		initialStatus wire.ResponseStatus
-		initialDetail string
-		verdictStatus wire.ResponseStatus
-		verdictDetail string
-		verdictSeq    uint64
-	}
-	runSub := func(proto uint8) subRun {
-		ag.SetProtocol(proto)
-		sub, err := ag.Subscribe(wire.QueryReachableDestinations, cons, "")
-		if err != nil {
-			t.Fatalf("subscribe over v%d: %v", proto, err)
-		}
-		ack, err := ag.QueryVerdict(sub)
-		if err != nil {
-			t.Fatalf("verdict query over v%d: %v", proto, err)
-		}
-		out := subRun{
-			initialStatus: sub.InitialStatus,
-			initialDetail: sub.InitialDetail,
-			verdictStatus: ack.Status,
-			verdictDetail: ack.Detail,
-			verdictSeq:    ack.Seq,
-		}
-		if err := ag.Unsubscribe(sub); err != nil {
-			t.Fatalf("unsubscribe over v%d: %v", proto, err)
-		}
-		return out
-	}
-	r1 := runSub(1)
-	r2 := runSub(wire.EnvelopeVersion)
-	if r1 != r2 {
-		t.Fatalf("subscription flow differs across protocols:\nv1: %+v\nv2: %+v", r1, r2)
-	}
-	if n := len(d.RVaaS.Subscriptions()); n != 0 {
-		t.Fatalf("subscriptions leaked: %d", n)
-	}
-}
-
 // TestBatchSubscribeEndToEnd registers a batch through the real in-band
 // path (one signed envelope), including a rejected item, and checks that
 // batch-registered subscriptions receive ordinary violation pushes routed
@@ -132,7 +33,7 @@ func TestBatchSubscribeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(topo, deploy.Options{AgentProtocol: wire.EnvelopeVersion})
+	d, err := deploy.New(topo, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +90,7 @@ func TestRestartRecoverySessionResume(t *testing.T) {
 	}
 	defer store.Close()
 	d, err := deploy.New(topo, deploy.Options{
-		Persist:       store,
-		AgentProtocol: wire.EnvelopeVersion,
+		Persist: store,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package labspec defines the declarative lab specification the operator
 // plane is driven by: a YAML or JSON document declaring the topology (a
 // generator by name + parameters, or an explicit wiring plan), the routing
-// mode, RVaaS tuning, agent placement and protocol version, and the standing
-// invariants to register at bring-up. deploy.FromSpec turns a validated spec
-// into a running lab; `rvaasd deploy -topo lab.yml` is the CLI entry point.
+// mode, RVaaS tuning, agent placement, and the standing invariants to
+// register at bring-up. deploy.FromSpec turns a validated spec into a running
+// lab; `rvaasd deploy -topo lab.yml` is the CLI entry point.
 package labspec
 
 import (
@@ -326,8 +326,11 @@ type TransportSpec struct {
 
 // AgentsSpec controls client agent placement.
 type AgentsSpec struct {
-	// Protocol selects the client wire protocol: 1 (legacy per-port frames)
-	// or 2 (versioned envelope). 0 means the deployment default.
+	// Protocol is a retired key: agents speak the one envelope protocol.
+	// It still parses so specs written for earlier builds load — Parse drops
+	// the value that named the envelope protocol, so `rvaasd spec migrate`
+	// re-emits the spec without the key — and Validate rejects the removed
+	// v1.
 	Protocol int `json:"protocol,omitempty"`
 	// Skip disables agent creation (infrastructure-only lab).
 	Skip bool `json:"skip,omitempty"`
@@ -595,6 +598,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("labspec: %w", err)
 	}
+	if s.Agents.Protocol == wire.EnvelopeVersion {
+		s.Agents.Protocol = 0
+	}
 	return &s, nil
 }
 
@@ -744,9 +750,11 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("labspec: transport.maxWorkers: must be >= 0 (0 = default), got %d", s.Transport.MaxWorkers)
 	}
 	switch s.Agents.Protocol {
-	case 0, 1, 2:
+	case 0, wire.EnvelopeVersion:
+	case 1:
+		return fmt.Errorf("labspec: agents.protocol: client protocol v1 was removed; delete the key (agents speak envelope v%d)", wire.EnvelopeVersion)
 	default:
-		return fmt.Errorf("labspec: agents.protocol: unknown version %d (want 1 or 2)", s.Agents.Protocol)
+		return fmt.Errorf("labspec: agents.protocol: unknown version %d (the key is retired; delete it)", s.Agents.Protocol)
 	}
 	if s.Agents.ResponseTimeout < 0 {
 		return fmt.Errorf("labspec: agents.responseTimeout: must be >= 0, got %s", s.Agents.ResponseTimeout.Std())

@@ -44,8 +44,8 @@ func TestParseLinear40YAML(t *testing.T) {
 	if s.Transport.Kind != TransportUDP || s.Transport.MaxWorkers != 8 {
 		t.Errorf("transport = %+v", s.Transport)
 	}
-	if s.Agents.Protocol != 2 {
-		t.Errorf("protocol = %d", s.Agents.Protocol)
+	if s.Agents.Protocol != 0 {
+		t.Errorf("retired agents.protocol survived parsing: %d", s.Agents.Protocol)
 	}
 	if len(s.Invariants) != 3 {
 		t.Fatalf("invariants = %d, want 3", len(s.Invariants))
@@ -542,6 +542,12 @@ func TestValidateErrors(t *testing.T) {
 			spec:    base,
 			mutate:  func(s *Spec) { s.Agents.Protocol = 3 },
 			wantSub: "agents.protocol: unknown version 3",
+		},
+		{
+			name:    "removed protocol v1",
+			spec:    base,
+			mutate:  func(s *Spec) { s.Agents.Protocol = 1 },
+			wantSub: "agents.protocol: client protocol v1 was removed",
 		},
 		{
 			name: "invariant for unplaced client",

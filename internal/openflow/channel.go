@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The paper requires "encrypted OpenFlow sessions and a-priori configured
@@ -218,6 +220,10 @@ type SecureConn struct {
 
 	sendMu  sync.Mutex
 	sendCtr uint64
+	// sendStalled is set while the sendMu holder is blocked on a peer whose
+	// buffer is full.
+	sendStalled atomic.Bool
+
 	recvMu  sync.Mutex
 	recvCtr uint64
 	// recvLost counts AEAD-counter gaps observed on a lossy transport —
@@ -401,15 +407,31 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// Send encrypts and transmits one OpenFlow message.
+// seal encrypts one encoded message under the current send counter; callers
+// hold sendMu.
+func (s *SecureConn) seal(plain []byte) []byte {
+	nonce := make([]byte, 12)
+	binary.BigEndian.PutUint64(nonce[4:], s.sendCtr)
+	return s.sendAEAD.Seal(nonce, nonce, plain, nil)
+}
+
+// Send encrypts and transmits one OpenFlow message. sendMu is held until
+// the transport has taken the frame, so concurrent senders' frames leave in
+// counter order — the peer's replay check kills the session on a counter
+// that arrives behind a later one.
 func (s *SecureConn) Send(m Message) error {
 	plain := Encode(m)
 	s.sendMu.Lock()
-	nonce := make([]byte, 12)
-	binary.BigEndian.PutUint64(nonce[4:], s.sendCtr)
+	defer s.sendMu.Unlock()
+	ct := s.seal(plain)
 	s.sendCtr++
-	ct := s.sendAEAD.Seal(nonce, nonce, plain, nil)
-	s.sendMu.Unlock()
+	// A peer with room takes the frame at once. Only a full peer makes the
+	// send block, and sendStalled tells TrySend not to queue behind it.
+	if sent, err := s.raw.TrySend(ct); sent || err != nil {
+		return err
+	}
+	s.sendStalled.Store(true)
+	defer s.sendStalled.Store(false)
 	return s.raw.Send(ct)
 }
 
@@ -420,12 +442,17 @@ func (s *SecureConn) Send(m Message) error {
 // so reusing its nonce for the next frame reveals nothing).
 func (s *SecureConn) TrySend(m Message) (sent bool, err error) {
 	plain := Encode(m)
-	s.sendMu.Lock()
+	// Yield past a sender that is handing its frame to a peer with room,
+	// but never wait behind one blocked on a full peer: this frame would
+	// not fit either, which is exactly the case TrySend reports as unsent.
+	for !s.sendMu.TryLock() {
+		if s.sendStalled.Load() {
+			return false, nil
+		}
+		runtime.Gosched()
+	}
 	defer s.sendMu.Unlock()
-	nonce := make([]byte, 12)
-	binary.BigEndian.PutUint64(nonce[4:], s.sendCtr)
-	ct := s.sendAEAD.Seal(nonce, nonce, plain, nil)
-	sent, err = s.raw.TrySend(ct)
+	sent, err = s.raw.TrySend(s.seal(plain))
 	if sent {
 		s.sendCtr++
 	}

@@ -120,12 +120,12 @@ func TestMatchesPacket(t *testing.T) {
 	m := Match{
 		InPort: 2,
 		Fields: []FieldMatch{
-			{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSQuery), Mask: 0xFFFF},
+			{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSV2), Mask: 0xFFFF},
 			{Field: wire.FieldIPProto, Value: uint64(wire.IPProtoUDP), Mask: 0xFF},
 		},
 	}
 	p := &wire.Packet{
-		EthType: wire.EthTypeIPv4, IPProto: wire.IPProtoUDP, L4Dst: wire.PortRVaaSQuery,
+		EthType: wire.EthTypeIPv4, IPProto: wire.IPProtoUDP, L4Dst: wire.PortRVaaSV2,
 	}
 	if !m.MatchesPacket(p, 2) {
 		t.Error("should match on port 2")

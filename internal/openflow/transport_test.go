@@ -164,16 +164,29 @@ type droppingTransport struct {
 
 func (d *droppingTransport) Lossy() bool { return true }
 
-func (d *droppingTransport) Send(data []byte) error {
+// dropNext numbers the next send and reports whether the network eats it.
+func (d *droppingTransport) dropNext() bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	n := d.seq
 	d.seq++
-	dropped := d.drop[n]
-	d.mu.Unlock()
-	if dropped {
+	return d.drop[n]
+}
+
+func (d *droppingTransport) Send(data []byte) error {
+	if d.dropNext() {
 		return nil
 	}
 	return d.Transport.Send(data)
+}
+
+// TrySend drops like Send: SecureConn.Send offers every frame to TrySend
+// first and only blocks in Send when the peer is full.
+func (d *droppingTransport) TrySend(data []byte) (bool, error) {
+	if d.dropNext() {
+		return true, nil
+	}
+	return d.Transport.TrySend(data)
 }
 
 func TestSecureRecvTolerantOfLossOnLossyTransport(t *testing.T) {

@@ -122,7 +122,6 @@ func (st *agentdState) session(ctx context.Context) (joined bool, err error) {
 					Access:          ap,
 					NIC:             trunkNIC{&st.tc},
 					Trust:           trust,
-					Protocol:        uint8(spec.Agents.Protocol),
 					ResponseTimeout: spec.Agents.ResponseTimeout.Std(),
 				})
 				if err != nil {

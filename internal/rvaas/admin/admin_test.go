@@ -316,7 +316,7 @@ func TestVersionAndProcs(t *testing.T) {
 	if v.APIVersion != admin.APIVersion || v.GoVersion == "" {
 		t.Fatalf("version: %+v", v)
 	}
-	if len(v.EnvelopeProtocols) != 2 || v.EnvelopeProtocols[0] != 1 || v.EnvelopeProtocols[1] != 2 {
+	if len(v.EnvelopeProtocols) != 1 || v.EnvelopeProtocols[0] != 2 {
 		t.Fatalf("envelope protocols: %v", v.EnvelopeProtocols)
 	}
 

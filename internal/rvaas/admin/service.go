@@ -66,7 +66,7 @@ type SubFilter struct {
 	// Kind restricts to one invariant kind by wire name ("" = any).
 	Kind string
 	// Session restricts to one session ID; meaningful only with HasSession
-	// (session 0 is the v1/in-process group).
+	// (session 0 is the in-process group).
 	Session    uint64
 	HasSession bool
 }
@@ -328,7 +328,6 @@ type SessionsView struct {
 type ClientSessionView struct {
 	Session       uint64 `json:"session"`
 	Client        uint64 `json:"client"`
-	Protocol      uint8  `json:"protocol"`
 	Subscriptions int    `json:"subscriptions"`
 	Violated      int    `json:"violated"`
 }
@@ -358,7 +357,7 @@ func (s *Service) Sessions(cursor uint64, limit int) SessionsView {
 	}
 	for _, cs := range clients {
 		view.Clients = append(view.Clients, ClientSessionView{
-			Session: cs.SessionID, Client: cs.ClientID, Protocol: cs.Protocol,
+			Session: cs.SessionID, Client: cs.ClientID,
 			Subscriptions: cs.Subscriptions, Violated: cs.Violated,
 		})
 	}
@@ -389,7 +388,7 @@ func (s *Service) Version() VersionView {
 	v := VersionView{
 		APIVersion:        APIVersion,
 		GoVersion:         runtime.Version(),
-		EnvelopeProtocols: []int{1, int(wire.EnvelopeVersion)},
+		EnvelopeProtocols: []int{int(wire.EnvelopeVersion)},
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		v.Module = info.Main.Path

@@ -62,13 +62,12 @@ func (c *Controller) SetVerifierPlacement(policy string) error {
 	return nil
 }
 
-// ClientSessionInfo summarizes one client session: the protocol-v2 envelope
-// session its subscriptions were registered under (SessionID 0 groups v1 and
-// in-process registrations).
+// ClientSessionInfo summarizes one client session: the envelope session its
+// subscriptions were registered under (SessionID 0 groups in-process
+// registrations).
 type ClientSessionInfo struct {
 	SessionID     uint64
 	ClientID      uint64
-	Protocol      uint8
 	Subscriptions int
 	Violated      int
 }
@@ -84,7 +83,7 @@ func (c *Controller) ClientSessions() []ClientSessionInfo {
 		k := key{client: st.ClientID, session: st.SessionID}
 		info := acc[k]
 		if info == nil {
-			info = &ClientSessionInfo{SessionID: st.SessionID, ClientID: st.ClientID, Protocol: st.Proto}
+			info = &ClientSessionInfo{SessionID: st.SessionID, ClientID: st.ClientID}
 			acc[k] = info
 		}
 		info.Subscriptions++

@@ -94,7 +94,12 @@ func (c *Controller) startAuthRound(req requesterInfo, q *wire.QueryRequest, res
 			Challenge:  challenge,
 			ServerKey:  c.enclave.PublicKey(),
 		}
-		_ = c.sendPacketOut(ep.Switch, ep.Port, wire.NewAuthRequestPacket(ap.HostMAC, ap.HostIP, ar))
+		_ = c.sendPacketOut(ep.Switch, ep.Port, wire.NewEnvelopeReplyPacket(ap.HostMAC, ap.HostIP, &wire.Envelope{
+			Version:       wire.EnvelopeVersion,
+			Op:            wire.OpAuthChallenge,
+			CorrelationID: challenge,
+			Body:          ar.Marshal(),
+		}))
 	}
 }
 

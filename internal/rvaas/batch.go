@@ -9,14 +9,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Batch operations: the amortization layer of protocol v2. A tenant
-// registering 10⁴ standing invariants over v1 pays 10⁴ round-trips, each
-// with its own client signature, server-side verification, serialized
-// initial evaluation (every subscribe takes an instance's run lock for one
-// invariant) and ack signature. A batch pays ONE signature verification,
-// ONE run-lock acquisition per owning fleet instance with the initial
-// evaluations fanned across the recheck worker pool, and ONE signed reply
-// — the E15 experiment measures the resulting speedup.
+// Batch operations: the amortization layer of the client protocol. A
+// tenant registering 10⁴ standing invariants one by one pays 10⁴
+// round-trips, each with its own client signature, server-side
+// verification, serialized initial evaluation (every subscribe takes an
+// instance's run lock for one invariant) and ack signature. A batch pays
+// ONE signature verification, ONE run-lock acquisition per owning fleet
+// instance with the initial evaluations fanned across the recheck worker
+// pool, and ONE signed reply — the E15 experiment measures the resulting
+// speedup.
 
 // poolRun fans f(i) for i in [0,n) across the given number of workers
 // (sequentially when workers <= 1).
@@ -70,7 +71,7 @@ func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wi
 	subs := make([]*verifier.Subscription, 0, len(b.Items))
 	idx := make([]int, 0, len(b.Items)) // subs position -> request item index
 	for i, it := range b.Items {
-		src := verifier.Source{Nonce: wire.BatchItemNonce(b.Nonce, i), SessionID: o.SessionID, Proto: o.Proto}
+		src := verifier.Source{Nonce: wire.BatchItemNonce(b.Nonce, i), SessionID: o.SessionID}
 		sub, err := verifier.NewSubscription(b.ClientID, src, it.Kind, it.Constraints, it.Param, anchor)
 		if err != nil {
 			items[i] = wire.BatchReplyItem{Status: wire.StatusError, Detail: err.Error()}

@@ -151,7 +151,7 @@ type Controller struct {
 	notifyQ chan notifyJob
 	rng     *rand.Rand
 	persist SubscriptionStore
-	// reasm rebuilds logical v2 envelopes from OpChunk continuation
+	// reasm rebuilds logical envelopes from OpChunk continuation
 	// frames before dispatch (chains keyed by requester MAC⊕IP).
 	reasm *wire.Reassembler
 
@@ -194,7 +194,7 @@ type Controller struct {
 	wasAttached map[topology.SwitchID]bool
 	clients     map[uint64]ed25519.PublicKey
 	pending     map[uint64]*pendingQuery // by query nonce
-	waiters     map[uint32]chan openflow.Message
+	waiters     map[waiterKey]chan openflow.Message
 	nextXID     uint32
 	stats       Stats
 	peers       map[string]Federation
@@ -208,6 +208,13 @@ type Controller struct {
 	stop chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
+}
+
+// waiterKey names one pending request: XIDs are only unique per direction,
+// so a reply is matched to its waiter by the switch that sent it as well.
+type waiterKey struct {
+	sw  topology.SwitchID
+	xid uint32
 }
 
 type session struct {
@@ -254,7 +261,7 @@ func New(cfg Config) (*Controller, error) {
 		wasAttached:  make(map[topology.SwitchID]bool),
 		clients:      make(map[uint64]ed25519.PublicKey),
 		pending:      make(map[uint64]*pendingQuery),
-		waiters:      make(map[uint32]chan openflow.Message),
+		waiters:      make(map[waiterKey]chan openflow.Message),
 		peers:        make(map[string]Federation),
 		peerEntries:  make(map[string]topology.Endpoint),
 		peerNames:    make(map[string]string),
@@ -473,41 +480,27 @@ func (c *Controller) heartbeatLoop(sess *session) {
 	}
 }
 
-// interceptionRules are the magic-header rules RVaaS installs on every
-// switch so client queries and auth replies are reported as Packet-Ins
-// (paper §IV-A3).
+// interceptionRules are the rules RVaaS installs on every switch so client
+// envelopes (the magic header, paper §IV-A3) and topology probes are
+// reported as Packet-Ins.
 func (c *Controller) interceptionRules() []*openflow.FlowMod {
-	mkUDP := func(dstPort uint16, tag uint64) *openflow.FlowMod {
+	intercept := func(tag uint64, fields ...openflow.FieldMatch) *openflow.FlowMod {
 		return &openflow.FlowMod{
 			Command: openflow.FlowAdd,
 			Entry: openflow.FlowEntry{
 				Priority: interceptPriority,
-				Match: openflow.Match{Fields: []openflow.FieldMatch{
-					{Field: wire.FieldIPProto, Value: uint64(wire.IPProtoUDP), Mask: 0xFF},
-					{Field: wire.FieldL4Dst, Value: uint64(dstPort), Mask: 0xFFFF},
-				}},
-				Actions: []openflow.Action{openflow.Output(openflow.ControllerPort)},
-				Cookie:  CookieRVaaS | tag,
+				Match:    openflow.Match{Fields: fields},
+				Actions:  []openflow.Action{openflow.Output(openflow.ControllerPort)},
+				Cookie:   CookieRVaaS | tag,
 			},
 		}
 	}
-	probe := &openflow.FlowMod{
-		Command: openflow.FlowAdd,
-		Entry: openflow.FlowEntry{
-			Priority: interceptPriority,
-			Match: openflow.Match{Fields: []openflow.FieldMatch{
-				{Field: wire.FieldEthType, Value: uint64(wire.EthTypeProbe), Mask: 0xFFFF},
-			}},
-			Actions: []openflow.Action{openflow.Output(openflow.ControllerPort)},
-			Cookie:  CookieRVaaS | 3,
-		},
-	}
 	return []*openflow.FlowMod{
-		mkUDP(wire.PortRVaaSQuery, 1),
-		mkUDP(wire.PortRVaaSAuthRep, 2),
-		mkUDP(wire.PortRVaaSSub, 4),
-		mkUDP(wire.PortRVaaSV2, 5),
-		probe,
+		intercept(5,
+			openflow.FieldMatch{Field: wire.FieldIPProto, Value: uint64(wire.IPProtoUDP), Mask: 0xFF},
+			openflow.FieldMatch{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSV2), Mask: 0xFFFF}),
+		intercept(3,
+			openflow.FieldMatch{Field: wire.FieldEthType, Value: uint64(wire.EthTypeProbe), Mask: 0xFFFF}),
 	}
 }
 
@@ -599,15 +592,22 @@ func (c *Controller) readLoop(sess *session) {
 			c.detachSession(sess)
 			return
 		}
-		// Route request/reply pairs to waiters first.
-		c.mu.Lock()
-		if ch, ok := c.waiters[msg.XIDValue()]; ok {
-			delete(c.waiters, msg.XIDValue())
+		// Route request/reply pairs to waiters first. Only reply-typed
+		// messages can answer a request: switch-originated monitor events
+		// and Packet-Ins number their XIDs independently from 1 and would
+		// otherwise collide with a pending request's.
+		switch msg.(type) {
+		case *openflow.StatsReply, *openflow.EchoReply, *openflow.BarrierReply, *openflow.ErrorMsg:
+			key := waiterKey{sess.sw, msg.XIDValue()}
+			c.mu.Lock()
+			ch, ok := c.waiters[key]
+			delete(c.waiters, key)
 			c.mu.Unlock()
-			ch <- msg
-			continue
+			if ok {
+				ch <- msg
+				continue
+			}
 		}
-		c.mu.Unlock()
 
 		switch m := msg.(type) {
 		case *openflow.FlowMonitorReply:
@@ -634,13 +634,14 @@ func (c *Controller) request(sw topology.SwitchID, msg openflow.Message, xid uin
 		c.mu.Unlock()
 		return nil, fmt.Errorf("rvaas: no session for switch %d", sw)
 	}
+	key := waiterKey{sw, xid}
 	ch := make(chan openflow.Message, 1)
-	c.waiters[xid] = ch
+	c.waiters[key] = ch
 	c.mu.Unlock()
 
 	if err := sess.conn.Send(msg); err != nil {
 		c.mu.Lock()
-		delete(c.waiters, xid)
+		delete(c.waiters, key)
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -651,7 +652,7 @@ func (c *Controller) request(sw topology.SwitchID, msg openflow.Message, xid uin
 		return reply, nil
 	case <-timer.C:
 		c.mu.Lock()
-		delete(c.waiters, xid)
+		delete(c.waiters, key)
 		c.mu.Unlock()
 		return nil, fmt.Errorf("rvaas: switch %d reply timeout", sw)
 	case <-c.stop:

@@ -125,3 +125,119 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 		t.Errorf("detaches = %d, want 1", st.Detaches)
 	}
 }
+
+// TestReplyRoutingIgnoresCollidingXIDs forces the collision that failed
+// bring-up after a controller restart: while switch 1's initial sync is
+// pending under XID x, another switch sends a reply-typed message with the
+// same XID, and switch 1 itself sends a monitor event numbered x (switch-
+// originated events count XIDs from 1, independently of the controller).
+// Neither may be handed to the waiter: the sync completes with switch 1's
+// own StatsReply.
+func TestReplyRoutingIgnoresCollidingXIDs(t *testing.T) {
+	topo, err := topology.Linear(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := enclave.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(Config{Topology: topo, Platform: platform, ManualRecheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ca, err := openflow.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctlID, err := openflow.NewIdentity("rvaas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	connect := func(name string) (ctlConn, swConn *openflow.SecureConn) {
+		t.Helper()
+		swID, err := openflow.NewIdentity(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctlConn, swConn, err = openflow.ConnectSecure(ctlID, ca.Issue(ctlID), swID, ca.Issue(swID), ca.Pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctlConn, swConn
+	}
+
+	// Switch 2 is a well-behaved peer whose channel the test also writes to.
+	ctl2, sw2 := connect("switch-2")
+	echoed := make(chan struct{}, 1)
+	go func() {
+		for {
+			msg, err := sw2.Recv()
+			if err != nil {
+				return
+			}
+			switch m := msg.(type) {
+			case *openflow.StatsRequest:
+				_ = sw2.Send(&openflow.StatsReply{XID: m.XID, TableSeq: 1})
+			case *openflow.EchoReply:
+				echoed <- struct{}{}
+			}
+		}
+	}()
+	if err := ctl.Attach(2, ctl2); err != nil {
+		t.Fatal(err)
+	}
+
+	// Switch 1 holds its sync reply back until the foreign reply has been
+	// consumed, then sends the colliding monitor event ahead of the answer.
+	own := openflow.FlowEntry{Priority: 7, Cookie: 0x600D}
+	ctl1, sw1 := connect("switch-1")
+	pending := make(chan uint32, 1)
+	release := make(chan struct{})
+	go func() {
+		for {
+			msg, err := sw1.Recv()
+			if err != nil {
+				return
+			}
+			if m, ok := msg.(*openflow.StatsRequest); ok {
+				pending <- m.XID
+				<-release
+				_ = sw1.Send(&openflow.FlowMonitorReply{XID: m.XID, MonitorID: 1})
+				_ = sw1.Send(&openflow.StatsReply{XID: m.XID, Entries: []openflow.FlowEntry{own}, TableSeq: 1})
+			}
+		}
+	}()
+	attached := make(chan error, 1)
+	go func() { attached <- ctl.Attach(1, ctl1) }()
+
+	xid := <-pending
+	foreign := openflow.FlowEntry{Priority: 7, Cookie: 0xBAD}
+	if err := sw2.Send(&openflow.StatsReply{XID: xid, Entries: []openflow.FlowEntry{foreign}, TableSeq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// The controller answers the echo only after it consumed the reply
+	// before it on the same channel.
+	if err := sw2.Send(&openflow.EchoRequest{XID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-echoed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("controller never consumed switch 2's messages")
+	}
+	close(release)
+
+	select {
+	case err := <-attached:
+		if err != nil {
+			t.Fatalf("attach with colliding XIDs in flight: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("attach never completed")
+	}
+	if tbl := ctl.snap.table(1); len(tbl) != 1 || tbl[0].Cookie != own.Cookie {
+		t.Fatalf("switch 1 synced from the wrong reply: %+v", tbl)
+	}
+}

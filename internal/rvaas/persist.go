@@ -3,6 +3,7 @@ package rvaas
 import (
 	"crypto/ed25519"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,7 +39,6 @@ type SubscriptionRecord struct {
 	ClientID  uint64
 	SessionID uint64
 	Nonce     uint64
-	Proto     uint8
 	Kind      wire.QueryKind
 	// Anchor binding: the access point the invariant is pinned to and the
 	// L2/L3 addresses notifications are injected toward.
@@ -96,7 +96,10 @@ func (r *SubscriptionRecord) marshal() []byte {
 	b = appendU64(b, r.ClientID)
 	b = appendU64(b, r.SessionID)
 	b = appendU64(b, r.Nonce)
-	b = append(b, r.Proto, byte(r.Kind))
+	// The byte before Kind is the client protocol the subscription's pushes
+	// are encoded in. One protocol remains, so it is a constant; it stays on
+	// disk so logs written by earlier builds keep their layout.
+	b = append(b, wire.EnvelopeVersion, byte(r.Kind))
 	b = appendU32(b, r.AnchorSwitch)
 	b = appendU32(b, r.AnchorPort)
 	b = appendU64(b, r.MAC)
@@ -184,6 +187,11 @@ func (r *recReader) str() string {
 	return s
 }
 
+// errRetiredProtocol marks a well-formed record of a subscription whose
+// client spoke a protocol this build no longer serves: its pushes could
+// not be delivered, so the record is skipped rather than restored.
+var errRetiredProtocol = errors.New("rvaas: subscription record of a retired client protocol")
+
 func unmarshalRecord(b []byte) (*SubscriptionRecord, byte, error) {
 	r := recReader{buf: b}
 	op := r.u8()
@@ -200,8 +208,8 @@ func unmarshalRecord(b []byte) (*SubscriptionRecord, byte, error) {
 			ClientID:  r.u64(),
 			SessionID: r.u64(),
 			Nonce:     r.u64(),
-			Proto:     r.u8(),
 		}
+		proto := r.u8()
 		rec.Kind = wire.QueryKind(r.u8())
 		rec.AnchorSwitch = r.u32()
 		rec.AnchorPort = r.u32()
@@ -222,6 +230,9 @@ func unmarshalRecord(b []byte) (*SubscriptionRecord, byte, error) {
 		rec.ClientKey = []byte(r.str())
 		if r.bad {
 			return nil, 0, fmt.Errorf("rvaas: truncated subscription record")
+		}
+		if proto != wire.EnvelopeVersion {
+			return rec, op, errRetiredProtocol
 		}
 		return rec, op, nil
 	}
@@ -291,7 +302,12 @@ type FileStore struct {
 	f       *os.File
 	live    map[uint64]SubscriptionRecord
 	appends int
+	skipped int
 }
+
+// Skipped counts the records the replay at open dropped because they
+// belong to a retired client protocol.
+func (s *FileStore) Skipped() int { return s.skipped }
 
 // OpenFileStore opens (or creates) the log at path and replays it.
 func OpenFileStore(path string) (*FileStore, error) {
@@ -307,10 +323,11 @@ func OpenFileStore(path string) (*FileStore, error) {
 			break // torn tail
 		}
 		rec, op, err := unmarshalRecord(data[off+4 : off+4+n])
-		if err != nil {
+		if errors.Is(err, errRetiredProtocol) {
+			s.skipped++
+		} else if err != nil {
 			break
-		}
-		if op == recRemove {
+		} else if op == recRemove {
 			delete(s.live, rec.ID)
 		} else {
 			s.live[rec.ID] = *rec
@@ -480,7 +497,6 @@ func recordOfTransition(t verifier.Transition) *SubscriptionRecord {
 		ClientID:     sub.ClientID,
 		SessionID:    sub.SessionID,
 		Nonce:        sub.Nonce,
-		Proto:        sub.Proto,
 		Kind:         sub.Kind,
 		AnchorSwitch: uint32(sub.Anchor.Switch),
 		AnchorPort:   uint32(sub.Anchor.Port),
@@ -536,7 +552,7 @@ func (c *Controller) restoreSubscriptions() error {
 			MAC:    rec.MAC,
 			IP:     rec.IP,
 		}
-		src := verifier.Source{Nonce: rec.Nonce, SessionID: rec.SessionID, Proto: rec.Proto}
+		src := verifier.Source{Nonce: rec.Nonce, SessionID: rec.SessionID}
 		sub, err := verifier.NewSubscription(rec.ClientID, src, rec.Kind, rec.Constraints, rec.Param, anchor)
 		if err != nil {
 			// A record written by a newer engine with a kind this build

@@ -16,7 +16,6 @@ func testRecord(id uint64) SubscriptionRecord {
 		ClientID:     7,
 		SessionID:    0x57E0 + id,
 		Nonce:        100 + id,
-		Proto:        2,
 		Kind:         wire.QueryIsolation,
 		AnchorSwitch: 3,
 		AnchorPort:   1,
@@ -176,5 +175,43 @@ func TestFileStoreTornTailIgnored(t *testing.T) {
 	recs, _ = s3.Load()
 	if len(recs) != 2 {
 		t.Fatalf("append after torn-tail truncation lost: %+v", recs)
+	}
+}
+
+// TestFileStoreSkipsRetiredProtocolRecords: a log written by an earlier
+// build still opens. Records of subscriptions registered over the removed
+// v1 client protocol (the byte before Kind is not wire.EnvelopeVersion)
+// are skipped and counted — nothing could deliver their pushes — while the
+// records around them replay normally.
+func TestFileStoreSkipsRetiredProtocolRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "subs.log")
+	var log []byte
+	for id := uint64(1); id <= 3; id++ {
+		rec := testRecord(id)
+		payload := rec.marshal()
+		const protoOff = 1 + 4*8 // op byte, then ID/ClientID/SessionID/Nonce
+		if payload[protoOff] != wire.EnvelopeVersion {
+			t.Fatalf("protocol byte not at offset %d: % x", protoOff, payload[:protoOff+2])
+		}
+		if id == 2 {
+			payload[protoOff] = 1
+		}
+		log = binary.BigEndian.AppendUint32(log, uint32(len(payload)))
+		log = append(log, payload...)
+	}
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs, err := s.Load()
+	if err != nil || len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 3 {
+		t.Fatalf("replay around a retired-protocol record: %v %+v", err, recs)
+	}
+	if s.Skipped() != 1 {
+		t.Fatalf("skipped = %d, want 1", s.Skipped())
 	}
 }

@@ -11,11 +11,9 @@ import (
 	"repro/internal/wire"
 )
 
-// handlePacketIn is the controller's transport layer: it classifies an
-// intercepted frame and, for client operations, normalizes it into a
-// protocol envelope (v1 frames through the compat shim, v2 frames
-// directly) before handing it to the service stack. Auth replies and
-// topology probes are infrastructure traffic outside the client API.
+// handlePacketIn is the controller's transport layer: the two interception
+// rules report topology probes (infrastructure traffic, probe.go) and
+// client envelopes, which go to the service stack.
 func (c *Controller) handlePacketIn(sw topology.SwitchID, m *openflow.PacketIn) {
 	c.mu.Lock()
 	c.stats.PacketIns++
@@ -25,21 +23,10 @@ func (c *Controller) handlePacketIn(sw topology.SwitchID, m *openflow.PacketIn) 
 		return
 	}
 	switch {
-	case pkt.IsAuthReply():
-		rep, err := wire.UnmarshalAuthReply(pkt.Payload)
-		if err != nil {
-			return
-		}
-		c.handleAuthReply(rep)
 	case pkt.IsProbe():
-		// Topology probes confirm the wiring plan; handled in probe.go.
 		c.handleProbe(sw, topology.PortNo(m.InPort), pkt)
-	default:
-		env, err := wire.EnvelopeFromPacket(pkt)
-		if err != nil {
-			return
-		}
-		c.serveEnvelope(sw, topology.PortNo(m.InPort), pkt, env)
+	case pkt.IsRVaaSV2():
+		c.serveEnvelope(sw, topology.PortNo(m.InPort), pkt)
 	}
 }
 

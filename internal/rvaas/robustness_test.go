@@ -71,7 +71,7 @@ func TestMalformedQueryIgnored(t *testing.T) {
 	garbage := &wire.Packet{
 		EthDst: 0xFF, EthSrc: src.HostMAC, EthType: wire.EthTypeIPv4,
 		IPSrc: src.HostIP, IPDst: wire.IPv4(10, 255, 255, 254),
-		IPProto: wire.IPProtoUDP, TTL: 64, L4Src: 5000, L4Dst: wire.PortRVaaSQuery,
+		IPProto: wire.IPProtoUDP, TTL: 64, L4Src: 5000, L4Dst: wire.PortRVaaSV2,
 		Payload: []byte{0xDE, 0xAD},
 	}
 	if err := d.Fabric.InjectFromHost(src.Endpoint, garbage); err != nil {

@@ -151,17 +151,15 @@ func TestVerdictQueryRejectsWrongIngress(t *testing.T) {
 			Nonce:    0x51,
 			SubID:    ids[0],
 		}
-		sr.Signature = ed25519.Sign(priv, sr.SigningBytes())
-		return sr, wire.NewSubscribePacket(aps[0].HostMAC, aps[0].HostIP, sr)
+		sr.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(sr.SigningBytes(), 0))
+		return sr, wire.NewEnvelopePacket(aps[0].HostMAC, aps[0].HostIP, &wire.Envelope{
+			Version: wire.EnvelopeVersion, Op: wire.OpQueryVerdict, CorrelationID: sr.Nonce, Body: sr.Marshal(),
+		})
 	}
-	// Drive the frames through the production dispatch path (compat shim
-	// + service stack), exactly as handlePacketIn would.
+	// Drive the frames through the production dispatch path (envelope
+	// decode + service stack), exactly as handlePacketIn would.
 	serve := func(ep topology.Endpoint, pkt *wire.Packet) {
-		env, err := wire.EnvelopeFromPacket(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.serveEnvelope(ep.Switch, ep.Port, pkt, env)
+		c.serveEnvelope(ep.Switch, ep.Port, pkt)
 	}
 
 	// Replay from the wrong ingress: rejected, no verdict served.

@@ -14,10 +14,10 @@ import (
 // This file defines the transport-independent client-facing API of RVaaS.
 // The controller's packet handlers used to own query/subscribe/verdict
 // logic directly; they are now a thin transport — intercept frame, decode
-// envelope, call the Service, encode the reply in the protocol version the
-// request arrived with. Everything behind the interface (verification
-// pipeline, subscription engine, sessions, batching) is driven identically
-// by in-band packets, in-process tests and the bench harness.
+// envelope, call the Service, encode the reply envelope. Everything behind
+// the interface (verification pipeline, subscription engine, sessions,
+// batching) is driven identically by in-band packets, in-process tests and
+// the bench harness.
 //
 // The service is layered:
 //
@@ -31,19 +31,15 @@ import (
 
 // Origin identifies where a client operation entered the network: the
 // ingress access point (checked against signed anchors), the requester's
-// L2/L3 addresses (where replies are injected), and the protocol version
-// plus session the operation arrived under.
+// L2/L3 addresses (where replies are injected), and the session the
+// operation arrived under.
 type Origin struct {
 	Switch topology.SwitchID
 	Port   topology.PortNo
 	MAC    uint64
 	IP     uint32
-	// Proto is the envelope version the request arrived with (1 = legacy
-	// v1 frames, wire.EnvelopeVersion = v2). Replies and notification
-	// pushes are encoded to match.
-	Proto uint8
-	// SessionID is the client session named by a v2 envelope (0 for v1).
-	// Subscriptions inherit it, making them resumable via OpSessionResume.
+	// SessionID is the client session named by the envelope. Subscriptions
+	// inherit it, making them resumable via OpSessionResume.
 	SessionID uint64
 }
 
@@ -93,16 +89,16 @@ type authGate struct {
 }
 
 // verifyClient checks sig over signing against clientID's registered key.
-// The signed message is session-bound for v2-carried operations
-// (wire.SessionSigningBytes): the envelope's SessionID field is otherwise
-// outside every signature, and an on-path modifier rewriting it would
-// silently register the subscription under the wrong session — breaking
-// OpSessionResume without any party noticing.
+// The signed message is session-bound (wire.SessionSigningBytes): the
+// envelope's SessionID field is otherwise outside every signature, and an
+// on-path modifier rewriting it would silently register the subscription
+// under the wrong session — breaking OpSessionResume without any party
+// noticing.
 func (g authGate) verifyClient(o Origin, clientID uint64, signing, sig []byte) bool {
 	g.c.mu.Lock()
 	pub, registered := g.c.clients[clientID]
 	g.c.mu.Unlock()
-	return registered && enclave.VerifyFrom(pub, wire.SessionSigningBytes(signing, o.Proto, o.SessionID), sig)
+	return registered && enclave.VerifyFrom(pub, wire.SessionSigningBytes(signing, o.SessionID), sig)
 }
 
 // errAck builds a signed rejection ack.
@@ -243,7 +239,7 @@ func (s coreService) Subscribe(o Origin, sr *wire.SubscribeRequest) *wire.Notifi
 		Status:  wire.StatusOK,
 		Nonce:   sr.Nonce,
 	}
-	src := verifier.Source{Nonce: sr.Nonce, SessionID: o.SessionID, Proto: o.Proto}
+	src := verifier.Source{Nonce: sr.Nonce, SessionID: o.SessionID}
 	req := o.requester()
 	anchor := verifier.Anchor{Switch: req.sw, Port: req.port, MAC: req.mac, IP: req.ip}
 	id, err := c.subscribeWith(sr.ClientID, src, sr.Kind, sr.Constraints, sr.Param, anchor)
@@ -298,10 +294,9 @@ func (s coreService) Unsubscribe(o Origin, sr *wire.SubscribeRequest) *wire.Noti
 
 func (s coreService) QueryVerdict(o Origin, sr *wire.SubscribeRequest) *wire.Notification {
 	c := s.c
-	// Current-verdict query: gap recovery resyncs from the signed ack
-	// (status, detail, sequence number) without a re-subscribe. The gate
-	// bound the request to the client; the ownership check below keeps one
-	// tenant from reading another's verdicts.
+	// On-demand current-verdict query. The gate bound the request to the
+	// client; the ownership check below keeps one tenant from reading
+	// another's verdicts.
 	ack := &wire.Notification{
 		Version: wire.CurrentVersion,
 		Event:   wire.NotifyAck,
@@ -410,10 +405,13 @@ func (c *Controller) signResumeReply(r *wire.SessionResumeReply) *wire.SessionRe
 
 // ------------------------------------------------------------ transport --
 
-// serveEnvelope dispatches one normalized client operation to the service
-// and injects the reply, encoded in the protocol version the request
-// arrived with.
-func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo, pkt *wire.Packet, env *wire.Envelope) {
+// serveEnvelope dispatches one intercepted client envelope to the service
+// and injects the reply envelope.
+func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo, pkt *wire.Packet) {
+	env, err := wire.UnmarshalEnvelope(pkt.Payload)
+	if err != nil {
+		return
+	}
 	if env.Op == wire.OpChunk {
 		// Continuation frame: fold it into its chain and dispatch only the
 		// completed logical envelope. Incomplete chains wait; torn or
@@ -430,18 +428,24 @@ func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo,
 		Port:      inPort,
 		MAC:       pkt.EthSrc,
 		IP:        pkt.IPSrc,
-		Proto:     env.Version,
 		SessionID: env.SessionID,
 	}
 	switch env.Op {
+	case wire.OpAuthReply:
+		// Infrastructure traffic of the in-band authentication round, not
+		// a client API call: it feeds a pending query and gets no reply.
+		rep, err := wire.UnmarshalAuthReply(env.Body)
+		if err != nil {
+			return
+		}
+		c.handleAuthReply(rep)
 	case wire.OpQuery:
 		q, err := wire.UnmarshalQueryRequest(env.Body)
 		if err != nil {
 			return
 		}
 		c.svc.Query(o, q, func(resp *wire.QueryResponse) {
-			c.deliverReply(o, wire.OpQueryResponse, resp.Nonce, func() []byte { return resp.Marshal() },
-				func() *wire.Packet { return wire.NewResponsePacket(o.MAC, o.IP, resp) })
+			c.deliverReply(o, wire.OpQueryResponse, resp.Nonce, resp.Marshal())
 		})
 	case wire.OpSubscribe, wire.OpUnsubscribe, wire.OpQueryVerdict:
 		sr, err := wire.UnmarshalSubscribeRequest(env.Body)
@@ -457,71 +461,49 @@ func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo,
 		default:
 			ack = c.svc.QueryVerdict(o, sr)
 		}
-		c.deliverAck(o, ack)
+		c.deliverReply(o, wire.OpNotify, ack.Nonce, ack.Marshal())
 	case wire.OpBatchSubscribe:
 		b, err := wire.UnmarshalBatchSubscribeRequest(env.Body)
 		if err != nil {
 			return
 		}
 		reply := c.svc.BatchSubscribe(o, b)
-		c.deliverReply(o, wire.OpBatchReply, reply.Nonce, func() []byte { return reply.Marshal() }, nil)
+		c.deliverReply(o, wire.OpBatchReply, reply.Nonce, reply.Marshal())
 	case wire.OpBatchQuery:
 		b, err := wire.UnmarshalBatchQueryRequest(env.Body)
 		if err != nil {
 			return
 		}
 		reply := c.svc.BatchQuery(o, b)
-		c.deliverReply(o, wire.OpBatchQueryReply, reply.Nonce, func() []byte { return reply.Marshal() }, nil)
+		c.deliverReply(o, wire.OpBatchQueryReply, reply.Nonce, reply.Marshal())
 	case wire.OpSessionResume:
 		r, err := wire.UnmarshalSessionResumeRequest(env.Body)
 		if err != nil {
 			return
 		}
 		reply := c.svc.ResumeSession(o, r)
-		c.deliverReply(o, wire.OpSessionResumeReply, reply.Nonce, func() []byte { return reply.Marshal() }, nil)
+		c.deliverReply(o, wire.OpSessionResumeReply, reply.Nonce, reply.Marshal())
 	}
 }
 
 // deliverReply injects one service reply at the requester's access point.
-// v2 requesters get an envelope; v1 requesters get the legacy frame shape
-// (v1Frame nil marks an op with no v1 encoding — batch and resume — whose
-// reply is silently dropped for a v1 requester, which cannot happen for
-// frames that entered through the shim).
-func (c *Controller) deliverReply(o Origin, op wire.Op, corr uint64, body func() []byte, v1Frame func() *wire.Packet) {
-	if o.Proto >= wire.EnvelopeVersion {
-		env := &wire.Envelope{
-			Version:       wire.EnvelopeVersion,
-			Op:            op,
-			CorrelationID: corr,
-			SessionID:     o.SessionID,
-			Body:          body(),
-		}
-		// A reply past the frame budget (e.g. a 10⁴-item batch reply) goes
-		// out as OpChunk continuation frames under the same correlation id;
-		// the client reassembles before decoding.
-		frames, err := wire.ChunkEnvelope(env, 0)
-		if err != nil {
-			return
-		}
-		for _, fr := range frames {
-			_ = c.sendPacketOut(o.Switch, o.Port, wire.NewEnvelopeReplyPacket(o.MAC, o.IP, fr))
-		}
+// A reply past the frame budget (e.g. a 10⁴-item batch reply) goes out as
+// OpChunk continuation frames under the same correlation id; the client
+// reassembles before decoding.
+func (c *Controller) deliverReply(o Origin, op wire.Op, corr uint64, body []byte) {
+	frames, err := wire.ChunkEnvelope(&wire.Envelope{
+		Version:       wire.EnvelopeVersion,
+		Op:            op,
+		CorrelationID: corr,
+		SessionID:     o.SessionID,
+		Body:          body,
+	}, 0)
+	if err != nil {
 		return
 	}
-	if v1Frame == nil {
-		return
+	for _, fr := range frames {
+		_ = c.sendPacketOut(o.Switch, o.Port, wire.NewEnvelopeReplyPacket(o.MAC, o.IP, fr))
 	}
-	_ = c.sendPacketOut(o.Switch, o.Port, v1Frame())
-}
-
-// deliverAck injects one subscription ack in the requester's protocol
-// version.
-func (c *Controller) deliverAck(o Origin, ack *wire.Notification) {
-	if ack == nil {
-		return
-	}
-	c.deliverReply(o, wire.OpNotify, ack.Nonce, func() []byte { return ack.Marshal() },
-		func() *wire.Packet { return wire.NewNotificationPacket(o.MAC, o.IP, ack) })
 }
 
 // clientKeyOf returns the registered verification key for a client.

@@ -68,8 +68,8 @@ type SubscriptionStats struct {
 	// header-space delta (rule-delta dispatch; zero when per-switch
 	// dispatch is forced).
 	DeltaSkipped uint64
-	// VerdictQueries counts served SubOpQueryVerdict requests (gap-recovery
-	// resyncs answered without a re-subscribe).
+	// VerdictQueries counts served SubOpQueryVerdict requests (on-demand
+	// current-verdict reads).
 	VerdictQueries uint64
 	// SessionResumes counts served OpSessionResume requests (whole-session
 	// resyncs after notification loss or a controller restart).
@@ -395,21 +395,13 @@ func (c *Controller) sendNotification(sub *verifier.Subscription, event wire.Not
 	}
 	n.Signature = c.enclave.Sign(n.SigningBytes())
 	n.Quote = c.enclave.KeyQuote().Marshal()
-	// Pushes are encoded in the protocol version the subscription was
-	// registered with: legacy notification frames for v1, OpNotify
-	// envelopes (carrying the session) for v2.
-	var pkt *wire.Packet
-	if sub.Proto >= wire.EnvelopeVersion {
-		pkt = wire.NewEnvelopeReplyPacket(sub.Anchor.MAC, sub.Anchor.IP, &wire.Envelope{
-			Version:       wire.EnvelopeVersion,
-			Op:            wire.OpNotify,
-			CorrelationID: sub.Nonce,
-			SessionID:     sub.SessionID,
-			Body:          n.Marshal(),
-		})
-	} else {
-		pkt = wire.NewNotificationPacket(sub.Anchor.MAC, sub.Anchor.IP, n)
-	}
+	pkt := wire.NewEnvelopeReplyPacket(sub.Anchor.MAC, sub.Anchor.IP, &wire.Envelope{
+		Version:       wire.EnvelopeVersion,
+		Op:            wire.OpNotify,
+		CorrelationID: sub.Nonce,
+		SessionID:     sub.SessionID,
+		Body:          n.Marshal(),
+	})
 	job := notifyJob{sw: sub.Anchor.Switch, port: sub.Anchor.Port, pkt: pkt}
 	select {
 	case c.notifyQ <- job:

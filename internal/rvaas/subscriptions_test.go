@@ -294,7 +294,9 @@ func TestSubscribeInBand(t *testing.T) {
 	// Replaying the captured (genuinely signed) older violation must not
 	// be delivered as a fresh event: its sequence is behind.
 	dropsBefore := agent.NotificationsDropped()
-	agent.HandleFrame(wire.NewNotificationPacket(aps[0].HostMAC, aps[0].HostIP, violation))
+	agent.HandleFrame(wire.NewEnvelopeReplyPacket(aps[0].HostMAC, aps[0].HostIP, &wire.Envelope{
+		Version: wire.EnvelopeVersion, Op: wire.OpNotify, CorrelationID: violation.Nonce, Body: violation.Marshal(),
+	}))
 	if agent.NotificationsDropped() != dropsBefore+1 {
 		t.Error("replayed stale notification not dropped")
 	}
@@ -329,6 +331,32 @@ func waitNotification(t *testing.T, ch <-chan *wire.Notification) *wire.Notifica
 	return nil
 }
 
+// subscribeFrame frames one raw subscription op the way a client would: an
+// envelope (session 0) on the magic port. signSub signs it to match.
+func subscribeFrame(ap topology.AccessPoint, sr *wire.SubscribeRequest) *wire.Packet {
+	op := wire.OpSubscribe
+	if sr.Op == wire.SubOpRemove {
+		op = wire.OpUnsubscribe
+	}
+	return wire.NewEnvelopePacket(ap.HostMAC, ap.HostIP, &wire.Envelope{
+		Version: wire.EnvelopeVersion, Op: op, CorrelationID: sr.Nonce, Body: sr.Marshal(),
+	})
+}
+
+func signSub(priv ed25519.PrivateKey, sr *wire.SubscribeRequest) {
+	sr.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(sr.SigningBytes(), 0))
+}
+
+// isNotify reports whether a frame arriving at a host is an RVaaS
+// notification envelope (ack or push).
+func isNotify(pkt *wire.Packet) bool {
+	if !pkt.IsRVaaSV2Reply() {
+		return false
+	}
+	env, err := wire.UnmarshalEnvelope(pkt.Payload)
+	return err == nil && env.Op == wire.OpNotify
+}
+
 // TestForgedSubscriptionOpsRejected verifies subscription mutations are
 // authenticated: ops not signed by the claimed client's registered key are
 // rejected, so a co-tenant cannot disable a victim's standing monitoring.
@@ -358,7 +386,7 @@ func TestForgedSubscriptionOpsRejected(t *testing.T) {
 			Kind:     wire.QueryReachableDestinations,
 		}
 		// Unsigned (and hence wrongly-signed) request straight onto the wire.
-		pkt := wire.NewSubscribePacket(attacker.HostMAC, attacker.HostIP, req)
+		pkt := subscribeFrame(attacker, req)
 		if err := d.Fabric.InjectFromHost(attacker.Endpoint, pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -383,8 +411,8 @@ func TestForgedSubscriptionOpsRejected(t *testing.T) {
 		AnchorPort:   uint32(aps[0].Endpoint.Port),
 		Kind:         wire.QueryReachableDestinations,
 	}
-	misanchored.Signature = ed25519.Sign(priv, misanchored.SigningBytes())
-	pkt := wire.NewSubscribePacket(attacker.HostMAC, attacker.HostIP, misanchored)
+	signSub(priv, misanchored)
+	pkt := subscribeFrame(attacker, misanchored)
 	if err := d.Fabric.InjectFromHost(attacker.Endpoint, pkt); err != nil { // replayed at attacker's port
 		t.Fatal(err)
 	}
@@ -426,9 +454,9 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 		Kind:         wire.QueryReachableDestinations,
 		Constraints:  ipConstraint(aps[2].HostIP),
 	}
-	req.Signature = ed25519.Sign(priv, req.SigningBytes())
+	signSub(priv, req)
 	for i := 0; i < 3; i++ {
-		pkt := wire.NewSubscribePacket(ap.HostMAC, ap.HostIP, req)
+		pkt := subscribeFrame(ap, req)
 		if err := d.Fabric.InjectFromHost(ap.Endpoint, pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +476,7 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 	if !d.RVaaS.Unsubscribe(777, id) {
 		t.Fatal("unsubscribe failed")
 	}
-	pkt := wire.NewSubscribePacket(ap.HostMAC, ap.HostIP, req)
+	pkt := subscribeFrame(ap, req)
 	if err := d.Fabric.InjectFromHost(ap.Endpoint, pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +497,8 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 		Kind:         wire.QueryReachableDestinations,
 		Constraints:  ipConstraint(aps[2].HostIP),
 	}
-	req2.Signature = ed25519.Sign(priv, req2.SigningBytes())
-	if err := d.Fabric.InjectFromHost(ap.Endpoint, wire.NewSubscribePacket(ap.HostMAC, ap.HostIP, req2)); err != nil {
+	signSub(priv, req2)
+	if err := d.Fabric.InjectFromHost(ap.Endpoint, subscribeFrame(ap, req2)); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(time.Second)
@@ -484,8 +512,8 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 		Nonce:    0xABAB_0003,
 		RefNonce: 0xABAB_0002,
 	}
-	rm.Signature = ed25519.Sign(priv, rm.SigningBytes())
-	if err := d.Fabric.InjectFromHost(ap.Endpoint, wire.NewSubscribePacket(ap.HostMAC, ap.HostIP, rm)); err != nil {
+	signSub(priv, rm)
+	if err := d.Fabric.InjectFromHost(ap.Endpoint, subscribeFrame(ap, rm)); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(time.Second)
@@ -497,26 +525,77 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 	}
 }
 
-// TestInterceptionRulesCoverSubscriptionPort ensures the self-rule tamper
-// check counts the subscription interception rule too.
+// TestInterceptionRulesCoverSubscriptionPort pins the interception surface:
+// every switch carries exactly two RVaaS rules — the envelope port that
+// subscriptions (and every other client op) arrive on, and the probe
+// EthType — the self-rule tamper check expects exactly those, and a frame
+// to a retired v1 magic port is ordinary data-plane traffic again: no
+// Packet-In, no reply.
 func TestInterceptionRulesCoverSubscriptionPort(t *testing.T) {
 	d := deployLinear(t, 2, deploy.Options{SkipAgents: true})
 	if rep := d.RVaaS.CheckSelfRules(); !rep.Clean() {
 		t.Fatalf("interception rules missing: %+v", rep)
 	}
-	// Every switch must carry a rule matching the subscription port.
 	for _, sw := range d.Topology.Switches() {
-		found := false
+		own, envelope := 0, false
 		for _, e := range d.Fabric.Switch(sw).Table() {
+			if e.Cookie&rvaas.CookieRVaaS != rvaas.CookieRVaaS {
+				continue
+			}
+			own++
 			for _, f := range e.Match.Fields {
-				if f.Field == wire.FieldL4Dst && f.Value == uint64(wire.PortRVaaSSub) {
-					found = true
+				if f.Field == wire.FieldL4Dst && f.Value == uint64(wire.PortRVaaSV2) {
+					envelope = true
 				}
 			}
 		}
-		if !found {
-			t.Errorf("switch %d: no interception rule for the subscription port", sw)
+		if own != 2 || !envelope {
+			t.Errorf("switch %d: %d RVaaS rules (envelope rule: %v), want 2 with the envelope port", sw, own, envelope)
 		}
+	}
+	// One rule gone is tampering: the check expects both.
+	sw := d.Fabric.Switch(d.Topology.Switches()[0])
+	for _, e := range sw.Table() {
+		if e.Cookie&rvaas.CookieRVaaS == rvaas.CookieRVaaS {
+			sw.RemoveDirect(e)
+			break
+		}
+	}
+	waitUntil(t, time.Second, func() bool { return !d.RVaaS.CheckSelfRules().Clean() })
+
+	src, dst := d.Topology.AccessPoints()[0], d.Topology.AccessPoints()[1]
+	atSrc, atDst := make(chan *wire.Packet, 4), make(chan *wire.Packet, 4)
+	if err := d.Fabric.AttachHost(src.Endpoint, func(pkt *wire.Packet) { atSrc <- pkt }); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Fabric.AttachHost(dst.Endpoint, func(pkt *wire.Packet) { atDst <- pkt }); err != nil {
+		t.Fatal(err)
+	}
+	before := d.RVaaS.Stats().PacketIns
+	q := &wire.QueryRequest{Version: wire.CurrentVersion, Kind: wire.QueryIsolation, ClientID: src.ClientID, Nonce: 7}
+	retired := &wire.Packet{
+		EthDst: dst.HostMAC, EthSrc: src.HostMAC, EthType: wire.EthTypeIPv4,
+		IPSrc: src.HostIP, IPDst: dst.HostIP, IPProto: wire.IPProtoUDP, TTL: 64,
+		L4Src: 5000, L4Dst: 0x5AA5, Payload: q.Marshal(),
+	}
+	if err := d.Fabric.InjectFromHost(src.Endpoint, retired); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case pkt := <-atDst:
+		if pkt.L4Dst != 0x5AA5 {
+			t.Fatalf("destination host received %v", pkt)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("frame to the retired port was not forwarded like ordinary traffic")
+	}
+	select {
+	case pkt := <-atSrc:
+		t.Fatalf("frame to the retired port was answered: %v", pkt)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := d.RVaaS.Stats().PacketIns; got != before {
+		t.Fatalf("frame to the retired port raised %d Packet-In(s)", got-before)
 	}
 }
 
@@ -532,7 +611,7 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 	wedge := make(chan struct{})
 	t.Cleanup(func() { close(wedge) }) // unblock before d.Close tears down switches
 	if err := d.Fabric.AttachHost(aps[0].Endpoint, func(pkt *wire.Packet) {
-		if pkt.IsNotification() {
+		if isNotify(pkt) {
 			<-wedge
 		}
 	}); err != nil {
@@ -583,8 +662,8 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 // TestGapRecoveryEndToEnd drives the full delivery-hole loop over the
 // wire: a violation notification is lost in-network (the fire-and-forget
 // Packet-Out hole), the next transition arrives with a skipped Seq, and
-// the agent transparently resynchronizes via a current-verdict query
-// (SubOpQueryVerdict) — keeping the SAME server-side subscription alive,
+// the agent transparently resynchronizes via a session resume
+// (OpSessionResume) — keeping the SAME server-side subscription alive,
 // no re-subscribe needed — ending with a resynchronized client that keeps
 // receiving subsequent transitions.
 func TestGapRecoveryEndToEnd(t *testing.T) {
@@ -613,7 +692,7 @@ func TestGapRecoveryEndToEnd(t *testing.T) {
 	var dropNotifs atomic.Bool
 	var droppedSeen atomic.Uint64
 	if err := d.Fabric.AttachHost(ap.Endpoint, func(pkt *wire.Packet) {
-		if dropNotifs.Load() && pkt.IsNotification() {
+		if dropNotifs.Load() && isNotify(pkt) {
 			droppedSeen.Add(1)
 			return
 		}
@@ -660,7 +739,7 @@ func TestGapRecoveryEndToEnd(t *testing.T) {
 		t.Fatalf("gap recovery failed: %v", ev.Err)
 	}
 	if ev.SubID != oldID || ev.NewSubID != oldID {
-		t.Fatalf("gap event = %+v, want in-place verdict-query resync of sub %d", ev, oldID)
+		t.Fatalf("gap event = %+v, want in-place session-resume resync of sub %d", ev, oldID)
 	}
 	if ev.MissedFrom != 1 || ev.MissedTo != 1 {
 		t.Fatalf("missed range = [%d,%d], want [1,1]", ev.MissedFrom, ev.MissedTo)
@@ -673,10 +752,10 @@ func TestGapRecoveryEndToEnd(t *testing.T) {
 	// subscription was never torn down or replaced.
 	st := d.RVaaS.SubscriptionStats()
 	if st.Active != 1 || st.Removed != 0 || st.Registered != 1 {
-		t.Fatalf("verdict-query resync churned server state: %+v", st)
+		t.Fatalf("session-resume resync churned server state: %+v", st)
 	}
-	if st.VerdictQueries == 0 {
-		t.Fatalf("no verdict query served: %+v", st)
+	if st.SessionResumes == 0 {
+		t.Fatalf("no session resume served: %+v", st)
 	}
 
 	// Monitoring continues seamlessly on the same subscription with the

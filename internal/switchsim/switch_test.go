@@ -267,13 +267,13 @@ func TestPacketInOnControllerAction(t *testing.T) {
 	sw.InstallDirect(openflow.FlowEntry{
 		Priority: 50,
 		Match: openflow.Match{Fields: []openflow.FieldMatch{
-			{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSQuery), Mask: 0xFFFF},
+			{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSV2), Mask: 0xFFFF},
 		}},
 		Actions: []openflow.Action{openflow.Output(openflow.ControllerPort)},
 		Cookie:  0xBEEF,
 	})
 	q := udpTo(wire.IPv4(10, 255, 255, 254))
-	q.L4Dst = wire.PortRVaaSQuery
+	q.L4Dst = wire.PortRVaaSV2
 	sw.ProcessPacket(3, q, 0)
 
 	pi, ok := recvType(t, conn, openflow.TypePacketIn).(*openflow.PacketIn)
@@ -284,7 +284,7 @@ func TestPacketInOnControllerAction(t *testing.T) {
 		t.Errorf("packet-in: %+v", pi)
 	}
 	decoded, err := wire.Unmarshal(pi.Data)
-	if err != nil || decoded.L4Dst != wire.PortRVaaSQuery {
+	if err != nil || decoded.L4Dst != wire.PortRVaaSV2 {
 		t.Errorf("packet-in payload: %v %+v", err, decoded)
 	}
 }

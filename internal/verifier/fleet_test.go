@@ -255,7 +255,7 @@ func TestFleetResumeSliceOrdering(t *testing.T) {
 	f := New(Config{Instances: 4}, &fakeEnv{violated: map[topology.SwitchID]bool{}})
 	var subs []*Subscription
 	for i := 0; i < 24; i++ {
-		sub, err := NewSubscription(9, Source{SessionID: 55, Proto: 2},
+		sub, err := NewSubscription(9, Source{SessionID: 55},
 			wire.QueryReachableDestinations, nil, "", Anchor{Switch: topology.SwitchID(i), Port: 1})
 		if err != nil {
 			t.Fatal(err)

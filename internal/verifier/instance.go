@@ -380,7 +380,6 @@ func (ins *Instance) stateOfLocked(sub *Subscription) SubState {
 		ClientID:      sub.ClientID,
 		SessionID:     sub.SessionID,
 		Nonce:         sub.Nonce,
-		Proto:         sub.Proto,
 		Kind:          sub.Kind,
 		Param:         sub.Param,
 		Anchor:        sub.Anchor,

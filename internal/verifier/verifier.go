@@ -68,11 +68,9 @@ type Subscription struct {
 	Param       string
 	Bound       int // parsed Param for path-length invariants
 	Anchor      Anchor
-	// SessionID is the client session the invariant was registered under
-	// (protocol v2); session resume enumerates by it. Proto is the
-	// envelope version notifications are encoded with.
+	// SessionID is the client session the invariant was registered under;
+	// session resume enumerates by it.
 	SessionID uint64
-	Proto     uint8
 
 	Violated  bool
 	Detail    string
@@ -94,12 +92,10 @@ type Subscription struct {
 }
 
 // Source carries the wire-level provenance of a registration: the
-// operation nonce (0 for in-process callers), the client session (v2) and
-// the protocol version notifications must be encoded with.
+// operation nonce (0 for in-process callers) and the client session.
 type Source struct {
 	Nonce     uint64
 	SessionID uint64
-	Proto     uint8
 }
 
 // NewSubscription validates an invariant spec and builds the
@@ -110,7 +106,6 @@ func NewSubscription(clientID uint64, src Source, kind wire.QueryKind, constrain
 		ClientID:    clientID,
 		Nonce:       src.Nonce,
 		SessionID:   src.SessionID,
-		Proto:       src.Proto,
 		Kind:        kind,
 		Constraints: append([]wire.FieldConstraint(nil), constraints...),
 		Param:       param,
@@ -220,7 +215,6 @@ type SubState struct {
 	ClientID  uint64
 	SessionID uint64
 	Nonce     uint64
-	Proto     uint8
 	Kind      wire.QueryKind
 	Param     string
 	Anchor    Anchor

@@ -6,25 +6,19 @@ import (
 	"fmt"
 )
 
-// Protocol v2 replaces the four ad-hoc v1 packet shapes (query, subscribe,
-// auth, notification — each with its own magic UDP port and framing) with a
-// single versioned envelope. Every client-facing operation travels as an
-// Envelope on one magic port pair; the Op field selects the body codec. v1
-// frames remain fully supported: EnvelopeFromPacket normalizes them through
-// a compatibility shim so the service layer dispatches one message shape
-// regardless of what is on the wire.
-//
-// The envelope buys three things the v1 shapes could not express:
+// Every client-facing operation travels as one versioned Envelope on one
+// magic port pair (the paper's single magic header, §IV-A3); the Op field
+// selects the body codec. The envelope carries three things beside the op:
 //
 //   - versioning: the leading byte names the envelope revision, so future
-//     revisions can change framing without another magic-port land grab;
+//     revisions can change framing without claiming another magic port;
 //   - sessions: SessionID binds an operation to a client session, which is
 //     what durable subscription restore resumes after a controller restart
 //     (OpSessionResume);
 //   - batching: OpBatchSubscribe/OpBatchQuery register or answer N
 //     operations in ONE signed exchange instead of N round-trips, with u32
 //     framing because batch bodies routinely exceed the u16 limits of the
-//     v1 codecs.
+//     single-op body codecs.
 
 // EnvelopeVersion is the current protocol envelope revision.
 const EnvelopeVersion = 2
@@ -69,6 +63,12 @@ const (
 	// id shared by every fragment of the chain, and the body (Chunk) names
 	// the inner op plus this fragment's position. See chunk.go.
 	OpChunk
+	// OpAuthChallenge carries an AuthRequest RVaaS injects toward an
+	// endpoint discovered by logical verification; the agent answers with
+	// OpAuthReply (AuthReply) from the same access point — the in-band
+	// authentication round of §IV-A3.
+	OpAuthChallenge
+	OpAuthReply
 )
 
 // String names the op.
@@ -100,14 +100,16 @@ func (op Op) String() string {
 		return "session-resume-reply"
 	case OpChunk:
 		return "chunk"
+	case OpAuthChallenge:
+		return "auth-challenge"
+	case OpAuthReply:
+		return "auth-reply"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// Envelope is the versioned protocol v2 frame: one shape for every
-// operation. For v1 frames normalized through EnvelopeFromPacket, Version
-// is 1, SessionID is 0 and Body is the raw v1 payload — the service layer
-// answers in the same protocol version the request arrived with.
+// Envelope is the versioned client protocol frame: one shape for every
+// operation.
 type Envelope struct {
 	Version uint8
 	Op      Op
@@ -126,9 +128,6 @@ type Envelope struct {
 var (
 	errBadEnvelopeVersion = errors.New("wire: unsupported envelope version")
 	errEnvelopeTrailing   = errors.New("wire: trailing bytes after envelope")
-	// ErrNotEnvelope reports a frame that is neither a v2 envelope nor a
-	// v1 request the compat shim can normalize.
-	ErrNotEnvelope = errors.New("wire: not an RVaaS request frame")
 )
 
 // Marshal encodes the envelope (always at EnvelopeVersion framing).
@@ -142,7 +141,7 @@ func (e *Envelope) Marshal() []byte {
 	return w.buf
 }
 
-// UnmarshalEnvelope decodes a v2 envelope. Unlike the lenient v1 codecs it
+// UnmarshalEnvelope decodes an envelope. Unlike the lenient body codecs it
 // is strict: unknown versions and trailing bytes are rejected, so a
 // truncated or padded frame can never half-parse.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
@@ -166,49 +165,15 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// SessionSigningBytes binds an operation's client signature to the v2
-// envelope session it rides in: for envelope-carried ops the signed
-// message is the body's canonical bytes followed by the session id —
-// ALWAYS appended for proto >= EnvelopeVersion, so neither rewriting nor
-// zeroing the (unsigned) envelope header field can move a subscription
-// into a different session, and a v2-signed frame cannot be downgraded to
-// the v1 shape (whose signature omits the suffix). v1 signing bytes are
-// unchanged, keeping legacy signatures byte-identical.
-func SessionSigningBytes(signing []byte, proto uint8, sessionID uint64) []byte {
-	if proto < EnvelopeVersion {
-		return signing
-	}
+// SessionSigningBytes binds an operation's client signature to the
+// envelope session it rides in: the signed message is the body's canonical
+// bytes followed by the session id, so neither rewriting nor zeroing the
+// (unsigned) envelope header field can move a subscription into a
+// different session.
+func SessionSigningBytes(signing []byte, sessionID uint64) []byte {
 	out := make([]byte, 0, len(signing)+8)
 	out = append(out, signing...)
 	return binary.BigEndian.AppendUint64(out, sessionID)
-}
-
-// EnvelopeFromPacket normalizes an intercepted client request frame into an
-// envelope: v2 frames decode their explicit envelope; legacy v1 frames map
-// through the compat shim (the op inferred from the magic port, and for
-// subscription frames from the body's SubOp). Frames that are not client
-// requests (auth replies, probes, responses) return ErrNotEnvelope.
-func EnvelopeFromPacket(p *Packet) (*Envelope, error) {
-	switch {
-	case p.IsRVaaSV2():
-		return UnmarshalEnvelope(p.Payload)
-	case p.IsRVaaSQuery():
-		return &Envelope{Version: 1, Op: OpQuery, Body: p.Payload}, nil
-	case p.IsRVaaSSubscribe():
-		sr, err := UnmarshalSubscribeRequest(p.Payload)
-		if err != nil {
-			return nil, err
-		}
-		op := OpSubscribe
-		switch sr.Op {
-		case SubOpRemove:
-			op = OpUnsubscribe
-		case SubOpQueryVerdict:
-			op = OpQueryVerdict
-		}
-		return &Envelope{Version: 1, Op: op, CorrelationID: sr.Nonce, Body: p.Payload}, nil
-	}
-	return nil, ErrNotEnvelope
 }
 
 // ---------------------------------------------------------- batch bodies --

@@ -38,52 +38,6 @@ func TestEnvelopeRejectsBadVersionAndTrailing(t *testing.T) {
 	}
 }
 
-// TestEnvelopeFromPacketShim: every v1 request frame normalizes through
-// the compat shim into the envelope op the service dispatches on, with the
-// raw payload preserved.
-func TestEnvelopeFromPacketShim(t *testing.T) {
-	q := &QueryRequest{Version: 1, Kind: QueryGeoRegions, ClientID: 3, Nonce: 77}
-	env, err := EnvelopeFromPacket(NewQueryPacket(2, 3, q))
-	if err != nil || env.Op != OpQuery || env.Version != 1 {
-		t.Fatalf("query shim: %+v, %v", env, err)
-	}
-	if _, err := UnmarshalQueryRequest(env.Body); err != nil {
-		t.Fatalf("query body not preserved: %v", err)
-	}
-
-	ops := []struct {
-		subOp SubscribeOp
-		want  Op
-	}{
-		{SubOpAdd, OpSubscribe},
-		{SubOpRemove, OpUnsubscribe},
-		{SubOpQueryVerdict, OpQueryVerdict},
-	}
-	for _, tc := range ops {
-		sr := &SubscribeRequest{Version: 1, Op: tc.subOp, ClientID: 3, Nonce: 88}
-		env, err := EnvelopeFromPacket(NewSubscribePacket(2, 3, sr))
-		if err != nil || env.Op != tc.want {
-			t.Fatalf("subscribe shim %v: got op %v err %v", tc.subOp, env.Op, err)
-		}
-		if env.CorrelationID != 88 {
-			t.Fatalf("subscribe shim %v: correlation %d", tc.subOp, env.CorrelationID)
-		}
-	}
-
-	// v2 frames decode their explicit envelope.
-	v2 := &Envelope{Version: EnvelopeVersion, Op: OpSessionResume, CorrelationID: 9, SessionID: 11, Body: []byte{5}}
-	env, err = EnvelopeFromPacket(NewEnvelopePacket(2, 3, v2))
-	if err != nil || !reflect.DeepEqual(env, v2) {
-		t.Fatalf("v2 shim: %+v, %v", env, err)
-	}
-
-	// Non-request frames are not envelopes.
-	n := &Notification{Version: 1, Event: NotifyAck}
-	if _, err := EnvelopeFromPacket(NewNotificationPacket(2, 3, n)); err == nil {
-		t.Fatal("notification classified as a request envelope")
-	}
-}
-
 func TestBatchSubscribeRoundtrip(t *testing.T) {
 	b := &BatchSubscribeRequest{
 		Version:      CurrentVersion,

@@ -6,11 +6,19 @@ import (
 	"testing"
 )
 
-// The golden-frame tests lock the v1 wire encoding byte-for-byte. Every
-// New*Packet constructor now routes through the shared rvaasUDP envelope
-// builder; these fixtures guarantee that refactor (and any future one)
-// cannot move a single byte of the legacy protocol — v1 clients in the
-// field keep decoding.
+// The golden-frame tests lock the client wire encoding byte-for-byte: one
+// fixture per single-op body codec, each framed in the envelope its op
+// travels in, so no refactor can move a byte of the frame, the envelope
+// header or a body that deployed clients decode.
+
+// toRVaaS / fromRVaaS frame a body the way clients and RVaaS send it.
+func toRVaaS(mac uint64, ip uint32, op Op, corr uint64, body []byte) *Packet {
+	return NewEnvelopePacket(mac, ip, &Envelope{Version: EnvelopeVersion, Op: op, CorrelationID: corr, SessionID: 0x5E55, Body: body})
+}
+
+func fromRVaaS(mac uint64, ip uint32, op Op, corr uint64, body []byte) *Packet {
+	return NewEnvelopeReplyPacket(mac, ip, &Envelope{Version: EnvelopeVersion, Op: op, CorrelationID: corr, Body: body})
+}
 
 func goldenPacket(t *testing.T, name, wantHex string, pkt *Packet) {
 	t.Helper()
@@ -38,22 +46,22 @@ func TestGoldenQueryPacket(t *testing.T) {
 		Constraints: []FieldConstraint{{Field: FieldIPDst, Value: 0x0A000001, Mask: 0xFFFFFFFF}},
 		Param:       "p", DeadlineMillis: 250}
 	goldenPacket(t, "query",
-		"ffffffffffff02000000000108004500004800000000401165a70a0000010afffffe04885aa500340000010100000000000000071122334455667788000106000000000a00000100000000ffffffff000170000000fa",
-		NewQueryPacket(0x020000000001, IPv4(10, 0, 0, 1), q))
+		"ffffffffffff02000000000108004500005e00000000401165910a0000010afffffe04885aab004a0000020111223344556677880000000000005e550000002c010100000000000000071122334455667788000106000000000a00000100000000ffffffff000170000000fa",
+		toRVaaS(0x020000000001, IPv4(10, 0, 0, 1), OpQuery, q.Nonce, q.Marshal()))
 }
 
 func TestGoldenAuthRequestPacket(t *testing.T) {
 	ar := &AuthRequest{QueryNonce: 0x1122334455667788, Challenge: 0xCAFEBABE, ServerKey: []byte{1, 2, 3}}
 	goldenPacket(t, "auth-request",
-		"02000000000202005aa5000108004500003100000000401165bd0afffffe0a0000025aa85aa6001d0000112233445566778800000000cafebabe0003010203",
-		NewAuthRequestPacket(0x020000000002, IPv4(10, 0, 0, 2), ar))
+		"02000000000202005aa5000108004500004700000000401165a70afffffe0a0000025aab704000330000020e00000000cafebabe000000000000000000000015112233445566778800000000cafebabe0003010203",
+		fromRVaaS(0x020000000002, IPv4(10, 0, 0, 2), OpAuthChallenge, ar.Challenge, ar.Marshal()))
 }
 
 func TestGoldenAuthReplyPacket(t *testing.T) {
 	rep := &AuthReply{QueryNonce: 0x1122334455667788, Challenge: 0xCAFEBABE, ClientID: 7, Signature: []byte{9}, PubKey: []byte{8}}
 	goldenPacket(t, "auth-reply",
-		"ffffffffffff02000000000308004500003a00000000401165b30a0000030afffffe70405aa700260000112233445566778800000000cafebabe0000000000000007000109000108",
-		NewAuthReplyPacket(0x020000000003, IPv4(10, 0, 0, 3), rep))
+		"ffffffffffff020000000003080045000050000000004011659d0a0000030afffffe70405aab003c0000020f00000000cafebabe0000000000005e550000001e112233445566778800000000cafebabe0000000000000007000109000108",
+		toRVaaS(0x020000000003, IPv4(10, 0, 0, 3), OpAuthReply, rep.Challenge, rep.Marshal()))
 }
 
 func TestGoldenResponsePacket(t *testing.T) {
@@ -63,8 +71,8 @@ func TestGoldenResponsePacket(t *testing.T) {
 		Regions:   []string{"eu"}, AuthRequested: 1, AuthReplied: 1, SnapshotID: 42,
 		Signature: []byte{0xAA}, Quote: []byte{0xBB}}
 	goldenPacket(t, "response",
-		"02000000000402005aa5000108004500005d000000004011658f0afffffe0a0000045aa8048800490000010111223344556677880100016400010000000000000007000000020000000301000265750001000265750000000100000001000000000000002a0001aa0001bb",
-		NewResponsePacket(0x020000000004, IPv4(10, 0, 0, 4), resp))
+		"02000000000402005aa5000108004500007300000000401165790afffffe0a0000045aab0488005f000002021122334455667788000000000000000000000041010111223344556677880100016400010000000000000007000000020000000301000265750001000265750000000100000001000000000000002a0001aa0001bb",
+		fromRVaaS(0x020000000004, IPv4(10, 0, 0, 4), OpQueryResponse, resp.Nonce, resp.Marshal()))
 }
 
 func TestGoldenSubscribePacket(t *testing.T) {
@@ -73,8 +81,8 @@ func TestGoldenSubscribePacket(t *testing.T) {
 		Constraints: []FieldConstraint{{Field: FieldIPDst, Value: 0x0A000002, Mask: 0xFFFFFFFF}},
 		Signature:   []byte{0xCC}}
 	goldenPacket(t, "subscribe",
-		"ffffffffffff02000000000508004500005f000000004011658c0a0000050afffffe88885aa9004b000001010000000000000007223344556677889900000000000000000000000000000000000000010000000203000106000000000a00000200000000ffffffff00000001cc",
-		NewSubscribePacket(0x020000000005, IPv4(10, 0, 0, 5), sr))
+		"ffffffffffff02000000000508004500007500000000401165760a0000050afffffe88885aab00610000020322334455667788990000000000005e550000004301010000000000000007223344556677889900000000000000000000000000000000000000010000000203000106000000000a00000200000000ffffffff00000001cc",
+		toRVaaS(0x020000000005, IPv4(10, 0, 0, 5), OpSubscribe, sr.Nonce, sr.Marshal()))
 }
 
 func TestGoldenNotificationPacket(t *testing.T) {
@@ -82,8 +90,8 @@ func TestGoldenNotificationPacket(t *testing.T) {
 		Status: StatusViolation, SubID: 4, Nonce: 0x2233445566778899, Seq: 2, SnapshotID: 43,
 		Detail: "v", Signature: []byte{0xDD}, Quote: []byte{0xEE}}
 	goldenPacket(t, "notification",
-		"02000000000602005aa5000108004500004900000000401165a10afffffe0a0000065aaa88880035000001020302000000000000000422334455667788990000000000000002000000000000002b0001760001dd0001ee",
-		NewNotificationPacket(0x020000000006, IPv4(10, 0, 0, 6), n))
+		"02000000000602005aa5000108004500005f000000004011658b0afffffe0a0000065aab8888004b00000206223344556677889900000000000000000000002d01020302000000000000000422334455667788990000000000000002000000000000002b0001760001dd0001ee",
+		fromRVaaS(0x020000000006, IPv4(10, 0, 0, 6), OpNotify, n.Nonce, n.Marshal()))
 }
 
 func TestGoldenProbePacket(t *testing.T) {

@@ -53,8 +53,8 @@ type FieldConstraint struct {
 	Mask  uint64
 }
 
-// QueryRequest is the client → RVaaS query payload, carried in a UDP packet
-// to PortRVaaSQuery and intercepted at the ingress switch as a Packet-In.
+// QueryRequest is the client → RVaaS query payload (the body of an OpQuery
+// envelope, intercepted at the ingress switch as a Packet-In).
 type QueryRequest struct {
 	Version     uint8
 	Kind        QueryKind
@@ -271,10 +271,7 @@ const (
 	SubOpRemove
 	// SubOpQueryVerdict asks RVaaS for a subscription's latest verdict on
 	// demand: the signed ack carries the current status, detail and
-	// notification sequence number. A client that detected a notification
-	// gap resynchronizes from the ack without tearing down and
-	// re-registering the invariant (and the server keeps its footprint,
-	// cones and index state). Read-only for server state; the server
+	// notification sequence number. Read-only for server state; the server
 	// rejects queries whose ingress does not match the subscription's
 	// anchor, so a captured frame replayed from another port cannot leak
 	// the tenant's verdict to the replayer.
@@ -626,11 +623,7 @@ const (
 // rvaasAnycastIP is the RVaaS anycast address (10.255.255.254).
 var rvaasAnycastIP = IPv4(10, 255, 255, 254)
 
-// rvaasUDP is the single envelope builder every RVaaS frame constructor
-// goes through: an Ethernet/IPv4/UDP frame with the model's fixed TTL.
-// Client → RVaaS frames address the anycast IP with an ephemeral source
-// port and a magic destination port; RVaaS → client frames invert that.
-// The v1 byte layout produced here is locked by the golden-frame tests.
+// rvaasUDP builds an Ethernet/IPv4/UDP frame with the model's fixed TTL.
 func rvaasUDP(ethDst, ethSrc uint64, ipSrc, ipDst uint32, l4Src, l4Dst uint16, payload []byte) *Packet {
 	return &Packet{
 		EthDst:  ethDst,
@@ -646,64 +639,20 @@ func rvaasUDP(ethDst, ethSrc uint64, ipSrc, ipDst uint32, l4Src, l4Dst uint16, p
 	}
 }
 
-// toRVaaS builds a client → RVaaS frame on the given magic port.
-func toRVaaS(srcMAC uint64, srcIP uint32, corr uint64, dstPort uint16, payload []byte) *Packet {
-	return rvaasUDP(broadcastMAC, srcMAC, srcIP, rvaasAnycastIP, ephemeralPort(corr), dstPort, payload)
-}
-
-// fromRVaaS builds an RVaaS → client frame from the given magic port.
-func fromRVaaS(dstMAC uint64, dstIP uint32, corr uint64, srcPort uint16, payload []byte) *Packet {
-	return rvaasUDP(dstMAC, rvaasSrcMAC, rvaasAnycastIP, dstIP, srcPort, ephemeralPort(corr), payload)
-}
-
-// NewQueryPacket wraps a query request into a UDP packet with the RVaaS
-// magic destination port, ready for injection at the client's access point.
-func NewQueryPacket(srcMAC uint64, srcIP uint32, q *QueryRequest) *Packet {
-	return toRVaaS(srcMAC, srcIP, q.Nonce, PortRVaaSQuery, q.Marshal())
-}
-
-// NewAuthRequestPacket wraps an auth request for injection at an egress
-// port toward a discovered endpoint.
-func NewAuthRequestPacket(dstMAC uint64, dstIP uint32, a *AuthRequest) *Packet {
-	return rvaasUDP(dstMAC, rvaasSrcMAC, rvaasAnycastIP, dstIP,
-		PortRVaaSResponse, PortRVaaSAuthReq, a.Marshal())
-}
-
-// NewAuthReplyPacket wraps an auth reply for sending from a client agent.
-func NewAuthReplyPacket(srcMAC uint64, srcIP uint32, a *AuthReply) *Packet {
-	return toRVaaS(srcMAC, srcIP, a.Challenge, PortRVaaSAuthRep, a.Marshal())
-}
-
-// NewResponsePacket wraps a query response for Packet-Out injection back to
-// the querying client.
-func NewResponsePacket(dstMAC uint64, dstIP uint32, resp *QueryResponse) *Packet {
-	return fromRVaaS(dstMAC, dstIP, resp.Nonce, PortRVaaSResponse, resp.Marshal())
-}
-
-// NewSubscribePacket wraps a subscription operation into a UDP packet with
-// the RVaaS subscription magic port, ready for injection at the client's
-// access point.
-func NewSubscribePacket(srcMAC uint64, srcIP uint32, s *SubscribeRequest) *Packet {
-	return toRVaaS(srcMAC, srcIP, s.Nonce, PortRVaaSSub, s.Marshal())
-}
-
-// NewNotificationPacket wraps a subscription notification for Packet-Out
-// injection back to the subscribed client.
-func NewNotificationPacket(dstMAC uint64, dstIP uint32, n *Notification) *Packet {
-	return fromRVaaS(dstMAC, dstIP, n.Nonce, PortRVaaSNotify, n.Marshal())
-}
-
-// NewEnvelopePacket wraps a protocol v2 envelope for injection at the
-// client's access point (client → RVaaS direction).
+// NewEnvelopePacket wraps an envelope for injection at the client's access
+// point (client → RVaaS direction): it addresses the anycast IP from a
+// pseudo-ephemeral source port to the magic destination port.
 func NewEnvelopePacket(srcMAC uint64, srcIP uint32, env *Envelope) *Packet {
-	return toRVaaS(srcMAC, srcIP, env.CorrelationID, PortRVaaSV2, env.Marshal())
+	return rvaasUDP(broadcastMAC, srcMAC, srcIP, rvaasAnycastIP,
+		ephemeralPort(env.CorrelationID), PortRVaaSV2, env.Marshal())
 }
 
-// NewEnvelopeReplyPacket wraps a protocol v2 envelope for Packet-Out
-// injection back to a client (RVaaS → client direction: replies and
-// asynchronous pushes alike).
+// NewEnvelopeReplyPacket wraps an envelope for Packet-Out injection toward
+// a client (RVaaS → client direction: replies, asynchronous pushes and auth
+// challenges alike), inverting the addressing of NewEnvelopePacket.
 func NewEnvelopeReplyPacket(dstMAC uint64, dstIP uint32, env *Envelope) *Packet {
-	return fromRVaaS(dstMAC, dstIP, env.CorrelationID, PortRVaaSV2, env.Marshal())
+	return rvaasUDP(dstMAC, rvaasSrcMAC, rvaasAnycastIP, dstIP,
+		PortRVaaSV2, ephemeralPort(env.CorrelationID), env.Marshal())
 }
 
 // NewProbePacket wraps a probe payload in a probe EthType frame.
@@ -718,17 +667,15 @@ func NewProbePacket(pp *ProbePayload) *Packet {
 
 // ephemeralPort derives a stable pseudo-ephemeral port from a nonce so the
 // response can be routed back without per-flow state. The result avoids
-// both well-known ports and the reserved RVaaS magic range
-// [PortRVaaSQuery, PortRVaaSV2] — a collision with PortRVaaSAuthReq would
-// make a response packet classify as an auth request at the receiving
-// agent, and one with PortRVaaSV2 would make it classify as an envelope.
+// well-known ports and PortRVaaSV2 — a collision with the magic port would
+// make a client frame classify as an RVaaS reply (and vice versa).
 func ephemeralPort(nonce uint64) uint16 {
 	p := uint16(nonce>>48) ^ uint16(nonce>>32) ^ uint16(nonce>>16) ^ uint16(nonce)
 	if p < 1024 {
 		p += 1024
 	}
-	if p >= PortRVaaSQuery && p <= PortRVaaSV2 {
-		p += 8
+	if p == PortRVaaSV2 {
+		p++
 	}
 	return p
 }

@@ -138,28 +138,39 @@ func TestProbePayloadRoundTrip(t *testing.T) {
 }
 
 func TestPacketConstructors(t *testing.T) {
-	q := &QueryRequest{Version: CurrentVersion, Kind: QueryGeoRegions, ClientID: 1, Nonce: 99}
-	qp := NewQueryPacket(0xAA, IPv4(10, 0, 0, 1), q)
-	if !qp.IsRVaaSQuery() {
-		t.Error("query packet not recognized")
+	// The in-band authentication round rides the envelope like every other
+	// op: the challenge is an RVaaS → client frame, the reply a client →
+	// RVaaS frame the ingress interception rule matches.
+	ar := &AuthRequest{QueryNonce: 99, Challenge: 1, ServerKey: []byte{7}}
+	chal, err := Unmarshal(NewEnvelopeReplyPacket(0xBB, IPv4(10, 0, 0, 2), &Envelope{
+		Version: EnvelopeVersion, Op: OpAuthChallenge, CorrelationID: ar.Challenge, Body: ar.Marshal(),
+	}).Marshal())
+	if err != nil || !chal.IsRVaaSV2Reply() || chal.IsRVaaSV2() {
+		t.Fatalf("auth challenge frame not recognized: %v %v", chal, err)
 	}
-	decoded, err := UnmarshalQueryRequest(qp.Payload)
-	if err != nil || decoded.Nonce != 99 {
-		t.Errorf("query payload decode: %v %+v", err, decoded)
+	env, err := UnmarshalEnvelope(chal.Payload)
+	if err != nil || env.Op != OpAuthChallenge {
+		t.Fatalf("auth challenge envelope: %+v %v", env, err)
+	}
+	if got, err := UnmarshalAuthRequest(env.Body); err != nil || got.QueryNonce != 99 || got.Challenge != 1 {
+		t.Errorf("auth challenge body decode: %v %+v", err, got)
 	}
 
-	ar := NewAuthRequestPacket(0xBB, IPv4(10, 0, 0, 2), &AuthRequest{QueryNonce: 99, Challenge: 1})
-	if !ar.IsAuthRequest() {
-		t.Error("auth request packet not recognized")
+	rep := &AuthReply{QueryNonce: 99, Challenge: 1, ClientID: 2, Signature: []byte{3}, PubKey: []byte{4}}
+	reply, err := Unmarshal(NewEnvelopePacket(0xCC, IPv4(10, 0, 0, 3), &Envelope{
+		Version: EnvelopeVersion, Op: OpAuthReply, CorrelationID: rep.Challenge, SessionID: 5, Body: rep.Marshal(),
+	}).Marshal())
+	if err != nil || !reply.IsRVaaSV2() || reply.IsRVaaSV2Reply() {
+		t.Fatalf("auth reply frame not recognized: %v %v", reply, err)
 	}
-	rep := NewAuthReplyPacket(0xCC, IPv4(10, 0, 0, 3), &AuthReply{QueryNonce: 99, Challenge: 1, ClientID: 2})
-	if !rep.IsAuthReply() {
-		t.Error("auth reply packet not recognized")
+	env, err = UnmarshalEnvelope(reply.Payload)
+	if err != nil || env.Op != OpAuthReply || env.SessionID != 5 {
+		t.Fatalf("auth reply envelope: %+v %v", env, err)
 	}
-	respPkt := NewResponsePacket(0xAA, IPv4(10, 0, 0, 1), &QueryResponse{Version: 1, Kind: QueryGeoRegions, Nonce: 99, Status: StatusOK})
-	if respPkt.L4Src != PortRVaaSResponse {
-		t.Error("response packet source port wrong")
+	if got, err := UnmarshalAuthReply(env.Body); err != nil || got.ClientID != 2 {
+		t.Errorf("auth reply body decode: %v %+v", err, got)
 	}
+
 	probe := NewProbePacket(&ProbePayload{ProbeID: 5})
 	if !probe.IsProbe() {
 		t.Error("probe packet not recognized")
@@ -201,26 +212,14 @@ func TestEphemeralPortAvoidsWellKnown(t *testing.T) {
 	}
 }
 
-// TestEphemeralPortAvoidsMagicRange sweeps nonces whose raw fold lands
-// exactly on the reserved RVaaS ports: a collision would misclassify a
-// response packet as an auth request at the agent.
+// TestEphemeralPortAvoidsMagicRange sweeps nonces whose raw fold lands on
+// the magic port: a collision would make a client frame classify as an
+// RVaaS reply at the agent.
 func TestEphemeralPortAvoidsMagicRange(t *testing.T) {
-	for _, magic := range []uint64{
-		uint64(PortRVaaSQuery), uint64(PortRVaaSAuthReq),
-		uint64(PortRVaaSAuthRep), uint64(PortRVaaSResponse),
-		uint64(PortRVaaSSub), uint64(PortRVaaSNotify),
-		uint64(PortRVaaSV2),
-	} {
-		p := ephemeralPort(magic) // folds to exactly the magic value
-		if p >= PortRVaaSQuery && p <= PortRVaaSV2 {
-			t.Errorf("nonce %#x yields reserved port %#x", magic, p)
-		}
-	}
-	// Exhaustive over the low 16 bits.
+	// Exhaustive over the low 16 bits (which fold to themselves).
 	for n := uint64(0); n < 0x10000; n++ {
-		p := ephemeralPort(n)
-		if p >= PortRVaaSQuery && p <= PortRVaaSV2 {
-			t.Fatalf("nonce %#x yields reserved port %#x", n, p)
+		if p := ephemeralPort(n); p == PortRVaaSV2 {
+			t.Fatalf("nonce %#x yields the magic port %#x", n, p)
 		}
 	}
 }
@@ -321,16 +320,18 @@ func TestNotificationRoundTrip(t *testing.T) {
 }
 
 func TestSubscriptionPacketClassification(t *testing.T) {
-	sub := NewSubscribePacket(0xAA, IPv4(10, 0, 0, 1), &SubscribeRequest{
-		Version: CurrentVersion, Op: SubOpAdd, Nonce: 5, Kind: QueryReachableDestinations,
+	sr := &SubscribeRequest{Version: CurrentVersion, Op: SubOpAdd, Nonce: 5, Kind: QueryReachableDestinations}
+	sub := NewEnvelopePacket(0xAA, IPv4(10, 0, 0, 1), &Envelope{
+		Version: EnvelopeVersion, Op: OpSubscribe, CorrelationID: sr.Nonce, Body: sr.Marshal(),
 	})
-	if !sub.IsRVaaSSubscribe() || sub.IsRVaaSQuery() || sub.IsAuthReply() {
+	if !sub.IsRVaaSV2() || sub.IsRVaaSV2Reply() {
 		t.Errorf("subscribe packet misclassified: %v", sub)
 	}
-	n := NewNotificationPacket(0xBB, IPv4(10, 0, 0, 2), &Notification{
-		Version: CurrentVersion, Event: NotifyAck, Nonce: 5,
+	ack := &Notification{Version: CurrentVersion, Event: NotifyAck, Nonce: 5}
+	n := NewEnvelopeReplyPacket(0xBB, IPv4(10, 0, 0, 2), &Envelope{
+		Version: EnvelopeVersion, Op: OpNotify, CorrelationID: ack.Nonce, Body: ack.Marshal(),
 	})
-	if !n.IsNotification() || n.IsRVaaSSubscribe() || n.IsAuthRequest() {
+	if !n.IsRVaaSV2Reply() || n.IsRVaaSV2() {
 		t.Errorf("notification packet misclassified: %v", n)
 	}
 	// Round trip through the on-wire encoding keeps the classification.
@@ -338,7 +339,7 @@ func TestSubscriptionPacketClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.IsNotification() {
+	if !back.IsRVaaSV2Reply() {
 		t.Error("notification lost classification through Marshal/Unmarshal")
 	}
 }

@@ -23,35 +23,14 @@ const (
 	IPProtoUDP  uint8 = 17
 )
 
-// RVaaS magic header values (paper §IV-A3: "client messages have distinct
-// properties (e.g., destination address, VLAN tag, etc.) that allow them to
-// be matched at the (ingress) switches and reported to the controller").
-const (
-	// PortRVaaSQuery is the UDP destination port of client query packets.
-	PortRVaaSQuery uint16 = 0x5AA5
-	// PortRVaaSAuthReq is the UDP destination port of authentication
-	// request packets injected by RVaaS via Packet-Out.
-	PortRVaaSAuthReq uint16 = 0x5AA6
-	// PortRVaaSAuthRep is the UDP destination port of authentication reply
-	// packets sent by client agents ("publishing themselves by sending a
-	// UDP packet with a specific magic header field value").
-	PortRVaaSAuthRep uint16 = 0x5AA7
-	// PortRVaaSResponse is the UDP source port of RVaaS responses injected
-	// via Packet-Out.
-	PortRVaaSResponse uint16 = 0x5AA8
-	// PortRVaaSSub is the UDP destination port of standing-invariant
-	// subscription operations (subscribe/unsubscribe), intercepted at the
-	// ingress switch like queries.
-	PortRVaaSSub uint16 = 0x5AA9
-	// PortRVaaSNotify is the UDP source port of asynchronous subscription
-	// notifications (acks, violations, recoveries) injected via Packet-Out.
-	PortRVaaSNotify uint16 = 0x5AAA
-	// PortRVaaSV2 carries protocol v2 envelopes: the UDP destination port
-	// of client → RVaaS envelope frames, and the source port of RVaaS →
-	// client envelope replies and pushes. One port pair replaces the v1
-	// per-shape ports; the envelope's Op selects the operation.
-	PortRVaaSV2 uint16 = 0x5AAB
-)
+// PortRVaaSV2 is the RVaaS magic header value (paper §IV-A3: "client
+// messages have distinct properties (e.g., destination address, VLAN tag,
+// etc.) that allow them to be matched at the (ingress) switches and
+// reported to the controller"): the UDP destination port of client → RVaaS
+// envelope frames, and the source port of the RVaaS → client envelopes
+// (replies, pushes, auth challenges) injected via Packet-Out. The
+// envelope's Op selects the operation.
+const PortRVaaSV2 uint16 = 0x5AAB
 
 // Packet is the in-model representation of a frame: the matchable fields
 // plus opaque payload. MAC addresses are stored in the low 48 bits.
@@ -268,43 +247,14 @@ func ipChecksumVerify(hdr []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// IsRVaaSQuery reports whether the packet carries a client query for RVaaS
+// IsRVaaSV2 reports whether the packet carries a client envelope for RVaaS
 // (the magic header the ingress switch rule matches on).
-func (p *Packet) IsRVaaSQuery() bool {
-	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Dst == PortRVaaSQuery
-}
-
-// IsAuthRequest reports whether the packet is an RVaaS authentication
-// request injected toward a client.
-func (p *Packet) IsAuthRequest() bool {
-	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Dst == PortRVaaSAuthReq
-}
-
-// IsAuthReply reports whether the packet is a client authentication reply.
-func (p *Packet) IsAuthReply() bool {
-	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Dst == PortRVaaSAuthRep
-}
-
-// IsRVaaSSubscribe reports whether the packet carries a subscription
-// operation for RVaaS's standing-invariant engine.
-func (p *Packet) IsRVaaSSubscribe() bool {
-	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Dst == PortRVaaSSub
-}
-
-// IsNotification reports whether the packet is an RVaaS subscription
-// notification injected toward a client.
-func (p *Packet) IsNotification() bool {
-	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Src == PortRVaaSNotify
-}
-
-// IsRVaaSV2 reports whether the packet carries a protocol v2 envelope
-// request for RVaaS (the magic header the ingress switch rule matches on).
 func (p *Packet) IsRVaaSV2() bool {
 	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Dst == PortRVaaSV2
 }
 
-// IsRVaaSV2Reply reports whether the packet is a protocol v2 envelope
-// injected by RVaaS toward a client (reply or asynchronous push).
+// IsRVaaSV2Reply reports whether the packet is an envelope injected by
+// RVaaS toward a client (reply, asynchronous push or auth challenge).
 func (p *Packet) IsRVaaSV2Reply() bool {
 	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Src == PortRVaaSV2
 }

@@ -15,7 +15,7 @@ func samplePacket() *Packet {
 		IPProto: IPProtoUDP,
 		TTL:     64,
 		L4Src:   5000,
-		L4Dst:   PortRVaaSQuery,
+		L4Dst:   PortRVaaSV2,
 		Payload: []byte("hello rvaas"),
 	}
 }
@@ -93,16 +93,12 @@ func TestUnmarshalChecksumCorruption(t *testing.T) {
 
 func TestMagicPredicates(t *testing.T) {
 	q := samplePacket()
-	if !q.IsRVaaSQuery() || q.IsAuthReply() || q.IsAuthRequest() {
-		t.Error("query predicates wrong")
+	if !q.IsRVaaSV2() || q.IsRVaaSV2Reply() || q.IsProbe() {
+		t.Error("client envelope predicates wrong")
 	}
-	q.L4Dst = PortRVaaSAuthRep
-	if !q.IsAuthReply() {
-		t.Error("auth reply predicate wrong")
-	}
-	q.L4Dst = PortRVaaSAuthReq
-	if !q.IsAuthRequest() {
-		t.Error("auth request predicate wrong")
+	q.L4Src, q.L4Dst = PortRVaaSV2, 5000
+	if !q.IsRVaaSV2Reply() || q.IsRVaaSV2() {
+		t.Error("reply envelope predicates wrong")
 	}
 	probe := &Packet{EthType: EthTypeProbe}
 	if !probe.IsProbe() {
