@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
@@ -22,10 +23,10 @@ import (
 
 // Agent errors.
 var (
-	ErrTimeout       = errors.New("client: response timeout")
-	ErrBadSignature  = errors.New("client: response signature invalid")
-	ErrBadAttestaton = errors.New("client: attestation failed")
-	ErrClosed        = errors.New("client: agent closed")
+	ErrTimeout        = errors.New("client: response timeout")
+	ErrBadSignature   = errors.New("client: response signature invalid")
+	ErrBadAttestation = errors.New("client: attestation failed")
+	ErrClosed         = errors.New("client: agent closed")
 )
 
 // gapRecoveryPolicy paces the lightweight gap-recovery tier (session
@@ -81,12 +82,17 @@ type Agent struct {
 	// subscription ahead of the client registering its id).
 	subsByNonce map[uint64]*Subscription
 	serverKey   ed25519.PublicKey
-	authSeen    uint64
-	dropped     uint64
-	gapsSeen    uint64
-	resumes     uint64
-	gapC        chan GapEvent
-	closed      bool
+	// attestedQuote: the exact bytes that passed enclave.VerifyKeyQuote for
+	// serverKey. pinSeq counts pins, so a check racing a re-pin is not kept.
+	attestedQuote []byte
+	pinSeq        uint64
+	quoteChecks   uint64
+	authSeen      uint64
+	dropped       uint64
+	gapsSeen      uint64
+	resumes       uint64
+	gapC          chan GapEvent
+	closed        bool
 	// resumeShared coalesces concurrent gap recoveries: while a
 	// ResumeSession exchange is in flight, later recoveries wait on this
 	// channel and reuse resumeResult/resumeErr instead of issuing their
@@ -215,6 +221,14 @@ func (a *Agent) AuthRequestsSeen() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.authSeen
+}
+
+// QuoteVerifications counts quotes actually checked under the platform root
+// key: one per pinned key, plus any message presenting some other quote.
+func (a *Agent) QuoteVerifications() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.quoteChecks
 }
 
 // NotificationsDropped counts notifications discarded because a
@@ -390,21 +404,32 @@ func (a *Agent) VerifyNotification(n *wire.Notification) error {
 // verifyFromServer checks an enclave signature plus attestation quote over
 // canonical bytes against the agent's trust anchors.
 func (a *Agent) verifyFromServer(signing, sig, quoteBytes []byte) error {
-	quote, err := enclave.UnmarshalQuote(quoteBytes)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadAttestaton, err)
-	}
 	// The quote's report data commits to sha256(serviceKey); the key itself
 	// is pinned at registration time (PinServerKey). Verify the pinned key
-	// against the quote, then the signature against the key.
+	// against the quote, then the signature against the key. The quote check
+	// is a pure function of (root, quote, measurement, key), so bytes equal
+	// to those that passed it under this pin are not checked again.
 	a.mu.Lock()
-	key := a.serverKey
+	key, pin := a.serverKey, a.pinSeq
+	attested := a.attestedQuote != nil && bytes.Equal(quoteBytes, a.attestedQuote)
 	a.mu.Unlock()
 	if len(key) == 0 {
-		return fmt.Errorf("%w: no pinned server key", ErrBadAttestaton)
+		return fmt.Errorf("%w: no pinned server key", ErrBadAttestation)
 	}
-	if err := enclave.VerifyKeyQuote(a.cfg.Trust.PlatformRoot, quote, a.cfg.Trust.Measurement, key); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadAttestaton, err)
+	if !attested {
+		quote, err := enclave.UnmarshalQuote(quoteBytes)
+		if err == nil {
+			err = enclave.VerifyKeyQuote(a.cfg.Trust.PlatformRoot, quote, a.cfg.Trust.Measurement, key)
+			a.mu.Lock()
+			a.quoteChecks++
+			if err == nil && a.pinSeq == pin {
+				a.attestedQuote = append([]byte(nil), quoteBytes...)
+			}
+			a.mu.Unlock()
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadAttestation, err)
+		}
 	}
 	if !enclave.VerifyFrom(key, signing, sig) {
 		return ErrBadSignature
@@ -418,6 +443,8 @@ func (a *Agent) PinServerKey(key ed25519.PublicKey) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.serverKey = append(ed25519.PublicKey(nil), key...)
+	a.attestedQuote = nil
+	a.pinSeq++
 }
 
 // Query sends a verification query and waits for the verified response.

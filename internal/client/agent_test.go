@@ -247,8 +247,8 @@ func TestAgentRejectsWrongEnclave(t *testing.T) {
 	resp.Quote = evil.KeyQuote().Marshal()
 	deliverResponse(a, resp)
 	<-respCh
-	if err := <-errCh; !errors.Is(err, ErrBadAttestaton) {
-		t.Errorf("err = %v, want ErrBadAttestaton", err)
+	if err := <-errCh; !errors.Is(err, ErrBadAttestation) {
+		t.Errorf("err = %v, want ErrBadAttestation", err)
 	}
 }
 
@@ -259,8 +259,8 @@ func TestAgentRejectsGarbageQuote(t *testing.T) {
 	resp.Quote = []byte{1, 2, 3}
 	deliverResponse(a, resp)
 	<-respCh
-	if err := <-errCh; !errors.Is(err, ErrBadAttestaton) {
-		t.Errorf("err = %v, want ErrBadAttestaton", err)
+	if err := <-errCh; !errors.Is(err, ErrBadAttestation) {
+		t.Errorf("err = %v, want ErrBadAttestation", err)
 	}
 }
 
@@ -309,8 +309,8 @@ func TestAgentNoPinnedKey(t *testing.T) {
 	}
 	// No PinServerKey: verification must fail closed.
 	err = a.VerifyResponse(signedResponse(encl, 1))
-	if !errors.Is(err, ErrBadAttestaton) {
-		t.Errorf("err = %v, want ErrBadAttestaton", err)
+	if !errors.Is(err, ErrBadAttestation) {
+		t.Errorf("err = %v, want ErrBadAttestation", err)
 	}
 }
 

@@ -1,10 +1,14 @@
 package deploy
 
 import (
+	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/rvaas"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -127,5 +131,122 @@ func TestDeployConcurrentQueries(t *testing.T) {
 	}
 	if got := d.RVaaS.Stats().QueriesServed; got != uint64(len(aps)*3) {
 		t.Errorf("queries served = %d, want %d", got, len(aps)*3)
+	}
+}
+
+// TestRestartReattestsOncePerEnclave: a restarted controller is a new
+// enclave with a new key. The agent's memoised quote does not survive the
+// re-pin — the new instance's first message costs exactly one root-key
+// quote check, the rest none — and what the old instance signed is no
+// longer accepted.
+func TestRestartReattestsOncePerEnclave(t *testing.T) {
+	topo, err := topology.Linear(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(topo, Options{Persist: rvaas.NewMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	aps := topo.AccessPoints()
+	ap, dst := aps[0], aps[1]
+	ag := d.Agent(ap.ClientID)
+
+	// Tap the agent's NIC: keep every pushed notification.
+	var mu sync.Mutex
+	var pushed []*wire.Packet
+	deliver := ag.HandlerFor(ap)
+	if err := d.Fabric.AttachHost(ap.Endpoint, func(pkt *wire.Packet) {
+		if pkt.IsRVaaSV2Reply() {
+			if env, err := wire.UnmarshalEnvelope(pkt.Payload); err == nil && env.Op == wire.OpNotify {
+				mu.Lock()
+				pushed = append(pushed, pkt.Clone())
+				mu.Unlock()
+			}
+		}
+		deliver(pkt)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sub, err := ag.Subscribe(wire.QueryReachableDestinations, []wire.FieldConstraint{
+		{Field: wire.FieldIPDst, Value: uint64(dst.HostIP), Mask: 0xFFFFFFFF},
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	flip := func() *wire.Notification {
+		t.Helper()
+		seq++
+		if seq%2 == 1 {
+			d.Provider.UninstallDestination(dst.HostIP)
+		} else if err := d.Provider.InstallDestinationTree(dst); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case n := <-sub.C:
+			if n.Seq != seq {
+				t.Fatalf("push seq = %d, want %d", n.Seq, seq)
+			}
+			return n
+		case <-time.After(5 * time.Second):
+			t.Fatalf("transition %d not delivered", seq)
+			return nil
+		}
+	}
+	flip()
+	flip()
+	if got := ag.QuoteVerifications(); got != 1 {
+		t.Fatalf("QuoteVerifications = %d before any restart, want 1", got)
+	}
+	mu.Lock()
+	old := pushed[0]
+	mu.Unlock()
+	env, err := wire.UnmarshalEnvelope(old.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldNote, err := wire.UnmarshalNotification(env.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(oldNote.Quote, d.RVaaS.KeyQuote().Marshal()) {
+		t.Fatal("notification does not carry the controller's key quote verbatim")
+	}
+
+	for restart := uint64(1); restart <= 2; restart++ {
+		if err := d.RestartRVaaS(); err != nil {
+			t.Fatal(err)
+		}
+		if n := flip(); bytes.Equal(n.Quote, oldNote.Quote) {
+			t.Fatal("restarted controller presents the previous enclave's quote")
+		}
+		flip()
+		if got := ag.QuoteVerifications(); got != 1+restart {
+			t.Fatalf("QuoteVerifications = %d after %d restart(s), want %d", got, restart, 1+restart)
+		}
+	}
+
+	// Replay the first instance's genuine push: its quote commits to a key
+	// that is no longer pinned. (Seq replay protection would drop it too,
+	// and would count it; the attestation failure comes first.)
+	if err := ag.VerifyNotification(oldNote); !errors.Is(err, client.ErrBadAttestation) {
+		t.Fatalf("pre-restart notification after restart: err = %v, want ErrBadAttestation", err)
+	}
+	dropped := ag.NotificationsDropped()
+	deliver(old)
+	select {
+	case n := <-sub.C:
+		t.Fatalf("replayed pre-restart notification delivered: %+v", n)
+	default:
+	}
+	if ag.NotificationsDropped() != dropped {
+		t.Fatal("replayed pre-restart notification got past verification")
+	}
+	flip() // and the failed checks did not unseat the current quote
+	if got := ag.QuoteVerifications(); got != 5 {
+		t.Fatalf("QuoteVerifications = %d, want 5 (3 enclaves + 2 rejected replays)", got)
 	}
 }

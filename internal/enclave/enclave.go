@@ -66,7 +66,8 @@ func (q *Quote) Marshal() []byte {
 	return out
 }
 
-// UnmarshalQuote decodes a quote.
+// UnmarshalQuote decodes a quote. The encoding is canonical — trailing
+// bytes are an error — so equal quotes are exactly those with equal bytes.
 func UnmarshalQuote(data []byte) (*Quote, error) {
 	if len(data) < 32+64+2 {
 		return nil, ErrQuoteInvalid
@@ -75,10 +76,10 @@ func UnmarshalQuote(data []byte) (*Quote, error) {
 	copy(q.Measurement[:], data[:32])
 	copy(q.ReportData[:], data[32:96])
 	n := int(binary.BigEndian.Uint16(data[96:98]))
-	if len(data) < 98+n {
+	if len(data) != 98+n {
 		return nil, ErrQuoteInvalid
 	}
-	q.Signature = append([]byte(nil), data[98:98+n]...)
+	q.Signature = append([]byte(nil), data[98:]...)
 	return &q, nil
 }
 
@@ -118,13 +119,17 @@ func (p *Platform) Launch(code []byte) (*Enclave, error) {
 	}
 	m := MeasurementOf(code)
 	sealKey := sha256.Sum256(append(append([]byte("seal.1"), p.secret[:]...), m[:]...))
-	return &Enclave{
+	e := &Enclave{
 		platform:    p,
 		measurement: m,
 		signPub:     pub,
 		signPriv:    priv,
 		sealKey:     sealKey,
-	}, nil
+	}
+	// Attestation is a launch-time cost: the key never changes, so neither
+	// does the quote that commits to it.
+	e.keyQuote = e.QuoteFor(keyReportData(pub)).Marshal()
+	return e, nil
 }
 
 // Enclave is one launched instance. Its signing key never leaves it; the
@@ -135,6 +140,7 @@ type Enclave struct {
 	signPub     ed25519.PublicKey
 	signPriv    ed25519.PrivateKey
 	sealKey     [32]byte
+	keyQuote    []byte // marshalled, signed once by Launch, read-only after
 
 	mu      sync.Mutex
 	counter uint64
@@ -159,14 +165,28 @@ func VerifyFrom(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
-// KeyQuote produces an attestation quote whose report data commits to the
-// enclave's signing public key: the standard pattern for provisioning a
-// verifiable service key.
-func (e *Enclave) KeyQuote() *Quote {
-	var rd [64]byte
-	h := sha256.Sum256(e.signPub)
+// keyReportData is the report data that commits a quote to a service key:
+// sha256(key), zero-padded.
+func keyReportData(key ed25519.PublicKey) (rd [64]byte) {
+	h := sha256.Sum256(key)
 	copy(rd[:32], h[:])
-	return e.QuoteFor(rd)
+	return rd
+}
+
+// KeyQuote returns the attestation quote whose report data commits to the
+// enclave's signing public key: the standard pattern for provisioning a
+// verifiable service key. The quote was signed at launch; the caller owns
+// the returned copy.
+func (e *Enclave) KeyQuote() *Quote {
+	q, _ := UnmarshalQuote(e.keyQuote) // our own encoding: cannot fail
+	return q
+}
+
+// SignAttested signs msg and returns, with the signature, the encoded key
+// quote that lets a verifier trust the signing key: what every message to
+// a client carries. The caller owns both slices.
+func (e *Enclave) SignAttested(msg []byte) (sig, quote []byte) {
+	return e.Sign(msg), append([]byte(nil), e.keyQuote...)
 }
 
 // QuoteFor produces a quote over arbitrary report data.
@@ -190,10 +210,7 @@ func VerifyKeyQuote(rootPub ed25519.PublicKey, quote *Quote, expected Measuremen
 	if quote.Measurement != expected {
 		return fmt.Errorf("%w: measurement mismatch", ErrQuoteInvalid)
 	}
-	h := sha256.Sum256(serviceKey)
-	var want [64]byte
-	copy(want[:32], h[:])
-	if quote.ReportData != want {
+	if quote.ReportData != keyReportData(serviceKey) {
 		return fmt.Errorf("%w: report data does not commit to service key", ErrQuoteInvalid)
 	}
 	return nil

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
 )
@@ -25,6 +26,40 @@ func TestKeyQuoteVerifies(t *testing.T) {
 	err := VerifyKeyQuote(p.RootKey(), q, MeasurementOf([]byte("rvaas-v1")), e.PublicKey())
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyQuoteIsLaunchTimeArtefact: the key quote is signed once, at launch.
+// Every call returns the same bytes — exactly what signing report data
+// sha256(pub)‖0³² afresh yields — and callers cannot reach the cached copy.
+func TestKeyQuoteIsLaunchTimeArtefact(t *testing.T) {
+	p, e := testEnclave(t, "rvaas-v1")
+	var rd [64]byte
+	h := sha256.Sum256(e.PublicKey())
+	copy(rd[:32], h[:])
+	want := e.QuoteFor(rd).Marshal()
+
+	q := e.KeyQuote()
+	msg := []byte("verdict")
+	sig, raw := e.SignAttested(msg)
+	if !bytes.Equal(q.Marshal(), want) || !bytes.Equal(raw, want) {
+		t.Fatal("cached key quote differs from a fresh quote over sha256(pub) zero-padded to 64 bytes")
+	}
+	if err := VerifyKeyQuote(p.RootKey(), q, e.Measurement(), e.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyFrom(e.PublicKey(), msg, sig) {
+		t.Fatal("SignAttested signature does not verify under the enclave key")
+	}
+
+	q.Measurement[0] ^= 1
+	q.ReportData[0] ^= 1
+	q.Signature[0] ^= 1
+	for i := range raw {
+		raw[i] = 0
+	}
+	if _, again := e.SignAttested(msg); !bytes.Equal(e.KeyQuote().Marshal(), want) || !bytes.Equal(again, want) {
+		t.Fatal("mutating a returned quote changed the next one")
 	}
 }
 
@@ -75,6 +110,10 @@ func TestQuoteMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalQuote([]byte{1, 2}); err == nil {
 		t.Error("short quote accepted")
+	}
+	// Canonical: one quote, one encoding (clients compare quotes by bytes).
+	if _, err := UnmarshalQuote(append(q.Marshal(), 0)); err == nil {
+		t.Error("quote with a trailing byte accepted")
 	}
 }
 

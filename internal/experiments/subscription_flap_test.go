@@ -113,6 +113,12 @@ func TestSubscriptionFlapStorm(t *testing.T) {
 		t.Fatalf("record order = %+v", recs)
 	}
 	st := d.RVaaS.SubscriptionStats()
+	// Sent is counted by the asynchronous notifier once the switch session
+	// took the frame: let it catch up with the two log records.
+	for deadline := time.Now().Add(5 * time.Second); st.NotificationsSent < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = d.RVaaS.SubscriptionStats()
+	}
 	if st.Violations != 1 || st.Recoveries != 1 {
 		t.Errorf("transition counters = %+v, want exactly one of each", st)
 	}

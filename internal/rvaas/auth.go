@@ -185,8 +185,7 @@ func (c *Controller) finishAuthRound(p *pendingQuery) {
 // (which, for in-band requesters, injects it via Packet-Out at the
 // client's ingress port).
 func (c *Controller) finalizeQuery(resp *wire.QueryResponse, deliver func(*wire.QueryResponse)) {
-	resp.Signature = c.enclave.Sign(resp.SigningBytes())
-	resp.Quote = c.enclave.KeyQuote().Marshal()
+	resp.Signature, resp.Quote = c.enclave.SignAttested(resp.SigningBytes())
 	c.mu.Lock()
 	c.stats.ResponsesSigned++
 	c.mu.Unlock()

@@ -137,7 +137,6 @@ func (s coreService) BatchQuery(o Origin, b *wire.BatchQueryRequest) *wire.Batch
 	})
 	reply.Items = resps
 	reply.SnapshotID = snapID
-	reply.Signature = c.enclave.Sign(reply.SigningBytes())
-	reply.Quote = c.enclave.KeyQuote().Marshal()
+	reply.Signature, reply.Quote = c.enclave.SignAttested(reply.SigningBytes())
 	return reply
 }

@@ -72,8 +72,7 @@ func (c *Controller) Service() Service { return c.svc }
 // attestation quote.
 func (c *Controller) signAck(ack *wire.Notification) *wire.Notification {
 	ack.SnapshotID = c.snap.snapshotID()
-	ack.Signature = c.enclave.Sign(ack.SigningBytes())
-	ack.Quote = c.enclave.KeyQuote().Marshal()
+	ack.Signature, ack.Quote = c.enclave.SignAttested(ack.SigningBytes())
 	return ack
 }
 
@@ -389,8 +388,7 @@ func (s coreService) ResumeSession(o Origin, r *wire.SessionResumeRequest) *wire
 // quote.
 func (c *Controller) signBatchReply(r *wire.BatchReply) *wire.BatchReply {
 	r.SnapshotID = c.snap.snapshotID()
-	r.Signature = c.enclave.Sign(r.SigningBytes())
-	r.Quote = c.enclave.KeyQuote().Marshal()
+	r.Signature, r.Quote = c.enclave.SignAttested(r.SigningBytes())
 	return r
 }
 
@@ -398,8 +396,7 @@ func (c *Controller) signBatchReply(r *wire.BatchReply) *wire.BatchReply {
 // quote.
 func (c *Controller) signResumeReply(r *wire.SessionResumeReply) *wire.SessionResumeReply {
 	r.SnapshotID = c.snap.snapshotID()
-	r.Signature = c.enclave.Sign(r.SigningBytes())
-	r.Quote = c.enclave.KeyQuote().Marshal()
+	r.Signature, r.Quote = c.enclave.SignAttested(r.SigningBytes())
 	return r
 }
 

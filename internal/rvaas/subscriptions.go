@@ -80,10 +80,11 @@ type SubscriptionStats struct {
 	// Violations/Recoveries count verdict transitions.
 	Violations uint64
 	Recoveries uint64
-	// NotificationsSent counts signed in-band notifications accepted for
-	// delivery; NotificationsDropped counts notifications discarded because
-	// the delivery queue or the subscriber's switch session was saturated
-	// (clients recover via Notification.Seq gap detection).
+	// NotificationsSent counts signed in-band notifications the
+	// subscriber's switch session accepted; NotificationsDropped counts
+	// those discarded because the delivery queue or that session was
+	// saturated (clients recover via Notification.Seq gap detection). Each
+	// notifying transition ends up in exactly one of the two.
 	NotificationsSent    uint64
 	NotificationsDropped uint64
 	// IsoPointsSwept/IsoPointsReused count per-injection-point isolation
@@ -393,8 +394,7 @@ func (c *Controller) sendNotification(sub *verifier.Subscription, event wire.Not
 		SnapshotID: snapID,
 		Detail:     detail,
 	}
-	n.Signature = c.enclave.Sign(n.SigningBytes())
-	n.Quote = c.enclave.KeyQuote().Marshal()
+	n.Signature, n.Quote = c.enclave.SignAttested(n.SigningBytes())
 	pkt := wire.NewEnvelopeReplyPacket(sub.Anchor.MAC, sub.Anchor.IP, &wire.Envelope{
 		Version:       wire.EnvelopeVersion,
 		Op:            wire.OpNotify,
@@ -404,8 +404,7 @@ func (c *Controller) sendNotification(sub *verifier.Subscription, event wire.Not
 	})
 	job := notifyJob{sw: sub.Anchor.Switch, port: sub.Anchor.Port, pkt: pkt}
 	select {
-	case c.notifyQ <- job:
-		c.svcStats.notificationsSent.Add(1)
+	case c.notifyQ <- job: // counted by notifier, once the session took it
 	default:
 		c.svcStats.notificationsDrop.Add(1)
 	}
@@ -429,7 +428,9 @@ func (c *Controller) notifier() {
 		case <-c.stop:
 			return
 		case j := <-c.notifyQ:
-			if !c.trySendPacketOut(j.sw, j.port, j.pkt) {
+			if c.trySendPacketOut(j.sw, j.port, j.pkt) {
+				c.svcStats.notificationsSent.Add(1)
+			} else {
 				c.svcStats.notificationsDrop.Add(1)
 			}
 		}

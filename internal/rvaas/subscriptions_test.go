@@ -623,22 +623,9 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mid := d.Topology.Switches()[1]
 	drop := dropEntry(dst.HostIP)
 	flip := func(install bool) {
-		want := d.RVaaS.SnapshotID() + 1
-		if install {
-			d.Fabric.Switch(mid).InstallDirect(drop)
-		} else {
-			d.Fabric.Switch(mid).RemoveDirect(drop)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for d.RVaaS.SnapshotID() < want {
-			if !time.Now().Before(deadline) {
-				t.Fatal("churn event not absorbed")
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
+		absorbFlip(t, d, drop, install)
 		start := time.Now()
 		d.RVaaS.RecheckNow()
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -654,8 +641,94 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 	if st.Violations != 1 || st.Recoveries != 1 {
 		t.Fatalf("transitions not committed behind wedged subscriber: %+v", st)
 	}
-	if st.NotificationsSent != 2 {
-		t.Fatalf("notifications enqueued = %d, want 2", st.NotificationsSent)
+	// The wedged switch's session still buffers both frames.
+	if st = waitNotified(t, d, 2); st.NotificationsSent != 2 {
+		t.Fatalf("notifications sent = %d, want 2", st.NotificationsSent)
+	}
+}
+
+// absorbFlip installs or removes rule on the middle switch and waits for the
+// controller's snapshot to take the event in.
+func absorbFlip(t *testing.T, d *deploy.Deployment, rule openflow.FlowEntry, install bool) {
+	t.Helper()
+	mid := d.Fabric.Switch(d.Topology.Switches()[1])
+	want := d.RVaaS.SnapshotID() + 1
+	if install {
+		mid.InstallDirect(rule)
+	} else {
+		mid.RemoveDirect(rule)
+	}
+	for deadline := time.Now().Add(2 * time.Second); d.RVaaS.SnapshotID() < want; {
+		if !time.Now().Before(deadline) {
+			t.Fatal("churn event not absorbed")
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// waitNotified waits until the notifier has disposed of want notifications
+// (handed to a switch session, or dropped) and returns the counters.
+func waitNotified(t *testing.T, d *deploy.Deployment, want uint64) rvaas.SubscriptionStats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := d.RVaaS.SubscriptionStats()
+		if st.NotificationsSent+st.NotificationsDropped >= want {
+			return st
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("notifier disposed of %d+%d notifications, want %d",
+				st.NotificationsSent, st.NotificationsDropped, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSaturatedSessionCountsEachNotificationOnce: every notifying
+// transition ends up in exactly one of NotificationsSent (its switch
+// session took the frame) and NotificationsDropped (the queue or the
+// session was full) — a frame the session refuses is a drop, not both.
+func TestSaturatedSessionCountsEachNotificationOnce(t *testing.T) {
+	d := deployLinear(t, 3, deploy.Options{SkipAgents: true, ManualRecheck: true})
+	aps := d.Topology.AccessPoints()
+	dst := aps[2]
+
+	wedge := make(chan struct{})
+	t.Cleanup(func() { close(wedge) }) // unblock before d.Close tears down switches
+	if err := d.Fabric.AttachHost(aps[0].Endpoint, func(pkt *wire.Packet) {
+		if isNotify(pkt) {
+			<-wedge
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// 600 invariants anchored at the wedged host: four flips push 2400
+	// frames at a session that buffers 1024.
+	const subs, flips = 600, 4
+	for i := 0; i < subs; i++ {
+		if _, err := d.RVaaS.Subscribe(aps[0].ClientID, wire.QueryReachableDestinations,
+			ipConstraint(dst.HostIP), "", aps[0].Endpoint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drop := dropEntry(dst.HostIP)
+	for i := 0; i < flips; i++ {
+		absorbFlip(t, d, drop, i%2 == 0)
+		d.RVaaS.RecheckNow()
+	}
+
+	st := waitNotified(t, d, subs*flips)
+	if got := st.Violations + st.Recoveries; got != subs*flips {
+		t.Fatalf("transitions = %d, want %d", got, subs*flips)
+	}
+	if st.NotificationsDropped == 0 || st.NotificationsSent == 0 {
+		t.Fatalf("session not saturated: sent=%d dropped=%d", st.NotificationsSent, st.NotificationsDropped)
+	}
+	time.Sleep(20 * time.Millisecond) // a double count would land after the target was reached
+	st = d.RVaaS.SubscriptionStats()
+	if st.NotificationsSent+st.NotificationsDropped != subs*flips {
+		t.Fatalf("sent %d + dropped %d != %d notifying transitions",
+			st.NotificationsSent, st.NotificationsDropped, subs*flips)
 	}
 }
 
