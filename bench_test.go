@@ -19,7 +19,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/headerspace"
 	"repro/internal/openflow"
-	"repro/internal/rvaas"
 	"repro/internal/switchsim"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -537,167 +536,41 @@ func BenchmarkE12SubscriptionRecheck(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------- E13 ---
+// ---------------------------------------------------------- E13 / E14 ---
 
-// BenchmarkE13ShardedRecheck measures one re-verification pass over a
-// 10⁴-invariant population (neighbor reachability plus every-edge-port
-// isolation invariants) after a single-switch change, under three engine
-// configurations: the legacy linear-scan engine (PR 2 behavior: footprint
-// scan over every subscription, sequential evaluation, full isolation
-// sweeps), the sharded engine with inverted-index dispatch and cone
-// caching at worker-pool parallelism 1, and the same at GOMAXPROCS
-// workers. On a multi-core machine the parallel-N row shows the worker
-// pool's wall-clock win over parallel-1; on a single core the two
-// coincide and the remaining gap against legacy isolates indexing + cone
-// caching.
-func BenchmarkE13ShardedRecheck(b *testing.B) {
-	const totalSubs, isoSubs = 10000, 40
-	topo, err := topology.Linear(40, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := deploy.New(topo, deploy.Options{SkipAgents: true, ManualRecheck: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := experiments.BuildRecheckPopulation(d, topo, totalSubs, isoSubs); err != nil {
-		b.Fatal(err)
-	}
-	victim := topo.Switches()[len(topo.Switches())-1]
-	churnN := 0
-	dirtyOnce := func(b *testing.B) {
-		churnN++
-		want := d.RVaaS.SnapshotID() + 1
-		churn := openflow.FlowEntry{
-			Priority: 3000,
-			Match: openflow.Match{Fields: []openflow.FieldMatch{
-				{Field: wire.FieldIPDst, Value: uint64(wire.IPv4(203, 0, 113, 77)), Mask: 0xFFFFFFFF},
-			}},
-			Actions: []openflow.Action{openflow.Output(1)},
-			Cookie:  0xE13B_0001,
+// BenchmarkE13E14Recheck times one re-verification pass over the
+// experiments' 10⁴-invariant population after a verdict-neutral
+// single-switch event — at the edge of linear-40 (E13) and at the hub of
+// star-40 (E14) — on the incremental engine and on the exhaustive
+// reference. The labs and the event are the sweep's own
+// (experiments.RecheckLab).
+func BenchmarkE13E14Recheck(b *testing.B) {
+	for _, site := range []experiments.RecheckSite{experiments.RecheckEdge, experiments.RecheckHub} {
+		lab, err := experiments.NewRecheckLab(site, 10000, 40, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if churnN%2 == 1 {
-			d.Fabric.Switch(victim).InstallDirect(churn)
-		} else {
-			d.Fabric.Switch(victim).RemoveDirect(churn)
+		for _, arm := range []struct {
+			name string
+			pass func()
+		}{
+			{"incremental", lab.D.RVaaS.RecheckNow},
+			{"exhaustive", lab.D.RVaaS.RevalidateAll},
+		} {
+			b.Run(site.Experiment+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if err := lab.Event(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					arm.pass()
+				}
+			})
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for d.RVaaS.SnapshotID() < want {
-			if !time.Now().Before(deadline) {
-				b.Fatal("churn event not absorbed into the snapshot")
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
+		lab.Close()
 	}
-	// Prime footprints, isolation cones and the compile cache.
-	dirtyOnce(b)
-	d.RVaaS.RecheckNow()
-
-	for _, cfg := range []struct {
-		name   string
-		tuning rvaas.RecheckTuning
-	}{
-		// Sharded rows pin per-switch dispatch so E13 keeps measuring
-		// sharding + indexing + cone caching; the rule-delta refinement on
-		// top is measured by BenchmarkE14RuleDeltaRecheck.
-		{"legacy-scan", rvaas.RecheckTuning{LegacyScan: true}},
-		{"sharded/parallel-1", rvaas.RecheckTuning{Parallelism: 1, PerSwitchDispatch: true}},
-		// "parallel-max" runs GOMAXPROCS workers; the name is fixed so
-		// benchmark keys stay comparable across machines.
-		{"sharded/parallel-max", rvaas.RecheckTuning{PerSwitchDispatch: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			d.RVaaS.SetRecheckTuning(cfg.tuning)
-			defer d.RVaaS.SetRecheckTuning(rvaas.RecheckTuning{})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dirtyOnce(b)
-				b.StartTimer()
-				d.RVaaS.RecheckNow()
-			}
-		})
-	}
-	st := d.RVaaS.SubscriptionStats()
-	b.Logf("subs=%d evaluated=%d revalidated=%d index-dispatched=%d iso swept/reused=%d/%d",
-		st.Active, st.Evaluated, st.Revalidated, st.IndexDispatched, st.IsoPointsSwept, st.IsoPointsReused)
-}
-
-// ---------------------------------------------------------------- E14 ---
-
-// BenchmarkE14RuleDeltaRecheck measures one incremental pass over a
-// 10⁴-invariant population on a hub (star) topology after a single
-// low-priority shadow-free rule insert on the hub — the worst case for
-// per-switch dirty dispatch (every invariant crosses the hub, so the
-// dirty bucket is the whole population) and the best case for rule-delta
-// dispatch (the changed header space overlaps no invariant's traversal
-// slice, so nothing re-runs).
-func BenchmarkE14RuleDeltaRecheck(b *testing.B) {
-	const totalSubs, isoSubs = 10000, 40
-	topo, err := topology.Star(40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := deploy.New(topo, deploy.Options{SkipAgents: true, ManualRecheck: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := experiments.BuildRecheckPopulation(d, topo, totalSubs, isoSubs); err != nil {
-		b.Fatal(err)
-	}
-	hub := topo.Switches()[0]
-	churnN := 0
-	dirtyOnce := func(b *testing.B) {
-		churnN++
-		want := d.RVaaS.SnapshotID() + 1
-		churn := openflow.FlowEntry{
-			Priority: 2,
-			Match: openflow.Match{Fields: []openflow.FieldMatch{
-				{Field: wire.FieldIPDst, Value: uint64(wire.IPv4(203, 0, 114, 77)), Mask: 0xFFFFFFFF},
-			}},
-			Actions: []openflow.Action{openflow.Output(1)},
-			Cookie:  0xE14B_0001,
-		}
-		if churnN%2 == 1 {
-			d.Fabric.Switch(hub).InstallDirect(churn)
-		} else {
-			d.Fabric.Switch(hub).RemoveDirect(churn)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for d.RVaaS.SnapshotID() < want {
-			if !time.Now().Before(deadline) {
-				b.Fatal("hub churn event not absorbed into the snapshot")
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	dirtyOnce(b)
-	d.RVaaS.RecheckNow()
-
-	for _, cfg := range []struct {
-		name   string
-		tuning rvaas.RecheckTuning
-	}{
-		{"per-switch", rvaas.RecheckTuning{PerSwitchDispatch: true}},
-		{"rule-delta", rvaas.RecheckTuning{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			d.RVaaS.SetRecheckTuning(cfg.tuning)
-			defer d.RVaaS.SetRecheckTuning(rvaas.RecheckTuning{})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dirtyOnce(b)
-				b.StartTimer()
-				d.RVaaS.RecheckNow()
-			}
-		})
-	}
-	st := d.RVaaS.SubscriptionStats()
-	b.Logf("subs=%d evaluated=%d delta-skipped=%d index-dispatched=%d",
-		st.Active, st.Evaluated, st.DeltaSkipped, st.IndexDispatched)
 }
 
 func BenchmarkAblationPollingStrategy(b *testing.B) {

@@ -93,7 +93,6 @@ func runCampaign(args []string) error {
 	topoKind := fs.String("topo", "linear", "lab topology kind: linear, ring, star, grid, fattree")
 	size := fs.Int("size", 6, "topology size (switches; grid rows, fat-tree arity)")
 	subscribers := fs.Int("subscribers", 8, "standing invariants registered up front")
-	oracle := fs.String("oracle", "legacy", "trusted oracle mode: legacy or per-switch")
 	lie := fs.Int("lie", 0, "inject the Byzantine verdict-stream lie at this step (0 = none)")
 	save := fs.String("save", "", "save the executed campaign as a replayable artifact (JSON)")
 	adminAddr := fs.String("admin", "", "serve the admin API here while the campaign runs (GET /v1/campaign)")
@@ -112,16 +111,11 @@ func runCampaign(args []string) error {
 			return err
 		}
 	} else {
-		mode, err := campaign.ParseOracleMode(*oracle)
-		if err != nil {
-			return usageErr("attacksim run: %v", err)
-		}
 		cfg = campaign.Config{
 			Topo:        campaign.Topo{Kind: *topoKind, A: *size},
 			Seed:        *seed,
 			Steps:       *steps,
 			Subscribers: *subscribers,
-			Oracle:      mode,
 			LieStep:     *lie,
 		}
 	}
@@ -215,10 +209,7 @@ func runShrink(args []string) error {
 		return err
 	}
 	orig := len(art.Actions)
-	cfg, err := art.Config()
-	if err != nil {
-		return err
-	}
+	cfg := art.Config()
 	if !*quiet {
 		cfg.Logf = func(format string, a ...any) { log.Printf(format, a...) }
 	}
@@ -268,7 +259,7 @@ func (s *adminServer) Close() { _ = s.ln.Close() }
 // campaignView maps the engine's status snapshot onto the admin wire shape.
 func campaignView(st campaign.Status) admin.CampaignView {
 	view := admin.CampaignView{
-		Running: st.Running, Seed: st.Seed, Oracle: st.Oracle,
+		Running: st.Running, Seed: st.Seed,
 		Step: st.Step, Steps: st.Steps, LastAction: st.LastAction,
 		Events: st.Events, Transitions: st.Transitions,
 		Diverged: st.Diverged, Fingerprint: st.Fingerprint,
@@ -303,7 +294,6 @@ func saveArtifact(path string, cfg campaign.Config, res *campaign.Result) error 
 		Seed:        cfg.Seed,
 		Topology:    cfg.Topo,
 		Subscribers: cfg.Subscribers,
-		Oracle:      string(cfg.Oracle),
 		Expect:      campaign.ExpectClean,
 		Actions:     res.Actions,
 	}

@@ -66,8 +66,8 @@ var experimentTable = []experiment{
 	{"e10", "attestation handshake cost", e10},
 	{"e11", "parallel reachability sweep scaling (workers vs throughput)", e11},
 	{"e12", "standing-invariant re-check: incremental vs naive re-query", e12},
-	{"e13", "sharded recheck engine scale-out: indexed dispatch + worker pool vs linear scan", e13},
-	{"e14", "rule-delta dispatch: header-space overlap filter vs per-switch dirty bucket on a hub", e14},
+	{"e13", "indexed dispatch: one incremental pass vs the exhaustive reference, event at the edge of a chain", e13},
+	{"e14", "rule-delta overlap filter: one incremental pass vs the exhaustive reference, event at a hub", e14},
 	{"e15", "client protocol: batch registration vs sequential round-trips; kill/restart restore + re-verify", e15},
 	{"e16", "fault envelopes: trunk partition + channel loss vs detach-detect / stale-green / rejoin convergence", e16},
 	{"e18", "verifier fleet: N=4 partitioned engine vs N=1, dispatch confinement + differential verdict equality", e18},
@@ -90,11 +90,14 @@ type benchMetric struct {
 
 // benchReport is the BENCH_<ID>.json schema. EnvelopeVersion records the
 // protocol revision the binary speaks, so the perf trajectory can be
-// correlated with protocol changes across commits.
+// correlated with protocol changes across commits. Failed carries the
+// error of an experiment that did not complete; its Metrics are whatever
+// it recorded before failing and must not be gated on.
 type benchReport struct {
 	Experiment      string        `json:"experiment"`
 	Iters           int           `json:"iters"`
 	EnvelopeVersion int           `json:"envelope_version"`
+	Failed          string        `json:"failed,omitempty"`
 	Metrics         []benchMetric `json:"metrics"`
 }
 
@@ -213,6 +216,7 @@ func run(args []string) error {
 	if *jsonOut {
 		rec = &recorder{reports: make(map[string]*benchReport)}
 	}
+	var failed []string
 	for _, e := range experimentTable {
 		if len(want) > 0 && !want[e.id] {
 			continue
@@ -226,8 +230,14 @@ func run(args []string) error {
 			}
 		}
 		header(e.id, e.claim)
+		// One red experiment must not discard the others' results: record
+		// the failure, run the rest of the table, and fail at the end.
 		if err := e.run(*iters); err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+			fmt.Printf("FAILED %s: %v\n", e.id, err)
+			failed = append(failed, e.id)
+			if rec != nil {
+				rec.reports[e.id].Failed = err.Error()
+			}
 		}
 	}
 	if rec != nil {
@@ -235,6 +245,9 @@ func run(args []string) error {
 		if err := writeReports(*outDir); err != nil {
 			return err
 		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("failed experiments: %s", strings.Join(failed, ","))
 	}
 	return nil
 }
@@ -581,55 +594,36 @@ func e12(iters int) error {
 	return nil
 }
 
-func e13(iters int) error {
-	fmt.Printf("%-12s %-7s %-5s %-11s %-10s %-12s %-12s %-12s %-8s %-8s\n",
-		"topology", "subs", "iso", "evals/check", "iso-swept", "legacy", "parallel-1", "sharded", "speedup", "pool-x")
-	rows, err := experiments.ScaleOutSweep(iters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("%-12s %-7d %-5d %-11.1f %-10.1f %-12s %-12s %-12s %-8.1f %-8.2f\n",
-			r.Topology, r.Subs, r.IsoSubs, r.EvalsPerCheck, r.IsoSweptPerCheck,
-			r.LegacyMean.Round(time.Microsecond),
-			r.Parallel1Mean.Round(time.Microsecond),
-			r.ShardedMean.Round(time.Microsecond),
-			r.Speedup, r.PoolSpeedup)
-		key := fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)
-		recordDuration(key+"/legacy-recheck", r.LegacyMean)
-		recordDuration(key+"/parallel1-recheck", r.Parallel1Mean)
-		recordDuration(key+"/sharded-recheck", r.ShardedMean)
-		record(key+"/speedup", r.Speedup, "x")
-		record(key+"/pool-speedup", r.PoolSpeedup, "x")
-		record(key+"/subs", float64(r.Subs), "count")
-		record(key+"/evals-per-check", r.EvalsPerCheck, "count")
-		record(key+"/iso-points-swept", r.IsoSweptPerCheck, "count")
-		record(key+"/iso-points-reused", r.IsoReusedPerCheck, "count")
-	}
-	return nil
-}
+func e13(iters int) error { return recheckTable(experiments.RecheckEdge, iters) }
+func e14(iters int) error { return recheckTable(experiments.RecheckHub, iters) }
 
-func e14(iters int) error {
-	fmt.Printf("%-12s %-7s %-5s %-16s %-13s %-14s %-14s %-8s\n",
-		"topology", "subs", "iso", "per-switch-evals", "delta-evals", "per-switch", "delta", "speedup")
-	rows, err := experiments.RuleDeltaSweep(iters)
+// recheckTable prints and records one site of the E13/E14 sweep.
+func recheckTable(site experiments.RecheckSite, iters int) error {
+	fmt.Printf("%-10s %-6s %-4s %-7s %-10s %-8s %-16s %-12s %-12s %-12s %-8s\n",
+		"topology", "subs", "iso", "bucket", "evaluated", "skipped", "iso-swept/reused", "exhaustive", "incremental", "1-worker", "speedup")
+	rows, err := experiments.RecheckSweep(site, iters)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("%-12s %-7d %-5d %-16.1f %-13.1f %-14s %-14s %-8.1f\n",
-			r.Topology, r.Subs, r.IsoSubs, r.PerSwitchEvals, r.DeltaEvals,
-			r.PerSwitchMean.Round(time.Microsecond),
-			r.DeltaMean.Round(time.Microsecond),
+		fmt.Printf("%-10s %-6d %-4d %-7d %-10d %-8d %-16s %-12s %-12s %-12s %-8.1f\n",
+			r.Topology, r.Subs, r.IsoSubs, r.Bucket, r.Evaluated, r.DeltaSkipped,
+			fmt.Sprintf("%d/%d", r.IsoSwept, r.IsoReused),
+			r.ExhaustiveMedian.Round(time.Microsecond),
+			r.IncrementalMedian.Round(time.Microsecond),
+			r.OneWorkerMedian.Round(time.Microsecond),
 			r.Speedup)
 		key := fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)
-		recordDuration(key+"/per-switch-recheck", r.PerSwitchMean)
-		recordDuration(key+"/delta-recheck", r.DeltaMean)
+		recordDuration(key+"/exhaustive-recheck", r.ExhaustiveMedian)
+		recordDuration(key+"/incremental-recheck", r.IncrementalMedian)
+		recordDuration(key+"/one-worker-recheck", r.OneWorkerMedian)
 		record(key+"/speedup", r.Speedup, "x")
 		record(key+"/subs", float64(r.Subs), "count")
-		record(key+"/per-switch-evals", r.PerSwitchEvals, "count")
-		record(key+"/delta-evals", r.DeltaEvals, "count")
-		record(key+"/delta-skipped", r.DeltaSkipped, "count")
+		record(key+"/bucket", float64(r.Bucket), "count")
+		record(key+"/evaluated", float64(r.Evaluated), "count")
+		record(key+"/delta-skipped", float64(r.DeltaSkipped), "count")
+		record(key+"/iso-points-swept", float64(r.IsoSwept), "count")
+		record(key+"/iso-points-reused", float64(r.IsoReused), "count")
 	}
 	return nil
 }
@@ -662,8 +656,8 @@ func e15(iters int) error {
 }
 
 func e18(iters int) error {
-	fmt.Printf("%-10s %-6s %-4s %-11s %-7s %-14s %-12s %-13s %-8s\n",
-		"topology", "pop", "n", "placement", "subs", "register", "recheck", "touched/pass", "match")
+	fmt.Printf("%-10s %-6s %-4s %-7s %-14s %-12s %-13s %-8s\n",
+		"topology", "pop", "n", "subs", "register", "recheck", "touched/pass", "match")
 	// Two populations: anchor-rooted reachability only (the confinement
 	// showcase — a single-switch event reaches only the instances owning
 	// the dirty buckets) and mixed with isolation invariants (whole-fabric
@@ -679,12 +673,12 @@ func e18(iters int) error {
 			return err
 		}
 		for _, r := range rows {
-			fmt.Printf("%-10s %-6s %-4d %-11s %-7d %-14s %-12s %-13.2f %-8v\n",
-				r.Topology, pop.label, r.Instances, r.Placement, r.Subs,
+			fmt.Printf("%-10s %-6s %-4d %-7d %-14s %-12s %-13.2f %-8v\n",
+				r.Topology, pop.label, r.Instances, r.Subs,
 				r.RegisterTotal.Round(time.Millisecond),
 				r.RecheckMean.Round(time.Microsecond),
 				r.TouchedPerPass, r.VerdictsMatch)
-			key := fmt.Sprintf("%s/%s/n=%d-%s", r.Topology, pop.label, r.Instances, r.Placement)
+			key := fmt.Sprintf("%s/%s/n=%d", r.Topology, pop.label, r.Instances)
 			recordDuration(key+"/register-total", r.RegisterTotal)
 			recordDuration(key+"/recheck", r.RecheckMean)
 			record(key+"/touched-per-pass", r.TouchedPerPass, "count")

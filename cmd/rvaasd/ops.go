@@ -23,7 +23,6 @@ import (
 //	rvaasd ops subs -filter status=violated -filter client=3 -limit 50
 //	rvaasd ops shards
 //	rvaasd ops verifiers
-//	rvaasd ops verifiers rebalance
 //	rvaasd ops sessions
 //	rvaasd ops procs
 //	rvaasd ops campaign
@@ -41,10 +40,10 @@ func runOps(args []string) error {
 		return usageErr("rvaasd ops: missing verb (want overview, version, subs, shards, verifiers, sessions, procs, campaign, history, resync or faults)")
 	}
 	verb, rest := args[0], args[1:]
-	// faults and verifiers take a sub-action (inject, clear, rebalance)
-	// before their flags; the bare verb lists.
+	// faults takes a sub-action (inject, clear) before its flags; the bare
+	// verb lists.
 	sub := ""
-	if (verb == "faults" || verb == "verifiers") && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
+	if verb == "faults" && len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
 		sub, rest = rest[0], rest[1:]
 	}
 	fsName := "rvaasd ops " + verb
@@ -97,13 +96,10 @@ func runOps(args []string) error {
 	case "shards":
 		return cli.shards()
 	case "verifiers":
-		switch sub {
-		case "":
-			return cli.verifiers()
-		case "rebalance":
-			return cli.verifiersRebalance()
+		if fs.NArg() != 0 {
+			return usageErr("rvaasd ops verifiers: takes no action (rebalance was removed: placement is a pure function of the invariant, so it would move nothing)")
 		}
-		return usageErr("rvaasd ops verifiers: unknown action %q (want rebalance, or no action to list)", sub)
+		return cli.verifiers()
 	case "sessions":
 		return cli.sessions()
 	case "procs":
@@ -362,8 +358,12 @@ func (c *opsClient) shards() error {
 	return nil
 }
 
-func printVerifiers(view admin.VerifiersView) {
-	fmt.Fprintf(out, "fleet: %d instance(s), placement=%s\n", view.Instances, view.Placement)
+func (c *opsClient) verifiers() error {
+	var view admin.VerifiersView
+	if err := c.get("/v1/verifiers", &view); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "fleet: %d instance(s)\n", view.Instances)
 	fmt.Fprintf(out, "%-9s %-7s %-9s %-12s %-10s %-10s %s\n",
 		"INSTANCE", "ACTIVE", "VIOLATED", "IDX-ENTRIES", "EVALUATED", "DISPATCHED", "VIOLATIONS")
 	active := 0
@@ -373,24 +373,6 @@ func printVerifiers(view admin.VerifiersView) {
 		active += v.Active
 	}
 	fmt.Fprintf(out, "-- %d active invariants across the fleet\n", active)
-}
-
-func (c *opsClient) verifiers() error {
-	var view admin.VerifiersView
-	if err := c.get("/v1/verifiers", &view); err != nil {
-		return err
-	}
-	printVerifiers(view)
-	return nil
-}
-
-func (c *opsClient) verifiersRebalance() error {
-	var res admin.RebalanceView
-	if err := c.postJSON("/v1/verifiers/rebalance", nil, &res, http.StatusOK); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "rebalanced: %d invariant(s) moved\n", res.Moved)
-	printVerifiers(res.VerifiersView)
 	return nil
 }
 
@@ -462,8 +444,8 @@ func (c *opsClient) campaign() error {
 	if view.Running {
 		state = "running"
 	}
-	fmt.Fprintf(out, "campaign %s: seed=%d oracle=%s step=%d/%d\n",
-		state, view.Seed, view.Oracle, view.Step, view.Steps)
+	fmt.Fprintf(out, "campaign %s: seed=%d step=%d/%d\n",
+		state, view.Seed, view.Step, view.Steps)
 	if view.LastAction != "" {
 		fmt.Fprintf(out, "last action: %s\n", view.LastAction)
 	}

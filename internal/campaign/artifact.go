@@ -19,14 +19,14 @@ const (
 // Artifact is a self-contained, replayable campaign: everything needed to
 // rebuild the lab and re-execute the exact action trace, plus the expected
 // outcome. Graduated artifacts live in testdata/campaigns/ and are replayed
-// by CI (TestCorpusReplay) and `attacksim replay`.
+// by CI (TestCorpusReplay) and `attacksim replay`. Artifacts saved by
+// earlier builds carry an "oracle" mode; it is ignored on load.
 type Artifact struct {
 	Name        string `json:"name"`
 	Notes       string `json:"notes,omitempty"`
 	Seed        int64  `json:"seed"`
 	Topology    Topo   `json:"topology"`
 	Subscribers int    `json:"subscribers"`
-	Oracle      string `json:"oracle,omitempty"`
 	// Expect is ExpectClean or ExpectDivergence.
 	Expect string `json:"expect"`
 	// ExpectKind pins the divergence stream ("verdict", "transition",
@@ -39,9 +39,6 @@ type Artifact struct {
 func (a *Artifact) Validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("campaign: artifact has no name")
-	}
-	if _, err := ParseOracleMode(a.Oracle); err != nil {
-		return err
 	}
 	switch a.Expect {
 	case ExpectClean:
@@ -65,17 +62,12 @@ func (a *Artifact) Validate() error {
 }
 
 // Config builds the engine configuration the artifact replays under.
-func (a *Artifact) Config() (Config, error) {
-	mode, err := ParseOracleMode(a.Oracle)
-	if err != nil {
-		return Config{}, err
-	}
+func (a *Artifact) Config() Config {
 	return Config{
 		Topo:        a.Topology,
 		Seed:        a.Seed,
 		Subscribers: a.Subscribers,
-		Oracle:      mode,
-	}, nil
+	}
 }
 
 // Replay re-executes the artifact's trace against a fresh lab+oracle pair.
@@ -83,11 +75,7 @@ func (a *Artifact) Replay() (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := a.Config()
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg).Execute(a.Actions)
+	return New(a.Config()).Execute(a.Actions)
 }
 
 // Check replays the artifact and verifies the recorded expectation holds.

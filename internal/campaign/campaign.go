@@ -72,8 +72,6 @@ type Config struct {
 	Steps int
 	// Weights overrides the action-grammar distribution (nil = defaults).
 	Weights map[string]int
-	// Oracle selects the trusted reference path ("" = legacy scan).
-	Oracle OracleMode
 	// Subscribers is the number of standing invariants registered up front,
 	// cycling reach/isolation/path-length/waypoint (default 8).
 	Subscribers int
@@ -146,7 +144,6 @@ type Result struct {
 type Status struct {
 	Running       bool        `json:"running"`
 	Seed          int64       `json:"seed"`
-	Oracle        string      `json:"oracle"`
 	Step          int         `json:"step"`
 	Steps         int         `json:"steps"`
 	LastAction    string      `json:"last_action,omitempty"`
@@ -169,7 +166,7 @@ type Engine struct {
 // New returns an engine for one campaign configuration.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	return &Engine{cfg: cfg, st: Status{Seed: cfg.Seed, Oracle: string(cfg.Oracle), Steps: cfg.Steps}}
+	return &Engine{cfg: cfg, st: Status{Seed: cfg.Seed, Steps: cfg.Steps}}
 }
 
 // Status returns the engine's current progress snapshot.
@@ -239,7 +236,7 @@ func (e *Engine) Execute(actions []Action) (*Result, error) {
 		return nil, fmt.Errorf("campaign: lab bring-up: %w", err)
 	}
 	defer d.Close()
-	orc, err := newOracle(topo, cfg.Oracle, cfg.Seed+1)
+	orc, err := newOracle(topo, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +247,7 @@ func (e *Engine) Execute(actions []Action) (*Result, error) {
 	}
 	x := newExecutor(d, topo)
 	e.update(func(s *Status) {
-		*s = Status{Running: true, Seed: cfg.Seed, Oracle: string(cfg.Oracle), Steps: len(actions)}
+		*s = Status{Running: true, Seed: cfg.Seed, Steps: len(actions)}
 	})
 	defer e.update(func(s *Status) { s.Running = false })
 
@@ -272,7 +269,7 @@ func (e *Engine) Execute(actions []Action) (*Result, error) {
 		return nil, err
 	}
 	d.RVaaS.RecheckNow()
-	orc.ctl.RecheckNow()
+	orc.ctl.RevalidateAll()
 	if dv := e.compare(0, "setup", x, orc,
 		d.RVaaS.ViolationLog().Appended(), orc.ctl.ViolationLog().Appended()); dv != nil {
 		// Registration-time disagreement: report as a step-0 divergence.
@@ -315,7 +312,7 @@ func (e *Engine) Execute(actions []Action) (*Result, error) {
 		for _, ev := range evs {
 			orc.ctl.ReplayTap(ev)
 		}
-		orc.ctl.RecheckNow()
+		orc.ctl.RevalidateAll()
 
 		events += len(evs)
 		fp.events = hashEvents(fp.events, evs)

@@ -53,7 +53,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestCampaignCleanAndDeterministic is the heart of the differential
 // harness: a seeded adversarial campaign (churn, flaps, restarts, attacks,
 // suppression, subscriber churn) completes with zero divergence between the
-// incremental primary and the trusted legacy-scan oracle, and two runs of
+// incremental primary and the exhaustive (RevalidateAll) oracle, and two runs of
 // the same seed produce byte-identical fingerprints over the event, verdict
 // and transition streams.
 func TestCampaignCleanAndDeterministic(t *testing.T) {
@@ -77,21 +77,6 @@ func TestCampaignCleanAndDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Actions, r2.Actions) {
 		t.Fatalf("same seed, different action traces")
-	}
-}
-
-// TestCampaignPerSwitchOracle runs the same differential check against the
-// second preserved reference path (per-switch dispatch, no rule deltas).
-func TestCampaignPerSwitchOracle(t *testing.T) {
-	cfg := testConfig(11)
-	cfg.Oracle = OraclePerSwitch
-	cfg.Steps = 12
-	r, err := New(cfg).Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if r.Divergence != nil {
-		t.Fatalf("diverged against per-switch oracle: %s", r.Divergence)
 	}
 }
 
@@ -186,7 +171,7 @@ func TestDifferRefusesOverflowedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	orc, err := newOracle(topo, OracleLegacyScan, 1)
+	orc, err := newOracle(topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +187,7 @@ func TestDifferRefusesOverflowedStep(t *testing.T) {
 			orc.ctl.ReplayTap(ev)
 		}
 		d.RVaaS.RecheckNow()
-		orc.ctl.RecheckNow()
+		orc.ctl.RevalidateAll()
 	}
 	sync()
 	if err := x.registerBase(orc.ctl, 12); err != nil {
@@ -250,6 +235,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 		a, _ := json.Marshal(art)
 		b, _ := json.Marshal(got)
 		t.Fatalf("artifact round-trip mismatch:\n  saved  %s\n  loaded %s", a, b)
+	}
+	// Artifacts saved by earlier builds name an oracle mode; it is ignored.
+	var old Artifact
+	if err := json.Unmarshal([]byte(`{"name":"old","oracle":"per-switch","expect":"clean","actions":[{"op":"poll"}]}`), &old); err != nil || old.Validate() != nil {
+		t.Fatalf("artifact with a retired oracle key rejected: %v / %v", err, old.Validate())
 	}
 	if err := (&Artifact{Name: "bad", Expect: "maybe", Actions: lieTrace()}).Validate(); err == nil {
 		t.Fatalf("bogus expectation passed validation")
@@ -320,7 +310,7 @@ campaign:
   seed: 9
   steps: 12
   subscribers: 4
-  oracle: per-switch
+  oracle: per-switch # retired key: parsed and dropped
   lieStep: 6
   settleTimeout: 2s
 `
@@ -337,7 +327,6 @@ campaign:
 		Seed:          9,
 		Steps:         12,
 		Subscribers:   4,
-		Oracle:        OraclePerSwitch,
 		LieStep:       6,
 		SettleTimeout: 2 * time.Second,
 	}

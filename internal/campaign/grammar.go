@@ -1,8 +1,8 @@
 // Package campaign is the adversarial campaign engine: seeded randomized
 // attack/churn campaigns driven step-by-step against a full in-process
-// RVaaS lab while a shadow controller running the slow-but-trusted
-// reference recheck path (RecheckTuning.LegacyScan or PerSwitchDispatch)
-// replays the identical committed event stream. Any divergence between the
+// RVaaS lab while a shadow controller replays the identical committed event
+// stream and re-evaluates every standing invariant from scratch after each
+// step (RevalidateAll, the exhaustive reference). Any divergence between the
 // two verdict streams — per-subscription verdict/detail/seq state or the
 // violation-log transition stream — fails the campaign, and the engine
 // shrinks the failing action trace to a minimal reproducer serialized as a

@@ -8,46 +8,24 @@ import (
 	"repro/internal/topology"
 )
 
-// OracleMode selects which preserved slow-but-trusted recheck path the
-// shadow controller runs. Both predate the incremental footprint/delta
-// dispatcher and re-verify far more than necessary — which is exactly what
-// makes them references: a verdict the fast path and the exhaustive path
-// disagree on is a bug by definition.
-type OracleMode string
-
-// Oracle modes.
-const (
-	// OracleLegacyScan re-evaluates every standing invariant on every
-	// committed change (RecheckTuning.LegacyScan).
-	OracleLegacyScan OracleMode = "legacy"
-	// OraclePerSwitch re-evaluates every invariant whose footprint touches
-	// a dirty switch, ignoring rule deltas (RecheckTuning.PerSwitchDispatch).
-	OraclePerSwitch OracleMode = "per-switch"
-)
-
-// ParseOracleMode validates a spec/CLI oracle-mode string ("" = legacy).
-func ParseOracleMode(s string) (OracleMode, error) {
-	switch OracleMode(s) {
-	case "", OracleLegacyScan:
-		return OracleLegacyScan, nil
-	case OraclePerSwitch:
-		return OraclePerSwitch, nil
-	}
-	return "", fmt.Errorf("campaign: unknown oracle mode %q (want %q or %q)", s, OracleLegacyScan, OraclePerSwitch)
-}
-
 // oracle is the trusted differential reference: a second rvaas.Controller
 // on the same topology with no attached switches, fed exclusively through
-// the replay API with the primary's committed event stream, rechecking
-// manually once per campaign step on the trusted path. Subscriptions are
-// registered in the identical order as on the primary, so the sequential
-// fleet id allocator assigns identical ids and verdict streams compare
-// line-for-line.
+// the replay API with the primary's committed event stream, and running
+// RevalidateAll once per campaign step — every standing invariant
+// re-evaluated from scratch against the snapshot, consulting no recorded
+// footprint, rule delta or cone cache. That is what makes it a reference:
+// it shares none of the machinery that decides what the primary may skip,
+// so a verdict the two disagree on is a bug in the incremental path by
+// definition. (The reference paths earlier builds ran here still filtered
+// by recorded footprints, so a footprint that under-recorded a switch was
+// invisible to them.) Subscriptions are registered in the identical order
+// as on the primary, so the sequential fleet id allocator assigns
+// identical ids and verdict streams compare line-for-line.
 type oracle struct {
 	ctl *rvaas.Controller
 }
 
-func newOracle(topo *topology.Topology, mode OracleMode, seed int64) (*oracle, error) {
+func newOracle(topo *topology.Topology, seed int64) (*oracle, error) {
 	platform, err := enclave.NewPlatform()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: oracle platform: %w", err)
@@ -61,10 +39,6 @@ func newOracle(topo *topology.Topology, mode OracleMode, seed int64) (*oracle, e
 	if err != nil {
 		return nil, fmt.Errorf("campaign: oracle controller: %w", err)
 	}
-	ctl.SetRecheckTuning(rvaas.RecheckTuning{
-		LegacyScan:        mode == OracleLegacyScan,
-		PerSwitchDispatch: mode == OraclePerSwitch,
-	})
 	// Never Start()ed: the oracle needs no pollers, workers or notifier —
 	// notifications to its (sessionless) subscribers drop non-blocking.
 	return &oracle{ctl: ctl}, nil

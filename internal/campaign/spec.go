@@ -22,16 +22,11 @@ func FromSpec(s *labspec.Spec) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	mode, err := ParseOracleMode(s.Campaign.Oracle)
-	if err != nil {
-		return Config{}, err
-	}
 	return Config{
 		Topo:          topo,
 		Seed:          s.Campaign.Seed,
 		Steps:         s.Campaign.Steps,
 		Weights:       s.Campaign.Weights,
-		Oracle:        mode,
 		Subscribers:   s.Campaign.Subscribers,
 		LieStep:       s.Campaign.LieStep,
 		SettleTimeout: s.Campaign.SettleTimeout.Std(),

@@ -51,15 +51,6 @@ type Options struct {
 	// Verifiers is the verifier fleet size the standing-invariant engine
 	// is partitioned across (<= 1 means one instance).
 	Verifiers int
-	// VerifierPlacement selects the fleet partitioning policy:
-	// "footprint" (or "") for anchor-switch rendezvous, "rendezvous" for
-	// uniform id-hash spread.
-	VerifierPlacement string
-	// FootprintTermCap / DeltaTermCap bound the reachability-footprint
-	// slice count per node and the per-switch rule-delta union terms
-	// (0 = engine defaults).
-	FootprintTermCap int
-	DeltaTermCap     int
 	// HistoryDepth is the number of snapshots RVaaS retains (0 = default).
 	HistoryDepth int
 	// Seed for RVaaS's poll-time randomness.
@@ -132,9 +123,6 @@ func (opt Options) rvaasConfig(topo *topology.Topology, platform *enclave.Platfo
 		ManualRecheck:      opt.ManualRecheck,
 		RecheckParallelism: opt.RecheckParallelism,
 		Verifiers:          opt.Verifiers,
-		VerifierPlacement:  opt.VerifierPlacement,
-		FootprintTermCap:   opt.FootprintTermCap,
-		DeltaTermCap:       opt.DeltaTermCap,
 		HeartbeatInterval:  opt.Heartbeat,
 		Persist:            opt.Persist,
 	}
@@ -339,8 +327,6 @@ func FromSpecPlaced(spec *labspec.Spec, pc PlacedConfig) (*Deployment, error) {
 		RandomizePolls:       spec.RVaaS.RandomizePolls,
 		AuthTimeout:          spec.RVaaS.AuthTimeout.Std(),
 		RecheckParallelism:   spec.RVaaS.RecheckParallelism,
-		FootprintTermCap:     spec.RVaaS.FootprintTermCap,
-		DeltaTermCap:         spec.RVaaS.DeltaTermCap,
 		HistoryDepth:         spec.RVaaS.HistoryDepth,
 		Seed:                 spec.RVaaS.Seed,
 		SkipAgents:           spec.Agents.Skip,
@@ -350,7 +336,6 @@ func FromSpecPlaced(spec *labspec.Spec, pc PlacedConfig) (*Deployment, error) {
 	}
 	if v := spec.Verifiers; v != nil {
 		opt.Verifiers = v.Count
-		opt.VerifierPlacement = v.Placement
 	}
 	var owned io.Closer
 	if spec.RVaaS.PersistPath != "" {

@@ -16,19 +16,17 @@ import (
 )
 
 // Experiment E18: verifier fleet partitioning. The standing-invariant
-// engine runs as N verifier instances behind a fleet router; invariants
-// place by anchor-switch rendezvous ("footprint", the default) or by
-// uniform id hash ("rendezvous", the locality-free ablation). Each arm
-// registers the same invariant population on a multi-region fat WAN (a
-// host, hence an anchor, on every switch), absorbs the same single-switch
-// churn sequence, and reports
+// engine runs as N verifier instances behind a fleet router; anchor-rooted
+// invariants place by anchor-switch rendezvous, isolation invariants by
+// id. Each arm registers the same invariant population on a multi-region
+// fat WAN (a host, hence an anchor, on every switch), absorbs the same
+// single-switch churn sequence, and reports
 //
 //   - registration (initial-evaluation) wall time and the mean
 //     incremental re-check pass after a neutral single-switch change;
-//   - the confinement ratio: instances visited per indexed pass. With
-//     footprint placement a single-switch event reaches only the
-//     instances owning an affected index bucket; rendezvous placement
-//     scatters every bucket across the whole fleet;
+//   - the confinement ratio: instances visited per indexed pass. A
+//     single-switch event reaches only the instances owning an affected
+//     index bucket;
 //   - a differential verdict fingerprint against the N=1 baseline, fed by
 //     a blackhole install/remove cycle that flips real verdicts:
 //     per-subscription final (seq, violated, detail) plus its ordered
@@ -41,9 +39,8 @@ type FleetRow struct {
 	Topology string
 	Switches int
 	Subs     int
-	// Instances/Placement shape the fleet under test.
+	// Instances is the size of the fleet under test.
 	Instances int
-	Placement string
 	// RegisterTotal is the wall time registering (and initially
 	// evaluating) the whole population; RecheckMean the mean
 	// single-switch incremental pass.
@@ -153,18 +150,17 @@ func (f *transitionFold) fingerprint(subs []rvaas.SubscriptionInfo) string {
 // that flip real verdicts, and fingerprint the result. historyDepth sizes
 // the controller's snapshot history and, with it, the violation ring
 // (0 = default).
-func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoSubs, iters, historyDepth int) (FleetRow, string, error) {
-	row := FleetRow{Topology: nt.Name, Instances: instances, Placement: placement}
+func fleetArm(nt NamedTopology, instances, totalSubs, isoSubs, iters, historyDepth int) (FleetRow, string, error) {
+	row := FleetRow{Topology: nt.Name, Instances: instances}
 	topo, err := nt.Build()
 	if err != nil {
 		return row, "", err
 	}
 	d, err := deploy.New(topo, deploy.Options{
-		SkipAgents:        true,
-		ManualRecheck:     true,
-		Verifiers:         instances,
-		VerifierPlacement: placement,
-		HistoryDepth:      historyDepth,
+		SkipAgents:    true,
+		ManualRecheck: true,
+		Verifiers:     instances,
+		HistoryDepth:  historyDepth,
 	})
 	if err != nil {
 		return row, "", err
@@ -277,10 +273,9 @@ func fleetArm(nt NamedTopology, instances int, placement string, totalSubs, isoS
 	return row, fold.fingerprint(d.RVaaS.Subscriptions()), nil
 }
 
-// FleetSweep runs E18: the N=1 baseline, the N=4 footprint fleet, and the
-// N=4 rendezvous ablation, all over the same fat WAN, population and
-// churn sequence. Every fleet arm is differentially checked against the
-// baseline fingerprint.
+// FleetSweep runs E18: the N=1 baseline and the N=4 fleet over the same
+// fat WAN, population and churn sequence. The fleet arm is differentially
+// checked against the baseline fingerprint.
 func FleetSweep(totalSubs, isoSubs, iters int) ([]FleetRow, error) {
 	return fleetSweep(totalSubs, isoSubs, iters, 0)
 }
@@ -295,20 +290,12 @@ func fleetSweep(totalSubs, isoSubs, iters, historyDepth int) ([]FleetRow, error)
 			return FleetWAN([]topology.Region{"us", "eu", "ap", "sa"}, 6)
 		},
 	}
-	arms := []struct {
-		instances int
-		placement string
-	}{
-		{1, "footprint"},
-		{4, "footprint"},
-		{4, "rendezvous"},
-	}
-	rows := make([]FleetRow, 0, len(arms))
+	var rows []FleetRow
 	baseline := ""
-	for _, arm := range arms {
-		row, fp, err := fleetArm(nt, arm.instances, arm.placement, totalSubs, isoSubs, iters, historyDepth)
+	for _, instances := range []int{1, 4} {
+		row, fp, err := fleetArm(nt, instances, totalSubs, isoSubs, iters, historyDepth)
 		if err != nil {
-			return nil, fmt.Errorf("e18 n=%d/%s: %w", arm.instances, arm.placement, err)
+			return nil, fmt.Errorf("e18 n=%d: %w", instances, err)
 		}
 		if baseline == "" {
 			baseline = fp

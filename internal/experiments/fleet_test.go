@@ -7,8 +7,8 @@ import (
 )
 
 // TestFleetSweepSmall is the E18 harness at a toy population, mixed with
-// isolation invariants: three arms (N=1 baseline, N=4 footprint, N=4
-// rendezvous) over the same WAN, churn and registration sequence. The
+// isolation invariants: two arms (N=1 baseline, N=4 fleet) over the same
+// WAN, churn and registration sequence. The
 // differential gate — fleet verdict streams byte-identical to the single
 // engine — holds at any scale, so the small run checks it too.
 func TestFleetSweepSmall(t *testing.T) {
@@ -17,18 +17,18 @@ func TestFleetSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
 	for _, r := range rows {
 		if !r.VerdictsMatch {
-			t.Errorf("arm n=%d/%s: verdict stream diverged from the N=1 baseline", r.Instances, r.Placement)
+			t.Errorf("arm n=%d: verdict stream diverged from the N=1 baseline", r.Instances)
 		}
 		if r.Subs != 60 {
-			t.Errorf("arm n=%d/%s: registered %d invariants, want 60", r.Instances, r.Placement, r.Subs)
+			t.Errorf("arm n=%d: registered %d invariants, want 60", r.Instances, r.Subs)
 		}
 		if r.Violations == 0 {
-			t.Errorf("arm n=%d/%s: churn produced no verdict transitions", r.Instances, r.Placement)
+			t.Errorf("arm n=%d: churn produced no verdict transitions", r.Instances)
 		}
 	}
 	if rows[0].TouchedPerPass != 1 {
@@ -49,17 +49,17 @@ func TestFleetConfinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	footprint := rows[1]
-	if footprint.Placement != "footprint" || footprint.Instances != 4 {
-		t.Fatalf("arm order changed: rows[1] = n=%d/%s", footprint.Instances, footprint.Placement)
+	fleet := rows[1]
+	if fleet.Instances != 4 {
+		t.Fatalf("arm order changed: rows[1] = n=%d", fleet.Instances)
 	}
-	if footprint.TouchedPerPass >= float64(footprint.Instances) {
-		t.Errorf("footprint fleet touched %.2f of %d instances per single-switch pass, want < %d",
-			footprint.TouchedPerPass, footprint.Instances, footprint.Instances)
+	if fleet.TouchedPerPass >= float64(fleet.Instances) {
+		t.Errorf("fleet touched %.2f of %d instances per single-switch pass, want < %d",
+			fleet.TouchedPerPass, fleet.Instances, fleet.Instances)
 	}
 	for _, r := range rows {
 		if !r.VerdictsMatch {
-			t.Errorf("arm n=%d/%s: verdict stream diverged from the N=1 baseline", r.Instances, r.Placement)
+			t.Errorf("arm n=%d: verdict stream diverged from the N=1 baseline", r.Instances)
 		}
 	}
 }
@@ -77,10 +77,10 @@ func TestFleetDifferentialSurvivesRingOverflow(t *testing.T) {
 	}
 	for _, r := range rows {
 		if 2*r.Violations <= 4*historyDepth {
-			t.Fatalf("arm n=%d/%s: %d violations do not overflow the ring", r.Instances, r.Placement, r.Violations)
+			t.Fatalf("arm n=%d: %d violations do not overflow the ring", r.Instances, r.Violations)
 		}
 		if !r.VerdictsMatch {
-			t.Errorf("arm n=%d/%s: verdict stream diverged from the N=1 baseline once the ring overflowed", r.Instances, r.Placement)
+			t.Errorf("arm n=%d: verdict stream diverged from the N=1 baseline once the ring overflowed", r.Instances)
 		}
 	}
 }

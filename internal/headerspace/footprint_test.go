@@ -48,18 +48,27 @@ func TestFootprintIncludesDropNodes(t *testing.T) {
 	}
 }
 
+// TestFootprintInvalidated: with unconstrained entries and unconstrained
+// deltas, invalidation is plain node membership.
 func TestFootprintInvalidated(t *testing.T) {
+	changed := func(ids ...NodeID) map[NodeID]Delta {
+		m := make(map[NodeID]Delta)
+		for _, id := range ids {
+			m[id] = Delta{Space: FullSpace(8)}
+		}
+		return m
+	}
 	fp := NewFootprint()
 	fp.Add(3)
 	fp.Add(7)
-	if fp.Invalidated([]NodeID{1, 2, 4}) {
+	if fp.InvalidatedBy(changed(1, 2, 4)) {
 		t.Error("disjoint dirty set must not invalidate")
 	}
-	if !fp.Invalidated([]NodeID{5, 7}) {
+	if !fp.InvalidatedBy(changed(5, 7)) {
 		t.Error("dirty node inside the footprint must invalidate")
 	}
 	var nilFp Footprint
-	if !nilFp.Invalidated(nil) {
+	if !nilFp.InvalidatedBy(nil) {
 		t.Error("nil footprint (never evaluated) must always be invalidated")
 	}
 }
@@ -123,10 +132,6 @@ func TestFootprintSlices(t *testing.T) {
 	if !fp.OverlapsAt(7, disjoint) {
 		t.Error("unconstrained entry must overlap every delta")
 	}
-	var nilFp Footprint
-	if !nilFp.InvalidatedBy(nil) {
-		t.Error("nil footprint must always be invalidated")
-	}
 }
 
 // TestFootprintSliceCap checks the per-node term cap collapses to the full
@@ -134,7 +139,7 @@ func TestFootprintSlices(t *testing.T) {
 func TestFootprintSliceCap(t *testing.T) {
 	width := 8
 	fp := NewFootprint()
-	for i := 0; i < DefaultFootprintTermCap+8; i++ {
+	for i := 0; i < footprintTermCap+8; i++ {
 		h := AllX(width)
 		for b := 0; b < 5; b++ {
 			bit := Bit0
@@ -149,8 +154,8 @@ func TestFootprintSliceCap(t *testing.T) {
 	if !ok {
 		t.Fatal("node missing")
 	}
-	if sl.Size() > DefaultFootprintTermCap {
-		t.Fatalf("slice terms = %d, cap = %d", sl.Size(), DefaultFootprintTermCap)
+	if sl.Size() > footprintTermCap {
+		t.Fatalf("slice terms = %d, cap = %d", sl.Size(), footprintTermCap)
 	}
 	// Post-collapse the slice must still cover everything accumulated.
 	if !fp.OverlapsAt(3, NewSpace(width, AllX(width).SetBit(0, Bit0))) {
@@ -266,39 +271,5 @@ func TestFootprintPorts(t *testing.T) {
 	ports, constrained = c.PortsAt(4)
 	if !constrained || len(ports) != 2 {
 		t.Errorf("union of constrained port sets = %v (constrained=%v), want both ports", ports, constrained)
-	}
-}
-
-// TestFootprintTermCapConfigurable checks SetFootprintTermCap takes effect
-// for subsequently recorded slices.
-func TestFootprintTermCapConfigurable(t *testing.T) {
-	defer SetFootprintTermCap(0) // restore default
-	SetFootprintTermCap(4)
-	if got := FootprintTermCap(); got != 4 {
-		t.Fatalf("FootprintTermCap() = %d, want 4", got)
-	}
-	width := 8
-	fp := NewFootprint()
-	for i := 0; i < 12; i++ {
-		h := AllX(width)
-		for b := 0; b < 4; b++ {
-			bit := Bit0
-			if i>>b&1 == 1 {
-				bit = Bit1
-			}
-			h = h.SetBit(b, bit)
-		}
-		fp.AddSlice(3, NewSpace(width, h))
-	}
-	sl, ok := fp.SliceAt(3)
-	if !ok {
-		t.Fatal("node missing")
-	}
-	if sl.Size() > 4+1 {
-		t.Fatalf("slice terms = %d, want collapsed under lowered cap", sl.Size())
-	}
-	SetFootprintTermCap(0)
-	if got := FootprintTermCap(); got != DefaultFootprintTermCap {
-		t.Fatalf("FootprintTermCap() after reset = %d, want %d", got, DefaultFootprintTermCap)
 	}
 }

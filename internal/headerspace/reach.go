@@ -169,31 +169,11 @@ type Footprint struct {
 	inPorts map[NodeID][]PortID
 }
 
-// DefaultFootprintTermCap is the default per-node union-term cap; past it
-// a footprint slice collapses to the full header space (conservative:
-// every delta overlaps it), keeping footprint memory and overlap-test cost
-// bounded on term-explosive traversals. SetFootprintTermCap raises or
-// lowers it process-wide: hub-heavy topologies can spend memory to keep
-// precise slices instead of collapsing to always-invalidated full cones.
-const DefaultFootprintTermCap = 32
-
-var footprintTermCap atomic.Int64
-
-func init() { footprintTermCap.Store(DefaultFootprintTermCap) }
-
-// SetFootprintTermCap sets the per-node slice term cap for footprints
-// recorded from now on (existing footprints are unaffected). Values < 1
-// restore the default. The cap is process-global: it tunes the recording
-// side of every traversal, which has no per-subscription context.
-func SetFootprintTermCap(n int) {
-	if n < 1 {
-		n = DefaultFootprintTermCap
-	}
-	footprintTermCap.Store(int64(n))
-}
-
-// FootprintTermCap returns the current per-node slice term cap.
-func FootprintTermCap() int { return int(footprintTermCap.Load()) }
+// footprintTermCap is the per-node union-term cap; past it a footprint
+// slice collapses to the full header space (conservative: every delta
+// overlaps it), keeping footprint memory and overlap-test cost bounded on
+// term-explosive traversals.
+const footprintTermCap = 32
 
 // footprintPortCap bounds the per-node in-port set; past it the entry
 // collapses to "any port" (the map entry is dropped). Real traversals
@@ -274,7 +254,7 @@ func (f Footprint) addSliceTerms(id NodeID, s Space) {
 	// Plain term append, no compaction: this runs once per traversal frame,
 	// and Overlaps is pairwise anyway. The cap bounds degenerate growth.
 	cur.terms = append(cur.terms, s.terms...)
-	if len(cur.terms) > FootprintTermCap() {
+	if len(cur.terms) > footprintTermCap {
 		cur.terms = []Header{AllX(cur.width)}
 	}
 	f.slices[id] = cur
@@ -358,7 +338,7 @@ func (f Footprint) Union(other Footprint) Footprint {
 			continue
 		}
 		cur.terms = append(cur.terms[:len(cur.terms):len(cur.terms)], sl.terms...)
-		if len(cur.terms) > FootprintTermCap() {
+		if len(cur.terms) > footprintTermCap {
 			cur.terms = []Header{AllX(cur.width)}
 		}
 		f.slices[id] = cur
@@ -422,27 +402,11 @@ func DiffFootprints(prev, next Footprint) (added, removed []NodeID) {
 	return added, removed
 }
 
-// Invalidated reports whether any dirty node lies inside the footprint —
-// i.e. whether an evaluation that produced this footprint must be re-run
-// after the dirty nodes' transfer functions changed. A zero footprint
-// (never evaluated) is always invalidated.
-func (f Footprint) Invalidated(dirty []NodeID) bool {
-	if f.slices == nil {
-		return true
-	}
-	for _, id := range dirty {
-		if _, ok := f.slices[id]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// InvalidatedBy is the rule-delta refinement of Invalidated: deltas maps
-// each changed node to the header-space change its configuration change
-// can affect (optionally confined to specific in-ports), and the footprint
-// is invalidated only when some changed node's delta can affect the
-// evaluation per AffectedBy. A zero footprint (never evaluated) is always
+// InvalidatedBy reports whether an evaluation that produced this
+// footprint must be re-run: deltas maps each changed node to the
+// header-space change its configuration change can affect (optionally
+// confined to specific in-ports), and the footprint is invalidated only
+// when some changed node's delta can affect the evaluation per AffectedBy. A zero footprint (never evaluated) is always
 // invalidated. Callers must omit nodes whose delta is semantically empty
 // (e.g. a fully-shadowed rule insert) from the map — an unconstrained
 // footprint entry overlaps every listed delta.

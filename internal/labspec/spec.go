@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/topology"
-	"repro/internal/verifier"
 	"repro/internal/wire"
 )
 
@@ -287,25 +286,23 @@ type RVaaSSpec struct {
 	PersistPath string `json:"persistPath,omitempty"`
 	// Seed seeds controller randomness (poll jitter).
 	Seed int64 `json:"seed,omitempty"`
-	// FootprintTermCap bounds the per-node slice count a recorded
-	// reachability footprint keeps before collapsing to a whole-node
-	// wildcard (0 = engine default). Lower is coarser: cheaper to record,
-	// more spurious rechecks.
+	// FootprintTermCap and DeltaTermCap are retired keys: the caps are
+	// engine constants. A zero still parses (and `rvaasd spec migrate`
+	// drops it); Validate rejects any other value.
 	FootprintTermCap int `json:"footprintTermCap,omitempty"`
-	// DeltaTermCap bounds the union terms a per-switch rule delta keeps
-	// before widening to the full header space (0 = engine default).
-	DeltaTermCap int `json:"deltaTermCap,omitempty"`
+	DeltaTermCap     int `json:"deltaTermCap,omitempty"`
 }
 
-// VerifiersSpec sizes and shapes the verifier fleet the controller runs
-// the standing-invariant engine on.
+// VerifiersSpec sizes the verifier fleet the controller runs the
+// standing-invariant engine on.
 type VerifiersSpec struct {
 	// Count is the number of verifier instances (0 or 1 = the classic
 	// single-engine layout; N=1 is bit-compatible with it).
 	Count int `json:"count,omitempty"`
-	// Placement selects the partitioning policy: "footprint" (default;
-	// anchor-switch rendezvous so invariants sharing a root share an
-	// instance) or "rendezvous" (uniform id-hash spread, no locality).
+	// Placement is a retired key: invariants place by footprint (anchor
+	// switch; isolation by id), the only policy. Parse drops the value
+	// that named it, so `rvaasd spec migrate` re-emits the spec without
+	// the key, and Validate rejects the removed "rendezvous".
 	Placement string `json:"placement,omitempty"`
 }
 
@@ -500,8 +497,9 @@ type CampaignSpec struct {
 	// Subscribers is the number of standing invariants registered up front,
 	// cycling reach/isolation/path-length/waypoint (0 = engine default).
 	Subscribers int `json:"subscribers,omitempty"`
-	// Oracle selects the trusted reference recheck path: "legacy" (full
-	// rescan, default) or "per-switch" (per-switch dispatch, no deltas).
+	// Oracle is a retired key: the oracle has one mode, an exhaustive
+	// RevalidateAll per step. Parse drops the two mode names earlier builds
+	// accepted ("legacy", "per-switch"); Validate rejects anything else.
 	Oracle string `json:"oracle,omitempty"`
 	// Weights overrides the action-grammar distribution, op name → weight
 	// (see CampaignOps; omitted ops keep weight 0, nil = engine defaults).
@@ -548,7 +546,7 @@ func (c *CampaignSpec) validate(topo TopologySpec) error {
 	switch c.Oracle {
 	case "", "legacy", "per-switch":
 	default:
-		return fmt.Errorf("oracle: unknown mode %q (want legacy or per-switch)", c.Oracle)
+		return fmt.Errorf("oracle: unknown mode %q (the key is retired: the oracle always runs the exhaustive RevalidateAll; delete it)", c.Oracle)
 	}
 	known := make(map[string]bool)
 	for _, op := range CampaignOps() {
@@ -598,8 +596,16 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("labspec: %w", err)
 	}
+	// Retired keys naming what is now the only behaviour are dropped, so
+	// `rvaasd spec migrate` re-emits the spec without them.
 	if s.Agents.Protocol == wire.EnvelopeVersion {
 		s.Agents.Protocol = 0
+	}
+	if s.Verifiers != nil && s.Verifiers.Placement == "footprint" {
+		s.Verifiers.Placement = ""
+	}
+	if c := s.Campaign; c != nil && (c.Oracle == "legacy" || c.Oracle == "per-switch") {
+		c.Oracle = ""
 	}
 	return &s, nil
 }
@@ -727,18 +733,22 @@ func (s *Spec) Validate() error {
 	if s.RVaaS.HistoryDepth < 0 {
 		return fmt.Errorf("labspec: rvaas.historyDepth: must be >= 0, got %d", s.RVaaS.HistoryDepth)
 	}
-	if s.RVaaS.FootprintTermCap < 0 {
-		return fmt.Errorf("labspec: rvaas.footprintTermCap: must be >= 0 (0 = engine default), got %d", s.RVaaS.FootprintTermCap)
+	if s.RVaaS.FootprintTermCap != 0 {
+		return fmt.Errorf("labspec: rvaas.footprintTermCap: the key was removed (the footprint slice cap is an engine constant; no lab set another value); delete it")
 	}
-	if s.RVaaS.DeltaTermCap < 0 {
-		return fmt.Errorf("labspec: rvaas.deltaTermCap: must be >= 0 (0 = engine default), got %d", s.RVaaS.DeltaTermCap)
+	if s.RVaaS.DeltaTermCap != 0 {
+		return fmt.Errorf("labspec: rvaas.deltaTermCap: the key was removed (the rule-delta term cap is an engine constant; no lab set another value); delete it")
 	}
 	if v := s.Verifiers; v != nil {
 		if v.Count < 0 {
 			return fmt.Errorf("labspec: verifiers.count: must be >= 0 (0 = single instance), got %d", v.Count)
 		}
-		if _, err := verifier.ParsePlacement(v.Placement); err != nil {
-			return fmt.Errorf("labspec: verifiers.placement: unknown policy %q (want footprint or rendezvous)", v.Placement)
+		switch v.Placement {
+		case "", "footprint":
+		case "rendezvous":
+			return fmt.Errorf("labspec: verifiers.placement: rendezvous placement was removed (it was an ablation arm with no locality; invariants place by footprint); delete the key")
+		default:
+			return fmt.Errorf("labspec: verifiers.placement: unknown policy %q (the key is retired; delete it)", v.Placement)
 		}
 	}
 	switch s.Transport.Kind {

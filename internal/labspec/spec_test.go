@@ -882,6 +882,9 @@ func TestBuildLinear40(t *testing.T) {
 	}
 }
 
+// TestParseVerifiersSection: the fleet size parses; the retired keys that
+// named the only surviving behaviour (footprint placement, default term
+// caps) parse, are dropped, and do not come back out of a migrate.
 func TestParseVerifiersSection(t *testing.T) {
 	yml := `
 name: fleet-lab
@@ -889,8 +892,8 @@ topology:
   generator: linear
   size: 6
 rvaas:
-  footprintTermCap: 16
-  deltaTermCap: 24
+  footprintTermCap: 0
+  deltaTermCap: 0
 verifiers:
   count: 4
   placement: footprint
@@ -899,14 +902,18 @@ verifiers:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Verifiers == nil || s.Verifiers.Count != 4 || s.Verifiers.Placement != "footprint" {
+	if s.Verifiers == nil || s.Verifiers.Count != 4 || s.Verifiers.Placement != "" {
 		t.Fatalf("verifiers = %+v", s.Verifiers)
-	}
-	if s.RVaaS.FootprintTermCap != 16 || s.RVaaS.DeltaTermCap != 24 {
-		t.Fatalf("term caps = %d/%d", s.RVaaS.FootprintTermCap, s.RVaaS.DeltaTermCap)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
+	}
+	y, err := s.EncodeYAML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(y), "placement") || strings.Contains(string(y), "TermCap") {
+		t.Errorf("retired keys survived a migrate:\n%s", y)
 	}
 }
 
@@ -934,14 +941,29 @@ func TestValidateVerifiersErrors(t *testing.T) {
 			wantSub: `verifiers.placement: unknown policy "round-robin"`,
 		},
 		{
+			name:    "removed rendezvous placement",
+			mutate:  func(s *Spec) { s.Verifiers.Placement = "rendezvous" },
+			wantSub: "verifiers.placement: rendezvous placement was removed",
+		},
+		{
+			name:    "removed footprint cap",
+			mutate:  func(s *Spec) { s.RVaaS.FootprintTermCap = 16 },
+			wantSub: "rvaas.footprintTermCap: the key was removed",
+		},
+		{
+			name:    "removed delta cap",
+			mutate:  func(s *Spec) { s.RVaaS.DeltaTermCap = 24 },
+			wantSub: "rvaas.deltaTermCap: the key was removed",
+		},
+		{
 			name:    "negative footprint cap",
 			mutate:  func(s *Spec) { s.RVaaS.FootprintTermCap = -1 },
-			wantSub: "rvaas.footprintTermCap: must be >= 0",
+			wantSub: "rvaas.footprintTermCap: the key was removed",
 		},
 		{
 			name:    "negative delta cap",
 			mutate:  func(s *Spec) { s.RVaaS.DeltaTermCap = -2 },
-			wantSub: "rvaas.deltaTermCap: must be >= 0",
+			wantSub: "rvaas.deltaTermCap: the key was removed",
 		},
 	}
 	for _, tc := range cases {
@@ -954,8 +976,9 @@ func TestValidateVerifiersErrors(t *testing.T) {
 			}
 		})
 	}
-	// The rendezvous arm and the empty default are both accepted.
-	for _, placement := range []string{"", "rendezvous"} {
+	// The empty default and the retired name of the only policy are both
+	// accepted.
+	for _, placement := range []string{"", "footprint"} {
 		s := base()
 		s.Verifiers.Placement = placement
 		if err := s.Validate(); err != nil {
@@ -989,7 +1012,7 @@ campaign:
 	}
 	c := s.Campaign
 	if c == nil || c.Seed != 7 || c.Steps != 24 || c.Subscribers != 8 ||
-		c.Oracle != "per-switch" || c.LieStep != 12 ||
+		c.Oracle != "" || c.LieStep != 12 ||
 		c.SettleTimeout.Std() != 3*time.Second || c.Weights["churn"] != 10 {
 		t.Fatalf("campaign = %+v", c)
 	}

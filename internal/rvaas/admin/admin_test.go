@@ -537,16 +537,13 @@ func fleetLab(t *testing.T, size, verifiers int) (*deploy.Deployment, *admin.Ser
 	return d, admin.NewService(d.RVaaS)
 }
 
-func TestVerifiersViewAndRebalance(t *testing.T) {
+func TestVerifiersView(t *testing.T) {
 	const size, instances = 6, 3
 	_, svc := fleetLab(t, size, instances)
 
 	view := svc.Verifiers()
 	if view.Instances != instances {
 		t.Fatalf("instances = %d, want %d", view.Instances, instances)
-	}
-	if view.Placement != "footprint" {
-		t.Fatalf("placement = %q, want footprint", view.Placement)
 	}
 	if len(view.Verifiers) != instances {
 		t.Fatalf("per-instance views = %d, want %d", len(view.Verifiers), instances)
@@ -557,15 +554,6 @@ func TestVerifiersViewAndRebalance(t *testing.T) {
 	}
 	if active != size {
 		t.Fatalf("fleet holds %d invariants, want %d", active, size)
-	}
-
-	// Placement did not change, so re-running it moves nothing.
-	res := svc.RebalanceVerifiers()
-	if res.Moved != 0 {
-		t.Fatalf("rebalance moved %d invariants under an unchanged policy", res.Moved)
-	}
-	if res.Instances != instances {
-		t.Fatalf("rebalance view instances = %d", res.Instances)
 	}
 }
 
@@ -588,33 +576,6 @@ func TestHTTPVerifiers(t *testing.T) {
 	}
 	if view.Instances != 2 || len(view.Verifiers) != 2 {
 		t.Fatalf("view = %+v", view)
-	}
-
-	post, err := http.Post(srv.URL+"/v1/verifiers/rebalance", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer post.Body.Close()
-	if post.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/verifiers/rebalance: %s", post.Status)
-	}
-	var res admin.RebalanceView
-	if err := json.NewDecoder(post.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Moved != 0 || res.Instances != 2 {
-		t.Fatalf("rebalance = %+v", res)
-	}
-
-	// Wrong method gets the typed envelope, not the mux default.
-	bad, err := http.Get(srv.URL + "/v1/verifiers/rebalance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Body.Close()
-	var envelope admin.Error
-	if err := json.NewDecoder(bad.Body).Decode(&envelope); err != nil || envelope.Code != admin.CodeMethodNotAllowed {
-		t.Fatalf("wrong-method envelope = %+v (err %v)", envelope, err)
 	}
 }
 
@@ -640,7 +601,7 @@ func TestCampaignEndpoint(t *testing.T) {
 	}
 
 	want := admin.CampaignView{
-		Running: true, Seed: 42, Oracle: "legacy", Step: 7, Steps: 40,
+		Running: true, Seed: 42, Step: 7, Steps: 40,
 		LastAction: "churn sw=3 n=4", Events: 19, Transitions: 2,
 		Diverged: true,
 		Divergence: &admin.CampaignDivergenceView{

@@ -15,7 +15,6 @@ type CampaignDivergenceView struct {
 type CampaignView struct {
 	Running       bool                    `json:"running"`
 	Seed          int64                   `json:"seed"`
-	Oracle        string                  `json:"oracle"`
 	Step          int                     `json:"step"`
 	Steps         int                     `json:"steps"`
 	LastAction    string                  `json:"lastAction,omitempty"`

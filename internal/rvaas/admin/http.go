@@ -18,7 +18,6 @@ const APIVersionHeader = "X-RVaaS-Api-Version"
 //	GET  /v1/subs/{id}/history?cursor=&limit=
 //	GET  /v1/shards                        per-shard engine stats
 //	GET  /v1/verifiers                     verifier fleet shape + per-instance stats
-//	POST /v1/verifiers/rebalance           re-place every standing invariant
 //	GET  /v1/sessions?cursor=&limit=       client + switch sessions
 //	GET  /v1/procs                         per-process health (placed labs)
 //	GET  /v1/campaign                      adversarial-campaign progress (attacksim)
@@ -88,9 +87,6 @@ func Handler(svc *Service) http.Handler {
 	})
 	handle("GET", "/v1/verifiers", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Verifiers())
-	})
-	handle("POST", "/v1/verifiers/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.RebalanceVerifiers())
 	})
 	handle("GET", "/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		cursor, limit, err := parsePageQuery(r)

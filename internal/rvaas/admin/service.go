@@ -204,20 +204,19 @@ type VerifierView struct {
 	Recoveries      uint64 `json:"recoveries"`
 }
 
-// VerifiersView is the verifier fleet: its shape and each instance's
+// VerifiersView is the verifier fleet: its size and each instance's
 // population and activity counters.
 type VerifiersView struct {
 	Instances int            `json:"instances"`
-	Placement string         `json:"placement"`
 	Verifiers []VerifierView `json:"verifiers"`
 }
 
-// Verifiers snapshots the verifier fleet: instance count, placement
-// policy, and per-instance counters.
+// Verifiers snapshots the verifier fleet: instance count and per-instance
+// counters.
 func (s *Service) Verifiers() VerifiersView {
-	n, placement := s.ctl.VerifierFleetInfo()
-	view := VerifiersView{Instances: n, Placement: placement, Verifiers: []VerifierView{}}
-	for _, in := range s.ctl.VerifierStats() {
+	stats := s.ctl.VerifierStats()
+	view := VerifiersView{Instances: len(stats), Verifiers: []VerifierView{}}
+	for _, in := range stats {
 		view.Verifiers = append(view.Verifiers, VerifierView{
 			Instance: in.Instance, Active: in.Active, Violated: in.Violated,
 			PendingRestore: in.PendingRestore, IndexEntries: in.IndexEntries,
@@ -227,21 +226,6 @@ func (s *Service) Verifiers() VerifiersView {
 		})
 	}
 	return view
-}
-
-// RebalanceView reports the outcome of a fleet rebalance.
-type RebalanceView struct {
-	// Moved is the number of invariants that changed owning instance.
-	Moved int `json:"moved"`
-	VerifiersView
-}
-
-// RebalanceVerifiers re-runs placement over every standing invariant
-// (after a placement policy change or a skewed registration order) and
-// reports the resulting fleet shape.
-func (s *Service) RebalanceVerifiers() RebalanceView {
-	moved := s.ctl.RebalanceVerifiers()
-	return RebalanceView{Moved: moved, VerifiersView: s.Verifiers()}
 }
 
 // VerdictView is one verdict transition of a subscription.

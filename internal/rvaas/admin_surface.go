@@ -37,31 +37,6 @@ func (c *Controller) VerifierStats() []verifier.InstanceStats {
 	return c.fleet.InstanceStats()
 }
 
-// VerifierFleetInfo reports the fleet geometry (instance count, placement
-// policy name).
-func (c *Controller) VerifierFleetInfo() (instances int, placement string) {
-	return c.fleet.Size(), c.fleet.GetPlacement().String()
-}
-
-// RebalanceVerifiers re-places every standing invariant under the current
-// placement policy and migrates the ones whose owner changed, returning
-// the number moved. Operators trigger it after switching placement policy
-// at runtime; it takes every instance's run lock, so it briefly pauses
-// re-verification.
-func (c *Controller) RebalanceVerifiers() int { return c.fleet.Rebalance() }
-
-// SetVerifierPlacement switches the fleet's placement policy at runtime
-// (new registrations only — call RebalanceVerifiers to migrate the
-// standing set).
-func (c *Controller) SetVerifierPlacement(policy string) error {
-	p, err := verifier.ParsePlacement(policy)
-	if err != nil {
-		return err
-	}
-	c.fleet.SetPlacement(p)
-	return nil
-}
-
 // ClientSessionInfo summarizes one client session: the envelope session its
 // subscriptions were registered under (SessionID 0 groups in-process
 // registrations).

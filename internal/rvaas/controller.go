@@ -70,25 +70,11 @@ type Config struct {
 	ManualRecheck bool
 	// RecheckParallelism is the worker count one subscription re-check pass
 	// fans independent invariant evaluations across; <= 0 means GOMAXPROCS.
-	// Runtime-adjustable via SetRecheckTuning.
 	RecheckParallelism int
 	// Verifiers is the verifier-fleet size: the number of engine instances
 	// the standing-invariant set is partitioned across. <= 0 means 1 (the
 	// pre-fleet engine, bit-compatible with earlier releases).
 	Verifiers int
-	// VerifierPlacement selects the fleet's partitioning policy:
-	// "footprint" (default — rendezvous-hash on the invariant's anchor
-	// switch, so one switch's invariants co-locate and a single-switch
-	// event dispatches to few instances) or "rendezvous" (rendezvous-hash
-	// on the subscription id, spreading uniformly).
-	VerifierPlacement string
-	// FootprintTermCap, when > 0, bounds the per-switch union-term count of
-	// recorded footprints (process-global; see
-	// headerspace.SetFootprintTermCap). DeltaTermCap, when > 0, bounds the
-	// union-term count of one switch's accumulated rule delta. Both are
-	// runtime-adjustable via SetRecheckTuning.
-	FootprintTermCap int
-	DeltaTermCap     int
 	// HeartbeatInterval enables per-session liveness probing: the controller
 	// sends an echo request on every attached switch channel at this period
 	// and detaches the session after HeartbeatMisses consecutive unanswered
@@ -236,10 +222,6 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rvaas: launch enclave: %w", err)
 	}
-	placement, err := verifier.ParsePlacement(cfg.VerifierPlacement)
-	if err != nil {
-		return nil, fmt.Errorf("rvaas: %w", err)
-	}
 	c := &Controller{
 		cfg:          cfg,
 		persist:      cfg.Persist,
@@ -271,16 +253,8 @@ func New(cfg Config) (*Controller, error) {
 		done:         make(chan struct{}),
 	}
 	c.fleet = verifier.New(verifier.Config{
-		Instances:   cfg.Verifiers,
-		Placement:   placement,
-		Parallelism: cfg.RecheckParallelism,
+		Instances: cfg.Verifiers,
 	}, verifierEnv{c})
-	if cfg.FootprintTermCap > 0 {
-		headerspace.SetFootprintTermCap(cfg.FootprintTermCap)
-	}
-	if cfg.DeltaTermCap > 0 {
-		c.snap.setDeltaCap(cfg.DeltaTermCap)
-	}
 	c.svc = authGate{core: coreService{c}, c: c}
 	if cfg.Persist != nil {
 		if err := c.restoreSubscriptions(); err != nil {

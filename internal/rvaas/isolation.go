@@ -62,16 +62,14 @@ func (c *Controller) newIsoConeCache(req requesterInfo) *isoConeCache {
 }
 
 // evaluateIsolation runs one standing isolation invariant. With fullSweep
-// (registration, RevalidateAll, legacy ablation) every injection point is
-// traversed; otherwise only the points whose cached cone crosses the dirty
-// set re-run — refined, when the pass carries rule deltas, to the points
-// whose cone SLICE at some dirty switch overlaps that switch's delta (a
-// cone that merely passes through a dirty hub is reused when the changed
-// rules touch none of the headers it carried there). The rest reuse their
-// cached outcome. The aggregate verdict and footprint are byte-identical
+// (registration, RevalidateAll, restore) every injection point is
+// traversed; otherwise only the points whose cone SLICE at some dispatched
+// switch overlaps that switch's rule delta re-run (a cone that merely
+// passes through a dirty hub is reused when the changed rules touch none
+// of the headers it carried there). The rest reuse their cached outcome. The aggregate verdict and footprint are byte-identical
 // to a full sweep, so switching between the paths can never manufacture a
 // verdict transition.
-func (c *Controller) evaluateIsolation(net *headerspace.Network, sub *verifier.Subscription, dirty []headerspace.NodeID, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
+func (c *Controller) evaluateIsolation(net *headerspace.Network, sub *verifier.Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
 	cache, _ := sub.Cones.(*isoConeCache)
 	if cache == nil {
 		cache = c.newIsoConeCache(reqOf(sub))
@@ -88,13 +86,7 @@ func (c *Controller) evaluateIsolation(net *headerspace.Network, sub *verifier.S
 		}
 	} else {
 		for i := range cache.cones {
-			invalidated := false
-			if deltas != nil {
-				invalidated = cache.cones[i].fp.InvalidatedBy(deltas)
-			} else {
-				invalidated = cache.cones[i].fp.Invalidated(dirty)
-			}
-			if invalidated {
+			if cache.cones[i].fp.InvalidatedBy(deltas) {
 				sweep = append(sweep, i)
 			}
 		}
@@ -114,8 +106,8 @@ func (c *Controller) evaluateIsolation(net *headerspace.Network, sub *verifier.S
 		// exception is an incremental straggler — one invariant whose
 		// whole view was dirtied among otherwise-small work items — which
 		// keeps ReachAll's fan-out so it cannot pin the pass to a single
-		// core. Outside the pool (registration, single-worker passes, the
-		// legacy baseline) ReachAll parallelizes as before.
+		// core. Outside the pool (registration, single-worker passes)
+		// ReachAll parallelizes as before.
 		opt := headerspace.ReachOptions{RecordFootprint: true}
 		straggler := !fullSweep && len(sweep) > isoSequentialSweepMax
 		if pooled && !straggler {

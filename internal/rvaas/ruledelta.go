@@ -37,11 +37,10 @@ import (
 // them — e.g. RVaaS's own interception rules — cannot change any
 // evaluation and must not dispatch anything.
 
-// defaultDeltaTermCap bounds the union-term count of one switch's
-// accumulated delta; past it the delta collapses to the full header space
-// (conservative, equivalent to per-switch dispatch for that switch).
-// Runtime-tunable per store (snapshotStore.deltaCap, RecheckTuning).
-const defaultDeltaTermCap = 48
+// deltaTermCap bounds the union-term count of one switch's accumulated
+// delta; past it the delta collapses to the full header space
+// (conservative: every invariant in that switch's bucket re-runs).
+const deltaTermCap = 48
 
 // shadowSet is the precomputed shadow geometry of a table's unchanged
 // rules: the match headers of modeled, port-unrestricted entries, sorted
@@ -82,9 +81,9 @@ func (ss *shadowSet) Less(i, j int) bool { return ss.prios[i] > ss.prios[j] }
 // wildcard term into up to header-width pieces, so a broad changed rule
 // under many exact-match shadowers would otherwise blow up quadratically
 // — and this runs on the commit path while snapshotStore.mu is held. Past
-// cap intermediate terms the chain stops and the UN-shadowED match space
+// deltaTermCap intermediate terms the chain stops and the UN-shadowED match space
 // is returned (wider, never narrower: strictly conservative).
-func (ss *shadowSet) residual(e openflow.FlowEntry, cap int) headerspace.Space {
+func (ss *shadowSet) residual(e openflow.FlowEntry) headerspace.Space {
 	full := headerspace.NewSpace(wire.HeaderWidth, e.Match.ToHeader())
 	out := full
 	for i := range ss.prios {
@@ -95,7 +94,7 @@ func (ss *shadowSet) residual(e openflow.FlowEntry, cap int) headerspace.Space {
 		if out.IsEmpty() {
 			break
 		}
-		if out.Size() > cap {
+		if out.Size() > deltaTermCap {
 			return full
 		}
 	}
@@ -108,7 +107,7 @@ func (ss *shadowSet) residual(e openflow.FlowEntry, cap int) headerspace.Space {
 // Match.HasInPort() onto the rule's InPorts (openflow/hsa.go): a packet
 // arriving on another port is handled by the same non-changed rules in
 // both tables.
-func deltaOf(changed, common []openflow.FlowEntry, cap int) headerspace.Delta {
+func deltaOf(changed, common []openflow.FlowEntry) headerspace.Delta {
 	out := headerspace.Delta{Space: headerspace.EmptySpace(wire.HeaderWidth)}
 	if len(changed) == 0 {
 		return out
@@ -126,8 +125,8 @@ func deltaOf(changed, common []openflow.FlowEntry, cap int) headerspace.Delta {
 			continue
 		}
 		if !spaceCapped {
-			out.Space = out.Space.Union(ss.residual(e, cap))
-			if out.Space.Size() > cap {
+			out.Space = out.Space.Union(ss.residual(e))
+			if out.Space.Size() > deltaTermCap {
 				// Term-cap collapse widens the SPACE only; the port scan must
 				// still cover every remaining changed rule or the refinement
 				// would be unsoundly narrow.
@@ -160,7 +159,7 @@ func deltaOf(changed, common []openflow.FlowEntry, cap int) headerspace.Delta {
 // stable among equals) — so a pure reorder of equal-priority rules is
 // correctly treated as a change, while identical tables yield an empty
 // delta.
-func tableDelta(oldT, newT []openflow.FlowEntry, cap int) headerspace.Delta {
+func tableDelta(oldT, newT []openflow.FlowEntry) headerspace.Delta {
 	byPrio := func(t []openflow.FlowEntry) map[uint16][]openflow.FlowEntry {
 		m := make(map[uint16][]openflow.FlowEntry)
 		for _, e := range t {
@@ -195,16 +194,16 @@ func tableDelta(oldT, newT []openflow.FlowEntry, cap int) headerspace.Delta {
 			diffBucket(nil, nb)
 		}
 	}
-	return deltaOf(changed, common, cap)
+	return deltaOf(changed, common)
 }
 
 // eventDelta computes the delta of one applied flow-monitor event against
 // the table state BEFORE the event was folded in.
-func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply, cap int) headerspace.Delta {
+func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply) headerspace.Delta {
 	switch ev.Kind {
 	case openflow.FlowEventAdded:
 		// Everything already in the table is unchanged and shadows.
-		return deltaOf([]openflow.FlowEntry{ev.Entry}, before, cap)
+		return deltaOf([]openflow.FlowEntry{ev.Entry}, before)
 	case openflow.FlowEventRemoved:
 		var removed, kept []openflow.FlowEntry
 		for _, e := range before {
@@ -214,7 +213,7 @@ func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply, cap 
 				kept = append(kept, e)
 			}
 		}
-		return deltaOf(removed, kept, cap)
+		return deltaOf(removed, kept)
 	case openflow.FlowEventModified:
 		var replaced, rest []openflow.FlowEntry
 		for _, e := range before {
@@ -226,12 +225,12 @@ func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply, cap 
 		}
 		if len(replaced) == 0 {
 			// Unmatched modify appends (see applyEvent): behaves as an add.
-			return deltaOf([]openflow.FlowEntry{ev.Entry}, before, cap)
+			return deltaOf([]openflow.FlowEntry{ev.Entry}, before)
 		}
 		// Old and new versions share priority+match, so the changed set's
 		// match union is just the replaced entries' (the new actions only
 		// alter behavior inside the same match space).
-		return deltaOf(append(replaced, ev.Entry), rest, cap)
+		return deltaOf(append(replaced, ev.Entry), rest)
 	}
 	return headerspace.Delta{Space: headerspace.EmptySpace(wire.HeaderWidth)}
 }

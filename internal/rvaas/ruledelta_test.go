@@ -181,7 +181,7 @@ func TestVerdictQueryRejectsWrongIngress(t *testing.T) {
 
 func TestTableDeltaIdenticalEmpty(t *testing.T) {
 	tab := []openflow.FlowEntry{fwdEntry(100, 0x0A000001, 2), fwdEntry(90, 0x0A000002, 1)}
-	if d := tableDelta(tab, append([]openflow.FlowEntry(nil), tab...), defaultDeltaTermCap); !d.Space.IsEmpty() {
+	if d := tableDelta(tab, append([]openflow.FlowEntry(nil), tab...)); !d.Space.IsEmpty() {
 		t.Fatalf("identical tables produced delta %v", d)
 	}
 }
@@ -190,7 +190,7 @@ func TestTableDeltaAddRemoveModify(t *testing.T) {
 	base := []openflow.FlowEntry{fwdEntry(100, 0x0A000001, 2)}
 	added := append([]openflow.FlowEntry{fwdEntry(50, 0x0A000009, 1)}, base...)
 
-	d := tableDelta(base, added, defaultDeltaTermCap)
+	d := tableDelta(base, added)
 	if !d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("added rule's space missing from delta %v", d)
 	}
@@ -198,13 +198,13 @@ func TestTableDeltaAddRemoveModify(t *testing.T) {
 		t.Fatalf("unchanged rule's space leaked into delta %v", d)
 	}
 	// Removal is symmetric.
-	if d := tableDelta(added, base, defaultDeltaTermCap); !d.Space.Overlaps(ipSpace(0x0A000009)) {
+	if d := tableDelta(added, base); !d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("removed rule's space missing from delta %v", d)
 	}
 	// An action rewrite of an existing rule is a change inside its match.
 	mod := []openflow.FlowEntry{fwdEntry(100, 0x0A000001, 3)}
 	mod[0].Cookie = base[0].Cookie
-	if d := tableDelta(base, mod, defaultDeltaTermCap); !d.Space.Overlaps(ipSpace(0x0A000001)) {
+	if d := tableDelta(base, mod); !d.Space.Overlaps(ipSpace(0x0A000001)) {
 		t.Fatalf("modified rule's space missing from delta %v", d)
 	}
 }
@@ -219,7 +219,7 @@ func TestTableDeltaShadowing(t *testing.T) {
 
 	// Insert a low-priority rule for the same destination: fully shadowed.
 	ins := append(append([]openflow.FlowEntry(nil), base...), fwdEntry(10, 0x0A000009, 1))
-	if d := tableDelta(base, ins, defaultDeltaTermCap); !d.Space.IsEmpty() {
+	if d := tableDelta(base, ins); !d.Space.IsEmpty() {
 		t.Fatalf("fully shadowed insert produced delta %v", d)
 	}
 
@@ -232,7 +232,7 @@ func TestTableDeltaShadowing(t *testing.T) {
 		}},
 		Actions: []openflow.Action{openflow.Output(1)},
 	}
-	d := tableDelta(base, append(append([]openflow.FlowEntry(nil), base...), wide), defaultDeltaTermCap)
+	d := tableDelta(base, append(append([]openflow.FlowEntry(nil), base...), wide))
 	if d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("shadowed slice leaked into delta %v", d)
 	}
@@ -241,7 +241,7 @@ func TestTableDeltaShadowing(t *testing.T) {
 	}
 	// Equal priority never shadows (arrival order is unknown).
 	eq := append(append([]openflow.FlowEntry(nil), base...), fwdEntry(200, 0x0A000009, 1))
-	if d := tableDelta(base, eq, defaultDeltaTermCap); !d.Space.Overlaps(ipSpace(0x0A000009)) {
+	if d := tableDelta(base, eq); !d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("equal-priority insert wrongly shadowed: %v", d)
 	}
 }
@@ -258,13 +258,13 @@ func TestTableDeltaTransparentChurn(t *testing.T) {
 		Actions: []openflow.Action{openflow.Output(openflow.ControllerPort)},
 	}
 	base := []openflow.FlowEntry{fwdEntry(100, 0x0A000001, 2)}
-	if d := tableDelta(base, append([]openflow.FlowEntry{intercept}, base...), defaultDeltaTermCap); !d.Space.IsEmpty() {
+	if d := tableDelta(base, append([]openflow.FlowEntry{intercept}, base...)); !d.Space.IsEmpty() {
 		t.Fatalf("transparent entry churn produced delta %v", d)
 	}
 	// Not a shadower: an insert below the interception rule still deltas.
 	withIntercept := append([]openflow.FlowEntry{intercept}, base...)
 	ins := append(append([]openflow.FlowEntry(nil), withIntercept...), fwdEntry(10, 0x0A000009, 1))
-	if d := tableDelta(withIntercept, ins, defaultDeltaTermCap); !d.Space.Overlaps(ipSpace(0x0A000009)) {
+	if d := tableDelta(withIntercept, ins); !d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("transparent entry wrongly shadowed the delta: %v", d)
 	}
 }
@@ -277,7 +277,7 @@ func TestTableDeltaEqualPriorityReorder(t *testing.T) {
 	r2 := fwdEntry(100, 0x0A000009, 2)
 	d := tableDelta(
 		[]openflow.FlowEntry{r1, r2},
-		[]openflow.FlowEntry{r2, r1}, defaultDeltaTermCap)
+		[]openflow.FlowEntry{r2, r1})
 	if !d.Space.Overlaps(ipSpace(0x0A000009)) {
 		t.Fatalf("equal-priority reorder produced no delta: %v", d)
 	}
@@ -287,26 +287,26 @@ func TestEventDelta(t *testing.T) {
 	base := []openflow.FlowEntry{fwdEntry(200, 0x0A000009, 2), fwdEntry(100, 0x0A000001, 2)}
 	// Added, fully shadowed.
 	d := eventDelta(base, &openflow.FlowMonitorReply{
-		Kind: openflow.FlowEventAdded, Entry: fwdEntry(10, 0x0A000009, 1)}, defaultDeltaTermCap)
+		Kind: openflow.FlowEventAdded, Entry: fwdEntry(10, 0x0A000009, 1)})
 	if !d.Space.IsEmpty() {
 		t.Fatalf("shadowed add event produced delta %v", d)
 	}
 	// Added, unshadowed.
 	d = eventDelta(base, &openflow.FlowMonitorReply{
-		Kind: openflow.FlowEventAdded, Entry: fwdEntry(10, 0x0A000077, 1)}, defaultDeltaTermCap)
+		Kind: openflow.FlowEventAdded, Entry: fwdEntry(10, 0x0A000077, 1)})
 	if !d.Space.Overlaps(ipSpace(0x0A000077)) {
 		t.Fatalf("add event delta %v misses the new rule", d)
 	}
 	// Removed.
 	d = eventDelta(base, &openflow.FlowMonitorReply{
-		Kind: openflow.FlowEventRemoved, Entry: base[1]}, defaultDeltaTermCap)
+		Kind: openflow.FlowEventRemoved, Entry: base[1]})
 	if !d.Space.Overlaps(ipSpace(0x0A000001)) {
 		t.Fatalf("remove event delta %v misses the removed rule", d)
 	}
 	// Modified in place (same priority+match, new actions).
 	mod := fwdEntry(100, 0x0A000001, 3)
 	d = eventDelta(base, &openflow.FlowMonitorReply{
-		Kind: openflow.FlowEventModified, Entry: mod}, defaultDeltaTermCap)
+		Kind: openflow.FlowEventModified, Entry: mod})
 	if !d.Space.Overlaps(ipSpace(0x0A000001)) {
 		t.Fatalf("modify event delta %v misses the modified rule", d)
 	}
@@ -369,16 +369,16 @@ func verdictVector(c *Controller) []string {
 }
 
 // TestDeltaDispatchDifferential replays one deterministic event script on
-// two identically configured controllers — one dispatching at rule-delta
-// granularity (the default), one forced to per-switch granularity (the
-// PR 3 reference) — and asserts the full verdict vector (violated bit AND
-// detail string) is identical after every step: the overlap filter only
-// ever skips evaluations whose outcome provably cannot change.
+// two identically configured controllers — one running the incremental
+// engine, one re-evaluating every invariant from scratch after every step
+// (RevalidateAll, the exhaustive reference) — and asserts the full verdict
+// vector (violated bit AND detail string) is identical after every step:
+// index dispatch and the overlap filter only ever skip evaluations whose
+// outcome provably cannot change.
 func TestDeltaDispatchDifferential(t *testing.T) {
 	const n = 8
 	cDelta, aps, _ := deltaTestController(t, n)
 	cRef, _, _ := deltaTestController(t, n)
-	cRef.SetRecheckTuning(RecheckTuning{PerSwitchDispatch: true})
 
 	topo := cDelta.topo
 	mkTable := func(sw int, extra ...openflow.FlowEntry) []openflow.FlowEntry {
@@ -417,29 +417,27 @@ func TestDeltaDispatchDifferential(t *testing.T) {
 		seq := seqs[st.sw] + 1 // initial prime used seq 1
 		for _, c := range []*Controller{cDelta, cRef} {
 			c.snap.replaceState(topology.SwitchID(st.sw), st.table, nil, nil, seq, false)
-			c.RecheckNow()
 		}
+		cDelta.RecheckNow()
+		cRef.RevalidateAll()
 		dv, rv := verdictVector(cDelta), verdictVector(cRef)
 		if len(dv) != len(rv) {
 			t.Fatalf("step %d: vector sizes %d vs %d", si, len(dv), len(rv))
 		}
 		for i := range dv {
 			if dv[i] != rv[i] {
-				t.Fatalf("step %d: verdict diverged\n  delta:      %s\n  per-switch: %s", si, dv[i], rv[i])
+				t.Fatalf("step %d: verdict diverged\n  incremental: %s\n  exhaustive:  %s", si, dv[i], rv[i])
 			}
 		}
 	}
-	// The delta engine must actually have skipped work the per-switch
-	// engine did, or the experiment is vacuous.
+	// The incremental engine must actually have skipped work the reference
+	// did, or the experiment is vacuous.
 	dst, rst := cDelta.SubscriptionStats(), cRef.SubscriptionStats()
 	if dst.DeltaSkipped == 0 {
 		t.Errorf("delta engine skipped nothing: %+v", dst)
 	}
 	if dst.Evaluated >= rst.Evaluated {
-		t.Errorf("delta engine evaluated %d >= per-switch %d", dst.Evaluated, rst.Evaluated)
-	}
-	if rst.DeltaSkipped != 0 {
-		t.Errorf("per-switch reference delta-skipped %d, want 0", rst.DeltaSkipped)
+		t.Errorf("incremental engine evaluated %d >= exhaustive reference %d", dst.Evaluated, rst.Evaluated)
 	}
 }
 
@@ -593,7 +591,7 @@ func TestDeltaPortRefinement(t *testing.T) {
 	}
 
 	// Single restricted rule: exact port refinement.
-	d := deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009)}, nil, defaultDeltaTermCap)
+	d := deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009)}, nil)
 	if len(d.Ports) != 1 || d.Ports[0] != 3 {
 		t.Fatalf("single restricted rule delta ports = %v, want [3]", d.Ports)
 	}
@@ -602,7 +600,7 @@ func TestDeltaPortRefinement(t *testing.T) {
 	}
 
 	// Two restricted rules: port union.
-	d = deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009), inPortEntry(5, 0x0A000010)}, nil, defaultDeltaTermCap)
+	d = deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009), inPortEntry(5, 0x0A000010)}, nil)
 	if len(d.Ports) != 2 {
 		t.Fatalf("two restricted rules delta ports = %v, want two entries", d.Ports)
 	}
@@ -613,7 +611,7 @@ func TestDeltaPortRefinement(t *testing.T) {
 		{inPortEntry(3, 0x0A000009), fwdEntry(50, 0x0A000010, 1)},
 		{fwdEntry(50, 0x0A000010, 1), inPortEntry(3, 0x0A000009)},
 	} {
-		if d := deltaOf(changed, nil, defaultDeltaTermCap); d.Ports != nil {
+		if d := deltaOf(changed, nil); d.Ports != nil {
 			t.Fatalf("unrestricted rule left port refinement %v, want any-port", d.Ports)
 		}
 	}
@@ -621,7 +619,7 @@ func TestDeltaPortRefinement(t *testing.T) {
 	// Exact-slice dispatch: a footprint whose slice at the switch entered
 	// on port 7 is disjoint from a port-3 delta even when the header spaces
 	// overlap; the same slice on port 3 is invalidated.
-	d = deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009)}, nil, defaultDeltaTermCap)
+	d = deltaOf([]openflow.FlowEntry{inPortEntry(3, 0x0A000009)}, nil)
 	deltas := map[headerspace.NodeID]headerspace.Delta{5: d}
 	miss := headerspace.NewFootprint()
 	miss.AddSliceAt(5, ipSpace(0x0A000009), 7)

@@ -63,9 +63,6 @@ type snapshotStore struct {
 	// empty delta (fully shadowed insert, meter-only change, interception-
 	// rule churn) dispatches no re-verification at all.
 	deltas map[topology.SwitchID]headerspace.Delta
-	// deltaCap bounds the union-term count of one accumulated delta
-	// (defaultDeltaTermCap unless tuned via RecheckTuning.DeltaTermCap).
-	deltaCap int
 
 	// Compiled-network cache. Guarded by mu; the cached *Network itself is
 	// immutable once published and safe for concurrent readers.
@@ -84,14 +81,13 @@ func newSnapshotStore() *snapshotStore {
 		seq:      make(map[topology.SwitchID]uint64),
 		gen:      make(map[topology.SwitchID]uint64),
 		deltas:   make(map[topology.SwitchID]headerspace.Delta),
-		deltaCap: defaultDeltaTermCap,
 		compiled: make(map[topology.SwitchID]compiledSwitch),
 	}
 }
 
 // accumulateDeltaLocked folds one change's header-space delta into the
 // switch's pending delta, collapsing to the full space past the term cap
-// (conservative: equivalent to per-switch dispatch). Callers hold s.mu.
+// (conservative: every invariant in the bucket re-runs). Callers hold s.mu.
 func (s *snapshotStore) accumulateDeltaLocked(sw topology.SwitchID, d headerspace.Delta) {
 	cur, ok := s.deltas[sw]
 	if !ok {
@@ -99,24 +95,13 @@ func (s *snapshotStore) accumulateDeltaLocked(sw topology.SwitchID, d headerspac
 		return
 	}
 	merged := cur.Space.Union(d.Space)
-	if merged.Size() > s.deltaCap {
+	if merged.Size() > deltaTermCap {
 		merged = headerspace.FullSpace(wire.HeaderWidth)
 	}
 	s.deltas[sw] = headerspace.Delta{
 		Space: merged,
 		Ports: headerspace.MergeDeltaPorts(cur.Ports, d.Ports),
 	}
-}
-
-// setDeltaCap tunes the per-switch delta term cap (<=0 restores the
-// default).
-func (s *snapshotStore) setDeltaCap(n int) {
-	s.mu.Lock()
-	if n <= 0 {
-		n = defaultDeltaTermCap
-	}
-	s.deltaCap = n
-	s.mu.Unlock()
 }
 
 // bumpLocked records a state change on sw. Callers hold s.mu.
@@ -235,7 +220,7 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 	case !seen || (ports != nil && !portsEqual(s.ports[sw], ports)):
 		s.accumulateDeltaLocked(sw, headerspace.Delta{Space: headerspace.FullSpace(wire.HeaderWidth)})
 	default:
-		s.accumulateDeltaLocked(sw, tableDelta(s.tables[sw], entries, s.deltaCap))
+		s.accumulateDeltaLocked(sw, tableDelta(s.tables[sw], entries))
 	}
 	s.tables[sw] = append([]openflow.FlowEntry(nil), entries...)
 	if ports != nil {
@@ -333,7 +318,7 @@ func (s *snapshotStore) applyEvent(sw topology.SwitchID, ev *openflow.FlowMonito
 		return capture{}, false, false
 	}
 	s.seq[sw] = ev.Seq
-	s.accumulateDeltaLocked(sw, eventDelta(s.tables[sw], ev, s.deltaCap))
+	s.accumulateDeltaLocked(sw, eventDelta(s.tables[sw], ev))
 	s.bumpLocked(sw)
 	switch ev.Kind {
 	case openflow.FlowEventAdded:

@@ -37,8 +37,8 @@ import (
 //
 // Re-verification stays incremental and indexed: an applied event dirties
 // exactly the switches whose per-switch generation advanced; the pass
-// assembled here (recheckSubscriptions) carries the dirty set and its
-// drained per-switch rule deltas — refined with ingress-port restrictions
+// assembled here (recheckSubscriptions) carries the dirty switches' drained
+// per-switch rule deltas — refined with ingress-port restrictions
 // when every changed rule carries one — and the fleet fans it only to the
 // instances owning an affected index bucket.
 
@@ -59,14 +59,12 @@ type SubscriptionStats struct {
 	// footprint missed the dirty set.
 	Revalidated uint64
 	// IndexDispatched counts invariants dispatched through the inverted
-	// switch → subscriptions index (zero when the legacy linear scan is
-	// forced).
+	// switch → subscriptions index.
 	IndexDispatched uint64
 	// DeltaSkipped counts invariants that sat in a dirty switch's index
 	// bucket but were revalidated for free because their recorded traversal
 	// slice at every dirty switch was disjoint from the change's
-	// header-space delta (rule-delta dispatch; zero when per-switch
-	// dispatch is forced).
+	// header-space delta.
 	DeltaSkipped uint64
 	// VerdictQueries counts served SubOpQueryVerdict requests (on-demand
 	// current-verdict reads).
@@ -91,41 +89,12 @@ type SubscriptionStats struct {
 	// cone evaluations re-run versus served from the cone cache.
 	IsoPointsSwept  uint64
 	IsoPointsReused uint64
-	// VerifierInstances is the fleet size; InstanceDispatches/FleetPasses
-	// count indexed passes and the instances they visited, so
-	// InstanceDispatches/FleetPasses is the per-event fleet confinement
-	// ratio (1.0 when every pass touches one instance).
-	VerifierInstances  int
+	// InstanceDispatches/FleetPasses count indexed passes and the fleet
+	// instances they visited, so InstanceDispatches/FleetPasses is the
+	// per-event fleet confinement ratio (1.0 when every pass touches one
+	// instance).
 	FleetPasses        uint64
 	InstanceDispatches uint64
-}
-
-// RecheckTuning controls the recheck engine's dispatch strategy and
-// evaluation fan-out. Experiments use it for ablations; production
-// deployments keep the zero value (indexed dispatch, GOMAXPROCS workers).
-type RecheckTuning struct {
-	// Parallelism is the worker count one recheck pass fans independent
-	// invariant evaluations across; <= 0 means GOMAXPROCS.
-	Parallelism int
-	// LegacyScan restores the pre-sharding engine for comparison: a linear
-	// footprint scan over every subscription, sequential evaluation, and
-	// full isolation sweeps (no cone cache exploitation).
-	LegacyScan bool
-	// PerSwitchDispatch restores switch-granularity dirty dispatch (the
-	// PR 3 engine, kept as the differential reference): every invariant in
-	// a dirty switch's index bucket re-runs, without the footprint-slice ∩
-	// rule-delta overlap filter. Verdicts are identical either way — the
-	// filter only skips evaluations whose outcome provably cannot change.
-	PerSwitchDispatch bool
-	// FootprintTermCap bounds the per-switch union-term count of recorded
-	// footprints before a slice collapses to the full header space
-	// (process-global; see headerspace.SetFootprintTermCap). 0 leaves the
-	// current cap unchanged; negative restores the default.
-	FootprintTermCap int
-	// DeltaTermCap bounds the union-term count of one switch's accumulated
-	// rule delta before it collapses to the full header space. 0 leaves
-	// the current cap unchanged; negative restores the default.
-	DeltaTermCap int
 }
 
 // SubscriptionInfo is a read-only snapshot of one standing invariant.
@@ -150,8 +119,8 @@ type SubscriptionInfo struct {
 // domain half of the engine (invariant evaluation, commit fan-out).
 type verifierEnv struct{ c *Controller }
 
-func (ve verifierEnv) Evaluate(net *headerspace.Network, sub *verifier.Subscription, dirty []headerspace.NodeID, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
-	return ve.c.evaluateInvariant(net, sub, dirty, deltas, fullSweep, pooled)
+func (ve verifierEnv) Evaluate(net *headerspace.Network, sub *verifier.Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
+	return ve.c.evaluateInvariant(net, sub, deltas, fullSweep, pooled)
 }
 
 func (ve verifierEnv) Commit(t verifier.Transition) { ve.c.onVerifierCommit(t) }
@@ -191,24 +160,8 @@ func (c *Controller) SubscriptionStats() SubscriptionStats {
 		NotificationsDropped: c.svcStats.notificationsDrop.Load(),
 		IsoPointsSwept:       fs.IsoPointsSwept,
 		IsoPointsReused:      fs.IsoPointsReused,
-		VerifierInstances:    fs.Instances,
 		FleetPasses:          fs.Passes,
 		InstanceDispatches:   fs.InstanceDispatches,
-	}
-}
-
-// SetRecheckTuning adjusts the recheck engine's dispatch strategy,
-// worker-pool width and approximation caps at runtime (safe concurrently
-// with passes: the next pass observes the new tuning).
-func (c *Controller) SetRecheckTuning(t RecheckTuning) {
-	c.fleet.SetParallelism(t.Parallelism)
-	c.fleet.SetLegacyScan(t.LegacyScan)
-	c.fleet.SetPerSwitchDispatch(t.PerSwitchDispatch)
-	if t.FootprintTermCap != 0 {
-		headerspace.SetFootprintTermCap(t.FootprintTermCap)
-	}
-	if t.DeltaTermCap != 0 {
-		c.snap.setDeltaCap(t.DeltaTermCap)
 	}
 }
 
@@ -293,16 +246,15 @@ func (c *Controller) unsubscribeByNonce(clientID, nonce uint64) (uint64, bool) {
 
 // evaluateInvariant runs one standing invariant against the compiled
 // network, capturing the footprint for future incremental revalidation.
-// dirty is the current pass's dirty switch set; deltas (nil under
-// per-switch dispatch, RevalidateAll and the legacy ablation) refines it
-// with each dirty switch's rule-delta header space and ingress ports.
-// fullSweep forces from-scratch evaluation (registration, RevalidateAll,
-// legacy mode) — isolation invariants otherwise re-sweep only the
-// injection points whose cached cone was dirtied (isolation.go). pooled
+// deltas maps the current pass's dispatched switches to their rule-delta
+// header space and ingress ports (nil at registration and under
+// RevalidateAll). fullSweep forces from-scratch evaluation (registration,
+// RevalidateAll, restore) — isolation invariants otherwise re-sweep only
+// the injection points whose cached cone was dirtied (isolation.go). pooled
 // marks evaluation inside a multi-worker pass, where isolation sweeps must
 // not nest a second fan-out. Called with the owning instance's run lock
 // held (directly or from a pass's worker pool).
-func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.Subscription, dirty []headerspace.NodeID, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
+func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
 	space := scopeSpace(sub.Constraints)
 	at, port := headerspace.NodeID(sub.Anchor.Switch), headerspace.PortID(sub.Anchor.Port)
 	switch sub.Kind {
@@ -314,7 +266,7 @@ func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.S
 		}
 		return verifier.Verdict{Detail: fmt.Sprintf("%d reachable endpoint(s)", len(eps)), FP: fp}
 	case wire.QueryIsolation:
-		return c.evaluateIsolation(net, sub, dirty, deltas, fullSweep, pooled)
+		return c.evaluateIsolation(net, sub, deltas, fullSweep, pooled)
 	case wire.QueryPathLength:
 		results, fp := net.ReachFootprint(at, port, space, headerspace.ReachOptions{KeepLoops: true})
 		violated, detail := pathLengthVerdict(results, sub.Bound)
@@ -458,7 +410,7 @@ func (c *Controller) trySendPacketOut(sw topology.SwitchID, outPort topology.Por
 // evalWorkers resolves the configured evaluation fan-out (GOMAXPROCS by
 // default).
 func (c *Controller) evalWorkers() int {
-	workers := c.fleet.Parallelism()
+	workers := c.cfg.RecheckParallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -474,8 +426,9 @@ func (c *Controller) evalWorkers() int {
 func (c *Controller) RecheckNow() { c.recheckSubscriptions(false) }
 
 // RevalidateAll re-evaluates every standing invariant from scratch,
-// ignoring footprints — the naive re-query baseline the E12 experiment
-// compares incremental re-verification against.
+// ignoring footprints and cone caches: the exhaustive reference every
+// differential (campaign oracle, E12–E14, rvbench's end-of-run gate)
+// compares the incremental engine against.
 func (c *Controller) RevalidateAll() { c.recheckSubscriptions(true) }
 
 // recheckSubscriptions assembles one re-verification pass and hands it to
@@ -501,41 +454,32 @@ func (c *Controller) recheckSubscriptions(force bool) {
 		return
 	}
 
-	legacy := c.fleet.LegacyScan()
-	perSwitch := c.fleet.PerSwitchDispatch() || force || legacy
-	// deltaByNode maps each dirty switch to its pending rule delta. Dirty
-	// switches whose delta is semantically empty — a fully shadowed insert,
-	// meter-only churn, interception-rule churn — are dropped from dispatch
-	// entirely: no packet's forwarding behavior changed, so no invariant
-	// can flip. A dirty switch with no drained delta (engine attached after
-	// store churn) conservatively widens to the full header space on any
-	// port.
+	// Each dirty switch maps to its pending rule delta. Dirty switches whose
+	// delta is semantically empty — a fully shadowed insert, meter-only
+	// churn, interception-rule churn — are dropped from dispatch entirely:
+	// no packet's forwarding behavior changed, so no invariant can flip. A
+	// dirty switch with no drained delta (engine attached after store churn)
+	// conservatively widens to the full header space on any port. A forced
+	// pass consults no delta at all.
 	var deltaByNode map[headerspace.NodeID]headerspace.Delta
-	dispatch := dirty
-	if !perSwitch {
+	if !force {
 		deltaByNode = make(map[headerspace.NodeID]headerspace.Delta, len(dirty))
-		dispatch = make([]headerspace.NodeID, 0, len(dirty))
 		for _, n := range dirty {
 			d, ok := deltas[topology.SwitchID(n)]
 			if !ok {
 				d = headerspace.Delta{Space: headerspace.FullSpace(wire.HeaderWidth)}
 			}
-			if d.Space.IsEmpty() {
-				continue
+			if !d.Space.IsEmpty() {
+				deltaByNode[n] = d
 			}
-			deltaByNode[n] = d
-			dispatch = append(dispatch, n)
 		}
 	}
 
 	c.fleet.Run(verifier.Pass{
-		Build:    c.passBuild,
-		Dirty:    dirty,
-		Deltas:   deltaByNode,
-		Dispatch: dispatch,
-		Force:    force,
-		Legacy:   legacy,
-		Workers:  c.evalWorkers(),
+		Build:   c.passBuild,
+		Deltas:  deltaByNode,
+		Force:   force,
+		Workers: c.evalWorkers(),
 	})
 }
 

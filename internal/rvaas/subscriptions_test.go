@@ -158,8 +158,10 @@ func TestIncrementalRecheckSkipsUntouchedInvariants(t *testing.T) {
 	if evaluated != 0 {
 		t.Errorf("evaluated %d invariants after an irrelevant change, want 0 of %d (rule-delta dispatch)", evaluated, nSubs)
 	}
-	if skipped := after.DeltaSkipped - before.DeltaSkipped; skipped == 0 {
-		t.Error("no invariant was delta-skipped: the dirty bucket should have been filtered")
+	// The dirty bucket — the invariant(s) whose footprint ends at the
+	// churned switch — was dispatched through the index and filtered.
+	if skipped := after.DeltaSkipped - before.DeltaSkipped; skipped == 0 || skipped > 2 {
+		t.Errorf("delta-skipped %d invariants, want the 1..2 of %d in the dirty bucket", skipped, nSubs)
 	}
 	if revalidated < uint64(nSubs-1) {
 		t.Errorf("revalidated = %d, want >= %d free revalidations", revalidated, nSubs-1)
@@ -167,19 +169,6 @@ func TestIncrementalRecheckSkipsUntouchedInvariants(t *testing.T) {
 	// No verdict flipped: the churn rule touches unrelated traffic only.
 	if after.Violations != before.Violations {
 		t.Errorf("spurious violations: %+v", after)
-	}
-
-	// Per-switch dispatch (the PR 3 reference) re-runs every invariant in
-	// the dirty switch's bucket: the one(s) whose footprint ends there.
-	d.RVaaS.SetRecheckTuning(rvaas.RecheckTuning{PerSwitchDispatch: true})
-	before = d.RVaaS.SubscriptionStats()
-	d.Fabric.Switch(last).RemoveDirect(churn)
-	settle(t, d)
-	after = d.RVaaS.SubscriptionStats()
-	d.RVaaS.SetRecheckTuning(rvaas.RecheckTuning{})
-	evaluated = after.Evaluated - before.Evaluated
-	if evaluated == 0 || evaluated > 2 {
-		t.Errorf("per-switch dispatch evaluated %d invariants, want 1..2 of %d", evaluated, nSubs)
 	}
 
 	// Naive baseline re-evaluates everything.

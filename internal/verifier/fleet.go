@@ -10,54 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Placement selects the owning instance for a subscription.
-type Placement int
-
-const (
-	// PlaceFootprint (the default) keys anchor-rooted invariants by their
-	// anchor switch: the footprint of a reachability/path-length/waypoint
-	// invariant is the reachability cone rooted there, so invariants
-	// sharing a root share index buckets and a single-switch event
-	// dispatches to few instances. Isolation invariants sweep the whole
-	// fabric (every injection point), so no switch key confines them;
-	// they spread by id to balance load.
-	PlaceFootprint Placement = iota
-	// PlaceRendezvous hashes the subscription id alone — uniform spread,
-	// no locality. The ablation arm for E18.
-	PlaceRendezvous
-)
-
-// ParsePlacement maps the labspec/admin policy names.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "", "footprint":
-		return PlaceFootprint, nil
-	case "rendezvous":
-		return PlaceRendezvous, nil
-	default:
-		return 0, fmt.Errorf("verifier: unknown placement policy %q", s)
-	}
-}
-
-func (p Placement) String() string {
-	switch p {
-	case PlaceFootprint:
-		return "footprint"
-	case PlaceRendezvous:
-		return "rendezvous"
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
-
 // Config parameterizes a fleet.
 type Config struct {
 	// Instances is the verifier count (<=0 selects 1).
 	Instances int
-	Placement Placement
-	// Parallelism bounds the evaluation fan-out per pass across the whole
-	// fleet (0 = GOMAXPROCS at pass time).
-	Parallelism int
 }
 
 // maxSeenNoncesPerClient bounds the per-client replay window, matching
@@ -86,11 +42,6 @@ type Fleet struct {
 	ownerMu sync.RWMutex
 	owner   map[uint64]int
 
-	placement   atomic.Int64
-	parallelism atomic.Int64
-	legacyScan  atomic.Bool
-	perSwitch   atomic.Bool
-
 	// Pass-level accounting. The pre-fleet engine counted a recheck pass
 	// (and credited revalidated-for-free) whenever any subscription was
 	// active, even if no index bucket matched — only the fleet sees every
@@ -116,8 +67,6 @@ func New(cfg Config, env Env) *Fleet {
 	for i := 0; i < n; i++ {
 		f.instances = append(f.instances, NewInstance(i, env))
 	}
-	f.placement.Store(int64(cfg.Placement))
-	f.parallelism.Store(int64(cfg.Parallelism))
 	return f
 }
 
@@ -126,34 +75,6 @@ func (f *Fleet) Size() int { return len(f.instances) }
 
 // Instance returns instance i (for tests and the differential harness).
 func (f *Fleet) Instance(i int) *Instance { return f.instances[i] }
-
-// SetPlacement switches the placement policy for subsequent registrations
-// (existing placements move only on Rebalance).
-func (f *Fleet) SetPlacement(p Placement) { f.placement.Store(int64(p)) }
-
-// GetPlacement returns the active placement policy.
-func (f *Fleet) GetPlacement() Placement { return Placement(f.placement.Load()) }
-
-// SetParallelism bounds the per-pass evaluation fan-out (0 restores
-// GOMAXPROCS).
-func (f *Fleet) SetParallelism(n int) { f.parallelism.Store(int64(n)) }
-
-// Parallelism returns the configured fan-out bound.
-func (f *Fleet) Parallelism() int { return int(f.parallelism.Load()) }
-
-// SetLegacyScan toggles the pre-sharding ablation (linear scan,
-// sequential evaluation, full sweeps).
-func (f *Fleet) SetLegacyScan(on bool) { f.legacyScan.Store(on) }
-
-// LegacyScan reports the ablation toggle.
-func (f *Fleet) LegacyScan() bool { return f.legacyScan.Load() }
-
-// SetPerSwitchDispatch disables rule-delta overlap filtering (every
-// invariant in a dirty index bucket re-runs).
-func (f *Fleet) SetPerSwitchDispatch(on bool) { f.perSwitch.Store(on) }
-
-// PerSwitchDispatch reports the dispatch ablation toggle.
-func (f *Fleet) PerSwitchDispatch() bool { return f.perSwitch.Load() }
 
 // mix64 is the splitmix64 finalizer: the avalanche step of the rendezvous
 // hash.
@@ -179,22 +100,22 @@ func (f *Fleet) rendezvous(key uint64) int {
 	return best
 }
 
-// place computes the owning instance for a subscription under the active
-// policy.
+// place computes the owning instance for a subscription — a pure
+// function of kind, id, anchor switch and fleet size. Anchor-rooted
+// invariants key by their anchor switch: the footprint of a
+// reachability/path-length/waypoint invariant is the reachability cone
+// rooted there, so invariants sharing a root share index buckets and a
+// single-switch event dispatches to few instances. Isolation invariants
+// sweep the whole fabric (every injection point), so no switch key
+// confines them; they spread by id to balance load.
 func (f *Fleet) place(sub *Subscription) int {
 	if len(f.instances) == 1 {
 		return 0
 	}
-	switch Placement(f.placement.Load()) {
-	case PlaceFootprint:
-		if sub.Kind == wire.QueryIsolation {
-			// Full-space cone: no anchor switch confines its footprint.
-			return f.rendezvous(mix64(sub.ID))
-		}
-		return f.rendezvous(uint64(sub.Anchor.Switch))
-	default:
+	if sub.Kind == wire.QueryIsolation {
 		return f.rendezvous(mix64(sub.ID))
 	}
+	return f.rendezvous(uint64(sub.Anchor.Switch))
 }
 
 func (f *Fleet) setOwner(id uint64, inst int) {
@@ -333,10 +254,10 @@ func buildOnce(build func() (*headerspace.Network, uint64)) func() (*headerspace
 	}
 }
 
-// Run fans one re-verification pass to the owning instances. Instance
-// selection: Force/Legacy passes (and pending restores) visit every
-// instance; indexed passes visit only instances owning at least one
-// dispatch switch's bucket. Returns the number of invariants evaluated.
+// Run fans one re-verification pass to the owning instances. A Force pass
+// visits every instance; an indexed pass visits only the instances owning
+// at least one dispatch switch's bucket (or holding pending restores).
+// Returns the number of invariants evaluated.
 func (f *Fleet) Run(p Pass) int {
 	totalActive := uint64(0)
 	for _, ins := range f.instances {
@@ -347,23 +268,14 @@ func (f *Fleet) Run(p Pass) int {
 	}
 	f.rechecks.Add(1)
 
-	p.Legacy = p.Legacy || f.legacyScan.Load()
-	if f.perSwitch.Load() {
-		p.Deltas = nil
-	}
-	if p.Workers <= 0 {
-		if n := int(f.parallelism.Load()); n > 0 {
-			p.Workers = n
-		}
-	}
 	p.Build = buildOnce(p.Build)
 
 	var selected []*Instance
-	if p.Force || p.Legacy {
+	if p.Force {
 		selected = f.instances
 	} else {
 		for _, ins := range f.instances {
-			if ins.HasPendingRestore() || ins.OwnsAny(p.Dispatch) {
+			if ins.HasPendingRestore() || ins.OwnsAny(p.Deltas) {
 				selected = append(selected, ins)
 			}
 		}
@@ -372,33 +284,27 @@ func (f *Fleet) Run(p Pass) int {
 	}
 
 	var evaluated uint64
-	if len(selected) > 0 {
+	if len(selected) == 1 {
+		evaluated = uint64(selected[0].ApplyDeltas(p))
+	} else if len(selected) > 1 {
 		perInstance := p
-		if p.Workers > 0 && len(selected) > 1 && !p.Legacy {
+		if p.Workers > 0 {
 			perInstance.Workers = p.Workers / len(selected)
 			if perInstance.Workers < 1 {
 				perInstance.Workers = 1
 			}
 		}
-		if p.Legacy || len(selected) == 1 {
-			// The legacy ablation reproduces the single sequential engine;
-			// running instances concurrently would not.
-			for _, ins := range selected {
-				evaluated += uint64(ins.ApplyDeltas(perInstance))
-			}
-		} else {
-			var wg sync.WaitGroup
-			var total atomic.Uint64
-			for _, ins := range selected {
-				wg.Add(1)
-				go func(ins *Instance) {
-					defer wg.Done()
-					total.Add(uint64(ins.ApplyDeltas(perInstance)))
-				}(ins)
-			}
-			wg.Wait()
-			evaluated = total.Load()
+		var wg sync.WaitGroup
+		var total atomic.Uint64
+		for _, ins := range selected {
+			wg.Add(1)
+			go func(ins *Instance) {
+				defer wg.Done()
+				total.Add(uint64(ins.ApplyDeltas(perInstance)))
+			}(ins)
 		}
+		wg.Wait()
+		evaluated = total.Load()
 	}
 	if totalActive > evaluated {
 		f.revalidated.Add(totalActive - evaluated)
@@ -409,10 +315,10 @@ func (f *Fleet) Run(p Pass) int {
 // InstancesOwning returns the indices of instances whose index holds any
 // of the given dispatch switches — the bound E18 asserts dispatch
 // confinement against.
-func (f *Fleet) InstancesOwning(nodes []headerspace.NodeID) []int {
+func (f *Fleet) InstancesOwning(deltas map[headerspace.NodeID]headerspace.Delta) []int {
 	var out []int
 	for i, ins := range f.instances {
-		if ins.OwnsAny(nodes) {
+		if ins.OwnsAny(deltas) {
 			out = append(out, i)
 		}
 	}
@@ -481,7 +387,6 @@ func (f *Fleet) ResumeSlice(clientID, sessionID uint64) []SubState {
 // accounting.
 type FleetStats struct {
 	Instances int
-	Placement string
 
 	Active         int
 	Violated       int
@@ -515,7 +420,6 @@ type FleetStats struct {
 func (f *Fleet) Stats() FleetStats {
 	st := FleetStats{
 		Instances:          len(f.instances),
-		Placement:          f.GetPlacement().String(),
 		Rechecks:           f.rechecks.Load(),
 		Revalidated:        f.revalidated.Load(),
 		Passes:             f.passes.Load(),
@@ -567,52 +471,6 @@ func (f *Fleet) ShardStats() []ShardInfo {
 		}
 	}
 	return out
-}
-
-// Rebalance re-places every standing invariant under the active policy,
-// moving subscriptions (with their full verdict, footprint and cone
-// state) between instances. Returns the number moved. Runs with every
-// instance's run lock held, so no pass or registration interleaves.
-func (f *Fleet) Rebalance() int {
-	for _, ins := range f.instances {
-		ins.runMu.Lock()
-	}
-	defer func() {
-		for _, ins := range f.instances {
-			ins.runMu.Unlock()
-		}
-	}()
-
-	moved := 0
-	for from, ins := range f.instances {
-		for si := range ins.shards {
-			sh := &ins.shards[si]
-			sh.mu.Lock()
-			var moving []*Subscription
-			for _, sub := range sh.subs {
-				if f.place(sub) != from {
-					moving = append(moving, sub)
-				}
-			}
-			for _, sub := range moving {
-				delete(sh.subs, sub.ID)
-				ins.indexRemove(sub, sub.FP.Nodes())
-			}
-			sh.mu.Unlock()
-			for _, sub := range moving {
-				to := f.place(sub)
-				dst := f.instances[to]
-				dsh := dst.shardFor(sub.ID)
-				dsh.mu.Lock()
-				dsh.subs[sub.ID] = sub
-				dst.indexAdd(sub, sub.FP.Nodes())
-				dsh.mu.Unlock()
-				f.setOwner(sub.ID, to)
-				moved++
-			}
-		}
-	}
-	return moved
 }
 
 // CheckConsistency verifies the engine's cross-structure invariants: the

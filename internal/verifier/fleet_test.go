@@ -12,24 +12,29 @@ import (
 )
 
 // fakeEnv is a deterministic host: an invariant anchored at switch s is
-// violated iff s is in the violated set, and its footprint is {s, s+100}
-// (the second node models a downstream switch the reachability cone
-// traverses).
+// violated iff s or s+100 is in the violated set, and its footprint is
+// {s, s+100} (the second node models a downstream switch the reachability
+// cone traverses). underRecord drops s+100 from the footprint while the
+// verdict keeps depending on it — the evaluator bug the exhaustive
+// reference exists to catch.
 type fakeEnv struct {
 	mu          sync.Mutex
 	violated    map[topology.SwitchID]bool
+	underRecord bool
 	evaluations int
 	transitions []Transition
 }
 
-func (e *fakeEnv) Evaluate(net *headerspace.Network, sub *Subscription, dirty []headerspace.NodeID, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict {
+func (e *fakeEnv) Evaluate(net *headerspace.Network, sub *Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict {
 	e.mu.Lock()
-	bad := e.violated[sub.Anchor.Switch]
+	bad := e.violated[sub.Anchor.Switch] || e.violated[sub.Anchor.Switch+100]
 	e.evaluations++
 	e.mu.Unlock()
 	fp := headerspace.NewFootprint()
 	fp.AddSlice(headerspace.NodeID(sub.Anchor.Switch), headerspace.FullSpace(8))
-	fp.AddSlice(headerspace.NodeID(sub.Anchor.Switch)+100, headerspace.FullSpace(8))
+	if !e.underRecord {
+		fp.AddSlice(headerspace.NodeID(sub.Anchor.Switch)+100, headerspace.FullSpace(8))
+	}
 	detail := "ok"
 	if bad {
 		detail = "violated"
@@ -50,6 +55,11 @@ func (e *fakeEnv) evalCount() int {
 }
 
 func fakeBuild() (*headerspace.Network, uint64) { return nil, 1 }
+
+// changeAt is the rule delta of an unconstrained change on one switch.
+func changeAt(n headerspace.NodeID) map[headerspace.NodeID]headerspace.Delta {
+	return map[headerspace.NodeID]headerspace.Delta{n: {Space: headerspace.FullSpace(8)}}
+}
 
 func mkSub(t *testing.T, client uint64, sw topology.SwitchID) *Subscription {
 	t.Helper()
@@ -81,12 +91,11 @@ func TestPlacementDeterministic(t *testing.T) {
 			t.Fatalf("placement not deterministic: %d then %d", a, got)
 		}
 	}
-	// Same anchor switch → same instance under footprint placement,
-	// regardless of id.
+	// Same anchor switch → same instance, regardless of id.
 	other := mkSub(t, 2, 7)
 	other.ID = 9999
 	if got := f.place(other); got != a {
-		t.Fatalf("footprint placement split anchor switch 7 across instances %d and %d", a, got)
+		t.Fatalf("placement split anchor switch 7 across instances %d and %d", a, got)
 	}
 	// Isolation spreads by id, not anchor.
 	iso, err := NewSubscription(1, Source{}, wire.QueryIsolation, nil, "", Anchor{Switch: 7})
@@ -113,12 +122,7 @@ func TestFleetN1MatchesN4(t *testing.T) {
 		env.mu.Lock()
 		env.violated[5] = true
 		env.mu.Unlock()
-		f.Run(Pass{
-			Build:    fakeBuild,
-			Dirty:    []headerspace.NodeID{5},
-			Dispatch: []headerspace.NodeID{5},
-			Workers:  4,
-		})
+		f.Run(Pass{Build: fakeBuild, Deltas: changeAt(5), Workers: 4})
 		return f.List(), f.Stats()
 	}
 	l1, s1 := run(1)
@@ -145,12 +149,11 @@ func TestDispatchConfinement(t *testing.T) {
 	registerN(t, f, 64)
 	before := env.evalCount()
 
-	dirty := []headerspace.NodeID{5}
-	owning := f.InstancesOwning(dirty)
+	owning := f.InstancesOwning(changeAt(5))
 	if len(owning) == 0 || len(owning) == f.Size() {
 		t.Fatalf("expected a strict subset of instances to own bucket 5, got %v", owning)
 	}
-	f.Run(Pass{Build: fakeBuild, Dirty: dirty, Dispatch: dirty, Workers: 4})
+	f.Run(Pass{Build: fakeBuild, Deltas: changeAt(5), Workers: 4})
 
 	st := f.Stats()
 	if got := int(st.InstanceDispatches); got != len(owning) {
@@ -193,40 +196,6 @@ func TestFleetUnsubscribeAndConsistency(t *testing.T) {
 	}
 	if st := f.Stats(); st.Active != 22 {
 		t.Fatalf("active = %d, want 22", st.Active)
-	}
-}
-
-func TestFleetRebalance(t *testing.T) {
-	f := New(Config{Instances: 4, Placement: PlaceRendezvous}, &fakeEnv{violated: map[topology.SwitchID]bool{}})
-	registerN(t, f, 64)
-	if err := f.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	f.SetPlacement(PlaceFootprint)
-	moved := f.Rebalance()
-	if moved == 0 {
-		t.Fatal("policy switch moved nothing; expected anchors to regroup")
-	}
-	if err := f.CheckConsistency(); err != nil {
-		t.Fatalf("rebalance broke consistency: %v", err)
-	}
-	// Post-rebalance, each anchor switch lives on exactly one instance.
-	perSwitch := make(map[topology.SwitchID]map[int]bool)
-	for _, s := range f.List() {
-		if perSwitch[s.Anchor.Switch] == nil {
-			perSwitch[s.Anchor.Switch] = make(map[int]bool)
-		}
-		perSwitch[s.Anchor.Switch][s.Instance] = true
-	}
-	for sw, insts := range perSwitch {
-		if len(insts) != 1 {
-			t.Fatalf("anchor switch %d spread across %d instances after rebalance", sw, len(insts))
-		}
-	}
-	// Stats survive the move.
-	st := f.Stats()
-	if st.Active != 64 {
-		t.Fatalf("active = %d after rebalance, want 64", st.Active)
 	}
 }
 
@@ -288,7 +257,7 @@ func TestUnsubscribeDuringEvaluationDropsCommit(t *testing.T) {
 	sh.mu.Lock()
 	sh.subs[sub.ID] = sub
 	sh.mu.Unlock()
-	v := env.Evaluate(nil, sub, nil, nil, true, false)
+	v := env.Evaluate(nil, sub, nil, true, false)
 	if !f.Unsubscribe(1, sub.ID) {
 		t.Fatal("unsubscribe failed")
 	}
@@ -347,18 +316,6 @@ func TestTransitionSemantics(t *testing.T) {
 	}
 }
 
-func TestParsePlacement(t *testing.T) {
-	for s, want := range map[string]Placement{"": PlaceFootprint, "footprint": PlaceFootprint, "rendezvous": PlaceRendezvous} {
-		got, err := ParsePlacement(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePlacement(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePlacement("random"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
 func TestRestoreJoinsNextPass(t *testing.T) {
 	env := &fakeEnv{violated: map[topology.SwitchID]bool{}}
 	f := New(Config{Instances: 4}, env)
@@ -379,7 +336,7 @@ func TestRestoreJoinsNextPass(t *testing.T) {
 	// An indexed pass with an unrelated dirty set must still pick up every
 	// restored subscription (their footprints are empty, so only the
 	// pending-restore path can reach them).
-	evaluated := f.Run(Pass{Build: fakeBuild, Dirty: []headerspace.NodeID{99}, Dispatch: []headerspace.NodeID{99}, Workers: 2})
+	evaluated := f.Run(Pass{Build: fakeBuild, Deltas: changeAt(99), Workers: 2})
 	if evaluated != 8 {
 		t.Fatalf("pass evaluated %d, want all 8 restored", evaluated)
 	}
@@ -425,33 +382,40 @@ func TestBuildSharedAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestLegacyScanSequential(t *testing.T) {
-	env := &fakeEnv{violated: map[topology.SwitchID]bool{}}
-	f := New(Config{Instances: 4}, env)
-	registerN(t, f, 32)
-	f.SetLegacyScan(true)
-	before := env.evalCount()
-	// Legacy bypasses the index with a linear footprint scan: same
-	// selection (footprints touching the dirty switch — the two invariants
-	// anchored at 5) reached without bucket lookups.
-	n := f.Run(Pass{Build: fakeBuild, Dirty: []headerspace.NodeID{5}, Dispatch: []headerspace.NodeID{5}, Workers: 8})
-	if n != 2 {
-		t.Fatalf("legacy pass evaluated %d, want the 2 invariants anchored at switch 5", n)
+// TestReferenceCatchesUnderRecordedFootprint pins what makes a Force pass
+// the reference: it consults no recorded footprint. The evaluator here
+// under-records — the verdict depends on a switch the footprint omits —
+// so after a change on that switch the incremental pass (correctly, given
+// the footprint it was handed) skips the invariant, and only the
+// exhaustive pass sees the flip.
+func TestReferenceCatchesUnderRecordedFootprint(t *testing.T) {
+	env := &fakeEnv{violated: map[topology.SwitchID]bool{}, underRecord: true}
+	f := New(Config{Instances: 2}, env)
+	sub := mkSub(t, 1, 5)
+	f.Register(sub, EvalContext{Build: fakeBuild, Workers: 1})
+
+	env.mu.Lock()
+	env.violated[105] = true
+	env.mu.Unlock()
+	if n := f.Run(Pass{Build: fakeBuild, Deltas: changeAt(105), Workers: 1}); n != 0 {
+		t.Fatalf("incremental pass evaluated %d invariants for a switch no footprint records", n)
 	}
-	if env.evalCount()-before != 2 {
-		t.Fatalf("legacy pass ran %d evaluations, want 2", env.evalCount()-before)
+	if s, _ := f.View(sub.ID); s.Violated {
+		t.Fatal("incremental pass flipped a verdict it never evaluated")
 	}
-	st := f.Stats()
-	if st.Passes != 0 {
-		t.Fatalf("legacy pass counted as indexed: %+v", st)
+	f.Run(Pass{Build: fakeBuild, Force: true, Workers: 1})
+	if s, _ := f.View(sub.ID); !s.Violated {
+		t.Fatal("exhaustive reference pass missed a change outside the recorded footprint")
 	}
 }
 
+// TestRendezvousBalance: isolation invariants spread by rendezvous hash of
+// their id; the spread must be near-uniform.
 func TestRendezvousBalance(t *testing.T) {
-	f := New(Config{Instances: 4, Placement: PlaceRendezvous}, &fakeEnv{violated: map[topology.SwitchID]bool{}})
+	f := New(Config{Instances: 4}, &fakeEnv{violated: map[topology.SwitchID]bool{}})
 	counts := make([]int, 4)
 	for id := uint64(1); id <= 4096; id++ {
-		sub := &Subscription{ID: id, Kind: wire.QueryReachableDestinations}
+		sub := &Subscription{ID: id, Kind: wire.QueryIsolation}
 		counts[f.place(sub)]++
 	}
 	for i, c := range counts {
@@ -493,7 +457,7 @@ func TestInstanceStatsShape(t *testing.T) {
 		t.Fatalf("per-instance totals active=%d registered=%d, want 16/16", active, reg)
 	}
 	agg := f.Stats()
-	if agg.Active != 16 || agg.Instances != 3 || agg.Placement != "footprint" {
+	if agg.Active != 16 || agg.Instances != 3 {
 		t.Fatalf("aggregate stats wrong: %+v", agg)
 	}
 	if agg.Violated == 0 {

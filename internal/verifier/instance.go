@@ -56,7 +56,7 @@ type Instance struct {
 	stats instanceCounters
 }
 
-// NewInstance builds one engine instance. Most callers want NewFleet.
+// NewInstance builds one engine instance. Most callers want New.
 func NewInstance(id int, env Env) *Instance {
 	ins := &Instance{id: id, env: env}
 	for i := range ins.shards {
@@ -162,7 +162,7 @@ func (ins *Instance) RegisterBatch(subs []*Subscription, ec EvalContext) {
 	pooled := workers > 1 && len(subs) > 1
 	poolRun(len(subs), workers, func(i int) {
 		sub := subs[i]
-		v := ins.env.Evaluate(net, sub, nil, nil, true, pooled)
+		v := ins.env.Evaluate(net, sub, nil, true, pooled)
 		ins.commit(sub, v, snapID, false)
 	})
 }
@@ -245,29 +245,25 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 	restored := ins.drainRestore()
 
 	var targets []*Subscription
-	if p.Force || p.Legacy {
-		// Full enumeration: RevalidateAll re-runs everything; the legacy
-		// ablation reproduces the pre-index engine's linear footprint
-		// scan. Restored subscriptions are already in the shards, so the
-		// enumeration covers them (their NeedsFullEval flag, not their
-		// empty footprint, is what forces their evaluation).
+	if p.Force {
+		// Full enumeration, footprints ignored: the exhaustive reference.
+		// Restored subscriptions are already in the shards, so the
+		// enumeration covers them.
 		for i := range ins.shards {
 			sh := &ins.shards[i]
 			sh.mu.Lock()
 			for _, sub := range sh.subs {
-				if p.Force || sub.NeedsFullEval || sub.FP.Invalidated(p.Dirty) {
-					targets = append(targets, sub)
-				}
+				targets = append(targets, sub)
 			}
 			sh.mu.Unlock()
 		}
 	} else {
-		// Indexed dirty dispatch: the union of the dispatch switches'
-		// buckets is the set of invariants whose footprint was touched;
-		// the rule-delta overlap filter then discards the ones whose
-		// recorded traversal slice (and arrival ports) miss every delta.
+		// Indexed dirty dispatch: the union of the delta switches' buckets
+		// is the set of invariants whose footprint was touched; the
+		// rule-delta overlap filter then discards the ones whose recorded
+		// traversal slice (and arrival ports) miss every delta.
 		seen := make(map[uint64]*Subscription)
-		for _, n := range p.Dispatch {
+		for n := range p.Deltas {
 			ish := ins.indexFor(n)
 			ish.mu.Lock()
 			for id, sub := range ish.buckets[n] {
@@ -278,11 +274,8 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 		targets = make([]*Subscription, 0, len(seen))
 		for _, sub := range seen {
 			// sub.FP is written only under runMu (commit), which we hold:
-			// the read is race-free. nil Deltas encodes per-switch
-			// dispatch, captured at pass assembly — a concurrent tuning
-			// flip cannot turn a per-switch pass into a delta-filtered
-			// one mid-loop.
-			if p.Deltas == nil || sub.FP.InvalidatedBy(p.Deltas) {
+			// the read is race-free.
+			if sub.FP.InvalidatedBy(p.Deltas) {
 				targets = append(targets, sub)
 			} else {
 				ins.stats.deltaSkipped.Add(1)
@@ -299,11 +292,7 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 	}
 
 	net, snapID := p.Build()
-	fullSweep := p.Force || p.Legacy
 	workers := p.Workers
-	if p.Legacy {
-		workers = 1
-	}
 	if workers > len(targets) {
 		workers = len(targets)
 	}
@@ -313,7 +302,7 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 		// A restored subscription's first evaluation is always a full
 		// sweep: it has no footprint or cone state to be incremental
 		// against.
-		v := ins.env.Evaluate(net, sub, p.Dirty, p.Deltas, fullSweep || sub.NeedsFullEval, pooled)
+		v := ins.env.Evaluate(net, sub, p.Deltas, p.Force || sub.NeedsFullEval, pooled)
 		ins.commit(sub, v, snapID, true)
 	})
 	return len(targets)
@@ -439,8 +428,8 @@ func (ins *Instance) ResumeSlice(clientID, sessionID uint64) []SubState {
 
 // OwnsAny reports whether any dispatch node has a non-empty index bucket
 // here — the fleet's per-pass instance selection.
-func (ins *Instance) OwnsAny(nodes []headerspace.NodeID) bool {
-	for _, n := range nodes {
+func (ins *Instance) OwnsAny(deltas map[headerspace.NodeID]headerspace.Delta) bool {
+	for n := range deltas {
 		ish := ins.indexFor(n)
 		ish.mu.Lock()
 		occupied := len(ish.buckets[n]) > 0

@@ -27,7 +27,14 @@
 // With one instance the fleet is bit-compatible with the pre-extraction
 // engine (same counters, same evaluation order discipline, same commit
 // rules); experiment E18 keeps N=1 as the differential reference for
-// N=4, like the per-switch dispatch reference of earlier PRs.
+// N=4.
+//
+// There is one dispatch path (index → rule-delta overlap filter →
+// evaluate) and one reference for it: a Force pass, which enumerates every
+// invariant and evaluates it from scratch, consulting neither recorded
+// footprints nor the host's evaluation caches. A verdict the incremental
+// path carries forward is correct exactly when a Force pass over the same
+// snapshot would not flip it.
 package verifier
 
 import (
@@ -86,8 +93,7 @@ type Subscription struct {
 	NeedsFullEval bool
 
 	// Cones is the host's per-subscription evaluation cache (the
-	// controller's isolation cone cache); opaque to this package. It
-	// moves with the subscription on rebalance.
+	// controller's isolation cone cache); opaque to this package.
 	Cones any
 }
 
@@ -168,7 +174,7 @@ type Transition struct {
 // instance's run lock held (directly or from a pass's worker pool);
 // Commit is called outside every engine lock.
 type Env interface {
-	Evaluate(net *headerspace.Network, sub *Subscription, dirty []headerspace.NodeID, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict
+	Evaluate(net *headerspace.Network, sub *Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict
 	Commit(t Transition)
 }
 
@@ -189,20 +195,16 @@ type Pass struct {
 	// an instance has evaluation targets (so a pass that revalidates
 	// everything for free never compiles).
 	Build func() (*headerspace.Network, uint64)
-	// Dirty is the switches whose generation advanced since the previous
-	// pass. Deltas refines each dispatch switch with its rule-delta
-	// header space; nil Deltas selects per-switch dispatch (every
-	// invariant in a dirty bucket re-runs). Dispatch is the dirty set
-	// actually dispatched through the index (dirty minus switches whose
-	// delta is semantically empty).
-	Dirty    []headerspace.NodeID
-	Deltas   map[headerspace.NodeID]headerspace.Delta
-	Dispatch []headerspace.NodeID
-	// Force re-evaluates everything from scratch (RevalidateAll); Legacy
-	// reproduces the pre-sharding engine (linear scan, sequential
-	// evaluation, full sweeps).
-	Force  bool
-	Legacy bool
+	// Deltas maps each switch dispatched through the index — those whose
+	// generation advanced since the previous pass, minus the ones whose
+	// rule delta is semantically empty — to its rule-delta header space
+	// (and in-port refinement). An invariant in a dispatched switch's
+	// bucket re-runs only if its recorded slice there overlaps the delta.
+	Deltas map[headerspace.NodeID]headerspace.Delta
+	// Force re-evaluates every invariant from scratch, ignoring Deltas,
+	// recorded footprints and cone caches (RevalidateAll) — the exhaustive
+	// reference the incremental path must agree with.
+	Force bool
 	// Workers bounds the evaluation fan-out across the whole pass; the
 	// fleet divides it among concurrently-running instances.
 	Workers int
@@ -257,28 +259,6 @@ type ShardInfo struct {
 	IndexBuckets int
 	IndexEntries int
 }
-
-// VerifierInstance is the narrow surface the fleet router drives. Instance
-// implements it; tests substitute fakes.
-type VerifierInstance interface {
-	// RegisterBatch inserts pre-validated subscriptions (ids assigned by
-	// the fleet) and runs their initial evaluations under one run-lock
-	// acquisition.
-	RegisterBatch(subs []*Subscription, ec EvalContext)
-	// Unsubscribe removes one standing invariant; it reports whether the
-	// id was registered here to the given client.
-	Unsubscribe(clientID, id uint64) bool
-	// ApplyDeltas runs one re-verification pass over this instance's
-	// subscriptions, returning the number of invariants evaluated.
-	ApplyDeltas(p Pass) int
-	// ResumeSlice snapshots the instance's subscriptions of one client
-	// session.
-	ResumeSlice(clientID, sessionID uint64) []SubState
-	// Stats returns the instance's counters.
-	Stats() InstanceStats
-}
-
-var _ VerifierInstance = (*Instance)(nil)
 
 // poolRun fans f(i) for i in [0,n) across the given number of workers
 // (sequentially when workers <= 1).
