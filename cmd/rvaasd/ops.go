@@ -279,6 +279,8 @@ func (c *opsClient) overview() error {
 	fmt.Fprintf(out, "engine: rechecks=%d evaluated=%d revalidated-free=%d indexDispatched=%d deltaSkipped=%d\n",
 		ov.Rechecks, ov.Evaluated, ov.Revalidated, ov.IndexDispatched, ov.DeltaSkipped)
 	fmt.Fprintf(out, "verdicts: violations=%d recoveries=%d\n", ov.Violations, ov.Recoveries)
+	fmt.Fprintf(out, "pushes: sent=%d dropped=%d batches=%d chains-dropped=%d\n",
+		ov.NotificationsSent, ov.NotificationsDropped, ov.NotifyBatches, ov.ChainsDropped)
 	fmt.Fprintf(out, "violation-log: retained=%d/%d dropped=%d\n", ov.VlogRetained, ov.VlogCapacity, ov.VlogDropped)
 	fmt.Fprintf(out, "controller: polls=%d passiveEvents=%d resyncs=%d queries=%d\n",
 		ov.ActivePolls, ov.PassiveEvents, ov.Resyncs, ov.QueriesServed)

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -71,6 +72,8 @@ type Agent struct {
 	// registered under it survive a controller restart and are resumed with
 	// one ResumeSession exchange.
 	sessionID uint64
+	// sigChecks counts message signatures checked under the pinned key.
+	sigChecks atomic.Uint64
 
 	mu      sync.Mutex
 	waiting map[uint64]chan *wire.QueryResponse // by nonce
@@ -100,8 +103,8 @@ type Agent struct {
 	resumeShared chan struct{}
 	resumeResult []wire.ResumeVerdict
 	resumeErr    error
-	// reasm rebuilds logical reply envelopes from OpChunk continuation
-	// frames (e.g. a large batch reply split across wire frames).
+	// reasm rebuilds logical envelopes from OpChunk continuation frames (a
+	// large batch reply, or a pass's push batch split across wire frames).
 	reasm *wire.Reassembler
 }
 
@@ -231,8 +234,19 @@ func (a *Agent) QuoteVerifications() uint64 {
 	return a.quoteChecks
 }
 
-// NotificationsDropped counts notifications discarded because a
-// subscription channel was full.
+// SignatureVerifications counts server message signatures actually checked
+// under the pinned key: one per reply, ack or push batch that had a taker.
+// Messages nobody here waits for are discarded before any signature work.
+func (a *Agent) SignatureVerifications() uint64 { return a.sigChecks.Load() }
+
+// ChainsDropped counts chunked server messages discarded before their chain
+// completed (evicted, torn or carrying a duplicated fragment). Pushes are
+// fire-and-forget, so on a lossy channel this is a normal event; the loss
+// itself surfaces as a Seq gap on the stream's next push.
+func (a *Agent) ChainsDropped() uint64 { return a.reasm.Dropped() }
+
+// NotificationsDropped counts verified notifications discarded as replayed
+// or out of order, or because a subscription channel was full.
 func (a *Agent) NotificationsDropped() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -305,7 +319,7 @@ func (a *Agent) HandlerFor(ap topology.AccessPoint) func(*wire.Packet) {
 
 // handleEnvelope unwraps one frame received at ap: anything but an RVaaS
 // envelope is ordinary traffic and ignored; auth challenges are answered
-// from ap, query responses and notifications go to their body handlers,
+// from ap, query responses, acks and push batches go to their body handlers,
 // batch and resume replies route to their correlation waiter.
 func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 	if !pkt.IsRVaaSV2Reply() {
@@ -316,9 +330,9 @@ func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 		return
 	}
 	if env.Op == wire.OpChunk {
-		// Continuation frame of a chunked reply: fold it into its chain
-		// and dispatch only the completed logical envelope (the inner
-		// signature is verified once, after reassembly).
+		// Continuation frame of a chunked reply or push: fold it into its
+		// chain and dispatch only the completed logical envelope (the
+		// inner signature is verified once, after reassembly).
 		full, err := a.reasm.Accept(uint64(pkt.EthSrc)^uint64(pkt.IPSrc), env)
 		if err != nil || full == nil {
 			return
@@ -331,7 +345,9 @@ func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 	case wire.OpQueryResponse:
 		a.handleResponse(env.Body)
 	case wire.OpNotify:
-		a.handleNotification(env.Body)
+		a.handleAck(env.Body)
+	case wire.OpNotifyBatch:
+		a.handleNotifyBatch(env.Body)
 	case wire.OpBatchReply, wire.OpBatchQueryReply, wire.OpSessionResumeReply:
 		a.mu.Lock()
 		ch, ok := a.envWait[env.CorrelationID]
@@ -431,6 +447,7 @@ func (a *Agent) verifyFromServer(signing, sig, quoteBytes []byte) error {
 			return fmt.Errorf("%w: %v", ErrBadAttestation, err)
 		}
 	}
+	a.sigChecks.Add(1)
 	if !enclave.VerifyFrom(key, signing, sig) {
 		return ErrBadSignature
 	}
@@ -495,80 +512,118 @@ func (a *Agent) Query(kind wire.QueryKind, constraints []wire.FieldConstraint, p
 	}
 }
 
-// handleNotification verifies and routes a subscription notification:
-// acks/errors go to the operation waiter by nonce, violation/recovery
-// events to the established subscription's channel by id.
-func (a *Agent) handleNotification(payload []byte) {
+// handleAck verifies the signed ack (or rejection) of a subscription op and
+// hands it to the op's waiter. An ack nobody waits for — the op timed out,
+// or it answers a fire-and-forget cleanup — is discarded before any
+// signature work. Verdict transitions never arrive this way: they are
+// pushed as batches (handleNotifyBatch), and an OpNotify claiming to be one
+// is ignored.
+func (a *Agent) handleAck(payload []byte) {
 	n, err := wire.UnmarshalNotification(payload)
+	if err != nil || (n.Event != wire.NotifyAck && n.Event != wire.NotifyError) {
+		return
+	}
+	a.mu.Lock()
+	_, waited := a.ackWait[n.Nonce]
+	a.mu.Unlock()
+	if !waited || a.VerifyNotification(n) != nil {
+		return
+	}
+	a.mu.Lock()
+	ch, ok := a.ackWait[n.Nonce]
+	if ok {
+		delete(a.ackWait, n.Nonce)
+	}
+	a.mu.Unlock()
+	if ok {
+		ch <- n
+	}
+}
+
+// subFor routes one pushed item to its subscription: by id, else by nonce —
+// the server can push a transition for a fresh subscription before this
+// agent has processed the ack. Callers hold a.mu.
+func (a *Agent) subFor(it *wire.NotifyItem) (*Subscription, bool) {
+	if sub, ok := a.subs[it.SubID]; ok {
+		return sub, true
+	}
+	sub, ok := a.subsByNonce[it.Nonce]
+	return sub, ok
+}
+
+// handleNotifyBatch takes one push: the verdict transitions one server pass
+// produced for this session, under one signature. A batch none of whose
+// items has a subscription here (e.g. it belongs to another session at this
+// access point) is discarded before any signature work; otherwise the batch
+// is verified ONCE and, only if it verifies, every item goes through its
+// subscription's replay/gap check in batch order. Nothing reaches a
+// Subscription channel — and no sequence baseline moves — unverified.
+func (a *Agent) handleNotifyBatch(payload []byte) {
+	b, err := wire.UnmarshalNotifyBatch(payload)
 	if err != nil {
 		return
 	}
-	if err := a.VerifyNotification(n); err != nil {
+	routable := false
+	a.mu.Lock()
+	for i := range b.Items {
+		if _, routable = a.subFor(&b.Items[i]); routable {
+			break
+		}
+	}
+	a.mu.Unlock()
+	if !routable || a.verifyFromServer(b.SigningBytes(), b.Signature, b.Quote) != nil {
 		return
 	}
-	switch n.Event {
-	case wire.NotifyAck, wire.NotifyError:
-		a.mu.Lock()
-		ch, ok := a.ackWait[n.Nonce]
-		if ok {
-			delete(a.ackWait, n.Nonce)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range b.Items {
+		if sub, ok := a.subFor(&b.Items[i]); ok {
+			a.deliverLocked(sub, b.Notification(i))
 		}
-		a.mu.Unlock()
-		if ok {
-			ch <- n
-		}
+	}
+}
+
+// deliverLocked runs one verified violation/recovery notification through
+// its subscription's sequence check and onto its channel. Callers hold a.mu.
+func (a *Agent) deliverLocked(sub *Subscription, n *wire.Notification) {
+	// Each server-side subscription numbers its pushes independently;
+	// during gap recovery two streams can target this Subscription — the
+	// superseded one (by SubID / original nonce) and the replacement's (by
+	// the recovery nonce, before the ack is processed). Judge each against
+	// its own counter.
+	seqRef := &sub.lastSeq
+	if sub.resubbing && n.Nonce == sub.pendingNonce && n.Nonce != sub.nonce {
+		seqRef = &sub.pendingLastSeq
+	}
+	if n.Seq <= *seqRef {
+		// Replayed or out-of-order: a valid signature only proves the
+		// server said this once, not that it is current.
+		a.dropped++
+		return
+	}
+	// Delivery is fire-and-forget Packet-Out: a skipped Seq means a push was
+	// lost in flight (or deliberately suppressed), and a full local channel
+	// loses this one. Both leave the client's view of its invariant stale,
+	// so both trigger the same recovery (recoverGap).
+	gap := n.Seq != *seqRef+1
+	from, to := *seqRef+1, n.Seq-1
+	*seqRef = n.Seq
+	select {
+	case sub.ch <- n:
 	default:
-		a.mu.Lock()
-		sub, ok := a.subs[n.SubID]
-		if !ok {
-			// The server can push a transition for a fresh subscription
-			// before this agent has processed the ack; the nonce routes it.
-			sub, ok = a.subsByNonce[n.Nonce]
-		}
-		if ok {
-			// Each server-side subscription numbers its pushes
-			// independently; during gap recovery two streams can target
-			// this Subscription — the superseded one (by SubID / original
-			// nonce) and the replacement's (by the recovery nonce, before
-			// the ack is processed). Judge each against its own counter.
-			seqRef := &sub.lastSeq
-			if sub.resubbing && n.Nonce == sub.pendingNonce && n.Nonce != sub.nonce {
-				seqRef = &sub.pendingLastSeq
-			}
-			if n.Seq <= *seqRef {
-				// Replayed or out-of-order: a valid signature only proves
-				// the server said this once, not that it is current.
-				a.dropped++
-			} else {
-				// Delivery is fire-and-forget Packet-Out: a skipped Seq
-				// means a notification was lost in flight (or deliberately
-				// suppressed), and a full local channel loses this one. Both
-				// leave the client's view of its invariant stale, so both
-				// trigger the same recovery (recoverGap).
-				gap := n.Seq != *seqRef+1
-				from, to := *seqRef+1, n.Seq-1
-				*seqRef = n.Seq
-				select {
-				case sub.ch <- n:
-				default:
-					a.dropped++
-					gap, to = true, n.Seq
-				}
-				// A gap on a subscription whose initial Subscribe ack is
-				// still in flight (ID == 0, routed here by nonce) cannot
-				// recover: there is no server-side id to resync or retire
-				// yet, and re-registering would leak the original
-				// registration as a permanent duplicate. The push that
-				// exposed the gap already carries the freshest verdict;
-				// Subscribe baselines lastSeq when the ack lands.
-				if gap && sub.ID != 0 && !sub.resubbing && !sub.unsubscribing && !a.closed {
-					sub.resubbing = true
-					a.gapsSeen++
-					go a.recoverGap(sub, from, to)
-				}
-			}
-		}
-		a.mu.Unlock()
+		a.dropped++
+		gap, to = true, n.Seq
+	}
+	// A gap on a subscription whose initial Subscribe ack is still in flight
+	// (ID == 0, routed here by nonce) cannot recover: there is no
+	// server-side id to resync or retire yet, and re-registering would leak
+	// the original registration as a permanent duplicate. The push that
+	// exposed the gap already carries the freshest verdict; Subscribe
+	// baselines lastSeq when the ack lands.
+	if gap && sub.ID != 0 && !sub.resubbing && !sub.unsubscribing && !a.closed {
+		sub.resubbing = true
+		a.gapsSeen++
+		go a.recoverGap(sub, from, to)
 	}
 }
 
@@ -828,7 +883,7 @@ func (a *Agent) Subscribe(kind wire.QueryKind, constraints []wire.FieldConstrain
 	}
 	// Register the channel by nonce BEFORE sending: a violation pushed
 	// between the server-side ack and our processing of it must not be
-	// lost (handleNotification falls back to nonce routing).
+	// lost (handleNotifyBatch falls back to nonce routing).
 	sub := &Subscription{
 		Kind:        kind,
 		nonce:       nonce,

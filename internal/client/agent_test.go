@@ -3,6 +3,7 @@ package client
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -163,8 +164,54 @@ func deliverResponse(a *Agent, resp *wire.QueryResponse) {
 	deliver(a.HandleFrame, wire.OpQueryResponse, resp.Nonce, resp.Marshal())
 }
 
+// deliverNotification delivers the signed ack of a subscription op.
 func deliverNotification(a *Agent, n *wire.Notification) {
 	deliver(a.HandleFrame, wire.OpNotify, n.Nonce, n.Marshal())
+}
+
+// pushItem is one verdict transition as the server batches it.
+func pushItem(event wire.NotifyEvent, subID, nonce, seq uint64) wire.NotifyItem {
+	it := wire.NotifyItem{
+		Event: event, Kind: wire.QueryReachableDestinations, Status: wire.StatusViolation,
+		SubID: subID, Nonce: nonce, Seq: seq, Detail: "test transition",
+	}
+	if event == wire.NotifyRecovery {
+		it.Status = wire.StatusOK
+	}
+	return it
+}
+
+// signedBatch is the push of one server pass: the items under one enclave
+// signature, with the key quote.
+func signedBatch(encl *enclave.Enclave, items ...wire.NotifyItem) *wire.NotifyBatch {
+	b := &wire.NotifyBatch{Version: wire.CurrentVersion, SnapshotID: 9, Items: items}
+	b.Signature = encl.Sign(b.SigningBytes())
+	b.Quote = encl.KeyQuote().Marshal()
+	return b
+}
+
+// batchFrames frames a batch the way the controller's flush does: one
+// envelope when it fits the frame budget, an OpChunk chain otherwise.
+func batchFrames(t *testing.T, b *wire.NotifyBatch) []*wire.Packet {
+	t.Helper()
+	frames, err := wire.ChunkEnvelope(&wire.Envelope{
+		Version: wire.EnvelopeVersion, Op: wire.OpNotifyBatch,
+		CorrelationID: binary.BigEndian.Uint64(b.Signature), Body: b.Marshal(),
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]*wire.Packet, len(frames))
+	for i, fr := range frames {
+		pkts[i] = wire.NewEnvelopeReplyPacket(0xAA, wire.IPv4(10, 0, 1, 1), fr)
+	}
+	return pkts
+}
+
+// deliverPush signs the items as one batch and delivers it unchunked.
+func deliverPush(a *Agent, encl *enclave.Enclave, items ...wire.NotifyItem) {
+	b := signedBatch(encl, items...)
+	deliver(a.HandleFrame, wire.OpNotifyBatch, binary.BigEndian.Uint64(b.Signature), b.Marshal())
 }
 
 // sniffEnvelope polls the NIC for the next injected envelope of the given
@@ -335,7 +382,8 @@ func TestRandomNonceUnique(t *testing.T) {
 
 // ------------------------------------------------------------- gaps -----
 
-// signedNotification builds a correctly signed+attested push notification.
+// signedNotification builds a correctly signed+attested single notification
+// (on the wire: the ack of a subscription op).
 func signedNotification(encl *enclave.Enclave, event wire.NotifyEvent, subID, nonce, seq uint64) *wire.Notification {
 	n := &wire.Notification{
 		Version: wire.CurrentVersion,
@@ -414,14 +462,14 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}
 
 	// Seq 1 delivered normally.
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 41, add.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 41, add.Nonce, 1))
 	if n := <-sub.C; n.Seq != 1 {
 		t.Fatalf("first notification seq = %d", n.Seq)
 	}
 
 	// Seq 3 skips 2: the newer event must still be delivered, and the agent
 	// must start gap recovery.
-	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 41, add.Nonce, 3))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 41, add.Nonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
@@ -454,7 +502,7 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 
 	// The rebound subscription keeps flowing on the same channel with the
 	// replacement's fresh sequence numbering.
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 42, readd.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 42, readd.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 42 || n.Seq != 1 {
@@ -489,7 +537,7 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		deliverNotification(a, signedNotification(encl, ev, 77, add.Nonce, seq))
+		deliverPush(a, encl, pushItem(ev, 77, add.Nonce, seq))
 	}
 	if a.NotificationsDropped() == 0 {
 		t.Fatal("overflow not recorded")
@@ -535,16 +583,16 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		deliverNotification(a, signedNotification(encl, ev, 50, add.Nonce, seq))
+		deliverPush(a, encl, pushItem(ev, 50, add.Nonce, seq))
 		<-sub.C
 	}
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 50, add.Nonce, 5)) // skips 4
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 50, add.Nonce, 5)) // skips 4
 	<-sub.C
 
 	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
 	// The replacement's first push (Seq=1) races ahead of its ack: with
 	// lastSeq=5 on the superseded stream, it must still be delivered.
-	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readd.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 51 || n.Seq != 1 {
@@ -565,11 +613,11 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		t.Fatal("no gap event")
 	}
 	drops := a.NotificationsDropped()
-	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 51, readd.Nonce, 1)) // replay
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readd.Nonce, 1)) // replay
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("replayed replacement push not dropped after rebase")
 	}
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 51, readd.Nonce, 2))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 51, readd.Nonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {
@@ -602,7 +650,7 @@ func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 	}
 
 	// Seq 3 skips 1..2: recovery starts with a session resume.
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 3))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, add.Nonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
@@ -644,11 +692,11 @@ func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 	// The superseded in-flight push (Seq 4 <= rebased baseline) drops as a
 	// replay; the next transition (Seq 5) flows normally.
 	drops := a.NotificationsDropped()
-	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 61, add.Nonce, 4))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 61, add.Nonce, 4))
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("superseded push not dropped after seq rebase")
 	}
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 61, add.Nonce, 5))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, add.Nonce, 5))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 5 {
@@ -681,7 +729,7 @@ func TestAgentRefusedResumeFallsBack(t *testing.T) {
 		t.Fatal("subscribe failed")
 	}
 
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 71, add.Nonce, 2)) // skips 1
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 71, add.Nonce, 2)) // skips 1
 	<-sub.C
 	answerResume(t, a, nic, encl, seen, wire.ResumeVerdict{SubID: 71, Status: wire.StatusError, Detail: "unknown subscription"})
 
@@ -746,7 +794,7 @@ func TestAgentQueryVerdictOnDemand(t *testing.T) {
 	}
 	// Read-only: a later push with Seq 1 is still judged against the
 	// untouched baseline (0), so it is delivered, then Seq 2 follows.
-	deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 81, add.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 81, add.Nonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 1 {
@@ -782,7 +830,7 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 		t.Fatalf("initial status = %v", sub.InitialStatus)
 	}
 
-	deliverNotification(a, signedNotification(encl, wire.NotifyRecovery, 60, add.Nonce, 2))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 60, add.Nonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {

@@ -52,7 +52,7 @@ func TestQuoteVerifiedOncePerPinnedKey(t *testing.T) {
 	sub, nonce := subscribed(t, a, nic, encl, 41)
 	const n = 20
 	for seq := uint64(1); seq <= n; seq++ {
-		deliverNotification(a, signedNotification(encl, wire.NotifyViolation, 41, nonce, seq))
+		deliverPush(a, encl, pushItem(wire.NotifyViolation, 41, nonce, seq))
 	}
 	for seq := uint64(1); seq <= n; seq++ {
 		select {
@@ -65,7 +65,10 @@ func TestQuoteVerifiedOncePerPinnedKey(t *testing.T) {
 		}
 	}
 	if got := a.QuoteVerifications(); got != 1 {
-		t.Errorf("QuoteVerifications = %d after an ack and %d notifications under one key, want 1", got, n)
+		t.Errorf("QuoteVerifications = %d after an ack and %d pushes under one key, want 1", got, n)
+	}
+	if got := a.SignatureVerifications(); got != 1+n {
+		t.Errorf("SignatureVerifications = %d after an ack and %d pushes, want %d", got, n, 1+n)
 	}
 }
 
@@ -73,17 +76,18 @@ func TestMemoisedQuoteDoesNotVouchForSignature(t *testing.T) {
 	a, nic, platform, encl := testAgent(t)
 	sub, nonce := subscribed(t, a, nic, encl, 41) // memoises encl's quote
 
-	flipped := signedNotification(encl, wire.NotifyViolation, 41, nonce, 1)
+	item := pushItem(wire.NotifyViolation, 41, nonce, 1)
+	flipped := signedBatch(encl, item)
 	flipped.Signature[17] ^= 0x01
-	retold := signedNotification(encl, wire.NotifyViolation, 41, nonce, 1)
-	retold.Detail = "something else" // tampered after signing
-	forged := signedNotification(sameCodeEnclave(t, platform), wire.NotifyViolation, 41, nonce, 1)
+	retold := signedBatch(encl, item)
+	retold.Items[0].Detail = "something else" // tampered after signing
+	forged := signedBatch(sameCodeEnclave(t, platform), item)
 	forged.Quote = encl.KeyQuote().Marshal() // another key's signature under the memoised quote
-	for name, n := range map[string]*wire.Notification{"bit-flipped": flipped, "tampered": retold, "other key": forged} {
-		if err := a.VerifyNotification(n); !errors.Is(err, ErrBadSignature) {
+	for name, b := range map[string]*wire.NotifyBatch{"bit-flipped": flipped, "tampered": retold, "other key": forged} {
+		if err := a.verifyFromServer(b.SigningBytes(), b.Signature, b.Quote); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("%s signature under the memoised quote: err = %v, want ErrBadSignature", name, err)
 		}
-		deliverNotification(a, n)
+		deliver(a.HandleFrame, wire.OpNotifyBatch, 1, b.Marshal())
 	}
 	select {
 	case got := <-sub.C:

@@ -2,12 +2,10 @@ package deploy
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/rvaas"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -153,13 +151,14 @@ func TestRestartReattestsOncePerEnclave(t *testing.T) {
 	ap, dst := aps[0], aps[1]
 	ag := d.Agent(ap.ClientID)
 
-	// Tap the agent's NIC: keep every pushed notification.
+	// Tap the agent's NIC: keep every pushed batch (one transition each, so
+	// one unchunked frame).
 	var mu sync.Mutex
 	var pushed []*wire.Packet
 	deliver := ag.HandlerFor(ap)
 	if err := d.Fabric.AttachHost(ap.Endpoint, func(pkt *wire.Packet) {
 		if pkt.IsRVaaSV2Reply() {
-			if env, err := wire.UnmarshalEnvelope(pkt.Payload); err == nil && env.Op == wire.OpNotify {
+			if env, err := wire.UnmarshalEnvelope(pkt.Payload); err == nil && env.Op == wire.OpNotifyBatch {
 				mu.Lock()
 				pushed = append(pushed, pkt.Clone())
 				mu.Unlock()
@@ -208,12 +207,12 @@ func TestRestartReattestsOncePerEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldNote, err := wire.UnmarshalNotification(env.Body)
+	oldNote, err := wire.UnmarshalNotifyBatch(env.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(oldNote.Quote, d.RVaaS.KeyQuote().Marshal()) {
-		t.Fatal("notification does not carry the controller's key quote verbatim")
+		t.Fatal("pushed batch does not carry the controller's key quote verbatim")
 	}
 
 	for restart := uint64(1); restart <= 2; restart++ {
@@ -230,23 +229,22 @@ func TestRestartReattestsOncePerEnclave(t *testing.T) {
 	}
 
 	// Replay the first instance's genuine push: its quote commits to a key
-	// that is no longer pinned. (Seq replay protection would drop it too,
-	// and would count it; the attestation failure comes first.)
-	if err := ag.VerifyNotification(oldNote); !errors.Is(err, client.ErrBadAttestation) {
-		t.Fatalf("pre-restart notification after restart: err = %v, want ErrBadAttestation", err)
-	}
-	dropped := ag.NotificationsDropped()
+	// that is no longer pinned, so the attestation check (one more quote
+	// verification) rejects it before its signature is even looked at. (Seq
+	// replay protection would drop it too, and would count it; the
+	// attestation failure comes first.)
+	dropped, sigs := ag.NotificationsDropped(), ag.SignatureVerifications()
 	deliver(old)
 	select {
 	case n := <-sub.C:
 		t.Fatalf("replayed pre-restart notification delivered: %+v", n)
 	default:
 	}
-	if ag.NotificationsDropped() != dropped {
-		t.Fatal("replayed pre-restart notification got past verification")
+	if ag.NotificationsDropped() != dropped || ag.SignatureVerifications() != sigs {
+		t.Fatal("replayed pre-restart notification got past the attestation check")
 	}
-	flip() // and the failed checks did not unseat the current quote
-	if got := ag.QuoteVerifications(); got != 5 {
-		t.Fatalf("QuoteVerifications = %d, want 5 (3 enclaves + 2 rejected replays)", got)
+	flip() // and the failed check did not unseat the current quote
+	if got := ag.QuoteVerifications(); got != 4 {
+		t.Fatalf("QuoteVerifications = %d, want 4 (3 enclaves + 1 rejected replay)", got)
 	}
 }

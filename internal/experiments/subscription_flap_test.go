@@ -122,8 +122,9 @@ func TestSubscriptionFlapStorm(t *testing.T) {
 	if st.Violations != 1 || st.Recoveries != 1 {
 		t.Errorf("transition counters = %+v, want exactly one of each", st)
 	}
-	if st.NotificationsSent != 2 {
-		t.Errorf("notifications sent = %d, want 2 (one per transition)", st.NotificationsSent)
+	if st.NotificationsSent != 2 || st.NotifyBatches != 2 {
+		t.Errorf("notifications sent = %d in %d batches, want 2 in 2 (one per transition, one per pass that had one)",
+			st.NotificationsSent, st.NotifyBatches)
 	}
 }
 

@@ -218,6 +218,15 @@ func TestShardStatsAndOverview(t *testing.T) {
 	if ov.SubsViolated != 0 || ov.Recoveries == 0 {
 		t.Fatalf("overview after recovery: %+v", ov)
 	}
+	// Push delivery is asynchronous. One invariant per access point: every
+	// transition travelled in a batch of its own.
+	waitUntil(t, "every transition pushed", func() bool {
+		ov = svc.Overview()
+		return ov.NotificationsSent == ov.Violations+ov.Recoveries
+	})
+	if ov.NotifyBatches != ov.NotificationsSent || ov.NotificationsDropped != 0 || ov.ChainsDropped != 0 {
+		t.Fatalf("overview push counters: %+v", ov)
+	}
 }
 
 func TestVerdictHistoryAndSessions(t *testing.T) {

@@ -458,6 +458,14 @@ type OverviewView struct {
 	DeltaSkipped    uint64 `json:"deltaSkipped"`
 	Violations      uint64 `json:"violations"`
 	Recoveries      uint64 `json:"recoveries"`
+	// Push delivery: transitions delivered to / refused by a switch session
+	// or the delivery queue, and the signed batches the delivered ones
+	// travelled in (sent/batches is the signatures-saved fan-in).
+	NotificationsSent    uint64 `json:"notificationsSent"`
+	NotificationsDropped uint64 `json:"notificationsDropped"`
+	NotifyBatches        uint64 `json:"notifyBatches"`
+	// ChainsDropped counts chunked client requests discarded incomplete.
+	ChainsDropped uint64 `json:"chainsDropped"`
 	// Violation-log ring occupancy: retained/capacity, plus how many old
 	// transitions the bounded ring has overwritten since boot.
 	VlogRetained int    `json:"vlogRetained"`
@@ -499,6 +507,11 @@ func (s *Service) Overview() OverviewView {
 		DeltaSkipped:    es.DeltaSkipped,
 		Violations:      es.Violations,
 		Recoveries:      es.Recoveries,
+
+		NotificationsSent:    es.NotificationsSent,
+		NotificationsDropped: es.NotificationsDropped,
+		NotifyBatches:        es.NotifyBatches,
+		ChainsDropped:        es.ChainsDropped,
 	}
 }
 

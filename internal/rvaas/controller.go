@@ -134,9 +134,14 @@ type Controller struct {
 	vlog    *history.ViolationLog
 	fleet   *verifier.Fleet
 	subKick chan struct{}
-	notifyQ chan notifyJob
-	rng     *rand.Rand
-	persist SubscriptionStore
+	// notifyQ carries signed push batches to the notifier; notifyQueued is
+	// the number of notifications in it, which is what the queue bounds
+	// (notifyQueueCap). Every job carries at least one notification, so a
+	// channel of that many jobs never fills first.
+	notifyQ      chan notifyJob
+	notifyQueued atomic.Int64
+	rng          *rand.Rand
+	persist      SubscriptionStore
 	// reasm rebuilds logical envelopes from OpChunk continuation
 	// frames before dispatch (chains keyed by requester MAC⊕IP).
 	reasm *wire.Reassembler
@@ -154,12 +159,21 @@ type Controller struct {
 	recheckMu sync.Mutex
 	lastGen   map[topology.SwitchID]uint64
 
+	// outbox collects the running pass's notifying transitions per push
+	// stream (written by the pool workers of every fleet instance, flushed
+	// by recheckSubscriptions when the pass ends); outboxSnap is that
+	// pass's snapshot id. Both guarded by outboxMu.
+	outboxMu   sync.Mutex
+	outbox     map[pushKey][]wire.NotifyItem
+	outboxSnap uint64
+
 	// svcStats are service-plane counters outside the verifier fleet.
 	svcStats struct {
 		verdictQueries    atomic.Uint64
 		sessionResumes    atomic.Uint64
 		notificationsSent atomic.Uint64
 		notificationsDrop atomic.Uint64
+		notifyBatches     atomic.Uint64
 	}
 	// svc is the client-facing service stack (auth gate over the core);
 	// the packet transport and in-process callers share it.
@@ -233,7 +247,8 @@ func New(cfg Config) (*Controller, error) {
 		lastGen:      make(map[topology.SwitchID]uint64),
 		reasm:        wire.NewReassembler(0),
 		subKick:      make(chan struct{}, 1),
-		notifyQ:      make(chan notifyJob, 1024),
+		notifyQ:      make(chan notifyJob, notifyQueueCap),
+		outbox:       make(map[pushKey][]wire.NotifyItem),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sessions:     make(map[topology.SwitchID]*session),
 		resyncing:    make(map[topology.SwitchID]bool),

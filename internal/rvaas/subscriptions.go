@@ -1,8 +1,10 @@
 package rvaas
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"sort"
 
 	"repro/internal/headerspace"
 	"repro/internal/history"
@@ -17,9 +19,9 @@ import (
 // query tells a client its invariant held at one instant; an adversary who
 // reconfigures between two polls is never seen by the client. A
 // subscription instead re-evaluates the invariant after every applied
-// snapshot change and pushes a signed notification on every verdict
-// transition — the monitoring loop the paper runs for its own interception
-// rules, generalized to arbitrary client invariants.
+// snapshot change and pushes every verdict transition to the client, signed
+// — the monitoring loop the paper runs for its own interception rules,
+// generalized to arbitrary client invariants.
 //
 // The engine itself — sharded subscription maps, the inverted
 // switch → subscriptions footprint index, verdict commit, per-pass worker
@@ -32,8 +34,9 @@ import (
 //     file's evaluateInvariant, with isolation.go's cone cache), recording
 //     the traversal footprint for incremental revalidation;
 //   - Commit: publish one verdict transition — persistence append,
-//     violation-log record, signed in-band notification through the
-//     per-session ordered notifier (onVerifierCommit below).
+//     violation-log record, and a place in the pass's outbox, which leaves
+//     as one signed batch per client session once the pass has ended
+//     (onVerifierCommit, flushOutbox below).
 //
 // Re-verification stays incremental and indexed: an applied event dirties
 // exactly the switches whose per-switch generation advanced; the pass
@@ -78,13 +81,20 @@ type SubscriptionStats struct {
 	// Violations/Recoveries count verdict transitions.
 	Violations uint64
 	Recoveries uint64
-	// NotificationsSent counts signed in-band notifications the
-	// subscriber's switch session accepted; NotificationsDropped counts
-	// those discarded because the delivery queue or that session was
-	// saturated (clients recover via Notification.Seq gap detection). Each
-	// notifying transition ends up in exactly one of the two.
+	// NotificationsSent counts verdict transitions whose signed batch the
+	// subscriber's switch session accepted whole; NotificationsDropped
+	// counts those discarded because the delivery queue or that session was
+	// saturated (clients recover via Seq gap detection). Each notifying
+	// transition ends up in exactly one of the two.
 	NotificationsSent    uint64
 	NotificationsDropped uint64
+	// NotifyBatches counts the signed batches behind NotificationsSent —
+	// one enclave signature and one client verification each — so
+	// NotificationsSent/NotifyBatches is the push path's fan-in.
+	NotifyBatches uint64
+	// ChainsDropped counts chunked client requests discarded before their
+	// chain completed (evicted, torn or carrying a duplicated fragment).
+	ChainsDropped uint64
 	// IsoPointsSwept/IsoPointsReused count per-injection-point isolation
 	// cone evaluations re-run versus served from the cone cache.
 	IsoPointsSwept  uint64
@@ -158,6 +168,8 @@ func (c *Controller) SubscriptionStats() SubscriptionStats {
 		Recoveries:           fs.Recoveries,
 		NotificationsSent:    c.svcStats.notificationsSent.Load(),
 		NotificationsDropped: c.svcStats.notificationsDrop.Load(),
+		NotifyBatches:        c.svcStats.notifyBatches.Load(),
+		ChainsDropped:        c.reasm.Dropped(),
 		IsoPointsSwept:       fs.IsoPointsSwept,
 		IsoPointsReused:      fs.IsoPointsReused,
 		FleetPasses:          fs.Passes,
@@ -282,10 +294,9 @@ func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.S
 // onVerifierCommit is the engine's commit fan-out, called by the owning
 // instance OUTSIDE every engine lock, only on a subscription's first
 // commit or on a verdict transition. Durable state (spec + verdict + seq)
-// is appended on both; the violation log and the signed in-band
-// notification fire only on a transition. The verdict fields ride in the
-// Transition (captured under the shard lock), so the record can never mix
-// two commits.
+// is appended on both; the violation log and the in-band push fire only on
+// a transition. The verdict fields ride in the Transition (captured under
+// the shard lock), so the record can never mix two commits.
 func (c *Controller) onVerifierCommit(t verifier.Transition) {
 	// The commit tap sits between the engine and everything client-visible
 	// (violation log, persistence, notifications): an adversarial campaign
@@ -300,13 +311,19 @@ func (c *Controller) onVerifierCommit(t verifier.Transition) {
 		return
 	}
 
+	item := wire.NotifyItem{
+		Event:  wire.NotifyRecovery,
+		Kind:   sub.Kind,
+		Status: wire.StatusOK,
+		SubID:  sub.ID,
+		Nonce:  sub.Nonce,
+		Seq:    t.Seq,
+		Detail: t.Detail,
+	}
 	event := history.EventRecovery
-	nev := wire.NotifyRecovery
-	status := wire.StatusOK
 	if t.Violated {
 		event = history.EventViolation
-		nev = wire.NotifyViolation
-		status = wire.StatusViolation
+		item.Event, item.Status = wire.NotifyViolation, wire.StatusViolation
 	}
 	c.vlog.Append(history.Violation{
 		At:         c.cfg.Clock(),
@@ -317,62 +334,104 @@ func (c *Controller) onVerifierCommit(t verifier.Transition) {
 		Detail:     t.Detail,
 		SnapshotID: t.SnapshotID,
 	})
-	if t.Notify {
-		c.sendNotification(sub, nev, status, t.Detail, t.Seq, t.SnapshotID)
+	if !t.Notify || (sub.Anchor.MAC == 0 && sub.Anchor.IP == 0) {
+		return // initial verdict (the ack carries it), or no in-band delivery point
+	}
+	// Only a re-verification pass notifies, and recheckSubscriptions flushes
+	// the outbox before it lets the next pass start: whatever is in it
+	// belongs to this pass and shares its snapshot id.
+	key := pushKey{anchor: sub.Anchor, session: sub.SessionID}
+	c.outboxMu.Lock()
+	c.outbox[key] = append(c.outbox[key], item)
+	c.outboxSnap = t.SnapshotID
+	c.outboxMu.Unlock()
+}
+
+// pushKey names one push stream: a client session's subscriptions at one
+// access point. Its transitions of a pass leave as one signed batch.
+type pushKey struct {
+	anchor  verifier.Anchor
+	session uint64
+}
+
+// notifyQueueCap bounds the delivery queue in queued notifications (batch
+// items), which is what its memory grows with.
+const notifyQueueCap = 1024
+
+// flushOutbox turns the transitions the finished pass committed into one
+// signed batch per push stream and hands each to the asynchronous delivery
+// queue. Items are sorted by SubID, so the signed bytes do not depend on
+// which fleet instance or pool worker committed first. The enqueue never
+// blocks — a wedged or dead subscriber can stall neither a pass nor a run
+// lock: a batch is admitted when it fits the queue's notification bound or
+// the queue is empty (so one oversized batch still gets through), and is
+// dropped whole otherwise. A dropped batch surfaces at the client as a Seq
+// gap on the stream's next push, which triggers its session-resume recovery.
+// Per-subscription ordering holds because a subscription commits at most
+// once per pass, passes flush in order (recheckMu) and one notifier drains
+// the queue. Called with recheckMu held, after fleet.Run returned.
+func (c *Controller) flushOutbox() {
+	c.outboxMu.Lock()
+	outbox, snapID := c.outbox, c.outboxSnap
+	if len(outbox) > 0 {
+		c.outbox = make(map[pushKey][]wire.NotifyItem)
+	}
+	c.outboxMu.Unlock()
+
+	for key, items := range outbox {
+		sort.Slice(items, func(i, j int) bool { return items[i].SubID < items[j].SubID })
+		b := &wire.NotifyBatch{Version: wire.CurrentVersion, SnapshotID: snapID, Items: items}
+		b.Signature, b.Quote = c.enclave.SignAttested(b.SigningBytes())
+		frames, err := wire.ChunkEnvelope(&wire.Envelope{
+			Version: wire.EnvelopeVersion,
+			Op:      wire.OpNotifyBatch,
+			// The continuation id of the chain: the signature's leading
+			// bytes are as good as random and never repeat, even across a
+			// restart (a new enclave key), so no two chains of this
+			// controller collide in a client's reassembler.
+			CorrelationID: binary.BigEndian.Uint64(b.Signature),
+			SessionID:     key.session,
+			Body:          b.Marshal(),
+		}, 0)
+		if err != nil {
+			c.svcStats.notificationsDrop.Add(uint64(len(items))) // past the chain-length bound
+			continue
+		}
+		job := notifyJob{sw: key.anchor.Switch, port: key.anchor.Port, items: int64(len(items)),
+			frames: make([]*wire.Packet, 0, len(frames))}
+		for _, fr := range frames {
+			job.frames = append(job.frames, wire.NewEnvelopeReplyPacket(key.anchor.MAC, key.anchor.IP, fr))
+		}
+		// recheckMu makes this the only producer, so the bound check cannot
+		// race another admission; the notifier only ever lowers the count.
+		if queued := c.notifyQueued.Load(); queued != 0 && queued+job.items > notifyQueueCap {
+			c.svcStats.notificationsDrop.Add(uint64(job.items))
+			continue
+		}
+		c.notifyQueued.Add(job.items)
+		select {
+		case c.notifyQ <- job: // counted by notifier, once the session took it
+		default:
+			c.notifyQueued.Add(-job.items)
+			c.svcStats.notificationsDrop.Add(uint64(job.items))
+		}
 	}
 }
 
-// sendNotification signs one notification and hands it to the asynchronous
-// delivery queue. The queue is bounded and the enqueue never blocks: a
-// wedged or dead subscriber can stall neither a recheck worker nor an
-// instance's run lock. Dropped notifications surface at the client as a
-// Notification.Seq gap, which triggers its re-subscribe recovery. The
-// queue is controller-global: verdict streams from different fleet
-// instances merge here, and per-subscription ordering is preserved because
-// each subscription is owned by one instance and evaluated at most once
-// per pass.
-func (c *Controller) sendNotification(sub *verifier.Subscription, event wire.NotifyEvent, status wire.ResponseStatus, detail string, seq, snapID uint64) {
-	if sub.Anchor.MAC == 0 && sub.Anchor.IP == 0 {
-		return // no in-band delivery point (in-process subscriber)
-	}
-	n := &wire.Notification{
-		Version:    wire.CurrentVersion,
-		Event:      event,
-		Kind:       sub.Kind,
-		Status:     status,
-		SubID:      sub.ID,
-		Nonce:      sub.Nonce,
-		Seq:        seq,
-		SnapshotID: snapID,
-		Detail:     detail,
-	}
-	n.Signature, n.Quote = c.enclave.SignAttested(n.SigningBytes())
-	pkt := wire.NewEnvelopeReplyPacket(sub.Anchor.MAC, sub.Anchor.IP, &wire.Envelope{
-		Version:       wire.EnvelopeVersion,
-		Op:            wire.OpNotify,
-		CorrelationID: sub.Nonce,
-		SessionID:     sub.SessionID,
-		Body:          n.Marshal(),
-	})
-	job := notifyJob{sw: sub.Anchor.Switch, port: sub.Anchor.Port, pkt: pkt}
-	select {
-	case c.notifyQ <- job: // counted by notifier, once the session took it
-	default:
-		c.svcStats.notificationsDrop.Add(1)
-	}
-}
-
-// notifyJob is one queued in-band notification delivery.
+// notifyJob is one queued push: the frames of one signed batch, in chain
+// order, and the number of notifications they carry.
 type notifyJob struct {
-	sw   topology.SwitchID
-	port topology.PortNo
-	pkt  *wire.Packet
+	sw     topology.SwitchID
+	port   topology.PortNo
+	frames []*wire.Packet
+	items  int64
 }
 
-// notifier drains the notification queue onto switch sessions with
-// non-blocking sends: a switch whose control channel is saturated (e.g.
-// its serve loop is stuck behind a wedged host) costs a dropped
-// notification, never a stalled engine.
+// notifier drains the delivery queue onto switch sessions with non-blocking
+// sends: a switch whose control channel is saturated (e.g. its serve loop is
+// stuck behind a wedged host) costs a dropped batch, never a stalled engine.
+// A chain the session refuses at some frame stops there — the rest could not
+// complete it — and all its notifications count as dropped.
 func (c *Controller) notifier() {
 	defer c.wg.Done()
 	for {
@@ -380,10 +439,18 @@ func (c *Controller) notifier() {
 		case <-c.stop:
 			return
 		case j := <-c.notifyQ:
-			if c.trySendPacketOut(j.sw, j.port, j.pkt) {
-				c.svcStats.notificationsSent.Add(1)
+			c.notifyQueued.Add(-j.items)
+			sent := true
+			for _, pkt := range j.frames {
+				if sent = c.trySendPacketOut(j.sw, j.port, pkt); !sent {
+					break
+				}
+			}
+			if sent {
+				c.svcStats.notificationsSent.Add(uint64(j.items))
+				c.svcStats.notifyBatches.Add(1)
 			} else {
-				c.svcStats.notificationsDrop.Add(1)
+				c.svcStats.notificationsDrop.Add(uint64(j.items))
 			}
 		}
 	}
@@ -481,6 +548,7 @@ func (c *Controller) recheckSubscriptions(force bool) {
 		Force:   force,
 		Workers: c.evalWorkers(),
 	})
+	c.flushOutbox()
 }
 
 // pokeSubscriptions nudges the background worker; called after every

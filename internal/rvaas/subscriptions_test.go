@@ -3,6 +3,7 @@ package rvaas_test
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,6 +254,7 @@ func TestSubscribeInBand(t *testing.T) {
 	aps := d.Topology.AccessPoints()
 	agent := d.Agent(aps[0].ClientID)
 	dst := aps[2]
+	pushed := tapPushes(t, d, aps[0], agent.HandleFrame)
 
 	sub, err := agent.Subscribe(wire.QueryReachableDestinations, ipConstraint(dst.HostIP), "")
 	if err != nil {
@@ -271,7 +273,6 @@ func TestSubscribeInBand(t *testing.T) {
 	}
 
 	d.Fabric.Switch(mid).RemoveDirect(drop)
-	violation := n
 	n = waitNotification(t, sub.C)
 	if n.Event != wire.NotifyRecovery || n.Status != wire.StatusOK {
 		t.Fatalf("notification = %+v", n)
@@ -280,12 +281,18 @@ func TestSubscribeInBand(t *testing.T) {
 		t.Errorf("seq = %d, want 2", n.Seq)
 	}
 
-	// Replaying the captured (genuinely signed) older violation must not
-	// be delivered as a fresh event: its sequence is behind.
+	// A lone transition is a one-item batch in one frame. Replaying the
+	// captured (genuinely signed) violation push must not be delivered as a
+	// fresh event: its sequence is behind.
+	frames := pushed()
+	if len(frames) != 2 {
+		t.Fatalf("two transitions reached the NIC as %d frames, want 2 unchunked batches", len(frames))
+	}
+	if b := batchOf(t, frames[0]); b == nil || len(b.Items) != 1 || b.Items[0].Event != wire.NotifyViolation || b.Items[0].SubID != sub.ID {
+		t.Fatalf("first push = %+v", b)
+	}
 	dropsBefore := agent.NotificationsDropped()
-	agent.HandleFrame(wire.NewEnvelopeReplyPacket(aps[0].HostMAC, aps[0].HostIP, &wire.Envelope{
-		Version: wire.EnvelopeVersion, Op: wire.OpNotify, CorrelationID: violation.Nonce, Body: violation.Marshal(),
-	}))
+	agent.HandleFrame(frames[0])
 	if agent.NotificationsDropped() != dropsBefore+1 {
 		t.Error("replayed stale notification not dropped")
 	}
@@ -336,14 +343,73 @@ func signSub(priv ed25519.PrivateKey, sr *wire.SubscribeRequest) {
 	sr.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(sr.SigningBytes(), 0))
 }
 
-// isNotify reports whether a frame arriving at a host is an RVaaS
-// notification envelope (ack or push).
-func isNotify(pkt *wire.Packet) bool {
+// isPush reports whether a frame arriving at a host belongs to a pushed
+// notification batch: the batch envelope itself, or one chunk of its chain.
+func isPush(pkt *wire.Packet) bool {
 	if !pkt.IsRVaaSV2Reply() {
 		return false
 	}
 	env, err := wire.UnmarshalEnvelope(pkt.Payload)
-	return err == nil && env.Op == wire.OpNotify
+	if err != nil {
+		return false
+	}
+	if env.Op == wire.OpChunk {
+		c, err := wire.UnmarshalChunk(env.Body)
+		return err == nil && c.InnerOp == wire.OpNotifyBatch
+	}
+	return env.Op == wire.OpNotifyBatch
+}
+
+// tapPushes interposes on ap's NIC: every push frame is recorded, then the
+// frame goes on to next (nil: nowhere). The returned function snapshots the
+// frames recorded so far, in arrival order.
+func tapPushes(t *testing.T, d *deploy.Deployment, ap topology.AccessPoint, next func(*wire.Packet)) func() []*wire.Packet {
+	t.Helper()
+	var mu sync.Mutex
+	var frames []*wire.Packet
+	if err := d.Fabric.AttachHost(ap.Endpoint, func(pkt *wire.Packet) {
+		if isPush(pkt) {
+			mu.Lock()
+			frames = append(frames, pkt.Clone())
+			mu.Unlock()
+		}
+		if next != nil {
+			next(pkt)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return func() []*wire.Packet {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*wire.Packet(nil), frames...)
+	}
+}
+
+// batchOf decodes the push batch a chain of captured frames carries (nil
+// while the chain is incomplete).
+func batchOf(t *testing.T, frames ...*wire.Packet) *wire.NotifyBatch {
+	t.Helper()
+	ra := wire.NewReassembler(0)
+	for _, pkt := range frames {
+		env, err := wire.UnmarshalEnvelope(pkt.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Op == wire.OpChunk {
+			if env, err = ra.Accept(0, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if env != nil {
+			b, err := wire.UnmarshalNotifyBatch(env.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	return nil
 }
 
 // TestForgedSubscriptionOpsRejected verifies subscription mutations are
@@ -600,7 +666,7 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 	wedge := make(chan struct{})
 	t.Cleanup(func() { close(wedge) }) // unblock before d.Close tears down switches
 	if err := d.Fabric.AttachHost(aps[0].Endpoint, func(pkt *wire.Packet) {
-		if isNotify(pkt) {
+		if isPush(pkt) {
 			<-wedge
 		}
 	}); err != nil {
@@ -630,9 +696,9 @@ func TestWedgedSubscriberDoesNotBlockRecheck(t *testing.T) {
 	if st.Violations != 1 || st.Recoveries != 1 {
 		t.Fatalf("transitions not committed behind wedged subscriber: %+v", st)
 	}
-	// The wedged switch's session still buffers both frames.
-	if st = waitNotified(t, d, 2); st.NotificationsSent != 2 {
-		t.Fatalf("notifications sent = %d, want 2", st.NotificationsSent)
+	// The wedged switch's session still buffers both one-item batches.
+	if st = waitNotified(t, d, 2); st.NotificationsSent != 2 || st.NotifyBatches != 2 {
+		t.Fatalf("notifications sent = %d in %d batches, want 2 in 2", st.NotificationsSent, st.NotifyBatches)
 	}
 }
 
@@ -675,8 +741,9 @@ func waitNotified(t *testing.T, d *deploy.Deployment, want uint64) rvaas.Subscri
 
 // TestSaturatedSessionCountsEachNotificationOnce: every notifying
 // transition ends up in exactly one of NotificationsSent (its switch
-// session took the frame) and NotificationsDropped (the queue or the
-// session was full) — a frame the session refuses is a drop, not both.
+// session took every frame of its batch) and NotificationsDropped (the
+// queue was full, or the session refused a frame of the chain — then the
+// whole batch counts dropped, not part of it, and not both).
 func TestSaturatedSessionCountsEachNotificationOnce(t *testing.T) {
 	d := deployLinear(t, 3, deploy.Options{SkipAgents: true, ManualRecheck: true})
 	aps := d.Topology.AccessPoints()
@@ -685,15 +752,16 @@ func TestSaturatedSessionCountsEachNotificationOnce(t *testing.T) {
 	wedge := make(chan struct{})
 	t.Cleanup(func() { close(wedge) }) // unblock before d.Close tears down switches
 	if err := d.Fabric.AttachHost(aps[0].Endpoint, func(pkt *wire.Packet) {
-		if isNotify(pkt) {
+		if isPush(pkt) {
 			<-wedge
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// 600 invariants anchored at the wedged host: four flips push 2400
-	// frames at a session that buffers 1024.
-	const subs, flips = 600, 4
+	// 1500 invariants anchored at the wedged host: a flip's batch is a chain
+	// of ~70 (recovery) to ~95 (violation) frames, so sixteen flips push
+	// ~1300 frames at a session that buffers 1024.
+	const subs, flips = 1500, 16
 	for i := 0; i < subs; i++ {
 		if _, err := d.RVaaS.Subscribe(aps[0].ClientID, wire.QueryReachableDestinations,
 			ipConstraint(dst.HostIP), "", aps[0].Endpoint); err != nil {
@@ -704,9 +772,12 @@ func TestSaturatedSessionCountsEachNotificationOnce(t *testing.T) {
 	for i := 0; i < flips; i++ {
 		absorbFlip(t, d, drop, i%2 == 0)
 		d.RVaaS.RecheckNow()
+		// One batch at a time: the queue admits a batch past its bound only
+		// when empty, and this test is about the session refusing frames.
+		waitNotified(t, d, uint64(subs*(i+1)))
 	}
 
-	st := waitNotified(t, d, subs*flips)
+	st := d.RVaaS.SubscriptionStats()
 	if got := st.Violations + st.Recoveries; got != subs*flips {
 		t.Fatalf("transitions = %d, want %d", got, subs*flips)
 	}
@@ -718,6 +789,11 @@ func TestSaturatedSessionCountsEachNotificationOnce(t *testing.T) {
 	if st.NotificationsSent+st.NotificationsDropped != subs*flips {
 		t.Fatalf("sent %d + dropped %d != %d notifying transitions",
 			st.NotificationsSent, st.NotificationsDropped, subs*flips)
+	}
+	// Batches are whole: each went to exactly one counter.
+	if st.NotificationsSent != subs*st.NotifyBatches || st.NotificationsDropped%subs != 0 {
+		t.Fatalf("a batch was split between the counters: sent=%d in %d batches, dropped=%d (batch size %d)",
+			st.NotificationsSent, st.NotifyBatches, st.NotificationsDropped, subs)
 	}
 }
 
@@ -754,7 +830,7 @@ func TestGapRecoveryEndToEnd(t *testing.T) {
 	var dropNotifs atomic.Bool
 	var droppedSeen atomic.Uint64
 	if err := d.Fabric.AttachHost(ap.Endpoint, func(pkt *wire.Packet) {
-		if dropNotifs.Load() && isNotify(pkt) {
+		if dropNotifs.Load() && isPush(pkt) {
 			droppedSeen.Add(1)
 			return
 		}

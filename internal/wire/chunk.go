@@ -157,14 +157,16 @@ type chunkChain struct {
 
 // Reassembler rebuilds logical envelopes from chunk chains. It is safe
 // for concurrent use. Chains are bounded: past maxChains the oldest
-// in-flight chain is evicted (its sender will time out and retry), so a
-// sender spraying fresh continuation ids cannot grow memory without
-// bound.
+// in-flight chain is evicted (a requester times out and retries; a push
+// surfaces as a sequence gap), so a sender spraying fresh continuation ids
+// cannot grow memory without bound. Dropped counts every chain discarded
+// before it completed.
 type Reassembler struct {
-	mu     sync.Mutex
-	max    int
-	chains map[chainKey]*chunkChain
-	order  []chainKey
+	mu      sync.Mutex
+	max     int
+	chains  map[chainKey]*chunkChain
+	order   []chainKey
+	dropped uint64
 }
 
 // NewReassembler returns a reassembler holding at most maxChains
@@ -206,6 +208,7 @@ func (ra *Reassembler) Accept(origin uint64, e *Envelope) (*Envelope, error) {
 	}
 	if ch.total != c.Total || ch.innerOp != c.InnerOp || ch.sessionID != e.SessionID {
 		ra.dropLocked(key)
+		ra.dropped++
 		return nil, ErrTornChain
 	}
 	if ch.frags[c.Index] != nil {
@@ -213,6 +216,7 @@ func (ra *Reassembler) Accept(origin uint64, e *Envelope) (*Envelope, error) {
 		// replayed fragment or a reused continuation id. Both poison the
 		// chain — drop it rather than guess which body the sender meant.
 		ra.dropLocked(key)
+		ra.dropped++
 		return nil, ErrDuplicateChunk
 	}
 	ch.frags[c.Index] = c.Fragment
@@ -245,6 +249,15 @@ func (ra *Reassembler) Pending() int {
 	return len(ra.chains)
 }
 
+// Dropped counts chains discarded incomplete: evicted by the chain bound,
+// torn, or poisoned by a duplicated fragment. A chain that merely never
+// completes is counted when it is evicted.
+func (ra *Reassembler) Dropped() uint64 {
+	ra.mu.Lock()
+	defer ra.mu.Unlock()
+	return ra.dropped
+}
+
 func (ra *Reassembler) dropLocked(key chainKey) {
 	delete(ra.chains, key)
 	for i, k := range ra.order {
@@ -260,5 +273,6 @@ func (ra *Reassembler) evictLocked() {
 		oldest := ra.order[0]
 		ra.order = ra.order[1:]
 		delete(ra.chains, oldest)
+		ra.dropped++
 	}
 }

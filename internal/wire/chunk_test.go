@@ -72,8 +72,8 @@ func TestChunkEnvelopeRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if ra.Pending() != 0 {
-		t.Fatalf("completed chain still pending: %d", ra.Pending())
+	if ra.Pending() != 0 || ra.Dropped() != 0 {
+		t.Fatalf("completed chain: pending %d, dropped %d, want 0 and 0", ra.Pending(), ra.Dropped())
 	}
 }
 
@@ -118,8 +118,8 @@ func TestChunkTornChain(t *testing.T) {
 	if _, err := ra.Accept(1, b[1]); err != ErrTornChain {
 		t.Fatalf("mismatched Total accepted: err = %v, want ErrTornChain", err)
 	}
-	if ra.Pending() != 0 {
-		t.Fatal("torn chain not discarded")
+	if ra.Pending() != 0 || ra.Dropped() != 1 {
+		t.Fatalf("torn chain not discarded and counted: pending %d, dropped %d", ra.Pending(), ra.Dropped())
 	}
 	// After the tear the sender can start over cleanly.
 	for i, ce := range b {
@@ -148,8 +148,8 @@ func TestChunkDuplicateContinuationID(t *testing.T) {
 	if _, err := ra.Accept(1, chunks[0]); err != ErrDuplicateChunk {
 		t.Fatalf("duplicate fragment accepted: err = %v, want ErrDuplicateChunk", err)
 	}
-	if ra.Pending() != 0 {
-		t.Fatal("poisoned chain not discarded")
+	if ra.Pending() != 0 || ra.Dropped() != 1 {
+		t.Fatalf("poisoned chain not discarded and counted: pending %d, dropped %d", ra.Pending(), ra.Dropped())
 	}
 	// Distinct origins never collide, even with equal continuation ids.
 	if _, err := ra.Accept(1, chunks[0]); err != nil {
@@ -173,8 +173,8 @@ func TestChunkChainEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ra.Pending() != 2 {
-		t.Fatalf("pending chains = %d, want 2 (oldest evicted)", ra.Pending())
+	if ra.Pending() != 2 || ra.Dropped() != 1 {
+		t.Fatalf("pending chains = %d, dropped = %d, want 2 and 1 (oldest evicted)", ra.Pending(), ra.Dropped())
 	}
 }
 

@@ -39,8 +39,9 @@ const (
 	OpSubscribe
 	OpUnsubscribe
 	OpQueryVerdict
-	// OpNotify carries a Notification: subscription acks and asynchronous
-	// violation/recovery pushes.
+	// OpNotify carries a Notification acknowledging (or rejecting) one
+	// subscription op. Verdict transitions are never pushed in one: they
+	// travel as OpNotifyBatch.
 	OpNotify
 	// OpBatchSubscribe registers N invariants under one client signature;
 	// answered by OpBatchReply (BatchReply, one item per request item).
@@ -69,6 +70,11 @@ const (
 	// authentication round of §IV-A3.
 	OpAuthChallenge
 	OpAuthReply
+	// OpNotifyBatch carries a NotifyBatch: every violation/recovery one
+	// re-verification pass produced for one client session at one access
+	// point, under a single enclave signature. It is the only push form —
+	// a lone transition is a one-item batch.
+	OpNotifyBatch
 )
 
 // String names the op.
@@ -104,6 +110,8 @@ func (op Op) String() string {
 		return "auth-challenge"
 	case OpAuthReply:
 		return "auth-reply"
+	case OpNotifyBatch:
+		return "notify-batch"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }

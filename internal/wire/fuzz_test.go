@@ -23,6 +23,12 @@ func fuzzSeeds() [][]byte {
 		Kind: QueryPathLength, Param: "7", Signature: []byte{3}}
 	n := &Notification{Version: 1, Event: NotifyViolation, Kind: QueryPathLength, Status: StatusViolation,
 		SubID: 5, Nonce: 98, Seq: 2, SnapshotID: 6, Detail: "v", Signature: []byte{4}, Quote: []byte{5}}
+	push := &NotifyBatch{Version: 1, SnapshotID: 6, Items: []NotifyItem{
+		{Event: NotifyViolation, Kind: QueryPathLength, Status: StatusViolation, SubID: 5, Nonce: 98, Seq: 2, Detail: "v"},
+		{Event: NotifyRecovery, Kind: QueryIsolation, Status: StatusOK, SubID: 6, Nonce: 92, Seq: 1},
+	}, Signature: []byte{4}, Quote: []byte{5}}
+	pushEnv := &Envelope{Version: EnvelopeVersion, Op: OpNotifyBatch, CorrelationID: 91, SessionID: 12, Body: push.Marshal()}
+	pushChunk := &Chunk{InnerOp: OpNotifyBatch, Index: 1, Total: 2, Fragment: push.Marshal()[16:]}
 	batch := &BatchSubscribeRequest{Version: CurrentVersion, ClientID: 3, Nonce: 97, AnchorSwitch: 1, AnchorPort: 2,
 		Items: []BatchItem{{Kind: QueryReachableDestinations}, {Kind: QueryPathLength, Param: "3"}}, Signature: []byte{6}}
 	bq := &BatchQueryRequest{Version: CurrentVersion, ClientID: 3, Nonce: 96,
@@ -42,6 +48,10 @@ func fuzzSeeds() [][]byte {
 		resp.Marshal(),
 		sr.Marshal(),
 		n.Marshal(),
+		push.Marshal(),
+		pushEnv.Marshal(),
+		pushChunk.Marshal(),
+		NewEnvelopeReplyPacket(2, 3, pushEnv).Marshal(),
 		batch.Marshal(),
 		bq.Marshal(),
 		resume.Marshal(),
@@ -101,6 +111,17 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 		if n, err := UnmarshalNotification(data); err == nil {
 			if _, err := UnmarshalNotification(n.Marshal()); err != nil {
 				t.Fatalf("notification re-decode failed: %v", err)
+			}
+		}
+		if b, err := UnmarshalNotifyBatch(data); err == nil {
+			re, err := UnmarshalNotifyBatch(b.Marshal())
+			if err != nil {
+				t.Fatalf("notify batch re-decode failed: %v", err)
+			}
+			// What was verified is what is delivered: the signed bytes of an
+			// accepted batch must not move when it is re-emitted.
+			if !bytes.Equal(re.SigningBytes(), b.SigningBytes()) {
+				t.Fatal("notify batch signing bytes not stable across re-encode")
 			}
 		}
 		if b, err := UnmarshalBatchSubscribeRequest(data); err == nil {

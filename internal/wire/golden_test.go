@@ -94,6 +94,16 @@ func TestGoldenNotificationPacket(t *testing.T) {
 		fromRVaaS(0x020000000006, IPv4(10, 0, 0, 6), OpNotify, n.Nonce, n.Marshal()))
 }
 
+func TestGoldenNotifyBatchPacket(t *testing.T) {
+	b := &NotifyBatch{Version: 1, SnapshotID: 43, Items: []NotifyItem{
+		{Event: NotifyViolation, Kind: QueryIsolation, Status: StatusViolation, SubID: 4, Nonce: 0x2233445566778899, Seq: 2, Detail: "v"},
+		{Event: NotifyRecovery, Kind: QueryPathLength, Status: StatusOK, SubID: 9, Nonce: 0x33445566778899AA, Seq: 5, Detail: "ok"},
+	}, Signature: []byte{0xDD}, Quote: []byte{0xEE}}
+	goldenPacket(t, "notify-batch",
+		"02000000000602005aa5000108004500008200000000401165680afffffe0a0000065aab0408006e00000210010203040506070800000000000000000000005001000000000000002b00000002020302000000000000000422334455667788990000000000000002000176030501000000000000000933445566778899aa000000000000000500026f6b0001dd0001ee",
+		fromRVaaS(0x020000000006, IPv4(10, 0, 0, 6), OpNotifyBatch, 0x0102030405060708, b.Marshal()))
+}
+
 func TestGoldenProbePacket(t *testing.T) {
 	pp := &ProbePayload{ProbeID: 5, SrcSwitch: 1, SrcPort: 2, IssuedUnix: 1700000000, MAC: []byte{0x11}}
 	goldenPacket(t, "probe",

@@ -416,11 +416,13 @@ func (e NotifyEvent) String() string {
 	return fmt.Sprintf("event(%d)", uint8(e))
 }
 
-// Notification is the RVaaS → client push message for a standing invariant:
-// the subscribe/unsubscribe ack, and asynchronous violation/recovery
-// reports. Like query responses it is signed by the enclave and carries the
-// attestation quote, so a compromised provider cannot forge or suppress
-// verdict transitions without detection.
+// Notification is the RVaaS → client message about one standing invariant.
+// On the wire (OpNotify) it is the signed ack of a subscribe, unsubscribe or
+// verdict-query op. Violation/recovery transitions travel as items of a
+// signed NotifyBatch; the client agent hands each verified item to its
+// subscriber in this shape (NotifyBatch.Notification), with Signature empty —
+// the batch signature covered it. Either way a compromised provider cannot
+// forge or suppress verdict transitions without detection.
 type Notification struct {
 	Version uint8
 	Event   NotifyEvent
@@ -485,6 +487,119 @@ func UnmarshalNotification(data []byte) (*Notification, error) {
 		return nil, r.err
 	}
 	return n, nil
+}
+
+// NotifyItem is one verdict transition inside a NotifyBatch: the fields of
+// a Notification that differ per subscription.
+type NotifyItem struct {
+	Event  NotifyEvent
+	Kind   QueryKind
+	Status ResponseStatus
+	SubID  uint64
+	// Nonce echoes the subscription nonce, which routes a push that
+	// overtakes the subscribe ack.
+	Nonce uint64
+	// Seq is the subscription's own sequence number: replay rejection and
+	// gap detection stay per subscription, exactly as for a lone push.
+	Seq    uint64
+	Detail string
+}
+
+// NotifyBatch is the RVaaS → client push: every verdict transition one
+// re-verification pass produced for one client session at one access point,
+// in SubID order, under ONE enclave signature (a lone transition is a
+// one-item batch). The pass evaluated one snapshot, so SnapshotID is stated
+// once. The signature covers the item list as a whole: a receiver accepts
+// all items or none.
+type NotifyBatch struct {
+	Version    uint8
+	SnapshotID uint64
+	Items      []NotifyItem
+	// Signature is the enclave's Ed25519 signature over SigningBytes().
+	Signature []byte
+	// Quote is the serialized attestation quote.
+	Quote []byte
+}
+
+// notifyBatchDomain opens the signed bytes of a NotifyBatch. No other
+// server-signed body starts with it (they start with a version byte and a
+// nonce or event), so a batch signature can never be presented as the
+// signature of an ack, a reply or a response with the same leading fields —
+// nor the reverse.
+const notifyBatchDomain = "notify-batch.1"
+
+// SigningBytes returns the canonical bytes covered by the signature: the
+// domain tag followed by the body as marshaled.
+func (b *NotifyBatch) SigningBytes() []byte {
+	return b.appendCore([]byte(notifyBatchDomain))
+}
+
+func (b *NotifyBatch) appendCore(buf []byte) []byte {
+	w := writer{buf: buf}
+	w.u8(b.Version)
+	w.u64(b.SnapshotID)
+	w.u32(uint32(len(b.Items)))
+	for _, it := range b.Items {
+		w.u8(uint8(it.Event))
+		w.u8(uint8(it.Kind))
+		w.u8(uint8(it.Status))
+		w.u64(it.SubID)
+		w.u64(it.Nonce)
+		w.u64(it.Seq)
+		w.str(it.Detail)
+	}
+	return w.buf
+}
+
+// Marshal encodes the batch including signature and quote.
+func (b *NotifyBatch) Marshal() []byte {
+	w := writer{buf: b.appendCore(nil)}
+	w.bytesN(b.Signature)
+	w.bytesN(b.Quote)
+	return w.buf
+}
+
+// UnmarshalNotifyBatch decodes a push batch.
+func UnmarshalNotifyBatch(data []byte) (*NotifyBatch, error) {
+	r := reader{buf: data}
+	b := &NotifyBatch{Version: r.u8(), SnapshotID: r.u64()}
+	n := int(r.u32())
+	for i := 0; i < n && r.err == nil; i++ {
+		it := NotifyItem{
+			Event:  NotifyEvent(r.u8()),
+			Kind:   QueryKind(r.u8()),
+			Status: ResponseStatus(r.u8()),
+			SubID:  r.u64(),
+			Nonce:  r.u64(),
+			Seq:    r.u64(),
+		}
+		it.Detail = r.str()
+		b.Items = append(b.Items, it)
+	}
+	b.Signature = r.bytesN()
+	b.Quote = r.bytesN()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return b, nil
+}
+
+// Notification returns item i in the shape subscribers receive: its own
+// fields plus the batch's version, snapshot id and quote.
+func (b *NotifyBatch) Notification(i int) *Notification {
+	it := b.Items[i]
+	return &Notification{
+		Version:    b.Version,
+		Event:      it.Event,
+		Kind:       it.Kind,
+		Status:     it.Status,
+		SubID:      it.SubID,
+		Nonce:      it.Nonce,
+		Seq:        it.Seq,
+		SnapshotID: b.SnapshotID,
+		Detail:     it.Detail,
+		Quote:      b.Quote,
+	}
 }
 
 // AuthRequest is the payload RVaaS injects toward endpoints discovered by
