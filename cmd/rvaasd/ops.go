@@ -348,11 +348,11 @@ func (c *opsClient) shards() error {
 	if err := c.get("/v1/shards", &shards); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%-6s %-7s %-9s %-12s %s\n", "SHARD", "ACTIVE", "VIOLATED", "IDX-BUCKETS", "IDX-ENTRIES")
+	fmt.Fprintf(out, "%-6s %-7s %-9s %-12s %-12s %s\n", "SHARD", "ACTIVE", "VIOLATED", "IDX-BUCKETS", "IDX-CLASSES", "IDX-ENTRIES")
 	active, violated := 0, 0
 	for _, sh := range shards {
-		fmt.Fprintf(out, "%-6d %-7d %-9d %-12d %d\n",
-			sh.Shard, sh.Active, sh.Violated, sh.IndexBuckets, sh.IndexEntries)
+		fmt.Fprintf(out, "%-6d %-7d %-9d %-12d %-12d %d\n",
+			sh.Shard, sh.Active, sh.Violated, sh.IndexBuckets, sh.IndexClasses, sh.IndexEntries)
 		active += sh.Active
 		violated += sh.Violated
 	}
@@ -366,12 +366,12 @@ func (c *opsClient) verifiers() error {
 		return err
 	}
 	fmt.Fprintf(out, "fleet: %d instance(s)\n", view.Instances)
-	fmt.Fprintf(out, "%-9s %-7s %-9s %-12s %-10s %-10s %s\n",
-		"INSTANCE", "ACTIVE", "VIOLATED", "IDX-ENTRIES", "EVALUATED", "DISPATCHED", "VIOLATIONS")
+	fmt.Fprintf(out, "%-9s %-7s %-9s %-12s %-12s %-12s %-10s %-10s %s\n",
+		"INSTANCE", "ACTIVE", "VIOLATED", "IDX-CLASSES", "IDX-ENTRIES", "CLASS-TESTS", "EVALUATED", "DISPATCHED", "VIOLATIONS")
 	active := 0
 	for _, v := range view.Verifiers {
-		fmt.Fprintf(out, "%-9d %-7d %-9d %-12d %-10d %-10d %d\n",
-			v.Instance, v.Active, v.Violated, v.IndexEntries, v.Evaluated, v.IndexDispatched, v.Violations)
+		fmt.Fprintf(out, "%-9d %-7d %-9d %-12d %-12d %-12d %-10d %-10d %d\n",
+			v.Instance, v.Active, v.Violated, v.IndexClasses, v.IndexEntries, v.ClassTests, v.Evaluated, v.IndexDispatched, v.Violations)
 		active += v.Active
 	}
 	fmt.Fprintf(out, "-- %d active invariants across the fleet\n", active)

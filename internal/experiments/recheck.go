@@ -13,8 +13,8 @@ import (
 
 // Experiments E13 and E14: one re-verification pass over ~10⁴ standing
 // invariants after a verdict-neutral single-switch event, on the
-// incremental engine (inverted-index dispatch → rule-delta overlap filter
-// → evaluate, cone-cached isolation sweeps, pooled workers) versus the
+// incremental engine (traversal-class index → one rule-delta overlap test
+// per class → evaluate the dirty traversals, pooled workers) versus the
 // exhaustive reference (RevalidateAll: every invariant from scratch). The
 // two experiments are the same sweep at two sites:
 //
@@ -23,13 +23,12 @@ import (
 //     dispatch claim (per-event work is O(touched), not O(population)).
 //   - E14, the hub of star-40: every invariant's path crosses the hub, so
 //     the dirty bucket is the whole population — the overlap-filter claim
-//     (a rule change touching headers no invariant carries there re-runs
-//     strictly fewer invariants than sit in the bucket).
+//     (a rule change touching headers no traversal carries there re-runs
+//     no invariant, isolation invariants and their 39 cones included).
 //
 // Counts come from ONE incremental pass, not from running a second
 // engine: the dirty-bucket size is IndexDispatched + DeltaSkipped (every
-// invariant the index handed to the overlap filter), of which Evaluated
-// re-ran. Each row ends with the differential: an exhaustive pass over the
+// invariant indexed at the dirty switch), of which Evaluated re-ran. Each row ends with the differential: an exhaustive pass over the
 // state the incremental passes left behind must flip no verdict.
 
 // RecheckSite names one row family of the sweep: where the event lands.
@@ -61,10 +60,10 @@ type RecheckRow struct {
 	Subs    int
 	IsoSubs int
 	// Bucket, Evaluated, DeltaSkipped, IsoSwept and IsoReused are the
-	// counts of one incremental pass: invariants the index dispatched to
-	// the overlap filter, the ones that re-ran, the ones the filter
-	// excused, and the per-injection-point isolation cones re-swept versus
-	// served from the cone cache.
+	// counts of one incremental pass: invariants indexed at the dirty
+	// switch, the ones that re-ran, the ones the overlap test excused, and
+	// — over the isolation invariants that re-ran — the
+	// per-injection-point cones re-swept versus served from the cone cache.
 	Bucket       int
 	Evaluated    int
 	DeltaSkipped int

@@ -6,23 +6,20 @@ import (
 	"repro/internal/topology"
 )
 
-// TestRuleDeltaExperiment smoke-runs the E14 row on a small star and checks
-// its headline claim deterministically, from one incremental pass: after a
-// hub change the dirty bucket is (essentially) the whole population, the
-// overlap filter excuses all of it, and the exhaustive reference — run
+// TestRuleDeltaExperiment smoke-runs the E14 row at a small population and
+// checks its headline claim deterministically, from one incremental pass:
+// after a hub change the dirty bucket is (essentially) the whole population,
+// the overlap filter excuses all of it — the isolation invariants included,
+// whose 39 cones each cross the hub — and the exhaustive reference — run
 // inside RecheckAt over the state the incremental passes left — flips
 // nothing.
 func TestRuleDeltaExperiment(t *testing.T) {
-	row, err := RecheckAt(RecheckSite{
-		Experiment: "e14",
-		Topology:   NamedTopology{Name: "star-8", Build: func() (*topology.Topology, error) { return topology.Star(8) }},
-		Hub:        true,
-	}, 40, 4, 2)
+	row, err := RecheckAt(RecheckHub, 80, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Subs != 40 {
-		t.Fatalf("subs = %d, want 40", row.Subs)
+	if row.Subs != 80 {
+		t.Fatalf("subs = %d, want 80", row.Subs)
 	}
 	if row.ExhaustiveMedian <= 0 || row.IncrementalMedian <= 0 || row.OneWorkerMedian <= 0 {
 		t.Fatalf("degenerate timings: %+v", row)
@@ -36,6 +33,44 @@ func TestRuleDeltaExperiment(t *testing.T) {
 	// slice: the overlap filter excuses the whole bucket.
 	if row.Evaluated != 0 || row.DeltaSkipped != row.Bucket {
 		t.Errorf("evaluated %d, delta-skipped %d of a %d bucket; want 0 and the whole bucket", row.Evaluated, row.DeltaSkipped, row.Bucket)
+	}
+}
+
+// TestNeutralHubEventSweepsNoIsolationCone: three isolation invariants on
+// star-40 put 39 cones each through the hub. A hub rule on headers none of
+// them carries dispatches no cone, so no invariant is evaluated and no cone
+// re-swept — where a union of the cones' slices, past the footprint's term
+// cap, would read "everything" and re-aggregate all three — and the
+// exhaustive reference then flips nothing.
+func TestNeutralHubEventSweepsNoIsolationCone(t *testing.T) {
+	lab, err := NewRecheckLab(RecheckHub, 3, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	if err := lab.Event(); err != nil {
+		t.Fatal(err)
+	}
+	ctl := lab.D.RVaaS
+	before := ctl.SubscriptionStats()
+	ctl.RecheckNow()
+	after := ctl.SubscriptionStats()
+	if after.Rechecks != before.Rechecks+1 {
+		t.Fatalf("the hub event ran %d passes, want 1", after.Rechecks-before.Rechecks)
+	}
+	if n := after.Evaluated - before.Evaluated; n != 0 {
+		t.Errorf("a verdict-neutral hub rule evaluated %d invariants, want 0", n)
+	}
+	if n := after.IsoPointsSwept - before.IsoPointsSwept; n != 0 {
+		t.Errorf("a verdict-neutral hub rule re-swept %d cones, want 0", n)
+	}
+	if n := after.DeltaSkipped - before.DeltaSkipped; n != 3 {
+		t.Errorf("delta-skipped %d, want all 3 invariants indexed at the hub", n)
+	}
+	ctl.RevalidateAll()
+	if end := ctl.SubscriptionStats(); end.Violations != before.Violations || end.Recoveries != before.Recoveries {
+		t.Errorf("the exhaustive reference flipped %d/%d verdicts the incremental pass carried forward",
+			end.Violations-before.Violations, end.Recoveries-before.Recoveries)
 	}
 }
 

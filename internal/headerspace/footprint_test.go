@@ -96,23 +96,23 @@ func TestFootprintSlices(t *testing.T) {
 	in := NewSpace(width, AllX(width).SetBit(1, Bit1))
 	_, fp := net.ReachFootprint(1, 1, in, ReachOptions{})
 	// Node 1 saw the injected slice; node 2 only the bit0=1 half of it.
-	sl1, ok := fp.SliceAt(1)
-	if !ok || !sl1.Covers(in) {
-		t.Fatalf("slice at 1 = %v, want to cover %v", sl1, in)
+	v1, ok := fp.VisitAt(1)
+	if !ok || !v1.Slice.Covers(in) {
+		t.Fatalf("slice at 1 = %v, want to cover %v", v1.Slice, in)
 	}
-	sl2, ok := fp.SliceAt(2)
+	v2, ok := fp.VisitAt(2)
 	if !ok {
 		t.Fatal("node 2 missing from footprint")
 	}
 	bit0zero := NewSpace(width, AllX(width).SetBit(0, Bit0))
-	if sl2.Overlaps(bit0zero) {
-		t.Errorf("slice at 2 = %v includes headers the traversal never presented", sl2)
+	if v2.Slice.Overlaps(bit0zero) {
+		t.Errorf("slice at 2 = %v includes headers the traversal never presented", v2.Slice)
 	}
 
 	// Delta disjoint from node 2's slice (bit1=0 traffic) must not
 	// invalidate; a delta inside it must.
 	disjoint := NewSpace(width, AllX(width).SetBit(1, Bit0))
-	if fp.OverlapsAt(2, disjoint) {
+	if fp.AffectedBy(2, Delta{Space: disjoint}) {
 		t.Error("disjoint delta overlaps node 2's slice")
 	}
 	if fp.InvalidatedBy(map[NodeID]Delta{2: {Space: disjoint}}) {
@@ -129,7 +129,7 @@ func TestFootprintSlices(t *testing.T) {
 
 	// Unconstrained entries (Add without slice) overlap everything.
 	fp.Add(7)
-	if !fp.OverlapsAt(7, disjoint) {
+	if !fp.AffectedBy(7, Delta{Space: disjoint}) {
 		t.Error("unconstrained entry must overlap every delta")
 	}
 }
@@ -150,40 +150,16 @@ func TestFootprintSliceCap(t *testing.T) {
 		}
 		fp.AddSlice(3, NewSpace(width, h))
 	}
-	sl, ok := fp.SliceAt(3)
+	v, ok := fp.VisitAt(3)
 	if !ok {
 		t.Fatal("node missing")
 	}
-	if sl.Size() > footprintTermCap {
-		t.Fatalf("slice terms = %d, cap = %d", sl.Size(), footprintTermCap)
+	if v.Slice.Size() > footprintTermCap {
+		t.Fatalf("slice terms = %d, cap = %d", v.Slice.Size(), footprintTermCap)
 	}
 	// Post-collapse the slice must still cover everything accumulated.
-	if !fp.OverlapsAt(3, NewSpace(width, AllX(width).SetBit(0, Bit0))) {
+	if !fp.AffectedBy(3, Delta{Space: NewSpace(width, AllX(width).SetBit(0, Bit0))}) {
 		t.Error("collapsed slice lost coverage")
-	}
-}
-
-// TestFootprintUnionSlices checks Union merges per-node slices and keeps
-// unconstrained entries unconstrained.
-func TestFootprintUnionSlices(t *testing.T) {
-	width := 8
-	a, b := NewFootprint(), NewFootprint()
-	h0 := AllX(width).SetBit(0, Bit0)
-	h1 := AllX(width).SetBit(0, Bit1)
-	a.AddSlice(1, NewSpace(width, h0))
-	b.AddSlice(1, NewSpace(width, h1))
-	b.AddSlice(2, NewSpace(width, h1))
-	a.Add(3)
-	b.AddSlice(3, NewSpace(width, h1))
-	a.Union(b)
-	if !a.OverlapsAt(1, NewSpace(width, h1)) || !a.OverlapsAt(1, NewSpace(width, h0)) {
-		t.Error("union lost one side's slice at node 1")
-	}
-	if !a.Contains(2) {
-		t.Error("union missed node 2")
-	}
-	if !a.OverlapsAt(3, NewSpace(width, h0)) {
-		t.Error("unconstrained entry must stay unconstrained after union")
 	}
 }
 
@@ -219,9 +195,9 @@ func TestFootprintPorts(t *testing.T) {
 	_, fp := net.ReachFootprint(1, 1, FullSpace(8), ReachOptions{})
 	// The line wires node n port 2 -> node n+1 port 1: node 2 is entered
 	// on port 1 only.
-	ports, constrained := fp.PortsAt(2)
-	if !constrained || len(ports) != 1 || ports[0] != 1 {
-		t.Fatalf("ports at node 2 = %v (constrained=%v), want [1]", ports, constrained)
+	v, _ := fp.VisitAt(2)
+	if v.AnyPort || len(v.Ports) != 1 || v.Ports[0] != 1 {
+		t.Fatalf("ports at node 2 = %v (any=%v), want [1]", v.Ports, v.AnyPort)
 	}
 
 	full := FullSpace(8)
@@ -251,25 +227,55 @@ func TestFootprintPorts(t *testing.T) {
 	for p := PortID(1); p <= footprintPortCap+2; p++ {
 		fp3.AddSliceAt(5, full, p)
 	}
-	if _, constrained := fp3.PortsAt(5); constrained {
+	if v, _ := fp3.VisitAt(5); !v.AnyPort {
 		t.Error("port set did not collapse to any-port past the cap")
 	}
+}
 
-	// Union: merging an any-port side widens the entry.
-	a, b := NewFootprint(), NewFootprint()
-	a.AddSliceAt(4, full, 1)
-	b.AddSlice(4, full)
-	a.Union(b)
-	if _, constrained := a.PortsAt(4); constrained {
-		t.Error("union with an any-port entry must widen to any-port")
+// TestVisitKey checks the identity an index groups traversals under: equal
+// visits share a key, and anything AffectedBy can tell apart — another
+// slice, another port set, any-port against a listed port — does not.
+func TestVisitKey(t *testing.T) {
+	width := 8
+	h0 := NewSpace(width, AllX(width).SetBit(0, Bit0))
+	h1 := NewSpace(width, AllX(width).SetBit(0, Bit1))
+	visit := func(record func(Footprint)) Visit {
+		fp := NewFootprint()
+		record(fp)
+		v, ok := fp.VisitAt(1)
+		if !ok {
+			t.Fatal("node 1 not recorded")
+		}
+		return v
 	}
-	// Union of two constrained sides merges the sets.
-	c, d := NewFootprint(), NewFootprint()
-	c.AddSliceAt(4, full, 1)
-	d.AddSliceAt(4, full, 2)
-	c.Union(d)
-	ports, constrained = c.PortsAt(4)
-	if !constrained || len(ports) != 2 {
-		t.Errorf("union of constrained port sets = %v (constrained=%v), want both ports", ports, constrained)
+	key := func(v Visit) string { return string(v.AppendKey(nil)) }
+
+	base := visit(func(fp Footprint) { fp.AddSliceAt(1, h0, 2) })
+	same := visit(func(fp Footprint) { fp.AddSliceAt(1, h0.Clone(), 2) })
+	if key(base) != key(same) {
+		t.Error("equal visits recorded separately got different keys")
+	}
+	distinct := map[string]Visit{
+		"other slice":   visit(func(fp Footprint) { fp.AddSliceAt(1, h1, 2) }),
+		"other port":    visit(func(fp Footprint) { fp.AddSliceAt(1, h0, 3) }),
+		"any port":      visit(func(fp Footprint) { fp.AddSlice(1, h0) }),
+		"unconstrained": visit(func(fp Footprint) { fp.Add(1) }),
+		"two terms":     visit(func(fp Footprint) { fp.AddSliceAt(1, h0, 2); fp.AddSliceAt(1, h1, 2) }),
+		"two ports":     visit(func(fp Footprint) { fp.AddSliceAt(1, h0, 2); fp.AddSliceAt(1, h0, 3) }),
+	}
+	seen := map[string]string{key(base): "base"}
+	for name, v := range distinct {
+		k := key(v)
+		if other, dup := seen[k]; dup {
+			t.Errorf("%s shares a key with %s", name, other)
+		}
+		seen[k] = name
+	}
+	// The unconstrained visit is the class whose test always passes.
+	if !distinct["unconstrained"].AffectedBy(Delta{Space: h1, Ports: []PortID{9}}) {
+		t.Error("unconstrained visit must be affected by every delta")
+	}
+	if base.AffectedBy(Delta{Space: h1}) || base.AffectedBy(Delta{Space: h0, Ports: []PortID{3}}) {
+		t.Error("visit affected by a delta off its slice or off its port")
 	}
 }

@@ -1,6 +1,7 @@
 package headerspace
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -249,5 +250,34 @@ func TestEqualEmptyForms(t *testing.T) {
 	}
 	if a.Equal(Empty(5)) {
 		t.Error("different widths are never equal")
+	}
+}
+
+// TestOverlapsMatchesIntersectAndAllocatesNothing pins Overlaps to the
+// emptiness of Intersect on widths that end inside, at and past a word
+// boundary, and checks it builds nothing.
+func TestOverlapsMatchesIntersectAndAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, width := range []int{1, 12, 31, 32, 33, 64, 100, 256} {
+		for i := 0; i < 200; i++ {
+			a, b := randHeader(r, width), randHeader(r, width)
+			x, err := a.Intersect(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := a.Overlaps(b), !x.IsEmpty(); got != want {
+				t.Fatalf("width %d: %v.Overlaps(%v) = %v, intersection empty = %v", width, a, b, got, !want)
+			}
+		}
+	}
+	if AllX(8).Overlaps(AllX(9)) {
+		t.Error("headers of different widths overlap")
+	}
+	if AllX(0).Overlaps(AllX(0)) {
+		t.Error("zero-width headers overlap")
+	}
+	a, b := randHeader(r, 256), AllX(256)
+	if n := testing.AllocsPerRun(100, func() { a.Overlaps(b) }); n != 0 {
+		t.Errorf("Overlaps allocated %v times per call, want 0", n)
 	}
 }

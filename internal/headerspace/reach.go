@@ -1,6 +1,7 @@
 package headerspace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -260,51 +261,78 @@ func (f Footprint) addSliceTerms(id NodeID, s Space) {
 	f.slices[id] = cur
 }
 
-// SliceAt returns the recorded slice for one node and whether the node is
-// in the footprint. An empty returned space on a present node means
-// "unconstrained" (see Footprint).
-func (f Footprint) SliceAt(id NodeID) (Space, bool) {
-	s, ok := f.slices[id]
-	return s, ok
+// Visit is what one traversal presented at one node: the header-space
+// slice that arrived there and the in-ports it arrived on. It is the unit
+// a rule delta is tested against, and its byte encoding (AppendKey) is the
+// identity under which an index groups traversals that presented the same
+// thing at the same node.
+type Visit struct {
+	// Slice is the arriving space; no terms means unconstrained (it
+	// overlaps every delta).
+	Slice Space
+	// Ports are the arrival in-ports, meaningful only when AnyPort is
+	// false.
+	Ports   []PortID
+	AnyPort bool
 }
 
-// PortsAt returns the in-ports the traversal arrived on at id. ok is false
-// when the node's port set is unconstrained (any port) — including when
-// the node was never visited; check Contains separately.
-func (f Footprint) PortsAt(id NodeID) (ports []PortID, ok bool) {
-	ps, ok := f.inPorts[id]
-	return ps, ok
-}
-
-// OverlapsAt reports whether a header-space delta at node id can affect an
-// evaluation that produced this footprint: the node was visited and its
-// recorded slice overlaps the delta (an unconstrained visit overlaps
-// everything).
-func (f Footprint) OverlapsAt(id NodeID, delta Space) bool {
+// VisitAt returns what the traversal presented at id and whether it
+// visited id at all. The Visit aliases the footprint's storage.
+func (f Footprint) VisitAt(id NodeID) (Visit, bool) {
 	sl, ok := f.slices[id]
 	if !ok {
+		return Visit{}, false
+	}
+	return f.visit(id, sl), true
+}
+
+// visit pairs id's recorded slice with its recorded in-ports.
+func (f Footprint) visit(id NodeID, sl Space) Visit {
+	ps, constrained := f.inPorts[id]
+	return Visit{Slice: sl, Ports: ps, AnyPort: !constrained}
+}
+
+// AffectedBy reports whether a rule delta at the visited node can affect
+// the traversal: the delta's in-port restriction (if any) intersects the
+// arrival ports, and the delta's space overlaps the arriving slice. This is
+// the one overlap predicate: Footprint.AffectedBy applies it to one
+// traversal, the verifier's index to a whole class of them.
+func (v Visit) AffectedBy(d Delta) bool {
+	if len(d.Ports) > 0 && !v.AnyPort && !portsIntersect(v.Ports, d.Ports) {
 		return false
 	}
-	if len(sl.terms) == 0 {
-		return true // unconstrained visit: conservatively affected
+	return len(v.Slice.terms) == 0 || v.Slice.Overlaps(d.Space)
+}
+
+// AppendKey appends the visit's identity to dst: width, in-port set and
+// slice terms, each in recorded order. Two visits with equal keys are the
+// same value, so AffectedBy agrees on them for every delta; the same
+// packets recorded in another term or port order get another key, which
+// costs a grouping index one more test and never a wrong answer.
+func (v Visit) AppendKey(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Slice.width))
+	if v.AnyPort {
+		dst = append(dst, 0xFF)
+	} else {
+		dst = append(dst, byte(len(v.Ports))) // at most footprintPortCap
+		for _, p := range v.Ports {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(p))
+		}
 	}
-	return sl.Overlaps(delta)
+	for _, t := range v.Slice.terms {
+		for _, w := range t.words {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
+	return dst
 }
 
 // AffectedBy reports whether a rule delta at node id can affect an
-// evaluation that produced this footprint: the node was visited, the
-// delta's in-port restriction (if any) intersects the ports the traversal
-// arrived on, and the delta's space overlaps the recorded slice.
+// evaluation that produced this footprint: the node was visited and the
+// delta affects what was presented there (Visit.AffectedBy).
 func (f Footprint) AffectedBy(id NodeID, d Delta) bool {
-	if _, ok := f.slices[id]; !ok {
-		return false
-	}
-	if len(d.Ports) > 0 {
-		if ps, constrained := f.inPorts[id]; constrained && !portsIntersect(ps, d.Ports) {
-			return false
-		}
-	}
-	return f.OverlapsAt(id, d.Space)
+	v, ok := f.VisitAt(id)
+	return ok && v.AffectedBy(d)
 }
 
 // Contains reports whether the node was visited.
@@ -313,65 +341,11 @@ func (f Footprint) Contains(id NodeID) bool {
 	return ok
 }
 
-// Union folds other into f and returns f, unioning per-node slices (an
-// unconstrained entry on either side stays unconstrained) and per-node
-// port sets (an any-port entry on either side stays any-port).
-func (f Footprint) Union(other Footprint) Footprint {
-	for id, sl := range other.slices {
-		cur, ok := f.slices[id]
-		if !ok {
-			// Clamp capacity so a later AddSlice on the merged footprint
-			// can't append into the source footprint's backing array.
-			sl.terms = sl.terms[:len(sl.terms):len(sl.terms)]
-			f.slices[id] = sl
-			if ps, constrained := other.inPorts[id]; constrained {
-				f.inPorts[id] = append([]PortID(nil), ps...)
-			}
-			continue
-		}
-		f.unionPorts(id, other)
-		if len(cur.terms) == 0 {
-			continue // already unconstrained
-		}
-		if len(sl.terms) == 0 {
-			f.slices[id] = Space{}
-			continue
-		}
-		cur.terms = append(cur.terms[:len(cur.terms):len(cur.terms)], sl.terms...)
-		if len(cur.terms) > footprintTermCap {
-			cur.terms = []Header{AllX(cur.width)}
-		}
-		f.slices[id] = cur
+// Each calls fn for every visited node, in no particular order.
+func (f Footprint) Each(fn func(id NodeID, v Visit)) {
+	for id, sl := range f.slices {
+		fn(id, f.visit(id, sl))
 	}
-	return f
-}
-
-// unionPorts merges other's port set at id into f's, widening to any-port
-// when either side is unconstrained or the merged set passes the cap.
-func (f Footprint) unionPorts(id NodeID, other Footprint) {
-	cur, curConstrained := f.inPorts[id]
-	if !curConstrained {
-		return
-	}
-	ps, otherConstrained := other.inPorts[id]
-	if !otherConstrained {
-		delete(f.inPorts, id)
-		return
-	}
-merge:
-	for _, p := range ps {
-		for _, q := range cur {
-			if q == p {
-				continue merge
-			}
-		}
-		if len(cur) >= footprintPortCap {
-			delete(f.inPorts, id)
-			return
-		}
-		cur = append(cur, p)
-	}
-	f.inPorts[id] = cur
 }
 
 // Nodes returns the visited node ids in ascending order.
@@ -384,32 +358,16 @@ func (f Footprint) Nodes() []NodeID {
 	return ids
 }
 
-// DiffFootprints returns the nodes present only in next (added) and only
-// in prev (removed). The subscription engine diffs the footprint recorded
-// by each re-evaluation against the previous one to keep its inverted
-// switch → subscriptions index in sync without rebuilding it.
-func DiffFootprints(prev, next Footprint) (added, removed []NodeID) {
-	for id := range next.slices {
-		if _, ok := prev.slices[id]; !ok {
-			added = append(added, id)
-		}
-	}
-	for id := range prev.slices {
-		if _, ok := next.slices[id]; !ok {
-			removed = append(removed, id)
-		}
-	}
-	return added, removed
-}
-
 // InvalidatedBy reports whether an evaluation that produced this
 // footprint must be re-run: deltas maps each changed node to the
 // header-space change its configuration change can affect (optionally
 // confined to specific in-ports), and the footprint is invalidated only
-// when some changed node's delta can affect the evaluation per AffectedBy. A zero footprint (never evaluated) is always
-// invalidated. Callers must omit nodes whose delta is semantically empty
-// (e.g. a fully-shadowed rule insert) from the map — an unconstrained
-// footprint entry overlaps every listed delta.
+// when some changed node's delta can affect the evaluation per AffectedBy.
+// A zero footprint (never evaluated) is always invalidated. Callers must
+// omit nodes whose delta is semantically empty (e.g. a fully-shadowed rule
+// insert) from the map — an unconstrained footprint entry overlaps every
+// listed delta. This is the per-traversal statement of what an index over
+// visits must dispatch; the verifier's tests hold its index to it.
 func (f Footprint) InvalidatedBy(deltas map[NodeID]Delta) bool {
 	if f.slices == nil {
 		return true

@@ -189,16 +189,17 @@ func TestShardStatsAndOverview(t *testing.T) {
 	d, svc, victim, blackhole := lab(t, size)
 
 	shards := svc.ShardStats()
-	active, entries := 0, 0
+	active, entries, classes := 0, 0, 0
 	for _, sh := range shards {
 		active += sh.Active
 		entries += sh.IndexEntries
+		classes += sh.IndexClasses
 	}
 	if active != size {
 		t.Fatalf("shard active sum %d, want %d", active, size)
 	}
-	if entries == 0 {
-		t.Fatal("inverted index empty with standing invariants registered")
+	if entries == 0 || classes == 0 || classes > entries {
+		t.Fatalf("inverted index holds %d entries in %d classes with standing invariants registered", entries, classes)
 	}
 
 	ov := svc.Overview()
@@ -557,12 +558,17 @@ func TestVerifiersView(t *testing.T) {
 	if len(view.Verifiers) != instances {
 		t.Fatalf("per-instance views = %d, want %d", len(view.Verifiers), instances)
 	}
-	active := 0
+	active, classes, entries := 0, 0, 0
 	for _, v := range view.Verifiers {
 		active += v.Active
+		classes += v.IndexClasses
+		entries += v.IndexEntries
 	}
 	if active != size {
 		t.Fatalf("fleet holds %d invariants, want %d", active, size)
+	}
+	if classes == 0 || classes > entries {
+		t.Fatalf("fleet index holds %d entries in %d classes", entries, classes)
 	}
 }
 

@@ -164,12 +164,15 @@ func (s *Service) ListSubscriptions(f SubFilter, cursor uint64, limit int) (SubP
 	return page, nil
 }
 
-// ShardView is the JSON shape of one engine shard snapshot.
+// ShardView is the JSON shape of one engine shard snapshot. IndexEntries
+// counts traversal-at-switch entries, IndexClasses the classes they are
+// grouped into (one overlap test each when their switch is dispatched).
 type ShardView struct {
 	Shard        int `json:"shard"`
 	Active       int `json:"active"`
 	Violated     int `json:"violated"`
 	IndexBuckets int `json:"indexBuckets"`
+	IndexClasses int `json:"indexClasses"`
 	IndexEntries int `json:"indexEntries"`
 }
 
@@ -180,7 +183,7 @@ func (s *Service) ShardStats() []ShardView {
 	for i, in := range infos {
 		out[i] = ShardView{
 			Shard: in.Shard, Active: in.Active, Violated: in.Violated,
-			IndexBuckets: in.IndexBuckets, IndexEntries: in.IndexEntries,
+			IndexBuckets: in.IndexBuckets, IndexClasses: in.IndexClasses, IndexEntries: in.IndexEntries,
 		}
 	}
 	return out
@@ -193,13 +196,18 @@ type VerifierView struct {
 	Violated int `json:"violated"`
 	// PendingRestore counts restored-but-not-yet-reevaluated invariants.
 	PendingRestore int `json:"pendingRestore,omitempty"`
-	IndexEntries   int `json:"indexEntries"`
+	// IndexEntries counts traversal-at-switch entries, IndexClasses the
+	// classes they are grouped into; ClassTests counts the overlap tests
+	// passes have run, one per class of a dispatched switch.
+	IndexClasses int `json:"indexClasses"`
+	IndexEntries int `json:"indexEntries"`
 
 	Registered      uint64 `json:"registered"`
 	Removed         uint64 `json:"removed"`
 	Evaluated       uint64 `json:"evaluated"`
 	IndexDispatched uint64 `json:"indexDispatched"`
 	DeltaSkipped    uint64 `json:"deltaSkipped"`
+	ClassTests      uint64 `json:"classTests"`
 	Violations      uint64 `json:"violations"`
 	Recoveries      uint64 `json:"recoveries"`
 }
@@ -219,9 +227,9 @@ func (s *Service) Verifiers() VerifiersView {
 	for _, in := range stats {
 		view.Verifiers = append(view.Verifiers, VerifierView{
 			Instance: in.Instance, Active: in.Active, Violated: in.Violated,
-			PendingRestore: in.PendingRestore, IndexEntries: in.IndexEntries,
+			PendingRestore: in.PendingRestore, IndexClasses: in.IndexClasses, IndexEntries: in.IndexEntries,
 			Registered: in.Registered, Removed: in.Removed, Evaluated: in.Evaluated,
-			IndexDispatched: in.IndexDispatched, DeltaSkipped: in.DeltaSkipped,
+			IndexDispatched: in.IndexDispatched, DeltaSkipped: in.DeltaSkipped, ClassTests: in.ClassTests,
 			Violations: in.Violations, Recoveries: in.Recoveries,
 		})
 	}

@@ -19,9 +19,9 @@ import (
 // RecheckNow/RevalidateAll triggers with the parallel worker pool. The
 // invariants checked afterwards:
 //
-//   - the inverted switch → subscriptions index matches every live
-//     subscription's recorded footprint exactly (no stale or missing
-//     entries);
+//   - the inverted switch → traversal-class index matches every live
+//     subscription's recorded footprints exactly (no stale, misplaced or
+//     missing entries);
 //   - per subscription, the violation log alternates strictly
 //     violation/recovery starting with a violation (no duplicated, missing
 //     or out-of-order transitions), and the notification sequence counter

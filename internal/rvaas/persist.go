@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/headerspace"
 	"repro/internal/topology"
 	"repro/internal/verifier"
 	"repro/internal/wire"
@@ -565,7 +564,6 @@ func (c *Controller) restoreSubscriptions() error {
 		sub.Seq = rec.Seq
 		sub.Evaluated = true
 		sub.NeedsFullEval = true
-		sub.FP = headerspace.NewFootprint()
 		if rec.ID > maxID {
 			maxID = rec.ID
 		}

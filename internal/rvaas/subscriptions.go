@@ -24,7 +24,7 @@ import (
 // generalized to arbitrary client invariants.
 //
 // The engine itself — sharded subscription maps, the inverted
-// switch → subscriptions footprint index, verdict commit, per-pass worker
+// switch → traversal-class footprint index, verdict commit, per-pass worker
 // pools — lives in internal/verifier, partitioned across N instances
 // behind a verifier.Fleet (one instance unless Config.Verifiers says
 // otherwise). The controller supplies the two domain callbacks the engine
@@ -61,13 +61,12 @@ type SubscriptionStats struct {
 	// Revalidated counts invariants revalidated for free because their
 	// footprint missed the dirty set.
 	Revalidated uint64
-	// IndexDispatched counts invariants dispatched through the inverted
-	// switch → subscriptions index.
+	// IndexDispatched counts distinct invariants dispatched through the
+	// inverted switch → traversal-class index.
 	IndexDispatched uint64
-	// DeltaSkipped counts invariants that sat in a dirty switch's index
-	// bucket but were revalidated for free because their recorded traversal
-	// slice at every dirty switch was disjoint from the change's
-	// header-space delta.
+	// DeltaSkipped counts, per dirty switch, the invariants indexed there
+	// that were revalidated for free because no traversal of theirs
+	// presented that switch anything its header-space delta overlaps.
 	DeltaSkipped uint64
 	// VerdictQueries counts served SubOpQueryVerdict requests (on-demand
 	// current-verdict reads).
@@ -96,7 +95,9 @@ type SubscriptionStats struct {
 	// chain completed (evicted, torn or carrying a duplicated fragment).
 	ChainsDropped uint64
 	// IsoPointsSwept/IsoPointsReused count per-injection-point isolation
-	// cone evaluations re-run versus served from the cone cache.
+	// cone evaluations re-run versus served from the cone cache, over the
+	// isolation invariants that were evaluated (one no pass dispatched
+	// adds to neither).
 	IsoPointsSwept  uint64
 	IsoPointsReused uint64
 	// InstanceDispatches/FleetPasses count indexed passes and the fleet
@@ -118,8 +119,8 @@ type SubscriptionInfo struct {
 	Detail    string
 	// Seq is the subscription's current notification sequence number.
 	Seq uint64
-	// FootprintSize is the number of switches the last evaluation
-	// consulted.
+	// FootprintSize is the number of distinct switches the invariant's
+	// traversals consulted.
 	FootprintSize int
 	// Instance is the verifier-fleet instance owning the invariant.
 	Instance int
@@ -129,8 +130,8 @@ type SubscriptionInfo struct {
 // domain half of the engine (invariant evaluation, commit fan-out).
 type verifierEnv struct{ c *Controller }
 
-func (ve verifierEnv) Evaluate(net *headerspace.Network, sub *verifier.Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
-	return ve.c.evaluateInvariant(net, sub, deltas, fullSweep, pooled)
+func (ve verifierEnv) Evaluate(net *headerspace.Network, sub *verifier.Subscription, dirty []int, fullSweep, pooled bool) verifier.Verdict {
+	return ve.c.evaluateInvariant(net, sub, dirty, fullSweep, pooled)
 }
 
 func (ve verifierEnv) Commit(t verifier.Transition) { ve.c.onVerifierCommit(t) }
@@ -257,16 +258,16 @@ func (c *Controller) unsubscribeByNonce(clientID, nonce uint64) (uint64, bool) {
 }
 
 // evaluateInvariant runs one standing invariant against the compiled
-// network, capturing the footprint for future incremental revalidation.
-// deltas maps the current pass's dispatched switches to their rule-delta
-// header space and ingress ports (nil at registration and under
-// RevalidateAll). fullSweep forces from-scratch evaluation (registration,
-// RevalidateAll, restore) — isolation invariants otherwise re-sweep only
-// the injection points whose cached cone was dirtied (isolation.go). pooled
-// marks evaluation inside a multi-worker pass, where isolation sweeps must
-// not nest a second fan-out. Called with the owning instance's run lock
-// held (directly or from a pass's worker pool).
-func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) verifier.Verdict {
+// network, capturing the footprint of every traversal it runs for future
+// incremental revalidation. A reach, path-length or waypoint invariant is
+// one traversal and always re-runs whole. An isolation invariant is one
+// traversal per injection point: fullSweep forces all of them from scratch
+// (registration, RevalidateAll, restore), otherwise only the points in
+// dirty — the cones the pass's deltas can affect — re-run (isolation.go).
+// pooled marks evaluation inside a multi-worker pass, where isolation
+// sweeps must not nest a second fan-out. Called with the owning instance's
+// run lock held (directly or from a pass's worker pool).
+func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.Subscription, dirty []int, fullSweep, pooled bool) verifier.Verdict {
 	space := scopeSpace(sub.Constraints)
 	at, port := headerspace.NodeID(sub.Anchor.Switch), headerspace.PortID(sub.Anchor.Port)
 	switch sub.Kind {
@@ -274,21 +275,27 @@ func (c *Controller) evaluateInvariant(net *headerspace.Network, sub *verifier.S
 		results, fp := net.ReachFootprint(at, port, space, headerspace.ReachOptions{})
 		eps := c.collectEndpoints(results, reqOf(sub))
 		if len(eps) == 0 {
-			return verifier.Verdict{Violated: true, Detail: "no reachable destinations for scoped traffic", FP: fp}
+			return oneTraversal(true, "no reachable destinations for scoped traffic", fp)
 		}
-		return verifier.Verdict{Detail: fmt.Sprintf("%d reachable endpoint(s)", len(eps)), FP: fp}
+		return oneTraversal(false, fmt.Sprintf("%d reachable endpoint(s)", len(eps)), fp)
 	case wire.QueryIsolation:
-		return c.evaluateIsolation(net, sub, deltas, fullSweep, pooled)
+		return c.evaluateIsolation(net, sub, dirty, fullSweep, pooled)
 	case wire.QueryPathLength:
 		results, fp := net.ReachFootprint(at, port, space, headerspace.ReachOptions{KeepLoops: true})
 		violated, detail := pathLengthVerdict(results, sub.Bound)
-		return verifier.Verdict{Violated: violated, Detail: detail, FP: fp}
+		return oneTraversal(violated, detail, fp)
 	case wire.QueryWaypointAvoidance:
 		results, fp := net.ReachFootprint(at, port, space, headerspace.ReachOptions{})
 		violated, detail := c.waypointVerdict(results, sub.Param)
-		return verifier.Verdict{Violated: violated, Detail: detail, FP: fp}
+		return oneTraversal(violated, detail, fp)
 	}
-	return verifier.Verdict{Violated: false, Detail: "unsupported kind", FP: headerspace.NewFootprint()}
+	return oneTraversal(false, "unsupported kind", headerspace.NewFootprint())
+}
+
+// oneTraversal is the verdict of an invariant evaluated by a single
+// injection at its anchor.
+func oneTraversal(violated bool, detail string, fp headerspace.Footprint) verifier.Verdict {
+	return verifier.Verdict{Violated: violated, Detail: detail, Ran: []verifier.TraversalFootprint{{FP: fp}}}
 }
 
 // onVerifierCommit is the engine's commit fan-out, called by the owning

@@ -392,6 +392,7 @@ type FleetStats struct {
 	Violated       int
 	PendingRestore int
 	IndexBuckets   int
+	IndexClasses   int
 	IndexEntries   int
 
 	Registered      uint64
@@ -400,6 +401,7 @@ type FleetStats struct {
 	Evaluated       uint64
 	IndexDispatched uint64
 	DeltaSkipped    uint64
+	ClassTests      uint64
 	Violations      uint64
 	Recoveries      uint64
 	IsoPointsSwept  uint64
@@ -431,6 +433,7 @@ func (f *Fleet) Stats() FleetStats {
 		st.Violated += is.Violated
 		st.PendingRestore += is.PendingRestore
 		st.IndexBuckets += is.IndexBuckets
+		st.IndexClasses += is.IndexClasses
 		st.IndexEntries += is.IndexEntries
 		st.Registered += is.Registered
 		st.Removed += is.Removed
@@ -438,6 +441,7 @@ func (f *Fleet) Stats() FleetStats {
 		st.Evaluated += is.Evaluated
 		st.IndexDispatched += is.IndexDispatched
 		st.DeltaSkipped += is.DeltaSkipped
+		st.ClassTests += is.ClassTests
 		st.Violations += is.Violations
 		st.Recoveries += is.Recoveries
 		st.IsoPointsSwept += is.IsoPointsSwept
@@ -467,6 +471,7 @@ func (f *Fleet) ShardStats() []ShardInfo {
 			out[i].Active += sh.Active
 			out[i].Violated += sh.Violated
 			out[i].IndexBuckets += sh.IndexBuckets
+			out[i].IndexClasses += sh.IndexClasses
 			out[i].IndexEntries += sh.IndexEntries
 		}
 	}
@@ -475,7 +480,11 @@ func (f *Fleet) ShardStats() []ShardInfo {
 
 // CheckConsistency verifies the engine's cross-structure invariants: the
 // owner map matches actual residence, and each instance's inverted index
-// holds exactly the live footprints. Test/debug surface.
+// holds exactly the live traversals — every traversal's every visited
+// switch has one entry, in the class its visit there names; no entry is
+// dead, stale or duplicated; no class or bucket is empty; each bucket's
+// invariant count is the number of distinct subscriptions in it. Test/debug
+// surface: call it with no pass, registration or unsubscription in flight.
 func (f *Fleet) CheckConsistency() error {
 	for i, ins := range f.instances {
 		live := make(map[uint64]*Subscription)
@@ -496,44 +505,65 @@ func (f *Fleet) CheckConsistency() error {
 				return fmt.Errorf("verifier: sub %d resident on instance %d but owner map says %d", id, i, own)
 			}
 		}
-		// Index entries must be exactly the live footprints: every entry
-		// backed by a live sub whose footprint has the node, every live
-		// footprint node present.
-		indexed := make(map[headerspace.NodeID]map[uint64]bool)
+		type entry struct {
+			m member
+			n headerspace.NodeID
+		}
+		indexed := make(map[entry]bool)
 		for si := range ins.index {
 			ish := &ins.index[si]
 			ish.mu.Lock()
-			for n, bucket := range ish.buckets {
-				m := make(map[uint64]bool, len(bucket))
-				for id := range bucket {
-					m[id] = true
-				}
-				indexed[n] = m
-			}
-			ish.mu.Unlock()
-		}
-		for n, bucket := range indexed {
-			for id := range bucket {
-				sub, ok := live[id]
-				if !ok {
-					return fmt.Errorf("verifier: instance %d index bucket %d holds dead sub %d", i, n, id)
-				}
-				found := false
-				for _, fn := range sub.FP.Nodes() {
-					if fn == n {
-						found = true
-						break
+			err := func() error {
+				for n, b := range ish.buckets {
+					if len(b.classes) == 0 {
+						return fmt.Errorf("verifier: instance %d index bucket %d is empty", i, n)
+					}
+					subs := make(map[*Subscription]bool)
+					for key, cl := range b.classes {
+						if len(cl.members) == 0 {
+							return fmt.Errorf("verifier: instance %d index bucket %d holds an empty class", i, n)
+						}
+						if string(cl.visit.AppendKey(nil)) != key {
+							return fmt.Errorf("verifier: instance %d index bucket %d class tests a visit its key does not name", i, n)
+						}
+						for _, m := range cl.members {
+							if live[m.sub.ID] != m.sub {
+								return fmt.Errorf("verifier: instance %d index bucket %d holds dead sub %d", i, n, m.sub.ID)
+							}
+							if m.t >= len(m.sub.Traversals) {
+								return fmt.Errorf("verifier: instance %d index bucket %d holds traversal %d of sub %d, which has %d", i, n, m.t, m.sub.ID, len(m.sub.Traversals))
+							}
+							v, ok := m.sub.Traversals[m.t].VisitAt(n)
+							if !ok {
+								return fmt.Errorf("verifier: instance %d index bucket %d holds sub %d traversal %d whose footprint lacks it", i, n, m.sub.ID, m.t)
+							}
+							if string(v.AppendKey(nil)) != key {
+								return fmt.Errorf("verifier: instance %d index bucket %d holds sub %d traversal %d in a class its visit does not name", i, n, m.sub.ID, m.t)
+							}
+							if indexed[entry{m, n}] {
+								return fmt.Errorf("verifier: instance %d index bucket %d holds sub %d traversal %d twice", i, n, m.sub.ID, m.t)
+							}
+							indexed[entry{m, n}] = true
+							subs[m.sub] = true
+						}
+					}
+					if b.invariants != len(subs) {
+						return fmt.Errorf("verifier: instance %d index bucket %d counts %d invariants, holds %d", i, n, b.invariants, len(subs))
 					}
 				}
-				if !found {
-					return fmt.Errorf("verifier: instance %d index bucket %d holds sub %d whose footprint lacks it", i, n, id)
-				}
+				return nil
+			}()
+			ish.mu.Unlock()
+			if err != nil {
+				return err
 			}
 		}
 		for id, sub := range live {
-			for _, n := range sub.FP.Nodes() {
-				if !indexed[n][id] {
-					return fmt.Errorf("verifier: instance %d sub %d footprint node %d missing from index", i, id, n)
+			for t, fp := range sub.Traversals {
+				for _, n := range fp.Nodes() {
+					if !indexed[entry{member{sub, t}, n}] {
+						return fmt.Errorf("verifier: instance %d sub %d traversal %d footprint node %d missing from index", i, id, t, n)
+					}
 				}
 			}
 		}

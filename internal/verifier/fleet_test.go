@@ -25,7 +25,7 @@ type fakeEnv struct {
 	transitions []Transition
 }
 
-func (e *fakeEnv) Evaluate(net *headerspace.Network, sub *Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict {
+func (e *fakeEnv) Evaluate(net *headerspace.Network, sub *Subscription, dirty []int, fullSweep, pooled bool) Verdict {
 	e.mu.Lock()
 	bad := e.violated[sub.Anchor.Switch] || e.violated[sub.Anchor.Switch+100]
 	e.evaluations++
@@ -39,7 +39,7 @@ func (e *fakeEnv) Evaluate(net *headerspace.Network, sub *Subscription, deltas m
 	if bad {
 		detail = "violated"
 	}
-	return Verdict{Violated: bad, Detail: detail, FP: fp}
+	return Verdict{Violated: bad, Detail: detail, Ran: []TraversalFootprint{{FP: fp}}}
 }
 
 func (e *fakeEnv) Commit(t Transition) {
@@ -168,8 +168,13 @@ func TestDispatchConfinement(t *testing.T) {
 			}
 		}
 		evals := is.Evaluated - is.Registered // registration evals counted too
-		if !owns && evals > 0 {
-			t.Fatalf("non-owning instance %d evaluated %d invariants", i, evals)
+		if !owns && (evals > 0 || is.ClassTests > 0) {
+			t.Fatalf("non-owning instance %d ran %d class tests and evaluated %d invariants", i, is.ClassTests, evals)
+		}
+		// Every invariant here presents the full space on any port: one
+		// class, one test, however many members.
+		if owns && is.ClassTests != 1 {
+			t.Fatalf("owning instance %d ran %d class tests for one dispatched switch, want 1", i, is.ClassTests)
 		}
 	}
 	if env.evalCount() == before {
@@ -327,7 +332,6 @@ func TestRestoreJoinsNextPass(t *testing.T) {
 		sub.Evaluated = true
 		sub.Seq = 3
 		sub.NeedsFullEval = true
-		sub.FP = headerspace.NewFootprint()
 		f.Restore(sub)
 	}
 	if !f.HasPendingRestore() {

@@ -1,6 +1,8 @@
 package verifier
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,12 +16,36 @@ type subShard struct {
 	subs map[uint64]*Subscription
 }
 
+// member names one traversal of one subscription.
+type member struct {
+	sub *Subscription
+	t   int
+}
+
+// class groups the traversals that presented the same thing at one switch —
+// byte-equal slice terms and in-port set (headerspace.Visit.AppendKey) — so
+// a pass tests a switch's delta against them once. Members are a slice:
+// dispatch walks it, and a class of one (an invariant nobody shares a
+// slice with) costs one element; removal scans the class.
+type class struct {
+	visit   headerspace.Visit
+	members []member
+}
+
+// bucket is one switch's part of the index: its classes by key, and the
+// number of distinct subscriptions with at least one traversal through the
+// switch (what DeltaSkipped is counted against).
+type bucket struct {
+	classes    map[string]*class
+	invariants int
+}
+
 // indexShard is one slice of the inverted footprint index. buckets[n]
-// holds every live subscription whose recorded footprint contains switch
-// n.
+// holds every traversal of a live subscription whose recorded footprint
+// contains switch n, grouped by what it presented there.
 type indexShard struct {
 	mu      sync.Mutex
-	buckets map[headerspace.NodeID]map[uint64]*Subscription
+	buckets map[headerspace.NodeID]*bucket
 }
 
 // instanceCounters are the hot-path statistics, kept as atomics so
@@ -28,6 +54,7 @@ type instanceCounters struct {
 	registered, removed, restored   atomic.Uint64
 	evaluated                       atomic.Uint64
 	indexDispatched, deltaSkipped   atomic.Uint64
+	classTests                      atomic.Uint64
 	violations, recoveries          atomic.Uint64
 	isoPointsSwept, isoPointsReused atomic.Uint64
 }
@@ -63,7 +90,7 @@ func NewInstance(id int, env Env) *Instance {
 		ins.shards[i].subs = make(map[uint64]*Subscription)
 	}
 	for i := range ins.index {
-		ins.index[i].buckets = make(map[headerspace.NodeID]map[uint64]*Subscription)
+		ins.index[i].buckets = make(map[headerspace.NodeID]*bucket)
 	}
 	return ins
 }
@@ -79,36 +106,106 @@ func (ins *Instance) indexFor(n headerspace.NodeID) *indexShard {
 	return &ins.index[uint32(n)&(ShardCount-1)]
 }
 
-// indexAdd/indexRemove maintain the inverted footprint index. Callers
-// hold the subscription's shard mutex; index shard mutexes nest inside
-// shard mutexes (never the other way around), so the lock order is
-// acyclic.
-func (ins *Instance) indexAdd(sub *Subscription, nodes []headerspace.NodeID) {
-	for _, n := range nodes {
-		ish := ins.indexFor(n)
-		ish.mu.Lock()
-		bucket := ish.buckets[n]
-		if bucket == nil {
-			bucket = make(map[uint64]*Subscription)
-			ish.buckets[n] = bucket
-		}
-		bucket[sub.ID] = sub
-		ish.mu.Unlock()
+// indexAdd and indexRemove enter and withdraw one traversal at one switch,
+// under the class its visit there names. first/last say whether the
+// subscription has no other traversal through the switch, i.e. whether it
+// arrives at or leaves the bucket as an invariant. Callers hold the
+// subscription's shard mutex; index shard mutexes nest inside shard
+// mutexes (never the other way around), so the lock order is acyclic.
+func (ins *Instance) indexAdd(m member, n headerspace.NodeID, v headerspace.Visit, key []byte, first bool) {
+	ish := ins.indexFor(n)
+	ish.mu.Lock()
+	defer ish.mu.Unlock()
+	b := ish.buckets[n]
+	if b == nil {
+		b = &bucket{classes: make(map[string]*class)}
+		ish.buckets[n] = b
+	}
+	cl := b.classes[string(key)]
+	if cl == nil {
+		cl = &class{visit: v}
+		b.classes[string(key)] = cl
+	}
+	cl.members = append(cl.members, m)
+	if first {
+		b.invariants++
 	}
 }
 
-func (ins *Instance) indexRemove(sub *Subscription, nodes []headerspace.NodeID) {
-	for _, n := range nodes {
-		ish := ins.indexFor(n)
-		ish.mu.Lock()
-		if bucket := ish.buckets[n]; bucket != nil {
-			delete(bucket, sub.ID)
-			if len(bucket) == 0 {
-				delete(ish.buckets, n)
+func (ins *Instance) indexRemove(m member, n headerspace.NodeID, key []byte, last bool) {
+	ish := ins.indexFor(n)
+	ish.mu.Lock()
+	defer ish.mu.Unlock()
+	b := ish.buckets[n]
+	if b == nil {
+		return
+	}
+	if cl := b.classes[string(key)]; cl != nil {
+		for i, o := range cl.members {
+			if o == m {
+				end := len(cl.members) - 1
+				cl.members[i] = cl.members[end]
+				cl.members[end] = member{} // drop the subscription pointer
+				cl.members = cl.members[:end]
+				break
 			}
 		}
-		ish.mu.Unlock()
+		if len(cl.members) == 0 {
+			delete(b.classes, string(key))
+		}
 	}
+	if last {
+		b.invariants--
+	}
+	if len(b.classes) == 0 {
+		delete(ish.buckets, n)
+	}
+}
+
+// visitsElsewhere reports whether a traversal of sub at index from or
+// later, other than t, visits n.
+func visitsElsewhere(sub *Subscription, t int, n headerspace.NodeID, from int) bool {
+	for o := from; o < len(sub.Traversals); o++ {
+		if o != t && sub.Traversals[o].Contains(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// reindex replaces traversal t's footprint with next and moves its index
+// entries to match: a switch it no longer visits loses the entry, one it
+// newly visits gains one, and one it still visits keeps its entry untouched
+// unless what it presents there changed class. Callers hold the
+// subscription's shard mutex.
+func (ins *Instance) reindex(sub *Subscription, t int, next headerspace.Footprint) {
+	for len(sub.Traversals) <= t {
+		sub.Traversals = append(sub.Traversals, headerspace.Footprint{})
+	}
+	prev := sub.Traversals[t]
+	m := member{sub: sub, t: t}
+	var prevBuf, nextBuf [128]byte
+	next.Each(func(n headerspace.NodeID, nv headerspace.Visit) {
+		nextKey := nv.AppendKey(nextBuf[:0])
+		pv, stayed := prev.VisitAt(n)
+		if !stayed {
+			ins.indexAdd(m, n, nv, nextKey, !visitsElsewhere(sub, t, n, 0))
+			return
+		}
+		if prevKey := pv.AppendKey(prevBuf[:0]); !bytes.Equal(prevKey, nextKey) {
+			// Same switch, another class: enter the new one before
+			// leaving the old, so the bucket is never emptied (and
+			// dropped, with its invariant count) in between.
+			ins.indexAdd(m, n, nv, nextKey, false)
+			ins.indexRemove(m, n, prevKey, false)
+		}
+	})
+	prev.Each(func(n headerspace.NodeID, pv headerspace.Visit) {
+		if !next.Contains(n) {
+			ins.indexRemove(m, n, pv.AppendKey(prevBuf[:0]), !visitsElsewhere(sub, t, n, 0))
+		}
+	})
+	sub.Traversals[t] = next
 }
 
 // removeLocked unlinks one subscription from its shard map and the
@@ -116,7 +213,16 @@ func (ins *Instance) indexRemove(sub *Subscription, nodes []headerspace.NodeID) 
 func (ins *Instance) removeLocked(sh *subShard, sub *Subscription) {
 	sub.Removed = true
 	delete(sh.subs, sub.ID)
-	ins.indexRemove(sub, sub.FP.Nodes())
+	var buf [128]byte
+	for t, fp := range sub.Traversals {
+		m := member{sub: sub, t: t}
+		fp.Each(func(n headerspace.NodeID, v headerspace.Visit) {
+			// The subscription leaves the bucket with the last of its
+			// traversals through n, so the invariant count never runs
+			// below the members a concurrent pass can still collect.
+			ins.indexRemove(m, n, v.AppendKey(buf[:0]), !visitsElsewhere(sub, t, n, t+1))
+		})
+	}
 	ins.stats.removed.Add(1)
 }
 
@@ -245,6 +351,7 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 	restored := ins.drainRestore()
 
 	var targets []*Subscription
+	var dirty map[*Subscription][]int
 	if p.Force {
 		// Full enumeration, footprints ignored: the exhaustive reference.
 		// Restored subscriptions are already in the shards, so the
@@ -258,33 +365,13 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 			sh.mu.Unlock()
 		}
 	} else {
-		// Indexed dirty dispatch: the union of the delta switches' buckets
-		// is the set of invariants whose footprint was touched; the
-		// rule-delta overlap filter then discards the ones whose recorded
-		// traversal slice (and arrival ports) miss every delta.
-		seen := make(map[uint64]*Subscription)
-		for n := range p.Deltas {
-			ish := ins.indexFor(n)
-			ish.mu.Lock()
-			for id, sub := range ish.buckets[n] {
-				seen[id] = sub
-			}
-			ish.mu.Unlock()
+		dirty = ins.dispatch(p.Deltas)
+		targets = make([]*Subscription, 0, len(dirty)+len(restored))
+		for sub := range dirty {
+			targets = append(targets, sub)
 		}
-		targets = make([]*Subscription, 0, len(seen))
-		for _, sub := range seen {
-			// sub.FP is written only under runMu (commit), which we hold:
-			// the read is race-free.
-			if sub.FP.InvalidatedBy(p.Deltas) {
-				targets = append(targets, sub)
-			} else {
-				ins.stats.deltaSkipped.Add(1)
-			}
-		}
-		ins.stats.indexDispatched.Add(uint64(len(targets)))
-		// Restored subscriptions have no footprint yet, so no index
-		// bucket can dispatch them — they join every pass until
-		// re-verified.
+		// Restored subscriptions have no footprint yet, so no class can
+		// dispatch them — they join every pass until re-verified.
 		targets = append(targets, restored...)
 	}
 	if len(targets) == 0 {
@@ -302,14 +389,61 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 		// A restored subscription's first evaluation is always a full
 		// sweep: it has no footprint or cone state to be incremental
 		// against.
-		v := ins.env.Evaluate(net, sub, p.Deltas, p.Force || sub.NeedsFullEval, pooled)
+		v := ins.env.Evaluate(net, sub, dirty[sub], p.Force || sub.NeedsFullEval, pooled)
 		ins.commit(sub, v, snapID, true)
 	})
 	return len(targets)
 }
 
-// commit publishes one evaluation outcome: re-syncs the inverted
-// footprint index with the new footprint and, on the first commit or a
+// dispatch runs the deltas through the index: at each dispatched switch
+// the delta is tested once per class, and the members of the classes it
+// affects are collected. The result maps each affected subscription to its
+// dirty traversal indexes, ascending. Callers hold runMu, so no commit
+// moves an entry meanwhile; an unsubscribe may, and its subscription is
+// then dropped at commit.
+func (ins *Instance) dispatch(deltas map[headerspace.NodeID]headerspace.Delta) map[*Subscription][]int {
+	dirty := make(map[*Subscription][]int)
+	// hitAt[sub] is the last switch whose delta dispatched sub: switches
+	// are walked one at a time, so comparing against it counts each
+	// switch's distinct invariants without a per-switch set.
+	hitAt := make(map[*Subscription]headerspace.NodeID)
+	var tests, skipped uint64
+	for n, d := range deltas {
+		ish := ins.indexFor(n)
+		ish.mu.Lock()
+		if b := ish.buckets[n]; b != nil {
+			hit := 0
+			for _, cl := range b.classes {
+				tests++
+				if !cl.visit.AffectedBy(d) {
+					continue
+				}
+				for _, m := range cl.members {
+					if at, seen := hitAt[m.sub]; !seen || at != n {
+						hitAt[m.sub] = n
+						hit++
+					}
+					dirty[m.sub] = append(dirty[m.sub], m.t)
+				}
+			}
+			skipped += uint64(b.invariants - hit)
+		}
+		ish.mu.Unlock()
+	}
+	for sub, ts := range dirty {
+		if len(ts) > 1 { // a traversal hit at several switches appears once
+			slices.Sort(ts)
+			dirty[sub] = slices.Compact(ts)
+		}
+	}
+	ins.stats.classTests.Add(tests)
+	ins.stats.deltaSkipped.Add(skipped)
+	ins.stats.indexDispatched.Add(uint64(len(dirty)))
+	return dirty
+}
+
+// commit publishes one evaluation outcome: re-indexes the traversals the
+// evaluation re-ran (and only those) and, on the first commit or a
 // verdict transition, hands a Transition to the host Env outside every
 // engine lock (persistence, violation log, notification delivery happen
 // there). Callers hold the instance's run lock; the shard mutex makes the
@@ -329,14 +463,13 @@ func (ins *Instance) commit(sub *Subscription, v Verdict, snapID uint64, notify 
 	ins.stats.isoPointsSwept.Add(v.IsoPointsSwept)
 	ins.stats.isoPointsReused.Add(v.IsoPointsReused)
 	prevViolated, prevEvaluated := sub.Violated, sub.Evaluated
-	added, removed := headerspace.DiffFootprints(sub.FP, v.FP)
 	sub.Violated = v.Violated
 	sub.Detail = v.Detail
-	sub.FP = v.FP
 	sub.Evaluated = true
 	sub.NeedsFullEval = false
-	ins.indexAdd(sub, added)
-	ins.indexRemove(sub, removed)
+	for _, r := range v.Ran {
+		ins.reindex(sub, r.Index, r.FP)
+	}
 	changed := (prevEvaluated && prevViolated != v.Violated) || (!prevEvaluated && v.Violated)
 	if changed {
 		sub.Seq++
@@ -376,9 +509,23 @@ func (ins *Instance) stateOfLocked(sub *Subscription) SubState {
 		Evaluated:     sub.Evaluated,
 		Detail:        sub.Detail,
 		Seq:           sub.Seq,
-		FootprintSize: sub.FP.Len(),
+		FootprintSize: footprintSize(sub),
 		Instance:      ins.id,
 	}
+}
+
+// footprintSize counts the distinct switches across the subscription's
+// traversals: each switch once, at the last traversal that visits it.
+func footprintSize(sub *Subscription) int {
+	size := 0
+	for t, fp := range sub.Traversals {
+		fp.Each(func(n headerspace.NodeID, _ headerspace.Visit) {
+			if !visitsElsewhere(sub, t, n, t+1) {
+				size++
+			}
+		})
+	}
+	return size
 }
 
 // View snapshots one subscription by id.
@@ -432,13 +579,29 @@ func (ins *Instance) OwnsAny(deltas map[headerspace.NodeID]headerspace.Delta) bo
 	for n := range deltas {
 		ish := ins.indexFor(n)
 		ish.mu.Lock()
-		occupied := len(ish.buckets[n]) > 0
+		_, occupied := ish.buckets[n]
 		ish.mu.Unlock()
 		if occupied {
 			return true
 		}
 	}
 	return false
+}
+
+// indexGeometry is one index shard's occupancy.
+type indexGeometry struct{ buckets, classes, entries int }
+
+// geometry counts the shard's buckets, classes and traversal-at-switch
+// entries. Callers hold ish.mu.
+func (ish *indexShard) geometry() indexGeometry {
+	g := indexGeometry{buckets: len(ish.buckets)}
+	for _, b := range ish.buckets {
+		g.classes += len(b.classes)
+		for _, cl := range b.classes {
+			g.entries += len(cl.members)
+		}
+	}
+	return g
 }
 
 // Stats returns the instance's counters.
@@ -451,6 +614,7 @@ func (ins *Instance) Stats() InstanceStats {
 		Evaluated:       ins.stats.evaluated.Load(),
 		IndexDispatched: ins.stats.indexDispatched.Load(),
 		DeltaSkipped:    ins.stats.deltaSkipped.Load(),
+		ClassTests:      ins.stats.classTests.Load(),
 		Violations:      ins.stats.violations.Load(),
 		Recoveries:      ins.stats.recoveries.Load(),
 		IsoPointsSwept:  ins.stats.isoPointsSwept.Load(),
@@ -470,10 +634,10 @@ func (ins *Instance) Stats() InstanceStats {
 	for i := range ins.index {
 		ish := &ins.index[i]
 		ish.mu.Lock()
-		st.IndexBuckets += len(ish.buckets)
-		for _, bucket := range ish.buckets {
-			st.IndexEntries += len(bucket)
-		}
+		g := ish.geometry()
+		st.IndexBuckets += g.buckets
+		st.IndexClasses += g.classes
+		st.IndexEntries += g.entries
 		ish.mu.Unlock()
 	}
 	ins.restoreMu.Lock()
@@ -501,10 +665,8 @@ func (ins *Instance) ShardStats() []ShardInfo {
 	for i := range ins.index {
 		ish := &ins.index[i]
 		ish.mu.Lock()
-		out[i].IndexBuckets = len(ish.buckets)
-		for _, bucket := range ish.buckets {
-			out[i].IndexEntries += len(bucket)
-		}
+		g := ish.geometry()
+		out[i].IndexBuckets, out[i].IndexClasses, out[i].IndexEntries = g.buckets, g.classes, g.entries
 		ish.mu.Unlock()
 	}
 	return out

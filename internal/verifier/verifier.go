@@ -8,7 +8,7 @@
 // instances behind a fleet router.
 //
 //   - Instance is the engine core: sharded subscription map, inverted
-//     switch → subscriptions footprint index, per-pass worker pool,
+//     switch → traversal-class footprint index, per-pass worker pool,
 //     verdict commit with index re-sync. It is the former
 //     rvaas/subscriptions.go engine, verbatim in semantics.
 //   - Fleet owns global identity (subscription ids, replay nonces,
@@ -29,12 +29,21 @@
 // rules); experiment E18 keeps N=1 as the differential reference for
 // N=4.
 //
-// There is one dispatch path (index → rule-delta overlap filter →
-// evaluate) and one reference for it: a Force pass, which enumerates every
-// invariant and evaluates it from scratch, consulting neither recorded
-// footprints nor the host's evaluation caches. A verdict the incremental
-// path carries forward is correct exactly when a Force pass over the same
-// snapshot would not flip it.
+// The unit of the index is a traversal — one injection, one
+// headerspace.Footprint: a reach, path-length or waypoint invariant has
+// one, an isolation invariant one per edge port (its cones). A switch's
+// entries are grouped into classes by what each traversal presented there
+// (byte-equal slice terms and in-port set), so a pass tests a switch's
+// rule delta once per class, not once per invariant, and hands the host
+// exactly the traversals the delta can affect.
+//
+// There is one dispatch path (index → one overlap test per class →
+// evaluate the dirty traversals) and one reference for its verdicts: a
+// Force pass, which enumerates every invariant and evaluates it from
+// scratch, consulting neither recorded footprints nor the host's
+// evaluation caches. A verdict the incremental path carries forward is
+// correct exactly when a Force pass over the same snapshot would not flip
+// it.
 package verifier
 
 import (
@@ -62,10 +71,10 @@ type Anchor struct {
 }
 
 // Subscription is one standing invariant. Identity fields are immutable
-// after registration; verdict state (Violated, Detail, FP, Seq, Removed)
-// is guarded by the owning shard's mutex. The evaluation-only cone cache
-// (Cones) is touched only during evaluation, which the owning instance's
-// run lock serializes per subscription.
+// after registration; verdict state (Violated, Detail, Traversals, Seq,
+// Removed) is guarded by the owning shard's mutex. The evaluation-only
+// cone cache (Cones) is touched only during evaluation, which the owning
+// instance's run lock serializes per subscription.
 type Subscription struct {
 	ID          uint64
 	ClientID    uint64
@@ -79,15 +88,18 @@ type Subscription struct {
 	// session resume enumerates by it.
 	SessionID uint64
 
-	Violated  bool
-	Detail    string
-	FP        headerspace.Footprint
-	Evaluated bool
-	Removed   bool
-	Seq       uint64
+	Violated bool
+	Detail   string
+	// Traversals holds the footprint each of the invariant's traversals
+	// recorded when it last ran, by traversal index; the index holds one
+	// entry per traversal per switch it visited.
+	Traversals []headerspace.Footprint
+	Evaluated  bool
+	Removed    bool
+	Seq        uint64
 
 	// NeedsFullEval marks a subscription restored from the persistence
-	// store: its verdict/seq are durable state but footprint and cones
+	// store: its verdict/seq are durable state but footprints and cones
 	// are not, so the next pass re-evaluates it from scratch regardless
 	// of the dirty set.
 	NeedsFullEval bool
@@ -137,12 +149,22 @@ func NewSubscription(clientID uint64, src Source, kind wire.QueryKind, constrain
 type Verdict struct {
 	Violated bool
 	Detail   string
-	FP       headerspace.Footprint
+	// Ran lists the traversals this evaluation re-ran with the footprint
+	// each recorded — all of them after a full sweep, the dirty ones
+	// otherwise. Commit re-indexes exactly these.
+	Ran []TraversalFootprint
 	// IsoPointsSwept/IsoPointsReused count per-injection-point cone
 	// evaluations re-run versus served from the cone cache during this
 	// evaluation (zero for non-isolation kinds).
 	IsoPointsSwept  uint64
 	IsoPointsReused uint64
+}
+
+// TraversalFootprint is the footprint one traversal of an invariant
+// recorded when it ran.
+type TraversalFootprint struct {
+	Index int
+	FP    headerspace.Footprint
 }
 
 // Transition is one committed verdict publication, handed to Env.Commit
@@ -171,10 +193,13 @@ type Transition struct {
 // Env is the host side of the engine: invariant evaluation (domain logic
 // over the compiled network) and commit fan-out (persistence, violation
 // log, notification delivery). Evaluate is called with the owning
-// instance's run lock held (directly or from a pass's worker pool);
-// Commit is called outside every engine lock.
+// instance's run lock held (directly or from a pass's worker pool): with
+// fullSweep it re-runs every traversal of the invariant from scratch,
+// otherwise exactly the traversals in dirty (ascending indexes — the ones
+// the pass's deltas can affect). Commit is called outside every engine
+// lock.
 type Env interface {
-	Evaluate(net *headerspace.Network, sub *Subscription, deltas map[headerspace.NodeID]headerspace.Delta, fullSweep, pooled bool) Verdict
+	Evaluate(net *headerspace.Network, sub *Subscription, dirty []int, fullSweep, pooled bool) Verdict
 	Commit(t Transition)
 }
 
@@ -198,8 +223,8 @@ type Pass struct {
 	// Deltas maps each switch dispatched through the index — those whose
 	// generation advanced since the previous pass, minus the ones whose
 	// rule delta is semantically empty — to its rule-delta header space
-	// (and in-port refinement). An invariant in a dispatched switch's
-	// bucket re-runs only if its recorded slice there overlaps the delta.
+	// (and in-port refinement). A traversal indexed at a dispatched switch
+	// re-runs only if what it presented there overlaps the delta.
 	Deltas map[headerspace.NodeID]headerspace.Delta
 	// Force re-evaluates every invariant from scratch, ignoring Deltas,
 	// recorded footprints and cone caches (RevalidateAll) — the exhaustive
@@ -224,8 +249,8 @@ type SubState struct {
 	Evaluated bool
 	Detail    string
 	Seq       uint64
-	// FootprintSize is the number of switches the last evaluation
-	// consulted; Instance is the owning fleet instance.
+	// FootprintSize is the number of distinct switches the invariant's
+	// traversals consulted; Instance is the owning fleet instance.
 	FootprintSize int
 	Instance      int
 }
@@ -236,15 +261,25 @@ type InstanceStats struct {
 	Active         int
 	Violated       int
 	PendingRestore int
-	IndexBuckets   int
-	IndexEntries   int
+	// IndexBuckets counts switches with an entry, IndexClasses the live
+	// traversal classes across them, IndexEntries the
+	// traversal-at-switch entries (an isolation invariant contributes one
+	// per cone per switch the cone crosses).
+	IndexBuckets int
+	IndexClasses int
+	IndexEntries int
 
-	Registered      uint64
-	Removed         uint64
-	Restored        uint64
-	Evaluated       uint64
+	Registered uint64
+	Removed    uint64
+	Restored   uint64
+	Evaluated  uint64
+	// IndexDispatched counts distinct invariants a pass dispatched;
+	// DeltaSkipped counts, per dispatched switch, the invariants indexed
+	// there that its delta did not dispatch; ClassTests counts the overlap
+	// tests passes ran (one per class per dispatched switch).
 	IndexDispatched uint64
 	DeltaSkipped    uint64
+	ClassTests      uint64
 	Violations      uint64
 	Recoveries      uint64
 	IsoPointsSwept  uint64
@@ -257,6 +292,7 @@ type ShardInfo struct {
 	Active       int
 	Violated     int
 	IndexBuckets int
+	IndexClasses int
 	IndexEntries int
 }
 

@@ -18,10 +18,10 @@ emits (cmd/benchharness -json):
        (medians). No worker-pool wall-clock floor: that measured the
        runner's core count, not the code.
      * E14: after a neutral event at the hub of star-40 with 10^4
-       invariants, one incremental pass evaluates strictly fewer
-       invariants than the index dispatched to it (evaluated < bucket,
-       both counts from the same pass; on a hub the bucket is the whole
-       population).
+       invariants, one incremental pass evaluates nothing (evaluated == 0,
+       an exact count) although every invariant is indexed at the hub
+       (bucket == subs, from the same pass): no traversal class there
+       carries the headers the rule touches.
      * E15: protocol v2 batch registration of the 10^4-invariant
        population is >= 5x faster than sequential signed round-trips, and
        kill/restart recovery completes: every persisted subscription is
@@ -105,13 +105,18 @@ def claims_e14(e14):
     failures = []
     key = "star-40/subs=10000"
     bucket = e14.get(f"{key}/bucket", (0.0, ""))[0]
+    subs = e14.get(f"{key}/subs", (float("inf"), ""))[0]
     evaluated = e14.get(f"{key}/evaluated", (float("inf"), ""))[0]
     print(f"e14: {key} one incremental pass evaluated {evaluated:.0f} of a {bucket:.0f}-invariant "
-          "bucket (require evaluated < bucket)")
-    if bucket <= 0 or evaluated >= bucket:
+          "bucket (require evaluated == 0 and bucket == subs)")
+    if bucket != subs:
         failures.append(
-            f"e14: {key} evaluated {evaluated:.0f} not below the dirty bucket {bucket:.0f} "
-            "(the header-space overlap filter is not filtering)")
+            f"e14: {key} dirty bucket {bucket:.0f} is not the population {subs:.0f} "
+            "(the hub event did not reach every invariant's index entry)")
+    if evaluated != 0:
+        failures.append(
+            f"e14: {key} a verdict-neutral hub event evaluated {evaluated:.0f} invariants, want 0 "
+            "(some traversal class at the hub claims headers no invariant carries there)")
     return failures
 
 
