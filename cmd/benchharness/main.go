@@ -1,28 +1,26 @@
 // Command benchharness regenerates the experiment tables of the
 // reproduction and prints them in the format recorded in EXPERIMENTS.md.
-// The set of experiments is data-driven: the experiments slice below is the
-// single source of truth, and the -only flag's help text is generated from
-// it, so documentation cannot drift from the code. The paper itself
-// publishes no quantitative tables (it is an architecture paper); these
-// tables measure the claims its prose makes — see EXPERIMENTS.md for the
-// mapping.
+// It is the only program that runs internal/experiments. The set of
+// experiments is data-driven: the experiments slice below is the single
+// source of truth, and the -only flag's help text is generated from it, so
+// documentation cannot drift from the code. The paper itself publishes no
+// quantitative tables (it is an architecture paper); these tables measure
+// the claims its prose makes — see EXPERIMENTS.md for the mapping.
 //
-// With -json, every experiment additionally emits a machine-readable
-// BENCH_<ID>.json file ({experiment, iters, metrics:[{metric, value,
-// unit}]}) into -outdir; CI uploads these as build artifacts so the perf
-// trajectory of the repository is recorded per commit.
+// An experiment whose rows gate a claim calls each printed row's Check; a
+// broken claim fails the experiment like an error does: the harness prints
+// "FAILED <id>: ...", runs the rest of the table, and exits non-zero.
 package main
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -31,7 +29,6 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/experiments"
 	"repro/internal/headerspace"
-	"repro/internal/labspec"
 	"repro/internal/openflow"
 	"repro/internal/procplane"
 	"repro/internal/switchsim"
@@ -40,8 +37,8 @@ import (
 )
 
 // experiment couples an id and claim with its driver. Adding an entry here
-// is the ONLY step needed to register a new experiment: -only validation,
-// help text and JSON emission all derive from this slice.
+// is the ONLY step needed to register a new experiment: -only validation
+// and help text derive from this slice.
 type experiment struct {
 	id    string
 	claim string
@@ -64,7 +61,6 @@ var experimentTable = []experiment{
 	{"e8", "crypto budget: per-packet forwarding vs per-query signing", e8},
 	{"e9", "multi-provider recursion cost vs chain length", e9},
 	{"e10", "attestation handshake cost", e10},
-	{"e11", "parallel reachability sweep scaling (workers vs throughput)", e11},
 	{"e12", "standing-invariant re-check: incremental vs naive re-query", e12},
 	{"e13", "indexed dispatch: one incremental pass vs the exhaustive reference, event at the edge of a chain", e13},
 	{"e14", "rule-delta overlap filter: one incremental pass vs the exhaustive reference, event at a hub", e14},
@@ -79,62 +75,6 @@ func experimentIDs() []string {
 		ids[i] = e.id
 	}
 	return ids
-}
-
-// benchMetric is one recorded measurement.
-type benchMetric struct {
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Unit   string  `json:"unit"`
-}
-
-// benchReport is the BENCH_<ID>.json schema. EnvelopeVersion records the
-// protocol revision the binary speaks, so the perf trajectory can be
-// correlated with protocol changes across commits. Failed carries the
-// error of an experiment that did not complete; its Metrics are whatever
-// it recorded before failing and must not be gated on.
-type benchReport struct {
-	Experiment      string        `json:"experiment"`
-	Iters           int           `json:"iters"`
-	EnvelopeVersion int           `json:"envelope_version"`
-	Failed          string        `json:"failed,omitempty"`
-	Metrics         []benchMetric `json:"metrics"`
-}
-
-// recorder collects metrics per experiment when -json is set; nil when
-// JSON output is disabled, so record() is a no-op in table-only runs.
-type recorder struct {
-	current string
-	reports map[string]*benchReport
-}
-
-var rec *recorder
-
-// specTopo, when -topology is given, replaces the built-in generator sweep
-// in the topology-driven experiments with the declared lab topology.
-var specTopo *experiments.NamedTopology
-
-// sweepTopologies returns the set the topology-driven experiments iterate:
-// the standard generator sweep, or only the spec-declared lab.
-func sweepTopologies() []experiments.NamedTopology {
-	if specTopo != nil {
-		return []experiments.NamedTopology{*specTopo}
-	}
-	return experiments.StandardSweep()
-}
-
-// record adds one measurement to the active experiment's JSON report.
-func record(metric string, value float64, unit string) {
-	if rec == nil || rec.current == "" {
-		return
-	}
-	r := rec.reports[rec.current]
-	r.Metrics = append(r.Metrics, benchMetric{Metric: metric, Value: value, Unit: unit})
-}
-
-// recordDuration records a latency metric in nanoseconds.
-func recordDuration(metric string, d time.Duration) {
-	record(metric, float64(d.Nanoseconds()), "ns")
 }
 
 func main() {
@@ -173,9 +113,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchharness", flag.ContinueOnError)
 	iters := fs.Int("iters", 10, "iterations per latency measurement")
 	only := fs.String("only", "", "run a comma-separated subset of experiments ("+strings.Join(experimentIDs(), ",")+")")
-	jsonOut := fs.Bool("json", false, "emit BENCH_<EXPERIMENT>.json files with machine-readable metrics")
-	outDir := fs.String("outdir", ".", "directory for -json output files")
-	topoSpec := fs.String("topology", "", "lab spec file (YAML/JSON); topology-driven experiments then measure the declared lab instead of the built-in generator sweep")
 	seed := fs.Int64("seed", 17, "RNG seed threaded through the seeded experiments (e5 poll phases, e16 fault profiles)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -184,16 +121,6 @@ func run(args []string) error {
 		*iters = 1
 	}
 	benchSeed = *seed
-	if *topoSpec != "" {
-		spec, err := labspec.Load(*topoSpec)
-		if err != nil {
-			return err
-		}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		specTopo = &experiments.NamedTopology{Name: spec.Name, Build: spec.Topology.Build}
-	}
 
 	want := make(map[string]bool)
 	if *only != "" {
@@ -213,21 +140,10 @@ func run(args []string) error {
 		}
 	}
 
-	if *jsonOut {
-		rec = &recorder{reports: make(map[string]*benchReport)}
-	}
 	var failed []string
 	for _, e := range experimentTable {
 		if len(want) > 0 && !want[e.id] {
 			continue
-		}
-		if rec != nil {
-			rec.current = e.id
-			rec.reports[e.id] = &benchReport{
-				Experiment:      e.id,
-				Iters:           *iters,
-				EnvelopeVersion: wire.EnvelopeVersion,
-			}
 		}
 		header(e.id, e.claim)
 		// One red experiment must not discard the others' results: record
@@ -235,15 +151,6 @@ func run(args []string) error {
 		if err := e.run(*iters); err != nil {
 			fmt.Printf("FAILED %s: %v\n", e.id, err)
 			failed = append(failed, e.id)
-			if rec != nil {
-				rec.reports[e.id].Failed = err.Error()
-			}
-		}
-	}
-	if rec != nil {
-		rec.current = ""
-		if err := writeReports(*outDir); err != nil {
-			return err
 		}
 	}
 	if len(failed) > 0 {
@@ -252,30 +159,24 @@ func run(args []string) error {
 	return nil
 }
 
-// writeReports dumps one BENCH_<ID>.json per executed experiment.
-func writeReports(dir string) error {
-	for id, r := range rec.reports {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, "BENCH_"+strings.ToUpper(id)+".json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d metrics)\n", path, len(r.Metrics))
-	}
-	return nil
-}
-
 func header(id, claim string) {
 	fmt.Printf("\n=== %s: %s ===\n", strings.ToUpper(id), claim)
+}
+
+// check runs every row's Check; the joined error names each row and
+// predicate that broke.
+func check[R interface{ Check() error }](rows []R) error {
+	errs := make([]error, len(rows))
+	for i, r := range rows {
+		errs[i] = r.Check()
+	}
+	return errors.Join(errs...)
 }
 
 func e1(iters int) error {
 	fmt.Printf("%-12s %-9s %-7s %-26s %-12s %-12s\n",
 		"topology", "switches", "rules", "kind", "mean", "per-switch")
-	for _, nt := range sweepTopologies() {
+	for _, nt := range experiments.StandardSweep() {
 		for _, kind := range []wire.QueryKind{wire.QueryReachableDestinations, wire.QueryGeoRegions} {
 			row, err := experiments.QueryLatency(nt, kind, iters)
 			if err != nil {
@@ -284,7 +185,6 @@ func e1(iters int) error {
 			fmt.Printf("%-12s %-9d %-7d %-26s %-12s %-12s\n",
 				row.Topology, row.Switches, row.Rules, row.Kind,
 				row.Mean.Round(time.Microsecond), row.PerSwitch.Round(time.Microsecond))
-			recordDuration(fmt.Sprintf("%s/%s/mean", row.Topology, row.Kind), row.Mean)
 		}
 	}
 	return nil
@@ -303,7 +203,6 @@ func e2(int) error {
 		}
 		elapsed := time.Since(start) / reps
 		fmt.Printf("%-10d %-10d %-14s\n", cfg.switches*cfg.rulesPer, cfg.switches, elapsed.Round(time.Microsecond))
-		recordDuration(fmt.Sprintf("rules=%d/switches=%d/reach", cfg.switches*cfg.rulesPer, cfg.switches), elapsed)
 	}
 	return nil
 }
@@ -337,7 +236,7 @@ func buildHSAChain(switches, rulesPer int) (*headerspace.Network, headerspace.Sp
 
 func e3(int) error {
 	fmt.Printf("%-12s %-9s %-14s %-16s\n", "topology", "switches", "poll-all mean", "event ingest")
-	for _, nt := range sweepTopologies() {
+	for _, nt := range experiments.StandardSweep() {
 		row, err := experiments.MonitoringOverhead(nt, 5, 100)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nt.Name, err)
@@ -345,8 +244,6 @@ func e3(int) error {
 		fmt.Printf("%-12s %-9d %-14s %-16s\n",
 			row.Topology, row.Switches,
 			row.PollAllMean.Round(time.Microsecond), row.EventApply.Round(time.Microsecond))
-		recordDuration(row.Topology+"/poll-all", row.PollAllMean)
-		recordDuration(row.Topology+"/event-ingest", row.EventApply)
 	}
 	return nil
 }
@@ -370,7 +267,6 @@ func e5(int) error {
 	fmt.Printf("%-12s %-12s %-12s\n", "duty cycle", "fixed", "randomized")
 	for _, r := range rows {
 		fmt.Printf("%-12.1f %-12.2f %-12.2f\n", r.WindowFraction, r.FixedRate, r.RandomRate)
-		record(fmt.Sprintf("duty=%.1f/randomized", r.WindowFraction), r.RandomRate, "rate")
 	}
 	return nil
 }
@@ -393,7 +289,6 @@ func e6(iters int) error {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
 		fmt.Printf("%-12d %-9d %-12s\n", n/2, row.Switches, row.Mean.Round(time.Microsecond))
-		recordDuration(fmt.Sprintf("tenants=%d/isolation", n/2), row.Mean)
 	}
 	return nil
 }
@@ -413,7 +308,6 @@ func e7(iters int) error {
 			return fmt.Errorf("per=%d: %w", per, err)
 		}
 		fmt.Printf("%-12d %-9d %-12s\n", 3, row.Switches, row.Mean.Round(time.Microsecond))
-		recordDuration(fmt.Sprintf("%s/geo", row.Topology), row.Mean)
 	}
 	return nil
 }
@@ -468,8 +362,6 @@ func e8(int) error {
 	fmt.Printf("%-32s %s\n", "signature verify (per query)", perVerify)
 	fmt.Printf("ratio: one query costs ~%d packet-forwards of crypto — none of it on the data path\n",
 		(perSign+perVerify)/perPacket)
-	recordDuration("forward/per-packet", perPacket)
-	recordDuration("sign/per-query", perSign)
 	return nil
 }
 
@@ -481,7 +373,6 @@ func e9(int) error {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
 		fmt.Printf("%-10d %-14s %-10d\n", n, elapsed.Round(time.Microsecond), eps)
-		recordDuration(fmt.Sprintf("chain-%d/query", n), elapsed)
 	}
 	return nil
 }
@@ -541,36 +432,6 @@ func e10(int) error {
 	fmt.Printf("%-52s %d bytes\n", "quote size", len(q.Marshal()))
 	fmt.Printf("%-52s %s\n", "message verify — first under a key (quote + sig)", firstTime)
 	fmt.Printf("%-52s %s\n", "message verify — subsequent (signature only)", laterTime)
-	recordDuration("quote/generate", genTime)
-	recordDuration("quote/verify", verTime)
-	recordDuration("message-verify/first-under-key", firstTime)
-	recordDuration("message-verify/subsequent", laterTime)
-	return nil
-}
-
-func e11(iters int) error {
-	fmt.Printf("%-12s %-8s %-9s %-14s %-12s %-8s\n",
-		"topology", "points", "workers", "sweep mean", "sweeps/sec", "speedup")
-	tops := []experiments.NamedTopology{
-		{Name: "fattree-4", Build: func() (*topology.Topology, error) { return topology.FatTree(4) }},
-		{Name: "grid-4x4", Build: func() (*topology.Topology, error) { return topology.Grid(4, 4) }},
-	}
-	if specTopo != nil {
-		tops = []experiments.NamedTopology{*specTopo}
-	}
-	for _, nt := range tops {
-		rows, err := experiments.ReachScaling(nt, []int{1, 4, 16}, iters)
-		if err != nil {
-			return fmt.Errorf("%s: %w", nt.Name, err)
-		}
-		for _, r := range rows {
-			fmt.Printf("%-12s %-8d %-9d %-14s %-12.1f %-8.2f\n",
-				r.Topology, r.Points, r.Workers,
-				r.Mean.Round(time.Microsecond), r.Sweeps, r.Speedup)
-			recordDuration(fmt.Sprintf("%s/workers=%d/sweep", r.Topology, r.Workers), r.Mean)
-			record(fmt.Sprintf("%s/workers=%d/speedup", r.Topology, r.Workers), r.Speedup, "x")
-		}
-	}
 	return nil
 }
 
@@ -578,33 +439,23 @@ func e12(iters int) error {
 	fmt.Printf("%-12s %-9s %-6s %-11s %-14s %-14s %-8s\n",
 		"topology", "switches", "subs", "evals/check", "incremental", "naive", "speedup")
 	rows, err := experiments.SubscriptionSweep(iters)
-	if err != nil {
-		return err
-	}
 	for _, r := range rows {
 		fmt.Printf("%-12s %-9d %-6d %-11.1f %-14s %-14s %-8.1f\n",
 			r.Topology, r.Switches, r.Subs, r.EvalsPerCheck,
 			r.IncrementalMean.Round(time.Microsecond),
 			r.NaiveMean.Round(time.Microsecond), r.Speedup)
-		recordDuration(r.Topology+"/incremental-recheck", r.IncrementalMean)
-		recordDuration(r.Topology+"/naive-requery", r.NaiveMean)
-		record(r.Topology+"/speedup", r.Speedup, "x")
-		record(r.Topology+"/evals-per-check", r.EvalsPerCheck, "count")
 	}
-	return nil
+	return errors.Join(err, check(rows))
 }
 
 func e13(iters int) error { return recheckTable(experiments.RecheckEdge, iters) }
 func e14(iters int) error { return recheckTable(experiments.RecheckHub, iters) }
 
-// recheckTable prints and records one site of the E13/E14 sweep.
+// recheckTable prints and checks one site of the E13/E14 sweep.
 func recheckTable(site experiments.RecheckSite, iters int) error {
 	fmt.Printf("%-10s %-6s %-4s %-7s %-10s %-8s %-16s %-12s %-12s %-12s %-8s\n",
 		"topology", "subs", "iso", "bucket", "evaluated", "skipped", "iso-swept/reused", "exhaustive", "incremental", "1-worker", "speedup")
 	rows, err := experiments.RecheckSweep(site, iters)
-	if err != nil {
-		return err
-	}
 	for _, r := range rows {
 		fmt.Printf("%-10s %-6d %-4d %-7d %-10d %-8d %-16s %-12s %-12s %-12s %-8.1f\n",
 			r.Topology, r.Subs, r.IsoSubs, r.Bucket, r.Evaluated, r.DeltaSkipped,
@@ -613,28 +464,14 @@ func recheckTable(site experiments.RecheckSite, iters int) error {
 			r.IncrementalMedian.Round(time.Microsecond),
 			r.OneWorkerMedian.Round(time.Microsecond),
 			r.Speedup)
-		key := fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)
-		recordDuration(key+"/exhaustive-recheck", r.ExhaustiveMedian)
-		recordDuration(key+"/incremental-recheck", r.IncrementalMedian)
-		recordDuration(key+"/one-worker-recheck", r.OneWorkerMedian)
-		record(key+"/speedup", r.Speedup, "x")
-		record(key+"/subs", float64(r.Subs), "count")
-		record(key+"/bucket", float64(r.Bucket), "count")
-		record(key+"/evaluated", float64(r.Evaluated), "count")
-		record(key+"/delta-skipped", float64(r.DeltaSkipped), "count")
-		record(key+"/iso-points-swept", float64(r.IsoSwept), "count")
-		record(key+"/iso-points-reused", float64(r.IsoReused), "count")
 	}
-	return nil
+	return errors.Join(err, check(rows))
 }
 
 func e15(iters int) error {
 	fmt.Printf("%-12s %-7s %-14s %-14s %-8s %-16s %-9s %-11s\n",
 		"topology", "subs", "sequential", "batch", "speedup", "restart-restore", "restored", "reverified")
 	rows, err := experiments.ProtocolSweep(iters)
-	if err != nil {
-		return err
-	}
 	for _, r := range rows {
 		fmt.Printf("%-12s %-7d %-14s %-14s %-8.1f %-16s %-9d %-11d\n",
 			r.Topology, r.Subs,
@@ -643,16 +480,8 @@ func e15(iters int) error {
 			r.Speedup,
 			r.RestartRestore.Round(time.Millisecond),
 			r.Restored, r.Reverified)
-		key := fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)
-		recordDuration(key+"/sequential-register", r.SequentialTotal)
-		recordDuration(key+"/batch-register", r.BatchTotal)
-		record(key+"/batch-speedup", r.Speedup, "x")
-		recordDuration(key+"/restart-restore", r.RestartRestore)
-		record(key+"/subs", float64(r.Subs), "count")
-		record(key+"/restored", float64(r.Restored), "count")
-		record(key+"/reverified", float64(r.Reverified), "count")
 	}
-	return nil
+	return errors.Join(err, check(rows))
 }
 
 func e18(iters int) error {
@@ -660,37 +489,22 @@ func e18(iters int) error {
 		"topology", "pop", "n", "subs", "register", "recheck", "touched/pass", "match")
 	// Two populations: anchor-rooted reachability only (the confinement
 	// showcase — a single-switch event reaches only the instances owning
-	// the dirty buckets) and mixed with isolation invariants (whole-fabric
-	// footprints spread by id, so every instance owns every switch's
-	// bucket; the differential gate still applies).
-	pops := []struct {
-		label string
-		iso   int
-	}{{"reach", 0}, {"mixed", 200}}
-	for _, pop := range pops {
-		rows, err := experiments.FleetSweep(10000, pop.iso, iters)
-		if err != nil {
-			return err
-		}
+	// the dirty buckets) and mixed with 200 isolation invariants
+	// (whole-fabric footprints spread by id, so every instance owns every
+	// switch's bucket; the differential gate still applies).
+	var errs []error
+	for _, iso := range []int{0, 200} {
+		rows, err := experiments.FleetSweep(10000, iso, iters)
 		for _, r := range rows {
 			fmt.Printf("%-10s %-6s %-4d %-7d %-14s %-12s %-13.2f %-8v\n",
-				r.Topology, pop.label, r.Instances, r.Subs,
+				r.Topology, r.Pop(), r.Instances, r.Subs,
 				r.RegisterTotal.Round(time.Millisecond),
 				r.RecheckMean.Round(time.Microsecond),
 				r.TouchedPerPass, r.VerdictsMatch)
-			key := fmt.Sprintf("%s/%s/n=%d", r.Topology, pop.label, r.Instances)
-			recordDuration(key+"/register-total", r.RegisterTotal)
-			recordDuration(key+"/recheck", r.RecheckMean)
-			record(key+"/touched-per-pass", r.TouchedPerPass, "count")
-			record(key+"/subs", float64(r.Subs), "count")
-			match := 0.0
-			if r.VerdictsMatch {
-				match = 1.0
-			}
-			record(key+"/verdicts-match", match, "bool")
 		}
+		errs = append(errs, err, check(rows))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func e16(int) error {
@@ -698,21 +512,12 @@ func e16(int) error {
 		"lab", "loss%", "partition", "detach-detect", "reattach-converge", "stale-green", "rejoins", "ch-dropped")
 	childCmd := func(string) []string { return []string{os.Args[0], "--placed-child"} }
 	rows, err := experiments.FaultEnvelopeSweep(childCmd, nil, benchSeed)
-	if err != nil {
-		return err
-	}
 	for _, r := range rows {
 		fmt.Printf("%-10s %-6d %-11s %-15s %-18s %-12d %-9d %-10d\n",
 			r.Lab, r.LossPct, r.Partition,
 			r.DetachDetect.Round(time.Millisecond),
 			r.ReattachConverge.Round(time.Millisecond),
 			r.StaleGreen, r.Rejoins, r.ChannelDropped)
-		key := fmt.Sprintf("%s/loss=%d/part=%dms", r.Lab, r.LossPct, r.Partition.Milliseconds())
-		recordDuration(key+"/detach-detect", r.DetachDetect)
-		recordDuration(key+"/reattach-converge", r.ReattachConverge)
-		record(key+"/stale-green", float64(r.StaleGreen), "count")
-		record(key+"/rejoins", float64(r.Rejoins), "count")
-		record(key+"/channel-dropped", float64(r.ChannelDropped), "count")
 	}
-	return nil
+	return errors.Join(err, check(rows))
 }

@@ -8,10 +8,6 @@
 //	rvaasd ops subs -filter status=violated -limit 50
 //	                                       operate a running lab over HTTP
 //	rvaasd spec migrate -in lab.yml        canonicalize a spec to schema v2
-//	rvaasd demo -topo fattree -size 4      the original in-process smoke demo
-//
-// Bare flags (`rvaasd -topo linear -size 3`) keep invoking the demo for
-// backward compatibility.
 package main
 
 import (
@@ -19,7 +15,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 )
 
 // out is the command output stream (swapped in e2e tests).
@@ -33,26 +28,24 @@ func main() {
 }
 
 func run(args []string) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		switch args[0] {
-		case "deploy":
-			return runDeploy(args[1:])
-		case "ops":
-			return runOps(args[1:])
-		case "spec":
-			return runSpec(args[1:])
-		case "demo":
-			return runDemo(args[1:])
-		case "help":
-			usage()
-			return nil
-		default:
-			usage()
-			return fmt.Errorf("rvaasd: unknown command %q (want deploy, ops, spec or demo)", args[0])
-		}
+	if len(args) == 0 {
+		usage()
+		return usageErr("rvaasd: missing command (want deploy, ops or spec)")
 	}
-	// Legacy invocation: flags only → the in-process demo.
-	return runDemo(args)
+	switch args[0] {
+	case "deploy":
+		return runDeploy(args[1:])
+	case "ops":
+		return runOps(args[1:])
+	case "spec":
+		return runSpec(args[1:])
+	case "help":
+		usage()
+		return nil
+	default:
+		usage()
+		return usageErr("rvaasd: unknown command %q (want deploy, ops or spec)", args[0])
+	}
 }
 
 func usage() {
@@ -62,6 +55,5 @@ func usage() {
   rvaasd ops <overview|version|subs|shards|sessions|procs|history|resync|faults>
              [-admin host:port] [-timeout D] ...
   rvaasd spec migrate -in <spec.yml|spec.json> [-out FILE] [-format yaml|json]
-  rvaasd demo [-topo NAME] [-size N] [-poll D] [-queries N] [-tenant]
 `)
 }

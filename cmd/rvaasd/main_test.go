@@ -1,46 +1,21 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-func TestBuildTopologyAllKinds(t *testing.T) {
-	cases := []struct {
-		name string
-		size int
-	}{
-		{"linear", 4}, {"ring", 4}, {"star", 3}, {"grid", 3},
-		{"fattree", 4}, {"wan", 2}, {"random", 6},
-	}
-	for _, c := range cases {
-		topo, err := BuildTopology(c.name, c.size)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if err := topo.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if len(topo.Switches()) == 0 || len(topo.AccessPoints()) == 0 {
-			t.Errorf("%s: empty topology", c.name)
-		}
-	}
-	if _, err := BuildTopology("nonsense", 3); err == nil {
-		t.Error("unknown topology accepted")
-	}
-}
-
-func TestRunSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up a deployment")
-	}
-	if err := run([]string{"-topo", "linear", "-size", "3", "-poll", "0", "-queries", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-topo", "linear", "-size", "4", "-poll", "0", "-queries", "1", "-tenant"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestRunBadFlags: flags with no command in front of them name nothing to
+// run, so rvaasd prints its usage and fails as a usage error.
 func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-topo", "nonsense"}); err == nil {
-		t.Error("bad topology accepted")
+	for _, args := range [][]string{nil, {"-topo", "nonsense"}, {"-topo", "linear", "-size", "3"}} {
+		buf := captureOut(t)
+		err := run(args)
+		if err == nil || exitCode(err) != exitUsage {
+			t.Errorf("run(%q): err=%v code=%d, want %d", args, err, exitCode(err), exitUsage)
+		}
+		if !strings.Contains(buf.String(), "usage:") {
+			t.Errorf("run(%q) printed no usage: %q", args, buf.String())
+		}
 	}
 }

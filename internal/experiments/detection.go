@@ -1,7 +1,8 @@
 // Package experiments implements the paper-reproduction experiments listed
-// in DESIGN.md (E1..E10). Each experiment is a plain function returning
-// structured results so it can be driven by unit tests, the benchmark
-// harness in bench_test.go, and cmd/benchharness alike.
+// in EXPERIMENTS.md. Each experiment is a plain function returning
+// structured rows; cmd/benchharness is the one program that prints them, and
+// unit tests run the same functions at toy scale. A row type that gates a
+// claim carries it as a Check method next to its definition.
 package experiments
 
 import (

@@ -93,11 +93,36 @@ type FaultEnvelopeRow struct {
 	ChannelDropped uint64
 }
 
+// The E16 envelope bounds. Detection must beat 5× the lab's 400 ms
+// beat-miss timeout; recovery is randomized (jittered backoff under loss)
+// but must stay inside the sweep's own 30 s convergence deadline.
+const (
+	envelopeDetectBound   = 2 * time.Second
+	envelopeConvergeBound = 25 * time.Second
+)
+
+// Check holds E16's claim: the partition is detected inside the liveness
+// contract, the invariants never read green over switches known to be
+// detached, and the lab heals through the children's own rejoin backoff
+// inside a bounded window.
+func (r FaultEnvelopeRow) Check() error {
+	c := claims{row: fmt.Sprintf("%s/loss=%d/part=%s", r.Lab, r.LossPct, r.Partition)}
+	c.require(r.DetachDetect > 0 && r.DetachDetect < envelopeDetectBound,
+		"0 < detach-detect < %s: %s", envelopeDetectBound, r.DetachDetect)
+	c.require(r.ReattachConverge > 0 && r.ReattachConverge < envelopeConvergeBound,
+		"0 < reattach-converge < %s: %s", envelopeConvergeBound, r.ReattachConverge)
+	c.require(r.StaleGreen == 0,
+		"stale-green == 0: %d samples read green while partitioned switches were known-detached", r.StaleGreen)
+	c.require(r.Rejoins >= 1, "rejoins ≥ 1: the lab healed with %d rejoins", r.Rejoins)
+	return c.err()
+}
+
 // FaultEnvelopeSweep runs the three envelope rows: a clean partition, the
 // same partition under 5% channel loss, and a longer partition under the
 // same loss. childCmd spawns the lab's child processes (the benchharness
 // re-execs itself); logf receives child/deploy logs (nil discards); seed
-// drives the loss profiles' RNG so a sweep is reproducible end to end.
+// drives the loss profiles' RNG so a sweep is reproducible end to end. On
+// error it returns the rows completed before the failing one.
 func FaultEnvelopeSweep(childCmd func(string) []string, logf func(string, ...any), seed int64) ([]FaultEnvelopeRow, error) {
 	cases := []struct {
 		loss      int
@@ -111,7 +136,7 @@ func FaultEnvelopeSweep(childCmd func(string) []string, logf func(string, ...any
 	for _, c := range cases {
 		row, err := faultEnvelope(childCmd, logf, c.loss, c.partition, seed)
 		if err != nil {
-			return nil, fmt.Errorf("loss=%d%%/partition=%s: %w", c.loss, c.partition, err)
+			return rows, fmt.Errorf("loss=%d%%/partition=%s: %w", c.loss, c.partition, err)
 		}
 		rows = append(rows, row)
 	}
@@ -228,9 +253,6 @@ func faultEnvelope(childCmd func(string) []string, logf func(string, ...any), lo
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if row.DetachDetect == 0 {
-		return row, fmt.Errorf("partition of %s never detected", partition)
-	}
 
 	healed := start.Add(partition)
 	if err := waitUntil(30*time.Second, func() bool {
@@ -240,9 +262,6 @@ func faultEnvelope(childCmd func(string) []string, logf func(string, ...any), lo
 	}
 	row.ReattachConverge = time.Since(healed)
 	row.Rejoins = totalJoins() - joinsBefore
-	if row.Rejoins < 1 {
-		return row, fmt.Errorf("healed with %d rejoins: children must rejoin through their own backoff", row.Rejoins)
-	}
 	row.ChannelDropped = p.Faults().Counters.ChannelDropped
 	return row, nil
 }

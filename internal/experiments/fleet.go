@@ -39,6 +39,9 @@ type FleetRow struct {
 	Topology string
 	Switches int
 	Subs     int
+	// IsoSubs of the Subs are isolation invariants (0: the anchor-rooted
+	// "reach" population).
+	IsoSubs int
 	// Instances is the size of the fleet under test.
 	Instances int
 	// RegisterTotal is the wall time registering (and initially
@@ -54,6 +57,30 @@ type FleetRow struct {
 	VerdictsMatch bool
 	// Violations counts verdict transitions to violated over the run.
 	Violations uint64
+}
+
+// Pop names the row's population: "reach" (anchor-rooted reachability
+// only) or "mixed" (with isolation invariants).
+func (r FleetRow) Pop() string {
+	if r.IsoSubs == 0 {
+		return "reach"
+	}
+	return "mixed"
+}
+
+// Check holds E18's claim: the arm's merged verdict stream equals the N=1
+// reference's byte for byte, and on the anchor-rooted population a fleet
+// confines a single-switch pass to fewer instances than it has. (Isolation
+// cones put a bucket for every switch on every instance, so a mixed
+// population legitimately fans out.)
+func (r FleetRow) Check() error {
+	c := claims{row: fmt.Sprintf("%s/%s/n=%d", r.Topology, r.Pop(), r.Instances)}
+	c.require(r.VerdictsMatch, "verdicts-match: the merged verdict stream diverged from the N=1 reference")
+	if r.IsoSubs == 0 && r.Instances > 1 {
+		c.require(r.TouchedPerPass < float64(r.Instances), "touched/pass < %d: a single-switch pass touched %.2f instances",
+			r.Instances, r.TouchedPerPass)
+	}
+	return c.err()
 }
 
 // FleetWAN builds the E18 fabric: regions of chained switches joined by
@@ -151,7 +178,7 @@ func (f *transitionFold) fingerprint(subs []rvaas.SubscriptionInfo) string {
 // the controller's snapshot history and, with it, the violation ring
 // (0 = default).
 func fleetArm(nt NamedTopology, instances, totalSubs, isoSubs, iters, historyDepth int) (FleetRow, string, error) {
-	row := FleetRow{Topology: nt.Name, Instances: instances}
+	row := FleetRow{Topology: nt.Name, IsoSubs: isoSubs, Instances: instances}
 	topo, err := nt.Build()
 	if err != nil {
 		return row, "", err
@@ -275,7 +302,8 @@ func fleetArm(nt NamedTopology, instances, totalSubs, isoSubs, iters, historyDep
 
 // FleetSweep runs E18: the N=1 baseline and the N=4 fleet over the same
 // fat WAN, population and churn sequence. The fleet arm is differentially
-// checked against the baseline fingerprint.
+// checked against the baseline fingerprint. On error it returns the arms
+// completed before the failing one.
 func FleetSweep(totalSubs, isoSubs, iters int) ([]FleetRow, error) {
 	return fleetSweep(totalSubs, isoSubs, iters, 0)
 }
@@ -295,7 +323,7 @@ func fleetSweep(totalSubs, isoSubs, iters, historyDepth int) ([]FleetRow, error)
 	for _, instances := range []int{1, 4} {
 		row, fp, err := fleetArm(nt, instances, totalSubs, isoSubs, iters, historyDepth)
 		if err != nil {
-			return nil, fmt.Errorf("e18 n=%d: %w", instances, err)
+			return rows, fmt.Errorf("e18 n=%d: %w", instances, err)
 		}
 		if baseline == "" {
 			baseline = fp

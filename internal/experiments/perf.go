@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/deploy"
-	"repro/internal/headerspace"
 	"repro/internal/openflow"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -202,87 +201,6 @@ func MonitoringOverhead(nt NamedTopology, polls, churnRules int) (MonitoringRow,
 		row.EventApply = time.Since(startEv) / time.Duration(applied)
 	}
 	return row, nil
-}
-
-// EdgePoints maps the topology's edge (access) ports to header-space
-// injection points — the sweep set of a "which sources reach me" query,
-// and the unit of work ReachAll parallelises over.
-func EdgePoints(topo *topology.Topology) []headerspace.InjectionPoint {
-	edges := topo.EdgePorts()
-	points := make([]headerspace.InjectionPoint, len(edges))
-	for i, ep := range edges {
-		points[i] = headerspace.InjectionPoint{
-			Node: headerspace.NodeID(ep.Switch), Port: headerspace.PortID(ep.Port),
-		}
-	}
-	return points
-}
-
-// ReachScalingRow is one row of the E11 table: throughput of a full
-// injection sweep at a given worker count.
-type ReachScalingRow struct {
-	Topology string
-	Points   int
-	Workers  int
-	Mean     time.Duration // one full ReachAll sweep over all points
-	Sweeps   float64       // sweeps per second
-	Speedup  float64       // vs the workers=1 row of the same topology
-}
-
-// ReachScaling measures E11: ReachAll sweep throughput over every edge port
-// of the deployed topology at each worker count. The network is compiled
-// once (through the controller's compile cache) and shared read-only by all
-// workers, so the measurement isolates traversal parallelism.
-func ReachScaling(nt NamedTopology, workers []int, iters int) ([]ReachScalingRow, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	topo, err := nt.Build()
-	if err != nil {
-		return nil, err
-	}
-	d, err := deploy.New(topo, deploy.Options{SkipAgents: true})
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-
-	net := d.RVaaS.CompiledNetwork()
-	points := EdgePoints(topo)
-	aps := topo.AccessPoints()
-	if len(aps) == 0 {
-		return nil, fmt.Errorf("experiments: %s has no access points", nt.Name)
-	}
-	space := headerspace.NewSpace(wire.HeaderWidth,
-		wire.FieldHeader(wire.FieldIPDst, uint64(aps[len(aps)-1].HostIP), 0xFFFFFFFF))
-
-	rows := make([]ReachScalingRow, 0, len(workers))
-	var serialMean time.Duration
-	for _, w := range workers {
-		opt := headerspace.ReachOptions{Parallelism: w}
-		// Warm up once (also populates the compile cache path).
-		net.ReachAll(points, space, opt)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			net.ReachAll(points, space, opt)
-		}
-		mean := time.Since(start) / time.Duration(iters)
-		row := ReachScalingRow{
-			Topology: nt.Name,
-			Points:   len(points),
-			Workers:  w,
-			Mean:     mean,
-			Sweeps:   float64(time.Second) / float64(mean),
-		}
-		if w == 1 {
-			serialMean = mean
-		}
-		if serialMean > 0 && mean > 0 {
-			row.Speedup = float64(serialMean) / float64(mean)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // MultiProviderChain builds a chain of n federated providers and measures

@@ -48,42 +48,6 @@ func TestMultiProviderChain(t *testing.T) {
 	}
 }
 
-func TestReachScalingSmall(t *testing.T) {
-	nt := NamedTopology{"linear-4", func() (*topology.Topology, error) { return topology.Linear(4, nil) }}
-	rows, err := ReachScaling(nt, []int{1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.Points == 0 || r.Mean <= 0 || r.Sweeps <= 0 {
-			t.Errorf("implausible row %+v", r)
-		}
-	}
-	if rows[0].Workers != 1 || rows[1].Workers != 2 {
-		t.Errorf("worker columns = %d/%d", rows[0].Workers, rows[1].Workers)
-	}
-}
-
-func TestEdgePoints(t *testing.T) {
-	topo, err := topology.Linear(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := EdgePoints(topo)
-	if len(points) == 0 {
-		t.Fatal("no edge points on linear-3")
-	}
-	for _, p := range points {
-		ep := topology.Endpoint{Switch: topology.SwitchID(p.Node), Port: topology.PortNo(p.Port)}
-		if topo.IsInternal(ep) {
-			t.Errorf("point %v is an internal port", p)
-		}
-	}
-}
-
 func TestStandardSweepBuilds(t *testing.T) {
 	for _, nt := range StandardSweep() {
 		topo, err := nt.Build()

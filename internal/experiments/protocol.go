@@ -51,6 +51,18 @@ type ProtocolRow struct {
 	Reverified int
 }
 
+// Check holds E15's claim: one signed batch registers the population at
+// least 5× faster than sequential round-trips, and a kill/restart restores
+// every subscription of a non-empty population and re-verifies every
+// restored one.
+func (r ProtocolRow) Check() error {
+	c := claims{row: fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)}
+	c.require(r.Speedup >= 5, "batch ≥ 5× sequential: %.1f×", r.Speedup)
+	c.require(r.Subs > 0 && r.Restored == r.Subs, "restored == subs: the restart restored %d of %d", r.Restored, r.Subs)
+	c.require(r.Reverified >= r.Restored, "reverified ≥ restored: %d of %d restored subscriptions re-verified", r.Reverified, r.Restored)
+	return c.err()
+}
+
 // protocolItems builds n cheap neighbor-reachability invariants anchored
 // at the first access point (one batch = one anchor). Short footprints
 // keep the evaluation cost low, so the measurement isolates what E15 is
@@ -200,7 +212,7 @@ func ProtocolScale(nt NamedTopology, n, iters int) (ProtocolRow, error) {
 }
 
 // ProtocolSweep runs E15 at the headline population plus a smaller control
-// point.
+// point. On error it returns the rows completed before the failing one.
 func ProtocolSweep(iters int) ([]ProtocolRow, error) {
 	cases := []struct {
 		nt NamedTopology
@@ -213,7 +225,7 @@ func ProtocolSweep(iters int) ([]ProtocolRow, error) {
 	for _, cs := range cases {
 		row, err := ProtocolScale(cs.nt, cs.n, iters)
 		if err != nil {
-			return nil, fmt.Errorf("e15 %s/%d: %w", cs.nt.Name, cs.n, err)
+			return rows, fmt.Errorf("e15 %s/%d: %w", cs.nt.Name, cs.n, err)
 		}
 		rows = append(rows, row)
 	}

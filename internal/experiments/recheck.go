@@ -55,6 +55,8 @@ var (
 type RecheckRow struct {
 	Topology string
 	Switches int
+	// Hub is the site's: the event landed at a hub (E14), not an edge (E13).
+	Hub bool
 	// Subs is the registered invariant population; IsoSubs of them are
 	// isolation invariants (every-edge-port sweeps, the expensive kind).
 	Subs    int
@@ -79,6 +81,25 @@ type RecheckRow struct {
 	Workers           int
 	// Speedup is ExhaustiveMedian / IncrementalMedian.
 	Speedup float64
+}
+
+// Check holds the claim of the row's site. At an edge (E13) the dirty
+// bucket is at most a tenth of a non-empty population, the pass evaluates
+// within it, and the exhaustive reference takes at least 5× one
+// incremental pass. At a hub (E14) every invariant is indexed at the dirty
+// switch and the verdict-neutral event evaluates none of them: no
+// traversal class there carries the headers the rule touches.
+func (r RecheckRow) Check() error {
+	c := claims{row: fmt.Sprintf("%s/subs=%d", r.Topology, r.Subs)}
+	if r.Hub {
+		c.require(r.Evaluated == 0, "evaluated == 0: a verdict-neutral hub event evaluated %d invariants", r.Evaluated)
+		c.require(r.Bucket == r.Subs, "bucket == subs: the dirty bucket holds %d of %d invariants", r.Bucket, r.Subs)
+		return c.err()
+	}
+	c.require(r.Evaluated <= r.Bucket, "evaluated ≤ bucket: evaluated %d of a %d-invariant bucket", r.Evaluated, r.Bucket)
+	c.require(r.Subs > 0 && 10*r.Bucket <= r.Subs, "bucket ≤ 10%% of subs: the dirty bucket holds %d of %d invariants", r.Bucket, r.Subs)
+	c.require(r.Speedup >= 5, "exhaustive ≥ 5× incremental: %.1f×", r.Speedup)
+	return c.err()
 }
 
 // BuildRecheckPopulation registers a mixed standing-invariant population:
@@ -123,8 +144,8 @@ func BuildRecheckPopulation(d *deploy.Deployment, topo *topology.Topology, total
 }
 
 // RecheckLab is a deployment carrying the E13/E14 population, with the
-// site's switch ready to be churned. The sweep, its test and the root
-// package's benchmark all drive this one definition.
+// site's switch ready to be churned. The sweep, its tests and
+// BenchmarkE13E14Recheck all drive this one definition.
 type RecheckLab struct {
 	D        *deploy.Deployment
 	Switches int
@@ -207,7 +228,7 @@ func RecheckAt(site RecheckSite, totalSubs, isoSubs, iters int) (RecheckRow, err
 	if iters < 1 {
 		iters = 1
 	}
-	row := RecheckRow{Topology: site.Topology.Name, IsoSubs: isoSubs, Workers: runtime.GOMAXPROCS(0)}
+	row := RecheckRow{Topology: site.Topology.Name, Hub: site.Hub, IsoSubs: isoSubs, Workers: runtime.GOMAXPROCS(0)}
 	lab, err := NewRecheckLab(site, totalSubs, isoSubs, 0)
 	if err != nil {
 		return row, err
@@ -255,13 +276,14 @@ func RecheckAt(site RecheckSite, totalSubs, isoSubs, iters int) (RecheckRow, err
 }
 
 // RecheckSweep runs one experiment's site at the headline population (10⁴
-// invariants) plus a smaller control point.
+// invariants) plus a smaller control point. On error it returns the rows
+// completed before the failing one.
 func RecheckSweep(site RecheckSite, iters int) ([]RecheckRow, error) {
 	var rows []RecheckRow
 	for _, pop := range []struct{ total, iso int }{{1000, 20}, {10000, 40}} {
 		row, err := RecheckAt(site, pop.total, pop.iso, iters)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s/%d: %w", site.Experiment, site.Topology.Name, pop.total, err)
+			return rows, fmt.Errorf("%s %s/%d: %w", site.Experiment, site.Topology.Name, pop.total, err)
 		}
 		rows = append(rows, row)
 	}

@@ -37,6 +37,15 @@ type SubscriptionRow struct {
 	Speedup float64
 }
 
+// Check holds E12's claim: after a single-switch change, re-establishing
+// every verdict incrementally is at least 5× cheaper than re-evaluating
+// every invariant.
+func (r SubscriptionRow) Check() error {
+	c := claims{row: r.Topology}
+	c.require(r.Speedup >= 5, "incremental ≥ 5× naive: %.1f×", r.Speedup)
+	return c.err()
+}
+
 // subscriptionChurnEntry is a rule matching traffic no invariant cares
 // about: installing/removing it dirties the switch (forcing a transfer
 // function recompile and a re-check) without flipping any verdict.
@@ -154,7 +163,8 @@ func SubscriptionRecheck(nt NamedTopology, iters int) (SubscriptionRow, error) {
 	return row, nil
 }
 
-// SubscriptionSweep runs E12 over the standard linear ladder.
+// SubscriptionSweep runs E12 over the standard linear ladder. On error it
+// returns the rows completed before the failing one.
 func SubscriptionSweep(iters int) ([]SubscriptionRow, error) {
 	tops := []NamedTopology{
 		{Name: "linear-10", Build: func() (*topology.Topology, error) { return topology.Linear(10, nil) }},
@@ -165,7 +175,7 @@ func SubscriptionSweep(iters int) ([]SubscriptionRow, error) {
 	for _, nt := range tops {
 		row, err := SubscriptionRecheck(nt, iters)
 		if err != nil {
-			return nil, fmt.Errorf("e12 %s: %w", nt.Name, err)
+			return rows, fmt.Errorf("e12 %s: %w", nt.Name, err)
 		}
 		rows = append(rows, row)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a box (switch) in the reachability network.
@@ -641,39 +639,14 @@ func (n *Network) ReachAll(points []InjectionPoint, in Space, opt ReachOptions) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	one := func(i int) {
+	PoolRun(len(points), workers, func(i int) {
 		p := points[i]
 		var fp Footprint
 		if opt.RecordFootprint {
 			fp = NewFootprint()
 		}
 		out[i] = PointResult{At: p, Results: n.reach(p.Node, p.Port, in, opt, fp), Footprint: fp}
-	}
-	if workers <= 1 {
-		for i := range points {
-			one(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				one(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return out
 }
 

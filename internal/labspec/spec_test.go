@@ -1107,3 +1107,32 @@ func TestParseCampaignTestdata(t *testing.T) {
 		t.Fatalf("campaign = %+v", s.Campaign)
 	}
 }
+
+// TestBuildTopologyAllKinds builds one topology per generator the spec
+// accepts and checks each is a valid, non-empty lab; an unknown generator
+// is refused.
+func TestBuildTopologyAllKinds(t *testing.T) {
+	for _, ts := range []TopologySpec{
+		{Generator: "linear", Size: 4},
+		{Generator: "ring", Size: 4},
+		{Generator: "star", Size: 3},
+		{Generator: "grid", Rows: 3, Cols: 3},
+		{Generator: "fattree", K: 4},
+		{Generator: "wan", Regions: []string{"eu-west", "offshore", "us-east"}, PerRegion: 2},
+		{Generator: "random", Size: 6, Prob: 0.2, Seed: 42},
+	} {
+		topo, err := ts.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", ts.Generator, err)
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("%s: %v", ts.Generator, err)
+		}
+		if len(topo.Switches()) == 0 || len(topo.AccessPoints()) == 0 {
+			t.Errorf("%s: empty topology", ts.Generator)
+		}
+	}
+	if _, err := (&TopologySpec{Generator: "nonsense", Size: 3}).Build(); err == nil {
+		t.Error("unknown generator accepted")
+	}
+}

@@ -2,9 +2,8 @@ package rvaas
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/headerspace"
 	"repro/internal/verifier"
 	"repro/internal/wire"
 )
@@ -18,36 +17,6 @@ import (
 // instance with the initial evaluations fanned across the recheck worker
 // pool, and ONE signed reply — the E15 experiment measures the resulting
 // speedup.
-
-// poolRun fans f(i) for i in [0,n) across the given number of workers
-// (sequentially when workers <= 1).
-func poolRun(n, workers int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wire.BatchReply {
 	c := s.c
@@ -123,7 +92,7 @@ func (s coreService) BatchQuery(o Origin, b *wire.BatchQueryRequest) *wire.Batch
 	snapID := c.snap.snapshotID()
 	requester := o.requester()
 	resps := make([]*wire.QueryResponse, len(b.Items))
-	poolRun(len(b.Items), c.evalWorkers(), func(i int) {
+	headerspace.PoolRun(len(b.Items), c.evalWorkers(), func(i int) {
 		q := b.Items[i]
 		resp := &wire.QueryResponse{
 			Version:    wire.CurrentVersion,

@@ -266,7 +266,7 @@ func (ins *Instance) RegisterBatch(subs []*Subscription, ec EvalContext) {
 		workers = len(subs)
 	}
 	pooled := workers > 1 && len(subs) > 1
-	poolRun(len(subs), workers, func(i int) {
+	headerspace.PoolRun(len(subs), workers, func(i int) {
 		sub := subs[i]
 		v := ins.env.Evaluate(net, sub, nil, true, pooled)
 		ins.commit(sub, v, snapID, false)
@@ -384,7 +384,7 @@ func (ins *Instance) ApplyDeltas(p Pass) int {
 		workers = len(targets)
 	}
 	pooled := workers > 1
-	poolRun(len(targets), workers, func(i int) {
+	headerspace.PoolRun(len(targets), workers, func(i int) {
 		sub := targets[i]
 		// A restored subscription's first evaluation is always a full
 		// sweep: it has no footprint or cone state to be incremental

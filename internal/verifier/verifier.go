@@ -49,8 +49,6 @@ package verifier
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/headerspace"
 	"repro/internal/topology"
@@ -294,34 +292,4 @@ type ShardInfo struct {
 	IndexBuckets int
 	IndexClasses int
 	IndexEntries int
-}
-
-// poolRun fans f(i) for i in [0,n) across the given number of workers
-// (sequentially when workers <= 1).
-func poolRun(n, workers int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
