@@ -77,11 +77,11 @@ type Agent struct {
 
 	mu      sync.Mutex
 	waiting map[uint64]chan *wire.QueryResponse // by nonce
-	ackWait map[uint64]chan *wire.Notification  // by subscription-op nonce
-	envWait map[uint64]chan *wire.Envelope      // by envelope correlation id (batch/resume replies)
+	ackWait map[uint64]chan *wire.Notification  // by unsubscribe-op nonce
+	envWait map[uint64]chan *wire.Envelope      // by envelope correlation id (registration/resume replies)
 	subs    map[uint64]*Subscription            // by subscription id
-	// subsByNonce routes notifications that arrive before the ack has been
-	// processed locally (the server may push a violation for a brand-new
+	// subsByNonce routes notifications that arrive before the registration
+	// reply has been processed locally (the server may push a violation for a brand-new
 	// subscription ahead of the client registering its id).
 	subsByNonce map[uint64]*Subscription
 	serverKey   ed25519.PublicKey
@@ -115,7 +115,7 @@ type Subscription struct {
 	ID   uint64
 	Kind wire.QueryKind
 	// InitialStatus/InitialDetail carry the invariant's verdict at
-	// registration time (from the signed ack).
+	// registration time (from the signed registration reply).
 	InitialStatus wire.ResponseStatus
 	InitialDetail string
 	C             <-chan *wire.Notification
@@ -170,7 +170,7 @@ type GapEvent struct {
 	MissedFrom uint64
 	MissedTo   uint64
 	// Status/Detail carry the invariant's current verdict from the resume
-	// reply or re-subscribe ack.
+	// reply or the re-registration reply.
 	Status wire.ResponseStatus
 	Detail string
 	// Err is non-nil when the automatic re-subscribe failed; the next gap
@@ -296,7 +296,7 @@ func (a *Agent) Close() {
 		a.closeSubLocked(sub)
 		delete(a.subs, id)
 	}
-	// Pending subscriptions (sent, ack not yet processed) live only in the
+	// Pending subscriptions (sent, reply not yet processed) live only in the
 	// nonce index; established ones appear in both maps — closeSubLocked
 	// is idempotent.
 	for nonce, sub := range a.subsByNonce {
@@ -348,7 +348,7 @@ func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 		a.handleAck(env.Body)
 	case wire.OpNotifyBatch:
 		a.handleNotifyBatch(env.Body)
-	case wire.OpBatchReply, wire.OpBatchQueryReply, wire.OpSessionResumeReply:
+	case wire.OpBatchReply, wire.OpSessionResumeReply:
 		a.mu.Lock()
 		ch, ok := a.envWait[env.CorrelationID]
 		if ok {
@@ -512,7 +512,7 @@ func (a *Agent) Query(kind wire.QueryKind, constraints []wire.FieldConstraint, p
 	}
 }
 
-// handleAck verifies the signed ack (or rejection) of a subscription op and
+// handleAck verifies the signed ack (or rejection) of an unsubscribe op and
 // hands it to the op's waiter. An ack nobody waits for — the op timed out,
 // or it answers a fire-and-forget cleanup — is discarded before any
 // signature work. Verdict transitions never arrive this way: they are
@@ -589,7 +589,7 @@ func (a *Agent) deliverLocked(sub *Subscription, n *wire.Notification) {
 	// Each server-side subscription numbers its pushes independently;
 	// during gap recovery two streams can target this Subscription — the
 	// superseded one (by SubID / original nonce) and the replacement's (by
-	// the recovery nonce, before the ack is processed). Judge each against
+	// the recovery nonce, before the reply is processed). Judge each against
 	// its own counter.
 	seqRef := &sub.lastSeq
 	if sub.resubbing && n.Nonce == sub.pendingNonce && n.Nonce != sub.nonce {
@@ -614,12 +614,12 @@ func (a *Agent) deliverLocked(sub *Subscription, n *wire.Notification) {
 		a.dropped++
 		gap, to = true, n.Seq
 	}
-	// A gap on a subscription whose initial Subscribe ack is still in flight
+	// A gap on a subscription whose registration reply is still in flight
 	// (ID == 0, routed here by nonce) cannot recover: there is no
 	// server-side id to resync or retire yet, and re-registering would leak
 	// the original registration as a permanent duplicate. The push that
-	// exposed the gap already carries the freshest verdict; Subscribe
-	// baselines lastSeq when the ack lands.
+	// exposed the gap already carries the freshest verdict; register
+	// baselines lastSeq when the reply lands.
 	if gap && sub.ID != 0 && !sub.resubbing && !sub.unsubscribing && !a.closed {
 		sub.resubbing = true
 		a.gapsSeen++
@@ -693,65 +693,31 @@ func (a *Agent) recoverGap(sub *Subscription, missedFrom, missedTo uint64) {
 		a.emitGap(ev)
 	}
 
-	nonce, err := randomNonce()
+	// Re-register as a one-item batch. The exchange routes the replacement
+	// by its nonce from the start, as pendingNonce: a transition pushed for
+	// it must not be lost between the server-side registration and our
+	// processing of the reply, and its fresh numbering must not be judged
+	// against the superseded stream's lastSeq.
+	items, err := a.register([]*Subscription{sub}, true)
+	if err == nil && !registered(items[0]) {
+		err = rejected(items[0].Detail)
+	}
 	if err != nil {
 		fail(err)
 		return
 	}
-	a.mu.Lock()
-	if a.closed {
-		sub.resubbing = false
-		a.mu.Unlock()
-		return
-	}
-	// Route by the new nonce from the start: a transition pushed for the
-	// replacement subscription must not be lost between the server-side
-	// registration and our processing of the ack. pendingNonce marks the
-	// replacement's stream so its fresh numbering is not judged against
-	// the superseded stream's lastSeq.
-	a.subsByNonce[nonce] = sub
-	sub.pendingNonce = nonce
-	sub.pendingLastSeq = 0
-	a.mu.Unlock()
-	ack, err := a.subscribeOp(&wire.SubscribeRequest{
-		Version:      wire.CurrentVersion,
-		Op:           wire.SubOpAdd,
-		ClientID:     a.cfg.ClientID,
-		Nonce:        nonce,
-		AnchorSwitch: uint32(a.cfg.Access.Endpoint.Switch),
-		AnchorPort:   uint32(a.cfg.Access.Endpoint.Port),
-		Kind:         sub.Kind,
-		Constraints:  sub.constraints,
-		Param:        sub.param,
-	})
-	if err == nil && ack.Event == wire.NotifyError {
-		err = fmt.Errorf("client: gap re-subscribe rejected: %s", ack.Detail)
-	}
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			// The server may have registered the replacement and lost only
-			// the ack: clean up by registration nonce so no orphan keeps
-			// evaluating (and pushing) forever — same protection as
-			// Subscribe.
-			a.abandonSubscription(nonce)
-		}
-		a.mu.Lock()
-		delete(a.subsByNonce, nonce)
-		a.mu.Unlock()
-		fail(err)
-		return
-	}
+	ack := items[0]
 
 	a.mu.Lock()
 	if a.closed || sub.unsubscribing {
-		// Close or a user Unsubscribe ran while the ack was in flight:
+		// Close or a user Unsubscribe ran while the reply was in flight:
 		// rebinding would resurrect the subscription (and route future
 		// pushes onto a closed channel). Retire the freshly registered
 		// replacement instead.
 		unsubscribing := sub.unsubscribing && !a.closed
 		sub.resubbing = false
+		delete(a.subsByNonce, sub.pendingNonce)
 		sub.pendingNonce = 0
-		delete(a.subsByNonce, nonce)
 		a.mu.Unlock()
 		if unsubscribing {
 			a.removeServerSub(ack.SubID)
@@ -761,14 +727,12 @@ func (a *Agent) recoverGap(sub *Subscription, missedFrom, missedTo uint64) {
 	delete(a.subs, oldID)
 	delete(a.subsByNonce, oldNonce)
 	sub.ID = ack.SubID
-	sub.nonce = nonce
+	sub.nonce = sub.pendingNonce
 	// Rebase on the replacement's numbering: pushes already routed through
-	// the pending stream advanced pendingLastSeq, and an initially-violated
-	// replacement consumed ack.Seq without any push existing for it.
+	// the pending stream advanced pendingLastSeq, and the exchange raised it
+	// to the reply's seq (an initially-violated replacement consumed one
+	// without any push existing for it).
 	sub.lastSeq = sub.pendingLastSeq
-	if ack.Seq > sub.lastSeq {
-		sub.lastSeq = ack.Seq
-	}
 	sub.pendingNonce = 0
 	sub.pendingLastSeq = 0
 	a.subs[sub.ID] = sub
@@ -780,44 +744,7 @@ func (a *Agent) recoverGap(sub *Subscription, missedFrom, missedTo uint64) {
 	// Retire the superseded server-side subscription; removal is
 	// idempotent, so a failure here only costs the server a dead invariant
 	// until the client unsubscribes for real.
-	if rmNonce, err := randomNonce(); err == nil {
-		_, _ = a.subscribeOp(&wire.SubscribeRequest{
-			Version:  wire.CurrentVersion,
-			Op:       wire.SubOpRemove,
-			ClientID: a.cfg.ClientID,
-			Nonce:    rmNonce,
-			SubID:    oldID,
-		})
-	}
-}
-
-// QueryVerdict asks RVaaS for the subscription's latest verdict on demand
-// and returns the verified signed ack (Status/Detail/Seq/SnapshotID). It
-// is read-only on both sides: the agent's gap-detection state is not
-// touched, so pushes in flight keep flowing (and keep triggering recovery)
-// normally.
-func (a *Agent) QueryVerdict(sub *Subscription) (*wire.Notification, error) {
-	nonce, err := randomNonce()
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	id := sub.ID
-	a.mu.Unlock()
-	ack, err := a.subscribeOp(&wire.SubscribeRequest{
-		Version:  wire.CurrentVersion,
-		Op:       wire.SubOpQueryVerdict,
-		ClientID: a.cfg.ClientID,
-		Nonce:    nonce,
-		SubID:    id,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ack.Event == wire.NotifyError {
-		return nil, fmt.Errorf("client: verdict query rejected: %s", ack.Detail)
-	}
-	return ack, nil
+	a.removeServerSub(oldID)
 }
 
 // emitGap publishes one recovery outcome without ever blocking the caller.
@@ -828,11 +755,22 @@ func (a *Agent) emitGap(ev GapEvent) {
 	}
 }
 
-// subscribeOp signs and sends one subscription operation and waits for
-// the verified ack. Subscription ops mutate server state, so unlike
-// read-only queries they carry the client's signature (verified against
-// the key registered with RVaaS).
-func (a *Agent) subscribeOp(s *wire.SubscribeRequest) (*wire.Notification, error) {
+// unsubscribeOp signs and sends the removal of server-side subscription
+// id and waits for the verified ack. A removal mutates server state, so
+// unlike a read-only query it carries the client's signature (verified
+// against the key registered with RVaaS).
+func (a *Agent) unsubscribeOp(id uint64) (*wire.Notification, error) {
+	nonce, err := randomNonce()
+	if err != nil {
+		return nil, err
+	}
+	s := &wire.SubscribeRequest{
+		Version:  wire.CurrentVersion,
+		Op:       wire.SubOpRemove,
+		ClientID: a.cfg.ClientID,
+		Nonce:    nonce,
+		SubID:    id,
+	}
 	s.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(s.SigningBytes(), a.sessionID))
 	ch := make(chan *wire.Notification, 1)
 	a.mu.Lock()
@@ -840,19 +778,12 @@ func (a *Agent) subscribeOp(s *wire.SubscribeRequest) (*wire.Notification, error
 		a.mu.Unlock()
 		return nil, ErrClosed
 	}
-	a.ackWait[s.Nonce] = ch
+	a.ackWait[nonce] = ch
 	a.mu.Unlock()
 
-	op := wire.OpSubscribe
-	switch s.Op {
-	case wire.SubOpRemove:
-		op = wire.OpUnsubscribe
-	case wire.SubOpQueryVerdict:
-		op = wire.OpQueryVerdict
-	}
-	if err := a.send(a.cfg.Access, op, s.Nonce, s.Marshal()); err != nil {
+	if err := a.send(a.cfg.Access, wire.OpUnsubscribe, nonce, s.Marshal()); err != nil {
 		a.mu.Lock()
-		delete(a.ackWait, s.Nonce)
+		delete(a.ackWait, nonce)
 		a.mu.Unlock()
 		return nil, err
 	}
@@ -866,88 +797,145 @@ func (a *Agent) subscribeOp(s *wire.SubscribeRequest) (*wire.Notification, error
 		return ack, nil
 	case <-timer.C:
 		a.mu.Lock()
-		delete(a.ackWait, s.Nonce)
+		delete(a.ackWait, nonce)
 		a.mu.Unlock()
 		return nil, ErrTimeout
 	}
+}
+
+// newSubscription builds the local half of one invariant to register.
+func newSubscription(it wire.BatchItem) *Subscription {
+	sub := &Subscription{
+		Kind:        it.Kind,
+		ch:          make(chan *wire.Notification, 32),
+		constraints: append([]wire.FieldConstraint(nil), it.Constraints...),
+		param:       it.Param,
+	}
+	sub.C = sub.ch
+	return sub
+}
+
+// registered reports whether a registration reply item names a live
+// subscription.
+func registered(it wire.BatchReplyItem) bool {
+	return it.SubID != 0 && it.Status != wire.StatusError
+}
+
+// rejected is the error of a registration the server refused.
+func rejected(detail string) error {
+	return fmt.Errorf("client: subscription rejected: %s", detail)
+}
+
+// register is the one registration exchange: Subscribe (a one-item batch),
+// BatchSubscribe and gap recovery's re-register fallback all send their
+// invariants through it as one signed OpBatchSubscribe. Each subscription
+// is routed under its item's derived nonce BEFORE sending, so a violation
+// pushed for a brand-new server-side subscription ahead of the reply is not
+// lost (handleNotifyBatch falls back to nonce routing). A fresh
+// subscription takes that nonce as its own and is bound to its new id
+// here; a replacing one (gap recovery) takes it as pendingNonce and the
+// caller rebinds it. Either way the item's Seq baselines gap detection on
+// the stream the item starts — lastSeq, or pendingLastSeq — because an
+// initially-violated invariant consumes sequence numbers without a push
+// existing for them; only raise, since a push racing the reply may already
+// have advanced it. The returned reply items are index-aligned with subs;
+// a rejected item is unrouted and carries the server's reason in Detail.
+// An error fails the whole exchange and leaves nothing routed.
+func (a *Agent) register(subs []*Subscription, replacing bool) ([]wire.BatchReplyItem, error) {
+	nonce, err := randomNonce()
+	if err != nil {
+		return nil, err
+	}
+	req := &wire.BatchSubscribeRequest{
+		Version:      wire.CurrentVersion,
+		ClientID:     a.cfg.ClientID,
+		Nonce:        nonce,
+		AnchorSwitch: uint32(a.cfg.Access.Endpoint.Switch),
+		AnchorPort:   uint32(a.cfg.Access.Endpoint.Port),
+		Items:        make([]wire.BatchItem, len(subs)),
+	}
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		return nil, ErrClosed
+	}
+	for i, sub := range subs {
+		n := wire.BatchItemNonce(nonce, i)
+		if replacing {
+			sub.pendingNonce, sub.pendingLastSeq = n, 0
+		} else {
+			sub.nonce = n
+		}
+		a.subsByNonce[n] = sub
+		req.Items[i] = wire.BatchItem{Kind: sub.Kind, Constraints: sub.constraints, Param: sub.param}
+	}
+	a.mu.Unlock()
+	req.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
+
+	var reply *wire.BatchReply
+	env, err := a.rpcEnvelope(wire.OpBatchSubscribe, nonce, req.Marshal())
+	if err == nil {
+		reply, err = wire.UnmarshalBatchReply(env.Body)
+	}
+	if err == nil {
+		err = a.verifyFromServer(reply.SigningBytes(), reply.Signature, reply.Quote)
+	}
+	if err == nil && reply.Status == wire.StatusError {
+		err = rejected(reply.Detail)
+	}
+	if errors.Is(err, ErrTimeout) {
+		// The server may have registered the batch and lost only the reply:
+		// clean up every item by its registration nonce so no orphan keeps
+		// evaluating (and pushing) forever.
+		for i := range subs {
+			a.abandonSubscription(wire.BatchItemNonce(nonce, i))
+		}
+	}
+
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err == nil && a.closed && !replacing {
+		err = ErrClosed
+	}
+	items := make([]wire.BatchReplyItem, len(subs))
+	if err == nil {
+		copy(items, reply.Items)
+	}
+	for i, sub := range subs {
+		it := items[i]
+		switch {
+		case err != nil || !registered(it):
+			delete(a.subsByNonce, wire.BatchItemNonce(nonce, i))
+		case replacing:
+			sub.pendingLastSeq = max(sub.pendingLastSeq, it.Seq)
+		default:
+			// ID is assigned under the lock: the notification handler reads
+			// it to decide whether gap recovery may run.
+			sub.ID, sub.InitialStatus, sub.InitialDetail = it.SubID, it.Status, it.Detail
+			sub.lastSeq = max(sub.lastSeq, it.Seq)
+			a.subs[sub.ID] = sub
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 // Subscribe registers a standing invariant with RVaaS: instead of polling
 // with repeated queries, the agent is notified whenever the invariant's
 // verdict changes. The returned subscription carries the verdict at
 // registration time and a channel of subsequent verified notifications.
+// It is a one-item BatchSubscribe that reports a rejected item as an error.
 func (a *Agent) Subscribe(kind wire.QueryKind, constraints []wire.FieldConstraint, param string) (*Subscription, error) {
-	nonce, err := randomNonce()
+	sub := newSubscription(wire.BatchItem{Kind: kind, Constraints: constraints, Param: param})
+	items, err := a.register([]*Subscription{sub}, false)
 	if err != nil {
 		return nil, err
 	}
-	// Register the channel by nonce BEFORE sending: a violation pushed
-	// between the server-side ack and our processing of it must not be
-	// lost (handleNotifyBatch falls back to nonce routing).
-	sub := &Subscription{
-		Kind:        kind,
-		nonce:       nonce,
-		ch:          make(chan *wire.Notification, 32),
-		constraints: append([]wire.FieldConstraint(nil), constraints...),
-		param:       param,
+	if !registered(items[0]) {
+		return nil, rejected(items[0].Detail)
 	}
-	sub.C = sub.ch
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
-	a.subsByNonce[nonce] = sub
-	a.mu.Unlock()
-	fail := func(err error) (*Subscription, error) {
-		a.mu.Lock()
-		delete(a.subsByNonce, nonce)
-		a.mu.Unlock()
-		return nil, err
-	}
-
-	ack, err := a.subscribeOp(&wire.SubscribeRequest{
-		Version:      wire.CurrentVersion,
-		Op:           wire.SubOpAdd,
-		ClientID:     a.cfg.ClientID,
-		Nonce:        nonce,
-		AnchorSwitch: uint32(a.cfg.Access.Endpoint.Switch),
-		AnchorPort:   uint32(a.cfg.Access.Endpoint.Port),
-		Kind:         kind,
-		Constraints:  constraints,
-		Param:        param,
-	})
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			// The server may have registered the subscription and lost
-			// only the ack: best-effort cleanup by registration nonce so
-			// no orphan keeps evaluating (and notifying) forever.
-			a.abandonSubscription(nonce)
-		}
-		return fail(err)
-	}
-	if ack.Event == wire.NotifyError {
-		return fail(fmt.Errorf("client: subscription rejected: %s", ack.Detail))
-	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return fail(ErrClosed)
-	}
-	// ID is assigned under the lock: the notification handler reads it to
-	// decide whether gap recovery may run (pushes can race the ack).
-	sub.ID = ack.SubID
-	sub.InitialStatus = ack.Status
-	sub.InitialDetail = ack.Detail
-	// An initially-violated invariant consumes sequence numbers without a
-	// push existing for them (the ack carries the verdict); baseline gap
-	// detection on the ack's seq. Only raise: a push racing the ack may
-	// already have advanced lastSeq past it.
-	if ack.Seq > sub.lastSeq {
-		sub.lastSeq = ack.Seq
-	}
-	a.subs[sub.ID] = sub
-	a.mu.Unlock()
 	return sub, nil
 }
 
@@ -955,111 +943,27 @@ func (a *Agent) Subscribe(kind wire.QueryKind, constraints []wire.FieldConstrain
 // exchange: one client signature covers every item, the server
 // fans the initial evaluations across its worker pool, and one verified
 // reply signature covers every ack. The returned slice is index-aligned
-// with items; a rejected item yields nil at its position (its error is in
-// the aggregate error when every item failed, otherwise rejected items are
-// silently nil — inspect the result).
+// with items; an item the server rejected is nil at its position, even
+// when every item was rejected — inspect the result. The error reports a
+// failure of the whole exchange: a timeout, a reply that does not verify,
+// or a batch the server refused outright (bad signature, foreign anchor,
+// replayed nonce).
 func (a *Agent) BatchSubscribe(items []wire.BatchItem) ([]*Subscription, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	nonce, err := randomNonce()
-	if err != nil {
-		return nil, err
-	}
-	// Pre-register every item under its derived nonce BEFORE sending, so a
-	// violation pushed for a brand-new subscription ahead of the reply is
-	// routed, exactly like single subscribes.
 	subs := make([]*Subscription, len(items))
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
 	for i, it := range items {
-		sub := &Subscription{
-			Kind:        it.Kind,
-			nonce:       wire.BatchItemNonce(nonce, i),
-			ch:          make(chan *wire.Notification, 32),
-			constraints: append([]wire.FieldConstraint(nil), it.Constraints...),
-			param:       it.Param,
-		}
-		sub.C = sub.ch
-		subs[i] = sub
-		a.subsByNonce[sub.nonce] = sub
+		subs[i] = newSubscription(it)
 	}
-	a.mu.Unlock()
-	unregister := func() {
-		a.mu.Lock()
-		for _, sub := range subs {
-			if sub != nil {
-				delete(a.subsByNonce, sub.nonce)
-			}
-		}
-		a.mu.Unlock()
-	}
-
-	req := &wire.BatchSubscribeRequest{
-		Version:      wire.CurrentVersion,
-		ClientID:     a.cfg.ClientID,
-		Nonce:        nonce,
-		AnchorSwitch: uint32(a.cfg.Access.Endpoint.Switch),
-		AnchorPort:   uint32(a.cfg.Access.Endpoint.Port),
-		Items:        items,
-	}
-	req.Signature = ed25519.Sign(a.priv,
-		wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
-	env, err := a.rpcEnvelope(wire.OpBatchSubscribe, nonce, req.Marshal())
+	replies, err := a.register(subs, false)
 	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			// The server may have registered the batch and lost only the
-			// reply: clean up every item by its derived registration nonce
-			// so no orphan keeps evaluating forever.
-			for i := range items {
-				a.abandonSubscription(wire.BatchItemNonce(nonce, i))
-			}
-		}
-		unregister()
 		return nil, err
 	}
-	reply, err := wire.UnmarshalBatchReply(env.Body)
-	if err != nil {
-		unregister()
-		return nil, err
-	}
-	if err := a.verifyFromServer(reply.SigningBytes(), reply.Signature, reply.Quote); err != nil {
-		unregister()
-		return nil, err
-	}
-	if reply.Status == wire.StatusError {
-		unregister()
-		return nil, fmt.Errorf("client: batch subscribe rejected: %s", reply.Detail)
-	}
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return nil, ErrClosed
-	}
-	for i := range subs {
-		if i >= len(reply.Items) {
-			delete(a.subsByNonce, subs[i].nonce)
+	for i, it := range replies {
+		if !registered(it) {
 			subs[i] = nil
-			continue
 		}
-		it := reply.Items[i]
-		if it.SubID == 0 || it.Status == wire.StatusError {
-			delete(a.subsByNonce, subs[i].nonce)
-			subs[i] = nil
-			continue
-		}
-		sub := subs[i]
-		sub.ID = it.SubID
-		sub.InitialStatus = it.Status
-		sub.InitialDetail = it.Detail
-		if it.Seq > sub.lastSeq {
-			sub.lastSeq = it.Seq
-		}
-		a.subs[sub.ID] = sub
 	}
 	return subs, nil
 }
@@ -1163,8 +1067,8 @@ func (a *Agent) SessionResumesSent() uint64 {
 }
 
 // abandonSubscription fire-and-forgets a signed remove-by-nonce for a
-// subscribe whose ack never arrived (no SubID is known). The ack to this
-// cleanup op is intentionally unrouted.
+// registration whose reply never arrived (no SubID is known). The ack to
+// this cleanup op is intentionally unrouted.
 func (a *Agent) abandonSubscription(nonce uint64) {
 	opNonce, err := randomNonce()
 	if err != nil {
@@ -1207,7 +1111,7 @@ func (a *Agent) send(ap topology.AccessPoint, op wire.Op, corr uint64, body []by
 }
 
 // rpcEnvelope sends one operation and waits for its correlated reply
-// envelope (batch and resume ops).
+// envelope (registration and resume ops).
 func (a *Agent) rpcEnvelope(op wire.Op, corr uint64, body []byte) (*wire.Envelope, error) {
 	ch := make(chan *wire.Envelope, 1)
 	a.mu.Lock()
@@ -1245,10 +1149,6 @@ func (a *Agent) rpcEnvelope(op wire.Op, corr uint64, body []byte) (*wire.Envelop
 // and if a recovery rebound it to a replacement server id before the flag
 // was seen, that replacement is retired too.
 func (a *Agent) Unsubscribe(sub *Subscription) error {
-	nonce, err := randomNonce()
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -1257,13 +1157,7 @@ func (a *Agent) Unsubscribe(sub *Subscription) error {
 	sub.unsubscribing = true
 	id := sub.ID
 	a.mu.Unlock()
-	ack, err := a.subscribeOp(&wire.SubscribeRequest{
-		Version:  wire.CurrentVersion,
-		Op:       wire.SubOpRemove,
-		ClientID: a.cfg.ClientID,
-		Nonce:    nonce,
-		SubID:    id,
-	})
+	ack, err := a.unsubscribeOp(id)
 	if err == nil && ack.Event == wire.NotifyError {
 		// The server rejected the op (e.g. auth failure) and still holds
 		// the subscription: keep the local state so notifications keep
@@ -1303,19 +1197,7 @@ func (a *Agent) Unsubscribe(sub *Subscription) error {
 
 // removeServerSub fires a best-effort signed SubOpRemove for a server-side
 // subscription id the client no longer tracks.
-func (a *Agent) removeServerSub(id uint64) {
-	nonce, err := randomNonce()
-	if err != nil {
-		return
-	}
-	_, _ = a.subscribeOp(&wire.SubscribeRequest{
-		Version:  wire.CurrentVersion,
-		Op:       wire.SubOpRemove,
-		ClientID: a.cfg.ClientID,
-		Nonce:    nonce,
-		SubID:    id,
-	})
-}
+func (a *Agent) removeServerSub(id uint64) { _, _ = a.unsubscribeOp(id) }
 
 func randomNonce() (uint64, error) {
 	var b [8]byte

@@ -164,7 +164,8 @@ func deliverResponse(a *Agent, resp *wire.QueryResponse) {
 	deliver(a.HandleFrame, wire.OpQueryResponse, resp.Nonce, resp.Marshal())
 }
 
-// deliverNotification delivers the signed ack of a subscription op.
+// deliverNotification delivers a signed Notification as an OpNotify
+// envelope (on the wire: the ack of an unsubscribe op).
 func deliverNotification(a *Agent, n *wire.Notification) {
 	deliver(a.HandleFrame, wire.OpNotify, n.Nonce, n.Marshal())
 }
@@ -403,16 +404,38 @@ func signedNotification(encl *enclave.Enclave, event wire.NotifyEvent, subID, no
 	return n
 }
 
-// sniffSubscribeOp returns the next injected subscription request of the
-// given op whose nonce is not in seen.
-func sniffSubscribeOp(t *testing.T, nic *fakeNIC, op wire.SubscribeOp, seen map[uint64]bool) *wire.SubscribeRequest {
+// sniffRegister returns the next injected registration (OpBatchSubscribe)
+// whose nonce is not in seen, with the routing nonce of its first item —
+// the nonce a single Subscribe's pushes carry.
+func sniffRegister(t *testing.T, nic *fakeNIC, seen map[uint64]bool) (*wire.BatchSubscribeRequest, uint64) {
 	t.Helper()
-	envOp := map[wire.SubscribeOp]wire.Op{
-		wire.SubOpAdd: wire.OpSubscribe, wire.SubOpRemove: wire.OpUnsubscribe, wire.SubOpQueryVerdict: wire.OpQueryVerdict,
-	}[op]
-	sr, err := wire.UnmarshalSubscribeRequest(sniffEnvelope(t, nic, envOp, seen).Body)
-	if err != nil || sr.Op != op {
-		t.Fatalf("%v envelope carries %+v (%v)", envOp, sr, err)
+	req, err := wire.UnmarshalBatchSubscribeRequest(sniffEnvelope(t, nic, wire.OpBatchSubscribe, seen).Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req, wire.BatchItemNonce(req.Nonce, 0)
+}
+
+// answerRegister signs and delivers the server's reply to a registration.
+func answerRegister(a *Agent, encl *enclave.Enclave, req *wire.BatchSubscribeRequest, items ...wire.BatchReplyItem) {
+	reply := &wire.BatchReply{Version: wire.CurrentVersion, Nonce: req.Nonce, Status: wire.StatusOK, Items: items}
+	reply.Signature = encl.Sign(reply.SigningBytes())
+	reply.Quote = encl.KeyQuote().Marshal()
+	deliver(a.HandleFrame, wire.OpBatchReply, reply.Nonce, reply.Marshal())
+}
+
+// okItem is the reply item of a registration with an OK verdict.
+func okItem(subID uint64) wire.BatchReplyItem {
+	return wire.BatchReplyItem{SubID: subID, Status: wire.StatusOK}
+}
+
+// sniffUnsubscribe returns the next injected removal whose nonce is not in
+// seen.
+func sniffUnsubscribe(t *testing.T, nic *fakeNIC, seen map[uint64]bool) *wire.SubscribeRequest {
+	t.Helper()
+	sr, err := wire.UnmarshalSubscribeRequest(sniffEnvelope(t, nic, wire.OpUnsubscribe, seen).Body)
+	if err != nil || sr.Op != wire.SubOpRemove {
+		t.Fatalf("unsubscribe envelope carries %+v (%v)", sr, err)
 	}
 	return sr
 }
@@ -450,9 +473,8 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 		subCh <- sub
 		errCh <- err
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	ack := signedNotification(encl, wire.NotifyAck, 41, add.Nonce, 0)
-	deliverNotification(a, ack)
+	add, addNonce := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, add, okItem(41))
 	sub := <-subCh
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
@@ -462,14 +484,14 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}
 
 	// Seq 1 delivered normally.
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 41, add.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 41, addNonce, 1))
 	if n := <-sub.C; n.Seq != 1 {
 		t.Fatalf("first notification seq = %d", n.Seq)
 	}
 
 	// Seq 3 skips 2: the newer event must still be delivered, and the agent
 	// must start gap recovery.
-	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 41, add.Nonce, 3))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 41, addNonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
@@ -478,11 +500,11 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}
 
 	// The recovery re-subscribe goes out; ack it with a fresh id.
-	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	if readd.Kind != wire.QueryReachableDestinations {
-		t.Fatalf("re-subscribe kind = %v", readd.Kind)
+	readd, readdNonce := sniffRegister(t, nic, seen)
+	if len(readd.Items) != 1 || readd.Items[0].Kind != wire.QueryReachableDestinations {
+		t.Fatalf("re-subscribe items = %+v", readd.Items)
 	}
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 42, readd.Nonce, 0))
+	answerRegister(a, encl, readd, okItem(42))
 
 	var ev GapEvent
 	select {
@@ -495,14 +517,14 @@ func TestAgentSeqGapTriggersResubscribe(t *testing.T) {
 	}
 
 	// The superseded server-side subscription is retired.
-	rm := sniffSubscribeOp(t, nic, wire.SubOpRemove, seen)
+	rm := sniffUnsubscribe(t, nic, seen)
 	if rm.SubID != 41 {
 		t.Fatalf("remove targets sub %d, want 41", rm.SubID)
 	}
 
 	// The rebound subscription keeps flowing on the same channel with the
 	// replacement's fresh sequence numbering.
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 42, readd.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 42, readdNonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 42 || n.Seq != 1 {
@@ -524,8 +546,8 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		sub, _ := a.Subscribe(wire.QueryReachableDestinations, nil, "")
 		subCh <- sub
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 77, add.Nonce, 0))
+	add, addNonce := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, add, okItem(77))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -537,7 +559,7 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		deliverPush(a, encl, pushItem(ev, 77, add.Nonce, seq))
+		deliverPush(a, encl, pushItem(ev, 77, addNonce, seq))
 	}
 	if a.NotificationsDropped() == 0 {
 		t.Fatal("overflow not recorded")
@@ -546,8 +568,8 @@ func TestAgentLocalOverflowTriggersRecovery(t *testing.T) {
 		t.Fatalf("gaps detected = %d, want 1 (single in-flight recovery)", a.GapsDetected())
 	}
 	// Recovery proceeds exactly as for an in-network loss.
-	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 78, readd.Nonce, 0))
+	readd, _ := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, readd, okItem(78))
 	select {
 	case ev := <-a.Gaps():
 		if ev.SubID != 77 || ev.NewSubID != 78 || ev.Err != nil {
@@ -570,8 +592,8 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		sub, _ := a.Subscribe(wire.QueryReachableDestinations, nil, "")
 		subCh <- sub
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 50, add.Nonce, 0))
+	add, addNonce := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, add, okItem(50))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -583,16 +605,16 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		if seq%2 == 0 {
 			ev = wire.NotifyRecovery
 		}
-		deliverPush(a, encl, pushItem(ev, 50, add.Nonce, seq))
+		deliverPush(a, encl, pushItem(ev, 50, addNonce, seq))
 		<-sub.C
 	}
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 50, add.Nonce, 5)) // skips 4
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 50, addNonce, 5)) // skips 4
 	<-sub.C
 
-	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
+	readd, readdNonce := sniffRegister(t, nic, seen)
 	// The replacement's first push (Seq=1) races ahead of its ack: with
 	// lastSeq=5 on the superseded stream, it must still be delivered.
-	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readd.Nonce, 1))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readdNonce, 1))
 	select {
 	case n := <-sub.C:
 		if n.SubID != 51 || n.Seq != 1 {
@@ -603,7 +625,7 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 	}
 	// Now the ack lands; the rebased stream continues from the delivered
 	// push, so Seq=2 flows and Seq=1 is a replay.
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 51, readd.Nonce, 0))
+	answerRegister(a, encl, readd, okItem(51))
 	select {
 	case ev := <-a.Gaps():
 		if ev.NewSubID != 51 || ev.Err != nil {
@@ -613,11 +635,11 @@ func TestAgentRecoveryRacingPush(t *testing.T) {
 		t.Fatal("no gap event")
 	}
 	drops := a.NotificationsDropped()
-	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readd.Nonce, 1)) // replay
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 51, readdNonce, 1)) // replay
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("replayed replacement push not dropped after rebase")
 	}
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 51, readd.Nonce, 2))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 51, readdNonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {
@@ -642,15 +664,15 @@ func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 		sub, _ := a.Subscribe(wire.QueryReachableDestinations, nil, "")
 		subCh <- sub
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 61, add.Nonce, 0))
+	add, addNonce := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, add, okItem(61))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
 
 	// Seq 3 skips 1..2: recovery starts with a session resume.
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, add.Nonce, 3))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, addNonce, 3))
 	if n := <-sub.C; n.Seq != 3 {
 		t.Fatalf("post-gap notification seq = %d", n.Seq)
 	}
@@ -682,7 +704,7 @@ func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 	// No re-subscribe went out: every subscribe on the wire is accounted for.
 	nic.mu.Lock()
 	for _, pkt := range nic.frames {
-		if env := envelopeOf(pkt); env != nil && env.Op == wire.OpSubscribe && !seen[env.CorrelationID] {
+		if env := envelopeOf(pkt); env != nil && env.Op == wire.OpBatchSubscribe && !seen[env.CorrelationID] {
 			nic.mu.Unlock()
 			t.Fatalf("session-resume resync still re-subscribed (nonce %#x)", env.CorrelationID)
 		}
@@ -692,11 +714,11 @@ func TestAgentGapResyncsViaSessionResume(t *testing.T) {
 	// The superseded in-flight push (Seq 4 <= rebased baseline) drops as a
 	// replay; the next transition (Seq 5) flows normally.
 	drops := a.NotificationsDropped()
-	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 61, add.Nonce, 4))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 61, addNonce, 4))
 	if a.NotificationsDropped() != drops+1 {
 		t.Error("superseded push not dropped after seq rebase")
 	}
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, add.Nonce, 5))
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, addNonce, 5))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 5 {
@@ -722,20 +744,20 @@ func TestAgentRefusedResumeFallsBack(t *testing.T) {
 		sub, _ := a.Subscribe(wire.QueryReachableDestinations, nil, "")
 		subCh <- sub
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 71, add.Nonce, 0))
+	add, addNonce := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, add, okItem(71))
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
 
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 71, add.Nonce, 2)) // skips 1
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 71, addNonce, 2)) // skips 1
 	<-sub.C
 	answerResume(t, a, nic, encl, seen, wire.ResumeVerdict{SubID: 71, Status: wire.StatusError, Detail: "unknown subscription"})
 
 	// Fallback: full re-subscribe, rebind to the replacement id.
-	readd := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 72, readd.Nonce, 0))
+	readd, _ := sniffRegister(t, nic, seen)
+	answerRegister(a, encl, readd, okItem(72))
 	select {
 	case ev := <-a.Gaps():
 		if ev.SubID != 71 || ev.NewSubID != 72 || ev.Err != nil {
@@ -744,64 +766,11 @@ func TestAgentRefusedResumeFallsBack(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no gap event surfaced")
 	}
-	if rm := sniffSubscribeOp(t, nic, wire.SubOpRemove, seen); rm.SubID != 71 {
+	if rm := sniffUnsubscribe(t, nic, seen); rm.SubID != 71 {
 		t.Fatalf("remove targets sub %d, want the stale 71", rm.SubID)
 	}
 	if a.SessionResumesSent() != 1 {
 		t.Fatalf("resumes sent = %d, want 1 (a refusal must not be retried)", a.SessionResumesSent())
-	}
-}
-
-// TestAgentQueryVerdictOnDemand: the public QueryVerdict call returns the
-// verified current verdict without touching gap-detection state.
-func TestAgentQueryVerdictOnDemand(t *testing.T) {
-	a, nic, _, encl := testAgent(t)
-	seen := map[uint64]bool{}
-	subCh := make(chan *Subscription, 1)
-	go func() {
-		sub, _ := a.Subscribe(wire.QueryReachableDestinations, nil, "")
-		subCh <- sub
-	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, 81, add.Nonce, 0))
-	sub := <-subCh
-	if sub == nil {
-		t.Fatal("subscribe failed")
-	}
-
-	ackCh := make(chan *wire.Notification, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		ack, err := a.QueryVerdict(sub)
-		ackCh <- ack
-		errCh <- err
-	}()
-	q := sniffSubscribeOp(t, nic, wire.SubOpQueryVerdict, seen)
-	if q.SubID != 81 || q.ClientID != 7 {
-		t.Fatalf("verdict query = %+v", q)
-	}
-	if !ed25519.Verify(a.PublicKey(), wire.SessionSigningBytes(q.SigningBytes(), a.SessionID()), q.Signature) {
-		t.Error("verdict query not signed by the client key under its session")
-	}
-	resp := signedNotification(encl, wire.NotifyAck, 81, q.Nonce, 2)
-	deliverNotification(a, resp)
-	ack := <-ackCh
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if ack.SubID != 81 || ack.Seq != 2 {
-		t.Fatalf("verdict ack = %+v", ack)
-	}
-	// Read-only: a later push with Seq 1 is still judged against the
-	// untouched baseline (0), so it is delivered, then Seq 2 follows.
-	deliverPush(a, encl, pushItem(wire.NotifyViolation, 81, add.Nonce, 1))
-	select {
-	case n := <-sub.C:
-		if n.Seq != 1 {
-			t.Fatalf("push after on-demand query = %+v", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("push swallowed by on-demand verdict query")
 	}
 }
 
@@ -817,11 +786,9 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 		sub, _ := a.Subscribe(wire.QueryIsolation, nil, "")
 		subCh <- sub
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, seen)
-	ack := signedNotification(encl, wire.NotifyAck, 60, add.Nonce, 1) // seq already consumed
-	ack.Status = wire.StatusViolation
-	ack.Signature = encl.Sign(ack.SigningBytes())
-	deliverNotification(a, ack)
+	add, addNonce := sniffRegister(t, nic, seen)
+	// Seq 1 already consumed.
+	answerRegister(a, encl, add, wire.BatchReplyItem{SubID: 60, Status: wire.StatusViolation, Seq: 1})
 	sub := <-subCh
 	if sub == nil {
 		t.Fatal("subscribe failed")
@@ -830,7 +797,7 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 		t.Fatalf("initial status = %v", sub.InitialStatus)
 	}
 
-	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 60, add.Nonce, 2))
+	deliverPush(a, encl, pushItem(wire.NotifyRecovery, 60, addNonce, 2))
 	select {
 	case n := <-sub.C:
 		if n.Seq != 2 {

@@ -17,7 +17,8 @@ import (
 // for the message's own signature).
 
 // subscribed registers one subscription against the fake server and returns
-// it with its nonce. The ack is the first message verified under the key.
+// it with its nonce. The registration reply is the first message verified
+// under the key.
 func subscribed(t *testing.T, a *Agent, nic *fakeNIC, encl *enclave.Enclave, subID uint64) (*Subscription, uint64) {
 	t.Helper()
 	subCh := make(chan *Subscription, 1)
@@ -27,13 +28,13 @@ func subscribed(t *testing.T, a *Agent, nic *fakeNIC, encl *enclave.Enclave, sub
 		subCh <- sub
 		errCh <- err
 	}()
-	add := sniffSubscribeOp(t, nic, wire.SubOpAdd, map[uint64]bool{})
-	deliverNotification(a, signedNotification(encl, wire.NotifyAck, subID, add.Nonce, 0))
+	add, nonce := sniffRegister(t, nic, map[uint64]bool{})
+	answerRegister(a, encl, add, okItem(subID))
 	sub := <-subCh
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	return sub, add.Nonce
+	return sub, nonce
 }
 
 // sameCodeEnclave launches a second enclave with the pinned measurement on

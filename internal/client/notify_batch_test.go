@@ -28,17 +28,12 @@ func batchSubscribed(t *testing.T, a *Agent, nic *fakeNIC, encl *enclave.Enclave
 		subsCh <- subs
 		errCh <- err
 	}()
-	req, err := wire.UnmarshalBatchSubscribeRequest(sniffEnvelope(t, nic, wire.OpBatchSubscribe, map[uint64]bool{}).Body)
-	if err != nil {
-		t.Fatal(err)
+	req, _ := sniffRegister(t, nic, map[uint64]bool{})
+	replies := make([]wire.BatchReplyItem, len(req.Items))
+	for i := range replies {
+		replies[i] = okItem(firstID + uint64(i))
 	}
-	reply := &wire.BatchReply{Version: wire.CurrentVersion, Nonce: req.Nonce, Status: wire.StatusOK}
-	for i := range req.Items {
-		reply.Items = append(reply.Items, wire.BatchReplyItem{SubID: firstID + uint64(i), Status: wire.StatusOK})
-	}
-	reply.Signature = encl.Sign(reply.SigningBytes())
-	reply.Quote = encl.KeyQuote().Marshal()
-	deliver(a.HandleFrame, wire.OpBatchReply, reply.Nonce, reply.Marshal())
+	answerRegister(a, encl, req, replies...)
 	subs := <-subsCh
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
@@ -245,8 +240,13 @@ func TestNotifyBatchLostChunkOneResume(t *testing.T) {
 	}
 	nic.mu.Lock()
 	defer nic.mu.Unlock()
+	registrations := 0
 	for _, pkt := range nic.frames {
-		if env := envelopeOf(pkt); env != nil && (env.Op == wire.OpSubscribe || (env.Op == wire.OpSessionResume && !seen[env.CorrelationID])) {
+		env := envelopeOf(pkt)
+		if env != nil && env.Op == wire.OpBatchSubscribe {
+			registrations++
+		}
+		if registrations > 1 || (env != nil && env.Op == wire.OpSessionResume && !seen[env.CorrelationID]) {
 			t.Fatalf("unexpected %v on the wire (corr %#x)", env.Op, env.CorrelationID)
 		}
 	}

@@ -13,13 +13,14 @@ import (
 
 // Experiment E15: batch registration and durable restart
 // recovery. A tenant bringing a fleet of standing invariants online over
-// one-at-a-time exchanges pays, per invariant: a client signature, a frame
+// one-at-a-time exchanges — N Subscribe calls, each a one-item
+// OpBatchSubscribe — pays, per invariant: a client signature, a frame
 // round-trip through the fabric, server-side signature verification, a
-// serialized initial evaluation, ack signing + attestation quote, and
-// client-side ack verification. OpBatchSubscribe registers
-// the same population in ONE signed in-band exchange — one signature and
-// one verification each way, with the initial evaluations fanned across
-// the engine's worker pool. Both phases run fully end-to-end: a real
+// run-lock acquisition for its initial evaluation, reply signing +
+// attestation quote, and client-side reply verification. One N-item
+// OpBatchSubscribe registers the same population in ONE signed in-band
+// exchange — one signature and one verification each way, with the
+// initial evaluations fanned across the engine's worker pool. Both phases run fully end-to-end: a real
 // agent injecting frames at its access point, interception rules, and
 // signed replies verified against the attested enclave key.
 //
@@ -34,8 +35,8 @@ type ProtocolRow struct {
 	Topology string
 	Subs     int
 	// SequentialTotal is the wall time to register Subs invariants one
-	// signed in-band exchange at a time; BatchTotal the wall time for one
-	// signed in-band batch exchange covering all of them.
+	// signed one-item in-band exchange at a time; BatchTotal the wall time
+	// for one signed in-band batch exchange covering all of them.
 	SequentialTotal time.Duration
 	BatchTotal      time.Duration
 	// Speedup is SequentialTotal / BatchTotal.
@@ -126,7 +127,7 @@ func ProtocolScale(nt NamedTopology, n, iters int) (ProtocolRow, error) {
 	}
 	row := ProtocolRow{Topology: nt.Name, Subs: n}
 
-	// --- sequential in-band round-trips ----------------------------------
+	// --- sequential in-band round-trips: N one-item batches --------------
 	var seqTotal time.Duration
 	for it := 0; it < iters; it++ {
 		err := func() error {

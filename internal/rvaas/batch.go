@@ -3,19 +3,19 @@ package rvaas
 import (
 	"fmt"
 
-	"repro/internal/headerspace"
 	"repro/internal/verifier"
 	"repro/internal/wire"
 )
 
-// Batch operations: the amortization layer of the client protocol. A
-// tenant registering 10⁴ standing invariants one by one pays 10⁴
+// BatchSubscribe is the one registration path of the client protocol; a
+// single subscribe is a one-item batch. It is also the amortization layer:
+// a tenant registering 10⁴ standing invariants one by one pays 10⁴
 // round-trips, each with its own client signature, server-side
-// verification, serialized initial evaluation (every subscribe takes the
-// engine's run lock for one invariant) and ack signature. A batch pays ONE
-// signature verification, ONE run-lock acquisition with the initial
-// evaluations fanned across the recheck worker pool, and ONE signed reply
-// — the E15 experiment measures the resulting speedup.
+// verification, run-lock acquisition for one initial evaluation and reply
+// signature. One batch pays ONE signature verification, ONE run-lock
+// acquisition with the initial evaluations fanned across the recheck
+// worker pool, and ONE signed reply — the E15 experiment measures the
+// resulting speedup.
 
 func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wire.BatchReply {
 	c := s.c
@@ -24,9 +24,12 @@ func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wi
 		Nonce:   b.Nonce,
 		Status:  wire.StatusOK,
 	}
-	// The whole batch consumes one replay-protection nonce; per-item
-	// routing nonces are derived (BatchItemNonce) and never wire-accepted,
-	// so they do not age out the client's nonce memory.
+	// Replay protection: a (client, nonce) pair identifies one
+	// registration. The memory survives unsubscription, so a captured
+	// frame cannot resurrect a removed invariant, and is bounded per client
+	// so no other tenant can age it out. The whole batch consumes one
+	// nonce; per-item routing nonces are derived (BatchItemNonce) and never
+	// wire-accepted, so they do not age out the client's nonce memory.
 	if b.Nonce != 0 && !c.engine.RecordNonce(b.ClientID, b.Nonce) {
 		reply.Status = wire.StatusError
 		reply.Detail = fmt.Sprintf("duplicate batch nonce %#x for client %d (replay?)", b.Nonce, b.ClientID)
@@ -50,9 +53,11 @@ func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wi
 	}
 
 	// The engine takes its run lock once, fanning the initial evaluations
-	// across the worker pool exactly like a recheck pass. Initial verdicts
-	// are carried in the reply (not pushed), mirroring single-subscribe ack
-	// semantics.
+	// across the worker pool exactly like a recheck pass (a one-item batch
+	// runs inline). Initial verdicts are carried in the reply, not pushed;
+	// an initially-violated invariant consumes sequence number 1 without
+	// any push existing for it, so each item carries its current seq for
+	// the client to baseline gap detection on.
 	if len(subs) > 0 {
 		c.engine.RegisterBatch(subs, verifier.EvalContext{Build: c.passBuild, Workers: c.evalWorkers()})
 	}
@@ -69,42 +74,4 @@ func (s coreService) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wi
 	}
 	reply.Items = items
 	return c.signBatchReply(reply)
-}
-
-func (s coreService) BatchQuery(o Origin, b *wire.BatchQueryRequest) *wire.BatchQueryReply {
-	c := s.c
-	reply := &wire.BatchQueryReply{
-		Version: wire.CurrentVersion,
-		Nonce:   b.Nonce,
-		Status:  wire.StatusOK,
-	}
-	c.mu.Lock()
-	c.stats.QueriesServed += uint64(len(b.Items))
-	c.mu.Unlock()
-
-	// All items share one compiled network (served from the compile cache)
-	// and one snapshot id, so a batch answers a consistent configuration
-	// version across every item. Batch queries run the logical pipeline
-	// only — no in-band authentication round (AuthRequested stays 0);
-	// clients that need endpoint authentication issue single queries.
-	net := c.CompiledNetwork()
-	snapID := c.snap.snapshotID()
-	requester := o.requester()
-	resps := make([]*wire.QueryResponse, len(b.Items))
-	headerspace.PoolRun(len(b.Items), c.evalWorkers(), func(i int) {
-		q := b.Items[i]
-		resp := &wire.QueryResponse{
-			Version:    wire.CurrentVersion,
-			Kind:       q.Kind,
-			Nonce:      q.Nonce,
-			Status:     wire.StatusOK,
-			SnapshotID: snapID,
-		}
-		c.answerQuery(net, requester, q, resp)
-		resps[i] = resp
-	})
-	reply.Items = resps
-	reply.SnapshotID = snapID
-	reply.Signature, reply.Quote = c.enclave.SignAttested(reply.SigningBytes())
-	return reply
 }

@@ -165,15 +165,14 @@ type Controller struct {
 
 	// svcStats are service-plane counters outside the verifier engine.
 	svcStats struct {
-		verdictQueries    atomic.Uint64
 		sessionResumes    atomic.Uint64
 		notificationsSent atomic.Uint64
 		notificationsDrop atomic.Uint64
 		notifyBatches     atomic.Uint64
 	}
-	// svc is the client-facing service stack (auth gate over the core);
-	// the packet transport and in-process callers share it.
-	svc Service
+	// svc is the client-facing service stack (auth gate over the core)
+	// the packet transport dispatches to.
+	svc authGate
 
 	mu       sync.Mutex
 	sessions map[topology.SwitchID]*session

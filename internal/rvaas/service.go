@@ -7,17 +7,15 @@ import (
 
 	"repro/internal/enclave"
 	"repro/internal/topology"
-	"repro/internal/verifier"
 	"repro/internal/wire"
 )
 
-// This file defines the transport-independent client-facing API of RVaaS.
-// The controller's packet handlers used to own query/subscribe/verdict
-// logic directly; they are now a thin transport — intercept frame, decode
-// envelope, call the Service, encode the reply envelope. Everything behind
-// the interface (verification pipeline, subscription engine, sessions,
-// batching) is driven identically by in-band packets, in-process tests and
-// the bench harness.
+// This file defines the client-facing API of RVaaS behind a thin
+// transport — intercept frame, decode envelope, call the service, encode
+// the reply envelope. The client protocol has one op per job: OpQuery
+// (one-shot verification), OpBatchSubscribe (registration; a single
+// subscribe is a one-item batch), OpUnsubscribe, and OpSessionResume (the
+// one verdict read, also gap recovery's first tier).
 //
 // The service is layered:
 //
@@ -47,28 +45,7 @@ func (o Origin) requester() requesterInfo {
 	return requesterInfo{sw: o.Switch, port: o.Port, mac: o.MAC, ip: o.IP}
 }
 
-// Service is the client-facing API of RVaaS, decoupled from the in-band
-// transport. Query is asynchronous (the in-band authentication round
-// completes after a deadline): deliver is invoked exactly once with the
-// signed response, possibly synchronously. All other operations return
-// their signed reply directly.
-type Service interface {
-	Query(o Origin, q *wire.QueryRequest, deliver func(*wire.QueryResponse))
-	Subscribe(o Origin, s *wire.SubscribeRequest) *wire.Notification
-	Unsubscribe(o Origin, s *wire.SubscribeRequest) *wire.Notification
-	QueryVerdict(o Origin, s *wire.SubscribeRequest) *wire.Notification
-	BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wire.BatchReply
-	BatchQuery(o Origin, b *wire.BatchQueryRequest) *wire.BatchQueryReply
-	ResumeSession(o Origin, r *wire.SessionResumeRequest) *wire.SessionResumeReply
-}
-
-// Service returns the controller's client-facing API with the signature +
-// anchor middleware applied — the same stack in-band frames go through, so
-// driving it directly (tests, benches) measures exactly the service the
-// network sees minus frame transit.
-func (c *Controller) Service() Service { return c.svc }
-
-// signAck finalizes one subscription ack: snapshot id, enclave signature,
+// signAck finalizes one unsubscribe ack: snapshot id, enclave signature,
 // attestation quote.
 func (c *Controller) signAck(ack *wire.Notification) *wire.Notification {
 	ack.SnapshotID = c.snap.snapshotID()
@@ -81,7 +58,11 @@ func (c *Controller) signAck(ack *wire.Notification) *wire.Notification {
 // authGate is the middleware layer: it verifies client signatures on every
 // state-mutating or verdict-revealing operation and the signed anchor
 // binding on registrations, rejecting with a signed error before the core
-// is touched. Read-only unsigned ops (queries) pass through.
+// is touched. Read-only unsigned ops (queries) pass through. Query is
+// asynchronous (the in-band authentication round completes after a
+// deadline): deliver is invoked exactly once with the signed response,
+// possibly synchronously. The other operations return their signed reply
+// directly.
 type authGate struct {
 	core coreService
 	c    *Controller
@@ -116,29 +97,6 @@ func (g authGate) Query(o Origin, q *wire.QueryRequest, deliver func(*wire.Query
 	g.core.Query(o, q, deliver)
 }
 
-func (g authGate) BatchQuery(o Origin, b *wire.BatchQueryRequest) *wire.BatchQueryReply {
-	return g.core.BatchQuery(o, b)
-}
-
-func (g authGate) Subscribe(o Origin, s *wire.SubscribeRequest) *wire.Notification {
-	if s.Op != wire.SubOpAdd {
-		return g.errAck(s.Kind, s.Nonce, fmt.Sprintf("unknown subscription op %d", s.Op))
-	}
-	if !g.verifyClient(o, s.ClientID, s.SigningBytes(), s.Signature) {
-		return g.errAck(s.Kind, s.Nonce,
-			fmt.Sprintf("subscription op not signed by registered key of client %d", s.ClientID))
-	}
-	// The signed anchor must match the actual ingress: a captured
-	// subscribe frame replayed from a different port would otherwise
-	// re-anchor the invariant (and its notifications) at the replayer's
-	// endpoint.
-	if s.AnchorSwitch != uint32(o.Switch) || s.AnchorPort != uint32(o.Port) {
-		return g.errAck(s.Kind, s.Nonce, fmt.Sprintf("anchor (%d,%d) does not match ingress (%d,%d)",
-			s.AnchorSwitch, s.AnchorPort, o.Switch, o.Port))
-	}
-	return g.core.Subscribe(o, s)
-}
-
 func (g authGate) Unsubscribe(o Origin, s *wire.SubscribeRequest) *wire.Notification {
 	if s.Op != wire.SubOpRemove {
 		return g.errAck(s.Kind, s.Nonce, fmt.Sprintf("unknown subscription op %d", s.Op))
@@ -148,17 +106,6 @@ func (g authGate) Unsubscribe(o Origin, s *wire.SubscribeRequest) *wire.Notifica
 			fmt.Sprintf("subscription op not signed by registered key of client %d", s.ClientID))
 	}
 	return g.core.Unsubscribe(o, s)
-}
-
-func (g authGate) QueryVerdict(o Origin, s *wire.SubscribeRequest) *wire.Notification {
-	if s.Op != wire.SubOpQueryVerdict {
-		return g.errAck(s.Kind, s.Nonce, fmt.Sprintf("unknown subscription op %d", s.Op))
-	}
-	if !g.verifyClient(o, s.ClientID, s.SigningBytes(), s.Signature) {
-		return g.errAck(s.Kind, s.Nonce,
-			fmt.Sprintf("subscription op not signed by registered key of client %d", s.ClientID))
-	}
-	return g.core.QueryVerdict(o, s)
 }
 
 func (g authGate) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wire.BatchReply {
@@ -174,6 +121,10 @@ func (g authGate) BatchSubscribe(o Origin, b *wire.BatchSubscribeRequest) *wire.
 	if !g.verifyClient(o, b.ClientID, b.SigningBytes(), b.Signature) {
 		return reject(fmt.Sprintf("batch not signed by registered key of client %d", b.ClientID))
 	}
+	// The signed anchor must match the actual ingress: a captured
+	// registration frame replayed from a different port would otherwise
+	// re-anchor the invariants (and their notifications) at the replayer's
+	// endpoint.
 	if b.AnchorSwitch != uint32(o.Switch) || b.AnchorPort != uint32(o.Port) {
 		return reject(fmt.Sprintf("anchor (%d,%d) does not match ingress (%d,%d)",
 			b.AnchorSwitch, b.AnchorPort, o.Switch, o.Port))
@@ -229,40 +180,6 @@ func (s coreService) Query(o Origin, q *wire.QueryRequest, deliver func(*wire.Qu
 	c.startAuthRound(requester, q, resp, authTargets, deliver)
 }
 
-func (s coreService) Subscribe(o Origin, sr *wire.SubscribeRequest) *wire.Notification {
-	c := s.c
-	ack := &wire.Notification{
-		Version: wire.CurrentVersion,
-		Event:   wire.NotifyAck,
-		Kind:    sr.Kind,
-		Status:  wire.StatusOK,
-		Nonce:   sr.Nonce,
-	}
-	src := verifier.Source{Nonce: sr.Nonce, SessionID: o.SessionID}
-	req := o.requester()
-	anchor := verifier.Anchor{Switch: req.sw, Port: req.port, MAC: req.mac, IP: req.ip}
-	id, err := c.subscribeWith(sr.ClientID, src, sr.Kind, sr.Constraints, sr.Param, anchor)
-	if err != nil {
-		ack.Event = wire.NotifyError
-		ack.Status = wire.StatusError
-		ack.Detail = err.Error()
-		return c.signAck(ack)
-	}
-	ack.SubID = id
-	if st, ok := c.engine.View(id); ok {
-		ack.Detail = st.Detail
-		if st.Violated {
-			ack.Status = wire.StatusViolation
-		}
-		// An initially-violated invariant consumes sequence number 1
-		// without any push existing for it (the ack IS the verdict).
-		// Carrying the current seq lets the client baseline its gap
-		// detection so the first real push is not misread as a loss.
-		ack.Seq = st.Seq
-	}
-	return c.signAck(ack)
-}
-
 func (s coreService) Unsubscribe(o Origin, sr *wire.SubscribeRequest) *wire.Notification {
 	c := s.c
 	// Removal is idempotent: removing an already-absent subscription acks
@@ -291,50 +208,6 @@ func (s coreService) Unsubscribe(o Origin, sr *wire.SubscribeRequest) *wire.Noti
 	return c.signAck(ack)
 }
 
-func (s coreService) QueryVerdict(o Origin, sr *wire.SubscribeRequest) *wire.Notification {
-	c := s.c
-	// On-demand current-verdict query. The gate bound the request to the
-	// client; the ownership check below keeps one tenant from reading
-	// another's verdicts.
-	ack := &wire.Notification{
-		Version: wire.CurrentVersion,
-		Event:   wire.NotifyAck,
-		Kind:    sr.Kind,
-		Status:  wire.StatusOK,
-		Nonce:   sr.Nonce,
-		SubID:   sr.SubID,
-	}
-	st, ok := c.engine.View(sr.SubID)
-	if !ok || st.ClientID != sr.ClientID {
-		ack.Event = wire.NotifyError
-		ack.Status = wire.StatusError
-		ack.Detail = fmt.Sprintf("no subscription %d for client %d", sr.SubID, sr.ClientID)
-		return c.signAck(ack)
-	}
-	if st.Anchor.Switch != o.Switch || st.Anchor.Port != o.Port {
-		// Ingress must match the subscription's anchor — the same defense
-		// SubOpAdd applies: a captured (authentically signed) query frame
-		// replayed from another port would otherwise deliver the tenant's
-		// signed verdict to the replayer's endpoint.
-		ack.Event = wire.NotifyError
-		ack.Status = wire.StatusError
-		ack.Detail = fmt.Sprintf("ingress (%d,%d) does not match subscription anchor (%d,%d)",
-			o.Switch, o.Port, st.Anchor.Switch, st.Anchor.Port)
-		return c.signAck(ack)
-	}
-	ack.Kind = st.Kind
-	ack.Detail = st.Detail
-	if st.Violated {
-		ack.Status = wire.StatusViolation
-	}
-	// The current per-subscription sequence number lets the client rebase
-	// its gap detection: every push at or below it is covered by this
-	// verdict.
-	ack.Seq = st.Seq
-	c.svcStats.verdictQueries.Add(1)
-	return c.signAck(ack)
-}
-
 func (s coreService) ResumeSession(o Origin, r *wire.SessionResumeRequest) *wire.SessionResumeReply {
 	c := s.c
 	reply := &wire.SessionResumeReply{
@@ -350,7 +223,8 @@ func (s coreService) ResumeSession(o Origin, r *wire.SessionResumeRequest) *wire
 	for _, st := range c.engine.ResumeSlice(r.ClientID, r.SessionID) {
 		ent := wire.ResumeVerdict{SubID: st.ID, Kind: st.Kind}
 		if st.Anchor.Switch != o.Switch || st.Anchor.Port != o.Port {
-			// Same replay defense as SubOpQueryVerdict: a captured
+			// The ingress must match the subscription's anchor, as it
+			// must for a registration: a captured (authentically signed)
 			// resume frame replayed from a foreign port learns no
 			// verdicts.
 			ent.Status = wire.StatusError
@@ -444,20 +318,12 @@ func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo,
 		c.svc.Query(o, q, func(resp *wire.QueryResponse) {
 			c.deliverReply(o, wire.OpQueryResponse, resp.Nonce, resp.Marshal())
 		})
-	case wire.OpSubscribe, wire.OpUnsubscribe, wire.OpQueryVerdict:
+	case wire.OpUnsubscribe:
 		sr, err := wire.UnmarshalSubscribeRequest(env.Body)
 		if err != nil {
 			return
 		}
-		var ack *wire.Notification
-		switch env.Op {
-		case wire.OpSubscribe:
-			ack = c.svc.Subscribe(o, sr)
-		case wire.OpUnsubscribe:
-			ack = c.svc.Unsubscribe(o, sr)
-		default:
-			ack = c.svc.QueryVerdict(o, sr)
-		}
+		ack := c.svc.Unsubscribe(o, sr)
 		c.deliverReply(o, wire.OpNotify, ack.Nonce, ack.Marshal())
 	case wire.OpBatchSubscribe:
 		b, err := wire.UnmarshalBatchSubscribeRequest(env.Body)
@@ -466,13 +332,6 @@ func (c *Controller) serveEnvelope(sw topology.SwitchID, inPort topology.PortNo,
 		}
 		reply := c.svc.BatchSubscribe(o, b)
 		c.deliverReply(o, wire.OpBatchReply, reply.Nonce, reply.Marshal())
-	case wire.OpBatchQuery:
-		b, err := wire.UnmarshalBatchQueryRequest(env.Body)
-		if err != nil {
-			return
-		}
-		reply := c.svc.BatchQuery(o, b)
-		c.deliverReply(o, wire.OpBatchQueryReply, reply.Nonce, reply.Marshal())
 	case wire.OpSessionResume:
 		r, err := wire.UnmarshalSessionResumeRequest(env.Body)
 		if err != nil {

@@ -69,9 +69,6 @@ type SubscriptionStats struct {
 	// ClassTests counts the delta-vs-traversal-class overlap tests passes
 	// ran, one per class at each dispatched switch.
 	ClassTests uint64
-	// VerdictQueries counts served SubOpQueryVerdict requests (on-demand
-	// current-verdict reads).
-	VerdictQueries uint64
 	// SessionResumes counts served OpSessionResume requests (whole-session
 	// resyncs after notification loss or a controller restart).
 	SessionResumes uint64
@@ -155,7 +152,6 @@ func (c *Controller) SubscriptionStats() SubscriptionStats {
 		IndexDispatched:      fs.IndexDispatched,
 		DeltaSkipped:         fs.DeltaSkipped,
 		ClassTests:           fs.ClassTests,
-		VerdictQueries:       c.svcStats.verdictQueries.Load(),
 		SessionResumes:       c.svcStats.sessionResumes.Load(),
 		Restored:             fs.Restored,
 		PendingRestore:       fs.PendingRestore,
@@ -201,22 +197,9 @@ func (c *Controller) Subscribe(clientID uint64, kind wire.QueryKind, constraints
 	if ap, ok := c.topo.AccessPointAt(at); ok {
 		anchor.MAC, anchor.IP = ap.HostMAC, ap.HostIP
 	}
-	return c.subscribeWith(clientID, verifier.Source{}, kind, constraints, param, anchor)
-}
-
-func (c *Controller) subscribeWith(clientID uint64, src verifier.Source, kind wire.QueryKind, constraints []wire.FieldConstraint, param string, anchor verifier.Anchor) (uint64, error) {
-	sub, err := verifier.NewSubscription(clientID, src, kind, constraints, param, anchor)
+	sub, err := verifier.NewSubscription(clientID, verifier.Source{}, kind, constraints, param, anchor)
 	if err != nil {
 		return 0, err
-	}
-	if src.Nonce != 0 {
-		// Wire-path replay protection: a (client, nonce) pair identifies
-		// one subscribe operation. The memory survives unsubscription so a
-		// captured frame cannot resurrect a removed invariant, and is
-		// bounded per client so no other tenant can age it out.
-		if !c.engine.RecordNonce(clientID, src.Nonce) {
-			return 0, fmt.Errorf("rvaas: duplicate subscription nonce %#x for client %d (replay?)", src.Nonce, clientID)
-		}
 	}
 	// Initial evaluation runs under the engine's run lock,
 	// serialized with re-verification passes so the first verdict cannot

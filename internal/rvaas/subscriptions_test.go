@@ -3,6 +3,7 @@ package rvaas_test
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,7 +255,11 @@ func TestSubscribeInBand(t *testing.T) {
 	aps := d.Topology.AccessPoints()
 	agent := d.Agent(aps[0].ClientID)
 	dst := aps[2]
-	pushed := tapPushes(t, d, aps[0], agent.HandleFrame)
+	replies := &replyLog{}
+	pushed := tapPushes(t, d, aps[0], func(pkt *wire.Packet) {
+		replies.record(pkt)
+		agent.HandleFrame(pkt)
+	})
 
 	sub, err := agent.Subscribe(wire.QueryReachableDestinations, ipConstraint(dst.HostIP), "")
 	if err != nil {
@@ -262,6 +267,18 @@ func TestSubscribeInBand(t *testing.T) {
 	}
 	if sub.InitialStatus != wire.StatusOK {
 		t.Fatalf("initial status = %s (%s)", sub.InitialStatus, sub.InitialDetail)
+	}
+	// The subscribe traveled as a one-item OpBatchSubscribe: its reply is a
+	// signed OpBatchReply naming the subscription.
+	replies.mu.Lock()
+	regs := append([]*wire.Envelope(nil), replies.envs...)
+	replies.mu.Unlock()
+	if len(regs) != 1 || regs[0].Op != wire.OpBatchReply {
+		t.Fatalf("subscribe answered by %d envelope(s), want one OpBatchReply", len(regs))
+	}
+	reg, err := wire.UnmarshalBatchReply(regs[0].Body)
+	if err != nil || reg.Status != wire.StatusOK || len(reg.Items) != 1 || reg.Items[0].SubID != sub.ID {
+		t.Fatalf("registration reply = %+v (%v)", reg, err)
 	}
 
 	mid := d.Topology.Switches()[1]
@@ -288,8 +305,9 @@ func TestSubscribeInBand(t *testing.T) {
 	if len(frames) != 2 {
 		t.Fatalf("two transitions reached the NIC as %d frames, want 2 unchunked batches", len(frames))
 	}
-	if b := batchOf(t, frames[0]); b == nil || len(b.Items) != 1 || b.Items[0].Event != wire.NotifyViolation || b.Items[0].SubID != sub.ID {
-		t.Fatalf("first push = %+v", b)
+	if b := batchOf(t, frames[0]); b == nil || len(b.Items) != 1 || b.Items[0].Event != wire.NotifyViolation ||
+		b.Items[0].SubID != sub.ID || b.Items[0].Nonce != wire.BatchItemNonce(reg.Nonce, 0) {
+		t.Fatalf("first push = %+v, want sub %d under item nonce %#x", b, sub.ID, wire.BatchItemNonce(reg.Nonce, 0))
 	}
 	dropsBefore := agent.NotificationsDropped()
 	agent.HandleFrame(frames[0])
@@ -327,20 +345,99 @@ func waitNotification(t *testing.T, ch <-chan *wire.Notification) *wire.Notifica
 	return nil
 }
 
-// subscribeFrame frames one raw subscription op the way a client would: an
-// envelope (session 0) on the magic port. signSub signs it to match.
-func subscribeFrame(ap topology.AccessPoint, sr *wire.SubscribeRequest) *wire.Packet {
-	op := wire.OpSubscribe
-	if sr.Op == wire.SubOpRemove {
-		op = wire.OpUnsubscribe
-	}
+// clientFrame frames one raw client op the way a client would: an envelope
+// (session 0) on the magic port. signSub and signBatch sign the bodies to
+// match.
+func clientFrame(ap topology.AccessPoint, op wire.Op, corr uint64, body []byte) *wire.Packet {
 	return wire.NewEnvelopePacket(ap.HostMAC, ap.HostIP, &wire.Envelope{
-		Version: wire.EnvelopeVersion, Op: op, CorrelationID: sr.Nonce, Body: sr.Marshal(),
+		Version: wire.EnvelopeVersion, Op: op, CorrelationID: corr, Body: body,
 	})
+}
+
+func registerFrame(ap topology.AccessPoint, b *wire.BatchSubscribeRequest) *wire.Packet {
+	return clientFrame(ap, wire.OpBatchSubscribe, b.Nonce, b.Marshal())
+}
+
+func unsubscribeFrame(ap topology.AccessPoint, sr *wire.SubscribeRequest) *wire.Packet {
+	return clientFrame(ap, wire.OpUnsubscribe, sr.Nonce, sr.Marshal())
 }
 
 func signSub(priv ed25519.PrivateKey, sr *wire.SubscribeRequest) {
 	sr.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(sr.SigningBytes(), 0))
+}
+
+func signBatch(priv ed25519.PrivateKey, b *wire.BatchSubscribeRequest) {
+	b.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(b.SigningBytes(), 0))
+}
+
+// oneItem is a registration of one reachability invariant toward dst,
+// anchored at ap and claiming clientID.
+func oneItem(clientID, nonce uint64, ap topology.AccessPoint, dst uint32) *wire.BatchSubscribeRequest {
+	return &wire.BatchSubscribeRequest{
+		Version:      wire.CurrentVersion,
+		ClientID:     clientID,
+		Nonce:        nonce,
+		AnchorSwitch: uint32(ap.Endpoint.Switch),
+		AnchorPort:   uint32(ap.Endpoint.Port),
+		Items:        []wire.BatchItem{{Kind: wire.QueryReachableDestinations, Constraints: ipConstraint(dst)}},
+	}
+}
+
+// replyLog records the (unchunked) reply envelopes delivered to a host.
+type replyLog struct {
+	mu   sync.Mutex
+	envs []*wire.Envelope
+}
+
+func (l *replyLog) record(pkt *wire.Packet) {
+	if !pkt.IsRVaaSV2Reply() {
+		return
+	}
+	if env, err := wire.UnmarshalEnvelope(pkt.Payload); err == nil {
+		l.mu.Lock()
+		l.envs = append(l.envs, env)
+		l.mu.Unlock()
+	}
+}
+
+// attachReplyLog replaces ap's host with a recorder.
+func attachReplyLog(t *testing.T, d *deploy.Deployment, ap topology.AccessPoint) *replyLog {
+	t.Helper()
+	l := &replyLog{}
+	if err := d.Fabric.AttachHost(ap.Endpoint, l.record); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// wait returns the reply with correlation id corr, failing the test if none
+// arrives.
+func (l *replyLog) wait(t *testing.T, corr uint64) *wire.Envelope {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		for i, env := range l.envs {
+			if env.CorrelationID == corr {
+				l.envs = append(l.envs[:i], l.envs[i+1:]...)
+				l.mu.Unlock()
+				return env
+			}
+		}
+		l.mu.Unlock()
+	}
+	t.Fatalf("no reply with correlation id %#x", corr)
+	return nil
+}
+
+// batchReply waits for the registration reply to nonce and decodes it.
+func (l *replyLog) batchReply(t *testing.T, nonce uint64) *wire.BatchReply {
+	t.Helper()
+	env := l.wait(t, nonce)
+	r, err := wire.UnmarshalBatchReply(env.Body)
+	if env.Op != wire.OpBatchReply || err != nil {
+		t.Fatalf("reply to registration %#x: %v envelope (%v)", nonce, env.Op, err)
+	}
+	return r
 }
 
 // isPush reports whether a frame arriving at a host belongs to a pushed
@@ -413,8 +510,11 @@ func batchOf(t *testing.T, frames ...*wire.Packet) *wire.NotifyBatch {
 }
 
 // TestForgedSubscriptionOpsRejected verifies subscription mutations are
-// authenticated: ops not signed by the claimed client's registered key are
-// rejected, so a co-tenant cannot disable a victim's standing monitoring.
+// authenticated: a registration or removal not signed by the claimed
+// client's registered key is rejected, so a co-tenant can neither disable a
+// victim's standing monitoring nor register invariants in its name, and a
+// correctly signed registration replayed from a foreign port cannot anchor
+// there.
 func TestForgedSubscriptionOpsRejected(t *testing.T) {
 	d := deployLinear(t, 3, deploy.Options{})
 	aps := d.Topology.AccessPoints()
@@ -426,59 +526,54 @@ func TestForgedSubscriptionOpsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Attacker: a different tenant forging ops in the victim's name. The
-	// signature is its own, so verification against the victim's
-	// registered key must fail.
+	// Attacker: a different tenant forging ops in the victim's name, signed
+	// with its own key, so verification against the victim's registered key
+	// must fail. Its host records the signed rejections.
 	attacker := aps[1]
-	forge := func(op wire.SubscribeOp, subID uint64) {
+	replies := attachReplyLog(t, d, attacker)
+	_, attackerKey, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject := func(pkt *wire.Packet) {
 		t.Helper()
-		req := &wire.SubscribeRequest{
-			Version:  wire.CurrentVersion,
-			Op:       op,
-			ClientID: aps[0].ClientID, // victim's identity
-			Nonce:    0xF0F0_0001 + uint64(op),
-			SubID:    subID,
-			Kind:     wire.QueryReachableDestinations,
-		}
-		// Unsigned (and hence wrongly-signed) request straight onto the wire.
-		pkt := subscribeFrame(attacker, req)
 		if err := d.Fabric.InjectFromHost(attacker.Endpoint, pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	forge(wire.SubOpRemove, sub.ID)
-	forge(wire.SubOpAdd, 0)
+	rm := &wire.SubscribeRequest{Version: wire.CurrentVersion, Op: wire.SubOpRemove,
+		ClientID: aps[0].ClientID, Nonce: 0xF0F0_0001, SubID: sub.ID}
+	signSub(attackerKey, rm)
+	inject(unsubscribeFrame(attacker, rm))
+	if env := replies.wait(t, rm.Nonce); env.Op != wire.OpNotify {
+		t.Fatalf("forged removal answered by %v", env.Op)
+	} else if ack, err := wire.UnmarshalNotification(env.Body); err != nil || ack.Event != wire.NotifyError {
+		t.Fatalf("forged removal acked: %+v (%v)", ack, err)
+	}
+	forged := oneItem(aps[0].ClientID, 0xF0F0_0002, attacker, dst.HostIP)
+	signBatch(attackerKey, forged)
+	inject(registerFrame(attacker, forged))
+	if r := replies.batchReply(t, forged.Nonce); r.Status != wire.StatusError || len(r.Items) != 0 {
+		t.Fatalf("forged registration answered %+v", r)
+	}
 
-	// A correctly-signed request whose signed anchor does not match the
-	// actual ingress (a captured frame replayed from the attacker's port)
-	// must be rejected too.
+	// A correctly-signed registration whose signed anchor does not match
+	// the actual ingress (a captured frame replayed from the attacker's
+	// port) must be rejected too.
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.RVaaS.RegisterClient(999, pub)
-	misanchored := &wire.SubscribeRequest{
-		Version:      wire.CurrentVersion,
-		Op:           wire.SubOpAdd,
-		ClientID:     999,
-		Nonce:        0xF0F0_0099,
-		AnchorSwitch: uint32(aps[0].Endpoint.Switch), // victim's port
-		AnchorPort:   uint32(aps[0].Endpoint.Port),
-		Kind:         wire.QueryReachableDestinations,
-	}
-	signSub(priv, misanchored)
-	pkt := subscribeFrame(attacker, misanchored)
-	if err := d.Fabric.InjectFromHost(attacker.Endpoint, pkt); err != nil { // replayed at attacker's port
-		t.Fatal(err)
+	misanchored := oneItem(999, 0xF0F0_0099, aps[0], dst.HostIP) // victim's port
+	signBatch(priv, misanchored)
+	inject(registerFrame(attacker, misanchored))
+	if r := replies.batchReply(t, misanchored.Nonce); r.Status != wire.StatusError || len(r.Items) != 0 {
+		t.Fatalf("misanchored registration answered %+v", r)
 	}
 
-	// Give the packets time to round-trip, then check nothing changed.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && d.RVaaS.Stats().PacketIns < 5 {
-		time.Sleep(time.Millisecond)
-	}
 	st := d.RVaaS.SubscriptionStats()
-	if st.Active != 1 || st.Removed != 0 {
+	if st.Active != 1 || st.Registered != 1 || st.Removed != 0 {
 		t.Fatalf("forged ops mutated state: %+v", st)
 	}
 	subs := d.RVaaS.Subscriptions()
@@ -488,41 +583,37 @@ func TestForgedSubscriptionOpsRejected(t *testing.T) {
 }
 
 // TestReplayedSubscribeRejected verifies that re-sending a valid signed
-// subscribe frame (verbatim replay at the correct port) does not register
-// a duplicate subscription.
+// registration frame (verbatim replay at the correct port) registers
+// nothing: the batch nonce is remembered, also after the invariant was
+// removed. Removal by registration nonce names a batch item by its derived
+// nonce.
 func TestReplayedSubscribeRejected(t *testing.T) {
 	d := deployLinear(t, 3, deploy.Options{})
 	aps := d.Topology.AccessPoints()
 	ap := aps[0]
+	replies := attachReplyLog(t, d, ap)
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.RVaaS.RegisterClient(777, pub)
-	req := &wire.SubscribeRequest{
-		Version:      wire.CurrentVersion,
-		Op:           wire.SubOpAdd,
-		ClientID:     777,
-		Nonce:        0xABAB_0001,
-		AnchorSwitch: uint32(ap.Endpoint.Switch),
-		AnchorPort:   uint32(ap.Endpoint.Port),
-		Kind:         wire.QueryReachableDestinations,
-		Constraints:  ipConstraint(aps[2].HostIP),
-	}
-	signSub(priv, req)
-	for i := 0; i < 3; i++ {
-		pkt := subscribeFrame(ap, req)
+	inject := func(pkt *wire.Packet) {
+		t.Helper()
 		if err := d.Fabric.InjectFromHost(ap.Endpoint, pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && d.RVaaS.SubscriptionStats().Registered < 1 {
-		time.Sleep(time.Millisecond)
+	req := oneItem(777, 0xABAB_0001, ap, aps[2].HostIP)
+	signBatch(priv, req)
+	for i := 0; i < 3; i++ {
+		inject(registerFrame(ap, req))
+		r := replies.batchReply(t, req.Nonce)
+		if ok := r.Status == wire.StatusOK; ok != (i == 0) {
+			t.Fatalf("send %d of the same registration answered %+v", i, r)
+		}
 	}
-	time.Sleep(20 * time.Millisecond) // let the replays land
 	if st := d.RVaaS.SubscriptionStats(); st.Active != 1 || st.Registered != 1 {
-		t.Fatalf("replayed subscribe registered duplicates: %+v", st)
+		t.Fatalf("replayed registration registered duplicates: %+v", st)
 	}
 
 	// The nonce memory must survive unsubscription: replaying the captured
@@ -531,52 +622,154 @@ func TestReplayedSubscribeRejected(t *testing.T) {
 	if !d.RVaaS.Unsubscribe(777, id) {
 		t.Fatal("unsubscribe failed")
 	}
-	pkt := subscribeFrame(ap, req)
-	if err := d.Fabric.InjectFromHost(ap.Endpoint, pkt); err != nil {
-		t.Fatal(err)
+	inject(registerFrame(ap, req))
+	if r := replies.batchReply(t, req.Nonce); r.Status != wire.StatusError {
+		t.Fatalf("post-unsubscribe replay answered %+v", r)
 	}
-	time.Sleep(20 * time.Millisecond)
 	if st := d.RVaaS.SubscriptionStats(); st.Active != 0 || st.Registered != 1 {
 		t.Fatalf("post-unsubscribe replay resurrected the subscription: %+v", st)
 	}
 
-	// Removal by registration nonce (the lost-ack cleanup path) works for
-	// a live subscription.
-	req2 := &wire.SubscribeRequest{
-		Version:      wire.CurrentVersion,
-		Op:           wire.SubOpAdd,
-		ClientID:     777,
-		Nonce:        0xABAB_0002,
-		AnchorSwitch: uint32(ap.Endpoint.Switch),
-		AnchorPort:   uint32(ap.Endpoint.Port),
-		Kind:         wire.QueryReachableDestinations,
-		Constraints:  ipConstraint(aps[2].HostIP),
-	}
-	signSub(priv, req2)
-	if err := d.Fabric.InjectFromHost(ap.Endpoint, subscribeFrame(ap, req2)); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && d.RVaaS.SubscriptionStats().Active < 1 {
-		time.Sleep(time.Millisecond)
+	// Removal by registration nonce (the lost-reply cleanup path) removes
+	// exactly the batch item whose derived nonce it names.
+	req2 := oneItem(777, 0xABAB_0002, ap, aps[2].HostIP)
+	req2.Items = append(req2.Items, wire.BatchItem{Kind: wire.QueryReachableDestinations, Constraints: ipConstraint(aps[1].HostIP)})
+	signBatch(priv, req2)
+	inject(registerFrame(ap, req2))
+	r2 := replies.batchReply(t, req2.Nonce)
+	if r2.Status != wire.StatusOK || len(r2.Items) != 2 {
+		t.Fatalf("two-item registration answered %+v", r2)
 	}
 	rm := &wire.SubscribeRequest{
 		Version:  wire.CurrentVersion,
 		Op:       wire.SubOpRemove,
 		ClientID: 777,
 		Nonce:    0xABAB_0003,
-		RefNonce: 0xABAB_0002,
+		RefNonce: wire.BatchItemNonce(req2.Nonce, 1),
 	}
 	signSub(priv, rm)
-	if err := d.Fabric.InjectFromHost(ap.Endpoint, subscribeFrame(ap, rm)); err != nil {
+	inject(unsubscribeFrame(ap, rm))
+	if ack, err := wire.UnmarshalNotification(replies.wait(t, rm.Nonce).Body); err != nil || ack.Event != wire.NotifyAck || ack.SubID != r2.Items[1].SubID {
+		t.Fatalf("remove-by-nonce ack = %+v (%v), want sub %d removed", ack, err, r2.Items[1].SubID)
+	}
+	if subs := d.RVaaS.Subscriptions(); len(subs) != 1 || subs[0].ID != r2.Items[0].SubID {
+		t.Fatalf("remove-by-nonce left %+v, want only sub %d", subs, r2.Items[0].SubID)
+	}
+}
+
+// TestResumeRejectsWrongIngress: OpSessionResume is the one verdict read,
+// so it carries the anchor defense. An authentically signed resume frame
+// replayed from a foreign port gets only StatusError entries — no sequence
+// number and no verdict detail reaches the replayer — while the same frame
+// at the anchored ingress gets the live verdicts.
+func TestResumeRejectsWrongIngress(t *testing.T) {
+	d := deployLinear(t, 3, deploy.Options{})
+	aps := d.Topology.AccessPoints()
+	owner, foreign := aps[0], aps[1]
+	ownerReplies := attachReplyLog(t, d, owner)
+	foreignReplies := attachReplyLog(t, d, foreign)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && d.RVaaS.SubscriptionStats().Active > 0 {
-		time.Sleep(time.Millisecond)
+	d.RVaaS.RegisterClient(777, pub)
+	reg := oneItem(777, 0xC0C0_0001, owner, aps[2].HostIP)
+	reg.Items = append(reg.Items, wire.BatchItem{Kind: wire.QueryReachableDestinations, Constraints: ipConstraint(0x0A09_0909)})
+	signBatch(priv, reg)
+	if err := d.Fabric.InjectFromHost(owner.Endpoint, registerFrame(owner, reg)); err != nil {
+		t.Fatal(err)
 	}
-	if st := d.RVaaS.SubscriptionStats(); st.Active != 0 {
-		t.Fatalf("remove-by-nonce did not remove the subscription: %+v", st)
+	if r := ownerReplies.batchReply(t, reg.Nonce); r.Status != wire.StatusOK || len(r.Items) != 2 {
+		t.Fatalf("registration answered %+v", r)
+	}
+	live := map[uint64]rvaas.SubscriptionInfo{}
+	for _, info := range d.RVaaS.Subscriptions() {
+		live[info.ID] = info
+	}
+
+	req := &wire.SessionResumeRequest{Version: wire.CurrentVersion, ClientID: 777, Nonce: 0xC0C0_0002}
+	req.Signature = ed25519.Sign(priv, wire.SessionSigningBytes(req.SigningBytes(), 0))
+	resume := func(ap topology.AccessPoint, replies *replyLog) *wire.SessionResumeReply {
+		t.Helper()
+		if err := d.Fabric.InjectFromHost(ap.Endpoint, clientFrame(ap, wire.OpSessionResume, req.Nonce, req.Marshal())); err != nil {
+			t.Fatal(err)
+		}
+		env := replies.wait(t, req.Nonce)
+		r, err := wire.UnmarshalSessionResumeReply(env.Body)
+		if env.Op != wire.OpSessionResumeReply || err != nil || r.Status != wire.StatusOK || len(r.Entries) != len(live) {
+			t.Fatalf("resume at %v answered %v %+v (%v)", ap.Endpoint, env.Op, r, err)
+		}
+		return r
+	}
+
+	for _, ent := range resume(foreign, foreignReplies).Entries {
+		info := live[ent.SubID]
+		if ent.Status != wire.StatusError || ent.Seq != 0 || strings.Contains(ent.Detail, info.Detail) {
+			t.Fatalf("foreign ingress learned a verdict: %+v (live: %+v)", ent, info)
+		}
+	}
+	for _, ent := range resume(owner, ownerReplies).Entries {
+		info := live[ent.SubID]
+		want := wire.StatusOK
+		if info.Violated {
+			want = wire.StatusViolation
+		}
+		if ent.Status != want || ent.Seq != info.Seq || ent.Detail != info.Detail {
+			t.Fatalf("anchored ingress got %+v, want the live verdict %+v", ent, info)
+		}
+	}
+}
+
+// TestRetiredOpsIgnored: a frame carrying a retired op number (subscribe,
+// query-verdict, batch-query and its reply) is ignored — no reply, no
+// registration, no state change — even when its body is a well-formed,
+// correctly signed request of the retired op.
+func TestRetiredOpsIgnored(t *testing.T) {
+	d := deployLinear(t, 2, deploy.Options{})
+	aps := d.Topology.AccessPoints()
+	ap := aps[0]
+	replies := attachReplyLog(t, d, ap)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RVaaS.RegisterClient(777, pub)
+	// The retired subscribe's body: a SubscribeRequest with op 1 (add).
+	add := &wire.SubscribeRequest{Version: wire.CurrentVersion, Op: 1, ClientID: 777, Nonce: 0xD0D0_0001,
+		AnchorSwitch: uint32(ap.Endpoint.Switch), AnchorPort: uint32(ap.Endpoint.Port),
+		Kind: wire.QueryReachableDestinations, Constraints: ipConstraint(aps[1].HostIP)}
+	signSub(priv, add)
+	before := d.RVaaS.Stats().PacketIns
+	for _, op := range []wire.Op{3, 5, 9, 10} {
+		if err := d.Fabric.InjectFromHost(ap.Endpoint, clientFrame(ap, op, add.Nonce, add.Marshal())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); d.RVaaS.Stats().PacketIns < before+4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("retired-op frames never reached RVaaS")
+		}
+	}
+	if st := d.RVaaS.SubscriptionStats(); st.Registered != 0 {
+		t.Fatalf("retired op registered a subscription: %+v", st)
+	}
+	// A live registration behind them under the same nonce is accepted: no
+	// retired frame consumed it, and everything ahead of it was served.
+	live := oneItem(777, add.Nonce, ap, aps[1].HostIP)
+	signBatch(priv, live)
+	if err := d.Fabric.InjectFromHost(ap.Endpoint, registerFrame(ap, live)); err != nil {
+		t.Fatal(err)
+	}
+	if r := replies.batchReply(t, live.Nonce); r.Status != wire.StatusOK || len(r.Items) != 1 || r.Items[0].SubID == 0 {
+		t.Fatalf("registration after the retired ops answered %+v", r)
+	}
+	replies.mu.Lock()
+	defer replies.mu.Unlock()
+	if len(replies.envs) != 0 {
+		t.Fatalf("retired ops answered with %d envelope(s), first %v", len(replies.envs), replies.envs[0].Op)
+	}
+	if st := d.RVaaS.SubscriptionStats(); st.Registered != 1 || st.Active != 1 {
+		t.Fatalf("subscriptions after the retired ops: %+v", st)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 //   - sessions: SessionID binds an operation to a client session, which is
 //     what durable subscription restore resumes after a controller restart
 //     (OpSessionResume);
-//   - batching: OpBatchSubscribe/OpBatchQuery register or answer N
-//     operations in ONE signed exchange instead of N round-trips, with u32
-//     framing because batch bodies routinely exceed the u16 limits of the
-//     single-op body codecs.
+//   - batching: OpBatchSubscribe registers N invariants in ONE signed
+//     exchange instead of N round-trips (a single subscribe is a one-item
+//     batch), with u32 framing because batch bodies routinely exceed the
+//     u16 limits of the single-op body codecs.
 
 // EnvelopeVersion is the current protocol envelope revision.
 const EnvelopeVersion = 2
@@ -27,54 +27,50 @@ const EnvelopeVersion = 2
 type Op uint8
 
 // Envelope operations. Request ops are client → RVaaS; reply ops RVaaS →
-// client.
+// client. The values are wire bytes: an op is never renumbered, and a
+// retired op's number stays reserved rather than reused — 3 (subscribe),
+// 5 (query-verdict), 9 and 10 (batch-query and its reply). RVaaS ignores a
+// frame carrying one.
 const (
 	// OpQuery carries a QueryRequest; answered by OpQueryResponse
 	// (QueryResponse).
-	OpQuery Op = iota + 1
-	OpQueryResponse
-	// OpSubscribe/OpUnsubscribe/OpQueryVerdict carry a SubscribeRequest
-	// whose SubOp agrees with the envelope op; each is acknowledged by an
-	// OpNotify envelope (Notification).
-	OpSubscribe
-	OpUnsubscribe
-	OpQueryVerdict
+	OpQuery         Op = 1
+	OpQueryResponse Op = 2
+	// OpUnsubscribe carries a SubscribeRequest (SubOpRemove), acknowledged
+	// by an OpNotify envelope (Notification).
+	OpUnsubscribe Op = 4
 	// OpNotify carries a Notification acknowledging (or rejecting) one
-	// subscription op. Verdict transitions are never pushed in one: they
-	// travel as OpNotifyBatch.
-	OpNotify
+	// removal. Verdict transitions are never pushed in one: they travel as
+	// OpNotifyBatch.
+	OpNotify Op = 6
 	// OpBatchSubscribe registers N invariants under one client signature;
-	// answered by OpBatchReply (BatchReply, one item per request item).
-	OpBatchSubscribe
-	OpBatchReply
-	// OpBatchQuery answers N logical verification queries in one exchange
-	// (OpBatchQueryReply). Batch queries run the logical pipeline only —
-	// clients that need the in-band endpoint authentication round issue
-	// single OpQuery operations.
-	OpBatchQuery
-	OpBatchQueryReply
+	// answered by OpBatchReply (BatchReply, one item per request item). It
+	// is the only registration op: a single subscribe is a one-item batch.
+	OpBatchSubscribe Op = 7
+	OpBatchReply     Op = 8
 	// OpSessionResume resynchronizes a client session after notification
 	// loss or a controller restart: the signed OpSessionResumeReply carries
 	// the current verdict and sequence number of every subscription in the
-	// session, so the client rebases instead of blindly re-subscribing.
-	OpSessionResume
-	OpSessionResumeReply
+	// session, so the client rebases instead of blindly re-subscribing. It
+	// is the only verdict read.
+	OpSessionResume      Op = 11
+	OpSessionResumeReply Op = 12
 	// OpChunk is one fragment of a logical envelope too large for the UDP
 	// frame budget: the outer envelope's CorrelationID is the continuation
 	// id shared by every fragment of the chain, and the body (Chunk) names
 	// the inner op plus this fragment's position. See chunk.go.
-	OpChunk
+	OpChunk Op = 13
 	// OpAuthChallenge carries an AuthRequest RVaaS injects toward an
 	// endpoint discovered by logical verification; the agent answers with
 	// OpAuthReply (AuthReply) from the same access point — the in-band
 	// authentication round of §IV-A3.
-	OpAuthChallenge
-	OpAuthReply
+	OpAuthChallenge Op = 14
+	OpAuthReply     Op = 15
 	// OpNotifyBatch carries a NotifyBatch: every violation/recovery one
 	// re-verification pass produced for one client session at one access
 	// point, under a single enclave signature. It is the only push form —
 	// a lone transition is a one-item batch.
-	OpNotifyBatch
+	OpNotifyBatch Op = 16
 )
 
 // String names the op.
@@ -84,22 +80,14 @@ func (op Op) String() string {
 		return "query"
 	case OpQueryResponse:
 		return "query-response"
-	case OpSubscribe:
-		return "subscribe"
 	case OpUnsubscribe:
 		return "unsubscribe"
-	case OpQueryVerdict:
-		return "query-verdict"
 	case OpNotify:
 		return "notify"
 	case OpBatchSubscribe:
 		return "batch-subscribe"
 	case OpBatchReply:
 		return "batch-reply"
-	case OpBatchQuery:
-		return "batch-query"
-	case OpBatchQueryReply:
-		return "batch-query-reply"
 	case OpSessionResume:
 		return "session-resume"
 	case OpSessionResumeReply:
@@ -186,9 +174,9 @@ func SessionSigningBytes(signing []byte, sessionID uint64) []byte {
 
 // ---------------------------------------------------------- batch bodies --
 
-// BatchItem is one invariant in a batch registration: the SubOpAdd
-// vocabulary without the per-op auth fields (the batch signature and anchor
-// cover every item).
+// BatchItem is one invariant in a batch registration, described with the
+// one-shot query vocabulary (the batch signature and anchor cover every
+// item).
 type BatchItem struct {
 	Kind        QueryKind
 	Constraints []FieldConstraint
@@ -213,10 +201,11 @@ type BatchSubscribeRequest struct {
 	Signature []byte
 }
 
-// BatchItemNonce derives the notification-routing nonce of batch item i
-// from the batch nonce. Both sides compute it, so pushes for a brand-new
-// batch subscription route at the client before the batch reply is even
-// processed — the same pre-registration trick single subscribes use.
+// BatchItemNonce derives the registration nonce of batch item i from the
+// batch nonce. Both sides compute it, so pushes for a brand-new batch
+// subscription route at the client before the batch reply is even
+// processed, and a client whose reply was lost can remove the item by it
+// (SubscribeRequest.RefNonce).
 func BatchItemNonce(batchNonce uint64, i int) uint64 {
 	return batchNonce ^ (uint64(i) + 1)
 }
@@ -368,127 +357,6 @@ func UnmarshalBatchReply(data []byte) (*BatchReply, error) {
 	return b, nil
 }
 
-// BatchQueryRequest carries N one-shot verification queries answered in one
-// exchange. Like single queries it is unsigned (read-only); the nested
-// items reuse the QueryRequest codec with u32 framing.
-type BatchQueryRequest struct {
-	Version  uint8
-	ClientID uint64
-	Nonce    uint64
-	Items    []*QueryRequest
-}
-
-// Marshal encodes the batch query.
-func (b *BatchQueryRequest) Marshal() []byte {
-	var w writer
-	w.u8(b.Version)
-	w.u64(b.ClientID)
-	w.u64(b.Nonce)
-	w.u32(uint32(len(b.Items)))
-	for _, q := range b.Items {
-		w.bytes32(q.Marshal())
-	}
-	return w.buf
-}
-
-// UnmarshalBatchQueryRequest decodes a batch query.
-func UnmarshalBatchQueryRequest(data []byte) (*BatchQueryRequest, error) {
-	r := reader{buf: data}
-	b := &BatchQueryRequest{
-		Version:  r.u8(),
-		ClientID: r.u64(),
-		Nonce:    r.u64(),
-	}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		body := r.bytes32()
-		if r.err != nil {
-			break
-		}
-		q, err := UnmarshalQueryRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		b.Items = append(b.Items, q)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if b.Version != CurrentVersion {
-		return nil, errBadVersion
-	}
-	return b, nil
-}
-
-// BatchQueryReply answers a batch query: one QueryResponse per item
-// (index-aligned, each with empty Signature/Quote) under a single reply
-// signature that covers them all.
-type BatchQueryReply struct {
-	Version    uint8
-	Nonce      uint64
-	Status     ResponseStatus
-	Detail     string
-	SnapshotID uint64
-	Items      []*QueryResponse
-	Signature  []byte
-	Quote      []byte
-}
-
-// SigningBytes returns the canonical bytes covered by the signature.
-func (b *BatchQueryReply) SigningBytes() []byte { return b.core() }
-
-func (b *BatchQueryReply) core() []byte {
-	var w writer
-	w.u8(b.Version)
-	w.u64(b.Nonce)
-	w.u8(uint8(b.Status))
-	w.str(b.Detail)
-	w.u64(b.SnapshotID)
-	w.u32(uint32(len(b.Items)))
-	for _, resp := range b.Items {
-		w.bytes32(resp.Marshal())
-	}
-	return w.buf
-}
-
-// Marshal encodes the reply including signature and quote.
-func (b *BatchQueryReply) Marshal() []byte {
-	w := writer{buf: b.core()}
-	w.bytesN(b.Signature)
-	w.bytesN(b.Quote)
-	return w.buf
-}
-
-// UnmarshalBatchQueryReply decodes a batch query reply.
-func UnmarshalBatchQueryReply(data []byte) (*BatchQueryReply, error) {
-	r := reader{buf: data}
-	b := &BatchQueryReply{
-		Version: r.u8(),
-		Nonce:   r.u64(),
-		Status:  ResponseStatus(r.u8()),
-		Detail:  r.str(),
-	}
-	b.SnapshotID = r.u64()
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		body := r.bytes32()
-		if r.err != nil {
-			break
-		}
-		resp, err := UnmarshalQueryResponse(body)
-		if err != nil {
-			return nil, err
-		}
-		b.Items = append(b.Items, resp)
-	}
-	b.Signature = r.bytesN()
-	b.Quote = r.bytesN()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return b, nil
-}
-
 // -------------------------------------------------------- session resume --
 
 // ResumeEntry names one subscription the client knows, with the highest
@@ -503,8 +371,9 @@ type ResumeEntry struct {
 // exchange: after notification loss or a controller restart the client
 // lists the subscriptions it holds, and the signed reply carries each one's
 // current verdict and sequence number. Resume is read-only on the server
-// but reveals verdicts, so it is signed and anchor-checked like
-// SubOpQueryVerdict.
+// but reveals verdicts, so it is signed, and each entry is anchor-checked:
+// a captured resume frame replayed from a foreign ingress learns no
+// verdict.
 type SessionResumeRequest struct {
 	Version   uint8
 	ClientID  uint64

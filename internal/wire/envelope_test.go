@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -75,37 +74,6 @@ func TestBatchReplyRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b, back) {
 		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", b, back)
-	}
-}
-
-func TestBatchQueryRoundtrip(t *testing.T) {
-	req := &BatchQueryRequest{
-		Version: CurrentVersion, ClientID: 2, Nonce: 5,
-		Items: []*QueryRequest{
-			{Version: CurrentVersion, Kind: QueryGeoRegions, ClientID: 2, Nonce: 6},
-			{Version: CurrentVersion, Kind: QueryPathLength, ClientID: 2, Nonce: 7, Param: "4"},
-		},
-	}
-	back, err := UnmarshalBatchQueryRequest(req.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(req, back) {
-		t.Fatalf("request roundtrip mismatch")
-	}
-	reply := &BatchQueryReply{
-		Version: CurrentVersion, Nonce: 5, Status: StatusOK, SnapshotID: 3,
-		Items: []*QueryResponse{
-			{Version: CurrentVersion, Kind: QueryGeoRegions, Nonce: 6, Status: StatusOK, Regions: []string{"eu"}},
-		},
-		Signature: []byte{1}, Quote: []byte{2},
-	}
-	rback, err := UnmarshalBatchQueryReply(reply.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rback.Marshal(), reply.Marshal()) {
-		t.Fatalf("reply roundtrip not stable")
 	}
 }
 

@@ -3,13 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
 // The golden-frame tests lock the client wire encoding byte-for-byte: one
-// fixture per single-op body codec, each framed in the envelope its op
-// travels in, so no refactor can move a byte of the frame, the envelope
-// header or a body that deployed clients decode.
+// fixture per body codec, each framed in the envelope its op travels in, so
+// no refactor can move a byte of the frame, the envelope header or a body
+// that deployed clients decode.
 
 // toRVaaS / fromRVaaS frame a body the way clients and RVaaS send it.
 func toRVaaS(mac uint64, ip uint32, op Op, corr uint64, body []byte) *Packet {
@@ -75,14 +76,68 @@ func TestGoldenResponsePacket(t *testing.T) {
 		fromRVaaS(0x020000000004, IPv4(10, 0, 0, 4), OpQueryResponse, resp.Nonce, resp.Marshal()))
 }
 
+// TestGoldenSubscribePacket locks the one frame SubscribeRequest still
+// travels in: OpUnsubscribe, by SubID and by registration nonce.
 func TestGoldenSubscribePacket(t *testing.T) {
-	sr := &SubscribeRequest{Version: 1, Op: SubOpAdd, ClientID: 7, Nonce: 0x2233445566778899,
-		AnchorSwitch: 1, AnchorPort: 2, Kind: QueryIsolation,
-		Constraints: []FieldConstraint{{Field: FieldIPDst, Value: 0x0A000002, Mask: 0xFFFFFFFF}},
-		Signature:   []byte{0xCC}}
-	goldenPacket(t, "subscribe",
-		"ffffffffffff02000000000508004500007500000000401165760a0000050afffffe88885aab00610000020322334455667788990000000000005e550000004301010000000000000007223344556677889900000000000000000000000000000000000000010000000203000106000000000a00000200000000ffffffff00000001cc",
-		toRVaaS(0x020000000005, IPv4(10, 0, 0, 5), OpSubscribe, sr.Nonce, sr.Marshal()))
+	rm := &SubscribeRequest{Version: 1, Op: SubOpRemove, ClientID: 7, Nonce: 0x2233445566778899, SubID: 4,
+		Signature: []byte{0xCC}}
+	goldenPacket(t, "unsubscribe",
+		"ffffffffffff02000000000508004500006400000000401165870a0000050afffffe88885aab00500000020422334455667788990000000000005e550000003201020000000000000007223344556677889900000000000000040000000000000000000000000000000000000000000001cc",
+		toRVaaS(0x020000000005, IPv4(10, 0, 0, 5), OpUnsubscribe, rm.Nonce, rm.Marshal()))
+	ref := &SubscribeRequest{Version: 1, Op: SubOpRemove, ClientID: 7, Nonce: 0x2233445566778899,
+		RefNonce: 0x33445566778899AA, Signature: []byte{0xCC}}
+	goldenPacket(t, "unsubscribe-by-nonce",
+		"ffffffffffff02000000000508004500006400000000401165870a0000050afffffe88885aab00500000020422334455667788990000000000005e5500000032010200000000000000072233445566778899000000000000000033445566778899aa000000000000000000000000000001cc",
+		toRVaaS(0x020000000005, IPv4(10, 0, 0, 5), OpUnsubscribe, ref.Nonce, ref.Marshal()))
+}
+
+// TestGoldenBatchSubscribePacket locks the registration frame: every
+// subscribe, single or batched, travels in it.
+func TestGoldenBatchSubscribePacket(t *testing.T) {
+	b := &BatchSubscribeRequest{Version: 1, ClientID: 7, Nonce: 0x2233445566778899, AnchorSwitch: 1, AnchorPort: 2,
+		Items: []BatchItem{
+			{Kind: QueryIsolation, Constraints: []FieldConstraint{{Field: FieldIPDst, Value: 0x0A000002, Mask: 0xFFFFFFFF}}},
+			{Kind: QueryPathLength, Param: "4"},
+		}, Signature: []byte{0xCC}}
+	goldenPacket(t, "batch-subscribe",
+		"ffffffffffff02000000000708004500006e000000004011657b0a0000070afffffe88885aab005a0000020722334455667788990000000000005e550000003c010000000000000007223344556677889900000001000000020000000203000106000000000a00000200000000ffffffff00000500000001340001cc",
+		toRVaaS(0x020000000007, IPv4(10, 0, 0, 7), OpBatchSubscribe, b.Nonce, b.Marshal()))
+}
+
+// TestGoldenBatchReplyPacket locks the registration reply, with one
+// registered and one rejected item.
+func TestGoldenBatchReplyPacket(t *testing.T) {
+	r := &BatchReply{Version: 1, Nonce: 0x2233445566778899, Status: StatusOK, SnapshotID: 43,
+		Items: []BatchReplyItem{
+			{SubID: 4, Status: StatusViolation, Seq: 1, Detail: "v"},
+			{Status: StatusError, Detail: "bad"},
+		}, Signature: []byte{0xDD}, Quote: []byte{0xEE}}
+	goldenPacket(t, "batch-reply",
+		"02000000000702005aa5000108004500007a000000004011656f0afffffe0a0000075aab88880066000002082233445566778899000000000000000000000048012233445566778899010000000000000000002b000000020000000000000004020000000000000001000176000000000000000003000000000000000000036261640001dd0001ee",
+		fromRVaaS(0x020000000007, IPv4(10, 0, 0, 7), OpBatchReply, r.Nonce, r.Marshal()))
+}
+
+// TestOpNumbersFixed pins every surviving op's wire byte. Retired numbers
+// (3, 5, 9, 10; SubOp 1 and 3) stay reserved: no op may take them.
+func TestOpNumbersFixed(t *testing.T) {
+	want := map[Op]uint8{
+		OpQuery: 1, OpQueryResponse: 2, OpUnsubscribe: 4, OpNotify: 6,
+		OpBatchSubscribe: 7, OpBatchReply: 8, OpSessionResume: 11, OpSessionResumeReply: 12,
+		OpChunk: 13, OpAuthChallenge: 14, OpAuthReply: 15, OpNotifyBatch: 16,
+	}
+	for op, n := range want {
+		if uint8(op) != n {
+			t.Errorf("%v = %d, want %d", op, uint8(op), n)
+		}
+	}
+	for _, retired := range []uint8{3, 5, 9, 10} {
+		if name := Op(retired).String(); name != fmt.Sprintf("op(%d)", retired) {
+			t.Errorf("retired op %d is named %q", retired, name)
+		}
+	}
+	if SubOpRemove != 2 {
+		t.Errorf("SubOpRemove = %d, want 2", SubOpRemove)
+	}
 }
 
 func TestGoldenNotificationPacket(t *testing.T) {

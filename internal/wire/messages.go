@@ -265,57 +265,39 @@ func UnmarshalQueryResponse(data []byte) (*QueryResponse, error) {
 // SubscribeOp selects a subscription operation.
 type SubscribeOp uint8
 
-// Subscription operations.
-const (
-	SubOpAdd SubscribeOp = iota + 1
-	SubOpRemove
-	// SubOpQueryVerdict asks RVaaS for a subscription's latest verdict on
-	// demand: the signed ack carries the current status, detail and
-	// notification sequence number. Read-only for server state; the server
-	// rejects queries whose ingress does not match the subscription's
-	// anchor, so a captured frame replayed from another port cannot leak
-	// the tenant's verdict to the replayer.
-	SubOpQueryVerdict
-)
+// SubOpRemove is the one subscription operation a SubscribeRequest carries
+// (OpUnsubscribe). The value is a wire byte: 1 (add) and 3 (query-verdict)
+// are retired and stay reserved — registration travels as OpBatchSubscribe
+// and verdicts are read with OpSessionResume.
+const SubOpRemove SubscribeOp = 2
 
-// SubscribeRequest is the client → RVaaS payload registering (or removing)
-// a standing invariant. Instead of re-issuing full queries, the client asks
-// RVaaS to re-evaluate the invariant after every applied snapshot change
-// and push a notification on every verdict transition — the continuous
-// form of the paper's one-shot verification queries.
+// SubscribeRequest is the client → RVaaS payload removing a standing
+// invariant. Its codec predates batch registration and is kept byte for
+// byte: the anchor and invariant fields still travel, zero in a removal.
 type SubscribeRequest struct {
 	Version  uint8
 	Op       SubscribeOp
 	ClientID uint64
-	// Nonce correlates the ack with this request and routes notifications
-	// for the resulting subscription.
+	// Nonce correlates the ack with this request.
 	Nonce uint64
-	// SubID names an existing subscription (SubOpRemove and
-	// SubOpQueryVerdict).
+	// SubID names the subscription to remove.
 	SubID uint64
-	// RefNonce names a subscription by its registration nonce (SubOpRemove
-	// with SubID 0): a client whose subscribe ack was lost never learned
-	// the SubID, and uses this to clean up the orphaned server-side
-	// subscription.
+	// RefNonce names a subscription by its registration nonce (SubID 0): a
+	// client whose registration reply was lost never learned the SubID, and
+	// uses this to clean up the orphaned server-side subscription.
 	RefNonce uint64
-	// AnchorSwitch/AnchorPort bind the subscription to the client's access
-	// point (SubOpAdd only). They are covered by the signature and checked
-	// against the actual ingress of the packet, so a captured subscribe
-	// frame replayed from another port cannot re-anchor the invariant at
-	// the attacker's endpoint.
+	// AnchorSwitch/AnchorPort and Kind/Constraints/Param are unused by a
+	// removal; they keep the codec's layout.
 	AnchorSwitch uint32
 	AnchorPort   uint32
-	// Kind/Constraints/Param describe the invariant with the one-shot query
-	// vocabulary (SubOpAdd only). Supported kinds: reachable-destinations,
-	// isolation, path-length, waypoint-avoidance.
-	Kind        QueryKind
-	Constraints []FieldConstraint
-	Param       string
+	Kind         QueryKind
+	Constraints  []FieldConstraint
+	Param        string
 	// Signature is the client's Ed25519 signature over SigningBytes(),
 	// verified against the key registered for ClientID. Unlike one-shot
-	// queries (read-only), subscription operations mutate server state — a
-	// forged SubOpRemove would silently disable a victim's standing
-	// monitoring, so they must be authenticated.
+	// queries (read-only), a removal mutates server state — a forged one
+	// would silently disable a victim's standing monitoring, so it must be
+	// authenticated.
 	Signature []byte
 }
 
@@ -389,15 +371,14 @@ type NotifyEvent uint8
 
 // Notification events.
 const (
-	// NotifyAck acknowledges a subscribe/unsubscribe operation; its Status
-	// and Detail carry the invariant's initial verdict.
+	// NotifyAck acknowledges an unsubscribe operation.
 	NotifyAck NotifyEvent = iota + 1
 	// NotifyViolation reports a standing invariant transitioning OK →
 	// violated.
 	NotifyViolation
 	// NotifyRecovery reports the violated → OK transition.
 	NotifyRecovery
-	// NotifyError rejects a subscription operation.
+	// NotifyError rejects an unsubscribe operation.
 	NotifyError
 )
 
@@ -417,8 +398,7 @@ func (e NotifyEvent) String() string {
 }
 
 // Notification is the RVaaS → client message about one standing invariant.
-// On the wire (OpNotify) it is the signed ack of a subscribe, unsubscribe or
-// verdict-query op. Violation/recovery transitions travel as items of a
+// On the wire (OpNotify) it is the signed ack of an unsubscribe op. Violation/recovery transitions travel as items of a
 // signed NotifyBatch; the client agent hands each verified item to its
 // subscriber in this shape (NotifyBatch.Notification), with Signature empty —
 // the batch signature covered it. Either way a compromised provider cannot

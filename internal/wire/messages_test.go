@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -225,59 +226,30 @@ func TestEphemeralPortAvoidsMagicRange(t *testing.T) {
 }
 
 func TestSubscribeRequestRoundTrip(t *testing.T) {
-	s := &SubscribeRequest{
-		Version:  CurrentVersion,
-		Op:       SubOpAdd,
-		ClientID: 9,
-		Nonce:    0xABCDEF0123456789,
-		Kind:     QueryWaypointAvoidance,
-		Constraints: []FieldConstraint{
-			{Field: FieldIPDst, Value: uint64(IPv4(10, 0, 0, 7)), Mask: 0xFFFFFFFF},
-		},
-		Param: "offshore",
-	}
-	got, err := UnmarshalSubscribeRequest(s.Marshal())
+	rm := &SubscribeRequest{Version: CurrentVersion, Op: SubOpRemove, ClientID: 9, Nonce: 4, SubID: 31,
+		Signature: []byte{1, 2, 3}}
+	got, err := UnmarshalSubscribeRequest(rm.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != SubOpAdd || got.ClientID != 9 || got.Nonce != s.Nonce || got.Kind != s.Kind {
-		t.Errorf("header mismatch: %+v", got)
-	}
-	if len(got.Constraints) != 1 || got.Constraints[0] != s.Constraints[0] {
-		t.Errorf("constraints mismatch: %+v", got.Constraints)
-	}
-	if got.Param != "offshore" {
-		t.Errorf("param = %q", got.Param)
-	}
-
-	rm := &SubscribeRequest{Version: CurrentVersion, Op: SubOpRemove, ClientID: 9, Nonce: 4, SubID: 31}
-	got, err = UnmarshalSubscribeRequest(rm.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != SubOpRemove || got.SubID != 31 {
+	if !reflect.DeepEqual(got, rm) {
 		t.Errorf("remove mismatch: %+v", got)
 	}
 
-	qv := &SubscribeRequest{
-		Version: CurrentVersion, Op: SubOpQueryVerdict,
-		ClientID: 9, Nonce: 5, SubID: 31,
-		Signature: []byte{1, 2, 3},
-	}
-	got, err = UnmarshalSubscribeRequest(qv.Marshal())
+	// Removal by registration nonce (no SubID known).
+	ref := &SubscribeRequest{Version: CurrentVersion, Op: SubOpRemove, ClientID: 9, Nonce: 5,
+		RefNonce: 0xABCDEF0123456789, Signature: []byte{4}}
+	got, err = UnmarshalSubscribeRequest(ref.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != SubOpQueryVerdict || got.SubID != 31 || got.ClientID != 9 {
-		t.Errorf("verdict query mismatch: %+v", got)
-	}
-	if len(got.Signature) != 3 {
-		t.Errorf("verdict query signature = %v", got.Signature)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("remove-by-nonce mismatch: %+v", got)
 	}
 }
 
 func TestSubscribeRequestBadVersion(t *testing.T) {
-	s := &SubscribeRequest{Version: 7, Op: SubOpAdd}
+	s := &SubscribeRequest{Version: 7, Op: SubOpRemove}
 	if _, err := UnmarshalSubscribeRequest(s.Marshal()); err == nil {
 		t.Error("want version error")
 	}
@@ -320,9 +292,9 @@ func TestNotificationRoundTrip(t *testing.T) {
 }
 
 func TestSubscriptionPacketClassification(t *testing.T) {
-	sr := &SubscribeRequest{Version: CurrentVersion, Op: SubOpAdd, Nonce: 5, Kind: QueryReachableDestinations}
+	b := &BatchSubscribeRequest{Version: CurrentVersion, Nonce: 5, Items: []BatchItem{{Kind: QueryReachableDestinations}}}
 	sub := NewEnvelopePacket(0xAA, IPv4(10, 0, 0, 1), &Envelope{
-		Version: EnvelopeVersion, Op: OpSubscribe, CorrelationID: sr.Nonce, Body: sr.Marshal(),
+		Version: EnvelopeVersion, Op: OpBatchSubscribe, CorrelationID: b.Nonce, Body: b.Marshal(),
 	})
 	if !sub.IsRVaaSV2() || sub.IsRVaaSV2Reply() {
 		t.Errorf("subscribe packet misclassified: %v", sub)

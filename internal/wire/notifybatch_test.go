@@ -90,7 +90,6 @@ func TestNotifyBatchSigningDomain(t *testing.T) {
 			Status: it.Status, Detail: it.Detail, SnapshotID: b.SnapshotID}).SigningBytes(),
 		"batch reply": (&BatchReply{Version: b.Version, Nonce: b.SnapshotID, SnapshotID: b.SnapshotID,
 			Items: []BatchReplyItem{{SubID: it.SubID, Status: it.Status, Seq: it.Seq, Detail: it.Detail}}}).SigningBytes(),
-		"batch query reply": (&BatchQueryReply{Version: b.Version, Nonce: b.SnapshotID, SnapshotID: b.SnapshotID}).SigningBytes(),
 		"resume reply": (&SessionResumeReply{Version: b.Version, Nonce: b.SnapshotID, SnapshotID: b.SnapshotID,
 			Entries: []ResumeVerdict{{SubID: it.SubID, Kind: it.Kind, Status: it.Status, Seq: it.Seq, Detail: it.Detail}}}).SigningBytes(),
 	}
