@@ -75,11 +75,11 @@ type Agent struct {
 	// sigChecks counts message signatures checked under the pinned key.
 	sigChecks atomic.Uint64
 
-	mu      sync.Mutex
-	waiting map[uint64]chan *wire.QueryResponse // by nonce
-	ackWait map[uint64]chan *wire.Notification  // by unsubscribe-op nonce
-	envWait map[uint64]chan *wire.Envelope      // by envelope correlation id (registration/resume replies)
-	subs    map[uint64]*Subscription            // by subscription id
+	mu sync.Mutex
+	// waiters routes reply envelopes to the exchange that expects them, by
+	// correlation id (the request's nonce).
+	waiters map[uint64]chan *wire.Envelope
+	subs    map[uint64]*Subscription // by subscription id
 	// subsByNonce routes notifications that arrive before the registration
 	// reply has been processed locally (the server may push a violation for a brand-new
 	// subscription ahead of the client registering its id).
@@ -96,6 +96,8 @@ type Agent struct {
 	resumes       uint64
 	gapC          chan GapEvent
 	closed        bool
+	// done is closed by Close; it ends every exchange in flight.
+	done chan struct{}
 	// resumeShared coalesces concurrent gap recoveries: while a
 	// ResumeSession exchange is in flight, later recoveries wait on this
 	// channel and reuse resumeResult/resumeErr instead of issuing their
@@ -199,12 +201,11 @@ func New(cfg Config) (*Agent, error) {
 		pub:         pub,
 		priv:        priv,
 		sessionID:   session,
-		waiting:     make(map[uint64]chan *wire.QueryResponse),
-		ackWait:     make(map[uint64]chan *wire.Notification),
-		envWait:     make(map[uint64]chan *wire.Envelope),
+		waiters:     make(map[uint64]chan *wire.Envelope),
 		subs:        make(map[uint64]*Subscription),
 		subsByNonce: make(map[uint64]*Subscription),
 		gapC:        make(chan GapEvent, 16),
+		done:        make(chan struct{}),
 		reasm:       wire.NewReassembler(0),
 	}, nil
 }
@@ -279,19 +280,11 @@ func (a *Agent) closeSubLocked(sub *Subscription) {
 func (a *Agent) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.closed {
+		return
+	}
 	a.closed = true
-	for nonce, ch := range a.waiting {
-		close(ch)
-		delete(a.waiting, nonce)
-	}
-	for nonce, ch := range a.ackWait {
-		close(ch)
-		delete(a.ackWait, nonce)
-	}
-	for corr, ch := range a.envWait {
-		close(ch)
-		delete(a.envWait, corr)
-	}
+	close(a.done)
 	for id, sub := range a.subs {
 		a.closeSubLocked(sub)
 		delete(a.subs, id)
@@ -319,8 +312,10 @@ func (a *Agent) HandlerFor(ap topology.AccessPoint) func(*wire.Packet) {
 
 // handleEnvelope unwraps one frame received at ap: anything but an RVaaS
 // envelope is ordinary traffic and ignored; auth challenges are answered
-// from ap, query responses, acks and push batches go to their body handlers,
-// batch and resume replies route to their correlation waiter.
+// from ap, push batches go to their handler, and every reply goes, still
+// undecoded, to the exchange registered under its correlation id. A reply
+// no exchange awaits, or one arriving while that exchange's queue is full,
+// is discarded before any signature work.
 func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 	if !pkt.IsRVaaSV2Reply() {
 		return
@@ -342,21 +337,15 @@ func (a *Agent) handleEnvelope(ap topology.AccessPoint, pkt *wire.Packet) {
 	switch env.Op {
 	case wire.OpAuthChallenge:
 		a.handleAuthRequest(ap, env.Body)
-	case wire.OpQueryResponse:
-		a.handleResponse(env.Body)
-	case wire.OpNotify:
-		a.handleAck(env.Body)
 	case wire.OpNotifyBatch:
 		a.handleNotifyBatch(env.Body)
-	case wire.OpBatchReply, wire.OpSessionResumeReply:
+	case wire.OpQueryResponse, wire.OpNotify, wire.OpBatchReply, wire.OpSessionResumeReply:
 		a.mu.Lock()
-		ch, ok := a.envWait[env.CorrelationID]
-		if ok {
-			delete(a.envWait, env.CorrelationID)
-		}
+		ch := a.waiters[env.CorrelationID]
 		a.mu.Unlock()
-		if ok {
-			ch <- env
+		select {
+		case ch <- env: // a nil ch (no waiter) is never ready
+		default:
 		}
 	}
 }
@@ -385,24 +374,6 @@ func (a *Agent) handleAuthRequest(ap topology.AccessPoint, body []byte) {
 	// Best-effort: a lost reply shows up in the querier's response as
 	// AuthReplied < AuthRequested.
 	_ = a.send(ap, wire.OpAuthReply, rep.Challenge, rep.Marshal())
-}
-
-// handleResponse verifies and routes an RVaaS response to its waiter.
-func (a *Agent) handleResponse(payload []byte) {
-	resp, err := wire.UnmarshalQueryResponse(payload)
-	if err != nil {
-		return
-	}
-	a.mu.Lock()
-	ch, ok := a.waiting[resp.Nonce]
-	if ok {
-		delete(a.waiting, resp.Nonce)
-	}
-	a.mu.Unlock()
-	if !ok {
-		return
-	}
-	ch <- resp
 }
 
 // VerifyResponse checks the response signature and the attestation quote
@@ -478,66 +449,19 @@ func (a *Agent) Query(kind wire.QueryKind, constraints []wire.FieldConstraint, p
 		Constraints: constraints,
 		Param:       param,
 	}
-	ch := make(chan *wire.QueryResponse, 1)
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
-	a.waiting[nonce] = ch
-	a.mu.Unlock()
-
-	if err := a.send(a.cfg.Access, wire.OpQuery, nonce, q.Marshal()); err != nil {
-		a.mu.Lock()
-		delete(a.waiting, nonce)
-		a.mu.Unlock()
+	var resp *wire.QueryResponse
+	err = a.exchange(wire.OpQuery, wire.OpQueryResponse, nonce, q.Marshal(), func(body []byte) ([]byte, []byte, []byte, bool) {
+		r, err := wire.UnmarshalQueryResponse(body)
+		if err != nil || r.Nonce != nonce {
+			return nil, nil, nil, false
+		}
+		resp = r
+		return r.SigningBytes(), r.Signature, r.Quote, true
+	})
+	if err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(a.cfg.ResponseTimeout)
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		if err := a.VerifyResponse(resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	case <-timer.C:
-		a.mu.Lock()
-		delete(a.waiting, nonce)
-		a.mu.Unlock()
-		return nil, ErrTimeout
-	}
-}
-
-// handleAck verifies the signed ack (or rejection) of an unsubscribe op and
-// hands it to the op's waiter. An ack nobody waits for — the op timed out,
-// or it answers a fire-and-forget cleanup — is discarded before any
-// signature work. Verdict transitions never arrive this way: they are
-// pushed as batches (handleNotifyBatch), and an OpNotify claiming to be one
-// is ignored.
-func (a *Agent) handleAck(payload []byte) {
-	n, err := wire.UnmarshalNotification(payload)
-	if err != nil || (n.Event != wire.NotifyAck && n.Event != wire.NotifyError) {
-		return
-	}
-	a.mu.Lock()
-	_, waited := a.ackWait[n.Nonce]
-	a.mu.Unlock()
-	if !waited || a.VerifyNotification(n) != nil {
-		return
-	}
-	a.mu.Lock()
-	ch, ok := a.ackWait[n.Nonce]
-	if ok {
-		delete(a.ackWait, n.Nonce)
-	}
-	a.mu.Unlock()
-	if ok {
-		ch <- n
-	}
+	return resp, nil
 }
 
 // subFor routes one pushed item to its subscription: by id, else by nonce —
@@ -772,35 +696,21 @@ func (a *Agent) unsubscribeOp(id uint64) (*wire.Notification, error) {
 		SubID:    id,
 	}
 	s.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(s.SigningBytes(), a.sessionID))
-	ch := make(chan *wire.Notification, 1)
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
-	a.ackWait[nonce] = ch
-	a.mu.Unlock()
-
-	if err := a.send(a.cfg.Access, wire.OpUnsubscribe, nonce, s.Marshal()); err != nil {
-		a.mu.Lock()
-		delete(a.ackWait, nonce)
-		a.mu.Unlock()
+	var ack *wire.Notification
+	// Verdict transitions never arrive as an OpNotify (they are pushed as
+	// batches): one claiming to be a transition answers no removal.
+	err = a.exchange(wire.OpUnsubscribe, wire.OpNotify, nonce, s.Marshal(), func(body []byte) ([]byte, []byte, []byte, bool) {
+		n, err := wire.UnmarshalNotification(body)
+		if err != nil || n.Nonce != nonce || (n.Event != wire.NotifyAck && n.Event != wire.NotifyError) {
+			return nil, nil, nil, false
+		}
+		ack = n
+		return n.SigningBytes(), n.Signature, n.Quote, true
+	})
+	if err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(a.cfg.ResponseTimeout)
-	defer timer.Stop()
-	select {
-	case ack, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return ack, nil
-	case <-timer.C:
-		a.mu.Lock()
-		delete(a.ackWait, nonce)
-		a.mu.Unlock()
-		return nil, ErrTimeout
-	}
+	return ack, nil
 }
 
 // newSubscription builds the local half of one invariant to register.
@@ -873,23 +783,25 @@ func (a *Agent) register(subs []*Subscription, replacing bool) ([]wire.BatchRepl
 	req.Signature = ed25519.Sign(a.priv, wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
 
 	var reply *wire.BatchReply
-	env, err := a.rpcEnvelope(wire.OpBatchSubscribe, nonce, req.Marshal())
-	if err == nil {
-		reply, err = wire.UnmarshalBatchReply(env.Body)
-	}
-	if err == nil {
-		err = a.verifyFromServer(reply.SigningBytes(), reply.Signature, reply.Quote)
-	}
-	if err == nil && reply.Status == wire.StatusError {
-		err = rejected(reply.Detail)
-	}
-	if errors.Is(err, ErrTimeout) {
-		// The server may have registered the batch and lost only the reply:
-		// clean up every item by its registration nonce so no orphan keeps
-		// evaluating (and pushing) forever.
+	err = a.exchange(wire.OpBatchSubscribe, wire.OpBatchReply, nonce, req.Marshal(), func(body []byte) ([]byte, []byte, []byte, bool) {
+		r, err := wire.UnmarshalBatchReply(body)
+		if err != nil || r.Nonce != nonce {
+			return nil, nil, nil, false
+		}
+		reply = r
+		return r.SigningBytes(), r.Signature, r.Quote, true
+	})
+	if err != nil && !errors.Is(err, ErrClosed) {
+		// No verified reply: the server may have registered the batch and
+		// lost the reply, or had it forged. Clean up every item by its
+		// registration nonce so no orphan keeps evaluating (and pushing)
+		// forever.
 		for i := range subs {
 			a.abandonSubscription(wire.BatchItemNonce(nonce, i))
 		}
+	}
+	if err == nil && reply.Status == wire.StatusError {
+		err = rejected(reply.Detail)
 	}
 
 	a.mu.Lock()
@@ -998,15 +910,16 @@ func (a *Agent) ResumeSession() ([]wire.ResumeVerdict, error) {
 	a.mu.Unlock()
 	req.Signature = ed25519.Sign(a.priv,
 		wire.SessionSigningBytes(req.SigningBytes(), a.sessionID))
-	env, err := a.rpcEnvelope(wire.OpSessionResume, nonce, req.Marshal())
+	var reply *wire.SessionResumeReply
+	err = a.exchange(wire.OpSessionResume, wire.OpSessionResumeReply, nonce, req.Marshal(), func(body []byte) ([]byte, []byte, []byte, bool) {
+		r, err := wire.UnmarshalSessionResumeReply(body)
+		if err != nil || r.Nonce != nonce {
+			return nil, nil, nil, false
+		}
+		reply = r
+		return r.SigningBytes(), r.Signature, r.Quote, true
+	})
 	if err != nil {
-		return nil, err
-	}
-	reply, err := wire.UnmarshalSessionResumeReply(env.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.verifyFromServer(reply.SigningBytes(), reply.Signature, reply.Quote); err != nil {
 		return nil, err
 	}
 	if reply.Status == wire.StatusError {
@@ -1110,36 +1023,56 @@ func (a *Agent) send(ap topology.AccessPoint, op wire.Op, corr uint64, body []by
 	return nil
 }
 
-// rpcEnvelope sends one operation and waits for its correlated reply
-// envelope (registration and resume ops).
-func (a *Agent) rpcEnvelope(op wire.Op, corr uint64, body []byte) (*wire.Envelope, error) {
-	ch := make(chan *wire.Envelope, 1)
+// replyBuffer is how many reply envelopes may queue at one exchange while it
+// decodes an earlier one, so a genuine reply arriving right behind an
+// unbound one (a replay under the same correlation id) is not discarded.
+const replyBuffer = 4
+
+// bindFunc decodes one candidate reply body and reports whether it answers
+// the request, i.e. carries the request's nonce in its signed bytes; if so
+// it returns those bytes, the signature and the key quote.
+type bindFunc func(body []byte) (signing, sig, quote []byte, ok bool)
+
+// exchange is the agent's one request/reply path. It sends op under nonce
+// and waits for a replyOp envelope that bind accepts. The envelope's
+// CorrelationID only routes a reply here: it is outside every signature,
+// so a reply binds to its request by the signed body nonce alone, and an
+// unbound one is dropped and the exchange waits on. The first bound
+// reply is verified against the trust anchors, and that verdict ends the
+// exchange; ErrTimeout and ErrClosed end it otherwise.
+func (a *Agent) exchange(op, replyOp wire.Op, nonce uint64, body []byte, bind bindFunc) error {
+	ch := make(chan *wire.Envelope, replyBuffer)
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	a.envWait[corr] = ch
+	a.waiters[nonce] = ch
 	a.mu.Unlock()
-	if err := a.send(a.cfg.Access, op, corr, body); err != nil {
+	defer func() {
 		a.mu.Lock()
-		delete(a.envWait, corr)
+		delete(a.waiters, nonce)
 		a.mu.Unlock()
-		return nil, err
+	}()
+	if err := a.send(a.cfg.Access, op, nonce, body); err != nil {
+		return err
 	}
 	timer := time.NewTimer(a.cfg.ResponseTimeout)
 	defer timer.Stop()
-	select {
-	case env, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
+	for {
+		select {
+		case env := <-ch:
+			if env.Op != replyOp {
+				continue
+			}
+			if signing, sig, quote, ok := bind(env.Body); ok {
+				return a.verifyFromServer(signing, sig, quote)
+			}
+		case <-timer.C:
+			return ErrTimeout
+		case <-a.done:
+			return ErrClosed
 		}
-		return env, nil
-	case <-timer.C:
-		a.mu.Lock()
-		delete(a.envWait, corr)
-		a.mu.Unlock()
-		return nil, ErrTimeout
 	}
 }
 

@@ -416,12 +416,33 @@ func sniffRegister(t *testing.T, nic *fakeNIC, seen map[uint64]bool) (*wire.Batc
 	return req, wire.BatchItemNonce(req.Nonce, 0)
 }
 
-// answerRegister signs and delivers the server's reply to a registration.
-func answerRegister(a *Agent, encl *enclave.Enclave, req *wire.BatchSubscribeRequest, items ...wire.BatchReplyItem) {
-	reply := &wire.BatchReply{Version: wire.CurrentVersion, Nonce: req.Nonce, Status: wire.StatusOK, Items: items}
+// signedBatchReply is the server's signed reply to the registration with
+// the given nonce.
+func signedBatchReply(encl *enclave.Enclave, nonce uint64, items ...wire.BatchReplyItem) *wire.BatchReply {
+	reply := &wire.BatchReply{Version: wire.CurrentVersion, Nonce: nonce, Status: wire.StatusOK, Items: items}
 	reply.Signature = encl.Sign(reply.SigningBytes())
 	reply.Quote = encl.KeyQuote().Marshal()
+	return reply
+}
+
+// answerRegister signs and delivers the server's reply to a registration,
+// returning it.
+func answerRegister(a *Agent, encl *enclave.Enclave, req *wire.BatchSubscribeRequest, items ...wire.BatchReplyItem) *wire.BatchReply {
+	reply := signedBatchReply(encl, req.Nonce, items...)
 	deliver(a.HandleFrame, wire.OpBatchReply, reply.Nonce, reply.Marshal())
+	return reply
+}
+
+// subscribeAsync starts a Subscribe and returns channels with its outcome.
+func subscribeAsync(a *Agent) (chan *Subscription, chan error) {
+	subCh := make(chan *Subscription, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		sub, err := a.Subscribe(wire.QueryReachableDestinations, nil, "")
+		subCh <- sub
+		errCh <- err
+	}()
+	return subCh, errCh
 }
 
 // okItem is the reply item of a registration with an OK verdict.
@@ -444,18 +465,32 @@ func sniffUnsubscribe(t *testing.T, nic *fakeNIC, seen map[uint64]bool) *wire.Su
 // with the given per-subscription verdicts under the enclave's signature.
 func answerResume(t *testing.T, a *Agent, nic *fakeNIC, encl *enclave.Enclave, seen map[uint64]bool, entries ...wire.ResumeVerdict) *wire.SessionResumeRequest {
 	t.Helper()
+	req := sniffResume(t, nic, seen)
+	reply := signedResumeReply(encl, req, entries...)
+	deliver(a.HandleFrame, wire.OpSessionResumeReply, reply.Nonce, reply.Marshal())
+	return req
+}
+
+// sniffResume returns the next injected session resume whose nonce is not
+// in seen.
+func sniffResume(t *testing.T, nic *fakeNIC, seen map[uint64]bool) *wire.SessionResumeRequest {
+	t.Helper()
 	req, err := wire.UnmarshalSessionResumeRequest(sniffEnvelope(t, nic, wire.OpSessionResume, seen).Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return req
+}
+
+// signedResumeReply is the server's signed reply to a session resume.
+func signedResumeReply(encl *enclave.Enclave, req *wire.SessionResumeRequest, entries ...wire.ResumeVerdict) *wire.SessionResumeReply {
 	reply := &wire.SessionResumeReply{
 		Version: wire.CurrentVersion, Nonce: req.Nonce, SessionID: req.SessionID,
 		Status: wire.StatusOK, Entries: entries,
 	}
 	reply.Signature = encl.Sign(reply.SigningBytes())
 	reply.Quote = encl.KeyQuote().Marshal()
-	deliver(a.HandleFrame, wire.OpSessionResumeReply, reply.Nonce, reply.Marshal())
-	return req
+	return reply
 }
 
 // TestAgentSeqGapTriggersResubscribe drives the client-side delivery-hole
@@ -808,5 +843,106 @@ func TestAgentInitiallyViolatedNoSpuriousGap(t *testing.T) {
 	}
 	if a.GapsDetected() != 0 {
 		t.Fatalf("spurious gap on initially-violated subscription: %d", a.GapsDetected())
+	}
+}
+
+// ------------------------------------------------------ binding -----
+
+// TestReplayedBatchReplyNotBound: an envelope's correlation id is outside
+// every signature, so a provider can deliver a genuine registration reply
+// it captured under a later registration's id. The replay binds nothing and
+// costs no signature check; the later Subscribe takes the reply that
+// carries its own signed nonce.
+func TestReplayedBatchReplyNotBound(t *testing.T) {
+	a, nic, _, encl := testAgent(t)
+	seen := map[uint64]bool{}
+	subCh, errCh := subscribeAsync(a)
+	first, _ := sniffRegister(t, nic, seen)
+	captured := answerRegister(a, encl, first, okItem(5))
+	if sub, err := <-subCh, <-errCh; err != nil || sub.ID != 5 {
+		t.Fatalf("registration 1 = (%v, %v)", sub, err)
+	}
+
+	subCh, errCh = subscribeAsync(a)
+	second, _ := sniffRegister(t, nic, seen)
+	sigs := a.SignatureVerifications()
+	deliver(a.HandleFrame, wire.OpBatchReply, second.Nonce, captured.Marshal())
+	answerRegister(a, encl, second, wire.BatchReplyItem{SubID: 6, Status: wire.StatusViolation, Detail: "current"})
+	sub, err := <-subCh, <-errCh
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.ID != 6 || sub.InitialStatus != wire.StatusViolation {
+		t.Fatalf("registration 2 bound to sub %d (%v), want the genuine reply's sub 6", sub.ID, sub.InitialStatus)
+	}
+	if got := a.SignatureVerifications() - sigs; got != 1 {
+		t.Fatalf("registration 2 cost %d signature verifications, want 1 (the replay none)", got)
+	}
+}
+
+// TestReplayedResumeReplyNotAccepted: the same replay against a session
+// resume. A captured "old green" resume reply delivered under the id of the
+// resume that gap recovery sends is not accepted, so the recovery reports
+// the verdict of the genuine reply that follows, not the replayed one.
+func TestReplayedResumeReplyNotAccepted(t *testing.T) {
+	a, nic, _, encl := testAgent(t)
+	seen := map[uint64]bool{}
+	sub, addNonce := subscribed(t, a, nic, encl, 61)
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := a.ResumeSession()
+		errCh <- err
+	}()
+	captured := signedResumeReply(encl, sniffResume(t, nic, seen), wire.ResumeVerdict{
+		SubID: 61, Kind: wire.QueryReachableDestinations, Status: wire.StatusOK, Seq: 1, Detail: "old green",
+	})
+	deliver(a.HandleFrame, wire.OpSessionResumeReply, captured.Nonce, captured.Marshal())
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+
+	// Seq 3 skips 2: recovery resumes the session, and the provider answers
+	// with the captured reply before the genuine one.
+	deliverPush(a, encl, pushItem(wire.NotifyViolation, 61, addNonce, 3))
+	if n := <-sub.C; n.Seq != 3 {
+		t.Fatalf("post-gap notification seq = %d", n.Seq)
+	}
+	req := sniffResume(t, nic, seen)
+	deliver(a.HandleFrame, wire.OpSessionResumeReply, req.Nonce, captured.Marshal())
+	genuine := signedResumeReply(encl, req, wire.ResumeVerdict{
+		SubID: 61, Kind: wire.QueryReachableDestinations, Status: wire.StatusViolation, Seq: 4, Detail: "current",
+	})
+	deliver(a.HandleFrame, wire.OpSessionResumeReply, genuine.Nonce, genuine.Marshal())
+	select {
+	case ev := <-a.Gaps():
+		if ev.NewSubID != 61 || ev.Err != nil || ev.Status != wire.StatusViolation || ev.Detail != "current" {
+			t.Fatalf("gap event = %+v, want the genuine resume's violation", ev)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no gap event surfaced")
+	}
+}
+
+// TestForgedBatchReplyAbandons: a reply under the registration's nonce that
+// fails its signature check fails Subscribe, and, since no verified reply
+// says what the server did, every item is retired by its registration
+// nonce, exactly as after a timeout.
+func TestForgedBatchReplyAbandons(t *testing.T) {
+	a, nic, _, encl := testAgent(t)
+	seen := map[uint64]bool{}
+	subCh, errCh := subscribeAsync(a)
+	req, itemNonce := sniffRegister(t, nic, seen)
+	forged := signedBatchReply(encl, req.Nonce, okItem(5))
+	forged.Items[0].Status = wire.StatusViolation // tamper after signing
+	deliver(a.HandleFrame, wire.OpBatchReply, req.Nonce, forged.Marshal())
+	if sub, err := <-subCh, <-errCh; sub != nil || !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("Subscribe = (%v, %v), want ErrBadSignature", sub, err)
+	}
+	if rm := sniffUnsubscribe(t, nic, seen); rm.SubID != 0 || rm.RefNonce != itemNonce {
+		t.Fatalf("cleanup = %+v, want a remove by registration nonce %#x", rm, itemNonce)
+	}
+	if n := a.NonceRoutes(); n != 0 {
+		t.Fatalf("forged reply left %d nonce route(s)", n)
 	}
 }

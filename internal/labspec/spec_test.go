@@ -882,10 +882,10 @@ func rejectsRetired(t *testing.T, doc, key string) {
 	}
 }
 
-// TestParseVerifiersSection: the verifiers section went with the fleet it
-// sized. A spec that still carries one, even one naming the single engine,
-// is rejected.
-func TestParseVerifiersSection(t *testing.T) {
+// TestParseRejectsVerifiersSection: the verifiers section went with the
+// fleet it sized. A spec that still carries one, even one naming the single
+// engine, is rejected.
+func TestParseRejectsVerifiersSection(t *testing.T) {
 	rejectsRetired(t, "verifiers:\n  count: 1\n  placement: footprint\n", "verifiers")
 }
 

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -136,6 +137,46 @@ func TestMatchesPacket(t *testing.T) {
 	p.L4Dst = 80
 	if m.MatchesPacket(p, 2) {
 		t.Error("should not match different dst port")
+	}
+}
+
+// TestMatchesPacketAgreesWithModel: the data plane's match (MatchesPacket)
+// and the model's (ToHeader against the packet's bits) agree on every
+// field, seeded, including masks with bits beyond the field's width: those
+// bits constrain nothing on either side.
+func TestMatchesPacketAgreesWithModel(t *testing.T) {
+	check := func(fm FieldMatch, p *wire.Packet) {
+		t.Helper()
+		m := Match{Fields: []FieldMatch{fm}}
+		if dp, model := m.MatchesPacket(p, 1), m.ToHeader().MatchesValue(wire.PacketBits(p)); dp != model {
+			t.Fatalf("%s value %#x mask %#x on %v: data plane %v, model %v",
+				wire.FieldName(fm.Field), fm.Value, fm.Mask, p, dp, model)
+		}
+	}
+	check(FieldMatch{Field: wire.FieldVLAN, Value: 0x1000, Mask: 0xffff}, &wire.Packet{})
+
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		p := &wire.Packet{
+			EthDst: r.Uint64() & (1<<48 - 1), EthSrc: r.Uint64() & (1<<48 - 1),
+			EthType: uint16(r.Uint32()), VLAN: uint16(r.Intn(1 << 12)),
+			IPSrc: r.Uint32(), IPDst: r.Uint32(), IPProto: uint8(r.Uint32()),
+			L4Src: uint16(r.Uint32()), L4Dst: uint16(r.Uint32()),
+		}
+		concrete := wire.PacketHeader(p)
+		for _, f := range wire.Fields() {
+			// The packet's own value, read through the model, so the match
+			// is often a hit; half the time one bit anywhere in the 64 flips.
+			value, _ := concrete.ExtractValue(wire.FieldOffset(f))
+			if r.Intn(2) == 0 {
+				value ^= 1 << uint(r.Intn(64))
+			}
+			mask := r.Uint64()
+			if r.Intn(2) == 0 {
+				mask = ^uint64(0)
+			}
+			check(FieldMatch{Field: f, Value: value, Mask: mask}, p)
+		}
 	}
 }
 

@@ -135,30 +135,8 @@ func (m Match) MatchesPacket(p *wire.Packet, inPort uint32) bool {
 		return false
 	}
 	for _, f := range m.Fields {
-		var v uint64
-		switch f.Field {
-		case wire.FieldEthDst:
-			v = p.EthDst
-		case wire.FieldEthSrc:
-			v = p.EthSrc
-		case wire.FieldEthType:
-			v = uint64(p.EthType)
-		case wire.FieldVLAN:
-			v = uint64(p.VLAN)
-		case wire.FieldIPSrc:
-			v = uint64(p.IPSrc)
-		case wire.FieldIPDst:
-			v = uint64(p.IPDst)
-		case wire.FieldIPProto:
-			v = uint64(p.IPProto)
-		case wire.FieldL4Src:
-			v = uint64(p.L4Src)
-		case wire.FieldL4Dst:
-			v = uint64(p.L4Dst)
-		default:
-			return false
-		}
-		if v&f.Mask != f.Value&f.Mask {
+		mask := wire.ClipMask(f.Field, f.Mask)
+		if p.Field(f.Field)&mask != f.Value&mask {
 			return false
 		}
 	}

@@ -463,7 +463,7 @@ func (s *Service) Overview() OverviewView {
 		PassiveEvents:   st.PassiveEvents,
 		Resyncs:         st.Resyncs,
 		QueriesServed:   st.QueriesServed,
-		SubsActive:      es.Active,
+		SubsActive:      uint64(es.Active),
 		SubsViolated:    violated,
 		Rechecks:        es.Rechecks,
 		Evaluated:       es.Evaluated,

@@ -43,43 +43,13 @@ import (
 // when every changed rule carries one — and the engine's index dispatches
 // it to the traversals whose recorded visit the delta overlaps.
 
-// SubscriptionStats counts subscription-engine activity.
+// SubscriptionStats counts subscription-engine activity: the verifier
+// engine's counters plus the service plane's.
 type SubscriptionStats struct {
-	// Registered/Removed/Active count subscription lifecycle events.
-	Registered uint64
-	Removed    uint64
-	Active     uint64
-	// Rechecks counts re-verification passes that inspected the
-	// subscription set (passes with an empty dirty set return early and are
-	// not counted).
-	Rechecks uint64
-	// Evaluated counts invariant evaluations actually run (including the
-	// initial evaluation at registration).
-	Evaluated uint64
-	// Revalidated counts invariants revalidated for free because their
-	// footprint missed the dirty set.
-	Revalidated uint64
-	// IndexDispatched counts distinct invariants dispatched through the
-	// inverted switch → traversal-class index.
-	IndexDispatched uint64
-	// DeltaSkipped counts, per dirty switch, the invariants indexed there
-	// that were revalidated for free because no traversal of theirs
-	// presented that switch anything its header-space delta overlaps.
-	DeltaSkipped uint64
-	// ClassTests counts the delta-vs-traversal-class overlap tests passes
-	// ran, one per class at each dispatched switch.
-	ClassTests uint64
+	verifier.Stats
 	// SessionResumes counts served OpSessionResume requests (whole-session
 	// resyncs after notification loss or a controller restart).
 	SessionResumes uint64
-	// Restored counts subscriptions rebuilt from the persistence store at
-	// startup; PendingRestore is how many of them no pass has re-verified
-	// yet.
-	Restored       uint64
-	PendingRestore int
-	// Violations/Recoveries count verdict transitions.
-	Violations uint64
-	Recoveries uint64
 	// NotificationsSent counts verdict transitions whose signed batch the
 	// subscriber's switch session accepted whole; NotificationsDropped
 	// counts those discarded because the delivery queue or that session was
@@ -94,12 +64,6 @@ type SubscriptionStats struct {
 	// ChainsDropped counts chunked client requests discarded before their
 	// chain completed (evicted, torn or carrying a duplicated fragment).
 	ChainsDropped uint64
-	// IsoPointsSwept/IsoPointsReused count per-injection-point isolation
-	// cone evaluations re-run versus served from the cone cache, over the
-	// isolation invariants that were evaluated (one no pass dispatched
-	// adds to neither).
-	IsoPointsSwept  uint64
-	IsoPointsReused uint64
 }
 
 // SubscriptionInfo is a read-only snapshot of one standing invariant.
@@ -141,28 +105,13 @@ func reqOf(sub *verifier.Subscription) requesterInfo {
 
 // SubscriptionStats returns a copy of the engine counters.
 func (c *Controller) SubscriptionStats() SubscriptionStats {
-	fs := c.engine.Stats()
 	return SubscriptionStats{
-		Registered:           fs.Registered,
-		Removed:              fs.Removed,
-		Active:               uint64(fs.Active),
-		Rechecks:             fs.Rechecks,
-		Evaluated:            fs.Evaluated,
-		Revalidated:          fs.Revalidated,
-		IndexDispatched:      fs.IndexDispatched,
-		DeltaSkipped:         fs.DeltaSkipped,
-		ClassTests:           fs.ClassTests,
+		Stats:                c.engine.Stats(),
 		SessionResumes:       c.svcStats.sessionResumes.Load(),
-		Restored:             fs.Restored,
-		PendingRestore:       fs.PendingRestore,
-		Violations:           fs.Violations,
-		Recoveries:           fs.Recoveries,
 		NotificationsSent:    c.svcStats.notificationsSent.Load(),
 		NotificationsDropped: c.svcStats.notificationsDrop.Load(),
 		NotifyBatches:        c.svcStats.notifyBatches.Load(),
 		ChainsDropped:        c.reasm.Dropped(),
-		IsoPointsSwept:       fs.IsoPointsSwept,
-		IsoPointsReused:      fs.IsoPointsReused,
 	}
 }
 

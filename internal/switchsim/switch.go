@@ -434,9 +434,9 @@ func (s *Switch) applyActions(pkt *wire.Packet, inPort topology.PortNo, actions 
 	for _, a := range actions {
 		switch a.Type {
 		case openflow.ActionSetField:
-			applySetField(cur, a)
+			cur.SetField(a.Field, a.Value)
 		case openflow.ActionPushVLAN:
-			cur.VLAN = uint16(a.Value) & 0x0fff
+			cur.SetField(wire.FieldVLAN, a.Value)
 		case openflow.ActionPopVLAN:
 			cur.VLAN = 0
 		case openflow.ActionOutput:
@@ -465,29 +465,6 @@ func (s *Switch) txOne(port topology.PortNo, pkt *wire.Packet) {
 	s.stats.TxPackets++
 	s.mu.Unlock()
 	s.transmit(port, pkt.Clone())
-}
-
-func applySetField(p *wire.Packet, a openflow.Action) {
-	switch a.Field {
-	case wire.FieldEthDst:
-		p.EthDst = a.Value & 0xFFFFFFFFFFFF
-	case wire.FieldEthSrc:
-		p.EthSrc = a.Value & 0xFFFFFFFFFFFF
-	case wire.FieldEthType:
-		p.EthType = uint16(a.Value)
-	case wire.FieldVLAN:
-		p.VLAN = uint16(a.Value) & 0x0fff
-	case wire.FieldIPSrc:
-		p.IPSrc = uint32(a.Value)
-	case wire.FieldIPDst:
-		p.IPDst = uint32(a.Value)
-	case wire.FieldIPProto:
-		p.IPProto = uint8(a.Value)
-	case wire.FieldL4Src:
-		p.L4Src = uint16(a.Value)
-	case wire.FieldL4Dst:
-		p.L4Dst = uint16(a.Value)
-	}
 }
 
 // sendPacketIn forwards a frame to every connected controller session.

@@ -106,7 +106,7 @@ func TestDispatchConfinement(t *testing.T) {
 	}
 }
 
-func TestFleetUnsubscribeAndConsistency(t *testing.T) {
+func TestEngineUnsubscribeAndConsistency(t *testing.T) {
 	e := New(&fakeEnv{violated: map[topology.SwitchID]bool{}})
 	subs := registerN(t, e, 32)
 	if err := e.CheckConsistency(); err != nil {
@@ -128,7 +128,7 @@ func TestFleetUnsubscribeAndConsistency(t *testing.T) {
 	}
 }
 
-func TestFleetNonceReplay(t *testing.T) {
+func TestEngineNonceReplay(t *testing.T) {
 	e := New(&fakeEnv{violated: map[topology.SwitchID]bool{}})
 	if !e.RecordNonce(1, 77) {
 		t.Fatal("fresh nonce rejected")
@@ -149,7 +149,7 @@ func TestFleetNonceReplay(t *testing.T) {
 	}
 }
 
-func TestFleetResumeSliceOrdering(t *testing.T) {
+func TestEngineResumeSliceOrdering(t *testing.T) {
 	e := New(&fakeEnv{violated: map[topology.SwitchID]bool{}})
 	var subs []*Subscription
 	for i := 0; i < 24; i++ {
@@ -286,10 +286,10 @@ func TestRestoreJoinsNextPass(t *testing.T) {
 	}
 }
 
-// TestBuildSharedAcrossInstances: a batch registration and a pass each
+// TestBuildSharedAcrossEvaluations: a batch registration and a pass each
 // compile the network once, however many evaluations share it, and a pass
 // that dispatches nothing never compiles.
-func TestBuildSharedAcrossInstances(t *testing.T) {
+func TestBuildSharedAcrossEvaluations(t *testing.T) {
 	builds := 0
 	build := func() (*headerspace.Network, uint64) {
 		builds++
@@ -356,9 +356,9 @@ func TestNewSubscriptionValidation(t *testing.T) {
 	}
 }
 
-// TestInstanceStatsShape: the engine's aggregate counters agree with its
+// TestEngineStatsShape: the engine's aggregate counters agree with its
 // per-shard view.
-func TestInstanceStatsShape(t *testing.T) {
+func TestEngineStatsShape(t *testing.T) {
 	e := New(&fakeEnv{violated: map[topology.SwitchID]bool{2: true}})
 	registerN(t, e, 16)
 	st := e.Stats()

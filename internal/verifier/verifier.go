@@ -229,6 +229,8 @@ type SubState struct {
 
 // Stats is the engine's occupancy and activity counters.
 type Stats struct {
+	// Active/Violated count live invariants; PendingRestore counts those
+	// restored from the store that no pass has re-verified yet.
 	Active         int
 	Violated       int
 	PendingRestore int
@@ -240,6 +242,8 @@ type Stats struct {
 	IndexClasses int
 	IndexEntries int
 
+	// Evaluated counts invariant evaluations run, the initial one at
+	// registration included.
 	Registered uint64
 	Removed    uint64
 	Restored   uint64
@@ -251,6 +255,9 @@ type Stats struct {
 	IndexDispatched uint64
 	DeltaSkipped    uint64
 	ClassTests      uint64
+	// Violations/Recoveries count verdict transitions; IsoPointsSwept/
+	// IsoPointsReused count isolation cone evaluations re-run versus served
+	// from the cone cache.
 	Violations      uint64
 	Recoveries      uint64
 	IsoPointsSwept  uint64

@@ -25,23 +25,62 @@ const (
 	FieldL4Dst
 )
 
-// fieldSpec describes where a field lives inside the header-space vector.
+// fieldSpec describes where a field lives inside the header-space vector
+// and how a Packet holds it.
 type fieldSpec struct {
 	offset int
 	width  int
 	name   string
+	get    func(*Packet) uint64
+	set    func(*Packet, uint64)
 }
 
-var fieldSpecs = map[Field]fieldSpec{
-	FieldEthDst:  {0, 48, "eth_dst"},
-	FieldEthSrc:  {48, 48, "eth_src"},
-	FieldEthType: {96, 16, "eth_type"},
-	FieldVLAN:    {112, 12, "vlan"},
-	FieldIPSrc:   {124, 32, "ip_src"},
-	FieldIPDst:   {156, 32, "ip_dst"},
-	FieldIPProto: {188, 8, "ip_proto"},
-	FieldL4Src:   {196, 16, "l4_src"},
-	FieldL4Dst:   {212, 16, "l4_dst"},
+// fieldSpecs is indexed by Field; entry 0 (no field) has width 0.
+var fieldSpecs = [...]fieldSpec{
+	FieldEthDst:  {0, 48, "eth_dst", func(p *Packet) uint64 { return p.EthDst }, func(p *Packet, v uint64) { p.EthDst = v }},
+	FieldEthSrc:  {48, 48, "eth_src", func(p *Packet) uint64 { return p.EthSrc }, func(p *Packet, v uint64) { p.EthSrc = v }},
+	FieldEthType: {96, 16, "eth_type", func(p *Packet) uint64 { return uint64(p.EthType) }, func(p *Packet, v uint64) { p.EthType = uint16(v) }},
+	FieldVLAN:    {112, 12, "vlan", func(p *Packet) uint64 { return uint64(p.VLAN) }, func(p *Packet, v uint64) { p.VLAN = uint16(v) }},
+	FieldIPSrc:   {124, 32, "ip_src", func(p *Packet) uint64 { return uint64(p.IPSrc) }, func(p *Packet, v uint64) { p.IPSrc = uint32(v) }},
+	FieldIPDst:   {156, 32, "ip_dst", func(p *Packet) uint64 { return uint64(p.IPDst) }, func(p *Packet, v uint64) { p.IPDst = uint32(v) }},
+	FieldIPProto: {188, 8, "ip_proto", func(p *Packet) uint64 { return uint64(p.IPProto) }, func(p *Packet, v uint64) { p.IPProto = uint8(v) }},
+	FieldL4Src:   {196, 16, "l4_src", func(p *Packet) uint64 { return uint64(p.L4Src) }, func(p *Packet, v uint64) { p.L4Src = uint16(v) }},
+	FieldL4Dst:   {212, 16, "l4_dst", func(p *Packet) uint64 { return uint64(p.L4Dst) }, func(p *Packet, v uint64) { p.L4Dst = uint16(v) }},
+}
+
+// specOf returns f's layout; a value naming no field (a rule decoded off the
+// wire can carry one) has width 0: it constrains, reads and rewrites nothing.
+func specOf(f Field) *fieldSpec {
+	if f < 0 || int(f) >= len(fieldSpecs) {
+		f = 0
+	}
+	return &fieldSpecs[f]
+}
+
+// ClipMask clips mask to the width of field f. Mask bits beyond the field
+// constrain nothing: the data plane (openflow.Match.MatchesPacket) and the
+// model (FieldHeader) both match through this one clip.
+func ClipMask(f Field, mask uint64) uint64 {
+	if w := specOf(f).width; w < 64 {
+		mask &= 1<<uint(w) - 1
+	}
+	return mask
+}
+
+// Field reads field f of the packet (0 for a value naming no field).
+func (p *Packet) Field(f Field) uint64 {
+	if s := specOf(f); s.get != nil {
+		return s.get(p)
+	}
+	return 0
+}
+
+// SetField writes v, clipped to the field's width, into field f (a no-op for
+// a value naming no field).
+func (p *Packet) SetField(f Field, v uint64) {
+	if s := specOf(f); s.set != nil {
+		s.set(p, ClipMask(f, v))
+	}
 }
 
 // HeaderWidth is the total ternary width of the header-space vector covering
@@ -51,12 +90,12 @@ const HeaderWidth = 228
 // FieldOffset returns the bit offset and width of the field inside the
 // header-space vector.
 func FieldOffset(f Field) (offset, width int) {
-	s := fieldSpecs[f]
+	s := specOf(f)
 	return s.offset, s.width
 }
 
 // FieldName returns a short protocol name for the field.
-func FieldName(f Field) string { return fieldSpecs[f].name }
+func FieldName(f Field) string { return specOf(f).name }
 
 // Fields lists every matchable field in layout order.
 func Fields() []Field {
@@ -69,22 +108,8 @@ func Fields() []Field {
 // FieldHeader builds an all-wildcard header constraining only the given
 // field to value under mask (mask bit 1 = exact).
 func FieldHeader(f Field, value, mask uint64) headerspace.Header {
-	s := fieldSpecs[f]
-	m := mask
-	if s.width < 64 {
-		m &= (1 << uint(s.width)) - 1
-	}
-	return headerspace.FromValueMask(HeaderWidth, s.offset, s.width, value, m)
-}
-
-// ExactField is FieldHeader with a full mask.
-func ExactField(f Field, value uint64) headerspace.Header {
-	s := fieldSpecs[f]
-	full := ^uint64(0)
-	if s.width < 64 {
-		full = (1 << uint(s.width)) - 1
-	}
-	return FieldHeader(f, value, full)
+	s := specOf(f)
+	return headerspace.FromValueMask(HeaderWidth, s.offset, s.width, value, ClipMask(f, mask))
 }
 
 // PacketBits converts a packet's matchable fields into the concrete bit
@@ -92,43 +117,23 @@ func ExactField(f Field, value uint64) headerspace.Header {
 // headerspace.MatchesValue.
 func PacketBits(p *Packet) []byte {
 	bits := make([]byte, HeaderWidth)
-	put := func(f Field, v uint64) {
-		s := fieldSpecs[f]
+	for _, f := range Fields() {
+		s, v := fieldSpecs[f], p.Field(f)
 		for i := 0; i < s.width; i++ {
 			bits[s.offset+i] = byte(v >> uint(i) & 1)
 		}
 	}
-	put(FieldEthDst, p.EthDst)
-	put(FieldEthSrc, p.EthSrc)
-	put(FieldEthType, uint64(p.EthType))
-	put(FieldVLAN, uint64(p.VLAN))
-	put(FieldIPSrc, uint64(p.IPSrc))
-	put(FieldIPDst, uint64(p.IPDst))
-	put(FieldIPProto, uint64(p.IPProto))
-	put(FieldL4Src, uint64(p.L4Src))
-	put(FieldL4Dst, uint64(p.L4Dst))
 	return bits
 }
 
 // PacketHeader converts a packet into a fully-concrete header-space header.
 func PacketHeader(p *Packet) headerspace.Header {
 	h := headerspace.AllX(HeaderWidth)
-	apply := func(f Field, v uint64) {
-		fh := ExactField(f, v)
-		x, err := h.Intersect(fh)
-		if err == nil {
+	for _, f := range Fields() {
+		if x, err := h.Intersect(FieldHeader(f, p.Field(f), ^uint64(0))); err == nil {
 			h = x
 		}
 	}
-	apply(FieldEthDst, p.EthDst)
-	apply(FieldEthSrc, p.EthSrc)
-	apply(FieldEthType, uint64(p.EthType))
-	apply(FieldVLAN, uint64(p.VLAN))
-	apply(FieldIPSrc, uint64(p.IPSrc))
-	apply(FieldIPDst, uint64(p.IPDst))
-	apply(FieldIPProto, uint64(p.IPProto))
-	apply(FieldL4Src, uint64(p.L4Src))
-	apply(FieldL4Dst, uint64(p.L4Dst))
 	return h
 }
 
@@ -136,20 +141,11 @@ func PacketHeader(p *Packet) headerspace.Header {
 // partially-concrete header (wildcard bits read as 0). It is the inverse of
 // PacketHeader for concrete headers.
 func HeaderToPacket(h headerspace.Header) *Packet {
-	get := func(f Field) uint64 {
+	p := &Packet{}
+	for _, f := range Fields() {
 		s := fieldSpecs[f]
 		v, _ := h.ExtractValue(s.offset, s.width)
-		return v
+		p.SetField(f, v)
 	}
-	return &Packet{
-		EthDst:  get(FieldEthDst),
-		EthSrc:  get(FieldEthSrc),
-		EthType: uint16(get(FieldEthType)),
-		VLAN:    uint16(get(FieldVLAN)),
-		IPSrc:   uint32(get(FieldIPSrc)),
-		IPDst:   uint32(get(FieldIPDst)),
-		IPProto: uint8(get(FieldIPProto)),
-		L4Src:   uint16(get(FieldL4Src)),
-		L4Dst:   uint16(get(FieldL4Dst)),
-	}
+	return p
 }
