@@ -11,13 +11,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/controlplane"
 	"repro/internal/enclave"
 	"repro/internal/fabric"
+	"repro/internal/headerspace"
 	"repro/internal/labspec"
 	"repro/internal/openflow"
 	"repro/internal/rvaas"
@@ -142,10 +142,10 @@ func (opt Options) connectPair(ctlID *openflow.Identity, ctlCert openflow.Certif
 
 // attachSwitches provisions an identity for every switch and brings its
 // secure control channel up (handshake, Serve, Attach with initial sync),
-// fanning the bring-up across at most opt.MaxWorkers workers. Switch
-// bring-ups are independent; the first error wins and the remaining
-// in-flight bring-ups are still waited for so the caller can tear down
-// safely.
+// fanning the bring-up across at most opt.MaxWorkers workers of the one
+// worker pool (headerspace.PoolRun). Switch bring-ups are independent;
+// every one is waited for so the caller can tear down safely, and the
+// first error in switch order wins.
 func attachSwitches(topo *topology.Topology, fab *fabric.Fabric, ctl *rvaas.Controller, ca *openflow.CA, ctlID *openflow.Identity, ctlCert openflow.Certificate, opt Options) error {
 	return attachSwitchList(topo.Switches(), fab, ctl, ca, ctlID, ctlCert, opt)
 }
@@ -158,52 +158,37 @@ func attachSwitchList(switches []topology.SwitchID, fab *fabric.Fabric, ctl *rva
 	if workers <= 0 {
 		workers = defaultBringUpWorkers
 	}
-	if workers > len(switches) {
-		workers = len(switches)
-	}
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(switches))
+	headerspace.PoolRun(len(switches), workers, func(i int) {
+		errs[i] = attachSwitch(switches[i], fab, ctl, ca, ctlID, ctlCert, opt)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		mu.Unlock()
 	}
-	for _, swID := range switches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(swID topology.SwitchID) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			swIdent, err := openflow.NewIdentity(fmt.Sprintf("switch-%d", swID))
-			if err != nil {
-				fail(err)
-				return
-			}
-			ctlConn, swConn, err := opt.connectPair(ctlID, ctlCert, swIdent, ca.Issue(swIdent), ca)
-			if err != nil {
-				fail(fmt.Errorf("deploy: secure channel to %d: %w", swID, err))
-				return
-			}
-			if err := fab.Switch(swID).Serve(swConn); err != nil {
-				ctlConn.Close()
-				swConn.Close()
-				fail(err)
-				return
-			}
-			if err := ctl.Attach(swID, ctlConn); err != nil {
-				fail(fmt.Errorf("deploy: attach %d: %w", swID, err))
-				return
-			}
-		}(swID)
+	return nil
+}
+
+// attachSwitch brings one switch's secure control channel up.
+func attachSwitch(swID topology.SwitchID, fab *fabric.Fabric, ctl *rvaas.Controller, ca *openflow.CA, ctlID *openflow.Identity, ctlCert openflow.Certificate, opt Options) error {
+	swIdent, err := openflow.NewIdentity(fmt.Sprintf("switch-%d", swID))
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	return firstErr
+	ctlConn, swConn, err := opt.connectPair(ctlID, ctlCert, swIdent, ca.Issue(swIdent), ca)
+	if err != nil {
+		return fmt.Errorf("deploy: secure channel to %d: %w", swID, err)
+	}
+	if err := fab.Switch(swID).Serve(swConn); err != nil {
+		ctlConn.Close()
+		swConn.Close()
+		return err
+	}
+	if err := ctl.Attach(swID, ctlConn); err != nil {
+		return fmt.Errorf("deploy: attach %d: %w", swID, err)
+	}
+	return nil
 }
 
 // New builds and starts a deployment on the given wiring plan.

@@ -9,8 +9,8 @@ import (
 // (sequentially when workers <= 1), returning when every call has. Workers
 // pull the next index from a shared counter, so uneven items balance
 // themselves. It is the one worker pool of the reproduction: ReachAll's
-// injection-point sweep, the verifier's recheck passes and batch
-// registration all run on it.
+// injection-point sweep, the verifier's recheck passes, batch
+// registration and a deployment's switch bring-up all run on it.
 func PoolRun(n, workers int, f func(int)) {
 	if workers > n {
 		workers = n

@@ -889,9 +889,9 @@ func TestParseRejectsVerifiersSection(t *testing.T) {
 	rejectsRetired(t, "verifiers:\n  count: 1\n  placement: footprint\n", "verifiers")
 }
 
-// TestValidateVerifiersErrors: every value the retired verifiers section
+// TestParseRejectsRetiredKeys: every value the retired verifiers section
 // and engine term caps once took is now an unknown field.
-func TestValidateVerifiersErrors(t *testing.T) {
+func TestParseRejectsRetiredKeys(t *testing.T) {
 	cases := []struct{ name, doc, key string }{
 		{"negative count", "verifiers:\n  count: -1\n", "verifiers"},
 		{"removed fleet count", "verifiers:\n  count: 4\n", "verifiers"},

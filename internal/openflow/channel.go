@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // The paper requires "encrypted OpenFlow sessions and a-priori configured
@@ -57,12 +59,11 @@ type Certificate struct {
 }
 
 func certSigningBytes(name string, pub ed25519.PublicKey) []byte {
-	out := make([]byte, 0, 8+len(name)+len(pub))
-	out = append(out, "ofcert.1"...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(name)))
-	out = append(out, name...)
-	out = append(out, pub...)
-	return out
+	w := wire.NewWriter(make([]byte, 0, 10+len(name)+len(pub)))
+	w.Raw([]byte("ofcert.1"))
+	w.Str(name)
+	w.Raw(pub)
+	return w.Bytes()
 }
 
 // Verify checks the certificate against the CA public key.
@@ -74,15 +75,20 @@ func (c *Certificate) Verify(caPub ed25519.PublicKey) bool {
 }
 
 func (c *Certificate) marshal() []byte {
-	var e enc
-	e.str(c.Name)
-	e.bytesN(c.Pub)
-	e.bytesN(c.Sig)
-	return e.buf
+	var w wire.Writer
+	putStr(&w, c.Name)
+	w.Bytes32(c.Pub)
+	w.Bytes32(c.Sig)
+	return w.Bytes()
 }
 
-func unmarshalCert(d *dec) Certificate {
-	return Certificate{Name: d.str(), Pub: d.bytesN(), Sig: d.bytesN()}
+func unmarshalCert(data []byte) (Certificate, error) {
+	r := wire.NewReader(data)
+	c := Certificate{Name: getStr(&r), Pub: r.Bytes32(), Sig: r.Bytes32()}
+	if r.Err() != nil {
+		return Certificate{}, ErrShortMessage
+	}
+	return c, nil
 }
 
 // CA issues channel certificates. In the paper's deployment the CA role is
@@ -250,25 +256,22 @@ type handshakeMsg struct {
 }
 
 func (h *handshakeMsg) marshal() []byte {
-	var e enc
-	e.bytesN(h.cert.marshal())
-	e.bytesN(h.ephPub)
-	e.bytesN(h.sig)
-	return e.buf
+	var w wire.Writer
+	w.Bytes32(h.cert.marshal())
+	w.Bytes32(h.ephPub)
+	w.Bytes32(h.sig)
+	return w.Bytes()
 }
 
 func unmarshalHandshake(data []byte) (*handshakeMsg, error) {
-	d := &dec{buf: data}
-	certBytes := d.bytesN()
-	eph := d.bytesN()
-	sig := d.bytesN()
-	if d.err != nil {
-		return nil, d.err
+	r := wire.NewReader(data)
+	certBytes, eph, sig := r.Bytes32(), r.Bytes32(), r.Bytes32()
+	if r.Err() != nil {
+		return nil, ErrShortMessage
 	}
-	cd := &dec{buf: certBytes}
-	cert := unmarshalCert(cd)
-	if cd.err != nil {
-		return nil, cd.err
+	cert, err := unmarshalCert(certBytes)
+	if err != nil {
+		return nil, err
 	}
 	return &handshakeMsg{cert: cert, ephPub: eph, sig: sig}, nil
 }

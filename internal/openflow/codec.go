@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -13,334 +12,253 @@ var (
 	ErrShortMessage = errors.New("openflow: short message")
 	ErrBadVersion   = errors.New("openflow: bad version")
 	ErrUnknownType  = errors.New("openflow: unknown message type")
+
+	errTrailingBytes = errors.New("openflow: trailing bytes after message body")
 )
 
 const envelopeLen = 1 + 1 + 4 // version, type, body length
 
 // Encode serializes a message with its envelope.
 func Encode(m Message) []byte {
-	body := encodeBody(m)
-	out := make([]byte, envelopeLen+len(body))
-	out[0] = Version
-	out[1] = byte(m.Type())
-	binary.BigEndian.PutUint32(out[2:], uint32(len(body)))
-	copy(out[envelopeLen:], body)
-	return out
+	var body wire.Writer
+	encodeBody(&body, m)
+	w := wire.NewWriter(make([]byte, 0, envelopeLen+len(body.Bytes())))
+	w.U8(Version)
+	w.U8(byte(m.Type()))
+	w.Bytes32(body.Bytes())
+	return w.Bytes()
 }
 
 // Decode parses one message from data and returns it along with the number
 // of bytes consumed, allowing streams of concatenated messages.
 func Decode(data []byte) (Message, int, error) {
-	if len(data) < envelopeLen {
+	r := wire.NewReader(data)
+	version, t, n := r.U8(), MsgType(r.U8()), int(r.U32())
+	if r.Err() != nil {
 		return nil, 0, ErrShortMessage
 	}
-	if data[0] != Version {
+	if version != Version {
 		return nil, 0, ErrBadVersion
 	}
-	bodyLen := int(binary.BigEndian.Uint32(data[2:]))
-	total := envelopeLen + bodyLen
-	if len(data) < total {
+	if n > r.Len() {
 		return nil, 0, ErrShortMessage
 	}
-	m, err := decodeBody(MsgType(data[1]), data[envelopeLen:total])
+	total := envelopeLen + n
+	m, err := decodeBody(t, data[envelopeLen:total])
 	if err != nil {
 		return nil, 0, err
 	}
 	return m, total, nil
 }
 
-// enc is a byte-appending big-endian encoder.
-type enc struct{ buf []byte }
+// Strings and byte payloads carry 32-bit length prefixes on this channel.
+func putStr(w *wire.Writer, s string) { w.Bytes32([]byte(s)) }
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *enc) bytesN(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *enc) str(s string) { e.bytesN([]byte(s)) }
+func getStr(r *wire.Reader) string { return string(r.Bytes32()) }
 
-func (e *enc) bool(b bool) {
-	if b {
-		e.u8(1)
-	} else {
-		e.u8(0)
+func encodeMatch(w *wire.Writer, m Match) {
+	w.U32(m.InPort)
+	n := w.Count16(len(m.Fields))
+	for _, f := range m.Fields[:n] {
+		w.U8(uint8(f.Field))
+		w.U64(f.Value)
+		w.U64(f.Mask)
 	}
 }
 
-// dec is a big-endian decoder with a sticky error.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) need(n int) bool {
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.err = ErrShortMessage
-		return false
-	}
-	return true
-}
-
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) bytesN() []byte {
-	n := int(d.u32())
-	if !d.need(n) {
-		return nil
-	}
-	out := append([]byte(nil), d.buf[d.off:d.off+n]...)
-	d.off += n
-	return out
-}
-
-func (d *dec) str() string { return string(d.bytesN()) }
-
-func (d *dec) bool() bool { return d.u8() == 1 }
-
-func encodeMatch(e *enc, m Match) {
-	e.u32(m.InPort)
-	e.u16(uint16(len(m.Fields)))
-	for _, f := range m.Fields {
-		e.u8(uint8(f.Field))
-		e.u64(f.Value)
-		e.u64(f.Mask)
-	}
-}
-
-func decodeMatch(d *dec) Match {
-	m := Match{InPort: d.u32()}
-	n := int(d.u16())
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Fields = append(m.Fields, FieldMatch{
-			Field: wire.Field(d.u8()),
-			Value: d.u64(),
-			Mask:  d.u64(),
-		})
+func decodeMatch(r *wire.Reader) Match {
+	m := Match{InPort: r.U32()}
+	n := int(r.U16())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.Fields = append(m.Fields, FieldMatch{Field: wire.Field(r.U8()), Value: r.U64(), Mask: r.U64()})
 	}
 	return m
 }
 
-func encodeActions(e *enc, as []Action) {
-	e.u16(uint16(len(as)))
-	for _, a := range as {
-		e.u8(uint8(a.Type))
-		e.u32(a.Port)
-		e.u8(uint8(a.Field))
-		e.u64(a.Value)
+func encodeActions(w *wire.Writer, as []Action) {
+	n := w.Count16(len(as))
+	for _, a := range as[:n] {
+		w.U8(uint8(a.Type))
+		w.U32(a.Port)
+		w.U8(uint8(a.Field))
+		w.U64(a.Value)
 	}
 }
 
-func decodeActions(d *dec) []Action {
-	n := int(d.u16())
+func decodeActions(r *wire.Reader) []Action {
+	n := int(r.U16())
 	var as []Action
-	for i := 0; i < n && d.err == nil; i++ {
-		as = append(as, Action{
-			Type:  ActionType(d.u8()),
-			Port:  d.u32(),
-			Field: wire.Field(d.u8()),
-			Value: d.u64(),
-		})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		as = append(as, Action{Type: ActionType(r.U8()), Port: r.U32(), Field: wire.Field(r.U8()), Value: r.U64()})
 	}
 	return as
 }
 
-func encodeEntry(e *enc, fe FlowEntry) {
-	e.u16(fe.Priority)
-	encodeMatch(e, fe.Match)
-	encodeActions(e, fe.Actions)
-	e.u64(fe.Cookie)
-	e.u16(fe.IdleTimeout)
-	e.u16(fe.HardTimeout)
-	e.u32(fe.MeterID)
+func encodeEntry(w *wire.Writer, fe FlowEntry) {
+	w.U16(fe.Priority)
+	encodeMatch(w, fe.Match)
+	encodeActions(w, fe.Actions)
+	w.U64(fe.Cookie)
+	w.U16(fe.IdleTimeout)
+	w.U16(fe.HardTimeout)
+	w.U32(fe.MeterID)
 }
 
-func decodeEntry(d *dec) FlowEntry {
+func decodeEntry(r *wire.Reader) FlowEntry {
 	return FlowEntry{
-		Priority:    d.u16(),
-		Match:       decodeMatch(d),
-		Actions:     decodeActions(d),
-		Cookie:      d.u64(),
-		IdleTimeout: d.u16(),
-		HardTimeout: d.u16(),
-		MeterID:     d.u32(),
+		Priority:    r.U16(),
+		Match:       decodeMatch(r),
+		Actions:     decodeActions(r),
+		Cookie:      r.U64(),
+		IdleTimeout: r.U16(),
+		HardTimeout: r.U16(),
+		MeterID:     r.U32(),
 	}
 }
 
-func encodeBody(m Message) []byte {
-	var e enc
+func encodeMeter(w *wire.Writer, mc MeterConfig) {
+	w.U32(mc.MeterID)
+	w.U32(mc.RateKbps)
+	w.U32(mc.BurstKB)
+}
+
+func decodeMeter(r *wire.Reader) MeterConfig {
+	return MeterConfig{MeterID: r.U32(), RateKbps: r.U32(), BurstKB: r.U32()}
+}
+
+func encodeBody(w *wire.Writer, m Message) {
 	switch v := m.(type) {
 	case *Hello:
-		e.u32(v.XID)
-		e.u64(v.DatapathID)
+		w.U32(v.XID)
+		w.U64(v.DatapathID)
 	case *EchoRequest:
-		e.u32(v.XID)
-		e.bytesN(v.Data)
+		w.U32(v.XID)
+		w.Bytes32(v.Data)
 	case *EchoReply:
-		e.u32(v.XID)
-		e.bytesN(v.Data)
+		w.U32(v.XID)
+		w.Bytes32(v.Data)
 	case *ErrorMsg:
-		e.u32(v.XID)
-		e.u16(v.Code)
-		e.str(v.Reason)
+		w.U32(v.XID)
+		w.U16(v.Code)
+		putStr(w, v.Reason)
 	case *FlowMod:
-		e.u32(v.XID)
-		e.u8(uint8(v.Command))
-		encodeEntry(&e, v.Entry)
+		w.U32(v.XID)
+		w.U8(uint8(v.Command))
+		encodeEntry(w, v.Entry)
 	case *PacketIn:
-		e.u32(v.XID)
-		e.u8(uint8(v.Reason))
-		e.u32(v.InPort)
-		e.u64(v.Cookie)
-		e.bytesN(v.Data)
+		w.U32(v.XID)
+		w.U8(uint8(v.Reason))
+		w.U32(v.InPort)
+		w.U64(v.Cookie)
+		w.Bytes32(v.Data)
 	case *PacketOut:
-		e.u32(v.XID)
-		e.u32(v.InPort)
-		encodeActions(&e, v.Actions)
-		e.bytesN(v.Data)
+		w.U32(v.XID)
+		w.U32(v.InPort)
+		encodeActions(w, v.Actions)
+		w.Bytes32(v.Data)
 	case *FlowMonitorRequest:
-		e.u32(v.XID)
-		e.u32(v.MonitorID)
+		w.U32(v.XID)
+		w.U32(v.MonitorID)
 	case *FlowMonitorReply:
-		e.u32(v.XID)
-		e.u32(v.MonitorID)
-		e.u8(uint8(v.Kind))
-		encodeEntry(&e, v.Entry)
-		e.u64(v.Seq)
+		w.U32(v.XID)
+		w.U32(v.MonitorID)
+		w.U8(uint8(v.Kind))
+		encodeEntry(w, v.Entry)
+		w.U64(v.Seq)
 	case *StatsRequest:
-		e.u32(v.XID)
+		w.U32(v.XID)
 	case *StatsReply:
-		e.u32(v.XID)
-		e.u64(v.DatapathID)
-		e.u16(uint16(len(v.Entries)))
-		for _, fe := range v.Entries {
-			encodeEntry(&e, fe)
+		w.U32(v.XID)
+		w.U64(v.DatapathID)
+		n := w.Count16(len(v.Entries))
+		for _, fe := range v.Entries[:n] {
+			encodeEntry(w, fe)
 		}
-		e.u16(uint16(len(v.Ports)))
-		for _, p := range v.Ports {
-			e.u32(p)
+		n = w.Count16(len(v.Ports))
+		for _, p := range v.Ports[:n] {
+			w.U32(p)
 		}
-		e.u16(uint16(len(v.Meters)))
-		for _, mc := range v.Meters {
-			e.u32(mc.MeterID)
-			e.u32(mc.RateKbps)
-			e.u32(mc.BurstKB)
+		n = w.Count16(len(v.Meters))
+		for _, mc := range v.Meters[:n] {
+			encodeMeter(w, mc)
 		}
-		e.u64(v.TableSeq)
+		w.U64(v.TableSeq)
 	case *BarrierRequest:
-		e.u32(v.XID)
+		w.U32(v.XID)
 	case *BarrierReply:
-		e.u32(v.XID)
+		w.U32(v.XID)
 	case *PortStatus:
-		e.u32(v.XID)
-		e.u32(v.Port)
-		e.bool(v.Up)
+		w.U32(v.XID)
+		w.U32(v.Port)
+		w.Bool(v.Up)
 	case *MeterMod:
-		e.u32(v.XID)
-		e.u8(uint8(v.Command))
-		e.u32(v.Config.MeterID)
-		e.u32(v.Config.RateKbps)
-		e.u32(v.Config.BurstKB)
+		w.U32(v.XID)
+		w.U8(uint8(v.Command))
+		encodeMeter(w, v.Config)
 	default:
 		// Unknown concrete type: encode nothing; Decode will fail loudly.
 	}
-	return e.buf
 }
 
+// decodeBody is strict: a short body is ErrShortMessage, and bytes left
+// over after the last field are rejected, so an encoder and decoder that
+// disagree on a layout fail loudly instead of half-parsing.
 func decodeBody(t MsgType, body []byte) (Message, error) {
-	d := &dec{buf: body}
+	r := wire.NewReader(body)
 	var m Message
 	switch t {
 	case TypeHello:
-		m = &Hello{XID: d.u32(), DatapathID: d.u64()}
+		m = &Hello{XID: r.U32(), DatapathID: r.U64()}
 	case TypeEchoRequest:
-		m = &EchoRequest{XID: d.u32(), Data: d.bytesN()}
+		m = &EchoRequest{XID: r.U32(), Data: r.Bytes32()}
 	case TypeEchoReply:
-		m = &EchoReply{XID: d.u32(), Data: d.bytesN()}
+		m = &EchoReply{XID: r.U32(), Data: r.Bytes32()}
 	case TypeError:
-		m = &ErrorMsg{XID: d.u32(), Code: d.u16(), Reason: d.str()}
+		m = &ErrorMsg{XID: r.U32(), Code: r.U16(), Reason: getStr(&r)}
 	case TypeFlowMod:
-		m = &FlowMod{XID: d.u32(), Command: FlowModCommand(d.u8()), Entry: decodeEntry(d)}
+		m = &FlowMod{XID: r.U32(), Command: FlowModCommand(r.U8()), Entry: decodeEntry(&r)}
 	case TypePacketIn:
-		m = &PacketIn{XID: d.u32(), Reason: PacketInReason(d.u8()), InPort: d.u32(), Cookie: d.u64(), Data: d.bytesN()}
+		m = &PacketIn{XID: r.U32(), Reason: PacketInReason(r.U8()), InPort: r.U32(), Cookie: r.U64(), Data: r.Bytes32()}
 	case TypePacketOut:
-		m = &PacketOut{XID: d.u32(), InPort: d.u32(), Actions: decodeActions(d), Data: d.bytesN()}
+		m = &PacketOut{XID: r.U32(), InPort: r.U32(), Actions: decodeActions(&r), Data: r.Bytes32()}
 	case TypeFlowMonitorRequest:
-		m = &FlowMonitorRequest{XID: d.u32(), MonitorID: d.u32()}
+		m = &FlowMonitorRequest{XID: r.U32(), MonitorID: r.U32()}
 	case TypeFlowMonitorReply:
-		m = &FlowMonitorReply{XID: d.u32(), MonitorID: d.u32(), Kind: FlowEventKind(d.u8()), Entry: decodeEntry(d), Seq: d.u64()}
+		m = &FlowMonitorReply{XID: r.U32(), MonitorID: r.U32(), Kind: FlowEventKind(r.U8()), Entry: decodeEntry(&r), Seq: r.U64()}
 	case TypeStatsRequest:
-		m = &StatsRequest{XID: d.u32()}
+		m = &StatsRequest{XID: r.U32()}
 	case TypeStatsReply:
-		sr := &StatsReply{XID: d.u32(), DatapathID: d.u64()}
-		n := int(d.u16())
-		for i := 0; i < n && d.err == nil; i++ {
-			sr.Entries = append(sr.Entries, decodeEntry(d))
+		sr := &StatsReply{XID: r.U32(), DatapathID: r.U64()}
+		n := int(r.U16())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			sr.Entries = append(sr.Entries, decodeEntry(&r))
 		}
-		np := int(d.u16())
-		for i := 0; i < np && d.err == nil; i++ {
-			sr.Ports = append(sr.Ports, d.u32())
+		n = int(r.U16())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			sr.Ports = append(sr.Ports, r.U32())
 		}
-		nm := int(d.u16())
-		for i := 0; i < nm && d.err == nil; i++ {
-			sr.Meters = append(sr.Meters, MeterConfig{
-				MeterID: d.u32(), RateKbps: d.u32(), BurstKB: d.u32(),
-			})
+		n = int(r.U16())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			sr.Meters = append(sr.Meters, decodeMeter(&r))
 		}
-		sr.TableSeq = d.u64()
+		sr.TableSeq = r.U64()
 		m = sr
 	case TypeBarrierRequest:
-		m = &BarrierRequest{XID: d.u32()}
+		m = &BarrierRequest{XID: r.U32()}
 	case TypeBarrierReply:
-		m = &BarrierReply{XID: d.u32()}
+		m = &BarrierReply{XID: r.U32()}
 	case TypePortStatus:
-		m = &PortStatus{XID: d.u32(), Port: d.u32(), Up: d.bool()}
+		m = &PortStatus{XID: r.U32(), Port: r.U32(), Up: r.Bool()}
 	case TypeMeterMod:
-		m = &MeterMod{XID: d.u32(), Command: MeterModCommand(d.u8()), Config: MeterConfig{
-			MeterID: d.u32(), RateKbps: d.u32(), BurstKB: d.u32(),
-		}}
+		m = &MeterMod{XID: r.U32(), Command: MeterModCommand(r.U8()), Config: decodeMeter(&r)}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if r.Err() != nil {
+		return nil, ErrShortMessage
+	}
+	if r.Len() != 0 {
+		return nil, errTrailingBytes
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,6 +100,13 @@ func TestDecodeErrors(t *testing.T) {
 	short := Encode(&FlowMod{XID: 4, Command: FlowAdd, Entry: sampleEntry()})
 	if _, _, err := Decode(short[:len(short)-3]); err == nil {
 		t.Error("truncated body should fail")
+	}
+	// A body longer than its fields, with the envelope length covering the
+	// extra byte, must not half-parse.
+	padded := append(Encode(&Hello{XID: 1, DatapathID: 2}), 0)
+	binary.BigEndian.PutUint32(padded[2:], uint32(len(padded)-envelopeLen))
+	if _, _, err := Decode(padded); err == nil {
+		t.Error("trailing body bytes should fail")
 	}
 }
 

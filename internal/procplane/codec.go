@@ -2,7 +2,6 @@ package procplane
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,15 +133,12 @@ func (t *Conn) Write(typ byte, payload []byte) error {
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	need := 5 + len(payload)
-	if cap(t.wb) < need {
-		t.wb = make([]byte, need)
-	}
-	buf := t.wb[:need]
-	binary.BigEndian.PutUint32(buf[0:4], uint32(1+len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	if _, err := t.nc.Write(buf); err != nil {
+	w := wire.NewWriter(t.wb[:0])
+	w.U32(uint32(1 + len(payload)))
+	w.U8(typ)
+	w.Raw(payload)
+	t.wb = w.Bytes()
+	if _, err := t.nc.Write(t.wb); err != nil {
 		return fmt.Errorf("procplane: trunk write: %w", err)
 	}
 	return nil
@@ -163,7 +159,8 @@ func (t *Conn) Read() (byte, []byte, error) {
 	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	r := wire.NewReader(hdr[:])
+	n := r.U32()
 	if n == 0 || n > maxTrunkMsg {
 		return 0, nil, fmt.Errorf("procplane: bad trunk frame length %d", n)
 	}
@@ -189,23 +186,21 @@ func (t *Conn) Close() error { return t.nc.Close() }
 // the packet's wire form.
 func EncodeFrame(ep topology.Endpoint, pkt *wire.Packet) []byte {
 	b := pkt.Marshal()
-	out := make([]byte, 8+len(b))
-	binary.BigEndian.PutUint32(out[0:4], uint32(ep.Switch))
-	binary.BigEndian.PutUint32(out[4:8], uint32(ep.Port))
-	copy(out[8:], b)
-	return out
+	w := wire.NewWriter(make([]byte, 0, 8+len(b)))
+	w.U32(uint32(ep.Switch))
+	w.U32(uint32(ep.Port))
+	w.Raw(b)
+	return w.Bytes()
 }
 
 // DecodeFrame unpacks a data-plane frame hand-off.
 func DecodeFrame(p []byte) (topology.Endpoint, *wire.Packet, error) {
-	if len(p) < 8 {
+	r := wire.NewReader(p)
+	ep := topology.Endpoint{Switch: topology.SwitchID(r.U32()), Port: topology.PortNo(r.U32())}
+	if r.Err() != nil {
 		return topology.Endpoint{}, nil, fmt.Errorf("procplane: short frame payload (%d bytes)", len(p))
 	}
-	ep := topology.Endpoint{
-		Switch: topology.SwitchID(binary.BigEndian.Uint32(p[0:4])),
-		Port:   topology.PortNo(binary.BigEndian.Uint32(p[4:8])),
-	}
-	pkt, err := wire.Unmarshal(p[8:])
+	pkt, err := wire.Unmarshal(r.Rest())
 	if err != nil {
 		return topology.Endpoint{}, nil, fmt.Errorf("procplane: frame packet: %w", err)
 	}
@@ -216,19 +211,20 @@ func DecodeFrame(p []byte) (topology.Endpoint, *wire.Packet, error) {
 // the openflow message codec for the modification itself.
 func EncodeFlowMod(sw topology.SwitchID, mod *openflow.FlowMod) []byte {
 	b := openflow.Encode(mod)
-	out := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(out[0:4], uint32(sw))
-	copy(out[4:], b)
-	return out
+	w := wire.NewWriter(make([]byte, 0, 4+len(b)))
+	w.U32(uint32(sw))
+	w.Raw(b)
+	return w.Bytes()
 }
 
 // DecodeFlowMod unpacks a flow programming message.
 func DecodeFlowMod(p []byte) (topology.SwitchID, *openflow.FlowMod, error) {
-	if len(p) < 4 {
+	r := wire.NewReader(p)
+	sw := topology.SwitchID(r.U32())
+	if r.Err() != nil {
 		return 0, nil, fmt.Errorf("procplane: short flowmod payload (%d bytes)", len(p))
 	}
-	sw := topology.SwitchID(binary.BigEndian.Uint32(p[0:4]))
-	m, _, err := openflow.Decode(p[4:])
+	m, _, err := openflow.Decode(r.Rest())
 	if err != nil {
 		return 0, nil, fmt.Errorf("procplane: flowmod: %w", err)
 	}

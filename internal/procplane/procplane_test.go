@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -100,6 +101,34 @@ func TestFrameAndFlowModCodecs(t *testing.T) {
 	}
 	if _, _, err := DecodeFlowMod([]byte{0, 0}); err == nil {
 		t.Error("short flowmod accepted")
+	}
+}
+
+// TestGoldenTrunkPayloads locks the trunk's binary payloads and its frame
+// header byte-for-byte.
+func TestGoldenTrunkPayloads(t *testing.T) {
+	pkt := &wire.Packet{EthDst: 0x020000000002, EthSrc: 0x020000000001, EthType: wire.EthTypeIPv4,
+		IPSrc: wire.IPv4(10, 0, 0, 1), IPDst: wire.IPv4(10, 0, 0, 2), IPProto: wire.IPProtoUDP, TTL: 64,
+		L4Src: 1000, L4Dst: 2000, Payload: []byte("hi")}
+	if got := fmt.Sprintf("%x", EncodeFrame(topology.Endpoint{Switch: 3, Port: 4}, pkt)); got != "000000030000000402000000000202000000000108004500001e00000000401166cd0a0000010a00000203e807d0000a00006869" {
+		t.Errorf("frame payload drifted: %s", got)
+	}
+	mod := &openflow.FlowMod{XID: 5, Command: openflow.FlowAdd, Entry: openflow.FlowEntry{Priority: 10,
+		Match: openflow.MatchAll(), Actions: []openflow.Action{openflow.Output(2)}, Cookie: 7}}
+	if got := fmt.Sprintf("%x", EncodeFlowMod(7, mod)); got != "000000077a050000002d0000000501000affffffff00000001010000000200000000000000000000000000000000070000000000000000" {
+		t.Errorf("flowmod payload drifted: %s", got)
+	}
+
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go NewConn(a).Write(MsgBeat, []byte{1, 2})
+	raw := make([]byte, 7)
+	if _, err := io.ReadFull(b, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", raw); got != "00000003090102" {
+		t.Errorf("trunk frame drifted: %s", got)
 	}
 }
 

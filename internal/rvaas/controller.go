@@ -309,7 +309,8 @@ func (c *Controller) SnapshotID() uint64 { return c.snap.snapshotID() }
 // changed since the last call. The returned network is shared and must be
 // treated as read-only (it is safe for concurrent Reach/ReachAll callers).
 func (c *Controller) CompiledNetwork() *headerspace.Network {
-	return c.snap.buildNetwork(c.topo)
+	net, _ := c.snap.buildNetwork(c.topo)
+	return net
 }
 
 // CompileCacheStats returns the compiled-network cache counters (hits,

@@ -2,7 +2,6 @@ package rvaas
 
 import (
 	"crypto/ed25519"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -77,113 +76,43 @@ const (
 	recRemove byte = 2
 )
 
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	b = appendU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
 func (r *SubscriptionRecord) marshal() []byte {
-	b := []byte{recUpsert}
-	b = appendU64(b, r.ID)
-	b = appendU64(b, r.ClientID)
-	b = appendU64(b, r.SessionID)
-	b = appendU64(b, r.Nonce)
+	var w wire.Writer
+	w.U8(recUpsert)
+	w.U64(r.ID)
+	w.U64(r.ClientID)
+	w.U64(r.SessionID)
+	w.U64(r.Nonce)
 	// The byte before Kind is the client protocol the subscription's pushes
 	// are encoded in. One protocol remains, so it is a constant; it stays on
 	// disk so logs written by earlier builds keep their layout.
-	b = append(b, wire.EnvelopeVersion, byte(r.Kind))
-	b = appendU32(b, r.AnchorSwitch)
-	b = appendU32(b, r.AnchorPort)
-	b = appendU64(b, r.MAC)
-	b = appendU32(b, r.IP)
-	nc := len(r.Constraints)
-	if nc > 0xffff {
-		nc = 0xffff
-	}
-	b = appendU16(b, uint16(nc))
-	for _, c := range r.Constraints[:nc] {
-		b = append(b, byte(c.Field))
-		b = appendU64(b, c.Value)
-		b = appendU64(b, c.Mask)
-	}
-	b = appendStr(b, r.Param)
-	if r.Violated {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendStr(b, r.Detail)
-	b = appendU64(b, r.Seq)
-	b = appendStr(b, string(r.ClientKey))
-	return b
+	w.U8(wire.EnvelopeVersion)
+	w.U8(uint8(r.Kind))
+	w.U32(r.AnchorSwitch)
+	w.U32(r.AnchorPort)
+	w.U64(r.MAC)
+	w.U32(r.IP)
+	w.Constraints(r.Constraints)
+	w.Str(r.Param)
+	w.Bool(r.Violated)
+	w.Str(r.Detail)
+	w.U64(r.Seq)
+	w.BytesN(r.ClientKey)
+	return w.Bytes()
 }
 
-// recReader is a minimal bounds-checked decoder for store records.
-type recReader struct {
-	buf []byte
-	off int
-	bad bool
+func marshalRemove(id uint64) []byte {
+	var w wire.Writer
+	w.U8(recRemove)
+	w.U64(id)
+	return w.Bytes()
 }
 
-func (r *recReader) need(n int) bool {
-	if r.bad || r.off+n > len(r.buf) {
-		r.bad = true
-		return false
-	}
-	return true
-}
-
-func (r *recReader) u8() byte {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *recReader) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *recReader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *recReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *recReader) str() string {
-	n := int(r.u16())
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
+// appendFrame appends one log record: a 32-bit length, then the payload.
+func appendFrame(log, payload []byte) []byte {
+	w := wire.NewWriter(log)
+	w.Bytes32(payload)
+	return w.Bytes()
 }
 
 // errRetiredProtocol marks a well-formed record of a subscription whose
@@ -192,42 +121,35 @@ func (r *recReader) str() string {
 var errRetiredProtocol = errors.New("rvaas: subscription record of a retired client protocol")
 
 func unmarshalRecord(b []byte) (*SubscriptionRecord, byte, error) {
-	r := recReader{buf: b}
-	op := r.u8()
+	r := wire.NewReader(b)
+	op := r.U8()
 	switch op {
 	case recRemove:
-		rec := &SubscriptionRecord{ID: r.u64()}
-		if r.bad {
+		rec := &SubscriptionRecord{ID: r.U64()}
+		if r.Err() != nil {
 			return nil, 0, fmt.Errorf("rvaas: truncated remove record")
 		}
 		return rec, op, nil
 	case recUpsert:
 		rec := &SubscriptionRecord{
-			ID:        r.u64(),
-			ClientID:  r.u64(),
-			SessionID: r.u64(),
-			Nonce:     r.u64(),
+			ID:        r.U64(),
+			ClientID:  r.U64(),
+			SessionID: r.U64(),
+			Nonce:     r.U64(),
 		}
-		proto := r.u8()
-		rec.Kind = wire.QueryKind(r.u8())
-		rec.AnchorSwitch = r.u32()
-		rec.AnchorPort = r.u32()
-		rec.MAC = r.u64()
-		rec.IP = r.u32()
-		nc := int(r.u16())
-		for i := 0; i < nc && !r.bad; i++ {
-			rec.Constraints = append(rec.Constraints, wire.FieldConstraint{
-				Field: wire.Field(r.u8()),
-				Value: r.u64(),
-				Mask:  r.u64(),
-			})
-		}
-		rec.Param = r.str()
-		rec.Violated = r.u8() == 1
-		rec.Detail = r.str()
-		rec.Seq = r.u64()
-		rec.ClientKey = []byte(r.str())
-		if r.bad {
+		proto := r.U8()
+		rec.Kind = wire.QueryKind(r.U8())
+		rec.AnchorSwitch = r.U32()
+		rec.AnchorPort = r.U32()
+		rec.MAC = r.U64()
+		rec.IP = r.U32()
+		rec.Constraints = r.Constraints()
+		rec.Param = r.Str()
+		rec.Violated = r.Bool()
+		rec.Detail = r.Str()
+		rec.Seq = r.U64()
+		rec.ClientKey = r.BytesN()
+		if r.Err() != nil {
 			return nil, 0, fmt.Errorf("rvaas: truncated subscription record")
 		}
 		if proto != wire.EnvelopeVersion {
@@ -315,13 +237,14 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
+	r := wire.NewReader(data)
 	valid := 0
-	for off := 0; off+4 <= len(data); {
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n <= 0 || off+4+n > len(data) {
+	for {
+		payload := r.Bytes32()
+		if r.Err() != nil || len(payload) == 0 {
 			break // torn tail
 		}
-		rec, op, err := unmarshalRecord(data[off+4 : off+4+n])
+		rec, op, err := unmarshalRecord(payload)
 		if errors.Is(err, errRetiredProtocol) {
 			s.skipped++
 		} else if err != nil {
@@ -331,8 +254,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 		} else {
 			s.live[rec.ID] = *rec
 		}
-		off += 4 + n
-		valid = off
+		valid = len(data) - r.Len()
 		s.appends++
 	}
 	// Drop any torn tail so the next append starts at a record boundary.
@@ -363,10 +285,7 @@ func (s *FileStore) writeLocked(payload []byte) error {
 		}
 		s.f = f
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	if _, err := s.f.Write(buf); err != nil {
+	if _, err := s.f.Write(appendFrame(nil, payload)); err != nil {
 		return err
 	}
 	s.appends++
@@ -388,19 +307,14 @@ func (s *FileStore) compactLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var log []byte
 	for _, id := range ids {
 		rec := s.live[id]
-		payload := rec.marshal()
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(payload); err != nil {
-			f.Close()
-			return err
-		}
+		log = appendFrame(log, rec.marshal())
+	}
+	if _, err := f.Write(log); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -441,9 +355,7 @@ func (s *FileStore) Remove(id uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.live, id)
-	payload := append([]byte{recRemove}, make([]byte, 8)...)
-	binary.BigEndian.PutUint64(payload[1:], id)
-	return s.writeLocked(payload)
+	return s.writeLocked(marshalRemove(id))
 }
 
 // Load returns the live set in id order.

@@ -2,6 +2,7 @@ package rvaas
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,6 +39,52 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&rec, back) {
 		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", rec, back)
+	}
+}
+
+// TestGoldenStoreLog locks the subscription log byte-for-byte: one upsert
+// and one remove record, each in its 32-bit length frame. A log a deployed
+// controller wrote must keep opening after any refactor of the codec.
+func TestGoldenStoreLog(t *testing.T) {
+	rec := SubscriptionRecord{ID: 5, ClientID: 7, SessionID: 0x5E55, Nonce: 0x1122334455667788,
+		Kind: wire.QueryIsolation, AnchorSwitch: 2, AnchorPort: 3, MAC: 0x020000000001, IP: wire.IPv4(10, 0, 0, 1),
+		Constraints: []wire.FieldConstraint{{Field: wire.FieldIPDst, Value: 0x0A000002, Mask: 0xFFFFFFFF}},
+		Param:       "eu", Violated: true, Detail: "d", Seq: 9, ClientKey: []byte{0xAA, 0xBB}}
+	const want = "0000005e01000000000000000500000000000000070000000000005e5511223344556677880203000000020000000300000200000000010a000001000106000000000a00000200000000ffffffff000265750100016400000000000000090002aabb00000009020000000000000005"
+	path := filepath.Join(t.TempDir(), "subs.log")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove(rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("store log drifted from the golden bytes:\n got  %x\n want %s", got, want)
+	}
+
+	// The golden log opens, replays both records, and the upsert alone
+	// restores the record exactly.
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if live, _ := s2.Load(); len(live) != 0 || s2.appends != 2 {
+		t.Fatalf("golden log replay: live=%v appends=%d", live, s2.appends)
+	}
+	upsert := got[:len(got)-13]
+	back, op, err := unmarshalRecord(upsert[4:])
+	if err != nil || op != recUpsert || !reflect.DeepEqual(back, &rec) {
+		t.Fatalf("golden upsert decodes to %+v (op %d, %v)", back, op, err)
 	}
 }
 

@@ -2,8 +2,6 @@ package rvaas
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"time"
 
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -116,7 +114,3 @@ func (c *Controller) WiringReport() []WiringMismatch {
 	c.probeConfirm = make(map[uint64]topology.Endpoint)
 	return out
 }
-
-// binaryProbeKey is kept for potential probe dedup; unused fields silenced.
-var _ = binary.BigEndian
-var _ = time.Second

@@ -163,15 +163,15 @@ func (s coreService) Query(o Origin, q *wire.QueryRequest, deliver func(*wire.Qu
 	c.mu.Unlock()
 
 	requester := o.requester()
+	// Served from the compile cache whenever the snapshot is unchanged.
+	net, snapID := c.snap.buildNetwork(c.topo)
 	resp := &wire.QueryResponse{
 		Version:    wire.CurrentVersion,
 		Kind:       q.Kind,
 		Nonce:      q.Nonce,
 		Status:     wire.StatusOK,
-		SnapshotID: c.snap.snapshotID(),
+		SnapshotID: snapID,
 	}
-	// Served from the compile cache whenever the snapshot is unchanged.
-	net := c.CompiledNetwork()
 	authTargets := c.answerQuery(net, requester, q, resp)
 	if len(authTargets) == 0 {
 		c.finalizeQuery(resp, deliver)

@@ -445,7 +445,12 @@ func (s *snapshotStore) compileStats() CompileStats {
 // after an incremental change only the switches whose generation advanced
 // are recompiled. The returned network is immutable — callers must treat it
 // as read-only (headerspace.Network is safe for concurrent readers).
-func (s *snapshotStore) buildNetwork(topo *topology.Topology) *headerspace.Network {
+//
+// The returned id is the snapshot the network was compiled from, read under
+// the same lock as the tables: a verdict computed on the network must carry
+// this id, never one read before or after the build, when a concurrent
+// event may already have moved the snapshot on.
+func (s *snapshotStore) buildNetwork(topo *topology.Topology) (*headerspace.Network, uint64) {
 	type compileJob struct {
 		id      topology.SwitchID
 		gen     uint64
@@ -463,9 +468,9 @@ func (s *snapshotStore) buildNetwork(topo *topology.Topology) *headerspace.Netwo
 	}
 	if s.cachedNet != nil && s.cachedID == s.id {
 		s.stats.NetworkHits++
-		net := s.cachedNet
+		net, id := s.cachedNet, s.cachedID
 		s.mu.Unlock()
-		return net
+		return net, id
 	}
 	s.stats.NetworkBuilds++
 	builtID := s.id
@@ -533,5 +538,5 @@ func (s *snapshotStore) buildNetwork(topo *topology.Topology) *headerspace.Netwo
 		}
 	}
 	s.mu.Unlock()
-	return net
+	return net, builtID
 }

@@ -1,6 +1,7 @@
 package rvaas
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/headerspace"
@@ -33,7 +34,7 @@ func TestCompiledNetworkCache(t *testing.T) {
 		s.replaceState(sw, []openflow.FlowEntry{cacheEntry(0x0A000001, 2)}, nil, nil, 1, false)
 	}
 
-	n1 := s.buildNetwork(topo)
+	n1, _ := s.buildNetwork(topo)
 	st := s.compileStats()
 	if st.NetworkBuilds != 1 || st.NetworkHits != 0 {
 		t.Fatalf("after first build: %+v", st)
@@ -43,7 +44,7 @@ func TestCompiledNetworkCache(t *testing.T) {
 	}
 
 	// Unchanged snapshot: cache hit, same network object, no compilation.
-	n2 := s.buildNetwork(topo)
+	n2, _ := s.buildNetwork(topo)
 	st = s.compileStats()
 	if n2 != n1 {
 		t.Error("unchanged snapshot rebuilt the network")
@@ -62,7 +63,7 @@ func TestCompiledNetworkCache(t *testing.T) {
 	if cap.id != s.snapshotID() || len(cap.tables[1]) != 2 {
 		t.Fatalf("capture = id %d, %d entries on sw1; want id %d, 2", cap.id, len(cap.tables[1]), s.snapshotID())
 	}
-	n3 := s.buildNetwork(topo)
+	n3, _ := s.buildNetwork(topo)
 	st = s.compileStats()
 	if n3 == n2 {
 		t.Error("changed snapshot served the stale cached network")
@@ -90,7 +91,7 @@ func TestCompiledNetworkCache(t *testing.T) {
 
 	// Full resync of one switch also invalidates just that switch.
 	s.replaceState(2, []openflow.FlowEntry{cacheEntry(0x0A000003, 2)}, nil, nil, 9, false)
-	_ = s.buildNetwork(topo)
+	_, _ = s.buildNetwork(topo)
 	st = s.compileStats()
 	if st.SwitchCompiles != 5 {
 		t.Errorf("switch compiles after resync = %d, want 5", st.SwitchCompiles)
@@ -101,7 +102,7 @@ func TestCompiledNetworkCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.buildNetwork(topo2)
+	_, _ = s.buildNetwork(topo2)
 	st = s.compileStats()
 	if st.SwitchCompiles != 8 {
 		t.Errorf("switch compiles after topology swap = %d, want 8", st.SwitchCompiles)
@@ -118,7 +119,7 @@ func TestCompiledNetworkCacheSeqGapUnchanged(t *testing.T) {
 	s := newSnapshotStore()
 	s.replaceState(1, nil, nil, nil, 1, false)
 	s.replaceState(2, nil, nil, nil, 1, false)
-	_ = s.buildNetwork(topo)
+	_, _ = s.buildNetwork(topo)
 	// A rejected (out-of-sequence) event must NOT invalidate the cache.
 	if _, ok, stale := s.applyEvent(1, &openflow.FlowMonitorReply{Seq: 7}); ok || stale {
 		t.Fatal("gap event unexpectedly accepted or marked stale")
@@ -127,9 +128,78 @@ func TestCompiledNetworkCacheSeqGapUnchanged(t *testing.T) {
 	if _, ok, stale := s.applyEvent(1, &openflow.FlowMonitorReply{Seq: 1}); ok || !stale {
 		t.Fatal("stale event not classified as stale")
 	}
-	_ = s.buildNetwork(topo)
+	_, _ = s.buildNetwork(topo)
 	st := s.compileStats()
 	if st.NetworkHits != 1 {
 		t.Errorf("rejected event spoiled the cache: %+v", st)
 	}
+}
+
+// TestBuildNetworkNamesItsSnapshot: a signed verdict names the snapshot it
+// was computed on. While a writer keeps replacing switch 2's table, every
+// (network, id) pair buildNetwork returns must agree: switch 2's compiled
+// rule count equals the table committed at that id.
+func TestBuildNetworkNamesItsSnapshot(t *testing.T) {
+	topo, err := topology.Linear(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSnapshotStore()
+	s.replaceTable(1, nil, nil, 1)
+	s.replaceTable(3, nil, nil, 1)
+	var mu sync.Mutex
+	committed := map[uint64]int{}
+	commit := func(rules int, seq uint64) {
+		table := make([]openflow.FlowEntry, rules)
+		for i := range table {
+			table[i] = cacheEntry(0x0A000000+uint32(i), 2)
+		}
+		s.replaceTable(2, table, nil, seq)
+		mu.Lock()
+		committed[s.snapshotID()] = rules // the only writer: the id is this table's
+		mu.Unlock()
+	}
+	commit(1, 1)
+
+	type pair struct {
+		id    uint64
+		rules int
+	}
+	done := make(chan struct{})
+	seen := make([][]pair, 2)
+	var wg sync.WaitGroup
+	for r := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				net, id := s.buildNetwork(topo)
+				seen[r] = append(seen[r], pair{id, net.Node(headerspace.NodeID(2)).Len()})
+			}
+		}()
+	}
+	for i := 0; i < 1000; i++ {
+		commit(16*(i%4+1), uint64(i+2))
+	}
+	close(done)
+	wg.Wait()
+
+	builds, mismatches := 0, 0
+	for _, ps := range seen {
+		for _, p := range ps {
+			builds++
+			if want, ok := committed[p.id]; !ok || want != p.rules {
+				mismatches++
+			}
+		}
+	}
+	if mismatches != 0 {
+		t.Fatalf("%d of %d networks named a snapshot other than the one they were compiled from", mismatches, builds)
+	}
+	t.Logf("%d builds, every one paired with its own snapshot id", builds)
 }

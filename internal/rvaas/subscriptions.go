@@ -93,9 +93,9 @@ func (ve verifierEnv) Evaluate(net *headerspace.Network, sub *verifier.Subscript
 func (ve verifierEnv) Commit(t verifier.Transition) { ve.c.onVerifierCommit(t) }
 
 // passBuild compiles the current snapshot (served from the compile cache)
-// and pairs it with the snapshot id.
+// and pairs it with the id of the snapshot it was compiled from.
 func (c *Controller) passBuild() (*headerspace.Network, uint64) {
-	return c.snap.buildNetwork(c.topo), c.snap.snapshotID()
+	return c.snap.buildNetwork(c.topo)
 }
 
 // reqOf recovers the query-plane requester view of a subscription anchor.

@@ -95,7 +95,7 @@ func (c *Controller) TracebackIngress(victim topology.AccessPoint, from, to time
 	for sw, entries := range rec.Tables {
 		net.replaceTable(sw, entries, nil, 0)
 	}
-	hsNet := net.buildNetwork(c.topo)
+	hsNet, _ := net.buildNetwork(c.topo)
 	req := requesterInfo{sw: victim.Endpoint.Switch, port: victim.Endpoint.Port}
 	for _, swID := range c.topo.Switches() {
 		for p := topology.PortNo(1); p <= c.topo.PortCount(swID); p++ {

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -23,18 +24,19 @@ type meterState struct {
 // InstallMeterDirect installs (or replaces) a meter, bypassing the control
 // channel (provider/attack path).
 func (s *Switch) InstallMeterDirect(cfg openflow.MeterConfig) {
-	s.applyMeterMod(&openflow.MeterMod{Command: openflow.MeterAdd, Config: cfg})
+	_ = s.applyMeterMod(&openflow.MeterMod{Command: openflow.MeterAdd, Config: cfg})
 }
 
 // RemoveMeterDirect removes a meter by id.
 func (s *Switch) RemoveMeterDirect(meterID uint32) {
-	s.applyMeterMod(&openflow.MeterMod{
+	_ = s.applyMeterMod(&openflow.MeterMod{
 		Command: openflow.MeterDelete,
 		Config:  openflow.MeterConfig{MeterID: meterID},
 	})
 }
 
-func (s *Switch) applyMeterMod(m *openflow.MeterMod) {
+// applyMeterMod refuses a meter beyond the count a StatsReply can carry.
+func (s *Switch) applyMeterMod(m *openflow.MeterMod) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.meters == nil {
@@ -42,6 +44,9 @@ func (s *Switch) applyMeterMod(m *openflow.MeterMod) {
 	}
 	switch m.Command {
 	case openflow.MeterAdd:
+		if _, ok := s.meters[m.Config.MeterID]; !ok && len(s.meters) >= wire.MaxCount {
+			return fmt.Errorf("meter table full: %d meters", len(s.meters))
+		}
 		s.meters[m.Config.MeterID] = &meterState{
 			cfg:        m.Config,
 			tokens:     float64(m.Config.BurstKB) * 1024,
@@ -53,6 +58,7 @@ func (s *Switch) applyMeterMod(m *openflow.MeterMod) {
 	// Meter changes bump the table sequence so monitors resync and polls
 	// see a fresh snapshot id.
 	s.seq++
+	return nil
 }
 
 // Meters returns the configured meters sorted by id.

@@ -216,7 +216,9 @@ func (s *Switch) handleControl(sess *session, msg openflow.Message) {
 		s.mu.Unlock()
 		_ = sess.conn.Send(reply)
 	case *openflow.MeterMod:
-		s.applyMeterMod(m)
+		if err := s.applyMeterMod(m); err != nil {
+			_ = sess.conn.Send(&openflow.ErrorMsg{XID: m.XID, Code: openflow.ErrCodeBadRequest, Reason: err.Error()})
+		}
 	case *openflow.BarrierRequest:
 		_ = sess.conn.Send(&openflow.BarrierReply{XID: m.XID})
 	default:
@@ -227,12 +229,20 @@ func (s *Switch) handleControl(sess *session, msg openflow.Message) {
 	}
 }
 
-// applyFlowMod mutates the flow table and fans out monitor events.
+// applyFlowMod mutates the flow table and fans out monitor events. The
+// switch holds no list its reports cannot carry: every count in a
+// StatsReply or FlowMonitorReply is 16 bits, and a clamped report would
+// hide the entries or outputs past wire.MaxCount from the verifier.
 func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.FlowMods++
 	now := s.clock()
+	if m.Command == openflow.FlowAdd || m.Command == openflow.FlowModify {
+		if n, a := len(m.Entry.Match.Fields), len(m.Entry.Actions); n > wire.MaxCount || a > wire.MaxCount {
+			return fmt.Errorf("flow entry with %d match fields and %d actions exceeds %d", n, a, wire.MaxCount)
+		}
+	}
 	switch m.Command {
 	case openflow.FlowAdd:
 		// OpenFlow add replaces an entry with identical priority+match.
@@ -243,7 +253,9 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 				return nil
 			}
 		}
-		s.insertLocked(m.Entry, now)
+		if err := s.insertLocked(m.Entry, now); err != nil {
+			return err
+		}
 		s.emitEventLocked(openflow.FlowEventAdded, m.Entry)
 	case openflow.FlowModify:
 		modified := false
@@ -256,7 +268,9 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 			}
 		}
 		if !modified {
-			s.insertLocked(m.Entry, now)
+			if err := s.insertLocked(m.Entry, now); err != nil {
+				return err
+			}
 			s.emitEventLocked(openflow.FlowEventAdded, m.Entry)
 		}
 	case openflow.FlowDelete:
@@ -330,14 +344,19 @@ func (s *Switch) ExpireFlows(now time.Time) int {
 	return expired
 }
 
-// insertLocked places the entry keeping priority-descending stable order.
-func (s *Switch) insertLocked(e openflow.FlowEntry, now time.Time) {
+// insertLocked places the entry keeping priority-descending stable order,
+// refusing an entry past the count a StatsReply can carry.
+func (s *Switch) insertLocked(e openflow.FlowEntry, now time.Time) error {
+	if len(s.table) >= wire.MaxCount {
+		return fmt.Errorf("flow table full: %d entries", len(s.table))
+	}
 	idx := sort.Search(len(s.table), func(i int) bool {
 		return s.table[i].fe.Priority < e.Priority
 	})
 	s.table = append(s.table, tableEntry{})
 	copy(s.table[idx+1:], s.table[idx:])
 	s.table[idx] = tableEntry{fe: e, installedAt: now, lastHit: now}
+	return nil
 }
 
 // SetEventSuppression toggles adversarial suppression of the flow-monitor

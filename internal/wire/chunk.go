@@ -62,24 +62,24 @@ var (
 
 // Marshal encodes the chunk body.
 func (c *Chunk) Marshal() []byte {
-	var w writer
-	w.u8(uint8(c.InnerOp))
-	w.u32(c.Index)
-	w.u32(c.Total)
-	w.bytes32(c.Fragment)
+	var w Writer
+	w.U8(uint8(c.InnerOp))
+	w.U32(c.Index)
+	w.U32(c.Total)
+	w.Bytes32(c.Fragment)
 	return w.buf
 }
 
 // UnmarshalChunk decodes a chunk body. Like the envelope codec it is
 // strict: trailing bytes are rejected.
 func UnmarshalChunk(data []byte) (*Chunk, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	c := &Chunk{
-		InnerOp: Op(r.u8()),
-		Index:   r.u32(),
-		Total:   r.u32(),
+		InnerOp: Op(r.U8()),
+		Index:   r.U32(),
+		Total:   r.U32(),
 	}
-	c.Fragment = r.bytes32()
+	c.Fragment = r.Bytes32()
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -128,12 +127,12 @@ var (
 
 // Marshal encodes the envelope (always at EnvelopeVersion framing).
 func (e *Envelope) Marshal() []byte {
-	var w writer
-	w.u8(e.Version)
-	w.u8(uint8(e.Op))
-	w.u64(e.CorrelationID)
-	w.u64(e.SessionID)
-	w.bytes32(e.Body)
+	var w Writer
+	w.U8(e.Version)
+	w.U8(uint8(e.Op))
+	w.U64(e.CorrelationID)
+	w.U64(e.SessionID)
+	w.Bytes32(e.Body)
 	return w.buf
 }
 
@@ -141,14 +140,14 @@ func (e *Envelope) Marshal() []byte {
 // is strict: unknown versions and trailing bytes are rejected, so a
 // truncated or padded frame can never half-parse.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	e := &Envelope{
-		Version:       r.u8(),
-		Op:            Op(r.u8()),
-		CorrelationID: r.u64(),
-		SessionID:     r.u64(),
+		Version:       r.U8(),
+		Op:            Op(r.U8()),
+		CorrelationID: r.U64(),
+		SessionID:     r.U64(),
 	}
-	e.Body = r.bytes32()
+	e.Body = r.Bytes32()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -167,9 +166,10 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 // (unsigned) envelope header field can move a subscription into a
 // different session.
 func SessionSigningBytes(signing []byte, sessionID uint64) []byte {
-	out := make([]byte, 0, len(signing)+8)
-	out = append(out, signing...)
-	return binary.BigEndian.AppendUint64(out, sessionID)
+	w := NewWriter(make([]byte, 0, len(signing)+8))
+	w.Raw(signing)
+	w.U64(sessionID)
+	return w.Bytes()
 }
 
 // ---------------------------------------------------------- batch bodies --
@@ -214,58 +214,43 @@ func BatchItemNonce(batchNonce uint64, i int) uint64 {
 func (b *BatchSubscribeRequest) SigningBytes() []byte { return b.core() }
 
 func (b *BatchSubscribeRequest) core() []byte {
-	var w writer
-	w.u8(b.Version)
-	w.u64(b.ClientID)
-	w.u64(b.Nonce)
-	w.u32(b.AnchorSwitch)
-	w.u32(b.AnchorPort)
-	w.u32(uint32(len(b.Items)))
+	var w Writer
+	w.U8(b.Version)
+	w.U64(b.ClientID)
+	w.U64(b.Nonce)
+	w.U32(b.AnchorSwitch)
+	w.U32(b.AnchorPort)
+	w.U32(uint32(len(b.Items)))
 	for _, it := range b.Items {
-		w.u8(uint8(it.Kind))
-		n := w.count16(len(it.Constraints))
-		for _, c := range it.Constraints[:n] {
-			w.u8(uint8(c.Field))
-			w.u64(c.Value)
-			w.u64(c.Mask)
-		}
-		w.str(it.Param)
+		w.U8(uint8(it.Kind))
+		w.Constraints(it.Constraints)
+		w.Str(it.Param)
 	}
 	return w.buf
 }
 
 // Marshal encodes the batch request including the signature.
 func (b *BatchSubscribeRequest) Marshal() []byte {
-	w := writer{buf: b.core()}
-	w.bytesN(b.Signature)
+	w := Writer{buf: b.core()}
+	w.BytesN(b.Signature)
 	return w.buf
 }
 
 // UnmarshalBatchSubscribeRequest decodes a batch registration.
 func UnmarshalBatchSubscribeRequest(data []byte) (*BatchSubscribeRequest, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	b := &BatchSubscribeRequest{
-		Version:      r.u8(),
-		ClientID:     r.u64(),
-		Nonce:        r.u64(),
-		AnchorSwitch: r.u32(),
-		AnchorPort:   r.u32(),
+		Version:      r.U8(),
+		ClientID:     r.U64(),
+		Nonce:        r.U64(),
+		AnchorSwitch: r.U32(),
+		AnchorPort:   r.U32(),
 	}
-	n := int(r.u32())
+	n := int(r.U32())
 	for i := 0; i < n && r.err == nil; i++ {
-		it := BatchItem{Kind: QueryKind(r.u8())}
-		nc := int(r.u16())
-		for j := 0; j < nc && r.err == nil; j++ {
-			it.Constraints = append(it.Constraints, FieldConstraint{
-				Field: Field(r.u8()),
-				Value: r.u64(),
-				Mask:  r.u64(),
-			})
-		}
-		it.Param = r.str()
-		b.Items = append(b.Items, it)
+		b.Items = append(b.Items, BatchItem{Kind: QueryKind(r.U8()), Constraints: r.Constraints(), Param: r.Str()})
 	}
-	b.Signature = r.bytesN()
+	b.Signature = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -305,52 +290,52 @@ type BatchReply struct {
 func (b *BatchReply) SigningBytes() []byte { return b.core() }
 
 func (b *BatchReply) core() []byte {
-	var w writer
-	w.u8(b.Version)
-	w.u64(b.Nonce)
-	w.u8(uint8(b.Status))
-	w.str(b.Detail)
-	w.u64(b.SnapshotID)
-	w.u32(uint32(len(b.Items)))
+	var w Writer
+	w.U8(b.Version)
+	w.U64(b.Nonce)
+	w.U8(uint8(b.Status))
+	w.Str(b.Detail)
+	w.U64(b.SnapshotID)
+	w.U32(uint32(len(b.Items)))
 	for _, it := range b.Items {
-		w.u64(it.SubID)
-		w.u8(uint8(it.Status))
-		w.u64(it.Seq)
-		w.str(it.Detail)
+		w.U64(it.SubID)
+		w.U8(uint8(it.Status))
+		w.U64(it.Seq)
+		w.Str(it.Detail)
 	}
 	return w.buf
 }
 
 // Marshal encodes the batch reply including signature and quote.
 func (b *BatchReply) Marshal() []byte {
-	w := writer{buf: b.core()}
-	w.bytesN(b.Signature)
-	w.bytesN(b.Quote)
+	w := Writer{buf: b.core()}
+	w.BytesN(b.Signature)
+	w.BytesN(b.Quote)
 	return w.buf
 }
 
 // UnmarshalBatchReply decodes a batch reply.
 func UnmarshalBatchReply(data []byte) (*BatchReply, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	b := &BatchReply{
-		Version: r.u8(),
-		Nonce:   r.u64(),
-		Status:  ResponseStatus(r.u8()),
-		Detail:  r.str(),
+		Version: r.U8(),
+		Nonce:   r.U64(),
+		Status:  ResponseStatus(r.U8()),
+		Detail:  r.Str(),
 	}
-	b.SnapshotID = r.u64()
-	n := int(r.u32())
+	b.SnapshotID = r.U64()
+	n := int(r.U32())
 	for i := 0; i < n && r.err == nil; i++ {
 		it := BatchReplyItem{
-			SubID:  r.u64(),
-			Status: ResponseStatus(r.u8()),
-			Seq:    r.u64(),
+			SubID:  r.U64(),
+			Status: ResponseStatus(r.U8()),
+			Seq:    r.U64(),
 		}
-		it.Detail = r.str()
+		it.Detail = r.Str()
 		b.Items = append(b.Items, it)
 	}
-	b.Signature = r.bytesN()
-	b.Quote = r.bytesN()
+	b.Signature = r.BytesN()
+	b.Quote = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -388,40 +373,40 @@ type SessionResumeRequest struct {
 func (s *SessionResumeRequest) SigningBytes() []byte { return s.core() }
 
 func (s *SessionResumeRequest) core() []byte {
-	var w writer
-	w.u8(s.Version)
-	w.u64(s.ClientID)
-	w.u64(s.Nonce)
-	w.u64(s.SessionID)
-	w.u32(uint32(len(s.Entries)))
+	var w Writer
+	w.U8(s.Version)
+	w.U64(s.ClientID)
+	w.U64(s.Nonce)
+	w.U64(s.SessionID)
+	w.U32(uint32(len(s.Entries)))
 	for _, e := range s.Entries {
-		w.u64(e.SubID)
-		w.u64(e.LastSeq)
+		w.U64(e.SubID)
+		w.U64(e.LastSeq)
 	}
 	return w.buf
 }
 
 // Marshal encodes the resume request including the signature.
 func (s *SessionResumeRequest) Marshal() []byte {
-	w := writer{buf: s.core()}
-	w.bytesN(s.Signature)
+	w := Writer{buf: s.core()}
+	w.BytesN(s.Signature)
 	return w.buf
 }
 
 // UnmarshalSessionResumeRequest decodes a resume request.
 func UnmarshalSessionResumeRequest(data []byte) (*SessionResumeRequest, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	s := &SessionResumeRequest{
-		Version:   r.u8(),
-		ClientID:  r.u64(),
-		Nonce:     r.u64(),
-		SessionID: r.u64(),
+		Version:   r.U8(),
+		ClientID:  r.U64(),
+		Nonce:     r.U64(),
+		SessionID: r.U64(),
 	}
-	n := int(r.u32())
+	n := int(r.U32())
 	for i := 0; i < n && r.err == nil; i++ {
-		s.Entries = append(s.Entries, ResumeEntry{SubID: r.u64(), LastSeq: r.u64()})
+		s.Entries = append(s.Entries, ResumeEntry{SubID: r.U64(), LastSeq: r.U64()})
 	}
-	s.Signature = r.bytesN()
+	s.Signature = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -462,56 +447,56 @@ type SessionResumeReply struct {
 func (s *SessionResumeReply) SigningBytes() []byte { return s.core() }
 
 func (s *SessionResumeReply) core() []byte {
-	var w writer
-	w.u8(s.Version)
-	w.u64(s.Nonce)
-	w.u64(s.SessionID)
-	w.u8(uint8(s.Status))
-	w.str(s.Detail)
-	w.u64(s.SnapshotID)
-	w.u32(uint32(len(s.Entries)))
+	var w Writer
+	w.U8(s.Version)
+	w.U64(s.Nonce)
+	w.U64(s.SessionID)
+	w.U8(uint8(s.Status))
+	w.Str(s.Detail)
+	w.U64(s.SnapshotID)
+	w.U32(uint32(len(s.Entries)))
 	for _, e := range s.Entries {
-		w.u64(e.SubID)
-		w.u8(uint8(e.Kind))
-		w.u8(uint8(e.Status))
-		w.u64(e.Seq)
-		w.str(e.Detail)
+		w.U64(e.SubID)
+		w.U8(uint8(e.Kind))
+		w.U8(uint8(e.Status))
+		w.U64(e.Seq)
+		w.Str(e.Detail)
 	}
 	return w.buf
 }
 
 // Marshal encodes the reply including signature and quote.
 func (s *SessionResumeReply) Marshal() []byte {
-	w := writer{buf: s.core()}
-	w.bytesN(s.Signature)
-	w.bytesN(s.Quote)
+	w := Writer{buf: s.core()}
+	w.BytesN(s.Signature)
+	w.BytesN(s.Quote)
 	return w.buf
 }
 
 // UnmarshalSessionResumeReply decodes a resume reply.
 func UnmarshalSessionResumeReply(data []byte) (*SessionResumeReply, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	s := &SessionResumeReply{
-		Version:   r.u8(),
-		Nonce:     r.u64(),
-		SessionID: r.u64(),
-		Status:    ResponseStatus(r.u8()),
-		Detail:    r.str(),
+		Version:   r.U8(),
+		Nonce:     r.U64(),
+		SessionID: r.U64(),
+		Status:    ResponseStatus(r.U8()),
+		Detail:    r.Str(),
 	}
-	s.SnapshotID = r.u64()
-	n := int(r.u32())
+	s.SnapshotID = r.U64()
+	n := int(r.U32())
 	for i := 0; i < n && r.err == nil; i++ {
 		e := ResumeVerdict{
-			SubID:  r.u64(),
-			Kind:   QueryKind(r.u8()),
-			Status: ResponseStatus(r.u8()),
-			Seq:    r.u64(),
+			SubID:  r.U64(),
+			Kind:   QueryKind(r.U8()),
+			Status: ResponseStatus(r.U8()),
+			Seq:    r.U64(),
 		}
-		e.Detail = r.str()
+		e.Detail = r.Str()
 		s.Entries = append(s.Entries, e)
 	}
-	s.Signature = r.bytesN()
-	s.Quote = r.bytesN()
+	s.Signature = r.BytesN()
+	s.Quote = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}

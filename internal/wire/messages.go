@@ -77,41 +77,29 @@ var errBadVersion = errors.New("wire: unsupported query version")
 
 // Marshal encodes the request.
 func (q *QueryRequest) Marshal() []byte {
-	var w writer
-	w.u8(q.Version)
-	w.u8(uint8(q.Kind))
-	w.u64(q.ClientID)
-	w.u64(q.Nonce)
-	n := w.count16(len(q.Constraints))
-	for _, c := range q.Constraints[:n] {
-		w.u8(uint8(c.Field))
-		w.u64(c.Value)
-		w.u64(c.Mask)
-	}
-	w.str(q.Param)
-	w.u32(q.DeadlineMillis)
+	var w Writer
+	w.U8(q.Version)
+	w.U8(uint8(q.Kind))
+	w.U64(q.ClientID)
+	w.U64(q.Nonce)
+	w.Constraints(q.Constraints)
+	w.Str(q.Param)
+	w.U32(q.DeadlineMillis)
 	return w.buf
 }
 
 // UnmarshalQueryRequest decodes a request payload.
 func UnmarshalQueryRequest(data []byte) (*QueryRequest, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	q := &QueryRequest{
-		Version:  r.u8(),
-		Kind:     QueryKind(r.u8()),
-		ClientID: r.u64(),
-		Nonce:    r.u64(),
+		Version:  r.U8(),
+		Kind:     QueryKind(r.U8()),
+		ClientID: r.U64(),
+		Nonce:    r.U64(),
 	}
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
-		q.Constraints = append(q.Constraints, FieldConstraint{
-			Field: Field(r.u8()),
-			Value: r.u64(),
-			Mask:  r.u64(),
-		})
-	}
-	q.Param = r.str()
-	q.DeadlineMillis = r.u32()
+	q.Constraints = r.Constraints()
+	q.Param = r.Str()
+	q.DeadlineMillis = r.U32()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -185,9 +173,9 @@ type QueryResponse struct {
 
 // Marshal encodes the response including signature and quote.
 func (resp *QueryResponse) Marshal() []byte {
-	w := writer{buf: resp.core()}
-	w.bytesN(resp.Signature)
-	w.bytesN(resp.Quote)
+	w := Writer{buf: resp.core()}
+	w.BytesN(resp.Signature)
+	w.BytesN(resp.Quote)
 	return w.buf
 }
 
@@ -198,64 +186,60 @@ func (resp *QueryResponse) SigningBytes() []byte {
 }
 
 func (resp *QueryResponse) core() []byte {
-	var w writer
-	w.u8(resp.Version)
-	w.u8(uint8(resp.Kind))
-	w.u64(resp.Nonce)
-	w.u8(uint8(resp.Status))
-	w.str(resp.Detail)
-	ne := w.count16(len(resp.Endpoints))
+	var w Writer
+	w.U8(resp.Version)
+	w.U8(uint8(resp.Kind))
+	w.U64(resp.Nonce)
+	w.U8(uint8(resp.Status))
+	w.Str(resp.Detail)
+	ne := w.Count16(len(resp.Endpoints))
 	for _, e := range resp.Endpoints[:ne] {
-		w.u64(e.ClientID)
-		w.u32(e.SwitchID)
-		w.u32(e.Port)
-		if e.Authenticated {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.str(e.Detail)
+		w.U64(e.ClientID)
+		w.U32(e.SwitchID)
+		w.U32(e.Port)
+		w.Bool(e.Authenticated)
+		w.Str(e.Detail)
 	}
-	ng := w.count16(len(resp.Regions))
+	ng := w.Count16(len(resp.Regions))
 	for _, g := range resp.Regions[:ng] {
-		w.str(g)
+		w.Str(g)
 	}
-	w.u32(resp.AuthRequested)
-	w.u32(resp.AuthReplied)
-	w.u64(resp.SnapshotID)
+	w.U32(resp.AuthRequested)
+	w.U32(resp.AuthReplied)
+	w.U64(resp.SnapshotID)
 	return w.buf
 }
 
 // UnmarshalQueryResponse decodes a response payload.
 func UnmarshalQueryResponse(data []byte) (*QueryResponse, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	resp := &QueryResponse{
-		Version: r.u8(),
-		Kind:    QueryKind(r.u8()),
-		Nonce:   r.u64(),
-		Status:  ResponseStatus(r.u8()),
-		Detail:  r.str(),
+		Version: r.U8(),
+		Kind:    QueryKind(r.U8()),
+		Nonce:   r.U64(),
+		Status:  ResponseStatus(r.U8()),
+		Detail:  r.Str(),
 	}
-	n := int(r.u16())
+	n := int(r.U16())
 	for i := 0; i < n && r.err == nil; i++ {
 		e := Endpoint{
-			ClientID: r.u64(),
-			SwitchID: r.u32(),
-			Port:     r.u32(),
+			ClientID: r.U64(),
+			SwitchID: r.U32(),
+			Port:     r.U32(),
 		}
-		e.Authenticated = r.u8() == 1
-		e.Detail = r.str()
+		e.Authenticated = r.Bool()
+		e.Detail = r.Str()
 		resp.Endpoints = append(resp.Endpoints, e)
 	}
-	ng := int(r.u16())
+	ng := int(r.U16())
 	for i := 0; i < ng && r.err == nil; i++ {
-		resp.Regions = append(resp.Regions, r.str())
+		resp.Regions = append(resp.Regions, r.Str())
 	}
-	resp.AuthRequested = r.u32()
-	resp.AuthReplied = r.u32()
-	resp.SnapshotID = r.u64()
-	resp.Signature = r.bytesN()
-	resp.Quote = r.bytesN()
+	resp.AuthRequested = r.U32()
+	resp.AuthReplied = r.U32()
+	resp.SnapshotID = r.U64()
+	resp.Signature = r.BytesN()
+	resp.Quote = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -306,57 +290,45 @@ type SubscribeRequest struct {
 func (s *SubscribeRequest) SigningBytes() []byte { return s.core() }
 
 func (s *SubscribeRequest) core() []byte {
-	var w writer
-	w.u8(s.Version)
-	w.u8(uint8(s.Op))
-	w.u64(s.ClientID)
-	w.u64(s.Nonce)
-	w.u64(s.SubID)
-	w.u64(s.RefNonce)
-	w.u32(s.AnchorSwitch)
-	w.u32(s.AnchorPort)
-	w.u8(uint8(s.Kind))
-	n := w.count16(len(s.Constraints))
-	for _, c := range s.Constraints[:n] {
-		w.u8(uint8(c.Field))
-		w.u64(c.Value)
-		w.u64(c.Mask)
-	}
-	w.str(s.Param)
+	var w Writer
+	w.U8(s.Version)
+	w.U8(uint8(s.Op))
+	w.U64(s.ClientID)
+	w.U64(s.Nonce)
+	w.U64(s.SubID)
+	w.U64(s.RefNonce)
+	w.U32(s.AnchorSwitch)
+	w.U32(s.AnchorPort)
+	w.U8(uint8(s.Kind))
+	w.Constraints(s.Constraints)
+	w.Str(s.Param)
 	return w.buf
 }
 
 // Marshal encodes the subscribe request including the signature.
 func (s *SubscribeRequest) Marshal() []byte {
-	w := writer{buf: s.core()}
-	w.bytesN(s.Signature)
+	w := Writer{buf: s.core()}
+	w.BytesN(s.Signature)
 	return w.buf
 }
 
 // UnmarshalSubscribeRequest decodes a subscribe request payload.
 func UnmarshalSubscribeRequest(data []byte) (*SubscribeRequest, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	s := &SubscribeRequest{
-		Version:      r.u8(),
-		Op:           SubscribeOp(r.u8()),
-		ClientID:     r.u64(),
-		Nonce:        r.u64(),
-		SubID:        r.u64(),
-		RefNonce:     r.u64(),
-		AnchorSwitch: r.u32(),
-		AnchorPort:   r.u32(),
-		Kind:         QueryKind(r.u8()),
+		Version:      r.U8(),
+		Op:           SubscribeOp(r.U8()),
+		ClientID:     r.U64(),
+		Nonce:        r.U64(),
+		SubID:        r.U64(),
+		RefNonce:     r.U64(),
+		AnchorSwitch: r.U32(),
+		AnchorPort:   r.U32(),
+		Kind:         QueryKind(r.U8()),
 	}
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
-		s.Constraints = append(s.Constraints, FieldConstraint{
-			Field: Field(r.u8()),
-			Value: r.u64(),
-			Mask:  r.u64(),
-		})
-	}
-	s.Param = r.str()
-	s.Signature = r.bytesN()
+	s.Constraints = r.Constraints()
+	s.Param = r.Str()
+	s.Signature = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -426,43 +398,43 @@ type Notification struct {
 func (n *Notification) SigningBytes() []byte { return n.core() }
 
 func (n *Notification) core() []byte {
-	var w writer
-	w.u8(n.Version)
-	w.u8(uint8(n.Event))
-	w.u8(uint8(n.Kind))
-	w.u8(uint8(n.Status))
-	w.u64(n.SubID)
-	w.u64(n.Nonce)
-	w.u64(n.Seq)
-	w.u64(n.SnapshotID)
-	w.str(n.Detail)
+	var w Writer
+	w.U8(n.Version)
+	w.U8(uint8(n.Event))
+	w.U8(uint8(n.Kind))
+	w.U8(uint8(n.Status))
+	w.U64(n.SubID)
+	w.U64(n.Nonce)
+	w.U64(n.Seq)
+	w.U64(n.SnapshotID)
+	w.Str(n.Detail)
 	return w.buf
 }
 
 // Marshal encodes the notification including signature and quote.
 func (n *Notification) Marshal() []byte {
-	w := writer{buf: n.core()}
-	w.bytesN(n.Signature)
-	w.bytesN(n.Quote)
+	w := Writer{buf: n.core()}
+	w.BytesN(n.Signature)
+	w.BytesN(n.Quote)
 	return w.buf
 }
 
 // UnmarshalNotification decodes a notification payload.
 func UnmarshalNotification(data []byte) (*Notification, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	n := &Notification{
-		Version: r.u8(),
-		Event:   NotifyEvent(r.u8()),
-		Kind:    QueryKind(r.u8()),
-		Status:  ResponseStatus(r.u8()),
-		SubID:   r.u64(),
-		Nonce:   r.u64(),
-		Seq:     r.u64(),
+		Version: r.U8(),
+		Event:   NotifyEvent(r.U8()),
+		Kind:    QueryKind(r.U8()),
+		Status:  ResponseStatus(r.U8()),
+		SubID:   r.U64(),
+		Nonce:   r.U64(),
+		Seq:     r.U64(),
 	}
-	n.SnapshotID = r.u64()
-	n.Detail = r.str()
-	n.Signature = r.bytesN()
-	n.Quote = r.bytesN()
+	n.SnapshotID = r.U64()
+	n.Detail = r.Str()
+	n.Signature = r.BytesN()
+	n.Quote = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -515,49 +487,49 @@ func (b *NotifyBatch) SigningBytes() []byte {
 }
 
 func (b *NotifyBatch) appendCore(buf []byte) []byte {
-	w := writer{buf: buf}
-	w.u8(b.Version)
-	w.u64(b.SnapshotID)
-	w.u32(uint32(len(b.Items)))
+	w := Writer{buf: buf}
+	w.U8(b.Version)
+	w.U64(b.SnapshotID)
+	w.U32(uint32(len(b.Items)))
 	for _, it := range b.Items {
-		w.u8(uint8(it.Event))
-		w.u8(uint8(it.Kind))
-		w.u8(uint8(it.Status))
-		w.u64(it.SubID)
-		w.u64(it.Nonce)
-		w.u64(it.Seq)
-		w.str(it.Detail)
+		w.U8(uint8(it.Event))
+		w.U8(uint8(it.Kind))
+		w.U8(uint8(it.Status))
+		w.U64(it.SubID)
+		w.U64(it.Nonce)
+		w.U64(it.Seq)
+		w.Str(it.Detail)
 	}
 	return w.buf
 }
 
 // Marshal encodes the batch including signature and quote.
 func (b *NotifyBatch) Marshal() []byte {
-	w := writer{buf: b.appendCore(nil)}
-	w.bytesN(b.Signature)
-	w.bytesN(b.Quote)
+	w := Writer{buf: b.appendCore(nil)}
+	w.BytesN(b.Signature)
+	w.BytesN(b.Quote)
 	return w.buf
 }
 
 // UnmarshalNotifyBatch decodes a push batch.
 func UnmarshalNotifyBatch(data []byte) (*NotifyBatch, error) {
-	r := reader{buf: data}
-	b := &NotifyBatch{Version: r.u8(), SnapshotID: r.u64()}
-	n := int(r.u32())
+	r := Reader{buf: data}
+	b := &NotifyBatch{Version: r.U8(), SnapshotID: r.U64()}
+	n := int(r.U32())
 	for i := 0; i < n && r.err == nil; i++ {
 		it := NotifyItem{
-			Event:  NotifyEvent(r.u8()),
-			Kind:   QueryKind(r.u8()),
-			Status: ResponseStatus(r.u8()),
-			SubID:  r.u64(),
-			Nonce:  r.u64(),
-			Seq:    r.u64(),
+			Event:  NotifyEvent(r.U8()),
+			Kind:   QueryKind(r.U8()),
+			Status: ResponseStatus(r.U8()),
+			SubID:  r.U64(),
+			Nonce:  r.U64(),
+			Seq:    r.U64(),
 		}
-		it.Detail = r.str()
+		it.Detail = r.Str()
 		b.Items = append(b.Items, it)
 	}
-	b.Signature = r.bytesN()
-	b.Quote = r.bytesN()
+	b.Signature = r.BytesN()
+	b.Quote = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -595,20 +567,20 @@ type AuthRequest struct {
 
 // Marshal encodes the auth request.
 func (a *AuthRequest) Marshal() []byte {
-	var w writer
-	w.u64(a.QueryNonce)
-	w.u64(a.Challenge)
-	w.bytesN(a.ServerKey)
+	var w Writer
+	w.U64(a.QueryNonce)
+	w.U64(a.Challenge)
+	w.BytesN(a.ServerKey)
 	return w.buf
 }
 
 // UnmarshalAuthRequest decodes an auth request payload.
 func UnmarshalAuthRequest(data []byte) (*AuthRequest, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	a := &AuthRequest{
-		QueryNonce: r.u64(),
-		Challenge:  r.u64(),
-		ServerKey:  r.bytesN(),
+		QueryNonce: r.U64(),
+		Challenge:  r.U64(),
+		ServerKey:  r.BytesN(),
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -630,31 +602,31 @@ type AuthReply struct {
 
 // SigningBytes returns the canonical bytes the agent signs.
 func (a *AuthReply) SigningBytes() []byte {
-	var w writer
-	w.u64(a.QueryNonce)
-	w.u64(a.Challenge)
-	w.u64(a.ClientID)
+	var w Writer
+	w.U64(a.QueryNonce)
+	w.U64(a.Challenge)
+	w.U64(a.ClientID)
 	return w.buf
 }
 
 // Marshal encodes the auth reply.
 func (a *AuthReply) Marshal() []byte {
-	w := writer{buf: a.SigningBytes()}
-	w.bytesN(a.Signature)
-	w.bytesN(a.PubKey)
+	w := Writer{buf: a.SigningBytes()}
+	w.BytesN(a.Signature)
+	w.BytesN(a.PubKey)
 	return w.buf
 }
 
 // UnmarshalAuthReply decodes an auth reply payload.
 func UnmarshalAuthReply(data []byte) (*AuthReply, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	a := &AuthReply{
-		QueryNonce: r.u64(),
-		Challenge:  r.u64(),
-		ClientID:   r.u64(),
+		QueryNonce: r.U64(),
+		Challenge:  r.U64(),
+		ClientID:   r.U64(),
 	}
-	a.Signature = r.bytesN()
-	a.PubKey = r.bytesN()
+	a.Signature = r.BytesN()
+	a.PubKey = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -674,31 +646,31 @@ type ProbePayload struct {
 
 // SigningBytes returns the canonical bytes covered by the MAC.
 func (pp *ProbePayload) SigningBytes() []byte {
-	var w writer
-	w.u64(pp.ProbeID)
-	w.u32(pp.SrcSwitch)
-	w.u32(pp.SrcPort)
-	w.u64(uint64(pp.IssuedUnix))
+	var w Writer
+	w.U64(pp.ProbeID)
+	w.U32(pp.SrcSwitch)
+	w.U32(pp.SrcPort)
+	w.U64(uint64(pp.IssuedUnix))
 	return w.buf
 }
 
 // Marshal encodes the probe payload.
 func (pp *ProbePayload) Marshal() []byte {
-	w := writer{buf: pp.SigningBytes()}
-	w.bytesN(pp.MAC)
+	w := Writer{buf: pp.SigningBytes()}
+	w.BytesN(pp.MAC)
 	return w.buf
 }
 
 // UnmarshalProbePayload decodes a probe payload.
 func UnmarshalProbePayload(data []byte) (*ProbePayload, error) {
-	r := reader{buf: data}
+	r := Reader{buf: data}
 	pp := &ProbePayload{
-		ProbeID:   r.u64(),
-		SrcSwitch: r.u32(),
-		SrcPort:   r.u32(),
+		ProbeID:   r.U64(),
+		SrcSwitch: r.U32(),
+		SrcPort:   r.U32(),
 	}
-	pp.IssuedUnix = int64(r.u64())
-	pp.MAC = r.bytesN()
+	pp.IssuedUnix = int64(r.U64())
+	pp.MAC = r.BytesN()
 	if r.err != nil {
 		return nil, r.err
 	}
