@@ -484,16 +484,16 @@ func e15(iters int) error {
 }
 
 func e16(int) error {
-	fmt.Printf("%-10s %-6s %-11s %-15s %-18s %-12s %-9s %-10s\n",
-		"lab", "loss%", "partition", "detach-detect", "reattach-converge", "stale-green", "rejoins", "ch-dropped")
+	fmt.Printf("%-10s %-6s %-11s %-15s %-18s %-12s %-9s %-10s %-12s\n",
+		"lab", "loss%", "partition", "detach-detect", "reattach-converge", "stale-green", "rejoins", "ch-dropped", "ch-reordered")
 	childCmd := func(string) []string { return []string{os.Args[0], "--placed-child"} }
 	rows, err := experiments.FaultEnvelopeSweep(childCmd, nil, benchSeed)
 	for _, r := range rows {
-		fmt.Printf("%-10s %-6d %-11s %-15s %-18s %-12d %-9d %-10d\n",
+		fmt.Printf("%-10s %-6d %-11s %-15s %-18s %-12d %-9d %-10d %-12d\n",
 			r.Lab, r.LossPct, r.Partition,
 			r.DetachDetect.Round(time.Millisecond),
 			r.ReattachConverge.Round(time.Millisecond),
-			r.StaleGreen, r.Rejoins, r.ChannelDropped)
+			r.StaleGreen, r.Rejoins, r.ChannelDropped, r.ChannelReordered)
 	}
 	return errors.Join(err, check(rows))
 }

@@ -366,7 +366,8 @@ func (c *opsClient) sessions() error {
 	}
 	fmt.Fprintf(out, "switch sessions (%d):\n", len(view.Switches))
 	for _, ss := range view.Switches {
-		fmt.Fprintf(out, "  switch=%-6d peer=%-12s %s\n", ss.Switch, ss.PeerName, switchStateString(ss))
+		fmt.Fprintf(out, "  switch=%-6d peer=%-12s %-10s selfRulesMissing=%d\n",
+			ss.Switch, ss.PeerName, switchStateString(ss), ss.SelfRulesMissing)
 	}
 	return nil
 }

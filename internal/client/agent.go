@@ -217,16 +217,6 @@ func (a *Agent) SessionID() uint64 { return a.sessionID }
 // with RVaaS out of band).
 func (a *Agent) PublicKey() ed25519.PublicKey { return a.pub }
 
-// ClientID returns the agent's identity.
-func (a *Agent) ClientID() uint64 { return a.cfg.ClientID }
-
-// AuthRequestsSeen counts authentication requests this agent answered.
-func (a *Agent) AuthRequestsSeen() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.authSeen
-}
-
 // QuoteVerifications counts quotes actually checked under the platform root
 // key: one per pinned key, plus any message presenting some other quote.
 func (a *Agent) QuoteVerifications() uint64 {
@@ -239,12 +229,6 @@ func (a *Agent) QuoteVerifications() uint64 {
 // under the pinned key: one per reply, ack or push batch that had a taker.
 // Messages nobody here waits for are discarded before any signature work.
 func (a *Agent) SignatureVerifications() uint64 { return a.sigChecks.Load() }
-
-// ChainsDropped counts chunked server messages discarded before their chain
-// completed (evicted, torn or carrying a duplicated fragment). Pushes are
-// fire-and-forget, so on a lossy channel this is a normal event; the loss
-// itself surfaces as a Seq gap on the stream's next push.
-func (a *Agent) ChainsDropped() uint64 { return a.reasm.Dropped() }
 
 // NotificationsDropped counts verified notifications discarded as replayed
 // or out of order, or because a subscription channel was full.
@@ -296,12 +280,6 @@ func (a *Agent) Close() {
 		a.closeSubLocked(sub)
 		delete(a.subsByNonce, nonce)
 	}
-}
-
-// HandleFrame is the agent's NIC receive path at its primary access point;
-// attach it to the fabric as the host handler.
-func (a *Agent) HandleFrame(pkt *wire.Packet) {
-	a.handleEnvelope(a.cfg.Access, pkt)
 }
 
 // HandlerFor returns a receive path bound to one of the client's (possibly
@@ -380,12 +358,6 @@ func (a *Agent) handleAuthRequest(ap topology.AccessPoint, body []byte) {
 // against the agent's trust anchors.
 func (a *Agent) VerifyResponse(resp *wire.QueryResponse) error {
 	return a.verifyFromServer(resp.SigningBytes(), resp.Signature, resp.Quote)
-}
-
-// VerifyNotification checks a subscription notification's signature and
-// attestation quote against the agent's trust anchors.
-func (a *Agent) VerifyNotification(n *wire.Notification) error {
-	return a.verifyFromServer(n.SigningBytes(), n.Signature, n.Quote)
 }
 
 // verifyFromServer checks an enclave signature plus attestation quote over
@@ -969,14 +941,6 @@ func (a *Agent) sharedResume() ([]wire.ResumeVerdict, error) {
 	a.mu.Unlock()
 	close(ch)
 	return res, err
-}
-
-// SessionResumesSent counts ResumeSession exchanges this agent issued
-// (including those triggered by automatic gap recovery).
-func (a *Agent) SessionResumesSent() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.resumes
 }
 
 // abandonSubscription fire-and-forgets a signed remove-by-nonce for a

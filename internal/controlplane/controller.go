@@ -61,9 +61,6 @@ func NewWithProgrammer(topo *topology.Topology, prog Programmer) *Controller {
 	return &Controller{topo: topo, prog: prog, routePriority: 100}
 }
 
-// Fabric returns the managed fabric (nil with a remote programming plane).
-func (c *Controller) Fabric() *fabric.Fabric { return c.fab }
-
 // fabricProgrammer applies flow mods to in-process datapaths.
 type fabricProgrammer struct{ fab *fabric.Fabric }
 

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -142,7 +143,11 @@ func TestRestartReattestsOncePerEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(topo, Options{Persist: rvaas.NewMemStore()})
+	store, err := rvaas.OpenFileStore(filepath.Join(t.TempDir(), "subs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(topo, Options{Persist: store})
 	if err != nil {
 		t.Fatal(err)
 	}

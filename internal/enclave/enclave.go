@@ -1,26 +1,22 @@
 // Package enclave simulates the trusted-hardware substrate the paper points
 // to ("our architecture can also benefit from the advent of novel hardware
 // developed in the context of Intel SGX", §I-B): measurement-based launch,
-// local/remote attestation quotes, sealed storage, and monotonic counters.
+// and local/remote attestation quotes.
 //
 // Substitution note (see DESIGN.md): the cryptographic protocol is real —
 // Ed25519 quotes over a SHA-256 code measurement with caller-chosen report
-// data, AES-GCM sealing under a measurement-derived key — only the hardware
-// root of trust is software. Everything RVaaS and its clients do with the
-// enclave (verify the service's identity, pin its signing key, protect
-// state) exercises the same code paths as on real SGX.
+// data — only the hardware root of trust is software. Everything RVaaS and
+// its clients do with the enclave (verify the service's identity, pin its
+// signing key) exercises the same code paths as on real SGX.
 package enclave
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Measurement is the SHA-256 hash of the launched code identity (MRENCLAVE
@@ -32,12 +28,8 @@ func MeasurementOf(code []byte) Measurement {
 	return sha256.Sum256(code)
 }
 
-// Errors returned by the package.
-var (
-	ErrQuoteInvalid  = errors.New("enclave: quote verification failed")
-	ErrSealCorrupt   = errors.New("enclave: sealed blob corrupt or wrong enclave")
-	ErrCounterBehind = errors.New("enclave: monotonic counter regression")
-)
+// ErrQuoteInvalid is returned for a quote that fails verification.
+var ErrQuoteInvalid = errors.New("enclave: quote verification failed")
 
 // Quote is an attestation statement: "an enclave with this measurement,
 // running on a platform endorsed by the root key, produced this report
@@ -92,7 +84,6 @@ func (q *Quote) Verify(rootPub ed25519.PublicKey) bool {
 type Platform struct {
 	rootPub  ed25519.PublicKey
 	rootPriv ed25519.PrivateKey
-	secret   [32]byte // platform sealing secret (fused key analogue)
 }
 
 // NewPlatform generates a platform with a fresh attestation root.
@@ -101,11 +92,7 @@ func NewPlatform() (*Platform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform keygen: %w", err)
 	}
-	p := &Platform{rootPub: pub, rootPriv: priv}
-	if _, err := rand.Read(p.secret[:]); err != nil {
-		return nil, fmt.Errorf("platform secret: %w", err)
-	}
-	return p, nil
+	return &Platform{rootPub: pub, rootPriv: priv}, nil
 }
 
 // RootKey returns the attestation root public key clients pin.
@@ -117,14 +104,11 @@ func (p *Platform) Launch(code []byte) (*Enclave, error) {
 	if err != nil {
 		return nil, fmt.Errorf("enclave keygen: %w", err)
 	}
-	m := MeasurementOf(code)
-	sealKey := sha256.Sum256(append(append([]byte("seal.1"), p.secret[:]...), m[:]...))
 	e := &Enclave{
 		platform:    p,
-		measurement: m,
+		measurement: MeasurementOf(code),
 		signPub:     pub,
 		signPriv:    priv,
-		sealKey:     sealKey,
 	}
 	// Attestation is a launch-time cost: the key never changes, so neither
 	// does the quote that commits to it.
@@ -139,11 +123,7 @@ type Enclave struct {
 	measurement Measurement
 	signPub     ed25519.PublicKey
 	signPriv    ed25519.PrivateKey
-	sealKey     [32]byte
 	keyQuote    []byte // marshalled, signed once by Launch, read-only after
-
-	mu      sync.Mutex
-	counter uint64
 }
 
 // Measurement returns the enclave's code measurement.
@@ -212,63 +192,6 @@ func VerifyKeyQuote(rootPub ed25519.PublicKey, quote *Quote, expected Measuremen
 	}
 	if quote.ReportData != keyReportData(serviceKey) {
 		return fmt.Errorf("%w: report data does not commit to service key", ErrQuoteInvalid)
-	}
-	return nil
-}
-
-// Seal encrypts data so only an enclave with the same measurement on the
-// same platform can recover it.
-func (e *Enclave) Seal(data []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("seal: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("seal: %w", err)
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("seal nonce: %w", err)
-	}
-	return gcm.Seal(nonce, nonce, data, e.measurement[:]), nil
-}
-
-// Unseal decrypts a sealed blob.
-func (e *Enclave) Unseal(blob []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("unseal: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("unseal: %w", err)
-	}
-	if len(blob) < gcm.NonceSize() {
-		return nil, ErrSealCorrupt
-	}
-	plain, err := gcm.Open(nil, blob[:gcm.NonceSize()], blob[gcm.NonceSize():], e.measurement[:])
-	if err != nil {
-		return nil, ErrSealCorrupt
-	}
-	return plain, nil
-}
-
-// CounterIncrement advances and returns the enclave's monotonic counter
-// (used to defeat state rollback of the snapshot history).
-func (e *Enclave) CounterIncrement() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.counter++
-	return e.counter
-}
-
-// CounterAssert verifies the supplied value is not behind the counter.
-func (e *Enclave) CounterAssert(v uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v < e.counter {
-		return ErrCounterBehind
 	}
 	return nil
 }

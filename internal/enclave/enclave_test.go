@@ -132,79 +132,6 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
-func TestSealUnsealRoundTrip(t *testing.T) {
-	_, e := testEnclave(t, "rvaas-v1")
-	secret := []byte("snapshot-state")
-	blob, err := e.Seal(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Unseal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Error("unsealed data differs")
-	}
-}
-
-func TestSealBoundToMeasurement(t *testing.T) {
-	p, e := testEnclave(t, "rvaas-v1")
-	evil, err := p.Launch([]byte("evil-v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := e.Seal([]byte("secret"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := evil.Unseal(blob); !errors.Is(err, ErrSealCorrupt) {
-		t.Errorf("cross-enclave unseal: %v, want ErrSealCorrupt", err)
-	}
-}
-
-func TestSealBoundToPlatform(t *testing.T) {
-	_, e1 := testEnclave(t, "rvaas-v1")
-	_, e2 := testEnclave(t, "rvaas-v1") // same code, different platform
-	blob, err := e1.Seal([]byte("secret"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Unseal(blob); !errors.Is(err, ErrSealCorrupt) {
-		t.Errorf("cross-platform unseal: %v, want ErrSealCorrupt", err)
-	}
-}
-
-func TestSealCorruption(t *testing.T) {
-	_, e := testEnclave(t, "rvaas-v1")
-	blob, err := e.Seal([]byte("secret"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-1] ^= 0xFF
-	if _, err := e.Unseal(blob); !errors.Is(err, ErrSealCorrupt) {
-		t.Errorf("corrupt unseal: %v", err)
-	}
-	if _, err := e.Unseal([]byte{1}); !errors.Is(err, ErrSealCorrupt) {
-		t.Errorf("tiny blob: %v", err)
-	}
-}
-
-func TestMonotonicCounter(t *testing.T) {
-	_, e := testEnclave(t, "rvaas-v1")
-	v1 := e.CounterIncrement()
-	v2 := e.CounterIncrement()
-	if v2 != v1+1 {
-		t.Errorf("counter not monotonic: %d %d", v1, v2)
-	}
-	if err := e.CounterAssert(v2); err != nil {
-		t.Errorf("current value rejected: %v", err)
-	}
-	if err := e.CounterAssert(v1); !errors.Is(err, ErrCounterBehind) {
-		t.Errorf("stale value accepted: %v", err)
-	}
-}
-
 func TestMeasurementDeterminism(t *testing.T) {
 	if MeasurementOf([]byte("a")) != MeasurementOf([]byte("a")) {
 		t.Error("measurement not deterministic")

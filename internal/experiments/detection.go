@@ -400,14 +400,3 @@ func FormatMatrix(results []DetectionResult) string {
 	}
 	return out
 }
-
-// DetectionScore summarizes detection counts per detector.
-func DetectionScore(results []DetectionResult) map[string]int {
-	score := make(map[string]int)
-	for _, r := range results {
-		if r.Err == nil && r.Detected {
-			score[r.Detector]++
-		}
-	}
-	return score
-}

@@ -65,9 +65,14 @@ func TestDetectionMatrixHonestProvider(t *testing.T) {
 		t.Error("baselines cannot see a join attack even with an honest provider")
 	}
 	// RVaaS still detects everything.
-	score := DetectionScore(results)
-	if score["rvaas"] != 7 {
-		t.Errorf("rvaas score = %d/7", score["rvaas"])
+	rvaas := 0
+	for _, r := range results {
+		if r.Detector == "rvaas" && r.Detected {
+			rvaas++
+		}
+	}
+	if rvaas != 7 {
+		t.Errorf("rvaas score = %d/7", rvaas)
 	}
 	// The covert meter throttle is invisible to path observation even with
 	// an honest provider: the probe passes the burst allowance.

@@ -91,6 +91,9 @@ type FaultEnvelopeRow struct {
 	// ChannelDropped is the injector's count of channel messages eaten by
 	// the loss profile (0 for the loss-free row).
 	ChannelDropped uint64
+	// ChannelReordered is the injector's count of channel frames delivered
+	// behind a later-sent one.
+	ChannelReordered uint64
 }
 
 // The E16 envelope bounds. Detection must beat 5× the lab's 400 ms
@@ -262,7 +265,8 @@ func faultEnvelope(childCmd func(string) []string, logf func(string, ...any), lo
 	}
 	row.ReattachConverge = time.Since(healed)
 	row.Rejoins = totalJoins() - joinsBefore
-	row.ChannelDropped = p.Faults().Counters.ChannelDropped
+	counters := p.Faults().Counters
+	row.ChannelDropped, row.ChannelReordered = counters.ChannelDropped, counters.ChannelReordered
 	return row, nil
 }
 

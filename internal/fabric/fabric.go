@@ -106,7 +106,9 @@ func (f *Fabric) Switches() map[topology.SwitchID]*switchsim.Switch {
 	return out
 }
 
-// AttachHost registers a host NIC handler at an access-point endpoint.
+// AttachHost registers a host NIC handler at an access-point endpoint. A
+// nil handler detaches the host: frames for it are counted and dropped, or
+// sent over the trunk when the host lives in another process.
 func (f *Fabric) AttachHost(ep topology.Endpoint, h HostHandler) error {
 	if f.topo.IsInternal(ep) {
 		return fmt.Errorf("fabric: %s is an internal port", ep)
@@ -118,13 +120,6 @@ func (f *Fabric) AttachHost(ep topology.Endpoint, h HostHandler) error {
 	defer f.mu.Unlock()
 	f.hosts[ep] = h
 	return nil
-}
-
-// DetachHost removes a host handler.
-func (f *Fabric) DetachHost(ep topology.Endpoint) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.hosts, ep)
 }
 
 // InjectFromHost feeds a frame from a host NIC into its access switch.
@@ -239,20 +234,6 @@ func (f *Fabric) recordTrace(ev TraceEvent) {
 		return
 	}
 	f.trace = append(f.trace, ev)
-}
-
-// LinkDeliveries returns the number of internal-link traversals so far.
-func (f *Fabric) LinkDeliveries() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.delivered
-}
-
-// HostDeliveries returns the number of frames handed to host NICs.
-func (f *Fabric) HostDeliveries() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.hostRx
 }
 
 // Close shuts down every switch.

@@ -137,7 +137,7 @@ func TestTTLBoundsForwardingLoop(t *testing.T) {
 	for _, sw := range topo.Switches() {
 		f.Switch(sw).InstallDirect(openflow.FlowEntry{
 			Priority: 1,
-			Match:    openflow.MatchAll(),
+			Match:    openflow.Match{InPort: openflow.AnyPort},
 			Actions:  []openflow.Action{openflow.Output(2)},
 		})
 	}
@@ -211,7 +211,7 @@ func TestMulticastToTwoHosts(t *testing.T) {
 	aps := topo.AccessPoints()
 	// Hub floods; leaves forward to their host port.
 	f.Switch(1).InstallDirect(openflow.FlowEntry{
-		Priority: 1, Match: openflow.MatchAll(),
+		Priority: 1, Match: openflow.Match{InPort: openflow.AnyPort},
 		Actions: []openflow.Action{openflow.Output(openflow.FloodPort)},
 	})
 	for _, ap := range aps {
@@ -264,7 +264,9 @@ func TestDetachHost(t *testing.T) {
 	if err := f.AttachHost(aps[1].Endpoint, mb.handler); err != nil {
 		t.Fatal(err)
 	}
-	f.DetachHost(aps[1].Endpoint)
+	if err := f.AttachHost(aps[1].Endpoint, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.InjectFromHost(aps[0].Endpoint, udp(aps[0], aps[1])); err != nil {
 		t.Fatal(err)
 	}

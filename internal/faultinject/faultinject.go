@@ -45,7 +45,8 @@ const (
 	// flows, liveness does not — the nastiest stale-green probe.
 	KindStarveBeats = "starve-beats"
 	// KindKill SIGKILLs the group's child process once when the window
-	// opens (recovery then needs an operator Respawn, unlike trunk faults).
+	// opens. Unlike a trunk fault it does not heal: nothing respawns the
+	// child.
 	KindKill = "kill"
 )
 
@@ -153,10 +154,12 @@ type Counters struct {
 	ChannelDropped    uint64
 	ChannelDelayed    uint64
 	ChannelDuplicated uint64
-	ChannelReordered  uint64
-	TrunkDropped      uint64
-	TrunkDelayed      uint64
-	JoinsRefused      uint64
+	// ChannelReordered counts frames handed to the link after a frame sent
+	// later on the same link: rolled reorders and delay overtakes alike.
+	ChannelReordered uint64
+	TrunkDropped     uint64
+	TrunkDelayed     uint64
+	JoinsRefused     uint64
 }
 
 // Injector owns the fault state of one lab: declared profiles, scheduled
@@ -266,19 +269,6 @@ func (in *Injector) Windows() ([]Window, Counters) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, in.counters
-}
-
-// Active reports whether window id exists and is active now.
-func (in *Injector) Active(id uint64) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	now := in.now()
-	for _, w := range in.windows {
-		if w.ID == id {
-			return w.activeAt(now)
-		}
-	}
-	return false
 }
 
 // TakeActions returns the one-shot windows (reset, kill) that have opened

@@ -295,3 +295,50 @@ func TestChannelTransportSwitchSelector(t *testing.T) {
 		t.Fatal("switch 3 message survived a 100% drop window")
 	}
 }
+
+// TestChannelReorderCounted: every frame the injector hands to the link
+// behind a later-sent one is counted, whether a rolled reorder held it back
+// or a shorter delay let a later frame overtake it.
+func TestChannelReorderCounted(t *testing.T) {
+	run := func(p Profile) (observed int, counted uint64) {
+		in := New(3)
+		if err := in.DefineProfile(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Schedule(Window{Target: TargetChannel, Profile: p.Name}); err != nil {
+			t.Fatal(err)
+		}
+		a, b := openflow.Pipe()
+		defer a.Close()
+		defer b.Close()
+		ft := in.WrapChannel("link", a)
+		const frames = 200
+		for i := 0; i < frames; i++ {
+			if err := ft.Send([]byte{byte(i >> 8), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		high := -1
+		for {
+			got, ok := recvOne(b, 200*time.Millisecond)
+			if !ok {
+				break
+			}
+			if i := int(got[0])<<8 | int(got[1]); i < high {
+				observed++
+			} else {
+				high = i
+			}
+		}
+		_, c := in.Windows()
+		return observed, c.ChannelReordered
+	}
+	// Rolled reorders deliver on the sender's goroutine: the count is exact.
+	if observed, counted := run(Profile{Name: "reorder", Reorder: 0.3}); observed == 0 || counted != uint64(observed) {
+		t.Fatalf("rolled reorders: %d frames arrived behind a later one, %d counted", observed, counted)
+	}
+	// One timer per delayed frame: jitter lets later frames overtake.
+	if observed, counted := run(Profile{Name: "jitter", Latency: time.Millisecond, Jitter: 5 * time.Millisecond}); observed == 0 || counted == 0 {
+		t.Fatalf("delay overtakes: %d frames arrived behind a later one, %d counted", observed, counted)
+	}
+}

@@ -19,9 +19,10 @@ type timeoutRecver interface {
 // untouched. The wrapper always reports Lossy — a faulted channel is
 // best-effort by construction, whatever the substrate.
 //
-// Reordered or duplicated ciphertexts are rejected by the secure
-// channel's anti-replay window and so surface as loss to the session —
-// exactly how a real datagram path misbehaves under the channel's rules.
+// Each delayed frame gets its own timer, so frames may overtake each other
+// even without a rolled reorder. The secure channel's replay window takes
+// a late frame within its 64-counter window and drops a duplicate or an
+// older one: to the session, misordering is at worst loss.
 type ChannelTransport struct {
 	inner openflow.Transport
 	inj   *Injector
@@ -30,7 +31,16 @@ type ChannelTransport struct {
 	send *DecisionStream
 	recv *DecisionStream
 	sw   uint32
-	held []byte // reorder hold-back: sent after the next message
+	held frame // reorder hold-back: sent after the next message
+	// lastSeq stamps frames in send order; maxOut is the highest stamp
+	// handed to the inner transport so far.
+	lastSeq, maxOut uint64
+}
+
+// frame is one message stamped with its per-link send sequence.
+type frame struct {
+	data []byte
+	seq  uint64
 }
 
 // WrapChannel wraps one attach-path transport. key must be stable for the
@@ -54,27 +64,26 @@ func (t *ChannelTransport) SetSwitch(sw uint32) {
 	t.mu.Unlock()
 }
 
-// Inner returns the wrapped transport.
-func (t *ChannelTransport) Inner() openflow.Transport { return t.inner }
-
 // Lossy marks the channel best-effort.
 func (t *ChannelTransport) Lossy() bool { return true }
 
-// sendDecision rolls the send-side fate of one message, also returning
-// any held reorder payload to flush after it.
-func (t *ChannelTransport) sendDecision(data []byte) (d Decision, flush []byte, active bool) {
+// sendDecision stamps one message and rolls its send-side fate. cur is the
+// message to send now (empty when a reorder holds it back) and flush the
+// previously held message to send after it, if any.
+func (t *ChannelTransport) sendDecision(data []byte) (d Decision, cur, flush frame, active bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.lastSeq++
+	cur = frame{data: data, seq: t.lastSeq}
 	p, ok := t.inj.channelProfile(t.sw)
 	if !ok {
-		flush = t.held
-		t.held = nil
-		return Decision{}, flush, false
+		flush, t.held = t.held, frame{}
+		return Decision{}, cur, flush, false
 	}
 	d = t.send.Next(p)
 	if d.Drop {
 		t.inj.count(&t.inj.counters.ChannelDropped)
-		return d, nil, true
+		return d, frame{}, frame{}, true
 	}
 	if d.Duplicate {
 		t.inj.count(&t.inj.counters.ChannelDuplicated)
@@ -82,53 +91,66 @@ func (t *ChannelTransport) sendDecision(data []byte) (d Decision, flush []byte, 
 	if d.Delay > 0 {
 		t.inj.count(&t.inj.counters.ChannelDelayed)
 	}
+	flush, t.held = t.held, frame{}
 	if d.Reorder {
-		t.inj.count(&t.inj.counters.ChannelReordered)
-		t.held, data = data, t.held // hold this one, flush the previous
-		flush = data
-		d.Reorder = true
-	} else {
-		flush = t.held
-		t.held = nil
+		cur, t.held = frame{}, cur
 	}
-	return d, flush, true
+	return d, cur, flush, true
 }
 
-// deliver sends one payload now or after the decision's delay.
-func (t *ChannelTransport) deliver(data []byte, delay time.Duration) error {
-	if delay <= 0 {
-		return t.inner.Send(data)
+// out hands one frame to the inner transport, blocking unless try is set.
+// A frame handed over after a later-sent one counts as reordered.
+func (t *ChannelTransport) out(f frame, try bool) (bool, error) {
+	t.mu.Lock()
+	if f.seq < t.maxOut {
+		t.inj.count(&t.inj.counters.ChannelReordered)
+	} else {
+		t.maxOut = f.seq
 	}
-	time.AfterFunc(delay, func() { _ = t.inner.Send(data) })
+	t.mu.Unlock()
+	if try {
+		return t.inner.TrySend(f.data)
+	}
+	return true, t.inner.Send(f.data)
+}
+
+// deliver sends one frame now or after the decision's delay.
+func (t *ChannelTransport) deliver(f frame, delay time.Duration) error {
+	if delay <= 0 {
+		_, err := t.out(f, false)
+		return err
+	}
+	time.AfterFunc(delay, func() { _, _ = t.out(f, false) })
 	return nil
 }
 
 // Send applies the active profile and forwards.
 func (t *ChannelTransport) Send(data []byte) error {
-	d, flush, active := t.sendDecision(data)
+	d, cur, flush, active := t.sendDecision(data)
 	if !active {
-		if flush != nil {
-			_ = t.inner.Send(flush)
+		if flush.data != nil {
+			_, _ = t.out(flush, false)
 		}
-		return t.inner.Send(data)
+		_, err := t.out(cur, false)
+		return err
 	}
 	if d.Drop {
 		return nil // the network ate it
 	}
 	if d.Reorder {
-		// data is held; flush is the previously held message (may be nil).
-		if flush != nil {
+		// data is held; flush is the previously held message (may be empty).
+		if flush.data != nil {
 			return t.deliver(flush, d.Delay)
 		}
 		return nil
 	}
-	if err := t.deliver(data, d.Delay); err != nil {
+	if err := t.deliver(cur, d.Delay); err != nil {
 		return err
 	}
 	if d.Duplicate {
-		_ = t.deliver(data, d.Delay)
+		_ = t.deliver(cur, d.Delay)
 	}
-	if flush != nil {
+	if flush.data != nil {
 		return t.deliver(flush, d.Delay)
 	}
 	return nil
@@ -137,38 +159,38 @@ func (t *ChannelTransport) Send(data []byte) error {
 // TrySend applies the same perturbations without blocking; a dropped
 // message reports sent (the caller cannot tell loss from delivery).
 func (t *ChannelTransport) TrySend(data []byte) (bool, error) {
-	d, flush, active := t.sendDecision(data)
+	d, cur, flush, active := t.sendDecision(data)
 	if !active {
-		if flush != nil {
-			_, _ = t.inner.TrySend(flush)
+		if flush.data != nil {
+			_, _ = t.out(flush, true)
 		}
-		return t.inner.TrySend(data)
+		return t.out(cur, true)
 	}
 	if d.Drop {
 		return true, nil
 	}
 	if d.Reorder {
-		if flush != nil {
+		if flush.data != nil {
 			_ = t.deliver(flush, d.Delay)
 		}
 		return true, nil
 	}
 	if d.Delay > 0 {
-		_ = t.deliver(data, d.Delay)
+		_ = t.deliver(cur, d.Delay)
 		if d.Duplicate {
-			_ = t.deliver(data, d.Delay)
+			_ = t.deliver(cur, d.Delay)
 		}
-		if flush != nil {
+		if flush.data != nil {
 			_ = t.deliver(flush, d.Delay)
 		}
 		return true, nil
 	}
-	sent, err := t.inner.TrySend(data)
+	sent, err := t.out(cur, true)
 	if sent && d.Duplicate {
-		_, _ = t.inner.TrySend(data)
+		_, _ = t.out(cur, true)
 	}
-	if flush != nil {
-		_, _ = t.inner.TrySend(flush)
+	if flush.data != nil {
+		_, _ = t.out(flush, true)
 	}
 	return sent, err
 }
@@ -229,7 +251,7 @@ func (t *ChannelTransport) RecvTimeout(d time.Duration) ([]byte, error) {
 // Close tears the wrapped transport down.
 func (t *ChannelTransport) Close() {
 	t.mu.Lock()
-	t.held = nil
+	t.held = frame{}
 	t.mu.Unlock()
 	t.inner.Close()
 }

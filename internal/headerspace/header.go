@@ -64,11 +64,6 @@ type Header struct {
 	words []uint64
 }
 
-// NewHeader returns a header of the given width with every bit set to x.
-func NewHeader(width int) Header {
-	return AllX(width)
-}
-
 // AllX returns the header matching everything (all bits wildcarded).
 func AllX(width int) Header {
 	h := Header{width: width, words: make([]uint64, wordsFor(width))}
@@ -77,11 +72,6 @@ func AllX(width int) Header {
 	}
 	h.maskTail()
 	return h
-}
-
-// Empty returns a header denoting the empty set (all bits z).
-func Empty(width int) Header {
-	return Header{width: width, words: make([]uint64, wordsFor(width))}
 }
 
 // Filled returns a header with every position set to the given ternary bit.
@@ -321,29 +311,6 @@ func (h Header) CountWildcards() int {
 	return n
 }
 
-// MatchesValue reports whether the concrete bit string v (v[i] in {0,1},
-// index 0 = LSB) is matched by h.
-func (h Header) MatchesValue(v []byte) bool {
-	if len(v) != h.width {
-		return false
-	}
-	for i := 0; i < h.width; i++ {
-		switch h.Bit(i) {
-		case Bit0:
-			if v[i] != 0 {
-				return false
-			}
-		case Bit1:
-			if v[i] != 1 {
-				return false
-			}
-		case BitZ:
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the header MSB-first, e.g. "1x0" for width 3.
 func (h Header) String() string {
 	if h.IsEmpty() {
@@ -410,21 +377,6 @@ func FromValueMask(total, offset, width int, value, mask uint64) Header {
 		}
 	}
 	return h
-}
-
-// ExtractValue reads `width` concrete bits starting at offset. Wildcard
-// positions read as 0. The second return is false if any read bit is z.
-func (h Header) ExtractValue(offset, width int) (uint64, bool) {
-	var v uint64
-	for i := 0; i < width; i++ {
-		switch h.Bit(offset + i) {
-		case Bit1:
-			v |= 1 << uint(i)
-		case BitZ:
-			return 0, false
-		}
-	}
-	return v, true
 }
 
 // Rewrite returns a copy of h where every position with mask bit 1 is set to

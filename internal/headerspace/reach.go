@@ -62,16 +62,6 @@ func (n *Network) AddNode(id NodeID, tf *TransferFunction) error {
 // Node returns the transfer function for id, or nil.
 func (n *Network) Node(id NodeID) *TransferFunction { return n.nodes[id] }
 
-// NodeIDs returns the registered node ids in ascending order.
-func (n *Network) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // AddLink wires from → to (unidirectional).
 func (n *Network) AddLink(l Link) {
 	n.wires[nodePort{l.FromNode, l.FromPort}] = nodePort{l.ToNode, l.ToPort}
@@ -87,13 +77,6 @@ func (n *Network) AddDuplex(a NodeID, ap PortID, b NodeID, bp PortID) {
 func (n *Network) Peer(node NodeID, port PortID) (NodeID, PortID, bool) {
 	np, ok := n.wires[nodePort{node, port}]
 	return np.node, np.port, ok
-}
-
-// IsEdgePort reports whether (node, port) has no outgoing wire, i.e. packets
-// emitted there leave the network.
-func (n *Network) IsEdgePort(node NodeID, port PortID) bool {
-	_, ok := n.wires[nodePort{node, port}]
-	return !ok
 }
 
 // Hop records one traversal step in a reachability path.
@@ -694,17 +677,4 @@ func TraversedNodes(results []ReachResult) []NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// DetectLoops runs reachability with loop retention and returns only the
-// looped branches; an empty result means the injected space cannot loop.
-func (n *Network) DetectLoops(at NodeID, port PortID, in Space) []ReachResult {
-	all := n.Reach(at, port, in, ReachOptions{KeepLoops: true})
-	var loops []ReachResult
-	for _, r := range all {
-		if r.Looped {
-			loops = append(loops, r)
-		}
-	}
-	return loops
 }

@@ -115,9 +115,12 @@ func TestReachLoopDetection(t *testing.T) {
 	if len(res) != 0 {
 		t.Errorf("loop produced egress results: %+v", res)
 	}
-	loops := net.DetectLoops(1, 1, FullSpace(width))
-	if len(loops) == 0 {
-		t.Error("DetectLoops found nothing")
+	looped := false
+	for _, r := range net.Reach(1, 1, FullSpace(width), ReachOptions{KeepLoops: true}) {
+		looped = looped || r.Looped
+	}
+	if !looped {
+		t.Error("KeepLoops kept no looped branch")
 	}
 }
 
@@ -276,24 +279,11 @@ func TestEgressSetOwnership(t *testing.T) {
 
 func TestIsEdgePort(t *testing.T) {
 	net := lineNetwork(t, 2, 4)
-	if net.IsEdgePort(1, 2) {
+	if _, _, wired := net.Peer(1, 2); !wired {
 		t.Error("(1,2) is wired, not edge")
 	}
-	if !net.IsEdgePort(2, 2) {
+	if _, _, wired := net.Peer(2, 2); wired {
 		t.Error("(2,2) should be edge")
-	}
-}
-
-func TestNodeIDsSorted(t *testing.T) {
-	net := NewNetwork(2)
-	for _, id := range []NodeID{7, 3, 5} {
-		if err := net.AddNode(id, NewTransferFunction(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := net.NodeIDs()
-	if len(ids) != 3 || ids[0] != 3 || ids[1] != 5 || ids[2] != 7 {
-		t.Errorf("ids = %v", ids)
 	}
 }
 

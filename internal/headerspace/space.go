@@ -81,11 +81,6 @@ func (s Space) Union(o Space) Space {
 	return out.Compact()
 }
 
-// UnionHeader returns s ∪ {h}.
-func (s Space) UnionHeader(h Header) Space {
-	return s.Union(NewSpace(h.width, h))
-}
-
 // Intersect returns s ∩ o by distributing over the union terms.
 func (s Space) Intersect(o Space) Space {
 	out := Space{width: s.width}
@@ -197,17 +192,6 @@ func (s Space) Covers(o Space) bool {
 	return o.residual(s).IsEmpty()
 }
 
-// CoversHeader reports whether every packet matched by h is in s.
-func (s Space) CoversHeader(h Header) bool {
-	// Fast path: a single term covering h.
-	for _, t := range s.terms {
-		if t.Covers(h) {
-			return true
-		}
-	}
-	return NewSpace(h.width, h).residual(s).IsEmpty()
-}
-
 // Overlaps reports whether s and o share at least one packet.
 func (s Space) Overlaps(o Space) bool {
 	for _, a := range s.terms {
@@ -223,16 +207,6 @@ func (s Space) Overlaps(o Space) bool {
 // Equal reports set equality.
 func (s Space) Equal(o Space) bool {
 	return s.Covers(o) && o.Covers(s)
-}
-
-// MatchesValue reports whether the concrete bit string v is in the space.
-func (s Space) MatchesValue(v []byte) bool {
-	for _, t := range s.terms {
-		if t.MatchesValue(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // Compact removes empty and subsumed terms and merges pairs of terms that

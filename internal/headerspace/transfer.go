@@ -77,13 +77,6 @@ func (tf *TransferFunction) Width() int { return tf.width }
 // Len returns the number of rules.
 func (tf *TransferFunction) Len() int { return len(tf.rules) }
 
-// Rules returns a copy of the rule list in priority order.
-func (tf *TransferFunction) Rules() []Rule {
-	out := make([]Rule, len(tf.rules))
-	copy(out, tf.rules)
-	return out
-}
-
 // AddRule inserts a rule keeping priority order (stable for equal
 // priorities: earlier-added first).
 func (tf *TransferFunction) AddRule(r Rule) error {
@@ -101,25 +94,6 @@ func (tf *TransferFunction) AddRule(r Rule) error {
 	tf.rules[idx] = r
 	return nil
 }
-
-// RemoveMatching deletes all rules whose annotation equals the given string
-// and returns how many were removed.
-func (tf *TransferFunction) RemoveMatching(annotation string) int {
-	kept := tf.rules[:0]
-	removed := 0
-	for _, r := range tf.rules {
-		if r.Annotation == annotation {
-			removed++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	tf.rules = kept
-	return removed
-}
-
-// Clear removes every rule.
-func (tf *TransferFunction) Clear() { tf.rules = nil }
 
 // Emission is one output of applying a transfer function: the packet space
 // leaving on Port, along with the rule that produced it.
@@ -182,22 +156,6 @@ func rewriteSpace(s Space, mask, value Header) Space {
 		if err == nil && !rw.IsEmpty() {
 			out.terms = append(out.terms, rw)
 		}
-	}
-	return out
-}
-
-// MatchedSpace returns the union of all match expressions (the set of
-// packets the function does something with, on the given port).
-func (tf *TransferFunction) MatchedSpace(on PortID) Space {
-	out := EmptySpace(tf.width)
-	for _, r := range tf.rules {
-		if len(r.OutPorts) == 0 {
-			continue
-		}
-		if !r.matchesPort(on) {
-			continue
-		}
-		out = out.UnionHeader(r.Match)
 	}
 	return out
 }

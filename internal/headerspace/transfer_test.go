@@ -72,18 +72,6 @@ func TestTransferEqualPriorityStableOrder(t *testing.T) {
 	}
 }
 
-func TestTransferRemoveMatching(t *testing.T) {
-	tf := NewTransferFunction(1)
-	mustAdd(t, tf, Rule{Priority: 1, Match: MustParse("x"), OutPorts: []PortID{1}, Annotation: "a"})
-	mustAdd(t, tf, Rule{Priority: 2, Match: MustParse("x"), OutPorts: []PortID{2}, Annotation: "b"})
-	if n := tf.RemoveMatching("a"); n != 1 {
-		t.Errorf("removed %d, want 1", n)
-	}
-	if tf.Len() != 1 {
-		t.Errorf("len = %d, want 1", tf.Len())
-	}
-}
-
 func TestTransferWidthValidation(t *testing.T) {
 	tf := NewTransferFunction(3)
 	if err := tf.AddRule(Rule{Priority: 1, Match: MustParse("xx")}); err == nil {
@@ -94,17 +82,6 @@ func TestTransferWidthValidation(t *testing.T) {
 		Mask: MustParse("1"), Value: MustParse("1"),
 	}); err == nil {
 		t.Error("want rewrite width error")
-	}
-}
-
-func TestMatchedSpace(t *testing.T) {
-	tf := NewTransferFunction(2)
-	mustAdd(t, tf, Rule{Priority: 2, Match: MustParse("10"), OutPorts: []PortID{1}})
-	mustAdd(t, tf, Rule{Priority: 1, Match: MustParse("01"), OutPorts: []PortID{1}})
-	mustAdd(t, tf, Rule{Priority: 3, Match: MustParse("11")}) // drop rule: not "matched" for delivery
-	ms := tf.MatchedSpace(0)
-	if !ms.Equal(sp("10", "01")) {
-		t.Errorf("matched = %s", ms)
 	}
 }
 

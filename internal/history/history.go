@@ -1,8 +1,7 @@
 // Package history keeps a bounded, time-indexed record of configuration
 // snapshots. The paper uses it against short-term reconfiguration attacks:
 // "short term reconfiguration attacks can also be prevented by maintaining
-// some history" (§IV-A), and for attack traceback ("a slightly more complex
-// service may also maintain some history of the recent past", §IV-C).
+// some history" (§IV-A).
 package history
 
 import (
@@ -65,7 +64,7 @@ func NewStore(capacity int) *Store {
 // Append stores a snapshot, evicting the oldest record if full. Records
 // are kept ordered by (At, SnapshotID): concurrent appenders (parallel
 // active polls racing passive events) may call Append out of order, and
-// At()'s newest-first scan relies on the ordering. The insertion scan runs
+// Latest and eviction rely on the ordering. The insertion scan runs
 // from the tail, so the common in-order append stays O(1).
 func (s *Store) Append(r Record) {
 	s.mu.Lock()
@@ -87,13 +86,6 @@ func (s *Store) Append(r Record) {
 	}
 }
 
-// Len returns the number of retained records.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.records)
-}
-
 // Latest returns the most recent record (ok=false if empty).
 func (s *Store) Latest() (Record, bool) {
 	s.mu.Lock()
@@ -106,96 +98,12 @@ func (s *Store) Latest() (Record, bool) {
 	return r, true
 }
 
-// At returns the latest record not after t (ok=false if none).
-func (s *Store) At(t time.Time) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.records) - 1; i >= 0; i-- {
-		if !s.records[i].At.After(t) {
-			r := s.records[i]
-			r.Tables = cloneTables(r.Tables)
-			return r, true
-		}
-	}
-	return Record{}, false
-}
-
-// Range returns copies of all records within [from, to].
-func (s *Store) Range(from, to time.Time) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Record
-	for _, r := range s.records {
-		if r.At.Before(from) || r.At.After(to) {
-			continue
-		}
-		c := r
-		c.Tables = cloneTables(r.Tables)
-		out = append(out, c)
-	}
-	return out
-}
-
 // EntryKey fingerprints a flow entry (priority + match + actions + cookie)
 // for churn tracking.
 func EntryKey(sw topology.SwitchID, e openflow.FlowEntry) string {
 	data := openflow.Encode(&openflow.FlowMod{Command: openflow.FlowAdd, Entry: e})
 	h := sha256.Sum256(append(data, byte(sw), byte(sw>>8), byte(sw>>16), byte(sw>>24)))
 	return hex.EncodeToString(h[:12])
-}
-
-// Diff summarizes the table changes between two records.
-type Diff struct {
-	Added   map[topology.SwitchID][]openflow.FlowEntry
-	Removed map[topology.SwitchID][]openflow.FlowEntry
-}
-
-// Total returns the total number of added+removed entries.
-func (d Diff) Total() int {
-	n := 0
-	for _, v := range d.Added {
-		n += len(v)
-	}
-	for _, v := range d.Removed {
-		n += len(v)
-	}
-	return n
-}
-
-// DiffRecords computes the per-switch entry delta from a to b.
-func DiffRecords(a, b Record) Diff {
-	d := Diff{
-		Added:   make(map[topology.SwitchID][]openflow.FlowEntry),
-		Removed: make(map[topology.SwitchID][]openflow.FlowEntry),
-	}
-	switches := make(map[topology.SwitchID]struct{})
-	for sw := range a.Tables {
-		switches[sw] = struct{}{}
-	}
-	for sw := range b.Tables {
-		switches[sw] = struct{}{}
-	}
-	for sw := range switches {
-		aKeys := make(map[string]openflow.FlowEntry)
-		for _, e := range a.Tables[sw] {
-			aKeys[EntryKey(sw, e)] = e
-		}
-		bKeys := make(map[string]openflow.FlowEntry)
-		for _, e := range b.Tables[sw] {
-			bKeys[EntryKey(sw, e)] = e
-		}
-		for k, e := range bKeys {
-			if _, ok := aKeys[k]; !ok {
-				d.Added[sw] = append(d.Added[sw], e)
-			}
-		}
-		for k, e := range aKeys {
-			if _, ok := bKeys[k]; !ok {
-				d.Removed[sw] = append(d.Removed[sw], e)
-			}
-		}
-	}
-	return d
 }
 
 // Churn is a rule that appeared and later disappeared — the signature of a

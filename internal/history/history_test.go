@@ -55,58 +55,6 @@ func TestCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestAtTime(t *testing.T) {
-	s := NewStore(10)
-	for i := 0; i < 5; i++ {
-		s.Append(rec(t0.Add(time.Duration(i)*time.Minute), uint64(i), nil))
-	}
-	got, ok := s.At(t0.Add(2*time.Minute + 30*time.Second))
-	if !ok || got.SnapshotID != 2 {
-		t.Errorf("At = %+v, %v", got, ok)
-	}
-	if _, ok := s.At(t0.Add(-time.Hour)); ok {
-		t.Error("record before all snapshots found")
-	}
-}
-
-func TestRange(t *testing.T) {
-	s := NewStore(10)
-	for i := 0; i < 5; i++ {
-		s.Append(rec(t0.Add(time.Duration(i)*time.Minute), uint64(i), nil))
-	}
-	got := s.Range(t0.Add(time.Minute), t0.Add(3*time.Minute))
-	if len(got) != 3 {
-		t.Errorf("range = %d records", len(got))
-	}
-}
-
-func TestDiffRecords(t *testing.T) {
-	e1 := entry(1, 10, 2)
-	e2 := entry(2, 20, 3)
-	e3 := entry(3, 30, 4)
-	a := rec(t0, 1, map[topology.SwitchID][]openflow.FlowEntry{1: {e1, e2}})
-	b := rec(t0.Add(time.Second), 2, map[topology.SwitchID][]openflow.FlowEntry{1: {e2, e3}, 2: {e1}})
-	d := DiffRecords(a, b)
-	if len(d.Added[1]) != 1 || len(d.Removed[1]) != 1 {
-		t.Errorf("sw1 diff: +%d -%d", len(d.Added[1]), len(d.Removed[1]))
-	}
-	if len(d.Added[2]) != 1 {
-		t.Errorf("sw2 diff: %+v", d.Added[2])
-	}
-	if d.Total() != 3 {
-		t.Errorf("total = %d, want 3", d.Total())
-	}
-}
-
-func TestDiffIdentical(t *testing.T) {
-	e1 := entry(1, 10, 2)
-	a := rec(t0, 1, map[topology.SwitchID][]openflow.FlowEntry{1: {e1}})
-	b := rec(t0.Add(time.Second), 2, map[topology.SwitchID][]openflow.FlowEntry{1: {e1}})
-	if d := DiffRecords(a, b); d.Total() != 0 {
-		t.Errorf("identical records diff: %+v", d)
-	}
-}
-
 func TestEntryKeyDistinguishes(t *testing.T) {
 	e1 := entry(1, 10, 2)
 	e2 := entry(1, 10, 3) // different out port
@@ -189,7 +137,7 @@ func TestRecordIsolation(t *testing.T) {
 
 // TestAppendOutOfOrder: concurrent appenders (parallel active polls racing
 // passive events) may deliver records out of time order; the store must
-// keep them sorted so At()'s newest-first scan and Latest() stay correct.
+// keep them sorted so Latest() and capacity eviction stay correct.
 func TestAppendOutOfOrder(t *testing.T) {
 	s := NewStore(10)
 	s.Append(rec(t0.Add(2*time.Second), 3, nil))
@@ -198,14 +146,6 @@ func TestAppendOutOfOrder(t *testing.T) {
 	latest, ok := s.Latest()
 	if !ok || latest.SnapshotID != 3 {
 		t.Fatalf("Latest = %+v, want id 3", latest)
-	}
-	mid, ok := s.At(t0.Add(1500 * time.Millisecond))
-	if !ok || mid.SnapshotID != 2 {
-		t.Errorf("At(+1.5s) = id %d, want 2", mid.SnapshotID)
-	}
-	first, ok := s.At(t0)
-	if !ok || first.SnapshotID != 1 {
-		t.Errorf("At(t0) = id %d, want 1", first.SnapshotID)
 	}
 	// Equal timestamps order by SnapshotID.
 	s.Append(rec(t0.Add(3*time.Second), 5, nil))

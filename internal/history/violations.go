@@ -114,17 +114,6 @@ func (l *ViolationLog) at(i int) Violation {
 	return l.ring[(l.head+i)%len(l.ring)]
 }
 
-// All returns a copy of every retained record in append order.
-func (l *ViolationLog) All() []Violation {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Violation, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.at(i)
-	}
-	return out
-}
-
 // Since returns, in append order, the retained records whose append index
 // is >= cursor (as returned by a prior Appended call). Records already
 // evicted are silently absent — compare len(result) against Appended()-cursor

@@ -843,20 +843,6 @@ func (p *PlacementSpec) validate(switches map[uint32]bool, clients map[uint64]bo
 	return nil
 }
 
-// GroupsOfKind returns the placement groups matching the given proc kind.
-func (p *PlacementSpec) GroupsOfKind(proc string) []PlacementGroup {
-	if p == nil {
-		return nil
-	}
-	var out []PlacementGroup
-	for _, g := range p.Groups {
-		if g.Proc == proc {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // PlacedSwitches returns the set of switch IDs hosted outside the controller
 // process (local-exec or external groups).
 func (p *PlacementSpec) PlacedSwitches() map[uint32]string {

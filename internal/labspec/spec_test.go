@@ -154,11 +154,13 @@ func TestParsePlacedV2(t *testing.T) {
 	if placed[2] != "sw-left" || placed[5] != "sw-right" {
 		t.Errorf("ownership wrong: %v", placed)
 	}
-	if got := s.Placement.GroupsOfKind(ProcLocalExec); len(got) != 2 {
-		t.Errorf("local-exec groups = %d, want 2", len(got))
+	for _, g := range s.Placement.Groups {
+		if g.Proc != ProcLocalExec {
+			t.Errorf("group %+v: want every group %s", g, ProcLocalExec)
+		}
 	}
-	if got := s.Placement.GroupsOfKind(ProcExternal); len(got) != 0 {
-		t.Errorf("external groups = %d, want 0", len(got))
+	if len(s.Placement.Groups) != 2 {
+		t.Errorf("groups = %d, want 2", len(s.Placement.Groups))
 	}
 }
 

@@ -231,22 +231,18 @@ type SecureConn struct {
 	sendStalled atomic.Bool
 
 	recvMu  sync.Mutex
-	recvCtr uint64
-	// recvLost counts AEAD-counter gaps observed on a lossy transport —
-	// frames the network dropped between successfully delivered ones.
-	recvLost uint64
+	recvCtr uint64 // next in-order counter: the high-water mark plus one
+	// recvWin is a lossy transport's replay window (RFC 6347 §4.1.2.6):
+	// bit i is set once counter recvCtr-1-i has been accepted.
+	recvWin uint64
+	// recvLost counts counters the high-water mark skipped that have not
+	// arrived since; recvReplays counts frames dropped as a duplicate or
+	// as older than the window. Both stay 0 on a reliable transport.
+	recvLost, recvReplays uint64
 }
 
 // PeerName returns the authenticated name of the remote end.
 func (s *SecureConn) PeerName() string { return s.peerName }
-
-// RecvLost reports how many inbound frames were observed lost (counter
-// gaps) on a lossy transport; always 0 on in-memory pipes.
-func (s *SecureConn) RecvLost() uint64 {
-	s.recvMu.Lock()
-	defer s.recvMu.Unlock()
-	return s.recvLost
-}
 
 // handshakeMsg is the single round-trip handshake payload.
 type handshakeMsg struct {
@@ -420,8 +416,8 @@ func (s *SecureConn) seal(plain []byte) []byte {
 
 // Send encrypts and transmits one OpenFlow message. sendMu is held until
 // the transport has taken the frame, so concurrent senders' frames leave in
-// counter order — the peer's replay check kills the session on a counter
-// that arrives behind a later one.
+// counter order: a reliable transport's peer accepts nothing else, and a
+// lossy one's replay window drops a frame that falls 64 counters behind.
 func (s *SecureConn) Send(m Message) error {
 	plain := Encode(m)
 	s.sendMu.Lock()
@@ -462,38 +458,67 @@ func (s *SecureConn) TrySend(m Message) (sent bool, err error) {
 	return sent, err
 }
 
-// Recv receives and decrypts the next OpenFlow message. It enforces nonce
-// monotonicity, so replayed or reordered ciphertexts fail. On a lossy
-// transport (real UDP) the check relaxes to forward-monotonicity: a counter
-// jump means the network dropped frames (recorded in RecvLost), while a
-// counter at or below the high-water mark is still rejected as a replay.
+// Recv receives and decrypts the next OpenFlow message. On a reliable
+// transport every counter must arrive in order; anything else ends the
+// session. On a lossy transport (real UDP) a 64-counter sliding window
+// behind the high-water mark accepts a late frame once; a duplicate, or a
+// frame older than the window, is dropped and counted, and Recv reads the
+// next frame. The window moves only for a frame that authenticates.
 func (s *SecureConn) Recv() (Message, error) {
-	data, err := s.raw.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 12 {
-		return nil, ErrShortMessage
-	}
-	nonce, ct := data[:12], data[12:]
-	s.recvMu.Lock()
-	want := s.recvCtr
-	got := binary.BigEndian.Uint64(nonce[4:])
-	if got != want {
-		if !s.lossy || got < want {
-			s.recvMu.Unlock()
-			return nil, fmt.Errorf("openflow: nonce replay/reorder (got %d want %d)", got, want)
+	for {
+		data, err := s.raw.Recv()
+		if err != nil {
+			return nil, err
 		}
-		s.recvLost += got - want
+		if len(data) < 12 {
+			return nil, ErrShortMessage
+		}
+		plain, fresh, err := s.open(data[:12], data[12:])
+		if err != nil {
+			return nil, err
+		}
+		if !fresh {
+			continue
+		}
+		m, _, err := Decode(plain)
+		return m, err
 	}
-	s.recvCtr = got + 1
-	s.recvMu.Unlock()
-	plain, err := s.recvAEAD.Open(nil, nonce, ct, nil)
+}
+
+// open checks one frame's counter against the replay state, decrypts it,
+// and only then records the counter. fresh is false for a frame a lossy
+// transport's window drops.
+func (s *SecureConn) open(nonce, ct []byte) (plain []byte, fresh bool, err error) {
+	s.recvMu.Lock()
+	defer s.recvMu.Unlock()
+	got := binary.BigEndian.Uint64(nonce[4:])
+	if !s.lossy && got != s.recvCtr {
+		return nil, false, fmt.Errorf("openflow: nonce replay/reorder (got %d want %d)", got, s.recvCtr)
+	}
+	if got < s.recvCtr {
+		age := s.recvCtr - 1 - got
+		if age >= 64 || s.recvWin&(1<<age) != 0 {
+			s.recvReplays++
+			return nil, false, nil
+		}
+	}
+	plain, err = s.recvAEAD.Open(nil, nonce, ct, nil)
 	if err != nil {
-		return nil, fmt.Errorf("openflow: decrypt: %w", err)
+		return nil, false, fmt.Errorf("openflow: decrypt: %w", err)
 	}
-	m, _, err := Decode(plain)
-	return m, err
+	if got < s.recvCtr {
+		s.recvWin |= 1 << (s.recvCtr - 1 - got)
+		s.recvLost--
+		return plain, true, nil
+	}
+	if shift := got - s.recvCtr + 1; shift < 64 {
+		s.recvWin = s.recvWin<<shift | 1
+	} else {
+		s.recvWin = 1
+	}
+	s.recvLost += got - s.recvCtr
+	s.recvCtr = got + 1
+	return plain, true, nil
 }
 
 // Close tears down the underlying connection.

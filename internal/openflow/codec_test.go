@@ -116,11 +116,11 @@ func TestMatchToHeader(t *testing.T) {
 	}}
 	h := m.ToHeader()
 	pkt := &wire.Packet{EthType: wire.EthTypeIPv4, IPDst: wire.IPv4(10, 0, 1, 2)}
-	if !h.MatchesValue(wire.PacketBits(pkt)) {
+	if !h.Covers(wire.PacketHeader(pkt)) {
 		t.Error("header should match the packet")
 	}
 	pkt.IPDst = wire.IPv4(10, 0, 1, 3)
-	if h.MatchesValue(wire.PacketBits(pkt)) {
+	if h.Covers(wire.PacketHeader(pkt)) {
 		t.Error("header should not match a different dst")
 	}
 }
@@ -149,14 +149,14 @@ func TestMatchesPacket(t *testing.T) {
 }
 
 // TestMatchesPacketAgreesWithModel: the data plane's match (MatchesPacket)
-// and the model's (ToHeader against the packet's bits) agree on every
+// and the model's (ToHeader covering the packet's concrete header) agree on every
 // field, seeded, including masks with bits beyond the field's width: those
 // bits constrain nothing on either side.
 func TestMatchesPacketAgreesWithModel(t *testing.T) {
 	check := func(fm FieldMatch, p *wire.Packet) {
 		t.Helper()
 		m := Match{Fields: []FieldMatch{fm}}
-		if dp, model := m.MatchesPacket(p, 1), m.ToHeader().MatchesValue(wire.PacketBits(p)); dp != model {
+		if dp, model := m.MatchesPacket(p, 1), m.ToHeader().Covers(wire.PacketHeader(p)); dp != model {
 			t.Fatalf("%s value %#x mask %#x on %v: data plane %v, model %v",
 				wire.FieldName(fm.Field), fm.Value, fm.Mask, p, dp, model)
 		}
@@ -171,11 +171,10 @@ func TestMatchesPacketAgreesWithModel(t *testing.T) {
 			IPSrc: r.Uint32(), IPDst: r.Uint32(), IPProto: uint8(r.Uint32()),
 			L4Src: uint16(r.Uint32()), L4Dst: uint16(r.Uint32()),
 		}
-		concrete := wire.PacketHeader(p)
 		for _, f := range wire.Fields() {
-			// The packet's own value, read through the model, so the match
-			// is often a hit; half the time one bit anywhere in the 64 flips.
-			value, _ := concrete.ExtractValue(wire.FieldOffset(f))
+			// The packet's own value, so the match is often a hit; half
+			// the time one bit anywhere in the 64 flips.
+			value := p.Field(f)
 			if r.Intn(2) == 0 {
 				value ^= 1 << uint(r.Intn(64))
 			}
@@ -189,21 +188,13 @@ func TestMatchesPacketAgreesWithModel(t *testing.T) {
 }
 
 func TestMatchAllMatchesEverything(t *testing.T) {
-	m := MatchAll()
+	m := Match{InPort: AnyPort}
 	p := &wire.Packet{EthType: wire.EthTypeIPv4, IPDst: 1}
 	if !m.MatchesPacket(p, 99) {
-		t.Error("MatchAll should match")
+		t.Error("an AnyPort match with no fields should match")
 	}
 	if m.HasInPort() {
-		t.Error("MatchAll has no in-port constraint")
-	}
-}
-
-func TestOutputPorts(t *testing.T) {
-	e := sampleEntry()
-	ports := e.OutputPorts()
-	if len(ports) != 1 || ports[0] != 7 {
-		t.Errorf("ports = %v", ports)
+		t.Error("AnyPort is no in-port constraint")
 	}
 }
 

@@ -51,7 +51,7 @@ var goldenMessages = []struct {
 		"7a0900000093000000090000000103006400000003000206000000000a00010000000000ffffff0007000000000000001100000000000000ff0005020000000004000000000000002a01000000070000000000000000000300000000040000000000000064040000000000000000000000000001fffffffe0000000000000000000000000000c00c1e001e003c00000009000000000000000c"},
 	{&StatsRequest{XID: 10},
 		"7a0a000000040000000a"},
-	{&StatsReply{XID: 11, DatapathID: 5, Entries: []FlowEntry{goldenEntry(), {Priority: 1, Match: MatchAll()}},
+	{&StatsReply{XID: 11, DatapathID: 5, Entries: []FlowEntry{goldenEntry(), {Priority: 1, Match: Match{InPort: AnyPort}}},
 		Ports: []uint32{1, 2, 3}, Meters: []MeterConfig{{MeterID: 2, RateKbps: 100, BurstKB: 8}}, TableSeq: 44},
 		"7a0b000000ce0000000b00000000000000050002006400000003000206000000000a00010000000000ffffff0007000000000000001100000000000000ff0005020000000004000000000000002a01000000070000000000000000000300000000040000000000000064040000000000000000000000000001fffffffe0000000000000000000000000000c00c1e001e003c000000090001ffffffff000000000000000000000000000000000000000000030000000100000002000000030001000000020000006400000008000000000000002c"},
 	{&BarrierRequest{XID: 12},

@@ -65,11 +65,6 @@ type UDPTransport struct {
 // Lossy marks UDP delivery as best-effort.
 func (u *UDPTransport) Lossy() bool { return true }
 
-// LocalAddr returns the bound socket address.
-func (u *UDPTransport) LocalAddr() *net.UDPAddr {
-	return u.conn.LocalAddr().(*net.UDPAddr)
-}
-
 // Send transmits one datagram to the peer.
 func (u *UDPTransport) Send(data []byte) error {
 	if len(data) > maxUDPMessage {

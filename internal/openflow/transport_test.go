@@ -82,7 +82,7 @@ func TestUDPSecureHandshakeAndExchange(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if lost := connA.RecvLost(); lost != 0 {
+	if lost, _ := recvCounters(connA); lost != 0 {
 		t.Fatalf("loopback exchange recorded %d lost frames", lost)
 	}
 }
@@ -221,8 +221,8 @@ func TestSecureRecvTolerantOfLossOnLossyTransport(t *testing.T) {
 			t.Fatalf("recv = %#v, want Hello xid=%d", m, v)
 		}
 	}
-	if lost := connB.RecvLost(); lost != 1 {
-		t.Fatalf("RecvLost = %d, want 1", lost)
+	if lost, _ := recvCounters(connB); lost != 1 {
+		t.Fatalf("lost = %d, want 1", lost)
 	}
 }
 
@@ -249,8 +249,8 @@ func TestSecureRecvStillRejectsReplayOnLossyTransport(t *testing.T) {
 	replay := make([]byte, len(ct))
 	copy(replay, ct)
 	// Deliver the captured frame, then replay the identical bytes: the
-	// second copy's counter sits below the high-water mark and must fail
-	// even though the transport is lossy.
+	// second copy's counter is already in the window, so Recv drops and
+	// counts it and returns the next fresh frame instead.
 	if err := rawA.Send(replay); err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,105 @@ func TestSecureRecvStillRejectsReplayOnLossyTransport(t *testing.T) {
 	if err := rawA.Send(replay); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := connB.Recv(); err == nil {
-		t.Fatal("replayed frame accepted on lossy transport")
+	if err := connA.Send(&Hello{XID: 2}); err != nil {
+		t.Fatal(err)
 	}
+	m, err := connB.Recv()
+	if err != nil {
+		t.Fatalf("recv after replay: %v", err)
+	}
+	if h, ok := m.(*Hello); !ok || h.XID != 2 {
+		t.Fatalf("recv after replay = %#v, want the fresh Hello xid=2", m)
+	}
+	if _, replays := recvCounters(connB); replays != 1 {
+		t.Fatalf("replays = %d, want 1", replays)
+	}
+}
+
+// TestSecureRecvWindowTakesReorderedBurst: on a lossy transport a burst
+// delivered in reverse arrives whole, a duplicate is dropped and counted,
+// a frame older than the 64-counter window is dropped, and the session
+// stays up throughout.
+func TestSecureRecvWindowTakesReorderedBurst(t *testing.T) {
+	ca, ctl, ctlCert, sw, swCert := transportPKI(t)
+	rawA, rawB := Pipe()
+	lossA := &droppingTransport{Transport: rawA, drop: map[int]bool{}}
+	lossB := &droppingTransport{Transport: rawB, drop: map[int]bool{}}
+	connA, connB, err := ConnectSecureOver(lossA, lossB, ctl, ctlCert, sw, swCert, ca.Pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer connA.Close()
+	defer connB.Close()
+
+	// capture takes n frames off the wire before connB sees them.
+	capture := func(first, n int) [][]byte {
+		var cts [][]byte
+		for i := first; i < first+n; i++ {
+			if err := connA.Send(&Hello{XID: uint32(i)}); err != nil {
+				t.Fatal(err)
+			}
+			ct, err := rawB.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts = append(cts, ct)
+		}
+		return cts
+	}
+	expect := func(xid uint32) {
+		t.Helper()
+		m, err := connB.Recv()
+		if err != nil {
+			t.Fatalf("recv xid %d: %v", xid, err)
+		}
+		if h, ok := m.(*Hello); !ok || h.XID != xid {
+			t.Fatalf("recv = %#v, want Hello xid=%d", m, xid)
+		}
+	}
+	burst := capture(0, 8)
+	for i := len(burst) - 1; i >= 0; i-- {
+		if err := rawA.Send(burst[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rawA.Send(burst[3]); err != nil { // a duplicate
+		t.Fatal(err)
+	}
+	if err := connA.Send(&Hello{XID: 8}); err != nil {
+		t.Fatal(err)
+	}
+	for xid := 7; xid >= 0; xid-- {
+		expect(uint32(xid))
+	}
+	expect(8) // Recv skipped the duplicate
+	if lost, replays := recvCounters(connB); lost != 0 || replays != 1 {
+		t.Fatalf("after the reversed burst: lost %d, replays %d, want 0 and 1", lost, replays)
+	}
+	late := capture(9, 1)
+	for xid := 10; xid < 10+64; xid++ {
+		if err := connA.Send(&Hello{XID: uint32(xid)}); err != nil {
+			t.Fatal(err)
+		}
+		expect(uint32(xid))
+	}
+	if err := rawA.Send(late[0]); err != nil { // 64 counters behind
+		t.Fatal(err)
+	}
+	if err := connA.Send(&Hello{XID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	expect(100) // the stale frame was skipped, not fatal
+	if lost, replays := recvCounters(connB); lost != 1 || replays != 2 {
+		t.Fatalf("lost %d, replays %d, want 1 (the stale frame) and 2 (duplicate, stale)", lost, replays)
+	}
+}
+
+// recvCounters reads a connection's loss and replay counters.
+func recvCounters(s *SecureConn) (lost, replays uint64) {
+	s.recvMu.Lock()
+	defer s.recvMu.Unlock()
+	return s.recvLost, s.recvReplays
 }
 
 func TestStrictNonceOnReliablePipeUnchanged(t *testing.T) {

@@ -8,6 +8,7 @@ package openflow
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/headerspace"
 	"repro/internal/wire"
@@ -107,8 +108,12 @@ type Match struct {
 	Fields []FieldMatch
 }
 
-// MatchAll returns a wildcard-everything match.
-func MatchAll() Match { return Match{InPort: AnyPort} }
+// Equal reports whether two matches constrain the same in-port and the
+// same fields in the same order: the one definition of "the same match"
+// the switch's flow-mod semantics and RVaaS's snapshot share.
+func (m Match) Equal(o Match) bool {
+	return m.InPort == o.InPort && slices.Equal(m.Fields, o.Fields)
+}
 
 // HasInPort reports whether the match constrains the ingress port.
 func (m Match) HasInPort() bool { return m.InPort != 0 && m.InPort != AnyPort }
@@ -187,15 +192,12 @@ type FlowEntry struct {
 	MeterID uint32
 }
 
-// OutputPorts returns the concrete output ports of the entry's actions.
-func (e FlowEntry) OutputPorts() []uint32 {
-	var out []uint32
-	for _, a := range e.Actions {
-		if a.Type == ActionOutput {
-			out = append(out, a.Port)
-		}
-	}
-	return out
+// Equal is the one definition of "the same rule": priority, match, actions
+// in order, cookie and meter. Timeouts are not compared: no component
+// expires a rule, so they never change what an entry forwards.
+func (e FlowEntry) Equal(o FlowEntry) bool {
+	return e.Priority == o.Priority && e.Cookie == o.Cookie && e.MeterID == o.MeterID &&
+		e.Match.Equal(o.Match) && slices.Equal(e.Actions, o.Actions)
 }
 
 // FlowModCommand selects the flow-mod operation.

@@ -114,7 +114,7 @@ func TestGoldenTrunkPayloads(t *testing.T) {
 		t.Errorf("frame payload drifted: %s", got)
 	}
 	mod := &openflow.FlowMod{XID: 5, Command: openflow.FlowAdd, Entry: openflow.FlowEntry{Priority: 10,
-		Match: openflow.MatchAll(), Actions: []openflow.Action{openflow.Output(2)}, Cookie: 7}}
+		Match: openflow.Match{InPort: openflow.AnyPort}, Actions: []openflow.Action{openflow.Output(2)}, Cookie: 7}}
 	if got := fmt.Sprintf("%x", EncodeFlowMod(7, mod)); got != "000000077a050000002d0000000501000affffffff00000001010000000200000000000000000000000000000000070000000000000000" {
 		t.Errorf("flowmod payload drifted: %s", got)
 	}

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"repro/internal/rvaas"
@@ -280,10 +279,11 @@ type ClientSessionView struct {
 // SwitchSessionView is one topology switch's control-channel state:
 // attached / resyncing / detached / pending.
 type SwitchSessionView struct {
-	Switch    uint32 `json:"switch"`
-	PeerName  string `json:"peerName,omitempty"`
-	State     string `json:"state"`
-	Resyncing bool   `json:"resyncing"`
+	Switch           uint32 `json:"switch"`
+	PeerName         string `json:"peerName,omitempty"`
+	State            string `json:"state"`
+	Resyncing        bool   `json:"resyncing"`
+	SelfRulesMissing int    `json:"selfRulesMissing"`
 }
 
 // Sessions lists client session groups (paginated: skip cursor entries, at
@@ -309,7 +309,7 @@ func (s *Service) Sessions(cursor uint64, limit int) SessionsView {
 	for _, ss := range s.ctl.SwitchSessions() {
 		view.Switches = append(view.Switches, SwitchSessionView{
 			Switch: uint32(ss.Switch), PeerName: ss.PeerName,
-			State: ss.State, Resyncing: ss.Resyncing,
+			State: ss.State, Resyncing: ss.Resyncing, SelfRulesMissing: ss.SelfRulesMissing,
 		})
 	}
 	return view
@@ -480,15 +480,4 @@ func (s *Service) Overview() OverviewView {
 		NotifyBatches:        es.NotifyBatches,
 		ChainsDropped:        es.ChainsDropped,
 	}
-}
-
-// Kinds lists the filterable invariant kind names, sorted.
-func Kinds() []string {
-	out := []string{
-		"reachable-destinations", "reaching-sources", "isolation",
-		"geo-regions", "path-length", "waypoint-avoidance",
-		"neutrality", "transfer-function",
-	}
-	sort.Strings(out)
-	return out
 }

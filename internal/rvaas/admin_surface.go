@@ -3,6 +3,7 @@ package rvaas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/history"
@@ -96,6 +97,10 @@ type SwitchSessionInfo struct {
 	State string
 	// Resyncing reports an in-flight forced/gap resync for the switch.
 	Resyncing bool
+	// SelfRulesMissing counts RVaaS's interception rules the switch's
+	// snapshot table lacks (0 unless attached): evidence that the provider
+	// removed or altered them, so client envelopes no longer reach RVaaS.
+	SelfRulesMissing int
 }
 
 // Attached reports whether the switch currently holds a live session.
@@ -130,7 +135,26 @@ func (c *Controller) SwitchSessions() []SwitchSessionInfo {
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Switch < out[j].Switch })
+	for i := range out {
+		if out[i].Attached() {
+			out[i].SelfRulesMissing = c.selfRulesMissing(out[i].Switch)
+		}
+	}
 	return out
+}
+
+// selfRulesMissing counts the interception rules with no equal entry in
+// sw's snapshot table. Whole entries are compared, not the RVaaS cookie: a
+// provider can put that cookie on a rule of its own.
+func (c *Controller) selfRulesMissing(sw topology.SwitchID) int {
+	table := c.snap.table(sw)
+	missing := 0
+	for _, fm := range c.interceptionRules() {
+		if !slices.ContainsFunc(table, fm.Entry.Equal) {
+			missing++
+		}
+	}
+	return missing
 }
 
 // ForceResync error kinds, distinguishable so the admin layer can map a

@@ -30,8 +30,9 @@ import (
 // enclave; clients pin MeasurementOf(CodeIdentity).
 const CodeIdentity = "rvaas-controller-v1"
 
-// CookieRVaaS marks RVaaS's own interception rules so it can detect
-// tampering with them.
+// CookieRVaaS marks RVaaS's own interception rules in a switch's table.
+// It is a label, not evidence: a provider can put it on any rule, so the
+// self-rule check compares whole entries instead.
 const CookieRVaaS uint64 = 0x5AA5_0000_0000
 
 // interceptPriority outranks everything else so client messages always
@@ -195,10 +196,6 @@ type Controller struct {
 	peers       map[string]Federation
 	peerEntries map[string]topology.Endpoint
 	peerNames   map[string]string
-	// probe bookkeeping for active wiring verification.
-	probeExpect  map[uint64]topology.Endpoint
-	probeConfirm map[uint64]topology.Endpoint
-	probeNext    uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -232,35 +229,33 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("rvaas: launch enclave: %w", err)
 	}
 	c := &Controller{
-		cfg:          cfg,
-		persist:      cfg.Persist,
-		enclave:      encl,
-		topo:         cfg.Topology,
-		snap:         newSnapshotStore(),
-		hist:         history.NewStore(cfg.HistoryDepth),
-		vlog:         history.NewViolationLog(4 * cfg.HistoryDepth),
-		lastGen:      make(map[topology.SwitchID]uint64),
-		reasm:        wire.NewReassembler(0),
-		subKick:      make(chan struct{}, 1),
-		notifyQ:      make(chan notifyJob, notifyQueueCap),
-		outbox:       make(map[pushKey][]wire.NotifyItem),
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		sessions:     make(map[topology.SwitchID]*session),
-		resyncing:    make(map[topology.SwitchID]bool),
-		evHigh:       make(map[topology.SwitchID]uint64),
-		staleEvents:  make(map[topology.SwitchID]int),
-		stalePolls:   make(map[topology.SwitchID]int),
-		wasAttached:  make(map[topology.SwitchID]bool),
-		clients:      make(map[uint64]ed25519.PublicKey),
-		pending:      make(map[uint64]*pendingQuery),
-		waiters:      make(map[waiterKey]chan openflow.Message),
-		peers:        make(map[string]Federation),
-		peerEntries:  make(map[string]topology.Endpoint),
-		peerNames:    make(map[string]string),
-		probeExpect:  make(map[uint64]topology.Endpoint),
-		probeConfirm: make(map[uint64]topology.Endpoint),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:         cfg,
+		persist:     cfg.Persist,
+		enclave:     encl,
+		topo:        cfg.Topology,
+		snap:        newSnapshotStore(),
+		hist:        history.NewStore(cfg.HistoryDepth),
+		vlog:        history.NewViolationLog(4 * cfg.HistoryDepth),
+		lastGen:     make(map[topology.SwitchID]uint64),
+		reasm:       wire.NewReassembler(0),
+		subKick:     make(chan struct{}, 1),
+		notifyQ:     make(chan notifyJob, notifyQueueCap),
+		outbox:      make(map[pushKey][]wire.NotifyItem),
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		sessions:    make(map[topology.SwitchID]*session),
+		resyncing:   make(map[topology.SwitchID]bool),
+		evHigh:      make(map[topology.SwitchID]uint64),
+		staleEvents: make(map[topology.SwitchID]int),
+		stalePolls:  make(map[topology.SwitchID]int),
+		wasAttached: make(map[topology.SwitchID]bool),
+		clients:     make(map[uint64]ed25519.PublicKey),
+		pending:     make(map[uint64]*pendingQuery),
+		waiters:     make(map[waiterKey]chan openflow.Message),
+		peers:       make(map[string]Federation),
+		peerEntries: make(map[string]topology.Endpoint),
+		peerNames:   make(map[string]string),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	c.engine = verifier.New(verifierEnv{c})
 	c.svc = authGate{core: coreService{c}, c: c}
@@ -464,27 +459,20 @@ func (c *Controller) heartbeatLoop(sess *session) {
 }
 
 // interceptionRules are the rules RVaaS installs on every switch so client
-// envelopes (the magic header, paper §IV-A3) and topology probes are
-// reported as Packet-Ins.
+// envelopes (the magic header, paper §IV-A3) are reported as Packet-Ins.
 func (c *Controller) interceptionRules() []*openflow.FlowMod {
-	intercept := func(tag uint64, fields ...openflow.FieldMatch) *openflow.FlowMod {
-		return &openflow.FlowMod{
-			Command: openflow.FlowAdd,
-			Entry: openflow.FlowEntry{
-				Priority: interceptPriority,
-				Match:    openflow.Match{Fields: fields},
-				Actions:  []openflow.Action{openflow.Output(openflow.ControllerPort)},
-				Cookie:   CookieRVaaS | tag,
-			},
-		}
-	}
-	return []*openflow.FlowMod{
-		intercept(5,
-			openflow.FieldMatch{Field: wire.FieldIPProto, Value: uint64(wire.IPProtoUDP), Mask: 0xFF},
-			openflow.FieldMatch{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSV2), Mask: 0xFFFF}),
-		intercept(3,
-			openflow.FieldMatch{Field: wire.FieldEthType, Value: uint64(wire.EthTypeProbe), Mask: 0xFFFF}),
-	}
+	return []*openflow.FlowMod{{
+		Command: openflow.FlowAdd,
+		Entry: openflow.FlowEntry{
+			Priority: interceptPriority,
+			Match: openflow.Match{Fields: []openflow.FieldMatch{
+				{Field: wire.FieldIPProto, Value: uint64(wire.IPProtoUDP), Mask: 0xFF},
+				{Field: wire.FieldL4Dst, Value: uint64(wire.PortRVaaSV2), Mask: 0xFFFF},
+			}},
+			Actions: []openflow.Action{openflow.Output(openflow.ControllerPort)},
+			Cookie:  CookieRVaaS | 5,
+		},
+	}}
 }
 
 // Start launches the background workers: the randomized active poller

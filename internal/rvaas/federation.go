@@ -20,14 +20,6 @@ type Federation interface {
 	FederatedReachable(entry topology.Endpoint, constraints []wire.FieldConstraint) []string
 }
 
-// peering maps a local egress endpoint to a peer provider and the entry
-// point on the peer's side.
-type peering struct {
-	peer  Federation
-	name  string
-	entry topology.Endpoint
-}
-
 // AddPeer declares that traffic leaving localEgress enters the named peer
 // provider at peerEntry.
 func (c *Controller) AddPeer(name string, localEgress topology.Endpoint, peer Federation, peerEntry topology.Endpoint) {

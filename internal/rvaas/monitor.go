@@ -102,7 +102,10 @@ func (c *Controller) noteGap(sw topology.SwitchID, seq uint64) {
 			err := c.pollSwitchMode(sw, 2*time.Second, false)
 			c.mu.Lock()
 			caughtUp := err == nil && c.snap.seqOf(sw) >= c.evHigh[sw]
-			if caughtUp || err != nil || attempt >= maxGapResyncAttempts {
+			// A poll lost on a lossy channel is retried like one that has
+			// not caught up yet; a switch whose session is gone is not.
+			_, attached := c.sessions[sw]
+			if caughtUp || !attached || attempt >= maxGapResyncAttempts {
 				if !caughtUp && err == nil {
 					// The switch's authoritative TableSeq never reached
 					// the advertised event sequence (forged or inflated
@@ -259,41 +262,6 @@ func (c *Controller) PollAll(timeout time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// TamperReport lists switches whose RVaaS interception rules are missing
-// from the current snapshot — evidence that the provider's controller
-// removed them.
-type TamperReport struct {
-	MissingOn []topology.SwitchID
-}
-
-// Clean reports whether all interception rules are intact.
-func (r TamperReport) Clean() bool { return len(r.MissingOn) == 0 }
-
-// CheckSelfRules verifies RVaaS's own interception rules are still present
-// in the latest snapshot of every attached switch.
-func (c *Controller) CheckSelfRules() TamperReport {
-	c.mu.Lock()
-	switches := make([]topology.SwitchID, 0, len(c.sessions))
-	for sw := range c.sessions {
-		switches = append(switches, sw)
-	}
-	c.mu.Unlock()
-	want := len(c.interceptionRules())
-	var rep TamperReport
-	for _, sw := range switches {
-		found := 0
-		for _, e := range c.snap.table(sw) {
-			if e.Cookie&CookieRVaaS == CookieRVaaS {
-				found++
-			}
-		}
-		if found < want {
-			rep.MissingOn = append(rep.MissingOn, sw)
-		}
-	}
-	return rep
 }
 
 // FlapEvidence scans the retained history for rules that appeared and

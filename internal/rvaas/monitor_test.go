@@ -111,3 +111,66 @@ func TestStaleEventStreakTriggersForcedResync(t *testing.T) {
 		t.Fatal("resyncing flag wedged after failed forced poll")
 	}
 }
+
+// TestGapResyncRetriesLostPoll: a gap resync whose poll goes unanswered, as
+// when a lossy channel drops the request or its reply, polls again while
+// the switch is attached instead of leaving the snapshot behind the event
+// stream until some later event happens to reveal the gap again.
+func TestGapResyncRetriesLostPoll(t *testing.T) {
+	ca, err := openflow.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctlID, err := openflow.NewIdentity("controller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swID, err := openflow.NewIdentity("switch-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctlConn, swConn, err := openflow.ConnectSecure(ctlID, ca.Issue(ctlID), swID, ca.Issue(swID), ca.Pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bareController()
+	c.waiters = make(map[waiterKey]chan openflow.Message)
+	c.stop = make(chan struct{})
+	sess := &session{sw: 1, conn: ctlConn, done: make(chan struct{})}
+	c.sessions[1] = sess
+	c.snap.replaceState(1, nil, nil, nil, 1, false)
+	c.wg.Add(1)
+	go c.readLoop(sess)
+	// The switch loses the first poll and answers the next with the state
+	// the event stream announced.
+	go func() {
+		polls := 0
+		for {
+			m, err := swConn.Recv()
+			if err != nil {
+				return
+			}
+			req, ok := m.(*openflow.StatsRequest)
+			if !ok {
+				continue
+			}
+			if polls++; polls == 1 {
+				continue
+			}
+			_ = swConn.Send(&openflow.StatsReply{XID: req.XID, Entries: []openflow.FlowEntry{monEntry(0x0A000001)}, TableSeq: 3})
+		}
+	}()
+
+	c.handleMonitorEvent(1, &openflow.FlowMonitorReply{Seq: 3, Kind: openflow.FlowEventAdded, Entry: monEntry(0x0A000001)})
+	deadline := time.Now().Add(10 * time.Second)
+	for c.snap.seqOf(1) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot never caught up: the gap resync gave up after one lost poll")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	close(c.stop)
+	ctlConn.Close()
+	swConn.Close()
+	c.wg.Wait()
+}

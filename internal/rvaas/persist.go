@@ -160,51 +160,6 @@ func unmarshalRecord(b []byte) (*SubscriptionRecord, byte, error) {
 	return nil, 0, fmt.Errorf("rvaas: unknown record op %d", op)
 }
 
-// ------------------------------------------------------------ MemStore ---
-
-// MemStore is an in-memory SubscriptionStore for tests and experiments
-// that exercise restore without touching disk.
-type MemStore struct {
-	mu   sync.Mutex
-	live map[uint64]SubscriptionRecord
-}
-
-// NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{live: make(map[uint64]SubscriptionRecord)}
-}
-
-// Append upserts a record.
-func (m *MemStore) Append(rec SubscriptionRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live[rec.ID] = rec
-	return nil
-}
-
-// Remove deletes a record.
-func (m *MemStore) Remove(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.live, id)
-	return nil
-}
-
-// Load returns the live set in id order.
-func (m *MemStore) Load() ([]SubscriptionRecord, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]SubscriptionRecord, 0, len(m.live))
-	for _, rec := range m.live {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-// Close is a no-op.
-func (m *MemStore) Close() error { return nil }
-
 // ----------------------------------------------------------- FileStore ---
 
 // fileCompactSlack bounds log growth: when the op count since the last
@@ -225,10 +180,6 @@ type FileStore struct {
 	appends int
 	skipped int
 }
-
-// Skipped counts the records the replay at open dropped because they
-// belong to a retired client protocol.
-func (s *FileStore) Skipped() int { return s.skipped }
 
 // OpenFileStore opens (or creates) the log at path and replays it.
 func OpenFileStore(path string) (*FileStore, error) {
@@ -369,10 +320,6 @@ func (s *FileStore) Load() ([]SubscriptionRecord, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
-
-// Path returns the log file's path (e.g. for reopening after a simulated
-// crash).
-func (s *FileStore) Path() string { return s.path }
 
 // Close syncs and closes the log.
 func (s *FileStore) Close() error {

@@ -258,7 +258,7 @@ func TestFileStoreSkipsRetiredProtocolRecords(t *testing.T) {
 	if err != nil || len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 3 {
 		t.Fatalf("replay around a retired-protocol record: %v %+v", err, recs)
 	}
-	if s.Skipped() != 1 {
-		t.Fatalf("skipped = %d, want 1", s.Skipped())
+	if s.skipped != 1 {
+		t.Fatalf("skipped = %d, want 1", s.skipped)
 	}
 }

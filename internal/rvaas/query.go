@@ -11,9 +11,8 @@ import (
 	"repro/internal/wire"
 )
 
-// handlePacketIn is the controller's transport layer: the two interception
-// rules report topology probes (infrastructure traffic, probe.go) and
-// client envelopes, which go to the service stack.
+// handlePacketIn is the controller's transport layer: the interception
+// rule reports client envelopes, which go to the service stack.
 func (c *Controller) handlePacketIn(sw topology.SwitchID, m *openflow.PacketIn) {
 	c.mu.Lock()
 	c.stats.PacketIns++
@@ -22,10 +21,7 @@ func (c *Controller) handlePacketIn(sw topology.SwitchID, m *openflow.PacketIn) 
 	if err != nil {
 		return
 	}
-	switch {
-	case pkt.IsProbe():
-		c.handleProbe(sw, topology.PortNo(m.InPort), pkt)
-	case pkt.IsRVaaSV2():
+	if pkt.IsRVaaSV2() {
 		c.serveEnvelope(sw, topology.PortNo(m.InPort), pkt)
 	}
 }

@@ -9,60 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestProbeLossDetected: when the probe interception rule is removed from a
-// switch (so probes into it vanish), the wiring report must flag the lost
-// probes instead of staying silent.
-func TestProbeLossDetected(t *testing.T) {
-	d := deployLinear(t, 3, deploy.Options{SkipAgents: true})
-	// Remove the probe interception rule from switch 2: probes arriving
-	// there are no longer reported.
-	sw := d.Fabric.Switch(2)
-	for _, e := range sw.Table() {
-		for _, f := range e.Match.Fields {
-			if f.Field == wire.FieldEthType && f.Value == uint64(wire.EthTypeProbe) {
-				sw.RemoveDirect(e)
-			}
-		}
-	}
-	issued := d.RVaaS.ProbeSweep()
-	if issued != 4 { // 2 links x 2 directions
-		t.Fatalf("issued = %d", issued)
-	}
-	time.Sleep(50 * time.Millisecond)
-	mismatches := d.RVaaS.WiringReport()
-	lost := 0
-	for _, m := range mismatches {
-		if m.Lost && m.Expected.Switch == 2 {
-			lost++
-		}
-	}
-	// Both probes toward switch 2 (from switch 1 and switch 3) are lost.
-	if lost != 2 {
-		t.Errorf("lost probes toward sw2 = %d (%+v)", lost, mismatches)
-	}
-}
-
-// TestForgedProbeIgnored: a probe with a bad MAC (e.g. replayed/forged by
-// the provider controller) must not confirm anything.
-func TestForgedProbeIgnored(t *testing.T) {
-	d := deployLinear(t, 2, deploy.Options{SkipAgents: true})
-	issued := d.RVaaS.ProbeSweep()
-	if issued == 0 {
-		t.Fatal("no probes issued")
-	}
-	// Inject a forged probe claiming an absurd source.
-	forged := wire.NewProbePacket(&wire.ProbePayload{
-		ProbeID: 1, SrcSwitch: 99, SrcPort: 99, IssuedUnix: 0,
-		MAC: []byte("not-a-real-mac--"),
-	})
-	d.Fabric.Switch(1).ProcessPacket(1, forged, 0)
-	time.Sleep(50 * time.Millisecond)
-	// The real probes confirm; the forgery must not have corrupted state.
-	if mismatches := d.RVaaS.WiringReport(); len(mismatches) != 0 {
-		t.Errorf("forged probe corrupted the report: %+v", mismatches)
-	}
-}
-
 // TestMalformedQueryIgnored: garbage payloads on the magic port must not
 // crash or wedge the controller.
 func TestMalformedQueryIgnored(t *testing.T) {
@@ -107,7 +53,9 @@ func TestAuthReplyFromUnregisteredClientIgnored(t *testing.T) {
 
 	// Detach the genuine destination agent so it cannot answer, then have
 	// an attacker inject a bogus auth reply for the query nonce.
-	d.Fabric.DetachHost(aps[2].Endpoint)
+	if err := d.Fabric.AttachHost(aps[2].Endpoint, nil); err != nil {
+		t.Fatal(err)
+	}
 	respCh := make(chan *wire.QueryResponse, 1)
 	errCh := make(chan error, 1)
 	go func() {

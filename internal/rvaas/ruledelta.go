@@ -176,7 +176,7 @@ func tableDelta(oldT, newT []openflow.FlowEntry) headerspace.Delta {
 			n = len(nb)
 		}
 		for i := 0; i < n; i++ {
-			if sameEntry(ob[i], nb[i]) {
+			if ob[i].Equal(nb[i]) {
 				common = append(common, ob[i])
 			} else {
 				changed = append(changed, ob[i], nb[i])
@@ -207,7 +207,7 @@ func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply) head
 	case openflow.FlowEventRemoved:
 		var removed, kept []openflow.FlowEntry
 		for _, e := range before {
-			if sameEntry(e, ev.Entry) {
+			if e.Equal(ev.Entry) {
 				removed = append(removed, e)
 			} else {
 				kept = append(kept, e)
@@ -217,7 +217,7 @@ func eventDelta(before []openflow.FlowEntry, ev *openflow.FlowMonitorReply) head
 	case openflow.FlowEventModified:
 		var replaced, rest []openflow.FlowEntry
 		for _, e := range before {
-			if e.Priority == ev.Entry.Priority && sameMatch(e.Match, ev.Entry.Match) {
+			if e.Priority == ev.Entry.Priority && e.Match.Equal(ev.Entry.Match) {
 				replaced = append(replaced, e)
 			} else {
 				rest = append(rest, e)

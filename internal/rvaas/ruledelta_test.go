@@ -82,17 +82,14 @@ func TestReplaceStateNilMetersKeepsStored(t *testing.T) {
 	}
 }
 
-// TestSameEntryIncludesMeterID: MeterID is part of rule identity, so
-// tablesEqual and applyEvent's entry matching agree.
+// TestSameEntryIncludesMeterID: MeterID is part of rule identity, so a
+// resync's table comparison and applyEvent's entry matching agree.
 func TestSameEntryIncludesMeterID(t *testing.T) {
 	a := fwdEntry(100, 0x0A000001, 2)
 	b := a
 	b.MeterID = 9
-	if sameEntry(a, b) {
+	if a.Equal(b) {
 		t.Fatal("entries differing only in MeterID compare as the same rule")
-	}
-	if tablesEqual([]openflow.FlowEntry{a}, []openflow.FlowEntry{b}) {
-		t.Fatal("tables differing only in MeterID compare equal")
 	}
 
 	// A removal event naming the metered variant must not delete the

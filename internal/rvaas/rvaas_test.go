@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/deploy"
+	"repro/internal/openflow"
+	"repro/internal/rvaas"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -468,21 +470,73 @@ func TestPassiveMonitoringTracksChanges(t *testing.T) {
 	}
 }
 
+// selfRulesMissing reads one switch's SelfRulesMissing from SwitchSessions.
+func selfRulesMissing(d *deploy.Deployment, sw topology.SwitchID) int {
+	for _, ss := range d.RVaaS.SwitchSessions() {
+		if ss.Switch == sw {
+			return ss.SelfRulesMissing
+		}
+	}
+	return -1
+}
+
 func TestSelfRuleTamperDetection(t *testing.T) {
 	d := deployLinear(t, 2, deploy.Options{})
-	if rep := d.RVaaS.CheckSelfRules(); !rep.Clean() {
-		t.Fatalf("clean deployment reports tampering: %+v", rep)
-	}
+	waitUntil(t, time.Second, func() bool { return selfRulesMissing(d, 1) == 0 && selfRulesMissing(d, 2) == 0 })
 	// The compromised controller deletes RVaaS's query interception rule on
 	// switch 1.
 	sw := d.Fabric.Switch(1)
 	for _, e := range sw.Table() {
-		if e.Cookie&0x5AA5_0000_0000 == 0x5AA5_0000_0000 {
+		if e.Cookie&rvaas.CookieRVaaS == rvaas.CookieRVaaS {
 			sw.RemoveDirect(e)
 			break
 		}
 	}
-	waitUntil(t, time.Second, func() bool { return !d.RVaaS.CheckSelfRules().Clean() })
+	waitUntil(t, time.Second, func() bool { return selfRulesMissing(d, 1) == 1 })
+	if got := selfRulesMissing(d, 2); got != 0 {
+		t.Errorf("untouched switch 2 reports %d self-rules missing", got)
+	}
+}
+
+// TestSelfRuleCheckIgnoresForgedCookie: the provider deletes RVaaS's
+// interception rule and installs two forwarding rules carrying RVaaS's
+// cookie. Counting cookie-marked entries reads that table as intact;
+// comparing whole entries reports the one rule missing.
+func TestSelfRuleCheckIgnoresForgedCookie(t *testing.T) {
+	d := deployLinear(t, 2, deploy.Options{SkipAgents: true})
+	waitUntil(t, time.Second, func() bool { return selfRulesMissing(d, 1) == 0 })
+	for _, e := range d.Fabric.Switch(1).Table() {
+		if e.Cookie&rvaas.CookieRVaaS == rvaas.CookieRVaaS {
+			d.Provider.RemoveEntry(1, e)
+		}
+	}
+	dst := d.Topology.AccessPoints()[1]
+	for i, port := range []uint32{1, 2} {
+		d.Provider.InstallEntry(1, openflow.FlowEntry{
+			Priority: 100,
+			Match: openflow.Match{Fields: []openflow.FieldMatch{
+				{Field: wire.FieldIPDst, Value: uint64(dst.HostIP) + uint64(i), Mask: 0xFFFFFFFF},
+			}},
+			Actions: []openflow.Action{openflow.Output(port)},
+			Cookie:  rvaas.CookieRVaaS | 7,
+		})
+	}
+	forged := func() int {
+		n := 0
+		for _, e := range d.Fabric.Switch(1).Table() {
+			if e.Cookie&rvaas.CookieRVaaS == rvaas.CookieRVaaS {
+				n++
+			}
+		}
+		return n
+	}
+	waitUntil(t, time.Second, func() bool { return forged() == 2 && selfRulesMissing(d, 1) == 1 })
+	if err := d.RVaaS.PollAll(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := selfRulesMissing(d, 1); got != 1 {
+		t.Fatalf("forged-cookie table: %d self-rules missing, want 1", got)
+	}
 }
 
 func TestFlapEvidenceViaPolling(t *testing.T) {
@@ -514,21 +568,6 @@ func TestFlapEvidenceViaPolling(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("flap attack left no churn evidence (%d events)", len(churn))
-	}
-}
-
-func TestProbeSweepConfirmsWiring(t *testing.T) {
-	d := deployLinear(t, 4, deploy.Options{})
-	issued := d.RVaaS.ProbeSweep()
-	if issued != 6 { // 3 links x 2 directions
-		t.Errorf("issued = %d probes, want 6", issued)
-	}
-	// Probe confirmations arrive asynchronously; give the fabric a moment.
-	// WiringReport clears state, so it is called exactly once to judge.
-	time.Sleep(50 * time.Millisecond)
-	mismatches := d.RVaaS.WiringReport()
-	if len(mismatches) != 0 {
-		t.Errorf("wiring mismatches on healthy fabric: %+v", mismatches)
 	}
 }
 

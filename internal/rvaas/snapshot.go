@@ -1,6 +1,7 @@
 package rvaas
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -172,11 +173,6 @@ func (s *snapshotStore) exportAll() []capture {
 	return caps
 }
 
-// replaceTable installs a full-table snapshot (active poll result).
-func (s *snapshotStore) replaceTable(sw topology.SwitchID, entries []openflow.FlowEntry, ports []uint32, seq uint64) {
-	s.replaceState(sw, entries, ports, nil, seq, false)
-}
-
 // replaceState installs a full snapshot including the meter table. The
 // returned capture pairs the new snapshot id with the tables as of exactly
 // this change; changed reports whether the switch's state actually
@@ -206,9 +202,11 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 	// state and spuriously count as changed, bumping the snapshot id and
 	// invalidating the compile cache on a byte-identical poll.
 	changed = !seen ||
-		!tablesEqual(s.tables[sw], entries) ||
-		(ports != nil && !portsEqual(s.ports[sw], ports)) ||
-		(meters != nil && !metersEqual(s.meters[sw], meters))
+		// Order-sensitive: polls report tables in stable order, and a false
+		// mismatch merely costs one recompile.
+		!slices.EqualFunc(s.tables[sw], entries, openflow.FlowEntry.Equal) ||
+		(ports != nil && !slices.Equal(s.ports[sw], ports)) ||
+		(meters != nil && !slices.Equal(s.meters[sw], meters))
 	s.seq[sw] = seq
 	if !changed {
 		return s.captureLocked(sw), false, false
@@ -217,7 +215,7 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 	// snapshot or a port-set change (which alters flood expansion for the
 	// whole table) widens to the full header space.
 	switch {
-	case !seen || (ports != nil && !portsEqual(s.ports[sw], ports)):
+	case !seen || (ports != nil && !slices.Equal(s.ports[sw], ports)):
 		s.accumulateDeltaLocked(sw, headerspace.Delta{Space: headerspace.FullSpace(wire.HeaderWidth)})
 	default:
 		s.accumulateDeltaLocked(sw, tableDelta(s.tables[sw], entries))
@@ -231,45 +229,6 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 	}
 	s.bumpLocked(sw)
 	return s.captureLocked(sw), true, false
-}
-
-// tablesEqual compares two flow tables entry-wise (order-sensitive: polls
-// report tables in stable order, and a false mismatch merely costs one
-// recompile).
-func tablesEqual(a, b []openflow.FlowEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameEntry(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func portsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func metersEqual(a, b []openflow.MeterConfig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // markUnreachable wipes one switch's forwarding state after its control
@@ -326,7 +285,7 @@ func (s *snapshotStore) applyEvent(sw topology.SwitchID, ev *openflow.FlowMonito
 	case openflow.FlowEventRemoved:
 		kept := s.tables[sw][:0]
 		for _, e := range s.tables[sw] {
-			if !sameEntry(e, ev.Entry) {
+			if !e.Equal(ev.Entry) {
 				kept = append(kept, e)
 			}
 		}
@@ -334,7 +293,7 @@ func (s *snapshotStore) applyEvent(sw topology.SwitchID, ev *openflow.FlowMonito
 	case openflow.FlowEventModified:
 		replaced := false
 		for i, e := range s.tables[sw] {
-			if e.Priority == ev.Entry.Priority && sameMatch(e.Match, ev.Entry.Match) {
+			if e.Priority == ev.Entry.Priority && e.Match.Equal(ev.Entry.Match) {
 				s.tables[sw][i] = ev.Entry
 				replaced = true
 			}
@@ -353,37 +312,6 @@ func (s *snapshotStore) seqOf(sw topology.SwitchID) uint64 {
 	return s.seq[sw]
 }
 
-func sameMatch(a, b openflow.Match) bool {
-	if a.InPort != b.InPort || len(a.Fields) != len(b.Fields) {
-		return false
-	}
-	for i := range a.Fields {
-		if a.Fields[i] != b.Fields[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameEntry is the single definition of "the same rule": every field that
-// distinguishes two flow entries — including MeterID — is compared here, so
-// applyEvent's entry matching and tablesEqual (and the rule-delta diff)
-// can never disagree about rule identity.
-func sameEntry(a, b openflow.FlowEntry) bool {
-	if a.Priority != b.Priority || a.Cookie != b.Cookie || a.MeterID != b.MeterID || !sameMatch(a.Match, b.Match) {
-		return false
-	}
-	if len(a.Actions) != len(b.Actions) {
-		return false
-	}
-	for i := range a.Actions {
-		if a.Actions[i] != b.Actions[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // table returns a copy of one switch's entries.
 func (s *snapshotStore) table(sw topology.SwitchID) []openflow.FlowEntry {
 	s.mu.Lock()
@@ -398,20 +326,8 @@ func (s *snapshotStore) snapshotID() uint64 {
 	return s.id
 }
 
-// generations returns the current snapshot id together with a copy of the
-// per-switch generation counters. The subscription engine diffs successive
-// copies to compute the dirty set of an incremental re-verification pass.
-func (s *snapshotStore) generations() (uint64, map[topology.SwitchID]uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gens := make(map[topology.SwitchID]uint64, len(s.gen))
-	for sw, g := range s.gen {
-		gens[sw] = g
-	}
-	return s.id, gens
-}
-
-// generationsAndDeltas is generations plus an atomic drain of the pending
+// generationsAndDeltas returns the current snapshot id, a copy of the
+// per-switch generation counters and an atomic drain of the pending
 // per-switch rule deltas: the returned deltas describe exactly the changes
 // between the previous drain and the returned generation counters (both
 // are read under one lock acquisition, so no change can fall between

@@ -258,7 +258,7 @@ func TestSubscribeInBand(t *testing.T) {
 	replies := &replyLog{}
 	pushed := tapPushes(t, d, aps[0], func(pkt *wire.Packet) {
 		replies.record(pkt)
-		agent.HandleFrame(pkt)
+		agent.HandlerFor(aps[0])(pkt)
 	})
 
 	sub, err := agent.Subscribe(wire.QueryReachableDestinations, ipConstraint(dst.HostIP), "")
@@ -310,7 +310,7 @@ func TestSubscribeInBand(t *testing.T) {
 		t.Fatalf("first push = %+v, want sub %d under item nonce %#x", b, sub.ID, wire.BatchItemNonce(reg.Nonce, 0))
 	}
 	dropsBefore := agent.NotificationsDropped()
-	agent.HandleFrame(frames[0])
+	agent.HandlerFor(aps[0])(frames[0])
 	if agent.NotificationsDropped() != dropsBefore+1 {
 		t.Error("replayed stale notification not dropped")
 	}
@@ -774,16 +774,13 @@ func TestRetiredOpsIgnored(t *testing.T) {
 }
 
 // TestInterceptionRulesCoverSubscriptionPort pins the interception surface:
-// every switch carries exactly two RVaaS rules — the envelope port that
-// subscriptions (and every other client op) arrive on, and the probe
-// EthType — the self-rule tamper check expects exactly those, and a frame
-// to a retired v1 magic port is ordinary data-plane traffic again: no
-// Packet-In, no reply.
+// every switch carries exactly one RVaaS rule — the envelope port that
+// subscriptions (and every other client op) arrive on — the self-rule
+// check expects exactly that one, and a frame to a retired v1 magic port
+// is ordinary data-plane traffic again: no Packet-In, no reply.
 func TestInterceptionRulesCoverSubscriptionPort(t *testing.T) {
 	d := deployLinear(t, 2, deploy.Options{SkipAgents: true})
-	if rep := d.RVaaS.CheckSelfRules(); !rep.Clean() {
-		t.Fatalf("interception rules missing: %+v", rep)
-	}
+	waitUntil(t, time.Second, func() bool { return selfRulesMissing(d, 1) == 0 && selfRulesMissing(d, 2) == 0 })
 	for _, sw := range d.Topology.Switches() {
 		own, envelope := 0, false
 		for _, e := range d.Fabric.Switch(sw).Table() {
@@ -797,19 +794,20 @@ func TestInterceptionRulesCoverSubscriptionPort(t *testing.T) {
 				}
 			}
 		}
-		if own != 2 || !envelope {
-			t.Errorf("switch %d: %d RVaaS rules (envelope rule: %v), want 2 with the envelope port", sw, own, envelope)
+		if own != 1 || !envelope {
+			t.Errorf("switch %d: %d RVaaS rules (envelope rule: %v), want the envelope port's one", sw, own, envelope)
 		}
 	}
-	// One rule gone is tampering: the check expects both.
-	sw := d.Fabric.Switch(d.Topology.Switches()[0])
+	// The rule gone is tampering.
+	first := d.Topology.Switches()[0]
+	sw := d.Fabric.Switch(first)
 	for _, e := range sw.Table() {
 		if e.Cookie&rvaas.CookieRVaaS == rvaas.CookieRVaaS {
 			sw.RemoveDirect(e)
 			break
 		}
 	}
-	waitUntil(t, time.Second, func() bool { return !d.RVaaS.CheckSelfRules().Clean() })
+	waitUntil(t, time.Second, func() bool { return selfRulesMissing(d, first) == 1 })
 
 	src, dst := d.Topology.AccessPoints()[0], d.Topology.AccessPoints()[1]
 	atSrc, atDst := make(chan *wire.Packet, 4), make(chan *wire.Packet, 4)
@@ -1027,7 +1025,7 @@ func TestGapRecoveryEndToEnd(t *testing.T) {
 			droppedSeen.Add(1)
 			return
 		}
-		agent.HandleFrame(pkt)
+		agent.HandlerFor(ap)(pkt)
 	}); err != nil {
 		t.Fatal(err)
 	}

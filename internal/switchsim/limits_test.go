@@ -14,7 +14,7 @@ import (
 func TestSwitchRefusesUnreportableEntry(t *testing.T) {
 	sw := New(1, 4, nil)
 	entry := func(n int) openflow.FlowEntry {
-		e := openflow.FlowEntry{Priority: 10, Match: openflow.MatchAll()}
+		e := openflow.FlowEntry{Priority: 10, Match: openflow.Match{InPort: openflow.AnyPort}}
 		for i := 0; i < n; i++ {
 			e.Actions = append(e.Actions, openflow.Output(uint32(i%4+1)))
 		}

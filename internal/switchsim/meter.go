@@ -61,13 +61,6 @@ func (s *Switch) applyMeterMod(m *openflow.MeterMod) error {
 	return nil
 }
 
-// Meters returns the configured meters sorted by id.
-func (s *Switch) Meters() []openflow.MeterConfig {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metersLocked()
-}
-
 func (s *Switch) metersLocked() []openflow.MeterConfig {
 	out := make([]openflow.MeterConfig, 0, len(s.meters))
 	for _, ms := range s.meters {

@@ -15,7 +15,7 @@ func meteredEntry(dst uint32, out, meterID uint32) openflow.FlowEntry {
 }
 
 func TestMeterDropsOverRate(t *testing.T) {
-	now := timeoutBase
+	now := clockBase
 	col := newCollector()
 	sw := New(1, 4, col.transmit)
 	sw.SetClock(clockAt(&now))

@@ -39,7 +39,7 @@ type Switch struct {
 	numPorts topology.PortNo
 
 	mu       sync.Mutex
-	table    []tableEntry // priority desc, stable insertion order
+	table    []openflow.FlowEntry // priority desc, stable insertion order
 	clock    func() time.Time
 	seq      uint64 // table-change sequence number
 	sessions []*session
@@ -63,14 +63,6 @@ type session struct {
 	done      chan struct{}
 }
 
-// tableEntry is an installed rule plus the timestamps OpenFlow timeout
-// semantics need.
-type tableEntry struct {
-	fe          openflow.FlowEntry
-	installedAt time.Time
-	lastHit     time.Time
-}
-
 // New creates a switch with the given id and port count. The transmit
 // callback injects frames into the fabric; it must be safe for concurrent
 // use.
@@ -81,37 +73,11 @@ func New(id topology.SwitchID, numPorts topology.PortNo, transmit TransmitFunc) 
 	return &Switch{id: id, numPorts: numPorts, transmit: transmit, clock: time.Now}
 }
 
-// SetClock injects a time source (tests and simulated-time experiments).
-func (s *Switch) SetClock(clock func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = clock
-}
-
-// ID returns the switch's datapath id.
-func (s *Switch) ID() topology.SwitchID { return s.id }
-
-// NumPorts returns the port count.
-func (s *Switch) NumPorts() topology.PortNo { return s.numPorts }
-
-// Stats returns a copy of the counters.
-func (s *Switch) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.TableOccupancy = len(s.table)
-	return st
-}
-
 // Table returns a copy of the flow table in match order.
 func (s *Switch) Table() []openflow.FlowEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]openflow.FlowEntry, len(s.table))
-	for i, te := range s.table {
-		out[i] = te.fe
-	}
-	return out
+	return s.entriesLocked()
 }
 
 // TableSeq returns the current table-change sequence number.
@@ -237,7 +203,6 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.FlowMods++
-	now := s.clock()
 	if m.Command == openflow.FlowAdd || m.Command == openflow.FlowModify {
 		if n, a := len(m.Entry.Match.Fields), len(m.Entry.Actions); n > wire.MaxCount || a > wire.MaxCount {
 			return fmt.Errorf("flow entry with %d match fields and %d actions exceeds %d", n, a, wire.MaxCount)
@@ -247,28 +212,28 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 	case openflow.FlowAdd:
 		// OpenFlow add replaces an entry with identical priority+match.
 		for i, te := range s.table {
-			if te.fe.Priority == m.Entry.Priority && matchEqual(te.fe.Match, m.Entry.Match) {
-				s.table[i] = tableEntry{fe: m.Entry, installedAt: now, lastHit: now}
+			if te.Priority == m.Entry.Priority && te.Match.Equal(m.Entry.Match) {
+				s.table[i] = m.Entry
 				s.emitEventLocked(openflow.FlowEventModified, m.Entry)
 				return nil
 			}
 		}
-		if err := s.insertLocked(m.Entry, now); err != nil {
+		if err := s.insertLocked(m.Entry); err != nil {
 			return err
 		}
 		s.emitEventLocked(openflow.FlowEventAdded, m.Entry)
 	case openflow.FlowModify:
 		modified := false
 		for i, te := range s.table {
-			if matchEqual(te.fe.Match, m.Entry.Match) {
-				s.table[i].fe.Actions = m.Entry.Actions
-				s.table[i].fe.Cookie = m.Entry.Cookie
-				s.emitEventLocked(openflow.FlowEventModified, s.table[i].fe)
+			if te.Match.Equal(m.Entry.Match) {
+				s.table[i].Actions = m.Entry.Actions
+				s.table[i].Cookie = m.Entry.Cookie
+				s.emitEventLocked(openflow.FlowEventModified, s.table[i])
 				modified = true
 			}
 		}
 		if !modified {
-			if err := s.insertLocked(m.Entry, now); err != nil {
+			if err := s.insertLocked(m.Entry); err != nil {
 				return err
 			}
 			s.emitEventLocked(openflow.FlowEventAdded, m.Entry)
@@ -278,12 +243,12 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 		for _, te := range s.table {
 			del := false
 			if m.Entry.Cookie != 0 {
-				del = te.fe.Cookie == m.Entry.Cookie
+				del = te.Cookie == m.Entry.Cookie
 			} else {
-				del = matchEqual(te.fe.Match, m.Entry.Match)
+				del = te.Match.Equal(m.Entry.Match)
 			}
 			if del {
-				s.emitEventLocked(openflow.FlowEventRemoved, te.fe)
+				s.emitEventLocked(openflow.FlowEventRemoved, te)
 			} else {
 				kept = append(kept, te)
 			}
@@ -292,8 +257,8 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 	case openflow.FlowDeleteStrict:
 		kept := s.table[:0]
 		for _, te := range s.table {
-			if te.fe.Priority == m.Entry.Priority && matchEqual(te.fe.Match, m.Entry.Match) {
-				s.emitEventLocked(openflow.FlowEventRemoved, te.fe)
+			if te.Priority == m.Entry.Priority && te.Match.Equal(m.Entry.Match) {
+				s.emitEventLocked(openflow.FlowEventRemoved, te)
 			} else {
 				kept = append(kept, te)
 			}
@@ -308,54 +273,22 @@ func (s *Switch) applyFlowMod(m *openflow.FlowMod) error {
 // entriesLocked snapshots the flow entries. Callers hold s.mu.
 func (s *Switch) entriesLocked() []openflow.FlowEntry {
 	out := make([]openflow.FlowEntry, len(s.table))
-	for i, te := range s.table {
-		out[i] = te.fe
-	}
+	copy(out, s.table)
 	return out
-}
-
-// ExpireFlows removes entries whose hard timeout elapsed since install or
-// whose idle timeout elapsed since the last matching packet, emitting
-// FlowEventRemoved for each. It returns the number of expired entries.
-// Timeouts are in seconds, per OpenFlow.
-func (s *Switch) ExpireFlows(now time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.table[:0]
-	expired := 0
-	for _, te := range s.table {
-		dead := false
-		if te.fe.HardTimeout > 0 &&
-			!now.Before(te.installedAt.Add(time.Duration(te.fe.HardTimeout)*time.Second)) {
-			dead = true
-		}
-		if te.fe.IdleTimeout > 0 &&
-			!now.Before(te.lastHit.Add(time.Duration(te.fe.IdleTimeout)*time.Second)) {
-			dead = true
-		}
-		if dead {
-			expired++
-			s.emitEventLocked(openflow.FlowEventRemoved, te.fe)
-		} else {
-			kept = append(kept, te)
-		}
-	}
-	s.table = kept
-	return expired
 }
 
 // insertLocked places the entry keeping priority-descending stable order,
 // refusing an entry past the count a StatsReply can carry.
-func (s *Switch) insertLocked(e openflow.FlowEntry, now time.Time) error {
+func (s *Switch) insertLocked(e openflow.FlowEntry) error {
 	if len(s.table) >= wire.MaxCount {
 		return fmt.Errorf("flow table full: %d entries", len(s.table))
 	}
 	idx := sort.Search(len(s.table), func(i int) bool {
-		return s.table[i].fe.Priority < e.Priority
+		return s.table[i].Priority < e.Priority
 	})
-	s.table = append(s.table, tableEntry{})
+	s.table = append(s.table, openflow.FlowEntry{})
 	copy(s.table[idx+1:], s.table[idx:])
-	s.table[idx] = tableEntry{fe: e, installedAt: now, lastHit: now}
+	s.table[idx] = e
 	return nil
 }
 
@@ -393,19 +326,6 @@ func (s *Switch) emitEventLocked(kind openflow.FlowEventKind, e openflow.FlowEnt
 	}
 }
 
-// matchEqual compares matches structurally.
-func matchEqual(a, b openflow.Match) bool {
-	if a.InPort != b.InPort || len(a.Fields) != len(b.Fields) {
-		return false
-	}
-	for i := range a.Fields {
-		if a.Fields[i] != b.Fields[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // handlePacketOut injects a controller-supplied frame into the data plane.
 func (s *Switch) handlePacketOut(m *openflow.PacketOut) {
 	pkt, err := wire.Unmarshal(m.Data)
@@ -426,7 +346,7 @@ func (s *Switch) ProcessPacket(inPort topology.PortNo, pkt *wire.Packet, hop int
 	s.stats.RxPackets++
 	matched := -1
 	for i := range s.table {
-		if s.table[i].fe.Match.MatchesPacket(pkt, uint32(inPort)) {
+		if s.table[i].Match.MatchesPacket(pkt, uint32(inPort)) {
 			matched = i
 			break
 		}
@@ -436,8 +356,7 @@ func (s *Switch) ProcessPacket(inPort topology.PortNo, pkt *wire.Packet, hop int
 		s.mu.Unlock()
 		return
 	}
-	s.table[matched].lastHit = s.clock()
-	entry := s.table[matched].fe
+	entry := s.table[matched]
 	if entry.MeterID != 0 && !s.meterAllowsLocked(entry.MeterID, pkt) {
 		s.stats.Dropped++
 		s.mu.Unlock()

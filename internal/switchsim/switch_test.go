@@ -115,7 +115,7 @@ func TestFloodExcludesIngress(t *testing.T) {
 	sw := New(1, 4, col.transmit)
 	sw.InstallDirect(openflow.FlowEntry{
 		Priority: 1,
-		Match:    openflow.MatchAll(),
+		Match:    openflow.Match{InPort: openflow.AnyPort},
 		Actions:  []openflow.Action{openflow.Output(openflow.FloodPort)},
 	})
 	sw.ProcessPacket(2, udpTo(1), 0)
@@ -324,7 +324,7 @@ func TestFlowAddReplacesSameMatch(t *testing.T) {
 	if len(table) != 1 {
 		t.Fatalf("table size = %d, want 1 (replace semantics)", len(table))
 	}
-	if table[0].OutputPorts()[0] != 4 {
+	if table[0].Actions[0].Port != 4 {
 		t.Error("replacement did not take effect")
 	}
 }

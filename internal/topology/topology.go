@@ -189,17 +189,6 @@ func (t *Topology) AccessPoints() []AccessPoint {
 	return out
 }
 
-// AccessPointsOf returns the access points of one client.
-func (t *Topology) AccessPointsOf(clientID uint64) []AccessPoint {
-	var out []AccessPoint
-	for _, ap := range t.accessPoints {
-		if ap.ClientID == clientID {
-			out = append(out, ap)
-		}
-	}
-	return out
-}
-
 // AccessPointAt returns the access point at an endpoint, if any.
 func (t *Topology) AccessPointAt(e Endpoint) (AccessPoint, bool) {
 	for _, ap := range t.accessPoints {

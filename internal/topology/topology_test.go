@@ -45,9 +45,6 @@ func TestAccessPointValidation(t *testing.T) {
 	if !ok || ap.ClientID != 5 {
 		t.Errorf("AccessPointAt = %+v, %v", ap, ok)
 	}
-	if got := tp.AccessPointsOf(5); len(got) != 1 {
-		t.Errorf("AccessPointsOf(5) = %v", got)
-	}
 }
 
 func TestPeerSymmetry(t *testing.T) {

@@ -242,13 +242,6 @@ func (ra *Reassembler) Accept(origin uint64, e *Envelope) (*Envelope, error) {
 	}, nil
 }
 
-// Pending returns the number of in-flight chains (for tests and stats).
-func (ra *Reassembler) Pending() int {
-	ra.mu.Lock()
-	defer ra.mu.Unlock()
-	return len(ra.chains)
-}
-
 // Dropped counts chains discarded incomplete: evicted by the chain bound,
 // torn, or poisoned by a duplicated fragment. A chain that merely never
 // completes is counted when it is evicted.

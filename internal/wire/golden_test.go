@@ -158,10 +158,3 @@ func TestGoldenNotifyBatchPacket(t *testing.T) {
 		"02000000000602005aa5000108004500008200000000401165680afffffe0a0000065aab0408006e00000210010203040506070800000000000000000000005001000000000000002b00000002020302000000000000000422334455667788990000000000000002000176030501000000000000000933445566778899aa000000000000000500026f6b0001dd0001ee",
 		fromRVaaS(0x020000000006, IPv4(10, 0, 0, 6), OpNotifyBatch, 0x0102030405060708, b.Marshal()))
 }
-
-func TestGoldenProbePacket(t *testing.T) {
-	pp := &ProbePayload{ProbeID: 5, SrcSwitch: 1, SrcPort: 2, IssuedUnix: 1700000000, MAC: []byte{0x11}}
-	goldenPacket(t, "probe",
-		"0180c200000e02005aa5000288b500000000000000050000000100000002000000006553f100000111",
-		NewProbePacket(pp))
-}

@@ -633,50 +633,6 @@ func UnmarshalAuthReply(data []byte) (*AuthReply, error) {
 	return a, nil
 }
 
-// ProbePayload is the body of an RVaaS topology probe frame (LLDP-like
-// packets issued "through all internal ports", §IV-A1). The HMAC prevents a
-// compromised controller from forging plausible probes.
-type ProbePayload struct {
-	ProbeID    uint64
-	SrcSwitch  uint32
-	SrcPort    uint32
-	IssuedUnix int64
-	MAC        []byte
-}
-
-// SigningBytes returns the canonical bytes covered by the MAC.
-func (pp *ProbePayload) SigningBytes() []byte {
-	var w Writer
-	w.U64(pp.ProbeID)
-	w.U32(pp.SrcSwitch)
-	w.U32(pp.SrcPort)
-	w.U64(uint64(pp.IssuedUnix))
-	return w.buf
-}
-
-// Marshal encodes the probe payload.
-func (pp *ProbePayload) Marshal() []byte {
-	w := Writer{buf: pp.SigningBytes()}
-	w.BytesN(pp.MAC)
-	return w.buf
-}
-
-// UnmarshalProbePayload decodes a probe payload.
-func UnmarshalProbePayload(data []byte) (*ProbePayload, error) {
-	r := Reader{buf: data}
-	pp := &ProbePayload{
-		ProbeID:   r.U64(),
-		SrcSwitch: r.U32(),
-		SrcPort:   r.U32(),
-	}
-	pp.IssuedUnix = int64(r.U64())
-	pp.MAC = r.BytesN()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return pp, nil
-}
-
 // Canonical RVaaS addressing constants shared by every frame builder.
 const (
 	// rvaasSrcMAC is the locally-administered source MAC of frames RVaaS
@@ -720,16 +676,6 @@ func NewEnvelopePacket(srcMAC uint64, srcIP uint32, env *Envelope) *Packet {
 func NewEnvelopeReplyPacket(dstMAC uint64, dstIP uint32, env *Envelope) *Packet {
 	return rvaasUDP(dstMAC, rvaasSrcMAC, rvaasAnycastIP, dstIP,
 		PortRVaaSV2, ephemeralPort(env.CorrelationID), env.Marshal())
-}
-
-// NewProbePacket wraps a probe payload in a probe EthType frame.
-func NewProbePacket(pp *ProbePayload) *Packet {
-	return &Packet{
-		EthDst:  0x0180C200000E, // LLDP multicast
-		EthSrc:  0x02005AA5_0002,
-		EthType: EthTypeProbe,
-		Payload: pp.Marshal(),
-	}
 }
 
 // ephemeralPort derives a stable pseudo-ephemeral port from a nonce so the

@@ -124,20 +124,6 @@ func TestAuthRequestReplyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProbePayloadRoundTrip(t *testing.T) {
-	pp := &ProbePayload{ProbeID: 1234, SrcSwitch: 7, SrcPort: 3, IssuedUnix: 1717171717, MAC: []byte{0xaa}}
-	got, err := UnmarshalProbePayload(pp.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ProbeID != 1234 || got.SrcSwitch != 7 || got.SrcPort != 3 || got.IssuedUnix != 1717171717 {
-		t.Errorf("probe mismatch: %+v", got)
-	}
-	if !bytes.Equal(pp.SigningBytes(), got.SigningBytes()) {
-		t.Error("probe signing bytes differ")
-	}
-}
-
 func TestPacketConstructors(t *testing.T) {
 	// The in-band authentication round rides the envelope like every other
 	// op: the challenge is an RVaaS → client frame, the reply a client →
@@ -170,11 +156,6 @@ func TestPacketConstructors(t *testing.T) {
 	}
 	if got, err := UnmarshalAuthReply(env.Body); err != nil || got.ClientID != 2 {
 		t.Errorf("auth reply body decode: %v %+v", err, got)
-	}
-
-	probe := NewProbePacket(&ProbePayload{ProbeID: 5})
-	if !probe.IsProbe() {
-		t.Error("probe packet not recognized")
 	}
 }
 

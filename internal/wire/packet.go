@@ -11,9 +11,6 @@ const (
 	EthTypeIPv4 uint16 = 0x0800
 	EthTypeVLAN uint16 = 0x8100
 	EthTypeLLDP uint16 = 0x88CC
-	// EthTypeProbe marks RVaaS topology probe frames (LLDP-like but
-	// carrying an authenticated probe ID; paper §IV-A1).
-	EthTypeProbe uint16 = 0x88B5 // IEEE local experimental
 )
 
 // IP protocol numbers.
@@ -100,7 +97,7 @@ var (
 )
 
 // Marshal encodes the packet as Ethernet[+802.1Q]/IPv4/UDP bytes. Non-IPv4
-// EthTypes (LLDP, probe) are encoded as Ethernet + raw payload.
+// EthTypes (LLDP) are encoded as Ethernet + raw payload.
 func (p *Packet) Marshal() []byte {
 	ethLen := ethHeaderLen
 	if p.VLAN != 0 {
@@ -257,9 +254,4 @@ func (p *Packet) IsRVaaSV2() bool {
 // RVaaS toward a client (reply, asynchronous push or auth challenge).
 func (p *Packet) IsRVaaSV2Reply() bool {
 	return p.EthType == EthTypeIPv4 && p.IPProto == IPProtoUDP && p.L4Src == PortRVaaSV2
-}
-
-// IsProbe reports whether the packet is an RVaaS topology probe frame.
-func (p *Packet) IsProbe() bool {
-	return p.EthType == EthTypeProbe
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/headerspace"
 )
 
 func samplePacket() *Packet {
@@ -60,15 +62,15 @@ func TestPacketNonIPRoundTrip(t *testing.T) {
 	p := &Packet{
 		EthDst:  0x0180C200000E,
 		EthSrc:  1,
-		EthType: EthTypeProbe,
+		EthType: EthTypeLLDP,
 		Payload: []byte{1, 2, 3},
 	}
 	got, err := Unmarshal(p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.EthType != EthTypeProbe || !bytes.Equal(got.Payload, []byte{1, 2, 3}) {
-		t.Errorf("probe round trip: %+v", got)
+	if got.EthType != EthTypeLLDP || !bytes.Equal(got.Payload, []byte{1, 2, 3}) {
+		t.Errorf("non-IP round trip: %+v", got)
 	}
 }
 
@@ -93,16 +95,15 @@ func TestUnmarshalChecksumCorruption(t *testing.T) {
 
 func TestMagicPredicates(t *testing.T) {
 	q := samplePacket()
-	if !q.IsRVaaSV2() || q.IsRVaaSV2Reply() || q.IsProbe() {
+	if !q.IsRVaaSV2() || q.IsRVaaSV2Reply() {
 		t.Error("client envelope predicates wrong")
 	}
 	q.L4Src, q.L4Dst = PortRVaaSV2, 5000
 	if !q.IsRVaaSV2Reply() || q.IsRVaaSV2() {
 		t.Error("reply envelope predicates wrong")
 	}
-	probe := &Packet{EthType: EthTypeProbe}
-	if !probe.IsProbe() {
-		t.Error("probe predicate wrong")
+	if lldp := (&Packet{EthType: EthTypeLLDP, L4Dst: PortRVaaSV2}); lldp.IsRVaaSV2() {
+		t.Error("a non-IP frame classified as an envelope")
 	}
 }
 
@@ -124,26 +125,25 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestPacketBitsMatchPacketHeader(t *testing.T) {
+	// matches reports whether h is exactly the concrete bit string bits.
+	matches := func(h headerspace.Header, bits []byte) bool {
+		for i, b := range bits {
+			if want := [2]headerspace.Bit{headerspace.Bit0, headerspace.Bit1}[b]; h.Bit(i) != want {
+				return false
+			}
+		}
+		return true
+	}
 	p := samplePacket()
 	h := PacketHeader(p)
-	bits := PacketBits(p)
-	if !h.MatchesValue(bits) {
+	if !matches(h, PacketBits(p)) {
 		t.Error("PacketHeader must match PacketBits of the same packet")
 	}
 	// A different packet must not match.
 	q := samplePacket()
 	q.IPDst = IPv4(99, 9, 9, 9)
-	if h.MatchesValue(PacketBits(q)) {
+	if matches(h, PacketBits(q)) {
 		t.Error("distinct packets should not match")
-	}
-}
-
-func TestHeaderToPacketInverse(t *testing.T) {
-	p := samplePacket()
-	got := HeaderToPacket(PacketHeader(p))
-	if got.EthDst != p.EthDst || got.IPSrc != p.IPSrc || got.L4Dst != p.L4Dst ||
-		got.IPProto != p.IPProto || got.VLAN != p.VLAN {
-		t.Errorf("inverse mismatch: %+v vs %+v", got, p)
 	}
 }
 
@@ -151,12 +151,12 @@ func TestFieldHeaderMasking(t *testing.T) {
 	// /24 prefix match on IPDst.
 	h := FieldHeader(FieldIPDst, uint64(IPv4(10, 0, 1, 0)), 0xFFFFFF00)
 	in := samplePacket() // 10.0.1.2
-	if !h.MatchesValue(PacketBits(in)) {
+	if !h.Covers(PacketHeader(in)) {
 		t.Error("10.0.1.2 should be in 10.0.1.0/24")
 	}
 	out := samplePacket()
 	out.IPDst = IPv4(10, 0, 2, 2)
-	if h.MatchesValue(PacketBits(out)) {
+	if h.Covers(PacketHeader(out)) {
 		t.Error("10.0.2.2 should not be in 10.0.1.0/24")
 	}
 }
