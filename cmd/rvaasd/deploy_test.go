@@ -72,8 +72,10 @@ func TestDeployValidateRejectsBadSpec(t *testing.T) {
 
 func TestUnknownCommand(t *testing.T) {
 	captureOut(t)
-	if err := run([]string{"frobnicate"}); err == nil {
-		t.Fatal("unknown command accepted")
+	for _, args := range [][]string{{"frobnicate"}, {"spec", "migrate", "-in", linear40Spec}} {
+		if err := run(args); err == nil || exitCode(err) != exitUsage {
+			t.Errorf("run(%q): err=%v code=%d, want %d", args, err, exitCode(err), exitUsage)
+		}
 	}
 }
 
@@ -92,6 +94,10 @@ func TestOpsExitCodes(t *testing.T) {
 	if err == nil || exitCode(err) != exitUsage {
 		t.Errorf("unknown verb: code=%d, want %d", exitCode(err), exitUsage)
 	}
+	err = run([]string{"ops", "overview", "-addr", "127.0.0.1:1"})
+	if err == nil || exitCode(err) != exitUsage {
+		t.Errorf("retired -addr flag: code=%d, want %d", exitCode(err), exitUsage)
+	}
 	err = run([]string{"ops", "history", "notanumber"})
 	if err == nil || exitCode(err) != exitUsage {
 		t.Errorf("bad history id: code=%d, want %d", exitCode(err), exitUsage)
@@ -100,42 +106,6 @@ func TestOpsExitCodes(t *testing.T) {
 	err = run([]string{"ops", "overview", "-admin", "127.0.0.1:1", "-timeout", "2s"})
 	if err == nil || exitCode(err) != exitConnect {
 		t.Errorf("dead endpoint: err=%v code=%d, want %d", err, exitCode(err), exitConnect)
-	}
-}
-
-// TestSpecMigrate covers the canonicalizer CLI: v1 in, canonical v2 out,
-// both formats, and the migrated output re-validates.
-func TestSpecMigrate(t *testing.T) {
-	buf := captureOut(t)
-	if err := run([]string{"spec", "migrate", "-in", linear40Spec}); err != nil {
-		t.Fatalf("spec migrate: %v", err)
-	}
-	got := buf.String()
-	if !strings.Contains(got, "schemaVersion: 2") || !strings.Contains(got, "name: linear-40-lab") {
-		t.Fatalf("migrated yaml missing canonical fields:\n%s", got)
-	}
-
-	outFile := t.TempDir() + "/lab.v2.json"
-	if err := run([]string{"spec", "migrate", "-in", linear40Spec, "-out", outFile, "-format", "json"}); err != nil {
-		t.Fatalf("spec migrate -format json: %v", err)
-	}
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"schemaVersion": 2`) {
-		t.Fatalf("json output missing schemaVersion:\n%s", data)
-	}
-	// The migrated file itself passes deploy -validate.
-	if err := run([]string{"deploy", "-topo", outFile, "-validate"}); err != nil {
-		t.Fatalf("migrated spec fails validation: %v", err)
-	}
-
-	if err := run([]string{"spec", "migrate"}); err == nil || exitCode(err) != exitUsage {
-		t.Errorf("missing -in: err=%v code=%d, want %d", err, exitCode(err), exitUsage)
-	}
-	if err := run([]string{"spec", "frobnicate"}); err == nil || exitCode(err) != exitUsage {
-		t.Errorf("unknown spec verb accepted")
 	}
 }
 
@@ -176,7 +146,7 @@ func TestDeployOpsEndToEnd(t *testing.T) {
 
 	// The spec's isolation invariant is genuinely violated under all-pairs
 	// routing, so the flagship ops query returns live violated state.
-	if err := run([]string{"ops", "subs", "-addr", addr, "-filter", "status=violated", "-limit", "50"}); err != nil {
+	if err := run([]string{"ops", "subs", "-admin", addr, "-filter", "status=violated", "-limit", "50"}); err != nil {
 		t.Fatalf("ops subs: %v", err)
 	}
 	got := buf.String()
@@ -186,18 +156,17 @@ func TestDeployOpsEndToEnd(t *testing.T) {
 
 	// Cursor pagination against the live lab: page-size 2 over 3 invariants
 	// needs a second page.
-	if err := run([]string{"ops", "subs", "-addr", addr, "-limit", "2"}); err != nil {
+	if err := run([]string{"ops", "subs", "-admin", addr, "-limit", "2"}); err != nil {
 		t.Fatalf("ops subs paged: %v", err)
 	}
 	if !strings.Contains(buf.String(), "next page: -cursor") {
 		t.Fatalf("expected a continuation cursor with -limit 2:\n%s", buf.String())
 	}
-	if err := run([]string{"ops", "subs", "-addr", addr, "-limit", "2", "-all"}); err != nil {
+	if err := run([]string{"ops", "subs", "-admin", addr, "-limit", "2", "-all"}); err != nil {
 		t.Fatalf("ops subs -all: %v", err)
 	}
 
-	// The rest of the ops surface against the live lab (-addr stays as a
-	// deprecated alias of -admin).
+	// The rest of the ops surface against the live lab.
 	for _, verb := range []string{"overview", "version", "shards", "sessions", "procs"} {
 		if err := run([]string{"ops", verb, "-admin", addr}); err != nil {
 			t.Fatalf("ops %s: %v", verb, err)
@@ -206,7 +175,7 @@ func TestDeployOpsEndToEnd(t *testing.T) {
 	if !strings.Contains(buf.String(), "api=v1") {
 		t.Fatalf("ops version output missing api=v1:\n%s", buf.String())
 	}
-	if err := run([]string{"ops", "resync", "-addr", addr, "3"}); err != nil {
+	if err := run([]string{"ops", "resync", "-admin", addr, "3"}); err != nil {
 		t.Fatalf("ops resync: %v", err)
 	}
 	err := run([]string{"ops", "resync", "-admin", addr, "999"})
@@ -234,7 +203,7 @@ func TestDeployOpsEndToEnd(t *testing.T) {
 	}
 
 	// With the lab gone, ops calls fail with an actionable error.
-	if err := run([]string{"ops", "overview", "-addr", addr}); err == nil {
+	if err := run([]string{"ops", "overview", "-admin", addr}); err == nil {
 		t.Fatal("ops against a stopped lab succeeded")
 	} else if got := exitCode(err); got != exitConnect {
 		t.Fatalf("ops against a stopped lab: exit code %d, want %d", got, exitConnect)

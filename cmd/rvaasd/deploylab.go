@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,7 +31,6 @@ func runDeploy(args []string) error {
 	topoPath := fs.String("topo", "", "lab spec file (YAML or JSON, required)")
 	validate := fs.Bool("validate", false, "parse and validate the spec, print a summary, exit")
 	reconfigure := fs.Bool("reconfigure", false, "discard the lab's persisted state (rvaas.persistPath) before deploying")
-	maxWorkers := fs.Int("max-workers", 0, "override the spec's bring-up worker bound")
 	adminAddr := fs.String("admin", defaultAdminAddr, "admin API listen address (empty disables)")
 	runFor := fs.Duration("run-for", 0, "exit after this duration (0 = run until signal)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "bound for ordered teardown")
@@ -45,9 +45,6 @@ func runDeploy(args []string) error {
 	spec, err := labspec.Load(*topoPath)
 	if err != nil {
 		return err
-	}
-	if *maxWorkers > 0 {
-		spec.Transport.MaxWorkers = *maxWorkers
 	}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -109,7 +106,7 @@ func printSpecSummary(spec *labspec.Spec) error {
 	fmt.Fprintf(out, "spec %q valid: %d switches, %d links, %d access points, routing=%s, transport=%s, %d invariants\n",
 		spec.Name, len(topo.Switches()), len(topo.Links()), len(topo.AccessPoints()),
 		routingName(spec), transportName(spec), len(spec.Invariants))
-	canon, err := spec.MarshalYAMLCompatJSON()
+	canon, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@
 //	rvaasd deploy -topo lab.yml -validate  dry-run: parse + validate only
 //	rvaasd ops subs -filter status=violated -limit 50
 //	                                       operate a running lab over HTTP
-//	rvaasd spec migrate -in lab.yml        canonicalize a spec to schema v2
 package main
 
 import (
@@ -30,30 +29,27 @@ func main() {
 func run(args []string) error {
 	if len(args) == 0 {
 		usage()
-		return usageErr("rvaasd: missing command (want deploy, ops or spec)")
+		return usageErr("rvaasd: missing command (want deploy or ops)")
 	}
 	switch args[0] {
 	case "deploy":
 		return runDeploy(args[1:])
 	case "ops":
 		return runOps(args[1:])
-	case "spec":
-		return runSpec(args[1:])
 	case "help":
 		usage()
 		return nil
 	default:
 		usage()
-		return usageErr("rvaasd: unknown command %q (want deploy, ops or spec)", args[0])
+		return usageErr("rvaasd: unknown command %q (want deploy or ops)", args[0])
 	}
 }
 
 func usage() {
 	fmt.Fprint(out, `usage:
   rvaasd deploy -topo <spec.yml|spec.json> [-validate] [-reconfigure]
-                [-max-workers N] [-admin host:port] [-run-for D]
+                [-admin host:port] [-run-for D]
   rvaasd ops <overview|version|subs|shards|sessions|procs|history|resync|faults>
              [-admin host:port] [-timeout D] ...
-  rvaasd spec migrate -in <spec.yml|spec.json> [-out FILE] [-format yaml|json]
 `)
 }

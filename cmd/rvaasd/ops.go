@@ -51,7 +51,6 @@ func runOps(args []string) error {
 	}
 	fs := flag.NewFlagSet(fsName, flag.ContinueOnError)
 	adminAddr := fs.String("admin", defaultAdminAddr, "admin API address of the running lab (host:port, any host)")
-	fs.StringVar(adminAddr, "addr", defaultAdminAddr, "alias of -admin (deprecated)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
 	var filters filterFlags
 	limit := fs.Int("limit", 0, "entries per page (0 = server default)")
@@ -367,20 +366,9 @@ func (c *opsClient) sessions() error {
 	fmt.Fprintf(out, "switch sessions (%d):\n", len(view.Switches))
 	for _, ss := range view.Switches {
 		fmt.Fprintf(out, "  switch=%-6d peer=%-12s %-10s selfRulesMissing=%d\n",
-			ss.Switch, ss.PeerName, switchStateString(ss), ss.SelfRulesMissing)
+			ss.Switch, ss.PeerName, ss.State, ss.SelfRulesMissing)
 	}
 	return nil
-}
-
-func switchStateString(ss admin.SwitchSessionView) string {
-	if ss.State != "" {
-		return ss.State
-	}
-	// Older daemons omit the state field; infer it from the resync flag.
-	if ss.Resyncing {
-		return "resyncing"
-	}
-	return "attached"
 }
 
 func (c *opsClient) procs() error {

@@ -25,32 +25,28 @@ import (
 	"repro/internal/wire"
 )
 
-// defaultBringUpWorkers bounds concurrent switch bring-up (identity
-// provisioning + secure-channel handshake + attach) when Options.MaxWorkers
-// is unset.
-const defaultBringUpWorkers = 8
+// bringUpWorkers bounds concurrent switch bring-up (identity provisioning +
+// secure-channel handshake + attach).
+const bringUpWorkers = 8
 
 // Options tunes a deployment.
 type Options struct {
-	// SkipRouting leaves the network unprogrammed (empty-network
-	// experiments); by default all-pairs shortest-path routing is
-	// installed via the provider controller.
-	SkipRouting bool
 	// TenantRouting installs isolated per-tenant flows (with ingress-port
-	// pinning) instead of all-pairs destination trees. Used by the
-	// isolation case study.
+	// pinning) instead of the default all-pairs destination trees. Used by
+	// the isolation case study.
 	TenantRouting bool
-	// PollInterval / RandomizePolls configure RVaaS active polling.
-	PollInterval   time.Duration
-	RandomizePolls bool
-	// AuthTimeout bounds per-query in-band authentication.
+	// PollInterval is the mean period of RVaaS's randomly timed active
+	// polls (0 = no background poller).
+	PollInterval time.Duration
+	// AuthTimeout bounds per-query in-band authentication (0 = rvaas
+	// default).
 	AuthTimeout time.Duration
 	// RecheckParallelism is the subscription re-check worker count
 	// (<= 0 means GOMAXPROCS).
 	RecheckParallelism int
 	// HistoryDepth is the number of snapshots RVaaS retains (0 = default).
 	HistoryDepth int
-	// Seed for RVaaS's poll-time randomness.
+	// Seed for RVaaS's poll-gap randomness.
 	Seed int64
 	// Clock injection for simulated-time experiments.
 	Clock func() time.Time
@@ -77,13 +73,6 @@ type Options struct {
 	// labspec.TransportUDP for real loopback UDP sockets with the
 	// loss-tolerant secure channel.
 	Transport string
-	// MaxWorkers bounds concurrent switch bring-up (0 = default 8).
-	MaxWorkers int
-	// Heartbeat enables controller-side session liveness probing at this
-	// period (0 = disabled). Multi-process placements set it: a UDP channel
-	// to a dead switchd process delivers no transport-close signal, so only
-	// missed heartbeats reveal the loss.
-	Heartbeat time.Duration
 }
 
 // Deployment is a running system.
@@ -112,16 +101,27 @@ func (opt Options) rvaasConfig(topo *topology.Topology, platform *enclave.Platfo
 		Topology:           topo,
 		Platform:           platform,
 		PollInterval:       opt.PollInterval,
-		RandomizePolls:     opt.RandomizePolls,
 		AuthTimeout:        opt.AuthTimeout,
 		HistoryDepth:       opt.HistoryDepth,
 		Seed:               opt.Seed + seedBump,
 		Clock:              opt.Clock,
 		ManualRecheck:      opt.ManualRecheck,
 		RecheckParallelism: opt.RecheckParallelism,
-		HeartbeatInterval:  opt.Heartbeat,
 		Persist:            opt.Persist,
 	}
+}
+
+// installRouting programs the provider's routes: isolated per-tenant flows
+// with TenantRouting, all-pairs destination trees otherwise.
+func (opt Options) installRouting(provider *controlplane.Controller) error {
+	install := provider.InstallAllPairs
+	if opt.TenantRouting {
+		install = provider.InstallTenantRouting
+	}
+	if err := install(); err != nil {
+		return fmt.Errorf("deploy: install routing: %w", err)
+	}
+	return nil
 }
 
 // connectPair builds one secured controller↔switch channel pair over the
@@ -142,7 +142,7 @@ func (opt Options) connectPair(ctlID *openflow.Identity, ctlCert openflow.Certif
 
 // attachSwitches provisions an identity for every switch and brings its
 // secure control channel up (handshake, Serve, Attach with initial sync),
-// fanning the bring-up across at most opt.MaxWorkers workers of the one
+// fanning the bring-up across at most bringUpWorkers workers of the one
 // worker pool (headerspace.PoolRun). Switch bring-ups are independent;
 // every one is waited for so the caller can tear down safely, and the
 // first error in switch order wins.
@@ -154,12 +154,8 @@ func attachSwitches(topo *topology.Topology, fab *fabric.Fabric, ctl *rvaas.Cont
 // placed deployments bring only their in-process share up this way, the
 // rest attach over the network.
 func attachSwitchList(switches []topology.SwitchID, fab *fabric.Fabric, ctl *rvaas.Controller, ca *openflow.CA, ctlID *openflow.Identity, ctlCert openflow.Certificate, opt Options) error {
-	workers := opt.MaxWorkers
-	if workers <= 0 {
-		workers = defaultBringUpWorkers
-	}
 	errs := make([]error, len(switches))
-	headerspace.PoolRun(len(switches), workers, func(i int) {
+	headerspace.PoolRun(len(switches), bringUpWorkers, func(i int) {
 		errs[i] = attachSwitch(switches[i], fab, ctl, ca, ctlID, ctlCert, opt)
 	})
 	for _, err := range errs {
@@ -197,25 +193,14 @@ func New(topo *topology.Topology, opt Options) (*Deployment, error) {
 		return nil, fmt.Errorf("deploy: agent protocol v%d was removed; agents speak envelope v%d",
 			opt.AgentProtocol, wire.EnvelopeVersion)
 	}
-	if opt.AuthTimeout == 0 {
-		opt.AuthTimeout = 250 * time.Millisecond
-	}
 	fab, err := fabric.New(topo)
 	if err != nil {
 		return nil, err
 	}
 	provider := controlplane.New(fab)
-	if !opt.SkipRouting {
-		var rerr error
-		if opt.TenantRouting {
-			rerr = provider.InstallTenantRouting()
-		} else {
-			rerr = provider.InstallAllPairs()
-		}
-		if rerr != nil {
-			fab.Close()
-			return nil, fmt.Errorf("deploy: install routing: %w", rerr)
-		}
+	if err := opt.installRouting(provider); err != nil {
+		fab.Close()
+		return nil, err
 	}
 
 	platform, err := enclave.NewPlatform()
@@ -302,18 +287,13 @@ func FromSpecPlaced(spec *labspec.Spec, pc PlacedConfig) (*Deployment, error) {
 		return nil, err
 	}
 	opt := Options{
-		SkipRouting:          spec.Routing == "none",
 		TenantRouting:        spec.Routing == "tenant",
 		PollInterval:         spec.RVaaS.PollInterval.Std(),
-		RandomizePolls:       spec.RVaaS.RandomizePolls,
-		AuthTimeout:          spec.RVaaS.AuthTimeout.Std(),
 		RecheckParallelism:   spec.RVaaS.RecheckParallelism,
-		HistoryDepth:         spec.RVaaS.HistoryDepth,
 		Seed:                 spec.RVaaS.Seed,
 		SkipAgents:           spec.Agents.Skip,
 		AgentResponseTimeout: spec.Agents.ResponseTimeout.Std(),
 		Transport:            spec.Transport.Kind,
-		MaxWorkers:           spec.Transport.MaxWorkers,
 	}
 	var owned io.Closer
 	if spec.RVaaS.PersistPath != "" {

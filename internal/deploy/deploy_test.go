@@ -37,21 +37,13 @@ func TestDeploySkipOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(topo, Options{SkipRouting: true, SkipAgents: true})
+	d, err := New(topo, Options{SkipAgents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	if len(d.Agents) != 0 {
 		t.Error("agents created despite SkipAgents")
-	}
-	// No routing: only RVaaS interception rules on the switches.
-	for _, sw := range d.Fabric.Switches() {
-		for _, e := range sw.Table() {
-			if e.Cookie&0x5AA5_0000_0000 != 0x5AA5_0000_0000 {
-				t.Errorf("unexpected rule with cookie %#x", e.Cookie)
-			}
-		}
 	}
 }
 
@@ -76,9 +68,8 @@ func TestDeployBackgroundPoller(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := New(topo, Options{
-		PollInterval:   20 * time.Millisecond,
-		RandomizePolls: true,
-		SkipAgents:     true,
+		PollInterval: 20 * time.Millisecond,
+		SkipAgents:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

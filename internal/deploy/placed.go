@@ -30,13 +30,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Placed-lab defaults.
+// Placed-lab timing.
 const (
-	// defaultPlacedHeartbeat is the secure-channel liveness probe period for
-	// multi-process labs when the spec does not choose one: a SIGKILLed
-	// switchd gives no transport-close signal over UDP, so only missed
-	// heartbeats reveal the loss.
-	defaultPlacedHeartbeat = 200 * time.Millisecond
+	// placedHeartbeat is the secure-channel liveness probe period for
+	// multi-process labs: a SIGKILLed switchd gives no transport-close
+	// signal over UDP, so only missed heartbeats reveal the loss.
+	placedHeartbeat = 200 * time.Millisecond
 	// defaultJoinTimeout bounds waiting for every placed group to join and
 	// its switches to attach.
 	defaultJoinTimeout = 30 * time.Second
@@ -124,7 +123,6 @@ type Placement struct {
 	mu       sync.Mutex
 	groups   map[string]*procGroup
 	bySwitch map[topology.SwitchID]*procGroup
-	byClient map[uint64]*procGroup
 	// hostHandlers are the controller-process agents' NIC receive paths
 	// (edge deliveries route here when the owning fabric is remote).
 	hostHandlers map[topology.Endpoint]fabric.HostHandler
@@ -776,12 +774,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 	if err != nil {
 		return nil, err
 	}
-	if opt.AuthTimeout == 0 {
-		opt.AuthTimeout = 250 * time.Millisecond
-	}
-	if opt.Heartbeat == 0 {
-		opt.Heartbeat = defaultPlacedHeartbeat
-	}
 	logf := pc.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -795,7 +787,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 		}
 		return defaultChildCommand(kind)
 	}
-	// (stored on the Placement below for Respawn)
 
 	placedSw := spec.Placement.PlacedSwitches()
 	var owned []topology.SwitchID
@@ -811,7 +802,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 		logf:         logf,
 		groups:       make(map[string]*procGroup),
 		bySwitch:     make(map[topology.SwitchID]*procGroup),
-		byClient:     make(map[uint64]*procGroup),
 		hostHandlers: make(map[topology.Endpoint]fabric.HostHandler),
 		apGroup:      make(map[topology.Endpoint]*procGroup),
 	}
@@ -836,7 +826,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 			}
 		}
 	}
-	spec.Migrate()
 	p.specJSON, err = json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -864,7 +853,9 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 	if err != nil {
 		return fail(err)
 	}
-	p.ctl, err = rvaas.New(opt.rvaasConfig(topo, platform, 0))
+	cfg := opt.rvaasConfig(topo, platform, 0)
+	cfg.HeartbeatInterval = placedHeartbeat
+	p.ctl, err = rvaas.New(cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -919,9 +910,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 		p.groups[g.Name] = pg
 		for _, sw := range g.Switches {
 			p.bySwitch[topology.SwitchID(sw)] = pg
-		}
-		for _, id := range g.Agents {
-			p.byClient[id] = pg
 		}
 	}
 	p.wg.Add(3)
@@ -982,16 +970,8 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 
 	// Provider routing through the placement-aware programming plane.
 	provider := controlplane.NewWithProgrammer(topo, placedProgrammer{p})
-	if !opt.SkipRouting {
-		var rerr error
-		if opt.TenantRouting {
-			rerr = provider.InstallTenantRouting()
-		} else {
-			rerr = provider.InstallAllPairs()
-		}
-		if rerr != nil {
-			return fail(fmt.Errorf("deploy: install routing: %w", rerr))
-		}
+	if err := opt.installRouting(provider); err != nil {
+		return fail(err)
 	}
 
 	d := &Deployment{

@@ -17,7 +17,6 @@ import (
 // speed.
 const faultSpecYAML = `
 name: fault-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 4

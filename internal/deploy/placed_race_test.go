@@ -18,7 +18,6 @@ import (
 func TestPlacedSubscribeAckPushRace(t *testing.T) {
 	spec, err := labspec.Parse([]byte(`
 name: gap-race-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 6

@@ -65,7 +65,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 const placedSpecYAML = `
 name: placed-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 4
@@ -285,7 +284,6 @@ func TestPlacedSpecExternalRendezvous(t *testing.T) {
 	dir := t.TempDir()
 	spec, err := labspec.Parse([]byte(`
 name: ext-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 2
@@ -323,7 +321,6 @@ placement:
 func TestPlacedJoinRefusals(t *testing.T) {
 	spec, err := labspec.Parse([]byte(`
 name: refuse-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 2

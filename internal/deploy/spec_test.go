@@ -3,7 +3,6 @@ package deploy
 import (
 	"context"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
@@ -36,7 +35,6 @@ topology:
 routing: allpairs
 transport:
   kind: udp
-  maxWorkers: 3
 invariants:
   - client: 1
     kind: reachable-destinations
@@ -196,24 +194,4 @@ func TestShutdownExpiredContext(t *testing.T) {
 	}
 	// Finish the teardown for real.
 	d.Close()
-}
-
-func TestBringUpWorkerBounds(t *testing.T) {
-	// MaxWorkers larger than the switch count and equal to 1 both work.
-	for _, workers := range []int{1, 64} {
-		d := specLab(t, `
-name: workers-lab
-topology:
-  generator: ring
-  size: 4
-transport:
-  kind: udp
-  maxWorkers: `+strconv.Itoa(workers)+`
-agents:
-  skip: true
-`)
-		if got := len(d.RVaaS.SwitchSessions()); got != 4 {
-			t.Fatalf("maxWorkers=%d: attached sessions = %d, want 4", workers, got)
-		}
-	}
 }

@@ -31,7 +31,6 @@ import (
 // and rejoin happen at bench speed.
 const envelopeSpecYAML = `
 name: envelope-lab
-schemaVersion: 2
 topology:
   generator: linear
   size: 4

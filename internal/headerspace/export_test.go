@@ -75,3 +75,57 @@ func (tf *TransferFunction) Rules() []Rule {
 	copy(out, tf.rules)
 	return out
 }
+
+// Equal reports whether the two headers are bit-identical. Two empty headers
+// of the same width are considered equal even if their z positions differ.
+func (h Header) Equal(o Header) bool {
+	if h.width != o.width {
+		return false
+	}
+	he, oe := h.IsEmpty(), o.IsEmpty()
+	if he || oe {
+		return he == oe
+	}
+	for i := range h.words {
+		if h.words[i] != o.words[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Intersect returns s ∩ o by distributing over the union terms.
+func (s Space) Intersect(o Space) Space {
+	out := Space{width: s.width}
+	for _, a := range s.terms {
+		for _, b := range o.terms {
+			x, err := a.Intersect(b)
+			if err == nil && !x.IsEmpty() {
+				out.terms = append(out.terms, x)
+			}
+		}
+	}
+	return out.Compact()
+}
+
+// Subtract returns s \ o. The result never shares term storage with s or o.
+func (s Space) Subtract(o Space) Space {
+	if len(o.terms) == 0 {
+		return s.Clone()
+	}
+	// SubtractHeader is functional (it clones every surviving term), so the
+	// first pass already detaches the result from s — no up-front deep copy.
+	out := s
+	for _, b := range o.terms {
+		out = out.SubtractHeader(b)
+		if out.IsEmpty() {
+			return EmptySpace(s.width)
+		}
+	}
+	return out.Compact()
+}
+
+// Equal reports set equality.
+func (s Space) Equal(o Space) bool {
+	return s.Covers(o) && o.Covers(s)
+}

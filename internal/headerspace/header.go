@@ -244,24 +244,6 @@ func (h Header) Covers(o Header) bool {
 	return true
 }
 
-// Equal reports whether the two headers are bit-identical. Two empty headers
-// of the same width are considered equal even if their z positions differ.
-func (h Header) Equal(o Header) bool {
-	if h.width != o.width {
-		return false
-	}
-	he, oe := h.IsEmpty(), o.IsEmpty()
-	if he || oe {
-		return he == oe
-	}
-	for i := range h.words {
-		if h.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Complement returns the set of packets NOT matched by h, as a union of
 // pairwise-DISJOINT headers (one per non-wildcard position, with all lower
 // fixed positions pinned to h's values). Disjointness keeps downstream

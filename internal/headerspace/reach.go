@@ -47,9 +47,6 @@ func NewNetwork(width int) *Network {
 	}
 }
 
-// Width returns the header width.
-func (n *Network) Width() int { return n.width }
-
 // AddNode registers a node with its transfer function. Re-adding replaces.
 func (n *Network) AddNode(id NodeID, tf *TransferFunction) error {
 	if tf.Width() != n.width {

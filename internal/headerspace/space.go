@@ -35,9 +35,6 @@ func EmptySpace(width int) Space {
 	return Space{width: width}
 }
 
-// Width returns the bit width of the space.
-func (s Space) Width() int { return s.width }
-
 // Terms returns a copy of the wildcard expressions in the union.
 func (s Space) Terms() []Header {
 	out := make([]Header, len(s.terms))
@@ -81,20 +78,6 @@ func (s Space) Union(o Space) Space {
 	return out.Compact()
 }
 
-// Intersect returns s ∩ o by distributing over the union terms.
-func (s Space) Intersect(o Space) Space {
-	out := Space{width: s.width}
-	for _, a := range s.terms {
-		for _, b := range o.terms {
-			x, err := a.Intersect(b)
-			if err == nil && !x.IsEmpty() {
-				out.terms = append(out.terms, x)
-			}
-		}
-	}
-	return out.Compact()
-}
-
 // IntersectHeader returns s ∩ {h}.
 func (s Space) IntersectHeader(h Header) Space {
 	out := Space{width: s.width}
@@ -105,23 +88,6 @@ func (s Space) IntersectHeader(h Header) Space {
 		}
 	}
 	return out
-}
-
-// Subtract returns s \ o. The result never shares term storage with s or o.
-func (s Space) Subtract(o Space) Space {
-	if len(o.terms) == 0 {
-		return s.Clone()
-	}
-	// SubtractHeader is functional (it clones every surviving term), so the
-	// first pass already detaches the result from s — no up-front deep copy.
-	out := s
-	for _, b := range o.terms {
-		out = out.SubtractHeader(b)
-		if out.IsEmpty() {
-			return EmptySpace(s.width)
-		}
-	}
-	return out.Compact()
 }
 
 // SubtractHeader returns s \ {h}.
@@ -202,11 +168,6 @@ func (s Space) Overlaps(o Space) bool {
 		}
 	}
 	return false
-}
-
-// Equal reports set equality.
-func (s Space) Equal(o Space) bool {
-	return s.Covers(o) && o.Covers(s)
 }
 
 // Compact removes empty and subsumed terms and merges pairs of terms that

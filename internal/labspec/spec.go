@@ -53,25 +53,13 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // Std returns the standard-library duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
-// Schema versions. A spec without a schemaVersion is a v1 document; the
-// placement section is a v2 addition and requires schemaVersion >= 2.
-const (
-	SchemaV1 = 1
-	SchemaV2 = 2
-	// SchemaCurrent is the version Migrate canonicalizes to.
-	SchemaCurrent = SchemaV2
-)
-
 // Spec is the root of a lab specification.
 type Spec struct {
-	// SchemaVersion is the spec schema revision (absent means 1). Placement
-	// requires >= 2. `rvaasd spec migrate` rewrites v1 specs to canonical v2.
-	SchemaVersion int `json:"schemaVersion,omitempty"`
 	// Name identifies the lab (required; used in logs and persistence).
 	Name     string       `json:"name"`
 	Topology TopologySpec `json:"topology"`
-	// Routing selects the control-plane routing mode: "allpairs" (default),
-	// "tenant" (per-client VLAN isolation), or "none".
+	// Routing selects the control-plane routing mode: "allpairs" (default)
+	// or "tenant" (per-client VLAN isolation).
 	Routing    string          `json:"routing,omitempty"`
 	RVaaS      RVaaSSpec       `json:"rvaas,omitempty"`
 	Transport  TransportSpec   `json:"transport,omitempty"`
@@ -79,31 +67,14 @@ type Spec struct {
 	Placement  *PlacementSpec  `json:"placement,omitempty"`
 	Invariants []InvariantSpec `json:"invariants,omitempty"`
 	// Faults declares the lab's fault plane: named channel perturbation
-	// profiles and scheduled fault windows (schemaVersion >= 2, placed
-	// labs only — the targets are the trunk, the attach channels and the
-	// placed processes).
+	// profiles and scheduled fault windows (placed labs only — the targets
+	// are the trunk, the attach channels and the placed processes).
 	Faults *FaultsSpec `json:"faults,omitempty"`
 	// Campaign declares a seeded adversarial campaign over this spec's
 	// topology (attacksim run -spec). Campaign labs are always fresh
 	// single-process deployments, so the section composes with any spec but
 	// ignores placement/agents/invariants.
 	Campaign *CampaignSpec `json:"campaign,omitempty"`
-}
-
-// Version returns the effective schema version (absent means 1).
-func (s *Spec) Version() int {
-	if s.SchemaVersion == 0 {
-		return SchemaV1
-	}
-	return s.SchemaVersion
-}
-
-// Migrate canonicalizes the spec in place to the current schema version:
-// a v1 document becomes an equivalent v2 document (no placement section,
-// i.e. every component stays in the controller process). Already-v2 specs
-// only get their version pinned.
-func (s *Spec) Migrate() {
-	s.SchemaVersion = SchemaCurrent
 }
 
 // Placement process kinds.
@@ -120,7 +91,7 @@ const (
 // PlacementSpec splits a lab across processes: each group of switches
 // and/or client agents is hosted either in the controller process, in a
 // locally spawned child process, or in an externally launched one that
-// joins through a rendezvous manifest (schemaVersion >= 2).
+// joins through a rendezvous manifest.
 type PlacementSpec struct {
 	// Trunk is the controller's data-plane trunk listen address
 	// ("127.0.0.1:0" when empty — an ephemeral loopback port).
@@ -267,21 +238,16 @@ type AccessPointSpec struct {
 
 // RVaaSSpec tunes the verification controller.
 type RVaaSSpec struct {
-	// PollInterval is the periodic flow-table poll cadence (0 = default).
+	// PollInterval is the mean period of the randomly timed flow-table polls
+	// (0 = no background polls).
 	PollInterval Duration `json:"pollInterval,omitempty"`
-	// RandomizePolls jitters poll timing (paper §IV-B evasion resistance).
-	RandomizePolls bool `json:"randomizePolls,omitempty"`
-	// AuthTimeout bounds client authentication handshakes.
-	AuthTimeout Duration `json:"authTimeout,omitempty"`
 	// RecheckParallelism sizes the subscription recheck worker pool
 	// (0 = GOMAXPROCS).
 	RecheckParallelism int `json:"recheckParallelism,omitempty"`
-	// HistoryDepth bounds the per-subscription verdict history ring.
-	HistoryDepth int `json:"historyDepth,omitempty"`
 	// PersistPath durably persists sessions + subscriptions for restart
 	// recovery ("" = ephemeral).
 	PersistPath string `json:"persistPath,omitempty"`
-	// Seed seeds controller randomness (poll jitter).
+	// Seed seeds controller randomness (the random poll gaps).
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -296,8 +262,6 @@ type TransportSpec struct {
 	// Kind is "inproc" (in-memory pipes, default) or "udp" (real loopback
 	// UDP sockets).
 	Kind string `json:"kind,omitempty"`
-	// MaxWorkers bounds concurrent switch bring-up (0 = default).
-	MaxWorkers int `json:"maxWorkers,omitempty"`
 }
 
 // AgentsSpec controls client agent placement.
@@ -576,13 +540,6 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// MarshalYAMLCompatJSON renders the spec as canonical indented JSON (every
-// JSON spec is also the interchange form for golden files and -validate
-// output).
-func (s *Spec) MarshalYAMLCompatJSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 var queryKinds = map[string]wire.QueryKind{
 	"reachable-destinations": wire.QueryReachableDestinations,
 	"reaching-sources":       wire.QueryReachingSources,
@@ -658,41 +615,24 @@ func (s *Spec) Validate() error {
 	if strings.TrimSpace(s.Name) == "" {
 		return fmt.Errorf("labspec: name: required (identifies the lab in logs and persistence)")
 	}
-	switch s.SchemaVersion {
-	case 0, SchemaV1, SchemaV2:
-	default:
-		return fmt.Errorf("labspec: schemaVersion: unknown version %d (want 1 or 2; this build speaks up to %d)", s.SchemaVersion, SchemaCurrent)
-	}
-	if s.Placement != nil && s.Version() < SchemaV2 {
-		return fmt.Errorf("labspec: placement: requires schemaVersion >= %d (got %d; run `rvaasd spec migrate` to canonicalize)", SchemaV2, s.Version())
-	}
 	if err := s.Topology.validate(); err != nil {
 		return fmt.Errorf("labspec: topology: %w", err)
 	}
 	switch s.Routing {
-	case "", "allpairs", "tenant", "none":
+	case "", "allpairs", "tenant":
 	default:
-		return fmt.Errorf("labspec: routing: unknown mode %q (want allpairs, tenant, or none)", s.Routing)
+		return fmt.Errorf("labspec: routing: unknown mode %q (want allpairs or tenant)", s.Routing)
 	}
 	if s.RVaaS.PollInterval < 0 {
 		return fmt.Errorf("labspec: rvaas.pollInterval: must be >= 0, got %s", s.RVaaS.PollInterval.Std())
 	}
-	if s.RVaaS.AuthTimeout < 0 {
-		return fmt.Errorf("labspec: rvaas.authTimeout: must be >= 0, got %s", s.RVaaS.AuthTimeout.Std())
-	}
 	if s.RVaaS.RecheckParallelism < 0 {
 		return fmt.Errorf("labspec: rvaas.recheckParallelism: must be >= 0 (0 = GOMAXPROCS), got %d", s.RVaaS.RecheckParallelism)
-	}
-	if s.RVaaS.HistoryDepth < 0 {
-		return fmt.Errorf("labspec: rvaas.historyDepth: must be >= 0, got %d", s.RVaaS.HistoryDepth)
 	}
 	switch s.Transport.Kind {
 	case "", TransportInProc, TransportUDP:
 	default:
 		return fmt.Errorf("labspec: transport.kind: unknown kind %q (want %s or %s)", s.Transport.Kind, TransportInProc, TransportUDP)
-	}
-	if s.Transport.MaxWorkers < 0 {
-		return fmt.Errorf("labspec: transport.maxWorkers: must be >= 0 (0 = default), got %d", s.Transport.MaxWorkers)
 	}
 	if s.Agents.ResponseTimeout < 0 {
 		return fmt.Errorf("labspec: agents.responseTimeout: must be >= 0, got %s", s.Agents.ResponseTimeout.Std())
@@ -731,9 +671,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Faults != nil {
-		if s.Version() < SchemaV2 {
-			return fmt.Errorf("labspec: faults: requires schemaVersion >= %d (got %d)", SchemaV2, s.Version())
-		}
 		if s.Placement == nil {
 			return fmt.Errorf("labspec: faults: requires a placement section (the fault targets are the trunk, attach channels and placed processes)")
 		}

@@ -1,6 +1,7 @@
 package labspec
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +43,7 @@ func TestParseLinear40YAML(t *testing.T) {
 	if s.RVaaS.RecheckParallelism != 4 {
 		t.Errorf("recheckParallelism = %d", s.RVaaS.RecheckParallelism)
 	}
-	if s.Transport.Kind != TransportUDP || s.Transport.MaxWorkers != 8 {
+	if s.Transport.Kind != TransportUDP {
 		t.Errorf("transport = %+v", s.Transport)
 	}
 	if len(s.Invariants) != 3 {
@@ -103,7 +104,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 	for _, name := range []string{"linear40.yml", "explicit.json", "placed.yml"} {
 		t.Run(name, func(t *testing.T) {
 			s := mustParseFile(t, name)
-			got, err := s.MarshalYAMLCompatJSON()
+			got, err := json.MarshalIndent(s, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,9 +136,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 
 func TestParsePlacedV2(t *testing.T) {
 	s := mustParseFile(t, "placed.yml")
-	if s.Version() != SchemaV2 {
-		t.Errorf("version = %d, want 2", s.Version())
-	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -166,10 +164,9 @@ func TestParsePlacedV2(t *testing.T) {
 
 // TestParseFaultsV2 parses a spec with trunk liveness tuning, a rejoin
 // policy and a faults section, validates it, resolves the effective beat
-// thresholds and round-trips it through the YAML encoder.
+// thresholds and round-trips it through canonical JSON.
 func TestParseFaultsV2(t *testing.T) {
-	doc := `schemaVersion: 2
-name: faulted
+	doc := `name: faulted
 topology:
   generator: linear
   size: 4
@@ -224,17 +221,7 @@ faults:
 	if w := s.Faults.Windows[0]; w.Kind != FaultKindPartition || w.Duration.Std() != 2*time.Second {
 		t.Errorf("window 0 = %+v", w)
 	}
-	y, err := s.EncodeYAML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(y)
-	if err != nil {
-		t.Fatalf("re-parse emitted yaml: %v\n--- yaml ---\n%s", err, y)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Errorf("faults round-trip mismatch:\n--- yaml ---\n%s", y)
-	}
+	roundTrip(t, s)
 }
 
 // TestEffectiveBeatDefaults: an untuned placement resolves to the wire
@@ -250,90 +237,6 @@ func TestEffectiveBeatDefaults(t *testing.T) {
 	p = &PlacementSpec{}
 	if got := p.EffectiveBeatMissTimeout(); got != DefaultBeatMissFactor*DefaultBeatInterval {
 		t.Errorf("zero EffectiveBeatMissTimeout = %s", got)
-	}
-}
-
-// TestMigrateCanonicalizes locks the v1 -> v2 migration: a v1 document gains
-// schemaVersion 2 and re-encodes byte-identically to the checked-in
-// migrated YAML golden; parsing that output yields the same spec back.
-func TestMigrateCanonicalizes(t *testing.T) {
-	s := mustParseFile(t, "linear40.yml")
-	if s.Version() != SchemaV1 {
-		t.Fatalf("pre-migrate version = %d, want 1", s.Version())
-	}
-	s.Migrate()
-	if s.Version() != SchemaCurrent {
-		t.Fatalf("post-migrate version = %d, want %d", s.Version(), SchemaCurrent)
-	}
-	got, err := s.EncodeYAML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenPath := filepath.Join("testdata", "linear40.migrated.golden.yml")
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("migrated golden mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	back, err := Parse(got)
-	if err != nil {
-		t.Fatalf("re-parse migrated yaml: %v", err)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Errorf("migrated yaml round-trip mismatch:\n  first  = %+v\n  second = %+v", s, back)
-	}
-}
-
-// TestEncodeYAMLRoundTrip re-parses the YAML emitter's output for every
-// checked-in spec and requires the identical spec back.
-func TestEncodeYAMLRoundTrip(t *testing.T) {
-	for _, name := range []string{"linear40.yml", "explicit.json", "placed.yml"} {
-		t.Run(name, func(t *testing.T) {
-			s := mustParseFile(t, name)
-			y, err := s.EncodeYAML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := Parse(y)
-			if err != nil {
-				t.Fatalf("re-parse emitted yaml: %v\n--- yaml ---\n%s", err, y)
-			}
-			if !reflect.DeepEqual(s, back) {
-				t.Errorf("round-trip mismatch:\n--- yaml ---\n%s\n  first  = %+v\n  second = %+v", y, s, back)
-			}
-		})
-	}
-}
-
-// TestEncodeYAMLQuoting covers scalars that must be quoted to survive the
-// subset parser: numeric-looking strings, booleans, flow-syntax leads.
-func TestEncodeYAMLQuoting(t *testing.T) {
-	s := &Spec{
-		SchemaVersion: 2,
-		Name:          "true",
-		Topology:      TopologySpec{Generator: "wan", Regions: []string{"0x10", "eu west", "null", "plain"}, PerRegion: 2},
-		Invariants: []InvariantSpec{
-			{Client: 1, Kind: "path-length", Param: "45"},
-			{Client: 2, Kind: "geo-regions", Param: "eu: west"},
-		},
-	}
-	y, err := s.EncodeYAML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(y)
-	if err != nil {
-		t.Fatalf("re-parse: %v\n--- yaml ---\n%s", err, y)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Errorf("quoting round-trip mismatch:\n--- yaml ---\n%s\n  first  = %+v\n  second = %+v", y, s, back)
 	}
 }
 
@@ -358,9 +261,8 @@ func TestValidateErrors(t *testing.T) {
 	}
 	placedBase := func() *Spec {
 		return &Spec{
-			SchemaVersion: 2,
-			Name:          "t",
-			Topology:      TopologySpec{Generator: "linear", Size: 4},
+			Name:     "t",
+			Topology: TopologySpec{Generator: "linear", Size: 4},
 			Placement: &PlacementSpec{
 				Groups: []PlacementGroup{
 					{Name: "left", Proc: ProcLocalExec, Switches: []uint32{1, 2}},
@@ -385,18 +287,6 @@ func TestValidateErrors(t *testing.T) {
 		spec    func() *Spec
 		wantSub string
 	}{
-		{
-			name:    "unknown schema version",
-			spec:    base,
-			mutate:  func(s *Spec) { s.SchemaVersion = 3 },
-			wantSub: "schemaVersion: unknown version 3",
-		},
-		{
-			name:    "placement on v1",
-			spec:    placedBase,
-			mutate:  func(s *Spec) { s.SchemaVersion = 0 },
-			wantSub: "placement: requires schemaVersion >= 2",
-		},
 		{
 			name:    "placement without groups",
 			spec:    placedBase,
@@ -518,6 +408,12 @@ func TestValidateErrors(t *testing.T) {
 			spec:    base,
 			mutate:  func(s *Spec) { s.Routing = "ecmp" },
 			wantSub: "routing: unknown mode",
+		},
+		{
+			name:    "retired routing none",
+			spec:    base,
+			mutate:  func(s *Spec) { s.Routing = "none" },
+			wantSub: `routing: unknown mode "none"`,
 		},
 		{
 			name:    "negative poll",
@@ -671,12 +567,6 @@ func TestValidateErrors(t *testing.T) {
 				s.Placement.Rejoin = &RejoinSpec{Backoff: Duration(time.Second), MaxBackoff: Duration(100 * time.Millisecond)}
 			},
 			wantSub: "rejoin.maxBackoff",
-		},
-		{
-			name:    "faults on v1",
-			spec:    base,
-			mutate:  func(s *Spec) { s.Faults = &FaultsSpec{} },
-			wantSub: "faults: requires schemaVersion >= 2",
 		},
 		{
 			name: "faults without placement",
@@ -833,7 +723,8 @@ topology:
 rvaas:
   pollInterval: 1s
   seed: 0x10
-  randomizePolls: true
+agents:
+  skip: true
 `
 	s, err := Parse([]byte(doc))
 	if err != nil {
@@ -851,8 +742,8 @@ rvaas:
 	if s.RVaaS.PollInterval.Std() != time.Second {
 		t.Errorf("poll = %v", s.RVaaS.PollInterval.Std())
 	}
-	if !s.RVaaS.RandomizePolls {
-		t.Error("randomizePolls not parsed")
+	if !s.Agents.Skip {
+		t.Error("boolean skip not parsed")
 	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("validate: %v", err)
@@ -891,8 +782,9 @@ func TestParseRejectsVerifiersSection(t *testing.T) {
 	rejectsRetired(t, "verifiers:\n  count: 1\n  placement: footprint\n", "verifiers")
 }
 
-// TestParseRejectsRetiredKeys: every value the retired verifiers section
-// and engine term caps once took is now an unknown field.
+// TestParseRejectsRetiredKeys: every value a retired key once took is now
+// an unknown field: the verifiers section, the engine term caps, the schema
+// version, and the knobs only one value ever reached.
 func TestParseRejectsRetiredKeys(t *testing.T) {
 	cases := []struct{ name, doc, key string }{
 		{"negative count", "verifiers:\n  count: -1\n", "verifiers"},
@@ -903,9 +795,34 @@ func TestParseRejectsRetiredKeys(t *testing.T) {
 		{"removed delta cap", "rvaas:\n  deltaTermCap: 24\n", "deltaTermCap"},
 		{"negative footprint cap", "rvaas:\n  footprintTermCap: -1\n", "footprintTermCap"},
 		{"negative delta cap", "rvaas:\n  deltaTermCap: -2\n", "deltaTermCap"},
+		{"unknown schema version", "schemaVersion: 3\n", "schemaVersion"},
+		{"schema v1", "schemaVersion: 1\n", "schemaVersion"},
+		{"schema v2", "schemaVersion: 2\n", "schemaVersion"},
+		{"periodic polls", "rvaas:\n  randomizePolls: false\n", "randomizePolls"},
+		{"random polls", "rvaas:\n  randomizePolls: true\n", "randomizePolls"},
+		{"auth timeout", "rvaas:\n  authTimeout: 250ms\n", "authTimeout"},
+		{"history depth", "rvaas:\n  historyDepth: 256\n", "historyDepth"},
+		{"bring-up workers", "transport:\n  maxWorkers: 8\n", "maxWorkers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { rejectsRetired(t, tc.doc, tc.key) })
+	}
+}
+
+// roundTrip requires the spec's canonical JSON to parse back to the
+// identical spec.
+func roundTrip(t *testing.T, s *Spec) {
+	t.Helper()
+	b, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(b)
+	if err != nil {
+		t.Fatalf("re-parse canonical json: %v\n%s", err, b)
+	}
+	if !reflect.DeepEqual(s, back) {
+		t.Errorf("round-trip mismatch:\n%s", b)
 	}
 }
 
@@ -937,17 +854,7 @@ campaign:
 		c.SettleTimeout.Std() != 3*time.Second || c.Weights["churn"] != 10 {
 		t.Fatalf("campaign = %+v", c)
 	}
-	y, err := s.EncodeYAML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(y)
-	if err != nil {
-		t.Fatalf("re-parse emitted yaml: %v\n--- yaml ---\n%s", err, y)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Errorf("campaign round-trip mismatch:\n--- yaml ---\n%s", y)
-	}
+	roundTrip(t, s)
 }
 
 func TestValidateCampaignErrors(t *testing.T) {

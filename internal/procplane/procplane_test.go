@@ -163,9 +163,8 @@ func TestConnFraming(t *testing.T) {
 func linearSpec(t *testing.T) (*labspec.Spec, []byte) {
 	t.Helper()
 	spec := &labspec.Spec{
-		SchemaVersion: labspec.SchemaV2,
-		Name:          "lab",
-		Topology:      labspec.TopologySpec{Generator: "linear", Size: 2},
+		Name:     "lab",
+		Topology: labspec.TopologySpec{Generator: "linear", Size: 2},
 	}
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -390,9 +389,8 @@ func TestRunSwitchdJoinRefused(t *testing.T) {
 func TestRunAgentdRegisters(t *testing.T) {
 	leakcheck.Check(t)
 	spec := &labspec.Spec{
-		SchemaVersion: labspec.SchemaV2,
-		Name:          "lab",
-		Topology:      labspec.TopologySpec{Generator: "star", Size: 3},
+		Name:     "lab",
+		Topology: labspec.TopologySpec{Generator: "star", Size: 3},
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {

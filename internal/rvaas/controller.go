@@ -47,15 +47,13 @@ type Config struct {
 	// Platform hosts the enclave.
 	Platform *enclave.Platform
 	// PollInterval is the mean period of active state polls; 0 disables the
-	// background poller (PollOnce can still be called manually).
+	// background poller (PollOnce can still be called manually). Each gap
+	// is drawn uniformly from [PollInterval/2, 3*PollInterval/2]: polls
+	// "need to happen at random times, which are hard to guess for the
+	// adversary" (§IV-A), so a provider cannot reconfigure between them.
 	PollInterval time.Duration
-	// RandomizePolls draws each inter-poll gap uniformly from
-	// [PollInterval/2, 3*PollInterval/2] ("the latter however needs to
-	// happen at random times, which are hard to guess for the adversary",
-	// §IV-A). When false, polls are strictly periodic — the ablation the
-	// E5 experiment measures.
-	RandomizePolls bool
-	// AuthTimeout bounds in-band authentication collection per query.
+	// AuthTimeout bounds in-band authentication collection per query
+	// (0 = 250ms).
 	AuthTimeout time.Duration
 	// HistoryDepth is the number of snapshots retained.
 	HistoryDepth int
@@ -74,13 +72,11 @@ type Config struct {
 	RecheckParallelism int
 	// HeartbeatInterval enables per-session liveness probing: the controller
 	// sends an echo request on every attached switch channel at this period
-	// and detaches the session after HeartbeatMisses consecutive unanswered
+	// and detaches the session after heartbeatMisses consecutive unanswered
 	// probes. 0 disables probing — in-process channels surface peer death as
 	// a transport close, but a UDP channel to a separately-running switchd
 	// process has no such signal, so multi-process deployments set this.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is the consecutive-miss detach threshold; <= 0 means 3.
-	HeartbeatMisses int
 	// Persist durably stores the standing-invariant set (client key,
 	// invariant spec, anchor binding, session, last verdict/seq). When
 	// set, every registration and verdict transition is appended to the
@@ -91,18 +87,19 @@ type Config struct {
 	Persist SubscriptionStore
 }
 
+// heartbeatMisses is the consecutive unanswered-probe count that detaches a
+// session.
+const heartbeatMisses = 3
+
 func (c Config) withDefaults() Config {
 	if c.AuthTimeout == 0 {
-		c.AuthTimeout = 200 * time.Millisecond
+		c.AuthTimeout = 250 * time.Millisecond
 	}
 	if c.HistoryDepth == 0 {
 		c.HistoryDepth = 256
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
 	}
 	return c
 }
@@ -422,7 +419,7 @@ func (c *Controller) detachSession(sess *session) {
 }
 
 // heartbeatLoop probes one session's liveness with echo requests; after
-// HeartbeatMisses consecutive unanswered probes the session is detached. A
+// heartbeatMisses consecutive unanswered probes the session is detached. A
 // probe is an ordinary request/reply, so a switch that is slow but alive
 // resets the miss counter with any answered probe.
 func (c *Controller) heartbeatLoop(sess *session) {
@@ -448,7 +445,7 @@ func (c *Controller) heartbeatLoop(sess *session) {
 		xid := c.xid()
 		if _, err := c.request(sess.sw, &openflow.EchoRequest{XID: xid}, xid, interval); err != nil {
 			misses++
-			if misses >= c.cfg.HeartbeatMisses {
+			if misses >= heartbeatMisses {
 				c.detachSession(sess)
 				return
 			}
@@ -506,11 +503,10 @@ func (c *Controller) Start() {
 	}()
 }
 
+// nextPollGap draws the wait before the next active poll uniformly from
+// [PollInterval/2, 3*PollInterval/2], keeping the mean period PollInterval.
 func (c *Controller) nextPollGap() time.Duration {
 	base := c.cfg.PollInterval
-	if !c.cfg.RandomizePolls {
-		return base
-	}
 	c.mu.Lock()
 	jitter := c.rng.Int63n(int64(base))
 	c.mu.Unlock()

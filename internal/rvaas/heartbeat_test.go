@@ -57,7 +57,6 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 		Platform:          platform,
 		ManualRecheck:     true,
 		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMisses:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package rvaas
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -39,6 +40,27 @@ func monEntry(ip uint32) openflow.FlowEntry {
 			{Field: wire.FieldIPDst, Value: uint64(ip), Mask: 0xFFFFFFFF},
 		}},
 		Actions: []openflow.Action{openflow.Output(2)},
+	}
+}
+
+// TestPollGapsAreRandom: with a fixed seed the active poller's gaps are not
+// a fixed period a provider could time a reconfiguration against (§IV-A),
+// and every gap stays in [I/2, 3I/2] around the mean period I.
+func TestPollGapsAreRandom(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	c := bareController()
+	c.cfg.PollInterval = interval
+	c.rng = rand.New(rand.NewSource(7))
+	distinct := map[time.Duration]bool{}
+	for i := 0; i < 64; i++ {
+		gap := c.nextPollGap()
+		if gap < interval/2 || gap > 3*interval/2 {
+			t.Fatalf("gap %d = %s, outside [%s, %s]", i, gap, interval/2, 3*interval/2)
+		}
+		distinct[gap] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("64 poll gaps took %d distinct value(s): the poller is periodic", len(distinct))
 	}
 }
 
