@@ -41,7 +41,8 @@ const (
 	// everything and must agree.
 	OpShadow = "shadow"
 	// OpRestart detaches and immediately re-attaches one switch's control
-	// session mid-batch (forced resync re-bases the wiped snapshot).
+	// session mid-batch (the re-attach's initial sync re-bases the wiped
+	// snapshot).
 	OpRestart = "restart"
 	// OpDetach / OpReattach open and close a fault window on one switch's
 	// session — degraded verdicts must appear (never stale-green) while the

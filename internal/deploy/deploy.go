@@ -243,7 +243,7 @@ func New(topo *topology.Topology, opt Options) (*Deployment, error) {
 		opt:      opt,
 	}
 	if !opt.SkipAgents {
-		if err := d.createAgents(); err != nil {
+		if err := d.createAgents(d.Fabric, nil, d.Fabric.AttachHost); err != nil {
 			d.Close()
 			return nil, err
 		}
@@ -355,19 +355,27 @@ func FromSpecPlaced(spec *labspec.Spec, pc PlacedConfig) (*Deployment, error) {
 	return d, nil
 }
 
-func (d *Deployment) createAgents() error {
+// createAgents builds the agent of every client that runs in this process
+// (elsewhere names the clients a placement hosts in other processes) and
+// hands the receive path of each of its access points to attachHost. A
+// client with several access points answers auth requests at each of them
+// with the same identity key.
+func (d *Deployment) createAgents(nic client.NIC, elsewhere map[uint64]string, attachHost func(topology.Endpoint, fabric.HostHandler) error) error {
 	trust := client.TrustAnchors{
 		PlatformRoot: d.Platform.RootKey(),
 		Measurement:  rvaas.Measurement(),
 	}
 	for _, ap := range d.Topology.AccessPoints() {
+		if _, ok := elsewhere[ap.ClientID]; ok {
+			continue
+		}
 		ag, exists := d.Agents[ap.ClientID]
 		if !exists {
 			var err error
 			ag, err = client.New(client.Config{
 				ClientID:        ap.ClientID,
 				Access:          ap,
-				NIC:             d.Fabric,
+				NIC:             nic,
 				Trust:           trust,
 				ResponseTimeout: d.opt.AgentResponseTimeout,
 			})
@@ -378,9 +386,7 @@ func (d *Deployment) createAgents() error {
 			d.RVaaS.RegisterClient(ap.ClientID, ag.PublicKey())
 			d.Agents[ap.ClientID] = ag
 		}
-		// A client with several access points answers auth requests at each
-		// of them with the same identity key.
-		if err := d.Fabric.AttachHost(ap.Endpoint, ag.HandlerFor(ap)); err != nil {
+		if err := attachHost(ap.Endpoint, ag.HandlerFor(ap)); err != nil {
 			return err
 		}
 	}
@@ -426,8 +432,8 @@ func (d *Deployment) RestartRVaaS() error {
 // ReattachSwitch re-establishes one switch's secure control channel after a
 // Detach — the single-switch "restart" adversarial campaigns exercise
 // mid-batch. The switch keeps its flow table (the process survived; only
-// the session dropped), and the controller's re-attach path force-resyncs
-// so its wiped snapshot re-bases on the switch's authoritative state.
+// the session dropped), and the re-attach's initial sync re-bases the wiped
+// snapshot on the switch's authoritative state.
 func (d *Deployment) ReattachSwitch(sw topology.SwitchID) error {
 	if d.Placed != nil {
 		return fmt.Errorf("deploy: ReattachSwitch is not supported for placed labs (the child process owns the channel)")

@@ -20,9 +20,10 @@ func (p *Placement) Child(name string) *ChildProc {
 	return g.child
 }
 
-// Respawn relaunches a local-exec group's child process after it died. The
-// fresh process rejoins the trunk with the group's token and its switches
-// re-attach over new secure channels, converging via forced resync.
+// Respawn relaunches a local-exec group's child process after it died, with
+// the dead child's argv. The fresh process rejoins the trunk with the
+// group's token and its switches re-attach over new secure channels; every
+// attach re-bases, so their regressed counters converge.
 func (p *Placement) Respawn(name string) error {
 	p.mu.Lock()
 	g := p.groups[name]
@@ -40,12 +41,13 @@ func (p *Placement) Respawn(name string) error {
 	g.mu.Lock()
 	old := g.child
 	g.mu.Unlock()
-	if old != nil {
-		if exited, _ := old.Exited(); !exited {
-			return fmt.Errorf("deploy: group %q child (pid %d) is still running", name, old.PID())
-		}
+	if old == nil {
+		return fmt.Errorf("deploy: group %q has no child to respawn", name)
 	}
-	child, err := spawnChild(g.spec.Name, g.role, p.childCmd(g.role), p.manifestFor(g), p.logf)
+	if exited, _ := old.Exited(); !exited {
+		return fmt.Errorf("deploy: group %q child (pid %d) is still running", name, old.PID())
+	}
+	child, err := spawnChild(g.spec.Name, g.role, old.cmd.Args, p.manifestFor(g), p.logf)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"net"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -130,8 +129,6 @@ type Placement struct {
 	apGroup map[topology.Endpoint]*procGroup
 	closed  bool
 	wg      sync.WaitGroup
-
-	childCmd func(kind string) []string
 }
 
 // TrunkAddr reports the trunk listen address.
@@ -178,6 +175,16 @@ func (p *Placement) deliverHost(ep topology.Endpoint, pkt *wire.Packet) {
 	if g != nil {
 		g.send(procplane.MsgFrameHost, procplane.EncodeFrame(ep, pkt))
 	}
+}
+
+// attachHost registers a controller-process agent's NIC receive path with
+// the frame router, not the fabric: its access switch may live in a child
+// process.
+func (p *Placement) attachHost(ep topology.Endpoint, h fabric.HostHandler) error {
+	p.mu.Lock()
+	p.hostHandlers[ep] = h
+	p.mu.Unlock()
+	return nil
 }
 
 // routeInject enters a host-originated frame into the fabric that owns its
@@ -515,16 +522,10 @@ func (p *Placement) acceptAttach() {
 				sc.Close()
 				return
 			}
-			err = p.ctl.Attach(swID, sc)
-			if err != nil && strings.Contains(err.Error(), "already attached") {
-				// A rejoining process raced the heartbeat detach of its dead
-				// predecessor: retire the stale session and attach fresh.
-				p.ctl.Detach(swID)
-				err = p.ctl.Attach(swID, sc)
-			}
-			if err != nil {
+			// A rejoining process may beat the heartbeat detach of its
+			// dead predecessor: Attach replaces that session.
+			if err := p.ctl.Attach(swID, sc); err != nil {
 				p.logf("deploy: attach switch %d: %v", sw, err)
-				sc.Close()
 				return
 			}
 			p.logf("deploy: switch %d attached from group %s", sw, g.spec.Name)
@@ -805,7 +806,6 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 		hostHandlers: make(map[topology.Endpoint]fabric.HostHandler),
 		apGroup:      make(map[topology.Endpoint]*procGroup),
 	}
-	p.childCmd = childCmd
 	p.beatInterval = spec.Placement.EffectiveBeatInterval()
 	p.beatMiss = spec.Placement.EffectiveBeatMissTimeout()
 
@@ -986,7 +986,7 @@ func fromPlacedSpec(spec *labspec.Spec, opt Options, pc PlacedConfig) (*Deployme
 		opt:      opt,
 	}
 	if !opt.SkipAgents {
-		if err := d.createPlacedAgents(spec.Placement.PlacedAgents()); err != nil {
+		if err := d.createAgents(placedNIC{p}, spec.Placement.PlacedAgents(), p.attachHost); err != nil {
 			d.Close()
 			return nil, err
 		}
@@ -1033,45 +1033,6 @@ func (p *Placement) waitSwitchesAttached(deadline time.Time) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// createPlacedAgents builds controller-process agents for every client the
-// placement does not move elsewhere, registering their NIC receive paths
-// with the frame router (not the fabric: their access switch may live in a
-// child process).
-func (d *Deployment) createPlacedAgents(placedAg map[uint64]string) error {
-	p := d.Placed
-	trust := client.TrustAnchors{
-		PlatformRoot: d.Platform.RootKey(),
-		Measurement:  rvaas.Measurement(),
-	}
-	for _, ap := range d.Topology.AccessPoints() {
-		if _, placed := placedAg[ap.ClientID]; placed {
-			continue
-		}
-		ag, exists := d.Agents[ap.ClientID]
-		if !exists {
-			var err error
-			ag, err = client.New(client.Config{
-				ClientID:        ap.ClientID,
-				Access:          ap,
-				NIC:             placedNIC{p},
-				Trust:           trust,
-				ResponseTimeout: d.opt.AgentResponseTimeout,
-			})
-			if err != nil {
-				return err
-			}
-			ag.PinServerKey(d.RVaaS.PublicKey())
-			d.RVaaS.RegisterClient(ap.ClientID, ag.PublicKey())
-			d.Agents[ap.ClientID] = ag
-		}
-		h := ag.HandlerFor(ap)
-		p.mu.Lock()
-		p.hostHandlers[ap.Endpoint] = h
-		p.mu.Unlock()
-	}
-	return nil
 }
 
 // defaultChildCommand resolves the child binaries from PATH.

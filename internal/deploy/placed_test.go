@@ -102,7 +102,7 @@ invariants:
 // Lifecycle under test: bring-up converges with standing invariants green
 // across three processes; SIGKILL of one switchd mid-churn degrades the
 // invariants over its switches (never stale-green); a respawned process
-// rejoins, its switches re-attach via forced resync, and — once the
+// rejoins, its switches re-attach (every attach re-bases), and — once the
 // provider reprograms them — the invariants recover.
 func TestPlacedLabLifecycle(t *testing.T) {
 	spec, err := labspec.Parse([]byte(placedSpecYAML))
@@ -226,7 +226,7 @@ func TestPlacedLabLifecycle(t *testing.T) {
 	})
 
 	// Respawn: the fresh process rejoins with the same token, its switches
-	// re-attach over new secure channels (forced resync), the churning
+	// re-attach over new secure channels and re-base, the churning
 	// provider reinstalls their rules, and the invariants converge green.
 	if err := p.Respawn("right"); err != nil {
 		t.Fatalf("respawn: %v", err)

@@ -76,7 +76,8 @@ func (c *Controller) ClientSessions() []ClientSessionInfo {
 const (
 	// SwitchAttached: a live secure channel, snapshot in sync.
 	SwitchAttached = "attached"
-	// SwitchResyncing: attached with an in-flight forced/gap resync.
+	// SwitchResyncing: attached, with a resync loop in flight on the
+	// session (after an event gap, or ForceResync).
 	SwitchResyncing = "resyncing"
 	// SwitchDetached: the switch held a session that was lost (process
 	// death, heartbeat silence); its snapshot state is wiped and standing
@@ -95,7 +96,7 @@ type SwitchSessionInfo struct {
 	PeerName string
 	// State is one of the Switch* state constants above.
 	State string
-	// Resyncing reports an in-flight forced/gap resync for the switch.
+	// Resyncing reports a resync loop in flight on the switch's session.
 	Resyncing bool
 	// SelfRulesMissing counts RVaaS's interception rules the switch's
 	// snapshot table lacks (0 unless attached): evidence that the provider
@@ -120,7 +121,7 @@ func (c *Controller) SwitchSessions() []SwitchSessionInfo {
 		info := SwitchSessionInfo{Switch: sw}
 		if sess, ok := c.sessions[sw]; ok {
 			info.PeerName = sess.conn.PeerName()
-			info.Resyncing = c.resyncing[sw]
+			info.Resyncing = sess.resyncing
 			if info.Resyncing {
 				info.State = SwitchResyncing
 			} else {
@@ -165,20 +166,22 @@ var (
 )
 
 // ForceResync re-bases one switch's snapshot on its authoritative state
-// (operator-initiated; the same path as automatic sequence-regression
-// recovery). The resync runs asynchronously; an already-running resync for
-// the switch is not duplicated.
+// (operator-initiated): it runs the session's resync loop — the one an
+// event gap runs — with each reply accepted even behind the snapshot. The
+// resync runs asynchronously; a loop already running on the session is not
+// duplicated. A restarted switch needs no ForceResync: it re-attaches, and
+// every attach re-bases.
 func (c *Controller) ForceResync(sw topology.SwitchID) error {
 	if c.topo.PortCount(sw) == 0 {
 		return fmt.Errorf("rvaas: switch %d: %w", sw, ErrUnknownSwitch)
 	}
 	c.mu.Lock()
-	_, attached := c.sessions[sw]
+	sess := c.sessions[sw]
 	c.mu.Unlock()
-	if !attached {
+	if sess == nil {
 		return fmt.Errorf("rvaas: switch %d: %w", sw, ErrNotAttached)
 	}
-	c.forceResync(sw)
+	c.resync(sess, true)
 	return nil
 }
 

@@ -174,16 +174,9 @@ type Controller struct {
 
 	mu       sync.Mutex
 	sessions map[topology.SwitchID]*session
-	// resyncing / evHigh dedupe event-gap resyncs per switch; staleEvents /
-	// stalePolls count consecutive staleness evidence for sequence-
-	// regression recovery (monitor.go).
-	resyncing   map[topology.SwitchID]bool
-	evHigh      map[topology.SwitchID]uint64
-	staleEvents map[topology.SwitchID]int
-	stalePolls  map[topology.SwitchID]int
-	// wasAttached marks switches that held a session at some point; a
-	// re-attach of such a switch force-resyncs (the restarted process's
-	// sequence counter regressed, and the switch is authoritative again).
+	// wasAttached marks switches that held a session at some point: a
+	// switch without one is detached, not pending, and its next attach
+	// counts as a re-attach.
 	wasAttached map[topology.SwitchID]bool
 	clients     map[uint64]ed25519.PublicKey
 	pending     map[uint64]*pendingQuery // by query nonce
@@ -206,10 +199,20 @@ type waiterKey struct {
 	xid uint32
 }
 
+// session is one switch control channel. It is the scope of the switch's
+// event sequence: a switch's counter restarts only with its process, and a
+// new process arrives through a new Attach, so within one session input
+// behind the snapshot is late, never a restart.
 type session struct {
 	sw   topology.SwitchID
 	conn *openflow.SecureConn
 	done chan struct{}
+
+	// Guarded by Controller.mu. evHigh is the highest event sequence a gap
+	// on this session announced; resyncing marks its running resync loop
+	// (monitor.go).
+	evHigh    uint64
+	resyncing bool
 }
 
 // New creates a controller and launches its enclave.
@@ -240,10 +243,6 @@ func New(cfg Config) (*Controller, error) {
 		outbox:      make(map[pushKey][]wire.NotifyItem),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		sessions:    make(map[topology.SwitchID]*session),
-		resyncing:   make(map[topology.SwitchID]bool),
-		evHigh:      make(map[topology.SwitchID]uint64),
-		staleEvents: make(map[topology.SwitchID]int),
-		stalePolls:  make(map[topology.SwitchID]int),
 		wasAttached: make(map[topology.SwitchID]bool),
 		clients:     make(map[uint64]ed25519.PublicKey),
 		pending:     make(map[uint64]*pendingQuery),
@@ -316,30 +315,38 @@ func (c *Controller) CompileCacheStats() CompileStats {
 // interception rules, performs an initial full-state sync, and starts the
 // session reader (plus the liveness prober when heartbeats are enabled).
 //
-// Attaching a switch whose previous session was lost (process death, channel
-// failure) is a re-attach: the initial sync is a forced resync, because the
-// restarted switch's sequence counter regressed and its live state — not the
-// controller's pre-detach view — is authoritative.
-func (c *Controller) Attach(sw topology.SwitchID, conn *openflow.SecureConn) error {
+// Every attach re-bases the switch. A switch that still holds a session
+// (its process died unnoticed, or it re-dialed) loses it exactly as Detach
+// would, and a detach forgets the switch's state and event sequence, so the
+// initial sync of the new session is never judged against an earlier
+// session's counter. If the attach fails part-way, the new session is
+// detached too: no live session runs on a baseline it never synced.
+func (c *Controller) Attach(sw topology.SwitchID, conn *openflow.SecureConn) (err error) {
 	sess := &session{sw: sw, conn: conn, done: make(chan struct{})}
 	c.mu.Lock()
-	if _, dup := c.sessions[sw]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("rvaas: switch %d already attached", sw)
+	old := c.sessions[sw]
+	var wipe capture
+	wiped := false
+	if old != nil {
+		wipe, wiped = c.dropLocked(old)
 	}
-	reattach := c.wasAttached[sw]
+	if c.wasAttached[sw] {
+		c.stats.Reattaches++
+	}
 	c.wasAttached[sw] = true
 	c.sessions[sw] = sess
-	if reattach {
-		c.stats.Reattaches++
-		// The dead process's staleness evidence is meaningless for the new
-		// one, and the old event high-water mark would manufacture a gap out
-		// of the restarted switch's low sequence numbers.
-		c.staleEvents[sw] = 0
-		c.stalePolls[sw] = 0
-		c.evHigh[sw] = 0
-	}
 	c.mu.Unlock()
+	if old != nil {
+		old.conn.Close()
+	}
+	if wiped {
+		c.recordHistory(history.SourceDetach, wipe)
+	}
+	defer func() {
+		if err != nil {
+			c.detachSession(sess)
+		}
+	}()
 
 	if err := conn.Send(&openflow.Hello{XID: c.xid()}); err != nil {
 		return fmt.Errorf("rvaas: hello to %d: %w", sw, err)
@@ -359,15 +366,9 @@ func (c *Controller) Attach(sw topology.SwitchID, conn *openflow.SecureConn) err
 		c.wg.Add(1)
 		go c.heartbeatLoop(sess)
 	}
-
 	// Initial sync after the reader is running so the reply is routed.
-	if err := c.pollSwitchMode(sw, 2*time.Second, reattach); err != nil {
+	if err := c.pollSwitch(sess, 2*time.Second, false); err != nil {
 		return fmt.Errorf("rvaas: initial sync %d: %w", sw, err)
-	}
-	if reattach {
-		c.mu.Lock()
-		c.evHigh[sw] = c.snap.seqOf(sw)
-		c.mu.Unlock()
 	}
 	return nil
 }
@@ -391,31 +392,32 @@ func (c *Controller) Detach(sw topology.SwitchID) {
 // installed a successor for the same switch — that one is left alone).
 func (c *Controller) detachSession(sess *session) {
 	c.mu.Lock()
-	if c.sessions[sess.sw] != sess {
-		c.mu.Unlock()
-		sess.conn.Close()
-		return
-	}
-	delete(c.sessions, sess.sw)
-	stopped := false
-	select {
-	case <-c.stop:
-		stopped = true
-	default:
-	}
-	if !stopped {
-		c.stats.Detaches++
-	}
+	wipe, wiped := c.dropLocked(sess)
 	c.mu.Unlock()
 	sess.conn.Close()
-	if stopped {
-		// Controller shutdown tears sessions down in bulk; the final
-		// snapshot must not record every switch as unreachable.
-		return
+	if wiped {
+		c.recordHistory(history.SourceDetach, wipe)
 	}
-	if cap, changed := c.snap.markUnreachable(sess.sw); changed {
-		c.recordHistory(history.SourceDetach, cap)
+}
+
+// dropLocked removes sess if it is still its switch's session, counts the
+// detach and wipes the switch's snapshot state. The wipe happens under the
+// same lock as the removal, so no input the session read can land after
+// it. Controller shutdown tears sessions down in bulk and wipes nothing:
+// the final snapshot must not record every switch as unreachable. The
+// caller closes sess.conn and records the returned wipe. Callers hold c.mu.
+func (c *Controller) dropLocked(sess *session) (wipe capture, wiped bool) {
+	if c.sessions[sess.sw] != sess {
+		return capture{}, false
 	}
+	delete(c.sessions, sess.sw)
+	select {
+	case <-c.stop:
+		return capture{}, false
+	default:
+	}
+	c.stats.Detaches++
+	return c.snap.markUnreachable(sess.sw)
 }
 
 // heartbeatLoop probes one session's liveness with echo requests; after
@@ -443,7 +445,7 @@ func (c *Controller) heartbeatLoop(sess *session) {
 			return
 		}
 		xid := c.xid()
-		if _, err := c.request(sess.sw, &openflow.EchoRequest{XID: xid}, xid, interval); err != nil {
+		if _, err := c.request(sess, &openflow.EchoRequest{XID: xid}, xid, interval); err != nil {
 			misses++
 			if misses >= heartbeatMisses {
 				c.detachSession(sess)
@@ -578,11 +580,11 @@ func (c *Controller) readLoop(sess *session) {
 
 		switch m := msg.(type) {
 		case *openflow.FlowMonitorReply:
-			c.handleMonitorEvent(sess.sw, m)
+			c.handleMonitorEvent(sess, m)
 		case *openflow.StatsReply:
-			// Unsolicited full state (e.g. late reply): still apply it
-			// (subject to staleness protection).
-			c.applyStats(sess.sw, m, history.SourceActivePoll, false)
+			// Unsolicited full state (e.g. a reply after its poll timed
+			// out): still apply it, subject to staleness protection.
+			c.applyStats(sess, m, false)
 		case *openflow.PacketIn:
 			c.handlePacketIn(sess.sw, m)
 		case *openflow.EchoRequest:
@@ -593,15 +595,11 @@ func (c *Controller) readLoop(sess *session) {
 	}
 }
 
-// request sends a message and waits for the reply with the same XID.
-func (c *Controller) request(sw topology.SwitchID, msg openflow.Message, xid uint32, timeout time.Duration) (openflow.Message, error) {
+// request sends a message on one session and waits for the reply with the
+// same XID.
+func (c *Controller) request(sess *session, msg openflow.Message, xid uint32, timeout time.Duration) (openflow.Message, error) {
 	c.mu.Lock()
-	sess := c.sessions[sw]
-	if sess == nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("rvaas: no session for switch %d", sw)
-	}
-	key := waiterKey{sw, xid}
+	key := waiterKey{sess.sw, xid}
 	ch := make(chan openflow.Message, 1)
 	c.waiters[key] = ch
 	c.mu.Unlock()
@@ -621,7 +619,7 @@ func (c *Controller) request(sw topology.SwitchID, msg openflow.Message, xid uin
 		c.mu.Lock()
 		delete(c.waiters, key)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("rvaas: switch %d reply timeout", sw)
+		return nil, fmt.Errorf("rvaas: switch %d reply timeout", sess.sw)
 	case <-c.stop:
 		return nil, errors.New("rvaas: controller closed")
 	}

@@ -18,9 +18,11 @@ type fakeSwitch struct {
 	conn  *openflow.SecureConn
 	muted atomic.Bool
 	seq   uint64
+	gone  chan struct{} // closed when the channel is
 }
 
 func (f *fakeSwitch) run() {
+	defer close(f.gone)
 	for {
 		msg, err := f.conn.Recv()
 		if err != nil {
@@ -39,11 +41,10 @@ func (f *fakeSwitch) run() {
 	}
 }
 
-// TestHeartbeatDetachesSilentSession: with heartbeats enabled, a session
-// whose peer goes silent (channel still open — no transport-close signal)
-// is detached after the miss threshold and reported as detached, while a
-// responsive session stays attached.
-func TestHeartbeatDetachesSilentSession(t *testing.T) {
+// switchLab is a controller on a two-switch line plus a dialer for secure
+// channels to it, one per named switch identity.
+func switchLab(t *testing.T, heartbeat time.Duration) (*Controller, func(name string) (ctlConn, swConn *openflow.SecureConn)) {
+	t.Helper()
 	topo, err := topology.Linear(2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -56,13 +57,12 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 		Topology:          topo,
 		Platform:          platform,
 		ManualRecheck:     true,
-		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
-
+	t.Cleanup(ctl.Close)
 	ca, err := openflow.NewCA()
 	if err != nil {
 		t.Fatal(err)
@@ -72,19 +72,40 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctlCert := ca.Issue(ctlID)
-	attach := func(sw topology.SwitchID, name string) *fakeSwitch {
+	return ctl, func(name string) (ctlConn, swConn *openflow.SecureConn) {
 		t.Helper()
 		swID, err := openflow.NewIdentity(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctlConn, swConn, err := openflow.ConnectSecure(ctlID, ctlCert, swID, ca.Issue(swID), ca.Pub)
+		ctlConn, swConn, err = openflow.ConnectSecure(ctlID, ctlCert, swID, ca.Issue(swID), ca.Pub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := &fakeSwitch{conn: swConn}
-		go f.run()
-		if err := ctl.Attach(sw, ctlConn); err != nil {
+		return ctlConn, swConn
+	}
+}
+
+// attachFake dials a fake switch, starts it (muted first when mute is set)
+// and attaches it as sw.
+func attachFake(ctl *Controller, dial func(string) (*openflow.SecureConn, *openflow.SecureConn), sw topology.SwitchID, name string, mute bool) (*fakeSwitch, error) {
+	ctlConn, swConn := dial(name)
+	f := &fakeSwitch{conn: swConn, gone: make(chan struct{})}
+	f.muted.Store(mute)
+	go f.run()
+	return f, ctl.Attach(sw, ctlConn)
+}
+
+// TestHeartbeatDetachesSilentSession: with heartbeats enabled, a session
+// whose peer goes silent (channel still open — no transport-close signal)
+// is detached after the miss threshold and reported as detached, while a
+// responsive session stays attached.
+func TestHeartbeatDetachesSilentSession(t *testing.T) {
+	ctl, dial := switchLab(t, 20*time.Millisecond)
+	attach := func(sw topology.SwitchID, name string) *fakeSwitch {
+		t.Helper()
+		f, err := attachFake(ctl, dial, sw, name, false)
+		if err != nil {
 			t.Fatalf("attach %d: %v", sw, err)
 		}
 		return f
@@ -133,39 +154,7 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 // Neither may be handed to the waiter: the sync completes with switch 1's
 // own StatsReply.
 func TestReplyRoutingIgnoresCollidingXIDs(t *testing.T) {
-	topo, err := topology.Linear(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := enclave.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := New(Config{Topology: topo, Platform: platform, ManualRecheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	ca, err := openflow.NewCA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctlID, err := openflow.NewIdentity("rvaas")
-	if err != nil {
-		t.Fatal(err)
-	}
-	connect := func(name string) (ctlConn, swConn *openflow.SecureConn) {
-		t.Helper()
-		swID, err := openflow.NewIdentity(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctlConn, swConn, err = openflow.ConnectSecure(ctlID, ca.Issue(ctlID), swID, ca.Issue(swID), ca.Pub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctlConn, swConn
-	}
+	ctl, connect := switchLab(t, 0)
 
 	// Switch 2 is a well-behaved peer whose channel the test also writes to.
 	ctl2, sw2 := connect("switch-2")
@@ -238,5 +227,79 @@ func TestReplyRoutingIgnoresCollidingXIDs(t *testing.T) {
 	}
 	if tbl := ctl.snap.table(1); len(tbl) != 1 || tbl[0].Cookie != own.Cookie {
 		t.Fatalf("switch 1 synced from the wrong reply: %+v", tbl)
+	}
+}
+
+// TestAttachReplacesLiveSession: a switch that attaches while it still
+// holds a session (its old process died unnoticed, or it re-dialed)
+// replaces that session: the attach succeeds, the old channel is closed,
+// and the swap counts one detach and one re-attach.
+func TestAttachReplacesLiveSession(t *testing.T) {
+	ctl, dial := switchLab(t, 0)
+	old, err := attachFake(ctl, dial, 1, "switch-1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := attachFake(ctl, dial, 1, "switch-1", false); err != nil {
+		t.Fatalf("attach over a live session: %v", err)
+	}
+	select {
+	case <-old.gone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("replaced session's channel still open")
+	}
+	ctl.mu.Lock()
+	n := len(ctl.sessions)
+	ctl.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d sessions, want 1", n)
+	}
+	if ss := ctl.SwitchSessions()[0]; !ss.Attached() {
+		t.Fatalf("switch 1 = %q after the replacing attach", ss.State)
+	}
+	if st := ctl.Stats(); st.Detaches != 1 || st.Reattaches != 1 {
+		t.Fatalf("detaches = %d, reattaches = %d, want 1 and 1", st.Detaches, st.Reattaches)
+	}
+}
+
+// TestAttachUnansweredSyncDetaches: an attach whose initial sync goes
+// unanswered fails and leaves the switch detached, instead of a live
+// session on a snapshot that was never synced.
+func TestAttachUnansweredSyncDetaches(t *testing.T) {
+	ctl, dial := switchLab(t, 0)
+	if _, err := attachFake(ctl, dial, 1, "switch-1", true); err == nil {
+		t.Fatal("attach succeeded without an initial sync")
+	}
+	if ss := ctl.SwitchSessions()[0]; ss.Attached() {
+		t.Fatalf("switch 1 = %q after a failed initial sync", ss.State)
+	}
+}
+
+// TestInitialSyncKeepsOvertakingEvent: the switch computes its initial sync
+// reply, then a rule change's event overtakes that reply on the channel
+// (switchsim sends a reply after releasing its table lock). The reply is
+// behind the event and is rejected, so the snapshot keeps the change; a
+// forced initial sync would roll it back with no later event to reveal it.
+func TestInitialSyncKeepsOvertakingEvent(t *testing.T) {
+	ctl, dial := switchLab(t, 0)
+	ctlConn, swConn := dial("switch-1")
+	added := openflow.FlowEntry{Priority: 7, Cookie: 0x600D}
+	go func() {
+		for {
+			msg, err := swConn.Recv()
+			if err != nil {
+				return
+			}
+			if m, ok := msg.(*openflow.StatsRequest); ok {
+				_ = swConn.Send(&openflow.FlowMonitorReply{MonitorID: 1, Kind: openflow.FlowEventAdded, Entry: added, Seq: 1})
+				_ = swConn.Send(&openflow.StatsReply{XID: m.XID, TableSeq: 0})
+			}
+		}
+	}()
+	if err := ctl.Attach(1, ctlConn); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, seq := ctl.snap.table(1), ctl.snap.seqOf(1); len(tbl) != 1 || !tbl[0].Equal(added) || seq != 1 {
+		t.Fatalf("snapshot = %+v at seq %d, want the overtaking event's rule at seq 1", tbl, seq)
 	}
 }

@@ -2,12 +2,15 @@ package rvaas_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/history"
 	"repro/internal/openflow"
 	"repro/internal/rvaas"
+	"repro/internal/switchsim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -16,7 +19,7 @@ import (
 // losing a switch's control channel wipes its snapshot state so standing
 // invariants over it go violated (degraded — never stale-green on a view
 // nobody can vouch for), and a re-attach of the restarted switch converges
-// back via a forced resync.
+// back through its initial sync.
 func TestDetachDegradesAndReattachConverges(t *testing.T) {
 	d := deployLinear(t, 3, deploy.Options{SkipAgents: true, ManualRecheck: true})
 	aps := d.Topology.AccessPoints()
@@ -107,6 +110,87 @@ func TestDetachDegradesAndReattachConverges(t *testing.T) {
 	}
 	if st := d.RVaaS.Stats(); st.Reattaches != 1 {
 		t.Errorf("reattaches = %d, want 1", st.Reattaches)
+	}
+}
+
+// TestRestartedSwitchRebasesOnAttach: a switch's process restarts with a
+// fresh counter and a different table and attaches over a new channel while
+// the controller still holds the dead process's session. The snapshot
+// re-bases onto the new process, lower sequence and all, and the new
+// process's next event applies.
+func TestRestartedSwitchRebasesOnAttach(t *testing.T) {
+	d := deployLinear(t, 3, deploy.Options{SkipAgents: true, ManualRecheck: true})
+	const mid = topology.SwitchID(2)
+	waitIngested(t, d.RVaaS, mid, d.Fabric.Switch(mid))
+	oldSeq := d.RVaaS.SnapshotSeq(mid)
+
+	restarted := switchsim.New(mid, d.Topology.PortCount(mid), nil)
+	t.Cleanup(restarted.Close)
+	restarted.InstallDirect(fwd(0x0A000042, 1))
+	swIdent, err := openflow.NewIdentity(fmt.Sprintf("switch-%d", mid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctlID, err := openflow.NewIdentity("rvaas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctlConn, swConn, err := openflow.ConnectSecure(ctlID, d.CA.Issue(ctlID), swIdent, d.CA.Issue(swIdent), d.CA.Pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Serve(swConn); err != nil {
+		t.Fatal(err)
+	}
+	before := d.RVaaS.Stats()
+	if err := d.RVaaS.Attach(mid, ctlConn); err != nil {
+		t.Fatalf("attach of the restarted switch: %v", err)
+	}
+	waitIngested(t, d.RVaaS, mid, restarted)
+	if seq := d.RVaaS.SnapshotSeq(mid); seq >= oldSeq {
+		t.Fatalf("snapshot seq %d, want re-based below the old session's %d", seq, oldSeq)
+	}
+	st := d.RVaaS.Stats()
+	if st.Detaches != before.Detaches+1 || st.Reattaches != before.Reattaches+1 {
+		t.Errorf("detaches %d -> %d, reattaches %d -> %d, want +1 each",
+			before.Detaches, st.Detaches, before.Reattaches, st.Reattaches)
+	}
+
+	restarted.InstallDirect(fwd(0x0A000043, 3))
+	waitIngested(t, d.RVaaS, mid, restarted)
+}
+
+// waitIngested waits until the controller's snapshot of sw holds exactly
+// the switch's table at the switch's sequence.
+func waitIngested(t *testing.T, ctl *rvaas.Controller, id topology.SwitchID, sw *switchsim.Switch) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var got []openflow.FlowEntry
+		for _, ev := range ctl.ExportState() {
+			if ev.Switch == id {
+				got = ev.Entries
+			}
+		}
+		want := sw.Table()
+		if ctl.SnapshotSeq(id) == sw.TableSeq() && slices.EqualFunc(got, want, openflow.FlowEntry.Equal) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("switch %d: snapshot seq %d with %d entries, switch seq %d with %d",
+				id, ctl.SnapshotSeq(id), len(got), sw.TableSeq(), len(want))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func fwd(ip uint32, port uint32) openflow.FlowEntry {
+	return openflow.FlowEntry{
+		Priority: 10,
+		Match: openflow.Match{Fields: []openflow.FieldMatch{
+			{Field: wire.FieldIPDst, Value: uint64(ip), Mask: 0xFFFFFFFF},
+		}},
+		Actions: []openflow.Action{openflow.Output(port)},
 	}
 }
 

@@ -1,119 +1,86 @@
 package rvaas
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/history"
 	"repro/internal/openflow"
-	"repro/internal/topology"
 )
 
-// Monitoring self-healing thresholds.
-const (
-	// maxGapResyncAttempts bounds the catch-up loop after an event gap: a
-	// lying switch advertising an inflated event sequence must not be able
-	// to pin the controller in a poll loop.
-	maxGapResyncAttempts = 3
-	// staleEventResyncThreshold is the number of consecutive
-	// already-superseded events after which the switch's sequence counter
-	// is presumed to have regressed (restart) and a forced resync makes
-	// the switch authoritative again. Legitimate stale events (overtaken
-	// by one resync) come in short bursts.
-	staleEventResyncThreshold = 8
-	// stalePollForceThreshold is the number of consecutive rejected
-	// full-state replies — with no applied events or accepted replies in
-	// between — after which the reply is force-accepted: one rejection is
-	// a late stray answer, two distinct polls both behind a silent store
-	// mean the switch really regressed.
-	stalePollForceThreshold = 2
-)
+// maxGapResyncAttempts bounds the catch-up loop after an event gap: a lying
+// switch advertising an inflated event sequence must not be able to pin the
+// controller in a poll loop.
+const maxGapResyncAttempts = 3
 
-// handleMonitorEvent applies one passive flow-monitor event. Sequence gaps
-// (lost events) force a full resync of that switch — RVaaS "needs to ensure
-// that it receives all the relevant updates from the switches" (§IV-A).
-// Events already superseded by a newer full snapshot (a resync overtook
-// them) are dropped silently: their effect is in the snapshot. A long run
-// of "stale" events means the switch's counter regressed (restart) — then
-// a forced resync re-bases on the switch's authoritative state.
-func (c *Controller) handleMonitorEvent(sw topology.SwitchID, ev *openflow.FlowMonitorReply) {
+// handleMonitorEvent applies one passive flow-monitor event read on sess.
+// Sequence gaps (lost events) start a resync of the switch — RVaaS "needs
+// to ensure that it receives all the relevant updates from the switches"
+// (§IV-A). An event at or behind the snapshot's sequence is dropped: within
+// one session it can only have been overtaken by a full-state reply that
+// already holds its effect. Input from a session that is no longer its
+// switch's is dropped too; the check and the apply share one lock with
+// Attach and Detach, so it never lands on a successor's state.
+func (c *Controller) handleMonitorEvent(sess *session, ev *openflow.FlowMonitorReply) {
 	c.mu.Lock()
 	c.stats.PassiveEvents++
+	if c.sessions[sess.sw] != sess {
+		c.mu.Unlock()
+		return
+	}
+	cap, ok, stale := c.snap.applyEvent(sess.sw, ev)
+	gap := !ok && !stale
+	if gap {
+		sess.evHigh = max(sess.evHigh, ev.Seq)
+	}
 	c.mu.Unlock()
-	cap, ok, stale := c.snap.applyEvent(sw, ev)
 	if ok {
-		c.mu.Lock()
-		c.staleEvents[sw] = 0
-		// An applied event proves the event stream is live and in order:
-		// any earlier rejected poll reply was a stray late answer, not
-		// evidence of a sequence regression. Without this reset, two
-		// rejected polls separated by healthy churn would force-accept a
-		// rollback.
-		c.stalePolls[sw] = 0
-		c.mu.Unlock()
 		c.recordHistory(history.SourcePassive, cap)
-		return
+	} else if gap {
+		c.resync(sess, false)
 	}
-	if stale {
-		c.mu.Lock()
-		c.staleEvents[sw]++
-		regressed := c.staleEvents[sw] >= staleEventResyncThreshold
-		if regressed {
-			c.staleEvents[sw] = 0
-		}
-		c.mu.Unlock()
-		if regressed {
-			c.forceResync(sw)
-		}
-		return
-	}
-	c.mu.Lock()
-	c.staleEvents[sw] = 0
-	c.mu.Unlock()
-	c.noteGap(sw, ev.Seq)
 }
 
-// noteGap schedules a resync of one switch after a detected event gap. At
-// most one resync loop runs per switch: concurrent gaps (e.g. the burst of
-// events racing the initial sync at attach time) fold into the running
-// loop, which re-polls (boundedly) until the snapshot has caught up with
-// the highest event sequence seen. Without the dedup, every event behind a
-// gap spawned its own poll, and the stale replies re-manufactured gaps ad
-// infinitum.
-func (c *Controller) noteGap(sw topology.SwitchID, seq uint64) {
+// resync re-polls one session's switch until the snapshot has caught up
+// with the highest event sequence the session announced. Event gaps run it
+// unforced; the operator's ForceResync runs it forced, accepting each
+// reply even behind the snapshot. At most one loop runs per session:
+// concurrent gaps (e.g. the burst of events racing the initial sync at
+// attach time) fold into the running loop. Without the dedup, every event
+// behind a gap spawned its own poll, and the stale replies re-manufactured
+// gaps ad infinitum.
+func (c *Controller) resync(sess *session, force bool) {
 	c.mu.Lock()
-	if seq > c.evHigh[sw] {
-		c.evHigh[sw] = seq
-	}
-	if c.resyncing[sw] {
+	if sess.resyncing {
 		c.mu.Unlock()
 		return
 	}
-	c.resyncing[sw] = true
+	sess.resyncing = true
 	c.stats.Resyncs++
 	c.mu.Unlock()
-	// Resync asynchronously: pollSwitch waits for a reply that arrives on
-	// the very read loop this handler runs in, so it must not block here.
+	// Resync asynchronously: a poll waits for a reply that arrives on the
+	// very read loop a gap is detected in, so it must not block there.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		for attempt := 0; ; attempt++ {
-			err := c.pollSwitchMode(sw, 2*time.Second, false)
+			err := c.pollSwitch(sess, 2*time.Second, force)
 			c.mu.Lock()
-			caughtUp := err == nil && c.snap.seqOf(sw) >= c.evHigh[sw]
+			caughtUp := err == nil && c.snap.seqOf(sess.sw) >= sess.evHigh
 			// A poll lost on a lossy channel is retried like one that has
-			// not caught up yet; a switch whose session is gone is not.
-			_, attached := c.sessions[sw]
-			if caughtUp || !attached || attempt >= maxGapResyncAttempts {
+			// not caught up yet; a session that is gone is not.
+			current := c.sessions[sess.sw] == sess
+			if caughtUp || !current || attempt >= maxGapResyncAttempts {
 				if !caughtUp && err == nil {
 					// The switch's authoritative TableSeq never reached
 					// the advertised event sequence (forged or inflated
 					// Seq): accept the switch's own counter instead of
 					// hot-looping on an unreachable target.
-					c.evHigh[sw] = c.snap.seqOf(sw)
+					sess.evHigh = c.snap.seqOf(sess.sw)
 				}
-				c.resyncing[sw] = false
+				sess.resyncing = false
 				c.mu.Unlock()
 				return
 			}
@@ -123,37 +90,14 @@ func (c *Controller) noteGap(sw topology.SwitchID, seq uint64) {
 	}()
 }
 
-// forceResync re-bases one switch's snapshot on its authoritative state,
-// bypassing staleness protection — used after repeated evidence of a
-// sequence regression (switch restart).
-func (c *Controller) forceResync(sw topology.SwitchID) {
-	c.mu.Lock()
-	if c.resyncing[sw] {
-		c.mu.Unlock()
-		return
-	}
-	c.resyncing[sw] = true
-	c.stats.Resyncs++
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		_ = c.pollSwitchMode(sw, 2*time.Second, true)
-		c.mu.Lock()
-		c.evHigh[sw] = c.snap.seqOf(sw)
-		c.resyncing[sw] = false
-		c.mu.Unlock()
-	}()
-}
-
-// applyStats installs a full-state snapshot for one switch. A resync that
+// applyStats installs a full-state reply read on sess. A resync that
 // matches the stored state bit for bit records nothing: the snapshot id
 // did not advance, so appending would duplicate history ids, and standing
-// invariants have nothing to re-verify. A reply behind the store's
-// sequence is rejected once as a stray late answer; repeated rejections
-// mean the switch's counter regressed (restart) and the reply is
-// force-accepted so the snapshot can never freeze on pre-restart state.
-func (c *Controller) applyStats(sw topology.SwitchID, m *openflow.StatsReply, src history.Source, force bool) {
+// invariants have nothing to re-verify. A reply behind the snapshot's
+// sequence is late (events computed after it overtook it on the channel)
+// and is rejected unless force is set; like events, a reply from a session
+// that is no longer its switch's is dropped.
+func (c *Controller) applyStats(sess *session, m *openflow.StatsReply, force bool) {
 	// A StatsReply is a FULL state snapshot: it always carries the meter
 	// section, so an absent slice here means "the switch has zero meters",
 	// not "unknown". The wire codec decodes an empty section to nil —
@@ -164,26 +108,15 @@ func (c *Controller) applyStats(sw topology.SwitchID, m *openflow.StatsReply, sr
 	if meters == nil {
 		meters = []openflow.MeterConfig{}
 	}
-	cap, changed, rejected := c.snap.replaceState(sw, m.Entries, m.Ports, meters, m.TableSeq, force)
-	if rejected {
-		c.mu.Lock()
-		c.stalePolls[sw]++
-		regressed := c.stalePolls[sw] >= stalePollForceThreshold
-		if regressed {
-			c.stalePolls[sw] = 0
-		}
+	c.mu.Lock()
+	if c.sessions[sess.sw] != sess {
 		c.mu.Unlock()
-		if !regressed {
-			return
-		}
-		cap, changed, _ = c.snap.replaceState(sw, m.Entries, m.Ports, meters, m.TableSeq, true)
-	} else {
-		c.mu.Lock()
-		c.stalePolls[sw] = 0
-		c.mu.Unlock()
+		return
 	}
+	cap, changed, _ := c.snap.replaceState(sess.sw, m.Entries, m.Ports, meters, m.TableSeq, force)
+	c.mu.Unlock()
 	if changed {
-		c.recordHistory(src, cap)
+		c.recordHistory(history.SourceActivePoll, cap)
 	}
 }
 
@@ -204,16 +137,11 @@ func (c *Controller) recordHistory(src history.Source, cap capture) {
 	c.pokeSubscriptions()
 }
 
-// pollSwitch actively fetches one switch's full state and waits for it.
-func (c *Controller) pollSwitch(sw topology.SwitchID, timeout time.Duration) error {
-	return c.pollSwitchMode(sw, timeout, false)
-}
-
-// pollSwitchMode is pollSwitch with control over staleness forcing (used
-// by forced resyncs after a detected sequence regression).
-func (c *Controller) pollSwitchMode(sw topology.SwitchID, timeout time.Duration, force bool) error {
+// pollSwitch actively fetches one session's full switch state and waits
+// for it; force is applyStats's.
+func (c *Controller) pollSwitch(sess *session, timeout time.Duration, force bool) error {
 	xid := c.xid()
-	reply, err := c.request(sw, &openflow.StatsRequest{XID: xid}, xid, timeout)
+	reply, err := c.request(sess, &openflow.StatsRequest{XID: xid}, xid, timeout)
 	if err != nil {
 		return err
 	}
@@ -221,15 +149,11 @@ func (c *Controller) pollSwitchMode(sw topology.SwitchID, timeout time.Duration,
 	if !ok {
 		return errUnexpectedReply
 	}
-	c.applyStats(sw, stats, history.SourceActivePoll, force)
+	c.applyStats(sess, stats, force)
 	return nil
 }
 
-var errUnexpectedReply = errTyped("rvaas: unexpected reply type")
-
-type errTyped string
-
-func (e errTyped) Error() string { return string(e) }
+var errUnexpectedReply = errors.New("rvaas: unexpected reply type")
 
 // PollAll actively polls every attached switch and waits for all replies
 // (the paper's "proactively query the switches for their current
@@ -240,20 +164,20 @@ func (e errTyped) Error() string { return string(e) }
 func (c *Controller) PollAll(timeout time.Duration) error {
 	c.mu.Lock()
 	c.stats.ActivePolls++
-	switches := make([]topology.SwitchID, 0, len(c.sessions))
-	for sw := range c.sessions {
-		switches = append(switches, sw)
+	sessions := make([]*session, 0, len(c.sessions))
+	for _, sess := range c.sessions {
+		sessions = append(sessions, sess)
 	}
 	c.mu.Unlock()
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	errs := make([]error, len(switches))
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].sw < sessions[j].sw })
+	errs := make([]error, len(sessions))
 	var wg sync.WaitGroup
-	wg.Add(len(switches))
-	for i, sw := range switches {
-		go func(i int, sw topology.SwitchID) {
+	wg.Add(len(sessions))
+	for i, sess := range sessions {
+		go func(i int, sess *session) {
 			defer wg.Done()
-			errs[i] = c.pollSwitch(sw, timeout)
-		}(i, sw)
+			errs[i] = c.pollSwitch(sess, timeout, false)
+		}(i, sess)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -2,6 +2,7 @@ package rvaas
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,14 +24,27 @@ func bareController() *Controller {
 		lastGen:     make(map[topology.SwitchID]uint64),
 		subKick:     make(chan struct{}, 1),
 		sessions:    make(map[topology.SwitchID]*session),
-		resyncing:   make(map[topology.SwitchID]bool),
-		evHigh:      make(map[topology.SwitchID]uint64),
-		staleEvents: make(map[topology.SwitchID]int),
-		stalePolls:  make(map[topology.SwitchID]int),
 		wasAttached: make(map[topology.SwitchID]bool),
 	}
 	c.engine = verifier.New(verifierEnv{c})
 	return c
+}
+
+// installSession makes a channel-less session sw's current one, so input
+// applied through it passes the session check. Cleanup removes it before
+// any Controller.Close registered earlier runs.
+func installSession(t *testing.T, c *Controller, sw topology.SwitchID) *session {
+	t.Helper()
+	sess := &session{sw: sw}
+	c.mu.Lock()
+	c.sessions[sw] = sess
+	c.mu.Unlock()
+	t.Cleanup(func() {
+		c.mu.Lock()
+		delete(c.sessions, sw)
+		c.mu.Unlock()
+	})
+	return sess
 }
 
 func monEntry(ip uint32) openflow.FlowEntry {
@@ -64,73 +78,36 @@ func TestPollGapsAreRandom(t *testing.T) {
 	}
 }
 
-// TestStaleReplyRejectedOnce verifies a single late full-state reply
-// (sequence behind the store) is dropped without rolling the switch back.
-func TestStaleReplyRejectedOnce(t *testing.T) {
+// TestStaleInputNeverRollsBack: within one session a full-state reply or
+// an event behind the snapshot is late — events overtook it on the channel
+// — however many arrive in a row. A switch whose counter restarted arrives
+// through a new Attach instead (TestRestartedSwitchRebasesOnAttach), so no
+// streak of stale input may roll the snapshot back or start a resync.
+func TestStaleInputNeverRollsBack(t *testing.T) {
 	c := bareController()
+	sess := installSession(t, c, 1)
 	fresh := []openflow.FlowEntry{monEntry(0x0A000001), monEntry(0x0A000002)}
 	c.snap.replaceState(1, fresh, nil, nil, 100, false)
+	id := c.SnapshotID()
 
-	old := &openflow.StatsReply{Entries: []openflow.FlowEntry{monEntry(0x0A000009)}, TableSeq: 50}
-	c.applyStats(1, old, history.SourceActivePoll, false)
-	if got := c.snap.seqOf(1); got != 100 {
-		t.Fatalf("seq rolled back to %d by a stale reply", got)
-	}
-	if got := len(c.snap.table(1)); got != 2 {
-		t.Fatalf("table overwritten by stale reply: %d entries", got)
-	}
-}
-
-// TestSequenceRegressionSelfHeals verifies the switch-restart path: when a
-// switch's counter genuinely regresses, repeated "stale" replies are
-// eventually force-accepted instead of freezing the snapshot on
-// pre-restart state forever.
-func TestSequenceRegressionSelfHeals(t *testing.T) {
-	c := bareController()
-	c.snap.replaceState(1, []openflow.FlowEntry{monEntry(0x0A000001)}, nil, nil, 100, false)
-
-	// The switch restarted: its tables changed and TableSeq restarted low.
-	restarted := &openflow.StatsReply{Entries: []openflow.FlowEntry{monEntry(0x0A000042)}, TableSeq: 3}
-	for i := 0; i < stalePollForceThreshold; i++ {
-		c.applyStats(1, restarted, history.SourceActivePoll, false)
-	}
-	if got := c.snap.seqOf(1); got != 3 {
-		t.Fatalf("seq = %d after %d consistent regressed polls, want re-based 3", got, stalePollForceThreshold)
-	}
-	tbl := c.snap.table(1)
-	if len(tbl) != 1 || tbl[0].Match.Fields[0].Value != 0x0A000042 {
-		t.Fatalf("snapshot not re-based on post-restart state: %+v", tbl)
-	}
-	// After re-basing, the restarted switch's event stream applies cleanly.
-	if _, ok, _ := c.snap.applyEvent(1, &openflow.FlowMonitorReply{
-		Seq: 4, Kind: openflow.FlowEventAdded, Entry: monEntry(0x0A000043),
-	}); !ok {
-		t.Fatal("post-restart event rejected after re-base")
-	}
-}
-
-// TestStaleEventStreakTriggersForcedResync verifies a long run of
-// already-superseded events (the restart signature on the passive path)
-// schedules a forced resync instead of dropping state changes forever.
-func TestStaleEventStreakTriggersForcedResync(t *testing.T) {
-	c := bareController()
-	c.snap.replaceState(1, nil, nil, nil, 100, false)
-
-	before := c.Stats().Resyncs
-	for i := 0; i < staleEventResyncThreshold; i++ {
-		c.handleMonitorEvent(1, &openflow.FlowMonitorReply{Seq: uint64(i + 1), Kind: openflow.FlowEventAdded, Entry: monEntry(1)})
-	}
-	// forceResync was spawned (its poll fails — no session — which must
-	// clear the dedup flag, not wedge it).
-	if got := c.Stats().Resyncs; got != before+1 {
-		t.Fatalf("resyncs = %d, want %d (one forced resync)", got, before+1)
+	late := &openflow.StatsReply{Entries: []openflow.FlowEntry{monEntry(0x0A000009)}, TableSeq: 50}
+	c.applyStats(sess, late, false)
+	c.applyStats(sess, late, false)
+	for i := 0; i < 10; i++ {
+		c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: uint64(91 + i), Kind: openflow.FlowEventAdded, Entry: monEntry(0x0A000010)})
 	}
 	c.wg.Wait()
-	c.mu.Lock()
-	wedged := c.resyncing[1]
-	c.mu.Unlock()
-	if wedged {
-		t.Fatal("resyncing flag wedged after failed forced poll")
+	if got := c.snap.seqOf(1); got != 100 {
+		t.Fatalf("seq = %d after stale input, want 100", got)
+	}
+	if tbl := c.snap.table(1); !slices.EqualFunc(tbl, fresh, openflow.FlowEntry.Equal) {
+		t.Fatalf("table rolled back by stale input: %+v", tbl)
+	}
+	if got := c.SnapshotID(); got != id {
+		t.Fatalf("snapshot id %d -> %d on stale input", id, got)
+	}
+	if st := c.Stats(); st.Resyncs != 0 || st.PassiveEvents != 10 {
+		t.Fatalf("stats = %+v, want 10 passive events and no resync", st)
 	}
 }
 
@@ -183,7 +160,7 @@ func TestGapResyncRetriesLostPoll(t *testing.T) {
 		}
 	}()
 
-	c.handleMonitorEvent(1, &openflow.FlowMonitorReply{Seq: 3, Kind: openflow.FlowEventAdded, Entry: monEntry(0x0A000001)})
+	c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: 3, Kind: openflow.FlowEventAdded, Entry: monEntry(0x0A000001)})
 	deadline := time.Now().Add(10 * time.Second)
 	for c.snap.seqOf(1) < 3 {
 		if time.Now().After(deadline) {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/enclave"
 	"repro/internal/headerspace"
-	"repro/internal/history"
 	"repro/internal/openflow"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -114,14 +113,15 @@ func TestSameEntryIncludesMeterID(t *testing.T) {
 func TestPollClearsDeletedMeters(t *testing.T) {
 	c, _, _ := deltaTestController(t, 3)
 	sw := topology.SwitchID(2)
+	sess := installSession(t, c, sw)
 	table := c.snap.table(sw)
 	meters := []openflow.MeterConfig{{MeterID: 7, RateKbps: 1000, BurstKB: 64}}
-	c.applyStats(sw, &openflow.StatsReply{Entries: table, Ports: []uint32{1, 2, 3}, Meters: meters, TableSeq: 2}, history.SourceActivePoll, false)
+	c.applyStats(sess, &openflow.StatsReply{Entries: table, Ports: []uint32{1, 2, 3}, Meters: meters, TableSeq: 2}, false)
 	if got := c.snap.metersOf(sw); len(got) != 1 {
 		t.Fatalf("meters not stored: %+v", got)
 	}
 	// The switch deletes its meter; the next full poll decodes Meters=nil.
-	c.applyStats(sw, &openflow.StatsReply{Entries: table, Ports: []uint32{1, 2, 3}, Meters: nil, TableSeq: 3}, history.SourceActivePoll, false)
+	c.applyStats(sess, &openflow.StatsReply{Entries: table, Ports: []uint32{1, 2, 3}, Meters: nil, TableSeq: 3}, false)
 	if got := c.snap.metersOf(sw); len(got) != 0 {
 		t.Fatalf("poll with empty meter section did not clear deleted meters: %+v", got)
 	}

@@ -182,9 +182,8 @@ func (s *snapshotStore) exportAll() []capture {
 // standing invariants revalidate for free.
 //
 // A reply whose sequence is behind the store's is rejected as stale
-// (rejectedStale=true) unless force is set: the monitor layer forces
-// acceptance when repeated evidence says the switch's counter genuinely
-// regressed (restart), making the switch authoritative again.
+// (rejectedStale=true) unless force is set: an operator's forced resync
+// and the shadow oracle's replay make the reply authoritative regardless.
 func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.FlowEntry, ports []uint32, meters []openflow.MeterConfig, seq uint64, force bool) (cap capture, changed, rejectedStale bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,12 +234,13 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 // session is lost: with no live channel the controller cannot vouch for any
 // of the switch's rules, so standing invariants must re-verify against a
 // network where the switch forwards nothing (degraded verdicts, not
-// stale-green ones). The event sequence is kept — late replies computed by
-// the dead process stay rejected as stale — and the reattach path re-bases
-// with a forced resync instead.
+// stale-green ones). The event sequence is forgotten with the session it
+// numbered: the switch's next session, maybe a restarted process counting
+// from zero, re-bases on its own initial sync.
 func (s *snapshotStore) markUnreachable(sw topology.SwitchID) (cap capture, changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.seq, sw)
 	if _, seen := s.tables[sw]; !seen {
 		return s.captureLocked(sw), false
 	}

@@ -34,3 +34,10 @@ func (s *Switch) Meters() []openflow.MeterConfig {
 	defer s.mu.Unlock()
 	return s.metersLocked()
 }
+
+// sessionCount reports the controller sessions the switch still serves.
+func (s *Switch) sessionCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}

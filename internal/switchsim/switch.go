@@ -8,6 +8,7 @@ package switchsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -116,8 +117,15 @@ func (s *Switch) Serve(conn *openflow.SecureConn) error {
 	return nil
 }
 
+// serveLoop reads one controller session until its channel closes, then
+// drops the session: events and Packet-Ins are no longer sealed for it.
 func (s *Switch) serveLoop(sess *session) {
-	defer close(sess.done)
+	defer func() {
+		s.mu.Lock()
+		s.sessions = slices.DeleteFunc(s.sessions, func(x *session) bool { return x == sess })
+		s.mu.Unlock()
+		close(sess.done)
+	}()
 	for {
 		msg, err := sess.conn.Recv()
 		if err != nil {

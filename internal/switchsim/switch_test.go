@@ -257,6 +257,33 @@ func TestFlowMonitorEvents(t *testing.T) {
 	if !ok || ev2.Kind != openflow.FlowEventRemoved || ev2.Seq != 2 {
 		t.Errorf("remove event: %+v", ev2)
 	}
+
+	// Three more monitoring controllers come and go (re-dials): an event
+	// afterwards is sealed for the one live session only.
+	for i := 0; i < 3; i++ {
+		extra := controllerHarness(t, sw)
+		if err := extra.Send(&openflow.FlowMonitorRequest{XID: 1, MonitorID: 43}); err != nil {
+			t.Fatal(err)
+		}
+		if err := extra.Send(&openflow.BarrierRequest{XID: 2}); err != nil {
+			t.Fatal(err)
+		}
+		recvType(t, extra, openflow.TypeBarrierReply)
+		extra.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for sw.sessionCount() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions after 3 of 4 closed, want 1", sw.sessionCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := sw.Stats().MonitorEvents
+	sw.InstallDirect(fwdEntry(10, dst, 2))
+	recvType(t, conn, openflow.TypeFlowMonitorReply)
+	if got := sw.Stats().MonitorEvents - before; got != 1 {
+		t.Errorf("one change counted %d monitor events, want 1", got)
+	}
 }
 
 func TestPacketInOnControllerAction(t *testing.T) {
