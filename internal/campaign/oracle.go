@@ -39,8 +39,9 @@ func newOracle(topo *topology.Topology, seed int64) (*oracle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: oracle controller: %w", err)
 	}
-	// Never Start()ed: the oracle needs no pollers, workers or notifier —
-	// notifications to its (sessionless) subscribers drop non-blocking.
+	// Never Start()ed: the oracle needs no pollers or workers. Its switches
+	// have no sessions, so a pass counts its pushes dropped without signing
+	// them.
 	return &oracle{ctl: ctl}, nil
 }
 

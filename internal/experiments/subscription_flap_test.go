@@ -113,8 +113,8 @@ func TestSubscriptionFlapStorm(t *testing.T) {
 		t.Fatalf("record order = %+v", recs)
 	}
 	st := d.RVaaS.SubscriptionStats()
-	// Sent is counted by the asynchronous notifier once the switch session
-	// took the frame: let it catch up with the two log records.
+	// The background pass counts its pushes when it flushes them, after it
+	// logged the transition: let it catch up with the two log records.
 	for deadline := time.Now().Add(5 * time.Second); st.NotificationsSent < 2 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 		st = d.RVaaS.SubscriptionStats()

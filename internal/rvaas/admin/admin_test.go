@@ -220,7 +220,8 @@ func TestShardStatsAndOverview(t *testing.T) {
 	if ov.SubsViolated != 0 || ov.Recoveries == 0 {
 		t.Fatalf("overview after recovery: %+v", ov)
 	}
-	// Push delivery is asynchronous. One invariant per access point: every
+	// The background pass counts its pushes when it flushes them, a moment
+	// after the verdicts show. One invariant per access point: every
 	// transition travelled in a batch of its own.
 	waitUntil(t, "every transition pushed", func() bool {
 		ov = svc.Overview()

@@ -423,9 +423,10 @@ type OverviewView struct {
 	PendingRestore int    `json:"pendingRestore"`
 	Violations     uint64 `json:"violations"`
 	Recoveries     uint64 `json:"recoveries"`
-	// Push delivery: transitions delivered to / refused by a switch session
-	// or the delivery queue, and the signed batches the delivered ones
-	// travelled in (sent/batches is the signatures-saved fan-in).
+	// Push delivery: transitions delivered to / refused by (or, with no
+	// session, never sent to) a switch session, and the signed batches the
+	// delivered ones travelled in (sent/batches is the signatures-saved
+	// fan-in).
 	NotificationsSent    uint64 `json:"notificationsSent"`
 	NotificationsDropped uint64 `json:"notificationsDropped"`
 	NotifyBatches        uint64 `json:"notifyBatches"`

@@ -128,14 +128,8 @@ type Controller struct {
 	vlog    *history.ViolationLog
 	engine  *verifier.Engine
 	subKick chan struct{}
-	// notifyQ carries signed push batches to the notifier; notifyQueued is
-	// the number of notifications in it, which is what the queue bounds
-	// (notifyQueueCap). Every job carries at least one notification, so a
-	// channel of that many jobs never fills first.
-	notifyQ      chan notifyJob
-	notifyQueued atomic.Int64
-	rng          *rand.Rand
-	persist      SubscriptionStore
+	rng     *rand.Rand
+	persist SubscriptionStore
 	// reasm rebuilds logical envelopes from OpChunk continuation
 	// frames before dispatch (chains keyed by requester MAC⊕IP).
 	reasm *wire.Reassembler
@@ -239,7 +233,6 @@ func New(cfg Config) (*Controller, error) {
 		lastGen:     make(map[topology.SwitchID]uint64),
 		reasm:       wire.NewReassembler(0),
 		subKick:     make(chan struct{}, 1),
-		notifyQ:     make(chan notifyJob, notifyQueueCap),
 		outbox:      make(map[pushKey][]wire.NotifyItem),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		sessions:    make(map[topology.SwitchID]*session),
@@ -479,8 +472,6 @@ func (c *Controller) interceptionRules() []*openflow.FlowMod {
 // random times") and the subscription re-verification worker that
 // re-checks standing invariants after every applied snapshot change.
 func (c *Controller) Start() {
-	c.wg.Add(1)
-	go c.notifier()
 	if !c.cfg.ManualRecheck {
 		c.wg.Add(1)
 		go c.subscriptionWorker()

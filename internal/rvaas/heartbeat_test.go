@@ -1,6 +1,7 @@
 package rvaas
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,12 +14,15 @@ import (
 // fakeSwitch answers the controller's attach sequence (stats polls, echoes)
 // over a secure channel until muted — then it keeps the channel open but
 // stops answering, the way a wedged or SIGKILLed remote process looks to a
-// datagram transport.
+// datagram transport. It keeps the frame of every Packet-Out it receives.
 type fakeSwitch struct {
 	conn  *openflow.SecureConn
 	muted atomic.Bool
 	seq   uint64
 	gone  chan struct{} // closed when the channel is
+
+	mu  sync.Mutex
+	out [][]byte // Packet-Out frames, in arrival order
 }
 
 func (f *fakeSwitch) run() {
@@ -37,8 +41,19 @@ func (f *fakeSwitch) run() {
 			_ = f.conn.Send(&openflow.StatsReply{XID: m.XID, TableSeq: f.seq})
 		case *openflow.EchoRequest:
 			_ = f.conn.Send(&openflow.EchoReply{XID: m.XID, Data: m.Data})
+		case *openflow.PacketOut:
+			f.mu.Lock()
+			f.out = append(f.out, m.Data)
+			f.mu.Unlock()
 		}
 	}
+}
+
+// packetOuts snapshots the Packet-Out frames received so far.
+func (f *fakeSwitch) packetOuts() [][]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([][]byte(nil), f.out...)
 }
 
 // switchLab is a controller on a two-switch line plus a dialer for secure

@@ -52,7 +52,7 @@ func TestNotifyBatchOneSignaturePerPass(t *testing.T) {
 		}
 	}
 
-	st := waitNotified(t, d, flips*(m+k))
+	st := d.RVaaS.SubscriptionStats()
 	if st.NotificationsSent != flips*(m+k) || st.NotificationsDropped != 0 {
 		t.Fatalf("sent %d, dropped %d, want %d and 0", st.NotificationsSent, st.NotificationsDropped, flips*(m+k))
 	}
@@ -98,7 +98,7 @@ func TestNotifyBatchIndependentOfCommitOrder(t *testing.T) {
 		d.Fabric.Switch(ap.Endpoint.Switch).InstallDirect(dropEntry(ap.HostIP))
 		waitUntil(t, 2*time.Second, func() bool { return d.RVaaS.SnapshotID() >= want })
 		d.RVaaS.RecheckNow()
-		if st := waitNotified(t, d, 2*perKind); st.NotifyBatches != 1 || st.NotificationsSent != 2*perKind {
+		if st := d.RVaaS.SubscriptionStats(); st.NotifyBatches != 1 || st.NotificationsSent != 2*perKind {
 			t.Fatalf("workers=%d: sent %d in %d batches, want %d in 1", workers, st.NotificationsSent, st.NotifyBatches, 2*perKind)
 		}
 		// The session has the frames; the host sees them a moment later.

@@ -52,9 +52,11 @@ type SubscriptionStats struct {
 	SessionResumes uint64
 	// NotificationsSent counts verdict transitions whose signed batch the
 	// subscriber's switch session accepted whole; NotificationsDropped
-	// counts those discarded because the delivery queue or that session was
-	// saturated (clients recover via Seq gap detection). Each notifying
-	// transition ends up in exactly one of the two.
+	// counts those discarded because that switch had no session, the
+	// session refused a frame, or the chain was too long (clients recover
+	// via Seq gap detection). Each notifying transition ends up in exactly
+	// one of the two, counted by the pass that committed it before
+	// RecheckNow returns.
 	NotificationsSent    uint64
 	NotificationsDropped uint64
 	// NotifyBatches counts the signed batches behind NotificationsSent —
@@ -285,22 +287,10 @@ type pushKey struct {
 	session uint64
 }
 
-// notifyQueueCap bounds the delivery queue in queued notifications (batch
-// items), which is what its memory grows with.
-const notifyQueueCap = 1024
-
-// flushOutbox turns the transitions the finished pass committed into one
-// signed batch per push stream and hands each to the asynchronous delivery
-// queue. Items are sorted by SubID, so the signed bytes do not depend on
-// which pool worker committed first. The enqueue never
-// blocks — a wedged or dead subscriber can stall neither a pass nor a run
-// lock: a batch is admitted when it fits the queue's notification bound or
-// the queue is empty (so one oversized batch still gets through), and is
-// dropped whole otherwise. A dropped batch surfaces at the client as a Seq
-// gap on the stream's next push, which triggers its session-resume recovery.
-// Per-subscription ordering holds because a subscription commits at most
-// once per pass, passes flush in order (recheckMu) and one notifier drains
-// the queue. Called with recheckMu held, after engine.Run returned.
+// flushOutbox delivers what the finished pass committed: one signed batch
+// per push stream, sent before the next pass can start. The pass's outbox is
+// the only buffer a push passes through. Called with recheckMu held, after
+// engine.Run returned.
 func (c *Controller) flushOutbox() {
 	c.outboxMu.Lock()
 	outbox, snapID := c.outbox, c.outboxSnap
@@ -310,99 +300,64 @@ func (c *Controller) flushOutbox() {
 	c.outboxMu.Unlock()
 
 	for key, items := range outbox {
-		sort.Slice(items, func(i, j int) bool { return items[i].SubID < items[j].SubID })
-		b := &wire.NotifyBatch{Version: wire.CurrentVersion, SnapshotID: snapID, Items: items}
-		b.Signature, b.Quote = c.enclave.SignAttested(b.SigningBytes())
-		frames, err := wire.ChunkEnvelope(&wire.Envelope{
-			Version: wire.EnvelopeVersion,
-			Op:      wire.OpNotifyBatch,
-			// The continuation id of the chain: the signature's leading
-			// bytes are as good as random and never repeat, even across a
-			// restart (a new enclave key), so no two chains of this
-			// controller collide in a client's reassembler.
-			CorrelationID: binary.BigEndian.Uint64(b.Signature),
-			SessionID:     key.session,
-			Body:          b.Marshal(),
-		}, 0)
-		if err != nil {
-			c.svcStats.notificationsDrop.Add(uint64(len(items))) // past the chain-length bound
-			continue
-		}
-		job := notifyJob{sw: key.anchor.Switch, port: key.anchor.Port, items: int64(len(items)),
-			frames: make([]*wire.Packet, 0, len(frames))}
-		for _, fr := range frames {
-			job.frames = append(job.frames, wire.NewEnvelopeReplyPacket(key.anchor.MAC, key.anchor.IP, fr))
-		}
-		// recheckMu makes this the only producer, so the bound check cannot
-		// race another admission; the notifier only ever lowers the count.
-		if queued := c.notifyQueued.Load(); queued != 0 && queued+job.items > notifyQueueCap {
-			c.svcStats.notificationsDrop.Add(uint64(job.items))
-			continue
-		}
-		c.notifyQueued.Add(job.items)
-		select {
-		case c.notifyQ <- job: // counted by notifier, once the session took it
-		default:
-			c.notifyQueued.Add(-job.items)
-			c.svcStats.notificationsDrop.Add(uint64(job.items))
+		if c.pushBatch(key, items, snapID) {
+			c.svcStats.notificationsSent.Add(uint64(len(items)))
+			c.svcStats.notifyBatches.Add(1)
+		} else {
+			c.svcStats.notificationsDrop.Add(uint64(len(items)))
 		}
 	}
 }
 
-// notifyJob is one queued push: the frames of one signed batch, in chain
-// order, and the number of notifications they carry.
-type notifyJob struct {
-	sw     topology.SwitchID
-	port   topology.PortNo
-	frames []*wire.Packet
-	items  int64
-}
-
-// notifier drains the delivery queue onto switch sessions with non-blocking
-// sends: a switch whose control channel is saturated (e.g. its serve loop is
-// stuck behind a wedged host) costs a dropped batch, never a stalled engine.
-// A chain the session refuses at some frame stops there — the rest could not
-// complete it — and all its notifications count as dropped.
-func (c *Controller) notifier() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case j := <-c.notifyQ:
-			c.notifyQueued.Add(-j.items)
-			sent := true
-			for _, pkt := range j.frames {
-				if sent = c.trySendPacketOut(j.sw, j.port, pkt); !sent {
-					break
-				}
-			}
-			if sent {
-				c.svcStats.notificationsSent.Add(uint64(j.items))
-				c.svcStats.notifyBatches.Add(1)
-			} else {
-				c.svcStats.notificationsDrop.Add(uint64(j.items))
-			}
-		}
-	}
-}
-
-// trySendPacketOut injects a frame at a switch without ever blocking on the
-// session's send buffer.
-func (c *Controller) trySendPacketOut(sw topology.SwitchID, outPort topology.PortNo, pkt *wire.Packet) bool {
+// pushBatch sends one push stream's items of a pass and reports whether the
+// anchor switch's session took the whole chain. In order: look the session
+// up (without one nothing is signed), sort the items by SubID so the signed
+// bytes do not depend on which pool worker committed first, sign one batch,
+// chunk it and hand each frame to the session with a non-blocking TrySend —
+// a wedged or dead subscriber can never stall a pass. A missing or refusing
+// session, or a chain past the chunk bound, is the only way a batch is lost;
+// the client sees the loss as a Seq gap on the stream's next push and
+// recovers through a session resume. Per-subscription ordering holds because
+// a subscription commits at most once per pass and recheckMu serializes
+// passes.
+func (c *Controller) pushBatch(key pushKey, items []wire.NotifyItem, snapID uint64) bool {
 	c.mu.Lock()
-	sess := c.sessions[sw]
+	sess := c.sessions[key.anchor.Switch]
 	c.mu.Unlock()
 	if sess == nil {
 		return false
 	}
-	sent, err := sess.conn.TrySend(&openflow.PacketOut{
-		XID:     c.xid(),
-		InPort:  openflow.AnyPort,
-		Actions: []openflow.Action{openflow.Output(uint32(outPort))},
-		Data:    pkt.Marshal(),
-	})
-	return sent && err == nil
+	sort.Slice(items, func(i, j int) bool { return items[i].SubID < items[j].SubID })
+	b := &wire.NotifyBatch{Version: wire.CurrentVersion, SnapshotID: snapID, Items: items}
+	b.Signature, b.Quote = c.enclave.SignAttested(b.SigningBytes())
+	frames, err := wire.ChunkEnvelope(&wire.Envelope{
+		Version: wire.EnvelopeVersion,
+		Op:      wire.OpNotifyBatch,
+		// The continuation id of the chain: the signature's leading bytes
+		// are as good as random and never repeat, even across a restart (a
+		// new enclave key), so no two chains of this controller collide in
+		// a client's reassembler.
+		CorrelationID: binary.BigEndian.Uint64(b.Signature),
+		SessionID:     key.session,
+		Body:          b.Marshal(),
+	}, 0)
+	if err != nil {
+		return false // past the chain-length bound
+	}
+	for _, fr := range frames {
+		// A frame the session refuses ends the chain: the rest could not
+		// complete it.
+		sent, err := sess.conn.TrySend(&openflow.PacketOut{
+			XID:     c.xid(),
+			InPort:  openflow.AnyPort,
+			Actions: []openflow.Action{openflow.Output(uint32(key.anchor.Port))},
+			Data:    wire.NewEnvelopeReplyPacket(key.anchor.MAC, key.anchor.IP, fr).Marshal(),
+		})
+		if !sent || err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // evalWorkers resolves the configured evaluation fan-out (GOMAXPROCS by
