@@ -235,7 +235,6 @@ func runShrink(args []string) error {
 type adminServer struct {
 	ln  net.Listener
 	eng *campaign.Engine
-	mu  chan struct{} // guards srv swap on onLab
 }
 
 func serveAdmin(addr string, eng *campaign.Engine) (*adminServer, error) {
@@ -244,7 +243,7 @@ func serveAdmin(addr string, eng *campaign.Engine) (*adminServer, error) {
 		return nil, fmt.Errorf("attacksim: admin listen: %w", err)
 	}
 	log.Printf("admin API on http://%s (try: rvaasd ops campaign -admin %s)", ln.Addr(), ln.Addr())
-	return &adminServer{ln: ln, eng: eng, mu: make(chan struct{}, 1)}, nil
+	return &adminServer{ln: ln, eng: eng}, nil
 }
 
 func (s *adminServer) onLab(d *deploy.Deployment) {

@@ -78,7 +78,7 @@ func run() error {
 		return err
 	}
 	// Providers exchange RVaaS peering contracts.
-	dA.RVaaS.AddPeer("provider-b", egressA, dB.RVaaS, entryB)
+	dA.RVaaS.AddPeer(egressA, dB.RVaaS, entryB)
 
 	fmt.Println("multi-provider RVaaS federation")
 	fmt.Printf("  provider A regions: %v\n", topoA.Regions())

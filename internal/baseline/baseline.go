@@ -8,7 +8,6 @@
 package baseline
 
 import (
-	"repro/internal/controlplane"
 	"repro/internal/fabric"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -31,7 +30,6 @@ type Detector interface {
 type Env struct {
 	Fabric   *fabric.Fabric
 	Topology *topology.Topology
-	Provider *controlplane.Controller
 	// Victim flow under observation.
 	SrcAP, DstAP topology.AccessPoint
 	// L4Dst is the transport port of the observed flow's traffic class

@@ -27,7 +27,6 @@ func buildEnv(t *testing.T, lying bool) (*Env, *controlplane.Controller) {
 	env := &Env{
 		Fabric:   f,
 		Topology: topo,
-		Provider: ctl,
 		SrcAP:    aps[0],
 		DstAP:    aps[8],
 		Lying:    lying,

@@ -38,11 +38,10 @@ type executor struct {
 
 	shadow *rvaas.Controller // oracle controller for mirrored subscriber churn
 
-	detached   map[topology.SwitchID]bool
-	suppressed map[topology.SwitchID]bool
-	attacks    map[string]controlplane.Attack
-	churn      []Action // installed churn sets, oldest first
-	dynSubs    []dynSub
+	detached map[topology.SwitchID]bool
+	attacks  map[string]controlplane.Attack
+	churn    []Action // installed churn sets, oldest first
+	dynSubs  []dynSub
 
 	// lastDetach timestamps the most recent session loss of the current
 	// step (zeroed by the engine after the stale-green check).
@@ -56,13 +55,12 @@ type dynSub struct {
 
 func newExecutor(d *deploy.Deployment, topo *topology.Topology) *executor {
 	return &executor{
-		d:          d,
-		topo:       topo,
-		switches:   topo.Switches(),
-		aps:        topo.AccessPoints(),
-		detached:   make(map[topology.SwitchID]bool),
-		suppressed: make(map[topology.SwitchID]bool),
-		attacks:    make(map[string]controlplane.Attack),
+		d:        d,
+		topo:     topo,
+		switches: topo.Switches(),
+		aps:      topo.AccessPoints(),
+		detached: make(map[topology.SwitchID]bool),
+		attacks:  make(map[string]controlplane.Attack),
 	}
 }
 
@@ -294,7 +292,6 @@ func (x *executor) apply(a Action) error {
 			return nil
 		}
 		x.d.Fabric.Switch(sw).SetEventSuppression(a.On)
-		x.suppressed[sw] = a.On
 	case OpPoll:
 		// Sweep timeout is generous: a poll that misses the window would
 		// desynchronize primary and oracle nondeterministically.

@@ -165,8 +165,7 @@ func TestDifferRefusesOverflowedStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// HistoryDepth 1 ⇒ a violation ring of 4 records on the primary.
-	d, err := deploy.New(topo, deploy.Options{SkipAgents: true, ManualRecheck: true, HistoryDepth: 1})
+	d, err := deploy.New(topo, deploy.Options{SkipAgents: true, ManualRecheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,11 @@ func TestDifferRefusesOverflowedStep(t *testing.T) {
 		orc.ctl.RevalidateAll()
 	}
 	sync()
-	if err := x.registerBase(orc.ctl, 12); err != nil {
+	// About half the invariants flip when the middle switch drops
+	// everything: register enough that the flips outnumber the primary's
+	// violation ring.
+	ring := d.RVaaS.ViolationLog().Capacity()
+	if err := x.registerBase(orc.ctl, 3*ring); err != nil {
 		t.Fatal(err)
 	}
 	sync()
@@ -203,8 +206,8 @@ func TestDifferRefusesOverflowedStep(t *testing.T) {
 	// switch drops everything.
 	d.Fabric.Switch(2).InstallDirect(openflow.FlowEntry{Priority: 0xFFF0, Cookie: 0xD40F})
 	sync()
-	if n := d.RVaaS.ViolationLog().Appended() - pCursor; n <= 4 {
-		t.Fatalf("step committed %d transitions; need more than the ring's 4", n)
+	if n := d.RVaaS.ViolationLog().Appended() - pCursor; n <= uint64(ring) {
+		t.Fatalf("step committed %d transitions; need more than the ring's %d", n, ring)
 	}
 	dv := e.compare(1, "drop-all", x, orc, pCursor, sCursor)
 	if dv == nil || dv.Kind != "transition" || !strings.Contains(dv.Detail, "overflowed during step") {

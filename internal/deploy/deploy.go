@@ -44,8 +44,6 @@ type Options struct {
 	// RecheckParallelism is the subscription re-check worker count
 	// (<= 0 means GOMAXPROCS).
 	RecheckParallelism int
-	// HistoryDepth is the number of snapshots RVaaS retains (0 = default).
-	HistoryDepth int
 	// Seed for RVaaS's poll-gap randomness.
 	Seed int64
 	// Clock injection for simulated-time experiments.
@@ -102,7 +100,6 @@ func (opt Options) rvaasConfig(topo *topology.Topology, platform *enclave.Platfo
 		Platform:           platform,
 		PollInterval:       opt.PollInterval,
 		AuthTimeout:        opt.AuthTimeout,
-		HistoryDepth:       opt.HistoryDepth,
 		Seed:               opt.Seed + seedBump,
 		Clock:              opt.Clock,
 		ManualRecheck:      opt.ManualRecheck,

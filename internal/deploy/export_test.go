@@ -57,3 +57,6 @@ func (p *Placement) Respawn(name string) error {
 	g.mu.Unlock()
 	return nil
 }
+
+// Done exposes the exit notification channel.
+func (c *ChildProc) Done() <-chan struct{} { return c.done }

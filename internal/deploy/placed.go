@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"crypto/subtle"
@@ -11,6 +12,7 @@ import (
 	"net"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -590,10 +592,7 @@ func (p *Placement) monitor() {
 			p.mu.Unlock()
 			return
 		}
-		groups := make([]*procGroup, 0, len(p.groups))
-		for _, g := range p.groups {
-			groups = append(groups, g)
-		}
+		groups := p.groupList()
 		p.mu.Unlock()
 
 		for _, act := range p.inj.TakeActions() {
@@ -642,10 +641,7 @@ func (p *Placement) ProcHealth() []admin.ProcHealth {
 		sessions[ss.Switch] = ss
 	}
 	p.mu.Lock()
-	groups := make([]*procGroup, 0, len(p.groups))
-	for _, g := range p.groups {
-		groups = append(groups, g)
-	}
+	groups := p.groupList()
 	p.mu.Unlock()
 	out := make([]admin.ProcHealth, 0, len(groups))
 	for _, g := range groups {
@@ -694,16 +690,17 @@ func (p *Placement) ProcHealth() []admin.ProcHealth {
 		}
 		out = append(out, h)
 	}
-	sortProcHealth(out)
+	slices.SortFunc(out, func(a, b admin.ProcHealth) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
-func sortProcHealth(hs []admin.ProcHealth) {
-	for i := 1; i < len(hs); i++ {
-		for j := i; j > 0 && hs[j].Name < hs[j-1].Name; j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
+// groupList copies the group set; callers hold p.mu.
+func (p *Placement) groupList() []*procGroup {
+	groups := make([]*procGroup, 0, len(p.groups))
+	for _, g := range p.groups {
+		groups = append(groups, g)
 	}
+	return groups
 }
 
 // manifestFor renders a group's rendezvous manifest.
@@ -733,10 +730,7 @@ func (p *Placement) stop(ctx context.Context) {
 		return
 	}
 	p.closed = true
-	groups := make([]*procGroup, 0, len(p.groups))
-	for _, g := range p.groups {
-		groups = append(groups, g)
-	}
+	groups := p.groupList()
 	p.mu.Unlock()
 	if p.ln != nil {
 		p.ln.Close()

@@ -20,7 +20,6 @@ const childGrace = 2 * time.Second
 // and supervised by the deployment.
 type ChildProc struct {
 	Group string
-	Kind  string
 
 	cmd  *exec.Cmd
 	done chan struct{}
@@ -48,9 +47,6 @@ func (c *ChildProc) Exited() (bool, error) {
 		return false, nil
 	}
 }
-
-// Done exposes the exit notification channel.
-func (c *ChildProc) Done() <-chan struct{} { return c.done }
 
 // Signal delivers a signal to the child (no-op after exit).
 func (c *ChildProc) Signal(sig syscall.Signal) {
@@ -94,7 +90,7 @@ func spawnChild(group, kind string, argv []string, manifest *procplane.Manifest,
 			logf("[%s] %s", group, sc.Text())
 		}
 	}()
-	c := &ChildProc{Group: group, Kind: kind, cmd: cmd, done: make(chan struct{})}
+	c := &ChildProc{Group: group, cmd: cmd, done: make(chan struct{})}
 	go func() {
 		err := cmd.Wait()
 		c.mu.Lock()

@@ -48,7 +48,6 @@ func newEnv(d *deploy.Deployment, src, dst topology.AccessPoint, lying bool) *ba
 	return &baseline.Env{
 		Fabric:   d.Fabric,
 		Topology: d.Topology,
-		Provider: d.Provider,
 		SrcAP:    src,
 		DstAP:    dst,
 		Lying:    lying,

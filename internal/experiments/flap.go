@@ -31,17 +31,11 @@ import (
 //     actual distribution), so polls drift away from the nominal times the
 //     attacker aims around.
 type FlapResult struct {
-	Randomized   bool
-	Window       time.Duration
-	PollInterval time.Duration
-	Polls        int
-	PollsHit     int
+	Polls    int
+	PollsHit int
 	// DetectionRate is PollsHit / Polls: the per-poll probability of
 	// catching the attack rules installed.
 	DetectionRate float64
-	// Detected reports whether the attack was caught at least once over
-	// the horizon.
-	Detected bool
 }
 
 // FlapDetection runs one E5 configuration.
@@ -50,7 +44,7 @@ type FlapResult struct {
 // period equals the nominal poll interval: the attacker re-installs after
 // every nominal poll). horizon/pollInterval polls are simulated.
 func FlapDetection(randomized bool, window, pollInterval, horizon time.Duration, seed int64) (FlapResult, error) {
-	res := FlapResult{Randomized: randomized, Window: window, PollInterval: pollInterval}
+	var res FlapResult
 	if window > pollInterval {
 		return res, fmt.Errorf("experiments: window %v exceeds poll interval %v", window, pollInterval)
 	}
@@ -138,7 +132,6 @@ func FlapDetection(randomized bool, window, pollInterval, horizon time.Duration,
 			res.PollsHit++
 		}
 	}
-	res.Detected = res.PollsHit > 0
 	if res.Polls > 0 {
 		res.DetectionRate = float64(res.PollsHit) / float64(res.Polls)
 	}

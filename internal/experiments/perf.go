@@ -279,7 +279,7 @@ func MultiProviderChain(n int) (time.Duration, int, error) {
 	}
 	for i := 0; i+1 < n; i++ {
 		egress := topology.Endpoint{Switch: 3, Port: 2}
-		provs[i].d.RVaaS.AddPeer(fmt.Sprintf("p%d", i+1), egress, provs[i+1].d.RVaaS, topology.Endpoint{Switch: 1, Port: 1})
+		provs[i].d.RVaaS.AddPeer(egress, provs[i+1].d.RVaaS, topology.Endpoint{Switch: 1, Port: 1})
 	}
 
 	src := provs[0].topo.AccessPoints()[0]

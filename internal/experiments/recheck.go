@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -54,7 +53,6 @@ var (
 // RecheckRow is one row of the E13/E14 table.
 type RecheckRow struct {
 	Topology string
-	Switches int
 	// Hub is the site's: the event landed at a hub (E14), not an edge (E13).
 	Hub bool
 	// Subs is the registered invariant population; IsoSubs of them are
@@ -72,13 +70,12 @@ type RecheckRow struct {
 	IsoSwept     int
 	IsoReused    int
 	// ExhaustiveMedian/IncrementalMedian are the median pass latencies of
-	// RevalidateAll and RecheckNow at Workers (GOMAXPROCS) workers;
+	// RevalidateAll and RecheckNow at GOMAXPROCS workers;
 	// OneWorkerMedian is RecheckNow on a deployment built with
 	// RecheckParallelism 1.
 	ExhaustiveMedian  time.Duration
 	IncrementalMedian time.Duration
 	OneWorkerMedian   time.Duration
-	Workers           int
 	// Speedup is ExhaustiveMedian / IncrementalMedian.
 	Speedup float64
 }
@@ -147,9 +144,8 @@ func BuildRecheckPopulation(d *deploy.Deployment, topo *topology.Topology, total
 // site's switch ready to be churned. The sweep, its tests and
 // BenchmarkE13E14Recheck all drive this one definition.
 type RecheckLab struct {
-	D        *deploy.Deployment
-	Switches int
-	Subs     int
+	D    *deploy.Deployment
+	Subs int
 
 	name   string
 	victim topology.SwitchID
@@ -170,7 +166,7 @@ func NewRecheckLab(site RecheckSite, totalSubs, isoSubs, parallelism int) (*Rech
 		return nil, err
 	}
 	sws := topo.Switches()
-	lab := &RecheckLab{D: d, Switches: len(sws), name: site.Topology.Name, victim: sws[len(sws)-1]}
+	lab := &RecheckLab{D: d, name: site.Topology.Name, victim: sws[len(sws)-1]}
 	if site.Hub {
 		lab.victim = sws[0]
 	}
@@ -228,13 +224,13 @@ func RecheckAt(site RecheckSite, totalSubs, isoSubs, iters int) (RecheckRow, err
 	if iters < 1 {
 		iters = 1
 	}
-	row := RecheckRow{Topology: site.Topology.Name, Hub: site.Hub, IsoSubs: isoSubs, Workers: runtime.GOMAXPROCS(0)}
+	row := RecheckRow{Topology: site.Topology.Name, Hub: site.Hub, IsoSubs: isoSubs}
 	lab, err := NewRecheckLab(site, totalSubs, isoSubs, 0)
 	if err != nil {
 		return row, err
 	}
 	defer lab.Close()
-	row.Switches, row.Subs = lab.Switches, lab.Subs
+	row.Subs = lab.Subs
 	ctl := lab.D.RVaaS
 
 	if err := lab.Event(); err != nil {

@@ -23,7 +23,6 @@ type TraceEvent struct {
 	From topology.Endpoint
 	To   topology.Endpoint // zero Switch for host deliveries
 	Host bool
-	Pkt  string // compact packet summary
 }
 
 // RemoteDeliver ships a frame to a lab component hosted outside this
@@ -128,7 +127,7 @@ func (f *Fabric) InjectFromHost(ep topology.Endpoint, pkt *wire.Packet) error {
 	if !ok {
 		return fmt.Errorf("fabric: unknown switch %d", ep.Switch)
 	}
-	f.recordTrace(TraceEvent{From: topology.Endpoint{}, To: ep, Pkt: pkt.String()})
+	f.recordTrace(TraceEvent{To: ep})
 	sw.ProcessPacket(ep.Port, pkt, 0)
 	return nil
 }
@@ -150,7 +149,7 @@ func (f *Fabric) deliver(from topology.Endpoint, pkt *wire.Packet) {
 		f.mu.Lock()
 		f.delivered++
 		f.mu.Unlock()
-		f.recordTrace(TraceEvent{From: from, To: peer, Pkt: pkt.String()})
+		f.recordTrace(TraceEvent{From: from, To: peer})
 		if dp, owned := f.switches[peer.Switch]; owned {
 			dp.ProcessPacket(peer.Port, pkt, 0)
 		} else if f.remote != nil {
@@ -169,7 +168,7 @@ func (f *Fabric) deliver(from topology.Endpoint, pkt *wire.Packet) {
 	}
 	f.hostRx++
 	f.mu.Unlock()
-	f.recordTrace(TraceEvent{From: from, Host: true, Pkt: pkt.String()})
+	f.recordTrace(TraceEvent{From: from, Host: true})
 	if h != nil {
 		h(pkt)
 	}
@@ -183,7 +182,7 @@ func (f *Fabric) InjectAtPort(ep topology.Endpoint, pkt *wire.Packet) error {
 	if !ok {
 		return fmt.Errorf("fabric: switch %d is not hosted here", ep.Switch)
 	}
-	f.recordTrace(TraceEvent{To: ep, Pkt: pkt.String()})
+	f.recordTrace(TraceEvent{To: ep})
 	sw.ProcessPacket(ep.Port, pkt, 0)
 	return nil
 }
@@ -195,7 +194,7 @@ func (f *Fabric) DeliverToHost(ep topology.Endpoint, pkt *wire.Packet) {
 	h := f.hosts[ep]
 	f.hostRx++
 	f.mu.Unlock()
-	f.recordTrace(TraceEvent{From: ep, Host: true, Pkt: pkt.String()})
+	f.recordTrace(TraceEvent{From: ep, Host: true})
 	if h != nil {
 		h(pkt)
 	}

@@ -1,5 +1,10 @@
 package headerspace
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Empty returns a header denoting the empty set (all bits z).
 func Empty(width int) Header {
 	return Header{width: width, words: make([]uint64, wordsFor(width))}
@@ -128,4 +133,54 @@ func (s Space) Subtract(o Space) Space {
 // Equal reports set equality.
 func (s Space) Equal(o Space) bool {
 	return s.Covers(o) && o.Covers(s)
+}
+
+// String renders the space as "{term | term | ...}".
+func (s Space) String() string {
+	if s.IsEmpty() {
+		return "{}"
+	}
+	parts := make([]string, 0, len(s.terms))
+	for _, t := range s.terms {
+		if !t.IsEmpty() {
+			parts = append(parts, t.String())
+		}
+	}
+	return "{" + strings.Join(parts, " | ") + "}"
+}
+
+// Add records a visited node with no slice information (unconstrained:
+// treated as overlapping every delta, on any in-port). AddSliceAt is the
+// precise form.
+func (f Footprint) Add(id NodeID) {
+	f.slices[id] = Space{}
+	delete(f.inPorts, id)
+}
+
+// String renders the header MSB-first, e.g. "1x0" for width 3.
+func (h Header) String() string {
+	if h.IsEmpty() {
+		return fmt.Sprintf("(empty/%d)", h.width)
+	}
+	var sb strings.Builder
+	sb.Grow(h.width)
+	for i := h.width - 1; i >= 0; i-- {
+		sb.WriteString(h.Bit(i).String())
+	}
+	return sb.String()
+}
+
+// String returns "0", "1", "x" or "z".
+func (b Bit) String() string {
+	switch b {
+	case Bit0:
+		return "0"
+	case Bit1:
+		return "1"
+	case BitX:
+		return "x"
+	case BitZ:
+		return "z"
+	}
+	return "?"
 }

@@ -11,7 +11,6 @@ package headerspace
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // Ternary bit encoding, two physical bits (hi, lo) per header bit:
@@ -37,21 +36,6 @@ const (
 	BitX
 	BitZ
 )
-
-// String returns "0", "1", "x" or "z".
-func (b Bit) String() string {
-	switch b {
-	case Bit0:
-		return "0"
-	case Bit1:
-		return "1"
-	case BitX:
-		return "x"
-	case BitZ:
-		return "z"
-	}
-	return "?"
-}
 
 // ErrWidthMismatch is returned when combining headers of different widths.
 var ErrWidthMismatch = errors.New("headerspace: width mismatch")
@@ -291,19 +275,6 @@ func (h Header) CountWildcards() int {
 		}
 	}
 	return n
-}
-
-// String renders the header MSB-first, e.g. "1x0" for width 3.
-func (h Header) String() string {
-	if h.IsEmpty() {
-		return fmt.Sprintf("(empty/%d)", h.width)
-	}
-	var sb strings.Builder
-	sb.Grow(h.width)
-	for i := h.width - 1; i >= 0; i-- {
-		sb.WriteString(h.Bit(i).String())
-	}
-	return sb.String()
 }
 
 // Parse builds a header from an MSB-first string of '0', '1', 'x'/'X' and

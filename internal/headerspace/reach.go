@@ -76,13 +76,6 @@ func (n *Network) Peer(node NodeID, port PortID) (NodeID, PortID, bool) {
 	return np.node, np.port, ok
 }
 
-// Hop records one traversal step in a reachability path.
-type Hop struct {
-	Node    NodeID
-	InPort  PortID
-	OutPort PortID
-}
-
 // ReachResult is one place a header space can escape the network.
 type ReachResult struct {
 	// EgressNode/EgressPort is the edge port the space leaves on.
@@ -92,20 +85,15 @@ type ReachResult struct {
 	// at the egress.
 	Space Space
 	// Path is the switch-level route taken (ingress hop first).
-	Path []Hop
+	Path []NodeID
 	// Looped marks results cut off by loop detection rather than egress.
 	Looped bool
 }
 
 // ReachOptions tunes the reachability traversal.
 type ReachOptions struct {
-	// MaxHops bounds the path length; 0 means 4 × number of nodes.
-	MaxHops int
 	// KeepLoops includes looped results (Looped=true) in the output.
 	KeepLoops bool
-	// MaxResults truncates the result list; 0 means unlimited. The bound is
-	// exact: the traversal stops as soon as it is hit, even mid-emission.
-	MaxResults int
 	// Parallelism is the worker count ReachAll fans injection points across;
 	// 0 or negative means GOMAXPROCS. A single Reach call is always
 	// sequential.
@@ -172,17 +160,6 @@ func NewFootprint() Footprint {
 // Footprint — never evaluated — is not). ReachAll leaves PointResult
 // footprints unrecorded unless RecordFootprint is set.
 func (f Footprint) Recorded() bool { return f.slices != nil }
-
-// Len returns the number of visited nodes.
-func (f Footprint) Len() int { return len(f.slices) }
-
-// Add records a visited node with no slice information (unconstrained:
-// treated as overlapping every delta, on any in-port). AddSliceAt is the
-// precise form.
-func (f Footprint) Add(id NodeID) {
-	f.slices[id] = Space{}
-	delete(f.inPorts, id)
-}
 
 // AddSlice records a visit of id by the arriving space s with no in-port
 // information: the node's port set widens to "any port". The stored terms
@@ -421,9 +398,9 @@ type seenEntry struct {
 }
 
 // pathEntry is the persistent analogue for paths: hops are only materialised
-// into a []Hop when a result is emitted.
+// into a []NodeID when a result is emitted.
 type pathEntry struct {
-	hop    Hop
+	node   NodeID
 	depth  int
 	parent *pathEntry
 }
@@ -436,10 +413,10 @@ func (p *pathEntry) len() int {
 }
 
 // materialize renders the persistent path ingress-hop-first.
-func (p *pathEntry) materialize() []Hop {
-	out := make([]Hop, p.len())
+func (p *pathEntry) materialize() []NodeID {
+	out := make([]NodeID, p.len())
 	for e := p; e != nil; e = e.parent {
-		out[e.depth-1] = e.hop
+		out[e.depth-1] = e.node
 	}
 	return out
 }
@@ -481,24 +458,9 @@ func (n *Network) ReachFootprint(at NodeID, port PortID, in Space, opt ReachOpti
 }
 
 func (n *Network) reach(at NodeID, port PortID, in Space, opt ReachOptions, fp Footprint) []ReachResult {
-	maxHops := opt.MaxHops
-	if maxHops <= 0 {
-		maxHops = 4 * len(n.nodes)
-		if maxHops < 16 {
-			maxHops = 16
-		}
-	}
+	// A branch longer than this is cut as hop-bounded.
+	maxHops := max(4*len(n.nodes), 16)
 	var results []ReachResult
-	// emit appends one result, enforcing MaxResults at every append (the
-	// recursive engine only checked at branch entry and could overshoot
-	// inside a multi-port emission loop).
-	emit := func(r ReachResult) bool {
-		if opt.MaxResults > 0 && len(results) >= opt.MaxResults {
-			return false
-		}
-		results = append(results, r)
-		return true
-	}
 
 	stack := make([]frame, 1, 64)
 	stack[0] = frame{node: at, inPort: port, space: in.Clone()}
@@ -507,19 +469,14 @@ func (n *Network) reach(at NodeID, port PortID, in Space, opt ReachOptions, fp F
 	var scratch []frame
 
 	for len(stack) > 0 {
-		if opt.MaxResults > 0 && len(results) >= opt.MaxResults {
-			break
-		}
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
 		if st.egress {
-			if !emit(ReachResult{
+			results = append(results, ReachResult{
 				EgressNode: st.node, EgressPort: st.inPort,
 				Space: st.space, Path: st.path.materialize(),
-			}) {
-				break
-			}
+			})
 			continue
 		}
 		if fp.Recorded() {
@@ -535,12 +492,10 @@ func (n *Network) reach(at NodeID, port PortID, in Space, opt ReachOptions, fp F
 		}
 		if st.path.len() >= maxHops {
 			if opt.KeepLoops {
-				if !emit(ReachResult{
+				results = append(results, ReachResult{
 					EgressNode: st.node, EgressPort: st.inPort,
 					Space: st.space, Path: st.path.materialize(), Looped: true,
-				}) {
-					break
-				}
+				})
 			}
 			continue
 		}
@@ -553,12 +508,10 @@ func (n *Network) reach(at NodeID, port PortID, in Space, opt ReachOptions, fp F
 		}
 		if looped {
 			if opt.KeepLoops {
-				if !emit(ReachResult{
+				results = append(results, ReachResult{
 					EgressNode: st.node, EgressPort: st.inPort,
 					Space: st.space, Path: st.path.materialize(), Looped: true,
-				}) {
-					break
-				}
+				})
 			}
 			continue
 		}
@@ -570,8 +523,7 @@ func (n *Network) reach(at NodeID, port PortID, in Space, opt ReachOptions, fp F
 
 		scratch = scratch[:0]
 		for _, em := range tf.Apply(st.space, st.inPort) {
-			hop := Hop{Node: st.node, InPort: st.inPort, OutPort: em.Port}
-			next := &pathEntry{hop: hop, depth: st.path.len() + 1, parent: st.path}
+			next := &pathEntry{node: st.node, depth: st.path.len() + 1, parent: st.path}
 			if peerNode, peerPort, wired := n.Peer(st.node, em.Port); wired {
 				scratch = append(scratch, frame{
 					node: peerNode, inPort: peerPort, space: em.Space,
@@ -597,9 +549,8 @@ type InjectionPoint struct {
 	Port PortID
 }
 
-// PointResult couples an injection point with its reachability results.
+// PointResult is one injection point's reachability results.
 type PointResult struct {
-	At      InjectionPoint
 	Results []ReachResult
 	// Footprint is the point's visited cone; only populated when
 	// ReachOptions.RecordFootprint is set.
@@ -608,8 +559,7 @@ type PointResult struct {
 
 // ReachAll runs Reach for the same space from every injection point, fanning
 // the points across opt.Parallelism workers (default GOMAXPROCS). Results
-// are returned in input order. The per-point traversals are independent:
-// opt.MaxResults bounds each point's result list, not the total.
+// are returned in input order.
 func (n *Network) ReachAll(points []InjectionPoint, in Space, opt ReachOptions) []PointResult {
 	out := make([]PointResult, len(points))
 	if len(points) == 0 {
@@ -625,7 +575,7 @@ func (n *Network) ReachAll(points []InjectionPoint, in Space, opt ReachOptions) 
 		if opt.RecordFootprint {
 			fp = NewFootprint()
 		}
-		out[i] = PointResult{At: p, Results: n.reach(p.Node, p.Port, in, opt, fp), Footprint: fp}
+		out[i] = PointResult{Results: n.reach(p.Node, p.Port, in, opt, fp), Footprint: fp}
 	})
 	return out
 }
@@ -664,8 +614,8 @@ func TraversedNodes(results []ReachResult) []NodeID {
 		if r.Looped {
 			continue
 		}
-		for _, h := range r.Path {
-			set[h.Node] = struct{}{}
+		for _, id := range r.Path {
+			set[id] = struct{}{}
 		}
 	}
 	ids := make([]NodeID, 0, len(set))

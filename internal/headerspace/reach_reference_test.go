@@ -6,19 +6,13 @@ import (
 	"testing/quick"
 )
 
-// reachReference is the original recursive reachability engine, kept
-// verbatim as an executable specification. The production engine in
+// reachReference is the original recursive reachability engine, kept as
+// an executable specification. The production engine in
 // reach.go is an explicit-stack rewrite with structurally-shared branch
 // state; TestDifferentialReach proves the two compute identical egress sets
 // and loop verdicts on randomized networks.
 func reachReference(n *Network, at NodeID, port PortID, in Space, opt ReachOptions) []ReachResult {
-	maxHops := opt.MaxHops
-	if maxHops <= 0 {
-		maxHops = 4 * len(n.nodes)
-		if maxHops < 16 {
-			maxHops = 16
-		}
-	}
+	maxHops := max(4*len(n.nodes), 16)
 	var results []ReachResult
 	type visitKey struct {
 		node NodeID
@@ -28,19 +22,16 @@ func reachReference(n *Network, at NodeID, port PortID, in Space, opt ReachOptio
 		node   NodeID
 		inPort PortID
 		space  Space
-		path   []Hop
+		path   []NodeID
 	}
-	clonePath := func(p []Hop) []Hop {
-		out := make([]Hop, len(p))
+	clonePath := func(p []NodeID) []NodeID {
+		out := make([]NodeID, len(p))
 		copy(out, p)
 		return out
 	}
 
 	var walk func(st reachState, seen map[visitKey][]Space)
 	walk = func(st reachState, seen map[visitKey][]Space) {
-		if opt.MaxResults > 0 && len(results) >= opt.MaxResults {
-			return
-		}
 		if len(st.path) >= maxHops {
 			if opt.KeepLoops {
 				results = append(results, ReachResult{
@@ -73,8 +64,7 @@ func reachReference(n *Network, at NodeID, port PortID, in Space, opt ReachOptio
 		newSeen[vk] = append(append([]Space(nil), seen[vk]...), st.space)
 
 		for _, em := range tf.Apply(st.space, st.inPort) {
-			hop := Hop{Node: st.node, InPort: st.inPort, OutPort: em.Port}
-			nextPath := append(clonePath(st.path), hop)
+			nextPath := append(clonePath(st.path), st.node)
 			if peerNode, peerPort, wired := n.Peer(st.node, em.Port); wired {
 				walk(reachState{node: peerNode, inPort: peerPort, space: em.Space, path: nextPath}, newSeen)
 			} else {
@@ -206,8 +196,8 @@ func TestDifferentialReach(t *testing.T) {
 // TestDifferentialReachResultOrder pins the frontier engine to the exact
 // result slice the reference produces — same order, egress coordinates,
 // spaces, paths and loop flags — on fully random networks (loops included).
-// Both engines walk emissions depth-first in rule order, so with unlimited
-// MaxResults their outputs must be identical element-wise.
+// Both engines walk emissions depth-first in rule order, so their outputs
+// must be identical element-wise.
 func TestDifferentialReachResultOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))

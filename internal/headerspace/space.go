@@ -2,7 +2,6 @@ package headerspace
 
 import (
 	"sort"
-	"strings"
 )
 
 // Space is a union of wildcard expressions over a common width. The zero
@@ -260,18 +259,4 @@ func tryMerge(a, b Header) (Header, bool) {
 		return a.Clone(), true // identical
 	}
 	return a.SetBit(diff, BitX), true
-}
-
-// String renders the space as "{term | term | ...}".
-func (s Space) String() string {
-	if s.IsEmpty() {
-		return "{}"
-	}
-	parts := make([]string, 0, len(s.terms))
-	for _, t := range s.terms {
-		if !t.IsEmpty() {
-			parts = append(parts, t.String())
-		}
-	}
-	return "{" + strings.Join(parts, " | ") + "}"
 }

@@ -3,7 +3,6 @@ package headerspace
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // PortID identifies a port in the reachability graph. The mapping from
@@ -29,8 +28,6 @@ type Rule struct {
 	// OutPorts lists the ports the rewritten packet is emitted on.
 	// Empty means drop.
 	OutPorts []PortID
-	// Annotation carries caller context (e.g. the originating flow entry).
-	Annotation string
 }
 
 // hasRewrite reports whether the rule rewrites any bit.
@@ -96,11 +93,10 @@ func (tf *TransferFunction) AddRule(r Rule) error {
 }
 
 // Emission is one output of applying a transfer function: the packet space
-// leaving on Port, along with the rule that produced it.
+// leaving on Port.
 type Emission struct {
 	Port  PortID
 	Space Space
-	Rule  Rule
 }
 
 // Apply feeds the space `in`, arriving on port `on`, through the rule list
@@ -142,7 +138,7 @@ func (tf *TransferFunction) Apply(in Space, on PortID) []Emission {
 			if i > 0 {
 				sp = emitted.Clone()
 			}
-			out = append(out, Emission{Port: p, Space: sp, Rule: r})
+			out = append(out, Emission{Port: p, Space: sp})
 		}
 	}
 	return out
@@ -158,15 +154,4 @@ func rewriteSpace(s Space, mask, value Header) Space {
 		}
 	}
 	return out
-}
-
-// String renders the rule table for debugging.
-func (tf *TransferFunction) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "tf(width=%d, %d rules)\n", tf.width, len(tf.rules))
-	for _, r := range tf.rules {
-		fmt.Fprintf(&sb, "  prio=%d match=%s in=%v out=%v %s\n",
-			r.Priority, r.Match, r.InPorts, r.OutPorts, r.Annotation)
-	}
-	return sb.String()
 }

@@ -5,10 +5,10 @@ import "testing"
 func TestTransferPrioritySemantics(t *testing.T) {
 	tf := NewTransferFunction(2)
 	// High priority: drop 11. Low priority: forward 1x to port 2.
-	if err := tf.AddRule(Rule{Priority: 10, Match: MustParse("11"), Annotation: "drop11"}); err != nil {
+	if err := tf.AddRule(Rule{Priority: 10, Match: MustParse("11")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tf.AddRule(Rule{Priority: 1, Match: MustParse("1x"), OutPorts: []PortID{2}, Annotation: "fwd1x"}); err != nil {
+	if err := tf.AddRule(Rule{Priority: 1, Match: MustParse("1x"), OutPorts: []PortID{2}}); err != nil {
 		t.Fatal(err)
 	}
 	ems := tf.Apply(FullSpace(2), 1)
@@ -64,10 +64,10 @@ func TestTransferMulticast(t *testing.T) {
 
 func TestTransferEqualPriorityStableOrder(t *testing.T) {
 	tf := NewTransferFunction(2)
-	mustAdd(t, tf, Rule{Priority: 5, Match: MustParse("1x"), OutPorts: []PortID{1}, Annotation: "first"})
-	mustAdd(t, tf, Rule{Priority: 5, Match: MustParse("1x"), OutPorts: []PortID{2}, Annotation: "second"})
+	mustAdd(t, tf, Rule{Priority: 5, Match: MustParse("1x"), OutPorts: []PortID{1}})
+	mustAdd(t, tf, Rule{Priority: 5, Match: MustParse("1x"), OutPorts: []PortID{2}})
 	ems := tf.Apply(sp("1x"), 0)
-	if len(ems) != 1 || ems[0].Rule.Annotation != "first" {
+	if len(ems) != 1 || ems[0].Port != 1 { // the rule added first wins
 		t.Errorf("equal-priority order not stable: %+v", ems)
 	}
 }
@@ -87,8 +87,8 @@ func TestTransferWidthValidation(t *testing.T) {
 
 func TestApplyStopsWhenExhausted(t *testing.T) {
 	tf := NewTransferFunction(1)
-	mustAdd(t, tf, Rule{Priority: 3, Match: MustParse("x"), OutPorts: []PortID{1}, Annotation: "hi"})
-	mustAdd(t, tf, Rule{Priority: 1, Match: MustParse("x"), OutPorts: []PortID{2}, Annotation: "lo"})
+	mustAdd(t, tf, Rule{Priority: 3, Match: MustParse("x"), OutPorts: []PortID{1}})
+	mustAdd(t, tf, Rule{Priority: 1, Match: MustParse("x"), OutPorts: []PortID{2}})
 	ems := tf.Apply(FullSpace(1), 0)
 	if len(ems) != 1 || ems[0].Port != 1 {
 		t.Errorf("lower-priority rule should see nothing: %+v", ems)

@@ -109,7 +109,6 @@ func EntryKey(sw topology.SwitchID, e openflow.FlowEntry) string {
 // Churn is a rule that appeared and later disappeared — the signature of a
 // short-term reconfiguration (flap) attack.
 type Churn struct {
-	Switch    topology.SwitchID
 	Entry     openflow.FlowEntry
 	AddedAt   time.Time
 	RemovedAt time.Time
@@ -132,7 +131,6 @@ func (s *Store) ChurnEvents(maxLifetime time.Duration) []Churn {
 
 	type liveEntry struct {
 		entry openflow.FlowEntry
-		sw    topology.SwitchID
 		since time.Time
 	}
 	// Entries present in the first snapshot are considered pre-existing
@@ -140,7 +138,7 @@ func (s *Store) ChurnEvents(maxLifetime time.Duration) []Churn {
 	live := make(map[string]liveEntry)
 	for sw, entries := range records[0].Tables {
 		for _, e := range entries {
-			live[EntryKey(sw, e)] = liveEntry{entry: e, sw: sw, since: records[0].At}
+			live[EntryKey(sw, e)] = liveEntry{entry: e, since: records[0].At}
 		}
 	}
 	var churn []Churn
@@ -152,7 +150,7 @@ func (s *Store) ChurnEvents(maxLifetime time.Duration) []Churn {
 				if prev, ok := live[k]; ok {
 					cur[k] = prev
 				} else {
-					cur[k] = liveEntry{entry: e, sw: sw, since: records[i].At}
+					cur[k] = liveEntry{entry: e, since: records[i].At}
 				}
 			}
 		}
@@ -161,7 +159,7 @@ func (s *Store) ChurnEvents(maxLifetime time.Duration) []Churn {
 			if _, still := cur[k]; still {
 				continue
 			}
-			c := Churn{Switch: le.sw, Entry: le.entry, AddedAt: le.since, RemovedAt: records[i].At}
+			c := Churn{Entry: le.entry, AddedAt: le.since, RemovedAt: records[i].At}
 			if maxLifetime == 0 || c.Lifetime() <= maxLifetime {
 				churn = append(churn, c)
 			}

@@ -82,7 +82,7 @@ func TestChurnDetectsFlap(t *testing.T) {
 		t.Fatalf("churn = %d events", len(churn))
 	}
 	c := churn[0]
-	if c.Switch != 1 || c.Entry.Priority != 99 {
+	if c.Entry.Priority != 99 {
 		t.Errorf("churn = %+v", c)
 	}
 	if c.Lifetime() != time.Second {

@@ -223,9 +223,8 @@ func (e EndpointSpec) String() string { return fmt.Sprintf("s%d:p%d", e.Switch, 
 
 // LinkSpec declares one cable of an explicit wiring plan.
 type LinkSpec struct {
-	A             EndpointSpec `json:"a"`
-	B             EndpointSpec `json:"b"`
-	LatencyMicros int          `json:"latencyMicros,omitempty"`
+	A EndpointSpec `json:"a"`
+	B EndpointSpec `json:"b"`
 }
 
 // AccessPointSpec attaches one client host at an edge port. Host MAC/IP are
@@ -907,9 +906,6 @@ func (t *TopologySpec) validateExplicit() error {
 			}
 			used[ep] = owner{what: fmt.Sprintf("links[%d]", i)}
 		}
-		if l.LatencyMicros < 0 {
-			return fmt.Errorf("links[%d]: latencyMicros: must be >= 0, got %d", i, l.LatencyMicros)
-		}
 	}
 	for i, ap := range t.AccessPoints {
 		ep := EndpointSpec{Switch: ap.Switch, Port: ap.Port}
@@ -978,14 +974,9 @@ func (t *TopologySpec) buildExplicit() (*topology.Topology, error) {
 		}
 	}
 	for _, l := range t.Links {
-		lat := l.LatencyMicros
-		if lat == 0 {
-			lat = 10
-		}
 		err := topo.AddLink(topology.Link{
-			A:             topology.Endpoint{Switch: topology.SwitchID(l.A.Switch), Port: topology.PortNo(l.A.Port)},
-			B:             topology.Endpoint{Switch: topology.SwitchID(l.B.Switch), Port: topology.PortNo(l.B.Port)},
-			LatencyMicros: lat,
+			A: topology.Endpoint{Switch: topology.SwitchID(l.A.Switch), Port: topology.PortNo(l.A.Port)},
+			B: topology.Endpoint{Switch: topology.SwitchID(l.B.Switch), Port: topology.PortNo(l.B.Port)},
 		})
 		if err != nil {
 			return nil, err

@@ -803,6 +803,7 @@ func TestParseRejectsRetiredKeys(t *testing.T) {
 		{"auth timeout", "rvaas:\n  authTimeout: 250ms\n", "authTimeout"},
 		{"history depth", "rvaas:\n  historyDepth: 256\n", "historyDepth"},
 		{"bring-up workers", "transport:\n  maxWorkers: 8\n", "maxWorkers"},
+		{"link latency", "  links:\n    - a:\n        switch: 1\n        port: 3\n      latencyMicros: 20\n", "latencyMicros"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { rejectsRetired(t, tc.doc, tc.key) })

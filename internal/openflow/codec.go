@@ -137,6 +137,7 @@ func encodeBody(w *wire.Writer, m Message) {
 	case *EchoReply:
 		w.U32(v.XID)
 		w.Bytes32(v.Data)
+		w.U64(v.TableSeq)
 	case *ErrorMsg:
 		w.U32(v.XID)
 		w.U16(v.Code)
@@ -212,7 +213,7 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 	case TypeEchoRequest:
 		m = &EchoRequest{XID: r.U32(), Data: r.Bytes32()}
 	case TypeEchoReply:
-		m = &EchoReply{XID: r.U32(), Data: r.Bytes32()}
+		m = &EchoReply{XID: r.U32(), Data: r.Bytes32(), TableSeq: r.U64()}
 	case TypeError:
 		m = &ErrorMsg{XID: r.U32(), Code: r.U16(), Reason: getStr(&r)}
 	case TypeFlowMod:

@@ -35,8 +35,8 @@ var goldenMessages = []struct {
 		"7a010000000c000000010102030405060708"},
 	{&EchoRequest{XID: 2, Data: []byte("ping")},
 		"7a020000000c000000020000000470696e67"},
-	{&EchoReply{XID: 3, Data: []byte("pong")},
-		"7a030000000c0000000300000004706f6e67"},
+	{&EchoReply{XID: 3, Data: []byte("pong"), TableSeq: 45},
+		"7a03000000140000000300000004706f6e67000000000000002d"},
 	{&ErrorMsg{XID: 4, Code: ErrCodeTableFull, Reason: "full"},
 		"7a040000000e0000000400040000000466756c6c"},
 	{&FlowMod{XID: 5, Command: FlowAdd, Entry: goldenEntry()},

@@ -1,8 +1,6 @@
 package openflow
 
 import (
-	"fmt"
-
 	"repro/internal/headerspace"
 	"repro/internal/wire"
 )
@@ -32,7 +30,7 @@ import (
 //     consume their match, shadowing lower priorities).
 func BuildTransferFunction(entries []FlowEntry, ports []uint32) *headerspace.TransferFunction {
 	tf := headerspace.NewTransferFunction(wire.HeaderWidth)
-	for i, e := range entries {
+	for _, e := range entries {
 		if controllerOnly(e.Actions) {
 			continue
 		}
@@ -42,18 +40,16 @@ func BuildTransferFunction(entries []FlowEntry, ports []uint32) *headerspace.Tra
 			inPorts = []headerspace.PortID{headerspace.PortID(e.Match.InPort)}
 		}
 		mask, value := rewriteOf(e.Actions)
-		annotation := fmt.Sprintf("entry#%d cookie=%#x", i, e.Cookie)
 
 		outPorts, flood := dataPlaneOutputs(e.Actions)
 		if !flood {
 			rule := headerspace.Rule{
-				Priority:   int(e.Priority),
-				Match:      match,
-				InPorts:    inPorts,
-				Mask:       mask,
-				Value:      value,
-				OutPorts:   outPorts,
-				Annotation: annotation,
+				Priority: int(e.Priority),
+				Match:    match,
+				InPorts:  inPorts,
+				Mask:     mask,
+				Value:    value,
+				OutPorts: outPorts,
 			}
 			// AddRule cannot fail here: widths are fixed by construction.
 			_ = tf.AddRule(rule)
@@ -73,13 +69,12 @@ func BuildTransferFunction(entries []FlowEntry, ports []uint32) *headerspace.Tra
 				}
 			}
 			_ = tf.AddRule(headerspace.Rule{
-				Priority:   int(e.Priority),
-				Match:      match,
-				InPorts:    []headerspace.PortID{headerspace.PortID(in)},
-				Mask:       mask,
-				Value:      value,
-				OutPorts:   outs,
-				Annotation: annotation + " (flood)",
+				Priority: int(e.Priority),
+				Match:    match,
+				InPorts:  []headerspace.PortID{headerspace.PortID(in)},
+				Mask:     mask,
+				Value:    value,
+				OutPorts: outs,
 			})
 		}
 	}

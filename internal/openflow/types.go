@@ -237,10 +237,13 @@ func (m *EchoRequest) Type() MsgType { return TypeEchoRequest }
 // XIDValue implements Message.
 func (m *EchoRequest) XIDValue() uint32 { return m.XID }
 
-// EchoReply answers an EchoRequest.
+// EchoReply answers an EchoRequest. A switch also reports its table-change
+// sequence: every event up to it was sent ahead of the reply on the same
+// channel, so a controller whose snapshot is behind it lost an event.
 type EchoReply struct {
-	XID  uint32
-	Data []byte
+	XID      uint32
+	Data     []byte
+	TableSeq uint64
 }
 
 // Type implements Message.

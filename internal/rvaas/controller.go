@@ -179,10 +179,8 @@ type Controller struct {
 	stats       Stats
 	peers       map[string]Federation
 	peerEntries map[string]topology.Endpoint
-	peerNames   map[string]string
 
 	stop chan struct{}
-	done chan struct{}
 	wg   sync.WaitGroup
 }
 
@@ -242,9 +240,7 @@ func New(cfg Config) (*Controller, error) {
 		waiters:     make(map[waiterKey]chan openflow.Message),
 		peers:       make(map[string]Federation),
 		peerEntries: make(map[string]topology.Endpoint),
-		peerNames:   make(map[string]string),
 		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
 	c.engine = verifier.New(verifierEnv{c})
 	c.svc = authGate{core: coreService{c}, c: c}
@@ -416,7 +412,9 @@ func (c *Controller) dropLocked(sess *session) (wipe capture, wiped bool) {
 // heartbeatLoop probes one session's liveness with echo requests; after
 // heartbeatMisses consecutive unanswered probes the session is detached. A
 // probe is an ordinary request/reply, so a switch that is slow but alive
-// resets the miss counter with any answered probe.
+// resets the miss counter with any answered probe. Each answer also carries
+// the switch's table sequence, which noteTableSeq checks the snapshot
+// against.
 func (c *Controller) heartbeatLoop(sess *session) {
 	defer c.wg.Done()
 	interval := c.cfg.HeartbeatInterval
@@ -438,7 +436,8 @@ func (c *Controller) heartbeatLoop(sess *session) {
 			return
 		}
 		xid := c.xid()
-		if _, err := c.request(sess, &openflow.EchoRequest{XID: xid}, xid, interval); err != nil {
+		reply, err := c.request(sess, &openflow.EchoRequest{XID: xid}, xid, interval)
+		if err != nil {
 			misses++
 			if misses >= heartbeatMisses {
 				c.detachSession(sess)
@@ -447,6 +446,9 @@ func (c *Controller) heartbeatLoop(sess *session) {
 			continue
 		}
 		misses = 0
+		if echo, ok := reply.(*openflow.EchoReply); ok {
+			c.noteTableSeq(sess, echo.TableSeq)
+		}
 	}
 }
 

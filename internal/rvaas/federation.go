@@ -20,14 +20,13 @@ type Federation interface {
 	FederatedReachable(entry topology.Endpoint, constraints []wire.FieldConstraint) []string
 }
 
-// AddPeer declares that traffic leaving localEgress enters the named peer
+// AddPeer declares that traffic leaving localEgress enters the peer
 // provider at peerEntry.
-func (c *Controller) AddPeer(name string, localEgress topology.Endpoint, peer Federation, peerEntry topology.Endpoint) {
+func (c *Controller) AddPeer(localEgress topology.Endpoint, peer Federation, peerEntry topology.Endpoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.peers[peeringKey(localEgress)] = peer
 	c.peerEntries[peeringKey(localEgress)] = peerEntry
-	c.peerNames[peeringKey(localEgress)] = name
 }
 
 func peeringKey(ep topology.Endpoint) string {

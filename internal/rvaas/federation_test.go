@@ -69,7 +69,7 @@ func buildFederation(t *testing.T) (*deploy.Deployment, *deploy.Deployment, topo
 	}
 
 	// Register the peering on A's RVaaS.
-	dA.RVaaS.AddPeer("provider-b", egressA, dB.RVaaS, entryB)
+	dA.RVaaS.AddPeer(egressA, dB.RVaaS, entryB)
 	return dA, dB, srcA, dstB
 }
 

@@ -161,6 +161,67 @@ func TestHeartbeatDetachesSilentSession(t *testing.T) {
 	}
 }
 
+// TestHeartbeatCatchesLostTailEvent: a switch's last table change is
+// announced by a flow-monitor event the channel loses, and no later change
+// follows, so no Seq gap ever shows the loss. The table sequence on the next
+// heartbeat reply does: the controller resyncs and the snapshot gains the
+// rule. Without heartbeats the snapshot would stay behind for good.
+func TestHeartbeatCatchesLostTailEvent(t *testing.T) {
+	const beat = 20 * time.Millisecond
+	ctl, connect := switchLab(t, beat)
+	ctlConn, sw := connect("switch-1")
+	var mu sync.Mutex
+	var table []openflow.FlowEntry
+	seq := uint64(1)
+	go func() {
+		for {
+			msg, err := sw.Recv()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			switch m := msg.(type) {
+			case *openflow.StatsRequest:
+				_ = sw.Send(&openflow.StatsReply{XID: m.XID, Entries: table, TableSeq: seq})
+			case *openflow.EchoRequest:
+				_ = sw.Send(&openflow.EchoReply{XID: m.XID, TableSeq: seq})
+			}
+			mu.Unlock()
+		}
+	}()
+	if err := ctl.Attach(1, ctlConn); err != nil {
+		t.Fatal(err)
+	}
+	// Heartbeats at an unchanged sequence resync nothing.
+	time.Sleep(3 * beat)
+	resyncs := ctl.Stats().Resyncs
+	time.Sleep(3 * beat)
+	if n := ctl.Stats().Resyncs; n != resyncs {
+		t.Fatalf("resyncs grew %d -> %d with the snapshot in step", resyncs, n)
+	}
+
+	// The change whose event the channel lost.
+	rule := openflow.FlowEntry{Priority: 9, Cookie: 0x7A11}
+	mu.Lock()
+	table = []openflow.FlowEntry{rule}
+	seq++
+	mu.Unlock()
+
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if tbl := ctl.snap.table(1); len(tbl) == 1 && tbl[0].Cookie == rule.Cookie {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot never caught up with the switch: %+v", ctl.snap.table(1))
+		}
+		time.Sleep(beat / 4)
+	}
+	if n := ctl.Stats().Resyncs; n <= resyncs {
+		t.Errorf("resyncs = %d after the lost event, want more than %d", n, resyncs)
+	}
+}
+
 // TestReplyRoutingIgnoresCollidingXIDs forces the collision that failed
 // bring-up after a controller restart: while switch 1's initial sync is
 // pending under XID x, another switch sends a reply-typed message with the

@@ -43,6 +43,22 @@ func (c *Controller) handleMonitorEvent(sess *session, ev *openflow.FlowMonitorR
 	}
 }
 
+// noteTableSeq checks a heartbeat's report of the switch's table sequence.
+// The events up to it were sent ahead of the reply on the same channel and
+// read before it, so a snapshot still behind it lost the tail of the
+// switch's events, which no later event's Seq gap will reveal: resync.
+func (c *Controller) noteTableSeq(sess *session, seq uint64) {
+	c.mu.Lock()
+	behind := c.sessions[sess.sw] == sess && seq > c.snap.seqOf(sess.sw)
+	if behind {
+		sess.evHigh = max(sess.evHigh, seq)
+	}
+	c.mu.Unlock()
+	if behind {
+		c.resync(sess, false)
+	}
+}
+
 // resync re-polls one session's switch until the snapshot has caught up
 // with the highest event sequence the session announced. Event gaps run it
 // unforced; the operator's ForceResync runs it forced, accepting each

@@ -178,7 +178,6 @@ type FileStore struct {
 	f       *os.File
 	live    map[uint64]SubscriptionRecord
 	appends int
-	skipped int
 }
 
 // OpenFileStore opens (or creates) the log at path and replays it.
@@ -197,7 +196,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 		}
 		rec, op, err := unmarshalRecord(payload)
 		if errors.Is(err, errRetiredProtocol) {
-			s.skipped++
+			// Skipped: nothing could deliver a retired-protocol record's pushes.
 		} else if err != nil {
 			break
 		} else if op == recRemove {

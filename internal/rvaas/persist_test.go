@@ -228,8 +228,8 @@ func TestFileStoreTornTailIgnored(t *testing.T) {
 // TestFileStoreSkipsRetiredProtocolRecords: a log written by an earlier
 // build still opens. Records of subscriptions registered over the removed
 // v1 client protocol (the byte before Kind is not wire.EnvelopeVersion)
-// are skipped and counted — nothing could deliver their pushes — while the
-// records around them replay normally.
+// are skipped — nothing could deliver their pushes — while the records
+// around them replay normally.
 func TestFileStoreSkipsRetiredProtocolRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "subs.log")
 	var log []byte
@@ -257,8 +257,5 @@ func TestFileStoreSkipsRetiredProtocolRecords(t *testing.T) {
 	recs, err := s.Load()
 	if err != nil || len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 3 {
 		t.Fatalf("replay around a retired-protocol record: %v %+v", err, recs)
-	}
-	if s.skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", s.skipped)
 	}
 }

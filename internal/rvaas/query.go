@@ -45,7 +45,6 @@ type discoveredEndpoint struct {
 	ep       topology.Endpoint
 	ap       topology.AccessPoint
 	known    bool
-	regions  []string
 	pathLens []int
 }
 

@@ -164,7 +164,7 @@ func (s *Switch) handleControl(sess *session, msg openflow.Message) {
 	case *openflow.Hello:
 		// Controller hello; nothing to do.
 	case *openflow.EchoRequest:
-		_ = sess.conn.Send(&openflow.EchoReply{XID: m.XID, Data: m.Data})
+		_ = sess.conn.Send(&openflow.EchoReply{XID: m.XID, Data: m.Data, TableSeq: s.TableSeq()})
 	case *openflow.FlowMod:
 		if err := s.applyFlowMod(m); err != nil {
 			_ = sess.conn.Send(&openflow.ErrorMsg{XID: m.XID, Code: openflow.ErrCodeBadRequest, Reason: err.Error()})

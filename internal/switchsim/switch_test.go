@@ -375,12 +375,14 @@ func TestEchoAndUnsupported(t *testing.T) {
 	conn := controllerHarness(t, sw)
 	recvType(t, conn, openflow.TypeHello)
 
+	// The reply carries the table sequence, here moved by one install.
+	sw.InstallDirect(fwdEntry(10, wire.IPv4(10, 0, 1, 1), 2))
 	if err := conn.Send(&openflow.EchoRequest{XID: 9, Data: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	rep, ok := recvType(t, conn, openflow.TypeEchoReply).(*openflow.EchoReply)
-	if !ok || string(rep.Data) != "hi" || rep.XID != 9 {
-		t.Errorf("echo reply: %+v", rep)
+	if !ok || string(rep.Data) != "hi" || rep.XID != 9 || rep.TableSeq == 0 || rep.TableSeq != sw.TableSeq() {
+		t.Errorf("echo reply: %+v, want table seq %d", rep, sw.TableSeq())
 	}
 	// An unexpected message type yields an error reply.
 	if err := conn.Send(&openflow.PortStatus{XID: 10, Port: 1, Up: true}); err != nil {

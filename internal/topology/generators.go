@@ -30,9 +30,8 @@ func Linear(n int, clientIDs []uint64) (*Topology, error) {
 	}
 	for i := 1; i < n; i++ {
 		err := t.AddLink(Link{
-			A:             Endpoint{SwitchID(i), 2},
-			B:             Endpoint{SwitchID(i + 1), 1},
-			LatencyMicros: 10,
+			A: Endpoint{SwitchID(i), 2},
+			B: Endpoint{SwitchID(i + 1), 1},
 		})
 		if err != nil {
 			return nil, err
@@ -67,9 +66,8 @@ func Ring(n int) (*Topology, error) {
 	for i := 1; i <= n; i++ {
 		next := i%n + 1
 		err := t.AddLink(Link{
-			A:             Endpoint{SwitchID(i), 2},
-			B:             Endpoint{SwitchID(next), 1},
-			LatencyMicros: 10,
+			A: Endpoint{SwitchID(i), 2},
+			B: Endpoint{SwitchID(next), 1},
 		})
 		if err != nil {
 			return nil, err
@@ -100,9 +98,8 @@ func Star(n int) (*Topology, error) {
 		leaf := SwitchID(1 + i)
 		t.AddSwitch(leaf, 2)
 		err := t.AddLink(Link{
-			A:             Endpoint{hub, PortNo(i)},
-			B:             Endpoint{leaf, 1},
-			LatencyMicros: 10,
+			A: Endpoint{hub, PortNo(i)},
+			B: Endpoint{leaf, 1},
 		})
 		if err != nil {
 			return nil, err
@@ -156,9 +153,8 @@ func FatTree(k int) (*Topology, error) {
 			core := coreID(a*half + c)
 			for p := 0; p < k; p++ {
 				err := t.AddLink(Link{
-					A:             Endpoint{core, PortNo(p + 1)},
-					B:             Endpoint{aggID(p, a), PortNo(half + c + 1)},
-					LatencyMicros: 20,
+					A: Endpoint{core, PortNo(p + 1)},
+					B: Endpoint{aggID(p, a), PortNo(half + c + 1)},
 				})
 				if err != nil {
 					return nil, err
@@ -171,9 +167,8 @@ func FatTree(k int) (*Topology, error) {
 		for a := 0; a < half; a++ {
 			for e := 0; e < half; e++ {
 				err := t.AddLink(Link{
-					A:             Endpoint{aggID(p, a), PortNo(e + 1)},
-					B:             Endpoint{edgeID(p, e), PortNo(a + 1)},
-					LatencyMicros: 10,
+					A: Endpoint{aggID(p, a), PortNo(e + 1)},
+					B: Endpoint{edgeID(p, e), PortNo(a + 1)},
 				})
 				if err != nil {
 					return nil, err
@@ -219,7 +214,6 @@ func Grid(rows, cols int) (*Topology, error) {
 			if r+1 < rows {
 				err := t.AddLink(Link{
 					A: Endpoint{id(r, c), 2}, B: Endpoint{id(r+1, c), 1},
-					LatencyMicros: 10,
 				})
 				if err != nil {
 					return nil, err
@@ -228,7 +222,6 @@ func Grid(rows, cols int) (*Topology, error) {
 			if c+1 < cols {
 				err := t.AddLink(Link{
 					A: Endpoint{id(r, c), 4}, B: Endpoint{id(r, c+1), 3},
-					LatencyMicros: 10,
 				})
 				if err != nil {
 					return nil, err
@@ -273,7 +266,6 @@ func MultiRegionWAN(regionNames []Region, perRegion int) (*Topology, error) {
 		for i := 0; i+1 < perRegion; i++ {
 			err := t.AddLink(Link{
 				A: Endpoint{id(ri, i), 2}, B: Endpoint{id(ri, i+1), 1},
-				LatencyMicros: 50,
 			})
 			if err != nil {
 				return nil, err
@@ -285,7 +277,6 @@ func MultiRegionWAN(regionNames []Region, perRegion int) (*Topology, error) {
 	for ri := 0; ri+1 < len(regionNames); ri++ {
 		err := t.AddLink(Link{
 			A: Endpoint{id(ri, perRegion-1), 4}, B: Endpoint{id(ri+1, 0), 3},
-			LatencyMicros: 5000,
 		})
 		if err != nil {
 			return nil, err
@@ -296,9 +287,8 @@ func MultiRegionWAN(regionNames []Region, perRegion int) (*Topology, error) {
 	// switches of the first and last region).
 	if len(regionNames) >= 3 {
 		err := t.AddLink(Link{
-			A:             Endpoint{id(0, perRegion-1), 5},
-			B:             Endpoint{id(len(regionNames)-1, perRegion-1), 5},
-			LatencyMicros: 8000,
+			A: Endpoint{id(0, perRegion-1), 5},
+			B: Endpoint{id(len(regionNames)-1, perRegion-1), 5},
 		})
 		if err != nil {
 			return nil, err
@@ -345,16 +335,15 @@ func RandomGeometric(n int, p float64, seed int64) (*Topology, error) {
 		nextPort[sw]++
 		return nextPort[sw]
 	}
-	connected := map[SwitchID]bool{1: true}
 	for i := 1; i <= n; i++ {
 		for j := i + 1; j <= n; j++ {
 			if rng.Float64() >= p {
 				continue
 			}
+			rng.Intn(90) // the retired link-latency draw: a seeded lab keeps its links
 			err := t.AddLink(Link{
-				A:             Endpoint{SwitchID(i), alloc(SwitchID(i))},
-				B:             Endpoint{SwitchID(j), alloc(SwitchID(j))},
-				LatencyMicros: 10 + rng.Intn(90),
+				A: Endpoint{SwitchID(i), alloc(SwitchID(i))},
+				B: Endpoint{SwitchID(j), alloc(SwitchID(j))},
 			})
 			if err != nil {
 				return nil, err
@@ -365,16 +354,14 @@ func RandomGeometric(n int, p float64, seed int64) (*Topology, error) {
 	for i := 2; i <= n; i++ {
 		if t.ShortestPath(1, SwitchID(i)) == nil {
 			err := t.AddLink(Link{
-				A:             Endpoint{SwitchID(i - 1), alloc(SwitchID(i - 1))},
-				B:             Endpoint{SwitchID(i), alloc(SwitchID(i))},
-				LatencyMicros: 10,
+				A: Endpoint{SwitchID(i - 1), alloc(SwitchID(i - 1))},
+				B: Endpoint{SwitchID(i), alloc(SwitchID(i))},
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
-	_ = connected
 	for i := 1; i <= n; i++ {
 		sw := SwitchID(i)
 		mac, ip := HostAddr(sw, 0)

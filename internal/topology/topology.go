@@ -27,8 +27,6 @@ func (e Endpoint) String() string { return fmt.Sprintf("s%d:p%d", e.Switch, e.Po
 // Link is a bidirectional cable between two switch ports.
 type Link struct {
 	A, B Endpoint
-	// LatencyMicros models propagation delay for the fabric simulator.
-	LatencyMicros int
 }
 
 // AccessPoint is an edge port where a client host attaches.

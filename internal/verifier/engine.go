@@ -574,7 +574,6 @@ func stateOfLocked(sub *Subscription) SubState {
 		ID:            sub.ID,
 		ClientID:      sub.ClientID,
 		SessionID:     sub.SessionID,
-		Nonce:         sub.Nonce,
 		Kind:          sub.Kind,
 		Param:         sub.Param,
 		Anchor:        sub.Anchor,

@@ -98,8 +98,8 @@ func randFootprint(r *rand.Rand) headerspace.Footprint {
 	for n := headerspace.NodeID(0); n < scriptNodes; n++ {
 		slice := scriptSlices[r.Intn(len(scriptSlices))]
 		switch r.Intn(7) {
-		case 0:
-			fp.Add(n)
+		case 0: // an empty slice: the node is unconstrained, on any port
+			fp.AddSlice(n, headerspace.Space{})
 		case 1:
 			for i := 0; i < 40; i++ { // past the footprint's term cap
 				fp.AddSliceAt(n, slice, 1)

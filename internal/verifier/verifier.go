@@ -214,7 +214,6 @@ type SubState struct {
 	ID        uint64
 	ClientID  uint64
 	SessionID uint64
-	Nonce     uint64
 	Kind      wire.QueryKind
 	Param     string
 	Anchor    Anchor

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Every client-facing operation travels as one versioned Envelope on one
 // magic port pair (the paper's single magic header, §IV-A3); the Op field
@@ -71,37 +68,6 @@ const (
 	// a lone transition is a one-item batch.
 	OpNotifyBatch Op = 16
 )
-
-// String names the op.
-func (op Op) String() string {
-	switch op {
-	case OpQuery:
-		return "query"
-	case OpQueryResponse:
-		return "query-response"
-	case OpUnsubscribe:
-		return "unsubscribe"
-	case OpNotify:
-		return "notify"
-	case OpBatchSubscribe:
-		return "batch-subscribe"
-	case OpBatchReply:
-		return "batch-reply"
-	case OpSessionResume:
-		return "session-resume"
-	case OpSessionResumeReply:
-		return "session-resume-reply"
-	case OpChunk:
-		return "chunk"
-	case OpAuthChallenge:
-		return "auth-challenge"
-	case OpAuthReply:
-		return "auth-reply"
-	case OpNotifyBatch:
-		return "notify-batch"
-	}
-	return fmt.Sprintf("op(%d)", uint8(op))
-}
 
 // Envelope is the versioned client protocol frame: one shape for every
 // operation.

@@ -1,5 +1,7 @@
 package wire
 
+import "fmt"
+
 // Pending returns the number of in-flight chains.
 func (ra *Reassembler) Pending() int {
 	ra.mu.Lock()
@@ -19,4 +21,35 @@ func PacketBits(p *Packet) []byte {
 		}
 	}
 	return bits
+}
+
+// String names the op.
+func (op Op) String() string {
+	switch op {
+	case OpQuery:
+		return "query"
+	case OpQueryResponse:
+		return "query-response"
+	case OpUnsubscribe:
+		return "unsubscribe"
+	case OpNotify:
+		return "notify"
+	case OpBatchSubscribe:
+		return "batch-subscribe"
+	case OpBatchReply:
+		return "batch-reply"
+	case OpSessionResume:
+		return "session-resume"
+	case OpSessionResumeReply:
+		return "session-resume-reply"
+	case OpChunk:
+		return "chunk"
+	case OpAuthChallenge:
+		return "auth-challenge"
+	case OpAuthReply:
+		return "auth-reply"
+	case OpNotifyBatch:
+		return "notify-batch"
+	}
+	return fmt.Sprintf("op(%d)", uint8(op))
 }

@@ -52,25 +52,6 @@ func (p *Packet) Clone() *Packet {
 	return &out
 }
 
-// String renders a compact human-readable summary.
-func (p *Packet) String() string {
-	return fmt.Sprintf("pkt[%012x->%012x vlan=%d %s %s:%d->%s:%d ttl=%d len=%d]",
-		p.EthSrc, p.EthDst, p.VLAN, ipProtoName(p.IPProto),
-		IPString(p.IPSrc), p.L4Src, IPString(p.IPDst), p.L4Dst, p.TTL, len(p.Payload))
-}
-
-func ipProtoName(pr uint8) string {
-	switch pr {
-	case IPProtoUDP:
-		return "udp"
-	case IPProtoTCP:
-		return "tcp"
-	case IPProtoICMP:
-		return "icmp"
-	}
-	return fmt.Sprintf("proto%d", pr)
-}
-
 // IPString formats a uint32 IPv4 address dotted-quad.
 func IPString(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
