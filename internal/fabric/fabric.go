@@ -148,8 +148,8 @@ func (f *Fabric) deliver(from topology.Endpoint, pkt *wire.Packet) {
 		}
 		f.mu.Lock()
 		f.delivered++
+		f.traceLocked(TraceEvent{From: from, To: peer})
 		f.mu.Unlock()
-		f.recordTrace(TraceEvent{From: from, To: peer})
 		if dp, owned := f.switches[peer.Switch]; owned {
 			dp.ProcessPacket(peer.Port, pkt, 0)
 		} else if f.remote != nil {
@@ -167,8 +167,8 @@ func (f *Fabric) deliver(from topology.Endpoint, pkt *wire.Packet) {
 		return
 	}
 	f.hostRx++
+	f.traceLocked(TraceEvent{From: from, Host: true})
 	f.mu.Unlock()
-	f.recordTrace(TraceEvent{From: from, Host: true})
 	if h != nil {
 		h(pkt)
 	}
@@ -193,8 +193,8 @@ func (f *Fabric) DeliverToHost(ep topology.Endpoint, pkt *wire.Packet) {
 	f.mu.Lock()
 	h := f.hosts[ep]
 	f.hostRx++
+	f.traceLocked(TraceEvent{From: ep, Host: true})
 	f.mu.Unlock()
-	f.recordTrace(TraceEvent{From: ep, Host: true})
 	if h != nil {
 		h(pkt)
 	}
@@ -228,11 +228,15 @@ func (f *Fabric) Trace() []TraceEvent {
 
 func (f *Fabric) recordTrace(ev TraceEvent) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.tracing {
-		return
+	f.traceLocked(ev)
+	f.mu.Unlock()
+}
+
+// traceLocked appends ev when tracing is on; f.mu must be held.
+func (f *Fabric) traceLocked(ev TraceEvent) {
+	if f.tracing {
+		f.trace = append(f.trace, ev)
 	}
-	f.trace = append(f.trace, ev)
 }
 
 // Close shuts down every switch.

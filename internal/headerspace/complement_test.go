@@ -6,14 +6,18 @@ import (
 	"testing/quick"
 )
 
-// The complement decomposition must be pairwise disjoint — the property the
-// reachability engine's term-count bound relies on (see DESIGN.md).
+// Subtract's terms must be pairwise disjoint and disjoint from the
+// subtrahend — the property the reachability engine's term-count bound
+// relies on (see DESIGN.md).
 func TestComplementTermsDisjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		h := randHeader(rr, quickWidth)
-		terms := h.Complement().Terms()
+		h, o := RandOverlappingPair(rr, quickWidth)
+		terms := h.Subtract(o).Terms()
 		for i := 0; i < len(terms); i++ {
+			if terms[i].Overlaps(o) || !h.Covers(terms[i]) {
+				return false
+			}
 			for j := i + 1; j < len(terms); j++ {
 				if terms[i].Overlaps(terms[j]) {
 					return false
@@ -102,5 +106,41 @@ func TestChainedOpsMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
+	}
+}
+
+var allocSink Space
+
+// The hot-path algebra allocates nothing for disjoint terms, and a
+// subtraction allocates its term slice and one shared backing array.
+func TestHeaderAlgebraAllocs(t *testing.T) {
+	const w = 228
+	h := FromValueMask(w, 0, 16, 0x0a01, 0xffff)
+	disjoint := FromValueMask(w, 0, 16, 0x0a02, 0xffff)
+	wide := FromValueMask(w, 8, 8, 0x0a, 0xff)
+	s := NewSpace(w, h)
+	tf := NewTransferFunction(w)
+	for i, m := range []Header{disjoint, FromValueMask(w, 0, 8, 0x02, 0xff)} {
+		if err := tf.AddRule(Rule{Priority: i, Match: m, OutPorts: []PortID{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Overlaps", 0, func() { _ = h.Overlaps(disjoint) }},
+		{"IntersectHeader/disjoint", 0, func() { allocSink = s.IntersectHeader(disjoint) }},
+		{"SubtractHeader/disjoint", 0, func() { allocSink = s.SubtractHeader(disjoint) }},
+		{"Subtract/overlapping", 2, func() { allocSink = wide.Subtract(h) }},
+		{"Apply/no match", 0, func() { _ = tf.Apply(s, 1) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > c.max {
+			t.Errorf("%s: %v allocs, want <= %v", c.name, got, c.max)
+		}
+	}
+	if wide.Subtract(h).Size() != 8 {
+		t.Fatalf("wide \\ h = %s, want 8 terms", wide.Subtract(h))
 	}
 }

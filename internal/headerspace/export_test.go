@@ -2,12 +2,31 @@ package headerspace
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 )
 
 // Empty returns a header denoting the empty set (all bits z).
 func Empty(width int) Header {
 	return Header{width: width, words: make([]uint64, wordsFor(width))}
+}
+
+// Bit returns the ternary value at position i (0 = least significant).
+func (h Header) Bit(i int) Bit {
+	if i < 0 || i >= h.width {
+		return BitZ
+	}
+	word := h.words[i/bitsPerWord]
+	shift := uint(i%bitsPerWord) * 2
+	switch (word >> shift) & 3 {
+	case 1:
+		return Bit0
+	case 2:
+		return Bit1
+	case 3:
+		return BitX
+	}
+	return BitZ
 }
 
 // MatchesValue reports whether the concrete bit string v (v[i] in {0,1},
@@ -113,21 +132,68 @@ func (s Space) Intersect(o Space) Space {
 	return out.Compact()
 }
 
-// Subtract returns s \ o. The result never shares term storage with s or o.
+// Subtract returns s \ o, compacted.
 func (s Space) Subtract(o Space) Space {
-	if len(o.terms) == 0 {
-		return s.Clone()
+	return s.residual(o).Compact()
+}
+
+// Complement returns the set of packets NOT matched by h, as a union of
+// pairwise-disjoint headers (one per non-wildcard position, with all lower
+// fixed positions pinned to h's values).
+func (h Header) Complement() Space {
+	if h.IsEmpty() {
+		return Space{width: h.width, terms: []Header{AllX(h.width)}}
 	}
-	// SubtractHeader is functional (it clones every surviving term), so the
-	// first pass already detaches the result from s — no up-front deep copy.
-	out := s
-	for _, b := range o.terms {
-		out = out.SubtractHeader(b)
-		if out.IsEmpty() {
-			return EmptySpace(s.width)
+	var terms []Header
+	prefix := AllX(h.width) // accumulates h's values at already-seen fixed bits
+	for i := 0; i < h.width; i++ {
+		b := h.Bit(i)
+		if b != Bit0 && b != Bit1 {
+			continue
+		}
+		flipped := Bit0
+		if b == Bit0 {
+			flipped = Bit1
+		}
+		terms = append(terms, prefix.SetBit(i, flipped))
+		prefix.setBitInPlace(i, b)
+	}
+	return Space{width: h.width, terms: terms}
+}
+
+// SubtractViaComplement is the executable reference for Header.Subtract:
+// intersect h with every term of o's complement, then compact.
+func (h Header) SubtractViaComplement(o Header) Space {
+	var terms []Header
+	for _, c := range o.Complement().terms {
+		x, err := h.Intersect(c)
+		if err == nil && !x.IsEmpty() {
+			terms = append(terms, x)
 		}
 	}
-	return out.Compact()
+	return Space{width: h.width, terms: terms}.Compact()
+}
+
+// RandOverlappingPair draws two headers of the given width that share at
+// least one packet. h's wildcard density is itself random, so the pairs
+// range from h ⊆ o to differences with one term per position.
+func RandOverlappingPair(r *rand.Rand, width int) (h, o Header) {
+	h, o = AllX(width), AllX(width)
+	fixed := r.Float64()
+	for i := 0; i < width; i++ {
+		if r.Float64() < fixed {
+			h.setBitInPlace(i, Bit0+Bit(r.Intn(2)))
+		}
+		if r.Intn(3) == 0 {
+			continue // o keeps x here
+		}
+		b := Bit0 + Bit(r.Intn(2))
+		if hb := h.Bit(i); hb != BitX {
+			b = hb // agree with h wherever both are concrete
+		}
+		o.setBitInPlace(i, b)
+	}
+	return h, o
 }
 
 // Equal reports set equality.

@@ -11,6 +11,7 @@ package headerspace
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Ternary bit encoding, two physical bits (hi, lo) per header bit:
@@ -100,24 +101,6 @@ func (h Header) Clone() Header {
 	out := Header{width: h.width, words: make([]uint64, len(h.words))}
 	copy(out.words, h.words)
 	return out
-}
-
-// Bit returns the ternary value at position i (0 = least significant).
-func (h Header) Bit(i int) Bit {
-	if i < 0 || i >= h.width {
-		return BitZ
-	}
-	word := h.words[i/bitsPerWord]
-	shift := uint(i%bitsPerWord) * 2
-	switch (word >> shift) & 3 {
-	case 1:
-		return Bit0
-	case 2:
-		return Bit1
-	case 3:
-		return BitX
-	}
-	return BitZ
 }
 
 // SetBit sets position i to the given ternary value, returning a new header.
@@ -228,51 +211,61 @@ func (h Header) Covers(o Header) bool {
 	return true
 }
 
-// Complement returns the set of packets NOT matched by h, as a union of
-// pairwise-DISJOINT headers (one per non-wildcard position, with all lower
-// fixed positions pinned to h's values). Disjointness keeps downstream
-// subtraction chains from blowing up in term count.
-func (h Header) Complement() Space {
-	if h.IsEmpty() {
-		return Space{width: h.width, terms: []Header{AllX(h.width)}}
+// Pair masks over a word: loPairs has the low encoding bit of every
+// position set. fixedPairs, onePairs and wildPairs mark (at that low bit)
+// the positions holding 0/1, 1 and x respectively.
+const loPairs = 0x5555555555555555
+
+func fixedPairs(w uint64) uint64 { return (w ^ w>>1) & loPairs }
+
+func onePairs(w uint64) uint64 { return w >> 1 &^ w & loPairs }
+
+func wildPairs(w uint64) uint64 { return w & (w >> 1) & loPairs }
+
+// Subtract returns h minus o as a Space of pairwise-disjoint terms. For each
+// position where o is concrete and h is x, in ascending order, it emits h
+// with that position set against o and every earlier such position set to
+// o's value; the wildcard count falls by one per term and no two terms
+// differ in one complementary bit alone, so the result is already compact.
+// The terms share one backing array. A disjoint o returns {h}.
+func (h Header) Subtract(o Header) Space {
+	if !h.Overlaps(o) {
+		if h.IsEmpty() {
+			return Space{width: h.width}
+		}
+		return Space{width: h.width, terms: []Header{h}}
 	}
-	var terms []Header
-	prefix := AllX(h.width) // accumulates h's values at already-seen fixed bits
-	for i := 0; i < h.width; i++ {
-		b := h.Bit(i)
-		if b != Bit0 && b != Bit1 {
-			continue
+	n := 0
+	for i, w := range o.words {
+		n += bits.OnesCount64(fixedPairs(w) & wildPairs(h.words[i]))
+	}
+	if n == 0 {
+		return Space{width: h.width} // h ⊆ o
+	}
+	nw := len(h.words)
+	backing := make([]uint64, n*nw)
+	terms := make([]Header, 0, n)
+	prev, prevWord, prevMask := h.words, 0, uint64(0)
+	for i, w := range o.words {
+		for c := fixedPairs(w) & wildPairs(h.words[i]); c != 0; c &= c - 1 {
+			m := uint64(3) << bits.TrailingZeros64(c)
+			k := len(terms) * nw
+			t := backing[k : k+nw : k+nw]
+			copy(t, prev)
+			t[prevWord] = t[prevWord]&^prevMask | o.words[prevWord]&prevMask
+			t[i] = t[i]&^m | (w^m)&m
+			terms = append(terms, Header{width: h.width, words: t})
+			prev, prevWord, prevMask = t, i, m
 		}
-		flipped := Bit0
-		if b == Bit0 {
-			flipped = Bit1
-		}
-		terms = append(terms, prefix.SetBit(i, flipped))
-		prefix.setBitInPlace(i, b)
 	}
 	return Space{width: h.width, terms: terms}
-}
-
-// Subtract returns h minus o as a Space.
-func (h Header) Subtract(o Header) Space {
-	comp := o.Complement()
-	var terms []Header
-	for _, c := range comp.terms {
-		x, err := h.Intersect(c)
-		if err == nil && !x.IsEmpty() {
-			terms = append(terms, x)
-		}
-	}
-	return Space{width: h.width, terms: terms}.Compact()
 }
 
 // CountWildcards returns the number of x positions.
 func (h Header) CountWildcards() int {
 	n := 0
-	for i := 0; i < h.width; i++ {
-		if h.Bit(i) == BitX {
-			n++
-		}
+	for _, w := range h.words {
+		n += bits.OnesCount64(wildPairs(w))
 	}
 	return n
 }
@@ -341,10 +334,10 @@ func (h Header) Rewrite(mask, value Header) (Header, error) {
 		return Header{}, ErrWidthMismatch
 	}
 	out := h.Clone()
-	for i := 0; i < h.width; i++ {
-		if mask.Bit(i) == Bit1 {
-			out.setBitInPlace(i, value.Bit(i))
-		}
+	for i, mw := range mask.words {
+		sel := onePairs(mw)
+		sel |= sel << 1
+		out.words[i] = out.words[i]&^sel | value.words[i]&sel
 	}
 	return out, nil
 }

@@ -77,59 +77,52 @@ func (s Space) Union(o Space) Space {
 	return out.Compact()
 }
 
-// IntersectHeader returns s ∩ {h}.
+// IntersectHeader returns s ∩ {h}. Terms h does not overlap cost nothing.
 func (s Space) IntersectHeader(h Header) Space {
 	out := Space{width: s.width}
 	for _, a := range s.terms {
-		x, err := a.Intersect(h)
-		if err == nil && !x.IsEmpty() {
+		if a.Overlaps(h) {
+			x, _ := a.Intersect(h) // Overlaps implies equal widths
 			out.terms = append(out.terms, x)
 		}
 	}
 	return out
 }
 
-// SubtractHeader returns s \ {h}.
+// SubtractHeader returns s \ {h}, uncompacted. Headers are immutable, so
+// terms h does not overlap are shared with s, not copied; when h overlaps
+// no term the result is s itself.
 func (s Space) SubtractHeader(h Header) Space {
-	out := Space{width: s.width}
-	for _, a := range s.terms {
+	var out []Header
+	for i, a := range s.terms {
 		if !a.Overlaps(h) {
-			out.terms = append(out.terms, a.Clone())
+			if out != nil {
+				out = append(out, a)
+			}
 			continue
 		}
-		diff := a.Subtract(h)
-		out.terms = append(out.terms, diff.terms...)
+		if out == nil {
+			out = append(make([]Header, 0, len(s.terms)), s.terms[:i]...)
+		}
+		out = append(out, a.Subtract(h).terms...)
 	}
-	return out
+	if out == nil {
+		return s
+	}
+	return Space{width: s.width, terms: out}
 }
 
-// residual computes s \ o with NO ownership guarantee: surviving terms may
-// alias s's storage and the result is not compacted. It exists for read-only
-// predicates (Covers, Equal) that discard the result after an emptiness
-// check — the reachability loop-detection scan calls Covers once per visited
-// hop, and the full clone Subtract would make dominates that path.
+// residual computes s \ o, uncompacted and sharing s's terms. It serves
+// read-only predicates (Covers, Equal) that discard the result after an
+// emptiness check — the reachability loop-detection scan calls Covers once
+// per visited hop.
 func (s Space) residual(o Space) Space {
 	out := s
 	for _, b := range o.terms {
 		if out.IsEmpty() {
 			break
 		}
-		out = out.residualHeader(b)
-	}
-	return out
-}
-
-// residualHeader is SubtractHeader without the defensive clones of
-// non-overlapping terms.
-func (s Space) residualHeader(h Header) Space {
-	out := Space{width: s.width}
-	for _, a := range s.terms {
-		if !a.Overlaps(h) {
-			out.terms = append(out.terms, a)
-			continue
-		}
-		diff := a.Subtract(h)
-		out.terms = append(out.terms, diff.terms...)
+		out = out.SubtractHeader(b)
 	}
 	return out
 }
@@ -240,23 +233,22 @@ func tryMerge(a, b Header) (Header, bool) {
 	if a.width != b.width {
 		return Header{}, false
 	}
-	diff := -1
-	for i := 0; i < a.width; i++ {
-		ab, bb := a.Bit(i), b.Bit(i)
-		if ab == bb {
+	at, mask := -1, uint64(0)
+	for i, aw := range a.words {
+		d := aw ^ b.words[i]
+		if d == 0 {
 			continue
 		}
-		if (ab == Bit0 && bb == Bit1) || (ab == Bit1 && bb == Bit0) {
-			if diff >= 0 {
-				return Header{}, false
-			}
-			diff = i
-			continue
+		// A complementary pair differs in both bits and is concrete in a.
+		comp := d & (d >> 1) & fixedPairs(aw)
+		if (d|d>>1)&loPairs != comp || comp&(comp-1) != 0 || at >= 0 {
+			return Header{}, false
 		}
-		return Header{}, false
+		at, mask = i, comp|comp<<1
 	}
-	if diff < 0 {
-		return a.Clone(), true // identical
+	out := a.Clone()
+	if at >= 0 {
+		out.words[at] |= mask
 	}
-	return a.SetBit(diff, BitX), true
+	return out, true
 }

@@ -31,19 +31,16 @@ type Rule struct {
 }
 
 // hasRewrite reports whether the rule rewrites any bit.
-func (r Rule) hasRewrite() bool {
-	if r.Mask.width == 0 {
-		return false
-	}
-	for i := 0; i < r.Mask.width; i++ {
-		if r.Mask.Bit(i) == Bit1 {
+func (r *Rule) hasRewrite() bool {
+	for _, w := range r.Mask.words {
+		if onePairs(w) != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-func (r Rule) matchesPort(p PortID) bool {
+func (r *Rule) matchesPort(p PortID) bool {
 	if len(r.InPorts) == 0 {
 		return true
 	}
@@ -110,11 +107,11 @@ type Emission struct {
 // spaces off without cloning. `in` itself is never mutated.
 func (tf *TransferFunction) Apply(in Space, on PortID) []Emission {
 	var out []Emission
-	// All space operations below are functional (they allocate their result
-	// terms), so the running remainder can alias `in` until the first
-	// subtraction replaces it — no up-front deep copy needed.
+	// No space operation below mutates its operands, so the running
+	// remainder can alias `in` — no up-front deep copy needed.
 	remaining := in
-	for _, r := range tf.rules {
+	for i := range tf.rules {
+		r := &tf.rules[i] // a Rule is 19 words: ranging by value copies each
 		if remaining.IsEmpty() {
 			break
 		}

@@ -127,12 +127,12 @@ func TestCloneIndependence(t *testing.T) {
 func TestPacketBitsMatchPacketHeader(t *testing.T) {
 	// matches reports whether h is exactly the concrete bit string bits.
 	matches := func(h headerspace.Header, bits []byte) bool {
+		msbFirst := make([]byte, len(bits))
 		for i, b := range bits {
-			if want := [2]headerspace.Bit{headerspace.Bit0, headerspace.Bit1}[b]; h.Bit(i) != want {
-				return false
-			}
+			msbFirst[len(bits)-1-i] = '0' + b
 		}
-		return true
+		want := headerspace.MustParse(string(msbFirst))
+		return h.Covers(want) && want.Covers(h)
 	}
 	p := samplePacket()
 	h := PacketHeader(p)
