@@ -283,7 +283,7 @@ func scenarios(lying bool) []scenario {
 					Inner: &controlplane.NeutralityViolation{VictimIP: victim.HostIP, L4Dst: 443},
 				}
 				check := func(d *deploy.Deployment) (bool, error) {
-					for _, c := range d.RVaaS.FlapEvidence(0) {
+					for _, c := range d.RVaaS.FlapEvidence() {
 						if c.Entry.Cookie&controlplane.CookieAttack == controlplane.CookieAttack {
 							return true, nil
 						}

@@ -138,15 +138,10 @@ func FlapDetection(randomized bool, window, pollInterval, horizon time.Duration,
 	return res, nil
 }
 
-// snapshotHasAttack checks the latest polled snapshot for attack-cookie
-// rules.
+// snapshotHasAttack checks the polled snapshot for attack-cookie rules.
 func snapshotHasAttack(d *deploy.Deployment) bool {
-	rec, ok := d.RVaaS.History().Latest()
-	if !ok {
-		return false
-	}
-	for _, entries := range rec.Tables {
-		for _, e := range entries {
+	for _, ev := range d.RVaaS.ExportState() {
+		for _, e := range ev.Entries {
 			if e.Cookie&controlplane.CookieAttack == controlplane.CookieAttack {
 				return true
 			}

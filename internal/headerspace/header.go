@@ -198,11 +198,13 @@ func (h Header) Covers(o Header) bool {
 	if h.width != o.width {
 		return false
 	}
-	if o.IsEmpty() {
-		return true
-	}
-	// h covers o iff o ∩ h == o at every position, i.e. o's encoding bits are
-	// a subset of h's.
+	return o.IsEmpty() || h.contains(o)
+}
+
+// contains is Covers for a non-empty o of h's width, as every term of a
+// Space is: h covers o iff o ∩ h == o at every position, i.e. o's encoding
+// bits are a subset of h's.
+func (h Header) contains(o Header) bool {
 	for i := range h.words {
 		if o.words[i]&h.words[i] != o.words[i] {
 			return false

@@ -7,6 +7,10 @@ import (
 // Space is a union of wildcard expressions over a common width. The zero
 // value denotes the empty set of width 0; construct with NewSpace or the
 // set operations.
+//
+// Invariant: no term is empty. Every constructor and operation drops the
+// empty terms it would produce, so a space is empty exactly when it has no
+// terms and IsEmpty never scans a term.
 type Space struct {
 	width int
 	terms []Header
@@ -25,7 +29,11 @@ func NewSpace(width int, hs ...Header) Space {
 }
 
 // FullSpace returns the space matching every packet of the given width.
+// Width 0 has no packet to match.
 func FullSpace(width int) Space {
+	if width == 0 {
+		return Space{}
+	}
 	return Space{width: width, terms: []Header{AllX(width)}}
 }
 
@@ -47,14 +55,7 @@ func (s Space) Terms() []Header {
 func (s Space) Size() int { return len(s.terms) }
 
 // IsEmpty reports whether the space matches no packet.
-func (s Space) IsEmpty() bool {
-	for _, t := range s.terms {
-		if !t.IsEmpty() {
-			return false
-		}
-	}
-	return true
-}
+func (s Space) IsEmpty() bool { return len(s.terms) == 0 }
 
 // Clone returns a deep copy.
 func (s Space) Clone() Space {
@@ -70,7 +71,7 @@ func (s Space) Union(o Space) Space {
 	out := Space{width: w}
 	out.terms = append(out.terms, s.Terms()...)
 	for _, t := range o.terms {
-		if t.width == w && !t.IsEmpty() {
+		if t.width == w {
 			out.terms = append(out.terms, t.Clone())
 		}
 	}
@@ -162,16 +163,11 @@ func (s Space) Overlaps(o Space) bool {
 	return false
 }
 
-// Compact removes empty and subsumed terms and merges pairs of terms that
-// differ in exactly one concrete bit. It returns a space equal to s with at
-// most as many terms.
+// Compact removes subsumed terms and merges pairs of terms that differ in
+// exactly one concrete bit. It returns a space equal to s with at most as
+// many terms.
 func (s Space) Compact() Space {
-	terms := make([]Header, 0, len(s.terms))
-	for _, t := range s.terms {
-		if !t.IsEmpty() {
-			terms = append(terms, t)
-		}
-	}
+	terms := append([]Header(nil), s.terms...)
 	// Sort widest (most wildcards) first so subsumption removal keeps the
 	// most general terms.
 	sort.SliceStable(terms, func(i, j int) bool {
@@ -181,7 +177,7 @@ func (s Space) Compact() Space {
 	for _, t := range terms {
 		subsumed := false
 		for _, k := range kept {
-			if k.Covers(t) {
+			if k.contains(t) {
 				subsumed = true
 				break
 			}

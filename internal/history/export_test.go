@@ -1,5 +1,7 @@
 package history
 
+import "time"
+
 // All returns a copy of every retained record in append order.
 func (l *ViolationLog) All() []Violation {
 	l.mu.Lock()
@@ -11,9 +13,16 @@ func (l *ViolationLog) All() []Violation {
 	return out
 }
 
-// Len returns the number of retained records.
-func (s *Store) Len() int {
+// Records returns a copy of the retained records, oldest commit first.
+func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.records)
+	out := make([]Record, s.n)
+	for i := range out {
+		out[i] = *s.at(i)
+	}
+	return out
 }
+
+// Lifetime returns how long the churned rule was installed.
+func (c Churn) Lifetime() time.Duration { return c.RemovedAt.Sub(c.AddedAt) }

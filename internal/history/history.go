@@ -1,5 +1,5 @@
-// Package history keeps a bounded, time-indexed record of configuration
-// snapshots. The paper uses it against short-term reconfiguration attacks:
+// Package history keeps a bounded, commit-ordered record of configuration
+// changes. The paper uses it against short-term reconfiguration attacks:
 // "short term reconfiguration attacks can also be prevented by maintaining
 // some history" (§IV-A).
 package history
@@ -7,7 +7,6 @@ package history
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,29 +27,29 @@ const (
 	SourceDetach
 )
 
-// Record is one stored snapshot.
+// Record is one commit: switch Switch's committed flow table at snapshot
+// SnapshotID, recorded at At. Every commit changes exactly one switch, so
+// the table of every other switch is what its own latest earlier record
+// says. Entries is shared with the committer and never modified.
 type Record struct {
 	At         time.Time
 	SnapshotID uint64
-	Source     Source
-	Tables     map[topology.SwitchID][]openflow.FlowEntry
+	Switch     topology.SwitchID
+	Entries    []openflow.FlowEntry
 }
 
-// cloneTables deep-copies a table map.
-func cloneTables(in map[topology.SwitchID][]openflow.FlowEntry) map[topology.SwitchID][]openflow.FlowEntry {
-	out := make(map[topology.SwitchID][]openflow.FlowEntry, len(in))
-	for k, v := range in {
-		out[k] = append([]openflow.FlowEntry(nil), v...)
-	}
-	return out
-}
-
-// Store is a bounded ring of snapshot records. The zero value is unusable;
+// Store is a bounded ring of commit records, ordered by SnapshotID — the
+// commit order. The ring is allocated once at capacity; once full, each
+// append evicts the oldest record into base. The zero value is unusable;
 // use NewStore.
 type Store struct {
-	mu       sync.Mutex
-	capacity int
-	records  []Record
+	mu   sync.Mutex
+	ring []Record
+	head int // index of the oldest retained record
+	n    int // retained count, n <= len(ring)
+	// base holds, per switch, the newest evicted record: together with the
+	// oldest retained record it is every switch's table as of that record.
+	base map[topology.SwitchID]Record
 }
 
 // NewStore returns a store retaining up to capacity records.
@@ -58,44 +57,43 @@ func NewStore(capacity int) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Store{capacity: capacity}
+	return &Store{ring: make([]Record, capacity), base: make(map[topology.SwitchID]Record)}
 }
 
-// Append stores a snapshot, evicting the oldest record if full. Records
-// are kept ordered by (At, SnapshotID): concurrent appenders (parallel
-// active polls racing passive events) may call Append out of order, and
-// Latest and eviction rely on the ordering. The insertion scan runs
-// from the tail, so the common in-order append stays O(1).
+func (s *Store) at(i int) *Record { return &s.ring[(s.head+i)%len(s.ring)] }
+
+// Append stores one commit's record. Concurrent committers (parallel active
+// polls racing passive events) may append out of commit order; the
+// insertion scan runs from the tail, so the common in-order append stays
+// O(1). When the ring is full, the oldest record — r itself, if r is older
+// still — is folded into its switch's base.
 func (s *Store) Append(r Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.Tables = cloneTables(r.Tables)
-	i := len(s.records)
-	for i > 0 {
-		prev := s.records[i-1]
-		if prev.At.Before(r.At) || (prev.At.Equal(r.At) && prev.SnapshotID <= r.SnapshotID) {
-			break
+	if s.n == len(s.ring) {
+		oldest := s.at(0)
+		if r.SnapshotID < oldest.SnapshotID {
+			s.fold(r)
+			return
 		}
-		i--
+		s.fold(*oldest)
+		s.head = (s.head + 1) % len(s.ring)
+		s.n--
 	}
-	s.records = append(s.records, Record{})
-	copy(s.records[i+1:], s.records[i:])
-	s.records[i] = r
-	if len(s.records) > s.capacity {
-		s.records = s.records[len(s.records)-s.capacity:]
+	i := s.n
+	for ; i > 0 && s.at(i-1).SnapshotID > r.SnapshotID; i-- {
+		*s.at(i) = *s.at(i - 1)
 	}
+	*s.at(i) = r
+	s.n++
 }
 
-// Latest returns the most recent record (ok=false if empty).
-func (s *Store) Latest() (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.records) == 0 {
-		return Record{}, false
+// fold makes an evicted record its switch's base, unless the base already
+// holds a later commit of that switch.
+func (s *Store) fold(r Record) {
+	if b, ok := s.base[r.Switch]; !ok || b.SnapshotID < r.SnapshotID {
+		s.base[r.Switch] = r
 	}
-	r := s.records[len(s.records)-1]
-	r.Tables = cloneTables(r.Tables)
-	return r, true
 }
 
 // EntryKey fingerprints a flow entry (priority + match + actions + cookie)
@@ -114,58 +112,74 @@ type Churn struct {
 	RemovedAt time.Time
 }
 
-// Lifetime returns how long the churned rule was installed.
-func (c Churn) Lifetime() time.Duration { return c.RemovedAt.Sub(c.AddedAt) }
+// liveTable is one switch's entries during the churn fold: keys in table
+// order, and each key's entry with the time it was first seen.
+type liveTable struct {
+	keys []string
+	live map[string]liveEntry
+}
 
-// ChurnEvents scans the retained records (oldest to newest) for entries
-// that were added in one snapshot and removed in a later one, with a
-// lifetime of at most maxLifetime (0 = unbounded).
-func (s *Store) ChurnEvents(maxLifetime time.Duration) []Churn {
+type liveEntry struct {
+	entry openflow.FlowEntry
+	since time.Time
+}
+
+// ChurnEvents folds the retained records in commit order and returns every
+// entry that was installed in one record and gone in a later one, in the
+// order of the commits that removed it. Entries every switch held at the
+// oldest retained record count as installed then.
+func (s *Store) ChurnEvents() []Churn {
 	s.mu.Lock()
-	records := append([]Record(nil), s.records...)
-	s.mu.Unlock()
-	if len(records) < 2 {
+	if s.n < 2 {
+		s.mu.Unlock()
 		return nil
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].At.Before(records[j].At) })
+	records := make([]Record, s.n)
+	for i := range records {
+		records[i] = *s.at(i)
+	}
+	first := make(map[topology.SwitchID][]openflow.FlowEntry, len(s.base)+1)
+	for sw, b := range s.base {
+		first[sw] = b.Entries
+	}
+	s.mu.Unlock()
+	first[records[0].Switch] = records[0].Entries
 
-	type liveEntry struct {
-		entry openflow.FlowEntry
-		since time.Time
-	}
-	// Entries present in the first snapshot are considered pre-existing
-	// (since = first snapshot time).
-	live := make(map[string]liveEntry)
-	for sw, entries := range records[0].Tables {
-		for _, e := range entries {
-			live[EntryKey(sw, e)] = liveEntry{entry: e, since: records[0].At}
-		}
-	}
+	since := records[0].At
+	tables := make(map[topology.SwitchID]*liveTable)
 	var churn []Churn
-	for i := 1; i < len(records); i++ {
-		cur := make(map[string]liveEntry)
-		for sw, entries := range records[i].Tables {
-			for _, e := range entries {
-				k := EntryKey(sw, e)
-				if prev, ok := live[k]; ok {
-					cur[k] = prev
-				} else {
-					cur[k] = liveEntry{entry: e, since: records[i].At}
-				}
+	for _, r := range records[1:] {
+		prev := tables[r.Switch]
+		if prev == nil {
+			prev = foldTable(r.Switch, first[r.Switch], &liveTable{}, since)
+		}
+		cur := foldTable(r.Switch, r.Entries, prev, r.At)
+		for _, k := range prev.keys {
+			if _, still := cur.live[k]; !still {
+				le := prev.live[k]
+				churn = append(churn, Churn{Entry: le.entry, AddedAt: le.since, RemovedAt: r.At})
 			}
 		}
-		// Anything live before but absent now was removed.
-		for k, le := range live {
-			if _, still := cur[k]; still {
-				continue
-			}
-			c := Churn{Entry: le.entry, AddedAt: le.since, RemovedAt: records[i].At}
-			if maxLifetime == 0 || c.Lifetime() <= maxLifetime {
-				churn = append(churn, c)
-			}
-		}
-		live = cur
+		tables[r.Switch] = cur
 	}
-	sort.Slice(churn, func(i, j int) bool { return churn[i].AddedAt.Before(churn[j].AddedAt) })
 	return churn
+}
+
+// foldTable is switch sw's live table after a record with entries at time
+// at: an entry prev already holds keeps its install time, any other is
+// installed at at.
+func foldTable(sw topology.SwitchID, entries []openflow.FlowEntry, prev *liveTable, at time.Time) *liveTable {
+	t := &liveTable{live: make(map[string]liveEntry, len(entries))}
+	for _, e := range entries {
+		k := EntryKey(sw, e)
+		if _, dup := t.live[k]; !dup {
+			t.keys = append(t.keys, k)
+		}
+		if le, ok := prev.live[k]; ok {
+			t.live[k] = le
+		} else {
+			t.live[k] = liveEntry{entry: e, since: at}
+		}
+	}
+	return t
 }

@@ -216,14 +216,15 @@ func (w *walker) visit(n ast.Node) bool {
 			}
 		}
 	case *ast.AssignStmt:
+		sets := !w.defaulting(n)
 		for i, lhs := range n.Lhs {
-			w.write(lhs)
+			w.write(lhs, sets)
 			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
 				w.flow(n.Rhs[i], w.typeOf(lhs))
 			}
 		}
 	case *ast.IncDecStmt:
-		w.write(n.X)
+		w.write(n.X, true)
 	case *ast.UnaryExpr:
 		// &x.f hands out a pointer the field may be set through.
 		if n.Op == token.AND {
@@ -275,16 +276,41 @@ func (w *walker) field(e ast.Expr) *types.Var {
 }
 
 // write records an assignment target: x.f, and x.f[k] (which stores into
-// the field's value), write f without reading it.
-func (w *walker) write(lhs ast.Expr) {
+// the field's value), write f without reading it; sets says whether the
+// write counts as setting f for the knob rule.
+func (w *walker) write(lhs ast.Expr, sets bool) {
 	lhs = ast.Unparen(lhs)
 	if ix, ok := lhs.(*ast.IndexExpr); ok {
 		lhs = ast.Unparen(ix.X)
 	}
 	if v := w.field(lhs); v != nil {
 		w.writes[lhs.(*ast.SelectorExpr).Sel] = true
-		w.u.assigned[v] = true
+		w.u.assigned[v] = w.u.assigned[v] || sets
 	}
+}
+
+// defaulting reports whether n is `x.f = v` directly in the body of
+// `if x.f == k`, k a constant or nil: it fills in f's default, so a field
+// nothing else sets still has one value.
+func (w *walker) defaulting(n *ast.AssignStmt) bool {
+	if len(n.Lhs) != 1 || n.Tok != token.ASSIGN || len(w.stack) < 3 {
+		return false
+	}
+	v := w.field(n.Lhs[0])
+	ifs, ok := w.stack[len(w.stack)-3].(*ast.IfStmt)
+	if v == nil || !ok || ast.Node(ifs.Body) != w.stack[len(w.stack)-2] {
+		return false
+	}
+	cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+	if !ok || cond.Op != token.EQL {
+		return false
+	}
+	x, k := cond.X, cond.Y
+	if w.field(x) != v {
+		x, k = k, x
+	}
+	tv := w.info.Types[k]
+	return w.field(x) == v && types.ExprString(x) == types.ExprString(n.Lhs[0]) && (tv.Value != nil || tv.IsNil())
 }
 
 // enclosingSig is the signature of the function a return statement leaves.

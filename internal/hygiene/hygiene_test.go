@@ -57,7 +57,8 @@ var (
 		"experiments.MonitoringRow.EventsApplied": "the experiments perf test checks every event of the run was applied",
 		"fabric.Fabric.delivered":                 "link-traversal counter the fabric tests assert on",
 		"fabric.Fabric.hostRx":                    "host-delivery counter the fabric tests assert on",
-		"history.Record.Source":                   "the rvaas lifecycle test checks a detach is recorded as one",
+		"history.Churn.AddedAt":                   "when a churned rule appeared: the history tests check each flap's lifetime",
+		"history.Churn.RemovedAt":                 "when a churned rule vanished: the history tests check each flap's lifetime",
 		"openflow.SecureConn.recvLost":            "replay-window counter the openflow transport tests assert on",
 		"openflow.SecureConn.recvReplays":         "replay-window counter the openflow transport tests assert on",
 		"rvaas.CompileStats.SwitchReuses":         "the rvaas compile-cache test checks per-switch reuse",
@@ -125,6 +126,7 @@ func TestGuardFixture(t *testing.T) {
 		"fixture.pair.y: " + ruleRead,
 		"fixture.entry.note: " + ruleRead,
 		"fixture.Options.Width: " + ruleSet,
+		"fixture.Options.Retries: " + ruleSet,
 	}
 	sort.Strings(got)
 	sort.Strings(want)

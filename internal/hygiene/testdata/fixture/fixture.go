@@ -95,11 +95,23 @@ type header struct {
 }
 
 // A *Config or *Options field that no code sets is a constant. An unkeyed
-// literal sets every field.
+// literal sets every field; filling in a default when it is zero does not.
 
 type Options struct {
-	Depth int
-	Width int // want: never set
+	Depth   int
+	Width   int // want: never set
+	Retries int // want: never set, only defaulted
+	Limit   int
+}
+
+func (o Options) withDefaults() Options {
+	if o.Retries == 0 {
+		o.Retries = 3
+	}
+	if o.Limit == 0 {
+		o.Limit = 8
+	}
+	return o
 }
 
 type gridConfig struct{ rows, cols int }
@@ -133,8 +145,8 @@ func main() {
 	_ = json.NewEncoder(os.Stdout).Encode(report{Count: 1})
 	fmt.Println(len([]header{{Seq: 1}}))
 
-	o := Options{Depth: 2}
-	fmt.Println(o.Depth, o.Width)
+	o := Options{Depth: 2, Limit: 4}.withDefaults()
+	fmt.Println(o.Depth, o.Width, o.Retries, o.Limit)
 	gc := gridConfig{3, 4}
 	fmt.Println(gc.rows * gc.cols)
 }

@@ -55,8 +55,6 @@ type Config struct {
 	// AuthTimeout bounds in-band authentication collection per query
 	// (0 = 250ms).
 	AuthTimeout time.Duration
-	// HistoryDepth is the number of snapshots retained.
-	HistoryDepth int
 	// Seed makes the poll-time randomness reproducible in experiments.
 	Seed int64
 	// Clock is injectable for simulated-time experiments; defaults to
@@ -91,12 +89,13 @@ type Config struct {
 // session.
 const heartbeatMisses = 3
 
+// historyDepth is the number of commit records the snapshot history
+// retains; the violation log keeps four verdict transitions per record.
+const historyDepth = 256
+
 func (c Config) withDefaults() Config {
 	if c.AuthTimeout == 0 {
 		c.AuthTimeout = 250 * time.Millisecond
-	}
-	if c.HistoryDepth == 0 {
-		c.HistoryDepth = 256
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -226,8 +225,8 @@ func New(cfg Config) (*Controller, error) {
 		enclave:     encl,
 		topo:        cfg.Topology,
 		snap:        newSnapshotStore(),
-		hist:        history.NewStore(cfg.HistoryDepth),
-		vlog:        history.NewViolationLog(4 * cfg.HistoryDepth),
+		hist:        history.NewStore(historyDepth),
+		vlog:        history.NewViolationLog(4 * historyDepth),
 		lastGen:     make(map[topology.SwitchID]uint64),
 		reasm:       wire.NewReassembler(0),
 		subKick:     make(chan struct{}, 1),
@@ -278,9 +277,6 @@ func (c *Controller) Stats() Stats {
 	return c.stats
 }
 
-// History exposes the snapshot history (read-only use).
-func (c *Controller) History() *history.Store { return c.hist }
-
 // SnapshotID returns the current configuration version.
 func (c *Controller) SnapshotID() uint64 { return c.snap.snapshotID() }
 
@@ -314,7 +310,7 @@ func (c *Controller) Attach(sw topology.SwitchID, conn *openflow.SecureConn) (er
 	sess := &session{sw: sw, conn: conn, done: make(chan struct{})}
 	c.mu.Lock()
 	old := c.sessions[sw]
-	var wipe capture
+	var wipe TapEvent
 	wiped := false
 	if old != nil {
 		wipe, wiped = c.dropLocked(old)
@@ -395,14 +391,14 @@ func (c *Controller) detachSession(sess *session) {
 // it. Controller shutdown tears sessions down in bulk and wipes nothing:
 // the final snapshot must not record every switch as unreachable. The
 // caller closes sess.conn and records the returned wipe. Callers hold c.mu.
-func (c *Controller) dropLocked(sess *session) (wipe capture, wiped bool) {
+func (c *Controller) dropLocked(sess *session) (wipe TapEvent, wiped bool) {
 	if c.sessions[sess.sw] != sess {
-		return capture{}, false
+		return TapEvent{}, false
 	}
 	delete(c.sessions, sess.sw)
 	select {
 	case <-c.stop:
-		return capture{}, false
+		return TapEvent{}, false
 	default:
 	}
 	c.stats.Detaches++

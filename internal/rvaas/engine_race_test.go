@@ -79,11 +79,13 @@ func TestEngineConcurrencyAndIndexConsistency(t *testing.T) {
 		Topology:      topo,
 		Platform:      platform,
 		ManualRecheck: true,
-		HistoryDepth:  4096,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The alternation check below reads every transition of the run: a
+	// log deeper than the default keeps the oldest from being evicted.
+	c.vlog = history.NewViolationLog(16384)
 	c.Start()
 	defer c.Close()
 

@@ -3,6 +3,7 @@ package rvaas_test
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +44,19 @@ func TestDetachDegradesAndReattachConverges(t *testing.T) {
 	// The middle switch's control session dies (its hosting process was
 	// killed, say).
 	const mid = topology.SwitchID(2)
+	var (
+		tapMu sync.Mutex
+		wipes []rvaas.TapEvent
+	)
+	d.RVaaS.SetEventTap(func(ev rvaas.TapEvent) {
+		if ev.Source == history.SourceDetach {
+			tapMu.Lock()
+			wipes = append(wipes, ev)
+			tapMu.Unlock()
+		}
+	})
 	d.RVaaS.Detach(mid)
+	d.RVaaS.SetEventTap(nil)
 	d.RVaaS.RecheckNow()
 
 	subs = d.RVaaS.Subscriptions()
@@ -66,10 +79,11 @@ func TestDetachDegradesAndReattachConverges(t *testing.T) {
 	if ss := sessions[1]; ss.Attached() {
 		t.Errorf("detached switch reports Attached()")
 	}
-	rec, ok := d.RVaaS.History().Latest()
-	if !ok || rec.Source != history.SourceDetach {
-		t.Errorf("latest history record = %+v, want a SourceDetach wipe", rec)
+	tapMu.Lock()
+	if len(wipes) != 1 || wipes[0].Switch != mid || len(wipes[0].Entries) != 0 {
+		t.Errorf("detach committed %+v, want one SourceDetach wipe of switch %d", wipes, mid)
 	}
+	tapMu.Unlock()
 	if st := d.RVaaS.Stats(); st.Detaches != 1 {
 		t.Errorf("detaches = %d, want 1", st.Detaches)
 	}

@@ -30,14 +30,14 @@ func (c *Controller) handleMonitorEvent(sess *session, ev *openflow.FlowMonitorR
 		c.mu.Unlock()
 		return
 	}
-	cap, ok, stale := c.snap.applyEvent(sess.sw, ev)
+	rec, ok, stale := c.snap.applyEvent(sess.sw, ev)
 	gap := !ok && !stale
 	if gap {
 		sess.evHigh = max(sess.evHigh, ev.Seq)
 	}
 	c.mu.Unlock()
 	if ok {
-		c.recordHistory(history.SourcePassive, cap)
+		c.recordHistory(history.SourcePassive, rec)
 	} else if gap {
 		c.resync(sess, false)
 	}
@@ -129,27 +129,29 @@ func (c *Controller) applyStats(sess *session, m *openflow.StatsReply, force boo
 		c.mu.Unlock()
 		return
 	}
-	cap, changed, _ := c.snap.replaceState(sess.sw, m.Entries, m.Ports, meters, m.TableSeq, force)
+	rec, changed, _ := c.snap.replaceState(sess.sw, m.Entries, m.Ports, meters, m.TableSeq, force)
 	c.mu.Unlock()
 	if changed {
-		c.recordHistory(history.SourceActivePoll, cap)
+		c.recordHistory(history.SourceActivePoll, rec)
 	}
 }
 
-// recordHistory appends one applied change to the history ring. The capture
-// was taken atomically with the mutation, so concurrent appliers (parallel
-// polls, passive events) each record the id/tables pair of exactly their
-// own change — no ids are duplicated or skipped. Every applied change also
-// nudges the subscription worker: standing invariants re-verify against
-// the new snapshot instead of waiting for the client's next poll.
-func (c *Controller) recordHistory(src history.Source, cap capture) {
+// recordHistory hands one commit's record to the history ring and the
+// event tap: the same copy of the switch's entries, taken atomically with
+// the mutation, so concurrent committers (parallel polls, passive events)
+// each record exactly their own change, and the ring orders them by
+// snapshot id. Every commit also nudges the subscription worker: standing
+// invariants re-verify against the new snapshot instead of waiting for
+// the client's next poll.
+func (c *Controller) recordHistory(src history.Source, ev TapEvent) {
+	ev.Source = src
 	c.hist.Append(history.Record{
 		At:         c.cfg.Clock(),
-		SnapshotID: cap.id,
-		Source:     src,
-		Tables:     cap.tables,
+		SnapshotID: ev.SnapshotID,
+		Switch:     ev.Switch,
+		Entries:    ev.Entries,
 	})
-	c.tapCommittedEvent(src, cap)
+	c.tapCommittedEvent(ev)
 	c.pokeSubscriptions()
 }
 
@@ -205,8 +207,8 @@ func (c *Controller) PollAll(timeout time.Duration) error {
 }
 
 // FlapEvidence scans the retained history for rules that appeared and
-// disappeared within maxLifetime — the fingerprint of a short-term
-// reconfiguration attack (§IV-A).
-func (c *Controller) FlapEvidence(maxLifetime time.Duration) []history.Churn {
-	return c.hist.ChurnEvents(maxLifetime)
+// later disappeared — the fingerprint of a short-term reconfiguration
+// attack (§IV-A), stamped with when each was installed and removed.
+func (c *Controller) FlapEvidence() []history.Churn {
+	return c.hist.ChurnEvents()
 }

@@ -3,6 +3,7 @@ package rvaas
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,4 +173,106 @@ func TestGapResyncRetriesLostPoll(t *testing.T) {
 	ctlConn.Close()
 	swConn.Close()
 	c.wg.Wait()
+}
+
+// TestCommitCopiesOneSwitch: a commit copies only the switch it changed,
+// for the history ring and the event tap alike, so the cost of one passive
+// event does not grow with the number of switches in the snapshot.
+func TestCommitCopiesOneSwitch(t *testing.T) {
+	allocs := func(nSwitches int) float64 {
+		c := bareController()
+		for i := 1; i <= nSwitches; i++ {
+			base := 0x0A000000 + uint32(i)<<8
+			c.snap.replaceState(topology.SwitchID(i), []openflow.FlowEntry{monEntry(base + 1), monEntry(base + 2)}, nil, nil, 1, false)
+		}
+		sess := installSession(t, c, 1)
+		seq, e := uint64(1), monEntry(0x0A0000FF)
+		return testing.AllocsPerRun(200, func() {
+			seq++
+			c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: seq, Kind: openflow.FlowEventAdded, Entry: e})
+			seq++
+			c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: seq, Kind: openflow.FlowEventRemoved, Entry: e})
+		})
+	}
+	if small, large := allocs(2), allocs(40); large != small {
+		t.Errorf("two passive events allocate %.0f times on a 40-switch snapshot, %.0f on a 2-switch one", large, small)
+	}
+}
+
+// TestConcurrentCommitsTapAndChurn: committers on several switches race
+// one another and readers of the history and the export. Every commit
+// reaches the tap once with its own snapshot id, and the history, folded
+// in commit order, reports each installed-then-removed rule exactly once
+// and nothing that is still installed.
+func TestConcurrentCommitsTapAndChurn(t *testing.T) {
+	const nSwitches, pairs = 6, 25
+	c := bareController()
+	c.hist = history.NewStore(2 * nSwitches * pairs)
+	for i := 1; i <= nSwitches; i++ {
+		c.snap.replaceState(topology.SwitchID(i), []openflow.FlowEntry{monEntry(0x0A000000 + uint32(i))}, nil, nil, 1, false)
+	}
+	var (
+		mu   sync.Mutex
+		seen = map[uint64]bool{}
+	)
+	c.SetEventTap(func(ev TapEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[ev.SnapshotID] {
+			t.Errorf("snapshot id %d tapped twice", ev.SnapshotID)
+		}
+		seen[ev.SnapshotID] = true
+	})
+	var wg, readers sync.WaitGroup
+	done := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.FlapEvidence()
+				c.ExportState()
+			}
+		}
+	}()
+	for i := 1; i <= nSwitches; i++ {
+		sess := installSession(t, c, topology.SwitchID(i))
+		flappy := monEntry(0x0B000000 + uint32(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(2); seq < 2+2*pairs; seq += 2 {
+				c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: seq, Kind: openflow.FlowEventAdded, Entry: flappy})
+				c.handleMonitorEvent(sess, &openflow.FlowMonitorReply{Seq: seq + 1, Kind: openflow.FlowEventRemoved, Entry: flappy})
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	if len(seen) != 2*nSwitches*pairs {
+		t.Fatalf("%d commits tapped, want %d", len(seen), 2*nSwitches*pairs)
+	}
+	churn := c.FlapEvidence()
+	perSwitch := map[uint32]int{}
+	for _, ch := range churn {
+		perSwitch[uint32(ch.Entry.Match.Fields[0].Value)-0x0B000000]++
+	}
+	if len(churn) != nSwitches*pairs || len(perSwitch) != nSwitches {
+		t.Fatalf("%d churn events over %d switches, want %d flaps on each of %d", len(churn), len(perSwitch), pairs, nSwitches)
+	}
+	for sw, n := range perSwitch {
+		if n != pairs {
+			t.Errorf("switch %d: %d churn events, want %d", sw, n, pairs)
+		}
+	}
+	for _, ev := range c.ExportState() {
+		if len(ev.Entries) != 1 || ev.Seq != 1+2*pairs {
+			t.Errorf("switch %d exported %d entries at seq %d, want its one stable rule at seq %d", ev.Switch, len(ev.Entries), ev.Seq, 1+2*pairs)
+		}
+	}
 }

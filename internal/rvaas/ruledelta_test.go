@@ -277,7 +277,7 @@ func deltaTestController(t *testing.T, nSwitches int) (*Controller, []topology.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: topo, Platform: platform, ManualRecheck: true, HistoryDepth: 4096})
+	c, err := New(Config{Topology: topo, Platform: platform, ManualRecheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

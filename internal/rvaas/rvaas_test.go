@@ -559,7 +559,7 @@ func TestFlapEvidenceViaPolling(t *testing.T) {
 	if err := d.RVaaS.PollAll(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	churn := d.RVaaS.FlapEvidence(0)
+	churn := d.RVaaS.FlapEvidence()
 	found := false
 	for _, c := range churn {
 		if c.Entry.Cookie&0xBAD0_0000 == 0xBAD0_0000 {

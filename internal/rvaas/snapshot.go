@@ -2,7 +2,6 @@ package rvaas
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/headerspace"
@@ -111,72 +110,54 @@ func (s *snapshotStore) bumpLocked(sw topology.SwitchID) {
 	s.gen[sw]++
 }
 
-// capture is a consistent (id, tables) pair taken atomically with the
-// mutation that produced it, so concurrent mutators (parallel PollAll,
-// passive events) each get a history record matching exactly their own
-// change — re-reading id and tables after releasing the lock could pair a
-// later id with later tables, duplicating or skipping snapshot ids.
-//
-// It additionally carries the mutated switch's committed state (entries,
-// ports, meters, event seq) copied under the same lock acquisition: the
-// event tap (SetEventTap) hands exactly this payload to differential
-// oracles, which must replay the committed stream, not a racy re-read.
-type capture struct {
-	id     uint64
-	tables map[topology.SwitchID][]openflow.FlowEntry
-
-	sw      topology.SwitchID
-	entries []openflow.FlowEntry
-	ports   []uint32
-	meters  []openflow.MeterConfig
-	seq     uint64
-}
-
-// captureLocked deep-copies the current state; sw names the switch this
-// mutation touched. Callers hold s.mu.
-func (s *snapshotStore) captureLocked(sw topology.SwitchID) capture {
-	c := capture{id: s.id, tables: make(map[topology.SwitchID][]openflow.FlowEntry, len(s.tables))}
-	for k, v := range s.tables {
-		c.tables[k] = append([]openflow.FlowEntry(nil), v...)
+// captureLocked returns the commit record of sw's current state: the
+// snapshot id with the switch's entries, ports, meters and event seq,
+// copied under the lock that applied the mutation. Concurrent committers
+// (parallel PollAll, passive events) each get the record of exactly their
+// own change, and only the one switch a commit touched is copied. Source
+// is the committer's to set. Callers hold s.mu.
+func (s *snapshotStore) captureLocked(sw topology.SwitchID) TapEvent {
+	ev := TapEvent{
+		Switch:     sw,
+		SnapshotID: s.id,
+		Seq:        s.seq[sw],
+		Entries:    append([]openflow.FlowEntry(nil), s.tables[sw]...),
 	}
-	c.sw = sw
-	c.entries = c.tables[sw]
 	// make+copy (not append) so "present but empty" survives the copy:
 	// replaying a meter wipe needs an empty non-nil slice, nil means "keep".
 	if p := s.ports[sw]; p != nil {
-		c.ports = make([]uint32, len(p))
-		copy(c.ports, p)
+		ev.Ports = make([]uint32, len(p))
+		copy(ev.Ports, p)
 	}
 	if m := s.meters[sw]; m != nil {
-		c.meters = make([]openflow.MeterConfig, len(m))
-		copy(c.meters, m)
+		ev.Meters = make([]openflow.MeterConfig, len(m))
+		copy(ev.Meters, m)
 	}
-	c.seq = s.seq[sw]
-	return c
+	return ev
 }
 
 // exportAll captures every seen switch's committed state in switch order —
 // the baseline a differential oracle replays before the event tap takes
 // over. One lock acquisition, so the captures are mutually consistent.
-func (s *snapshotStore) exportAll() []capture {
+func (s *snapshotStore) exportAll() []TapEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sws := make([]topology.SwitchID, 0, len(s.tables))
 	for sw := range s.tables {
 		sws = append(sws, sw)
 	}
-	sort.Slice(sws, func(i, j int) bool { return sws[i] < sws[j] })
-	caps := make([]capture, 0, len(sws))
+	slices.Sort(sws)
+	evs := make([]TapEvent, 0, len(sws))
 	for _, sw := range sws {
-		caps = append(caps, s.captureLocked(sw))
+		evs = append(evs, s.captureLocked(sw))
 	}
-	return caps
+	return evs
 }
 
 // replaceState installs a full snapshot including the meter table. The
-// returned capture pairs the new snapshot id with the tables as of exactly
-// this change; changed reports whether the switch's state actually
-// differed from the stored snapshot. An identical resync (the common case
+// returned record is the switch's state as of exactly this change (zero
+// when nothing changed); changed reports whether the switch's state
+// actually differed from the stored snapshot. An identical resync (the common case
 // for full active polls of a quiet network) advances neither the snapshot
 // id nor the switch's generation, so the compile cache stays valid and
 // standing invariants revalidate for free.
@@ -184,7 +165,7 @@ func (s *snapshotStore) exportAll() []capture {
 // A reply whose sequence is behind the store's is rejected as stale
 // (rejectedStale=true) unless force is set: an operator's forced resync
 // and the shadow oracle's replay make the reply authoritative regardless.
-func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.FlowEntry, ports []uint32, meters []openflow.MeterConfig, seq uint64, force bool) (cap capture, changed, rejectedStale bool) {
+func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.FlowEntry, ports []uint32, meters []openflow.MeterConfig, seq uint64, force bool) (ev TapEvent, changed, rejectedStale bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, seen := s.tables[sw]
@@ -193,7 +174,7 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 		// events we have already folded in. Applying it would roll the
 		// switch back in time (and the rolled-back sequence number would
 		// manufacture a gap out of the very next in-order event).
-		return s.captureLocked(sw), false, true
+		return TapEvent{}, false, true
 	}
 	// nil ports and nil meters both mean "this reply carries no such
 	// section — keep the stored state". Treating nil meters as "wipe" made
@@ -208,7 +189,7 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 		(meters != nil && !slices.Equal(s.meters[sw], meters))
 	s.seq[sw] = seq
 	if !changed {
-		return s.captureLocked(sw), false, false
+		return TapEvent{}, false, false
 	}
 	// Rule-delta extraction against the outgoing state: a first-ever
 	// snapshot or a port-set change (which alters flood expansion for the
@@ -237,15 +218,15 @@ func (s *snapshotStore) replaceState(sw topology.SwitchID, entries []openflow.Fl
 // stale-green ones). The event sequence is forgotten with the session it
 // numbered: the switch's next session, maybe a restarted process counting
 // from zero, re-bases on its own initial sync.
-func (s *snapshotStore) markUnreachable(sw topology.SwitchID) (cap capture, changed bool) {
+func (s *snapshotStore) markUnreachable(sw topology.SwitchID) (ev TapEvent, changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.seq, sw)
 	if _, seen := s.tables[sw]; !seen {
-		return s.captureLocked(sw), false
+		return TapEvent{}, false
 	}
 	if len(s.tables[sw]) == 0 && len(s.meters[sw]) == 0 {
-		return s.captureLocked(sw), false
+		return TapEvent{}, false
 	}
 	s.accumulateDeltaLocked(sw, headerspace.Delta{Space: headerspace.FullSpace(wire.HeaderWidth)})
 	s.tables[sw] = []openflow.FlowEntry{}
@@ -265,16 +246,16 @@ func (s *snapshotStore) metersOf(sw topology.SwitchID) []openflow.MeterConfig {
 // the event is not the next in sequence: stale marks events already
 // superseded by a newer full snapshot (dropped silently), !stale marks a
 // forward gap (lost events), signalling the caller to resync. On success
-// the capture pairs the new snapshot id with the tables as of this event.
-func (s *snapshotStore) applyEvent(sw topology.SwitchID, ev *openflow.FlowMonitorReply) (cap capture, ok, stale bool) {
+// the returned record is the switch's state as of this event.
+func (s *snapshotStore) applyEvent(sw topology.SwitchID, ev *openflow.FlowMonitorReply) (rec TapEvent, ok, stale bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	last := s.seq[sw]
 	if ev.Seq <= last {
-		return capture{}, false, true
+		return TapEvent{}, false, true
 	}
 	if ev.Seq != last+1 {
-		return capture{}, false, false
+		return TapEvent{}, false, false
 	}
 	s.seq[sw] = ev.Seq
 	s.accumulateDeltaLocked(sw, eventDelta(s.tables[sw], ev))

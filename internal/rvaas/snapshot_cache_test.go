@@ -54,14 +54,14 @@ func TestCompiledNetworkCache(t *testing.T) {
 	}
 
 	// One passive event on switch 1: only switch 1 recompiles.
-	cap, ok, _ := s.applyEvent(1, &openflow.FlowMonitorReply{
+	ev, ok, _ := s.applyEvent(1, &openflow.FlowMonitorReply{
 		Seq: 2, Kind: openflow.FlowEventAdded, Entry: cacheEntry(0x0A000002, 1),
 	})
 	if !ok {
 		t.Fatal("applyEvent rejected in-sequence event")
 	}
-	if cap.id != s.snapshotID() || len(cap.tables[1]) != 2 {
-		t.Fatalf("capture = id %d, %d entries on sw1; want id %d, 2", cap.id, len(cap.tables[1]), s.snapshotID())
+	if ev.SnapshotID != s.snapshotID() || ev.Switch != 1 || len(ev.Entries) != 2 {
+		t.Fatalf("commit record = id %d, %d entries on sw%d; want id %d, 2 on sw1", ev.SnapshotID, len(ev.Entries), ev.Switch, s.snapshotID())
 	}
 	n3, _ := s.buildNetwork(topo)
 	st = s.compileStats()

@@ -7,13 +7,15 @@ import (
 	"repro/internal/verifier"
 )
 
-// TapEvent is one committed snapshot mutation as observed by the event tap:
-// the mutated switch together with its full committed state, copied under
-// the same lock acquisition as the mutation itself. A differential oracle
-// (internal/campaign) feeds the stream to a shadow controller via
-// ReplayState so the reference re-verifies exactly the committed event
-// order — not a re-read of live state that concurrent mutators may have
-// moved past.
+// TapEvent is one commit: switch Switch's committed state at snapshot id
+// SnapshotID, copied under the same lock acquisition as the mutation
+// itself. It is the one record the snapshot store hands out: the history
+// ring keeps its entries, the event tap observes it, and ExportState lists
+// one per switch. A differential oracle (internal/campaign) feeds the tap
+// stream to a shadow controller via ReplayState so the reference
+// re-verifies exactly the committed event order — not a re-read of live
+// state that concurrent mutators may have moved past. The slices are
+// shared with the history ring: read them, never modify them.
 type TapEvent struct {
 	Switch     topology.SwitchID
 	Source     history.Source
@@ -46,23 +48,14 @@ func (c *Controller) SetCommitTap(fn func(*verifier.Transition)) {
 	c.tapMu.Unlock()
 }
 
-// tapCommittedEvent hands one committed mutation to the event tap, if any.
-func (c *Controller) tapCommittedEvent(src history.Source, cap capture) {
+// tapCommittedEvent hands one commit to the event tap, if any.
+func (c *Controller) tapCommittedEvent(ev TapEvent) {
 	c.tapMu.RLock()
 	fn := c.eventTap
 	c.tapMu.RUnlock()
-	if fn == nil {
-		return
+	if fn != nil {
+		fn(ev)
 	}
-	fn(TapEvent{
-		Switch:     cap.sw,
-		Source:     src,
-		SnapshotID: cap.id,
-		Seq:        cap.seq,
-		Entries:    cap.entries,
-		Ports:      cap.ports,
-		Meters:     cap.meters,
-	})
 }
 
 // tapTransition lets the commit tap observe/corrupt one verdict transition.
@@ -86,9 +79,9 @@ func (c *Controller) ReplayState(sw topology.SwitchID, src history.Source, entri
 	if entries == nil {
 		entries = []openflow.FlowEntry{}
 	}
-	cap, changed, _ := c.snap.replaceState(sw, entries, ports, meters, seq, true)
+	ev, changed, _ := c.snap.replaceState(sw, entries, ports, meters, seq, true)
 	if changed {
-		c.recordHistory(src, cap)
+		c.recordHistory(src, ev)
 	}
 	return changed
 }
@@ -103,20 +96,11 @@ func (c *Controller) ReplayTap(ev TapEvent) bool {
 // acquisition). A differential oracle replays this baseline into its
 // shadow controller before live tap events take over.
 func (c *Controller) ExportState() []TapEvent {
-	caps := c.snap.exportAll()
-	out := make([]TapEvent, 0, len(caps))
-	for _, cap := range caps {
-		out = append(out, TapEvent{
-			Switch:     cap.sw,
-			Source:     history.SourceActivePoll,
-			SnapshotID: cap.id,
-			Seq:        cap.seq,
-			Entries:    cap.entries,
-			Ports:      cap.ports,
-			Meters:     cap.meters,
-		})
+	evs := c.snap.exportAll()
+	for i := range evs {
+		evs[i].Source = history.SourceActivePoll
 	}
-	return out
+	return evs
 }
 
 // SnapshotSeq returns the last committed flow-monitor event sequence for
